@@ -1,4 +1,4 @@
-"""Engine performance report: reference vs. fused/compiled vs. batched.
+"""Engine performance report: reference vs. compiled vs. batched.
 
 Times the co-simulation paths on the same fixed workload — the Fig. 5
 drive-loop locking scenario (sensor at rest from power-on) — plus the
@@ -139,7 +139,6 @@ def build_report(duration_s: float = DURATION_S,
     workers = workers or min(2, os.cpu_count() or 1)
 
     t_ref = _time_engine("reference", duration_s)
-    t_fused = _time_engine("fused", duration_s)
     t_compiled = _time_engine("compiled", duration_s)
     t_batch = _time_batch(lanes, duration_s)
     t_compiled_fleet = _time_compiled_fleet(lanes, duration_s)
@@ -149,7 +148,6 @@ def build_report(duration_s: float = DURATION_S,
     sps_ref = n / t_ref
     entries = []
     for path, sps in (("reference", sps_ref),
-                      ("fused", n / t_fused),
                       ("compiled", n / t_compiled),
                       (f"batched[B={lanes}]", n * lanes / t_batch),
                       (f"compiled-batched[B={lanes}]",

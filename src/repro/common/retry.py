@@ -59,19 +59,6 @@ class RetryPolicy:
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ConfigurationError("deadline_s must be >= 0")
 
-    @classmethod
-    def from_legacy(cls, max_retries: int = 2,
-                    retry_backoff_s: float = 0.0) -> "RetryPolicy":
-        """Build a policy from the pre-policy executor scalars.
-
-        ``max_retries`` counted *re*-runs, so the equivalent policy
-        allows ``max_retries + 1`` attempts; ``retry_backoff_s`` was
-        already the base of an exponential backoff.
-        """
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        return cls(max_attempts=max_retries + 1, backoff_s=retry_backoff_s)
-
     # -- delays -------------------------------------------------------------
 
     def delay_for(self, attempt: int) -> float:

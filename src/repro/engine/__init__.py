@@ -1,27 +1,27 @@
 """Fast co-simulation engines for the gyro conditioning platform.
 
-Four interchangeable ways to run the same mixed-signal co-simulation:
+Three interchangeable ways to run the same mixed-signal co-simulation:
 
 * **reference** — the original object-oriented per-sample loop in
   :meth:`GyroPlatform.run` (one method call per block per sample).
   The behavioural ground truth.
-* **fused** (:func:`repro.engine.fused.run_fused`) — the whole
-  sensor → AFE → DSP → DAC loop flattened into one function over local
-  scalars; several times faster, bit-identical traces and state.
+* **compiled** (:func:`repro.engine.compiled.run_compiled`) — a kernel
+  *generated* for the platform's structure (the whole sensor → AFE →
+  DSP → DAC loop on local floats, fixed-point quantisers inlined,
+  biquads unrolled, dead branches dropped) and JIT-compiled with numba
+  when it is installed; without numba the same generated source runs as
+  a plain Python kernel.  Bit-identical traces and state, and the
+  default for single-platform runs.  :func:`run_compiled_fleet` runs
+  heterogeneous fleets lane-by-lane with cache-sized time chunks.
 * **batched** (:class:`repro.engine.batch.FleetSimulator`) — the loop
   state made array-valued over a fleet of ``B`` independent platforms
   stepped in NumPy lockstep; an order of magnitude more per-scenario
   throughput at ``B≈32``, again bit-identical per lane.
-* **compiled** (:func:`repro.engine.compiled.run_compiled`) — a kernel
-  *generated* for the platform's structure (fixed-point quantisers
-  inlined, biquads unrolled, dead branches dropped) and JIT-compiled
-  with numba when it is installed; without numba the same generated
-  source runs as a plain Python kernel, still faster than fused and
-  still bit-identical.  :func:`repro.engine.compiled.run_compiled_fleet`
-  runs heterogeneous fleets lane-by-lane with cache-sized time chunks.
 
-``GyroPlatform.run`` dispatches through the engine registry
-(``GyroPlatformConfig.engine``); ``GyroPlatform.run_batch`` and
+Both fast engines load and store platform state through the packed
+schema of :mod:`repro.engine.state`.  ``GyroPlatform.run`` dispatches
+through the engine registry (``GyroPlatformConfig.engine``); a sequence
+of environments passed to ``GyroPlatform.run`` and
 :class:`FleetSimulator` expose the batch axis.
 """
 
@@ -32,7 +32,6 @@ from .compiled import (
     run_compiled,
     run_compiled_fleet,
 )
-from .fused import run_fused
 
 __all__ = [
     "FleetSimulator",
@@ -40,5 +39,4 @@ __all__ = [
     "compiled_backend",
     "run_compiled",
     "run_compiled_fleet",
-    "run_fused",
 ]

@@ -1,6 +1,6 @@
 """Batched scenario-fleet co-simulation engine.
 
-Where the fused kernel removes per-sample dispatch for a single
+Where the compiled kernels remove per-sample dispatch for a single
 platform, this engine adds a *batch axis*: every piece of closed-loop
 state (resonator modes, AFE filter states, PLL integrator/NCO phase,
 AGC, demod filters, rebalance, start-up counters, DAC outputs) becomes a
@@ -13,16 +13,23 @@ design-space exploration.
 
 Per-lane *values* may differ freely (sensor parameters, noise seeds,
 gains, calibration words, environments); only the *structure* must match
-across lanes (sample rate, loop topology, filter orders, fixed-point
-formats) — see :func:`repro.engine.state.check_fleet_compatible`.
+across lanes (sample rate, record decimation, loop topology, filter
+orders, fixed-point formats) — see
+:func:`repro.engine.state.check_fleet_compatible`.
 
-Like the fused kernel, every arithmetic expression replicates the
-reference chain operation-for-operation (elementwise IEEE-754 ops are
-identical to their scalar counterparts, and ``np.sin``/``np.cos``/
-``np.round`` match ``math.sin``/``math.cos``/``round`` bit-for-bit), so
-each lane's traces and final platform state are bit-identical to a
-dedicated reference-engine run.  Registers are refreshed once at the end
-of the run, as in the fused engine.
+Lane state, constants and biquad states load and store through the
+packed schema the compiled engine uses (:mod:`repro.engine.state`): the
+per-lane state vectors stacked into an ``(S, B)`` matrix, the constant
+vectors into ``(C, B)`` and the flat biquad arrays into ``(2K, B)``, with
+the same end-of-run writeback per lane.
+
+Every arithmetic expression replicates the reference chain
+operation-for-operation (elementwise IEEE-754 ops are identical to their
+scalar counterparts, and ``np.sin``/``np.cos``/``np.rint`` match
+``math.sin``/``math.cos``/``round`` bit-for-bit), so each lane's traces
+and final platform state are bit-identical to a dedicated
+reference-engine run.  Registers are refreshed once at the end of the
+run, as in the compiled engine.
 """
 
 from __future__ import annotations
@@ -39,10 +46,12 @@ from ..platform.result import GyroSimulationResult
 from ..sensors.environment import Environment
 from .state import (
     array_quantizer,
-    biquad_sections,
+    biquad_arrays,
     check_fleet_compatible,
+    finish_run,
+    gather_consts,
+    pack_scalar_state,
     sensor_temperature_plan,
-    writeback_biquads,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -64,8 +73,8 @@ class FleetSimulator:
     The lanes are ordinary :class:`~repro.platform.gyro_platform.GyroPlatform`
     objects: their state is read into the batch axis at the start of a
     run and written back at the end, so fleet runs can be freely mixed
-    with per-platform (reference or fused) simulation, calibration and
-    register access.
+    with per-platform (reference or compiled) simulation, calibration
+    and register access.
     """
 
     def __init__(self, platforms: Sequence):
@@ -142,8 +151,8 @@ class FleetSimulator:
                 raise ConfigurationError(
                     f"got {len(durations)} durations for "
                     f"{len(self.platforms)} fleet lanes")
-        if any(d <= 0 for d in durations):
-            raise ConfigurationError("duration must be > 0")
+        if not all(0.0 < d < math.inf for d in durations):
+            raise ConfigurationError("duration must be finite and > 0")
         if isinstance(environments, Environment):
             environments = [environments] * len(self.platforms)
         environments = list(environments)
@@ -154,17 +163,40 @@ class FleetSimulator:
         if reset:
             for p in self.platforms:
                 p.reset()
-        return _run_batch(self.platforms, environments, durations,
-                          record_waveforms)
+        return _run_lockstep(self.platforms, environments, durations,
+                             record_waveforms)
 
 
-def _lane_array(platforms, fn) -> np.ndarray:
-    """Gather one scalar per lane into a float ``(B,)`` array."""
-    return np.array([fn(p) for p in platforms], dtype=np.float64)
+def _stack_biquads(filters):
+    """Per-lane ``(coefs, z)`` of one cascade as ``(5K, B)``/``(2K, B)``."""
+    arrays = [biquad_arrays(f) for f in filters]
+    return (np.stack([coefs for coefs, _ in arrays], axis=1),
+            np.stack([z for _, z in arrays], axis=1))
 
 
-def _run_batch(platforms, environments, durations_s: Sequence[float],
-               record_waveforms: bool) -> List[GyroSimulationResult]:
+def _converter_rows(devices):
+    """Per-lane ``(k_gain, k_tc, off_v, off_tc)`` drift rows of a converter."""
+    cfgs = [d.config for d in devices]
+    return (np.array([1.0 + c.gain_error for c in cfgs]),
+            np.array([c.gain_tc_ppm_per_c * 1e-6 for c in cfgs]),
+            np.array([c.offset_error_v for c in cfgs]),
+            np.array([c.offset_tc_v_per_c for c in cfgs]))
+
+
+def _converter_drift(rows, dt_c):
+    """``(gain, offset)`` of one converter over a chunk, ``(nc, B)`` each."""
+    k_gain, k_tc, off_v, off_tc = rows
+    return k_gain * (1.0 + k_tc * dt_c), off_v + off_tc * dt_c
+
+
+def _offset_rows(amplifiers):
+    """Per-lane ``(offset_v, offset_tc)`` rows of an amplifier."""
+    return (np.array([a.config.offset_v for a in amplifiers]),
+            np.array([a.config.offset_tc_v_per_c for a in amplifiers]))
+
+
+def _run_lockstep(platforms, environments, durations_s: Sequence[float],
+                  record_waveforms: bool) -> List[GyroSimulationResult]:
     B = len(platforms)
     ref = platforms[0]
     cfg = ref.config
@@ -174,200 +206,97 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
     n = max(n_lane)
     dec = cfg.record_decimation
     n_rec = n // dec + 1
-    start_times = _lane_array(platforms, lambda p: p._time_s)
 
     sensors = [p.sensor for p in platforms]
     frontends = [p.frontend for p in platforms]
-    conds = [p.conditioner for p in platforms]
-    plls = [c.drive_loop.pll for c in conds]
-    ncos = [pll.nco for pll in plls]
-    agcs = [c.drive_loop.agc for c in conds]
-    senses = [c.sense_chain for c in conds]
-    rebs = [c.rebalance for c in conds]
-    starts = [c.startup for c in conds]
+    senses = [p.conditioner.sense_chain for p in platforms]
 
-    # ---- per-lane constants ------------------------------------------------
-    la = _lane_array
-    sp = [s.params for s in sensors]
-    kq = np.array([(p.quadrature_error_dps * math.pi / 180.0)
-                   * 2.0 * p.angular_gain for p in sp])
-    kc = np.array([-2.0 * p.angular_gain for p in sp])
-    s_drive_gain = np.array([p.drive_gain_ms2_per_v for p in sp])
-    s_control_gain = np.array([p.control_gain_ms2_per_v for p in sp])
+    # ---- lane constants, state and biquads in the packed schema -----------
+    start_times = [p._time_s for p in platforms]
+    consts = np.stack([gather_consts(p, t)
+                       for p, t in zip(platforms, start_times)], axis=1)
+    state = np.stack([pack_scalar_state(p) for p in platforms], axis=1)
+    out_coefs, out_z = _stack_biquads([s.output_filter for s in senses])
+    quad_coefs, quad_z = _stack_biquads([s.quadrature_filter for s in senses])
 
-    ca_gain = la(frontends, lambda f: f.primary_charge_amp.config.transimpedance_gain)
-    ca_rail = la(frontends, lambda f: f.primary_charge_amp.config.rail_v)
-    ca_off_v = la(frontends, lambda f: f.primary_charge_amp.config.offset_v)
-    ca_off_tc = la(frontends, lambda f: f.primary_charge_amp.config.offset_tc_v_per_c)
+    # ---- constants, unpacked in CONSTS order ------------------------------
+    (kq, kc, s_drive_gain, s_control_gain,
+     ca_gain, ca_rail, trim_p, trim_s,
+     pga_p_gain, pga_s_gain, pga_p_alpha, pga_s_alpha,
+     pga_p_rail, pga_s_rail, aa_alpha, aa_alpha_s,
+     adc_p_kinl, adc_p_vref, adc_p_lsb, adc_p_cmin, adc_p_cmax,
+     adc_s_kinl, adc_s_vref, adc_s_lsb, adc_s_cmin, adc_s_cmax,
+     ov_thr,
+     ddac_lsb, ddac_vref, ddac_min, ddac_max,
+     cdac_lsb, cdac_vref, cdac_min, cdac_max,
+     rdac_lsb, rdac_vref, rdac_min, rdac_max,
+     mid, out_span, trim_out,
+     pd_alpha, amp_alpha, pll_thr, pll_kp, pll_ki,
+     lock_thr, lock_count, tuning_range, nco_fc, nco_fs,
+     agc_target, agc_kp, agc_ki, agc_min, agc_max, settle_thr,
+     demod_alpha, qc_coeff, off_comp, scale_dps, full_scale,
+     reb_alpha, reb_kp, reb_ki, reb_limit,
+     wd_samples, settle_samples, _, start_time) = consts
 
-    pga_p_gain = la(frontends, lambda f: f.primary_pga.gain)
-    pga_s_gain = la(frontends, lambda f: f.secondary_pga.gain)
-    pga_p_alpha = la(frontends, lambda f: f.primary_pga._alpha)
-    pga_s_alpha = la(frontends, lambda f: f.secondary_pga._alpha)
-    pga_p_rail = la(frontends, lambda f: f.primary_pga.config.rail_v)
-    pga_s_rail = la(frontends, lambda f: f.secondary_pga.config.rail_v)
-    pga_p_off_v = la(frontends, lambda f: f.primary_pga.config.offset_v)
-    pga_p_off_tc = la(frontends, lambda f: f.primary_pga.config.offset_tc_v_per_c)
-    pga_s_off_v = la(frontends, lambda f: f.secondary_pga.config.offset_v)
-    pga_s_off_tc = la(frontends, lambda f: f.secondary_pga.config.offset_tc_v_per_c)
-    trim_p = la(frontends, lambda f: f._offset_trim_primary_v)
-    trim_s = la(frontends, lambda f: f._offset_trim_secondary_v)
-    aa_alpha_p = la(frontends, lambda f: f.primary_antialias._first._alpha)
-    aa_alpha_s = la(frontends, lambda f: f.secondary_antialias._first._alpha)
-
-    def adc_consts(get):
-        adcs = [get(f) for f in frontends]
-        return {
-            "k_gain": np.array([1.0 + a.config.gain_error for a in adcs]),
-            "k_tc": np.array([a.config.gain_tc_ppm_per_c * 1e-6 for a in adcs]),
-            "off_v": np.array([a.config.offset_error_v for a in adcs]),
-            "off_tc": np.array([a.config.offset_tc_v_per_c for a in adcs]),
-            "kinl": np.array([a.config.inl_lsb * a._lsb for a in adcs]),
-            "vref": np.array([a.config.vref for a in adcs]),
-            "lsb": np.array([a._lsb for a in adcs]),
-            "cmin": np.array([float(a._code_min) for a in adcs]),
-            "cmax": np.array([float(a._code_max) for a in adcs]),
-            "noise": [a._noise for a in adcs],
-        }
-
-    adc_p = adc_consts(lambda f: f.primary_adc)
-    adc_s = adc_consts(lambda f: f.secondary_adc)
-    ov_thr = 0.98 * la(frontends, lambda f: f.config.adc.vref)
-
-    def dac_consts(get):
-        dacs = [get(f) for f in frontends]
-        return {
-            "k_gain": np.array([1.0 + d.config.gain_error for d in dacs]),
-            "k_tc": np.array([d.config.gain_tc_ppm_per_c * 1e-6 for d in dacs]),
-            "off_v": np.array([d.config.offset_error_v for d in dacs]),
-            "off_tc": np.array([d.config.offset_tc_v_per_c for d in dacs]),
-            "lsb": np.array([d._lsb for d in dacs]),
-            "vref": np.array([d.config.vref for d in dacs]),
-            "out_min": np.array([d._out_min for d in dacs]),
-            "out_max": np.array([d._out_max for d in dacs]),
-        }
-
-    ddac = dac_consts(lambda f: f.drive_dac)
-    cdac = dac_consts(lambda f: f.control_dac)
-    rdac = dac_consts(lambda f: f.rate_output_dac)
-    mid = la(frontends, lambda f: f.supply.config.nominal_v) / 2.0
-    out_span = la(frontends, lambda f: f.config.rate_output_sensitivity_v_per_fs)
-    trim_out = la(frontends, lambda f: f._offset_trim_output_v)
-
-    pd_alpha = la(plls, lambda p: p._pd_filter.alpha)
-    amp_alpha = la(plls, lambda p: p._amp_filter.alpha)
-    pll_thr = la(plls, lambda p: p.config.amplitude_threshold)
-    pll_kp = la(plls, lambda p: p.config.kp)
-    pll_ki = la(plls, lambda p: p.config.ki)
-    lock_thr = la(plls, lambda p: p.config.lock_threshold)
-    lock_count = np.array([p.config.lock_count for p in plls])
-    tuning_range = la(ncos, lambda o: o.tuning_range_hz)
-    nco_fc = la(ncos, lambda o: o.center_frequency_hz)
-    nco_fs = la(ncos, lambda o: o.sample_rate_hz)
-    q_nco = array_quantizer(ncos[0].output_format)
-
-    agc_target = la(agcs, lambda a: a.config.target_amplitude)
-    agc_kp = la(agcs, lambda a: a.config.kp)
-    agc_ki = la(agcs, lambda a: a.config.ki)
-    agc_min = la(agcs, lambda a: a.config.min_gain)
-    agc_max = la(agcs, lambda a: a.config.max_gain)
-    settle_thr = la(agcs, lambda a: a.config.settle_threshold)
-    q_agc = array_quantizer(agcs[0].config.output_format)
-    q_drive = array_quantizer(conds[0].drive_loop.config.output_format)
-
-    demod_alpha = la(senses, lambda s: s.demodulator.in_phase._filter.alpha)
-    q_demod = array_quantizer(senses[0].demodulator.in_phase.output_format)
-    qc_coeff = la(senses, lambda s: s.quadrature_cancel.coefficient)
-    q_qc = array_quantizer(senses[0].quadrature_cancel.output_format)
-    q_out = array_quantizer(senses[0].output_filter.sections[0].output_format)
-    q_quad = array_quantizer(
-        senses[0].quadrature_filter.sections[0].output_format)
-    off_comp = la(senses, lambda s: s.offset_comp.offset)
-    q_off = array_quantizer(senses[0].offset_comp.output_format)
-    q_tc = array_quantizer(senses[0].temperature_comp.output_format)
+    # per-lane drift coefficients for the per-chunk precompute
+    ca_off_v, ca_off_tc = _offset_rows([f.primary_charge_amp
+                                        for f in frontends])
+    pga_p_off_v, pga_p_off_tc = _offset_rows([f.primary_pga
+                                              for f in frontends])
+    pga_s_off_v, pga_s_off_tc = _offset_rows([f.secondary_pga
+                                              for f in frontends])
+    adc_p = _converter_rows([f.primary_adc for f in frontends])
+    adc_s = _converter_rows([f.secondary_adc for f in frontends])
+    ddac = _converter_rows([f.drive_dac for f in frontends])
+    cdac = _converter_rows([f.control_dac for f in frontends])
+    rdac = _converter_rows([f.rate_output_dac for f in frontends])
+    ts_off = np.array([p.config.temperature_sensor.offset_error_c
+                       for p in platforms])
+    ts_res = np.array([p.config.temperature_sensor.resolution_c
+                       for p in platforms])
     tc_offset_polys = [s.temperature_comp.config.offset_poly for s in senses]
     tc_sens_polys = [s.temperature_comp.config.sensitivity_poly for s in senses]
-    scale_dps = la(senses, lambda s: s.scaler.config.scale_dps_per_unit)
-    full_scale = la(senses, lambda s: s.scaler.config.full_scale_dps)
-    q_scaler = array_quantizer(senses[0].scaler.output_format)
 
+    # quantisation sites: every lane shares lane 0's live formats
+    # (check_fleet_compatible compares the loop structures)
+    drive_loop = ref.conditioner.drive_loop
+    sense = senses[0]
+    q_nco = array_quantizer(drive_loop.pll.nco.output_format)
+    q_agc = array_quantizer(drive_loop.agc.config.output_format)
+    q_drive = array_quantizer(drive_loop.config.output_format)
+    q_demod = array_quantizer(sense.demodulator.in_phase.output_format)
+    q_qc = array_quantizer(sense.quadrature_cancel.output_format)
+    q_out = array_quantizer(sense.output_filter.sections[0].output_format)
+    q_quad = array_quantizer(
+        sense.quadrature_filter.sections[0].output_format)
+    q_off = array_quantizer(sense.offset_comp.output_format)
+    q_tc = array_quantizer(sense.temperature_comp.output_format)
+    q_scaler = array_quantizer(sense.scaler.output_format)
     closed = cfg.conditioner.closed_loop
-    reb_alpha = la(rebs, lambda r: r._demod._filter.alpha)
-    reb_kp = la(rebs, lambda r: r.config.kp)
-    reb_ki = la(rebs, lambda r: r.config.ki)
-    reb_limit = la(rebs, lambda r: r.config.max_command)
 
-    wd_samples = la(starts, lambda s: s.config.watchdog_time_s
-                    * s.config.sample_rate_hz)
-    settle_samples = la(starts, lambda s: s.config.settling_time_s
-                        * s.config.sample_rate_hz)
-    ts_off = la(platforms, lambda p: p.config.temperature_sensor.offset_error_c)
-    ts_res = la(platforms, lambda p: p.config.temperature_sensor.resolution_c)
+    # ---- loop variables, unpacked in SCALAR_STATE order --------------------
+    (x, xv, y, yv, pga_p_state, pga_s_state, aa_p1, aa_p2, aa_s1, aa_s2,
+     _, pd_state, amp_state, pll_integ, phase_err, amplitude,
+     lock_counter, locked, sin_ref, cos_ref, nco_phase, tuning,
+     agc_integ, agc_gain, agc_err, di_state, dq_state,
+     rate_channel, quad_channel, rate_dps_val, rate_word,
+     reb_state, reb_integ, reb_cmd, reb_residual,
+     st_state, st_count0, st_settle, st_ready, st_failed,
+     drive_v, control_v, drive_word, control_word, rdac_held) = state.copy()
+    locked = locked != 0.0
+    st_failed = st_failed != 0.0
 
-    # per-section biquad coefficient/state arrays: [b0, b1, b2, a1, a2, z1, z2]
-    def stack_sections(get_filter):
-        per_lane = [biquad_sections(get_filter(s)) for s in senses]
-        n_sec = len(per_lane[0])
-        return [[np.array([per_lane[lane][k][j] for lane in range(B)])
-                 for j in range(7)] for k in range(n_sec)]
+    # per-section biquad coefficient/state rows: [b0, b1, b2, a1, a2, z1, z2]
+    def sections(coefs, z):
+        z = z.copy()
+        return [[*coefs[5 * k:5 * k + 5], z[2 * k], z[2 * k + 1]]
+                for k in range(len(z) // 2)]
 
-    out_secs = stack_sections(lambda s: s.output_filter)
-    quad_secs = stack_sections(lambda s: s.quadrature_filter)
+    def section_states(secs):
+        return np.array([z for sec in secs for z in sec[5:]]).reshape(-1, B)
 
-    # ---- mutable state gathered into the batch axis ------------------------
-    x = la(sensors, lambda s: s.primary._displacement)
-    xv = la(sensors, lambda s: s.primary._velocity)
-    y = la(sensors, lambda s: s.secondary._displacement)
-    yv = la(sensors, lambda s: s.secondary._velocity)
-
-    pga_p_state = la(frontends, lambda f: f.primary_pga._state)
-    pga_s_state = la(frontends, lambda f: f.secondary_pga._state)
-    aa_p1 = la(frontends, lambda f: f.primary_antialias._first._state)
-    aa_p2 = la(frontends, lambda f: f.primary_antialias._second._state)
-    aa_s1 = la(frontends, lambda f: f.secondary_antialias._first._state)
-    aa_s2 = la(frontends, lambda f: f.secondary_antialias._second._state)
-    overload = np.array([f._overload for f in frontends])
-
-    pd_state = la(plls, lambda p: p._pd_filter._state)
-    amp_state = la(plls, lambda p: p._amp_filter._state)
-    pll_integ = la(plls, lambda p: p._integrator)
-    phase_err = la(plls, lambda p: p._phase_error)
-    amplitude = la(plls, lambda p: p._amplitude)
-    lock_counter = np.array([p._lock_counter for p in plls])
-    locked = np.array([p._locked for p in plls])
-    sin_ref = la(plls, lambda p: p._sin_ref)
-    cos_ref = la(plls, lambda p: p._cos_ref)
-    nco_phase = la(ncos, lambda o: o._phase)
-    tuning = la(ncos, lambda o: o._tuning_hz)
-    agc_integ = la(agcs, lambda a: a._integrator)
-    agc_gain = la(agcs, lambda a: a._gain)
-    agc_err = la(agcs, lambda a: a._error)
-
-    di_state = la(senses, lambda s: s.demodulator.in_phase._filter._state)
-    dq_state = la(senses, lambda s: s.demodulator.quadrature._filter._state)
-    rate_channel = la(senses, lambda s: s._rate_channel)
-    quad_channel = la(senses, lambda s: s._quadrature_channel)
-    rate_dps_val = la(senses, lambda s: s._rate_dps)
-    rate_word = la(senses, lambda s: s._rate_word)
-
-    reb_state = la(rebs, lambda r: r._demod._filter._state)
-    reb_integ = la(rebs, lambda r: r._integrator)
-    reb_cmd = la(rebs, lambda r: r._command)
-    reb_residual = la(rebs, lambda r: r._residual)
-
-    st_state = np.array([s._state.value for s in starts])
-    st_count = np.array([s._sample_count for s in starts])
-    st_settle = np.array([s._settle_counter for s in starts])
-    st_ready = np.array([-1 if s._ready_sample is None else s._ready_sample
-                         for s in starts])
-    st_failed = np.array([s._failed for s in starts])
-
-    drive_v = la(platforms, lambda p: p._drive_v)
-    control_v = la(platforms, lambda p: p._control_v)
-    drive_word = la(conds, lambda c: c.drive_loop._drive_word)
-    control_word = la(conds, lambda c: c._control_word)
-    out_dps = rate_dps_val.copy()
-    rdac_held = la(frontends, lambda f: f.rate_output_dac._held_output)
+    out_secs = sections(out_coefs, out_z)
+    quad_secs = sections(quad_coefs, quad_z)
 
     # sensor temperature-dependent coefficients (updated on plan events)
     sens_coef = {key: np.empty(B) for key in
@@ -427,12 +356,12 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
     pga_alpha2 = concat((pga_p_alpha, pga_s_alpha))
     pga_rail2 = concat((pga_p_rail, pga_s_rail))
     trim2 = concat((trim_p, trim_s))
-    aa_alpha2 = concat((aa_alpha_p, aa_alpha_s))
-    adc_vref2 = concat((adc_p["vref"], adc_s["vref"]))
-    adc_lsb2 = concat((adc_p["lsb"], adc_s["lsb"]))
-    adc_kinl2 = concat((adc_p["kinl"], adc_s["kinl"]))
-    adc_cmin2 = concat((adc_p["cmin"], adc_s["cmin"]))
-    adc_cmax2 = concat((adc_p["cmax"], adc_s["cmax"]))
+    aa_alpha2 = concat((aa_alpha, aa_alpha_s))
+    adc_vref2 = concat((adc_p_vref, adc_s_vref))
+    adc_lsb2 = concat((adc_p_lsb, adc_s_lsb))
+    adc_kinl2 = concat((adc_p_kinl, adc_s_kinl))
+    adc_cmin2 = concat((adc_p_cmin, adc_s_cmin))
+    adc_cmax2 = concat((adc_p_cmax, adc_s_cmax))
     pga_state2 = concat((pga_p_state, pga_s_state))
     aa1 = concat((aa_p1, aa_s1))
     aa2 = concat((aa_p2, aa_s2))
@@ -447,12 +376,6 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
     pick_gain = sens_coef["pick_gain"]
     offset_rate = sens_coef["offset_rate"]
     res_hz = sens_coef["res_hz"]
-    ddac_vref = ddac["vref"]; ddac_lsb = ddac["lsb"]
-    ddac_lo = ddac["out_min"]; ddac_hi = ddac["out_max"]
-    cdac_vref = cdac["vref"]; cdac_lsb = cdac["lsb"]
-    cdac_lo = cdac["out_min"]; cdac_hi = cdac["out_max"]
-    rdac_vref = rdac["vref"]; rdac_lsb = rdac["lsb"]
-    rdac_lo = rdac["out_min"]; rdac_hi = rdac["out_max"]
 
     # the PLL's two detector filters (pd: x*cos, amp: x*sin) and the sense
     # demodulator's I/Q filters share their per-lane alphas pairwise, so each
@@ -464,60 +387,27 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
     demod_state2 = concat((di_state, dq_state))
 
     zero_b = np.zeros(B)
-    st_count0 = st_count.copy()
     startup_active = bool(np.any(st_state != ST_RUNNING))
     sample_idx = 0
 
     # ---- per-lane early exit ----------------------------------------------
-    # Lanes whose duration ends before the longest lane *retire*: their
-    # closed-loop state is snapshotted at the retirement boundary (the
-    # chunk grid is split so every retirement lands on a boundary) and
-    # restored before writeback, and their noise generators stop being
-    # consumed.  The lane's column keeps evolving with frozen stimulus —
-    # elementwise garbage that is discarded — so the lockstep loop needs
-    # no per-sample masking and live lanes are untouched bit-for-bit.
-    alive = [True] * B
-    retired_snaps = {}
-
-    def _snapshot(lane):
-        # current bindings of every loop-carried array, read at call time
-        return {
-            "x": x[lane], "xv": xv[lane], "y": y[lane], "yv": yv[lane],
-            "pga_p": pga_state2[lane], "pga_s": pga_state2[lane + B],
-            "aa1_p": aa1[lane], "aa1_s": aa1[lane + B],
-            "aa2_p": aa2[lane], "aa2_s": aa2[lane + B],
-            "pll_pd": pll_state2[lane], "pll_amp": pll_state2[lane + B],
-            "dm_i": demod_state2[lane], "dm_q": demod_state2[lane + B],
-            "pll_integ": pll_integ[lane], "phase_err": phase_err[lane],
-            "amplitude": amplitude[lane],
-            "lock_counter": lock_counter[lane], "locked": locked[lane],
-            "sin_ref": sin_ref[lane], "cos_ref": cos_ref[lane],
-            "nco_phase": nco_phase[lane], "tuning": tuning[lane],
-            "agc_integ": agc_integ[lane], "agc_gain": agc_gain[lane],
-            "agc_err": agc_err[lane], "drive_word": drive_word[lane],
-            "rate_channel": rate_channel[lane],
-            "quad_channel": quad_channel[lane],
-            "rate_dps": rate_dps_val[lane], "rate_word": rate_word[lane],
-            "reb_state": reb_state[lane], "reb_integ": reb_integ[lane],
-            "reb_cmd": reb_cmd[lane], "reb_residual": reb_residual[lane],
-            "st_state": st_state[lane], "st_settle": st_settle[lane],
-            "st_ready": st_ready[lane], "st_failed": st_failed[lane],
-            "drive_v": drive_v[lane], "control_v": control_v[lane],
-            "control_word": control_word[lane], "rdac_held": rdac_held[lane],
-            "out_z": [(sec[5][lane], sec[6][lane]) for sec in out_secs],
-            "quad_z": [(sec[5][lane], sec[6][lane]) for sec in quad_secs],
-        }
-
+    # Lanes whose duration ends before the longest lane *retire*: the chunk
+    # grid is split so every retirement lands on a chunk end, where the
+    # loop variables are stored back into the packed schema and the
+    # retiring lanes' columns are kept; from then on their noise
+    # generators stop being consumed.  The lane's column keeps evolving
+    # with frozen stimulus — elementwise garbage that is discarded — so
+    # the lockstep loop needs no per-sample masking and live lanes are
+    # untouched bit-for-bit.  ``state``/``out_z``/``quad_z`` end up holding
+    # every lane's state at its own end.
     bounds = sorted(set(range(0, n, CHUNK_SAMPLES))
                     | {ni for ni in n_lane if ni < n} | {n})
+    ends = set(n_lane)
 
     # ---- chunked lockstep loop --------------------------------------------
     for chunk_start, chunk_end in zip(bounds, bounds[1:]):
         nc = chunk_end - chunk_start
-        for lane in range(B):
-            if alive[lane] and n_lane[lane] == chunk_start:
-                retired_snaps[lane] = _snapshot(lane)
-                alive[lane] = False
+        alive = [ni > chunk_start for ni in n_lane]
         t_arr = (np.arange(chunk_start, chunk_start + nc)) * dt
 
         # stimulus, drift and noise precompute, time-major (nc, B)
@@ -549,22 +439,19 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
         ca_off2 = concat((ca_off, ca_off), axis=1)
         pga_off2 = concat((pga_p_off_v + pga_p_off_tc * dt_c,
                            pga_s_off_v + pga_s_off_tc * dt_c), axis=1)
-        adc_gain2 = concat((adc_p["k_gain"] * (1.0 + adc_p["k_tc"] * dt_c),
-                            adc_s["k_gain"] * (1.0 + adc_s["k_tc"] * dt_c)),
-                           axis=1)
-        adc_off2 = concat((adc_p["off_v"] + adc_p["off_tc"] * dt_c,
-                           adc_s["off_v"] + adc_s["off_tc"] * dt_c), axis=1)
-        ddac_gain = ddac["k_gain"] * (1.0 + ddac["k_tc"] * dt_c)
-        ddac_offs = ddac["off_v"] + ddac["off_tc"] * dt_c
-        cdac_gain = cdac["k_gain"] * (1.0 + cdac["k_tc"] * dt_c)
-        cdac_offs = cdac["off_v"] + cdac["off_tc"] * dt_c
-        rdac_gain = rdac["k_gain"] * (1.0 + rdac["k_tc"] * dt_c)
-        rdac_offs = rdac["off_v"] + rdac["off_tc"] * dt_c
+        adc_p_gain, adc_p_off = _converter_drift(adc_p, dt_c)
+        adc_s_gain, adc_s_off = _converter_drift(adc_s, dt_c)
+        adc_gain2 = concat((adc_p_gain, adc_s_gain), axis=1)
+        adc_off2 = concat((adc_p_off, adc_s_off), axis=1)
+        ddac_gain, ddac_offs = _converter_drift(ddac, dt_c)
+        cdac_gain, cdac_offs = _converter_drift(cdac, dt_c)
+        rdac_gain, rdac_offs = _converter_drift(rdac, dt_c)
         if not closed:
             # open loop: the control word is identically zero, so the whole
             # control-DAC chain can be evaluated for the chunk up front
             # (0.0 quantises to code 0 -> output = offset, clipped)
-            control_v_ch = clip(0.0 * cdac_gain + cdac_offs, cdac_lo, cdac_hi)
+            control_v_ch = clip(0.0 * cdac_gain + cdac_offs,
+                                cdac_min, cdac_max)
 
         tcomp_off = np.zeros((nc, B))
         tcomp_sens = np.zeros((nc, B))
@@ -572,12 +459,12 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
             if not alive[lane]:
                 continue        # leaves off=0, sens=1: never trips the check
             acc = np.zeros(nc)
-            for i, c in enumerate(tc_offset_polys[lane]):
-                acc = acc + c * dtm[:, lane] ** i
+            for i, coef in enumerate(tc_offset_polys[lane]):
+                acc = acc + coef * dtm[:, lane] ** i
             tcomp_off[:, lane] = acc
             acc = np.zeros(nc)
-            for i, c in enumerate(tc_sens_polys[lane]):
-                acc = acc + c * dtm[:, lane] ** (i + 1)
+            for i, coef in enumerate(tc_sens_polys[lane]):
+                acc = acc + coef * dtm[:, lane] ** (i + 1)
             tcomp_sens[:, lane] = acc
         tcomp_sens = 1.0 + tcomp_sens
         if np.any(tcomp_sens == 0.0):
@@ -607,7 +494,8 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
             [lane_noise([f.primary_pga._noise for f in frontends]),
              lane_noise([f.secondary_pga._noise for f in frontends])], axis=1)
         adc_noise2 = np.concatenate(
-            [lane_noise(adc_p["noise"]), lane_noise(adc_s["noise"])], axis=1)
+            [lane_noise([f.primary_adc._noise for f in frontends]),
+             lane_noise([f.secondary_adc._noise for f in frontends])], axis=1)
 
         for j in range(nc):
             i = sample_idx
@@ -751,7 +639,7 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
 
             # start-up sequencer (skipped once every lane is RUNNING:
             # RUNNING is terminal, only the sample counter keeps advancing,
-            # and that is reconstructed as st_count0 + samples at writeback)
+            # and that is stored as st_count0 + samples at each chunk end)
             if startup_active:
                 cur_count = st_count0 + (i + 1)
                 active = (st_state != ST_RUNNING) & ~st_failed
@@ -780,12 +668,13 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
             # drive / control DACs
             qd = np_round(clip(drive_word, -1.0, 1.0) * ddac_vref
                           / ddac_lsb) * ddac_lsb
-            drive_v = clip(qd * ddac_gain[j] + ddac_offs[j], ddac_lo, ddac_hi)
+            drive_v = clip(qd * ddac_gain[j] + ddac_offs[j],
+                           ddac_min, ddac_max)
             if closed:
                 qd = np_round(clip(control_word, -1.0, 1.0) * cdac_vref
                               / cdac_lsb) * cdac_lsb
                 control_v = clip(qd * cdac_gain[j] + cdac_offs[j],
-                                 cdac_lo, cdac_hi)
+                                 cdac_min, cdac_max)
             else:
                 control_v = control_v_ch[j]
 
@@ -796,8 +685,8 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
                 qd = np_round(clip(target, 0.0, 1.0) * rdac_vref
                               / rdac_lsb) * rdac_lsb
                 rdac_held = clip(qd * rdac_gain[j] + rdac_offs[j],
-                                 rdac_lo, rdac_hi)
-                time_tr[rec] = start_times + i * dt
+                                 rdac_min, rdac_max)
+                time_tr[rec] = start_time + i * dt
                 rate_tr[rec] = rate_ch[j]
                 temp_tr[rec] = temp_ch[j]
                 out_dps_tr[rec] = out_dps
@@ -813,138 +702,37 @@ def _run_batch(platforms, environments, durations_s: Sequence[float],
                     drive_tr[rec] = drive_word
                 rec += 1
 
-    # put retired lanes back to their retirement-boundary state before
-    # anything derived (overload, writeback) is computed from the arrays
-    for lane, snap in retired_snaps.items():
-        x[lane] = snap["x"]; xv[lane] = snap["xv"]
-        y[lane] = snap["y"]; yv[lane] = snap["yv"]
-        pga_state2[lane] = snap["pga_p"]; pga_state2[lane + B] = snap["pga_s"]
-        aa1[lane] = snap["aa1_p"]; aa1[lane + B] = snap["aa1_s"]
-        aa2[lane] = snap["aa2_p"]; aa2[lane + B] = snap["aa2_s"]
-        pll_state2[lane] = snap["pll_pd"]
-        pll_state2[lane + B] = snap["pll_amp"]
-        demod_state2[lane] = snap["dm_i"]; demod_state2[lane + B] = snap["dm_q"]
-        pll_integ[lane] = snap["pll_integ"]
-        phase_err[lane] = snap["phase_err"]
-        amplitude[lane] = snap["amplitude"]
-        lock_counter[lane] = snap["lock_counter"]
-        locked[lane] = snap["locked"]
-        sin_ref[lane] = snap["sin_ref"]; cos_ref[lane] = snap["cos_ref"]
-        nco_phase[lane] = snap["nco_phase"]; tuning[lane] = snap["tuning"]
-        agc_integ[lane] = snap["agc_integ"]
-        agc_gain[lane] = snap["agc_gain"]
-        agc_err[lane] = snap["agc_err"]
-        drive_word[lane] = snap["drive_word"]
-        rate_channel[lane] = snap["rate_channel"]
-        quad_channel[lane] = snap["quad_channel"]
-        rate_dps_val[lane] = snap["rate_dps"]
-        rate_word[lane] = snap["rate_word"]
-        reb_state[lane] = snap["reb_state"]
-        reb_integ[lane] = snap["reb_integ"]
-        reb_cmd[lane] = snap["reb_cmd"]
-        reb_residual[lane] = snap["reb_residual"]
-        st_state[lane] = snap["st_state"]
-        st_settle[lane] = snap["st_settle"]
-        st_ready[lane] = snap["st_ready"]
-        st_failed[lane] = snap["st_failed"]
-        drive_v[lane] = snap["drive_v"]; control_v[lane] = snap["control_v"]
-        control_word[lane] = snap["control_word"]
-        rdac_held[lane] = snap["rdac_held"]
-        for sec, (z1, z2) in zip(out_secs, snap["out_z"]):
-            sec[5][lane] = z1; sec[6][lane] = z2
-        for sec, (z1, z2) in zip(quad_secs, snap["quad_z"]):
-            sec[5][lane] = z1; sec[6][lane] = z2
+        if chunk_end in ends:
+            # store the loop variables in SCALAR_STATE order and keep the
+            # columns of the lanes that end at this boundary; the overload
+            # flag is only observable through the final register state, so
+            # it is evaluated here from the last anti-alias outputs
+            overload = ((np.abs(aa2[:B]) >= ov_thr)
+                        | (np.abs(aa2[B:]) >= ov_thr))
+            live = np.array((
+                x, xv, y, yv, pga_state2[:B], pga_state2[B:],
+                aa1[:B], aa2[:B], aa1[B:], aa2[B:], overload,
+                pll_state2[:B], pll_state2[B:], pll_integ, phase_err,
+                amplitude, lock_counter, locked, sin_ref, cos_ref,
+                nco_phase, tuning, agc_integ, agc_gain, agc_err,
+                demod_state2[:B], demod_state2[B:],
+                rate_channel, quad_channel, rate_dps_val, rate_word,
+                reb_state, reb_integ, reb_cmd, reb_residual,
+                st_state, st_count0 + chunk_end, st_settle, st_ready,
+                st_failed, drive_v, control_v, drive_word, control_word,
+                rdac_held), dtype=float)
+            ending = [lane for lane in range(B) if n_lane[lane] == chunk_end]
+            state[:, ending] = live[:, ending]
+            out_z[:, ending] = section_states(out_secs)[:, ending]
+            quad_z[:, ending] = section_states(quad_secs)[:, ending]
 
-    # the overload flag is only observable through the final register state,
-    # so it is evaluated once from the last anti-alias outputs
-    overload = (np.abs(aa2[:B]) >= ov_thr) | (np.abs(aa2[B:]) >= ov_thr)
-    pd_state, amp_state = pll_state2[:B], pll_state2[B:]
-    di_state, dq_state = demod_state2[:B], demod_state2[B:]
-    st_count = st_count0 + np.array(n_lane)
-    pga_p_state, pga_s_state = pga_state2[:B], pga_state2[B:]
-    aa_p1, aa_s1 = aa1[:B], aa1[B:]
-    aa_p2, aa_s2 = aa2[:B], aa2[B:]
-
-    # ---- write state back into the per-lane objects ------------------------
-    for lane, platform in enumerate(platforms):
-        sensor = sensors[lane]
-        sensor.primary._displacement = float(x[lane])
-        sensor.primary._velocity = float(xv[lane])
-        sensor.secondary._displacement = float(y[lane])
-        sensor.secondary._velocity = float(yv[lane])
-
-        f = frontends[lane]
-        f.primary_pga._state = float(pga_p_state[lane])
-        f.secondary_pga._state = float(pga_s_state[lane])
-        f.primary_antialias._first._state = float(aa_p1[lane])
-        f.primary_antialias._second._state = float(aa_p2[lane])
-        f.secondary_antialias._first._state = float(aa_s1[lane])
-        f.secondary_antialias._second._state = float(aa_s2[lane])
-        f._overload = bool(overload[lane])
-        f.trim.register("afe_status").hw_write_field(
-            "overload", int(bool(overload[lane])))
-        f.drive_dac._held_output = float(drive_v[lane])
-        f.control_dac._held_output = float(control_v[lane])
-        f.rate_output_dac._held_output = float(rdac_held[lane])
-
-        pll = plls[lane]
-        pll._pd_filter._state = float(pd_state[lane])
-        pll._amp_filter._state = float(amp_state[lane])
-        pll._integrator = float(pll_integ[lane])
-        pll._phase_error = float(phase_err[lane])
-        pll._amplitude = float(amplitude[lane])
-        pll._lock_counter = int(lock_counter[lane])
-        pll._locked = bool(locked[lane])
-        pll._sin_ref = float(sin_ref[lane])
-        pll._cos_ref = float(cos_ref[lane])
-        pll.nco._phase = float(nco_phase[lane])
-        pll.nco._tuning_hz = float(tuning[lane])
-        agc = agcs[lane]
-        agc._integrator = float(agc_integ[lane])
-        agc._gain = float(agc_gain[lane])
-        agc._error = float(agc_err[lane])
-        conds[lane].drive_loop._drive_word = float(drive_word[lane])
-
-        sense = senses[lane]
-        sense.demodulator.in_phase._filter._state = float(di_state[lane])
-        sense.demodulator.quadrature._filter._state = float(dq_state[lane])
-        writeback_biquads(sense.output_filter,
-                          [[float(arr[lane]) for arr in sec]
-                           for sec in out_secs])
-        writeback_biquads(sense.quadrature_filter,
-                          [[float(arr[lane]) for arr in sec]
-                           for sec in quad_secs])
-        sense._rate_channel = float(rate_channel[lane])
-        sense._quadrature_channel = float(quad_channel[lane])
-        sense._rate_dps = float(rate_dps_val[lane])
-        sense._rate_word = float(rate_word[lane])
-
-        reb = rebs[lane]
-        reb._demod._filter._state = float(reb_state[lane])
-        reb._integrator = float(reb_integ[lane])
-        reb._command = float(reb_cmd[lane])
-        reb._residual = float(reb_residual[lane])
-
-        st = starts[lane]
-        st._state = StartupState(int(st_state[lane]))
-        st._sample_count = int(st_count[lane])
-        st._settle_counter = int(st_settle[lane])
-        st._ready_sample = None if st_ready[lane] < 0 else int(st_ready[lane])
-        st._failed = bool(st_failed[lane])
-
-        conds[lane]._sample_count += n_lane[lane]
-        conds[lane]._control_word = float(control_word[lane])
-        conds[lane]._refresh_registers()
-
-        platform._drive_v = float(drive_v[lane])
-        platform._control_v = float(control_v[lane])
-        platform._time_s = float(start_times[lane]) + n_lane[lane] * dt
-
-    # ---- per-lane results --------------------------------------------------
+    # ---- write state back and slice the per-lane results -------------------
     # a retired lane's trace stops at its own retirement row; anything a
     # longer lane recorded past that point in its column is garbage
     results = []
     for lane, platform in enumerate(platforms):
+        finish_run(platform, state[:, lane], out_z[:, lane], quad_z[:, lane],
+                   n_lane[lane], start_times[lane])
         rl = (n_lane[lane] - 1) // dec + 1
         results.append(GyroSimulationResult(
             time_s=time_tr[:rl, lane].copy(),

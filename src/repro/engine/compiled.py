@@ -1,50 +1,49 @@
-"""Compiled hot-loop engine: specialised, optionally JIT-ed fused kernels.
+"""Compiled hot-loop engine: kernels generated per platform structure.
 
-The fused engine (:mod:`repro.engine.fused`) already flattens the whole
-sensor → AFE → DSP → DAC loop into one Python function, but it still
-pays interpreter cost for every sample: closure calls for each
-fixed-point quantisation, list iteration over biquad sections, runtime
-branches on structurally-constant flags (closed loop, ADC noise/INL
-presence) and a modulo per sample for trace decimation.
+The reference chain makes ~15 method calls per sample across the
+sensor, AFE, DSP and DAC objects; a hand-flattened loop would still pay
+interpreter cost for every sample: closure calls for each fixed-point
+quantisation, list iteration over biquad sections, runtime branches on
+structurally-constant flags (closed loop, ADC noise/INL presence) and a
+modulo per sample for trace decimation.
 
 This module removes all of that by *generating* a kernel specialised to
 one platform structure.  :func:`kernel_plan` extracts the structural key
 (loop topology, filter orders, the exact fixed-point formats at each of
 the ten quantisation sites, noise/INL presence) and
 :func:`generate_kernel_source` emits a straight-line Python function for
-that key: quantisers inlined with their constants baked as literals,
-biquad cascades unrolled, dead branches dropped, the start-up sequencer
-skipped once it reaches RUNNING and the record point tracked with a
-countdown instead of a modulo.
+that key: the whole closed loop on local floats, quantisers inlined with
+their constants baked as literals, biquad cascades unrolled, dead
+branches dropped, the start-up sequencer skipped once it reaches RUNNING
+and the record point tracked with a countdown instead of a modulo.
 
 The same generated source is compiled two ways:
 
 * ``"numba"`` — wrapped in ``numba.njit`` (no ``fastmath``, so IEEE-754
   semantics are preserved) when numba is importable; the kernel then
-  runs as native code.
+  runs as native code after a one-off JIT compile per new structure.
 * ``"python"`` — plain ``compile()``/``exec``; a ``.tolist()`` prelude
   moves the per-sample arrays into Python floats so the loop runs on
-  scalar floats exactly like the fused kernel, just without its
-  remaining dispatch overhead.  This fallback is selected automatically
-  when numba is missing, so the ``"compiled"`` engine always registers
-  and behaves identically — only slower.
+  scalar floats.  This fallback is selected automatically when numba is
+  missing, so the ``"compiled"`` engine always registers and behaves
+  identically — only slower.
 
-Bit-identity contract: the generated arithmetic replicates the fused
-kernel (itself replicating the reference chain) operation for
-operation — same expression order, same rounding points, same RNG block
-draws — so traces and end-of-run platform state are bit-identical to the
-reference engine on both backends.  All mutable loop state travels
-through the packed vectors of :mod:`repro.engine.state`
+Bit-identity contract: the generated arithmetic replicates the reference
+chain operation for operation — same expression order, same rounding
+points, same RNG block draws — so traces and end-of-run platform state
+are bit-identical to the reference engine on both backends.  The DSP
+monitor registers are refreshed once at the end of each run instead of
+every ``status_update_interval`` samples.  All mutable loop state
+travels through the packed vectors of :mod:`repro.engine.state`
 (:func:`~repro.engine.state.pack_scalar_state` /
-:func:`~repro.engine.state.unpack_scalar_state`), which is what lets
-faults, safe-mode latching and early-exit lane retirement behave
-identically: the campaign layer keeps mutating the platform objects
-between chunks and every chunk re-packs from them.
+:func:`~repro.engine.state.finish_run`), which is what lets faults,
+safe-mode latching and early-exit lane retirement behave identically:
+the campaign layer keeps mutating the platform objects between chunks
+and every chunk re-packs from them.
 
 Formats with ``overflow="error"`` cannot raise from inside a generated
 kernel, so :func:`run_compiled` transparently delegates such platforms
-to :func:`repro.engine.fused.run_fused` (same results, same exception
-behaviour).
+to the reference loop (same results, same exception behaviour).
 
 Runs are processed in time chunks (:data:`CHUNK_SAMPLES`) like the
 batched engine; fleets of more than :data:`LANE_CHUNK` lanes drop to
@@ -61,15 +60,16 @@ import numpy as np
 
 from ..common.exceptions import ConfigurationError
 from ..platform.result import GyroSimulationResult
-from .fused import run_fused
 from .state import (
+    CONSTS,
     SCALAR_STATE,
     STATE_INDEX,
     biquad_arrays,
+    finish_run,
+    gather_consts,
+    loop_structure,
     pack_scalar_state,
     sensor_temperature_plan,
-    unpack_scalar_state,
-    writeback_biquad_arrays,
 )
 
 try:  # pragma: no cover - absence is the tested path in this environment
@@ -89,30 +89,6 @@ BIG_FLEET_CHUNK_SAMPLES = 4096
 
 _PI = repr(math.pi)
 _TWO_PI = repr(2.0 * math.pi)
-
-#: Slot order of the per-run scalar-constant vector handed to kernels.
-#: The names match the fused kernel's constant locals.
-_CONSTS = (
-    "kq", "kc", "s_drive_gain", "s_control_gain",
-    "ca_gain", "ca_rail", "trim_p", "trim_s",
-    "pga_p_gain", "pga_s_gain", "pga_p_alpha", "pga_s_alpha",
-    "pga_p_rail", "pga_s_rail", "aa_alpha", "aa_alpha_s",
-    "adc_p_kinl", "adc_p_vref", "adc_p_lsb", "adc_p_cmin", "adc_p_cmax",
-    "adc_s_kinl", "adc_s_vref", "adc_s_lsb", "adc_s_cmin", "adc_s_cmax",
-    "ov_thr",
-    "ddac_lsb", "ddac_vref", "ddac_min", "ddac_max",
-    "cdac_lsb", "cdac_vref", "cdac_min", "cdac_max",
-    "rdac_lsb", "rdac_vref", "rdac_min", "rdac_max",
-    "mid", "out_span", "trim_out",
-    "pd_alpha", "amp_alpha", "pll_thr", "pll_kp", "pll_ki",
-    "lock_thr", "lock_count", "tuning_range", "nco_fc", "nco_fs",
-    "agc_target", "agc_kp", "agc_ki", "agc_min", "agc_max", "settle_thr",
-    "demod_alpha", "qc_coeff", "off_comp", "scale_dps", "full_scale",
-    "reb_alpha", "reb_kp", "reb_ki", "reb_limit",
-    "wd_samples", "settle_samples", "dt", "start_time",
-)
-
-_CONSTS_INDEX = {name: index for index, name in enumerate(_CONSTS)}
 
 #: Kernel argument order (shared by both backends).
 _KERNEL_ARGS = (
@@ -147,49 +123,23 @@ _EV_NAMES = ("pa11", "pa12", "pa21", "pa22", "pb1", "pb2",
              "pick_gain", "offset_rate", "res_hz")
 
 
-def _fmt_spec(fmt) -> Optional[Tuple]:
-    """Hashable structural key of a QFormat quantisation site."""
-    if fmt is None:
-        return None
-    return (fmt.lsb, fmt.min_value / fmt.lsb, fmt.max_value / fmt.lsb,
-            fmt.rounding, fmt.overflow)
-
-
 def kernel_plan(platform) -> Optional[Tuple]:
     """Structural key deciding which specialised kernel a platform needs.
 
-    Two platforms with the same plan share one generated kernel (their
-    differing *values* travel through the consts/state vectors).
-    Returns ``None`` when any quantisation site uses ``overflow="error"``
-    — generated kernels cannot raise, so such runs delegate to the fused
-    engine.
+    The :func:`~repro.engine.state.loop_structure` plus ADC noise/INL
+    presence.  Two platforms with the same plan share one generated
+    kernel (their differing *values* travel through the consts/state
+    vectors).  Returns ``None`` when any quantisation site uses
+    ``overflow="error"`` — generated kernels cannot raise, so such runs
+    delegate to the reference loop.
     """
-    conditioner = platform.conditioner
-    drive_loop = conditioner.drive_loop
-    sense = conditioner.sense_chain
-    frontend = platform.frontend
-    specs = (
-        _fmt_spec(drive_loop.pll.nco.output_format),
-        _fmt_spec(drive_loop.agc.config.output_format),
-        _fmt_spec(drive_loop.config.output_format),
-        _fmt_spec(sense.demodulator.in_phase.output_format),
-        _fmt_spec(sense.quadrature_cancel.output_format),
-        _fmt_spec(sense.output_filter.sections[0].output_format),
-        _fmt_spec(sense.quadrature_filter.sections[0].output_format),
-        _fmt_spec(sense.offset_comp.output_format),
-        _fmt_spec(sense.temperature_comp.output_format),
-        _fmt_spec(sense.scaler.output_format),
-    )
-    for spec in specs:
+    structure = loop_structure(platform)
+    for spec in structure[3:]:
         if spec is not None and spec[4] == "error":
             return None
-    adc_p = frontend.primary_adc
-    adc_s = frontend.secondary_adc
-    return (
-        bool(conditioner.config.closed_loop),
-        len(sense.output_filter.sections),
-        len(sense.quadrature_filter.sections),
-    ) + specs + (
+    adc_p = platform.frontend.primary_adc
+    adc_s = platform.frontend.secondary_adc
+    return structure + (
         bool(adc_p.config.noise_rms_v),
         bool(adc_s.config.noise_rms_v),
         bool(adc_p.config.inl_lsb * adc_p._lsb),
@@ -200,8 +150,9 @@ def kernel_plan(platform) -> Optional[Tuple]:
 def quantizer_lines(var, spec, indent: int, counter) -> list:
     """Emit the bit-exact inline equivalent of ``var = quantize(var, fmt)``.
 
-    ``spec`` is a :func:`_fmt_spec` tuple (``None`` emits nothing) and
-    ``counter`` a one-element list used to mint unique temporaries, so
+    ``spec`` is a :func:`~repro.engine.state.fmt_spec` tuple (``None``
+    emits nothing) and ``counter`` a one-element list used to mint
+    unique temporaries, so
     every inlined site stays SSA-friendly for numba.  Exposed at module
     level so tests can lock the generated snippet against
     :func:`repro.common.fixedpoint.quantize` directly.
@@ -271,7 +222,7 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
             emit(f"    {name}_r = {name}")
 
     # ---- constants and entry state into locals ----------------------------
-    for index, name in enumerate(_CONSTS):
+    for index, name in enumerate(CONSTS):
         emit(f"    {name} = consts_r[{index}]")
     for name in SCALAR_STATE:
         index = STATE_INDEX[name]
@@ -655,110 +606,6 @@ def _compile_kernel(plan: Tuple, backend: Optional[str] = None):
     return fn
 
 
-def _gather_consts(platform, start_time: float) -> np.ndarray:
-    """Pack the run's scalar constants in :data:`_CONSTS` order."""
-    cfg = platform.config
-    sensor = platform.sensor
-    frontend = platform.frontend
-    conditioner = platform.conditioner
-    drive_loop = conditioner.drive_loop
-    pll = drive_loop.pll
-    nco = pll.nco
-    agc = drive_loop.agc
-    sense = conditioner.sense_chain
-    rebalance = conditioner.rebalance
-    startup = conditioner.startup
-
-    p = sensor.params
-    ca_cfg = frontend.primary_charge_amp.config
-    pga_p = frontend.primary_pga
-    pga_s = frontend.secondary_pga
-    adc_p = frontend.primary_adc
-    adc_s = frontend.secondary_adc
-    ddac = frontend.drive_dac
-    cdac = frontend.control_dac
-    rdac = frontend.rate_output_dac
-    pll_cfg = pll.config
-    agc_cfg = agc.config
-    reb_cfg = rebalance.config
-    st_cfg = startup.config
-    values = {
-        "kq": (p.quadrature_error_dps * math.pi / 180.0)
-              * 2.0 * p.angular_gain,
-        "kc": -2.0 * p.angular_gain,
-        "s_drive_gain": p.drive_gain_ms2_per_v,
-        "s_control_gain": p.control_gain_ms2_per_v,
-        "ca_gain": ca_cfg.transimpedance_gain,
-        "ca_rail": ca_cfg.rail_v,
-        "trim_p": frontend._offset_trim_primary_v,
-        "trim_s": frontend._offset_trim_secondary_v,
-        "pga_p_gain": pga_p.gain,
-        "pga_s_gain": pga_s.gain,
-        "pga_p_alpha": pga_p._alpha,
-        "pga_s_alpha": pga_s._alpha,
-        "pga_p_rail": pga_p.config.rail_v,
-        "pga_s_rail": pga_s.config.rail_v,
-        "aa_alpha": frontend.primary_antialias._first._alpha,
-        "aa_alpha_s": frontend.secondary_antialias._first._alpha,
-        "adc_p_kinl": adc_p.config.inl_lsb * adc_p._lsb,
-        "adc_p_vref": adc_p.config.vref,
-        "adc_p_lsb": adc_p._lsb,
-        "adc_p_cmin": float(adc_p._code_min),
-        "adc_p_cmax": float(adc_p._code_max),
-        "adc_s_kinl": adc_s.config.inl_lsb * adc_s._lsb,
-        "adc_s_vref": adc_s.config.vref,
-        "adc_s_lsb": adc_s._lsb,
-        "adc_s_cmin": float(adc_s._code_min),
-        "adc_s_cmax": float(adc_s._code_max),
-        "ov_thr": 0.98 * frontend.config.adc.vref,
-        "ddac_lsb": ddac._lsb,
-        "ddac_vref": ddac.config.vref,
-        "ddac_min": ddac._out_min,
-        "ddac_max": ddac._out_max,
-        "cdac_lsb": cdac._lsb,
-        "cdac_vref": cdac.config.vref,
-        "cdac_min": cdac._out_min,
-        "cdac_max": cdac._out_max,
-        "rdac_lsb": rdac._lsb,
-        "rdac_vref": rdac.config.vref,
-        "rdac_min": rdac._out_min,
-        "rdac_max": rdac._out_max,
-        "mid": frontend.supply.config.nominal_v / 2.0,
-        "out_span": frontend.config.rate_output_sensitivity_v_per_fs,
-        "trim_out": frontend._offset_trim_output_v,
-        "pd_alpha": pll._pd_filter.alpha,
-        "amp_alpha": pll._amp_filter.alpha,
-        "pll_thr": pll_cfg.amplitude_threshold,
-        "pll_kp": pll_cfg.kp,
-        "pll_ki": pll_cfg.ki,
-        "lock_thr": pll_cfg.lock_threshold,
-        "lock_count": float(pll_cfg.lock_count),
-        "tuning_range": nco.tuning_range_hz,
-        "nco_fc": nco.center_frequency_hz,
-        "nco_fs": nco.sample_rate_hz,
-        "agc_target": agc_cfg.target_amplitude,
-        "agc_kp": agc_cfg.kp,
-        "agc_ki": agc_cfg.ki,
-        "agc_min": agc_cfg.min_gain,
-        "agc_max": agc_cfg.max_gain,
-        "settle_thr": agc_cfg.settle_threshold,
-        "demod_alpha": sense.demodulator.in_phase._filter.alpha,
-        "qc_coeff": sense.quadrature_cancel.coefficient,
-        "off_comp": sense.offset_comp.offset,
-        "scale_dps": sense.scaler.config.scale_dps_per_unit,
-        "full_scale": sense.scaler.config.full_scale_dps,
-        "reb_alpha": rebalance._demod._filter.alpha,
-        "reb_kp": reb_cfg.kp,
-        "reb_ki": reb_cfg.ki,
-        "reb_limit": reb_cfg.max_command,
-        "wd_samples": st_cfg.watchdog_time_s * st_cfg.sample_rate_hz,
-        "settle_samples": st_cfg.settling_time_s * st_cfg.sample_rate_hz,
-        "dt": 1.0 / cfg.sample_rate_hz,
-        "start_time": start_time,
-    }
-    return np.array([float(values[name]) for name in _CONSTS])
-
-
 _EMPTY = np.zeros(0)
 
 
@@ -767,14 +614,17 @@ def run_compiled(platform, environment, duration_s: float,
                  chunk_samples: Optional[int] = None) -> GyroSimulationResult:
     """Run the platform co-simulation on the compiled engine.
 
-    Drop-in replacement for :func:`repro.engine.fused.run_fused` with the
-    same result and end-of-run platform state, bit for bit.  Platforms
-    whose fixed-point formats use ``overflow="error"`` are delegated to
-    the fused engine (generated kernels cannot raise overflow errors).
+    Drop-in replacement for the reference loop of
+    :meth:`GyroPlatform.run` (validation and reset are handled by the
+    caller) with the same result and end-of-run platform state, bit for
+    bit.  Platforms whose fixed-point formats use ``overflow="error"``
+    are delegated to the reference loop (generated kernels cannot raise
+    overflow errors).
     """
     plan = kernel_plan(platform)
     if plan is None:
-        return run_fused(platform, environment, duration_s, record_waveforms)
+        return platform._run_reference(environment, duration_s,
+                                       record_waveforms)
 
     cfg = platform.config
     fs = cfg.sample_rate_hz
@@ -798,11 +648,10 @@ def run_compiled(platform, environment, duration_s: float,
     ddac = frontend.drive_dac
     cdac = frontend.control_dac
     rdac = frontend.rate_output_dac
-    (closed, n_out, n_quad) = plan[:3]
     has_p_noise, has_s_noise = plan[13], plan[14]
 
     kernel = _compile_kernel(plan)
-    consts = _gather_consts(platform, start_time)
+    consts = gather_consts(platform, start_time)
     state = pack_scalar_state(platform)
     out_coefs, out_z = biquad_arrays(sense.output_filter)
     quad_coefs, quad_z = biquad_arrays(sense.quadrature_filter)
@@ -897,12 +746,7 @@ def run_compiled(platform, environment, duration_s: float,
             pick_tr, drive_tr))
         n0 += nc
 
-    unpack_scalar_state(platform, state)
-    writeback_biquad_arrays(sense.output_filter, out_z)
-    writeback_biquad_arrays(sense.quadrature_filter, quad_z)
-    conditioner._sample_count += n
-    conditioner._refresh_registers()
-    platform._time_s = start_time + n * dt
+    finish_run(platform, state, out_z, quad_z, n, start_time)
 
     return GyroSimulationResult(
         time_s=time_tr[:rec],
@@ -945,6 +789,8 @@ def run_compiled_fleet(platforms: Sequence, environments, durations_s,
     if len(environments) != n_lanes or len(durations_s) != n_lanes:
         raise ConfigurationError(
             "fleet environments/durations must match the number of lanes")
+    if not all(0.0 < d < math.inf for d in durations_s):
+        raise ConfigurationError("durations must be finite and > 0")
     chunk = CHUNK_SAMPLES if n_lanes <= LANE_CHUNK else BIG_FLEET_CHUNK_SAMPLES
     return [
         run_compiled(platform, environment, duration_s, record_waveforms,

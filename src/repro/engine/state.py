@@ -1,12 +1,16 @@
 """Shared state/coefficient plumbing for the fast co-simulation engines.
 
-The fused and batched kernels flatten the object-oriented reference
-chain (sensor → AFE → DSP → DACs) into plain locals / NumPy arrays.  The
-helpers here extract the constants the kernels need from the existing
-block objects — so both engines compute with *exactly* the same
-coefficient bits as the reference chain — and provide quantiser closures
-that reproduce :func:`repro.common.fixedpoint.quantize` bit-for-bit on
-scalars and arrays.
+The compiled kernels and the batched fleet flatten the object-oriented
+reference chain (sensor → AFE → DSP → DACs) into plain locals / NumPy
+arrays.  This module is the one place that knows how: it packs every
+loop variable into a float vector in :data:`SCALAR_STATE` order and
+writes it back, gathers the per-run constants in :data:`CONSTS` order
+(so both engines compute with *exactly* the same coefficient bits as the
+reference chain), flattens the biquad cascades, and defines the
+structural key two platforms must share to run in one lockstep fleet.
+The batched engine stacks the per-lane vectors into ``(S, B)`` /
+``(C, B)`` matrices; the compiled engine hands them to its kernels one
+lane at a time.
 """
 
 from __future__ import annotations
@@ -20,41 +24,42 @@ from ..common.exceptions import ConfigurationError, FixedPointOverflowError
 from ..common.fixedpoint import QFormat
 
 
-def scalar_quantizer(fmt: Optional[QFormat]) -> Optional[Callable[[float], float]]:
-    """Fast scalar equivalent of ``quantize(x, fmt)`` (bit-exact).
-
-    Returns ``None`` when ``fmt`` is ``None`` so the kernels can skip the
-    call entirely in floating-point mode.
-    """
+def fmt_spec(fmt: Optional[QFormat]) -> Optional[Tuple]:
+    """Hashable structural key of a QFormat quantisation site."""
     if fmt is None:
         return None
-    lsb = fmt.lsb
-    lo = fmt.min_value / lsb
-    hi = fmt.max_value / lsb
-    rounding = fmt.rounding
-    overflow = fmt.overflow
-    floor = math.floor
-    trunc = math.trunc
-    span = hi - lo + 1
+    return (fmt.lsb, fmt.min_value / fmt.lsb, fmt.max_value / fmt.lsb,
+            fmt.rounding, fmt.overflow)
 
-    def q(x: float) -> float:
-        scaled = x / lsb
-        if rounding == "nearest":
-            r = floor(scaled + 0.5)
-        elif rounding == "floor":
-            r = floor(scaled)
-        else:  # truncate
-            r = trunc(scaled)
-        if overflow == "saturate":
-            r = lo if r < lo else (hi if r > hi else r)
-        elif overflow == "wrap":
-            r = ((r - lo) % span) + lo
-        elif r > hi or r < lo:
-            raise FixedPointOverflowError(
-                f"value {x!r} out of range for {fmt.describe()}")
-        return r * lsb
 
-    return q
+def loop_structure(platform) -> Tuple:
+    """Structural key of a platform's conditioning loop.
+
+    Loop topology, output/quadrature filter section counts and the
+    :func:`fmt_spec` of the ten quantisation sites, read from the live
+    blocks (not the configs) because that is what the engines quantise
+    with.  Platforms with equal keys run the same loop body: the
+    compiled engine builds its kernel plan on it and a lockstep fleet
+    requires it of every lane.
+    """
+    conditioner = platform.conditioner
+    drive_loop = conditioner.drive_loop
+    sense = conditioner.sense_chain
+    return (
+        bool(conditioner.config.closed_loop),
+        len(sense.output_filter.sections),
+        len(sense.quadrature_filter.sections),
+        fmt_spec(drive_loop.pll.nco.output_format),
+        fmt_spec(drive_loop.agc.config.output_format),
+        fmt_spec(drive_loop.config.output_format),
+        fmt_spec(sense.demodulator.in_phase.output_format),
+        fmt_spec(sense.quadrature_cancel.output_format),
+        fmt_spec(sense.output_filter.sections[0].output_format),
+        fmt_spec(sense.quadrature_filter.sections[0].output_format),
+        fmt_spec(sense.offset_comp.output_format),
+        fmt_spec(sense.temperature_comp.output_format),
+        fmt_spec(sense.scaler.output_format),
+    )
 
 
 def array_quantizer(fmt: Optional[QFormat]
@@ -101,7 +106,7 @@ def sensor_temperature_plan(sensor, temp_arr: np.ndarray
     at each event, ``_temperature_c`` at the final trace value).
 
     Because the retune happens eagerly, an exception raised later in a
-    fused/batched run (e.g. a fixed-point ``overflow="error"`` format
+    batched run (e.g. a fixed-point ``overflow="error"`` format
     tripping mid-loop) leaves the sensor's temperature state ahead of
     the sample where the run aborted; treat the platform as needing a
     ``reset()`` after an engine error, as with any half-completed run.
@@ -145,14 +150,15 @@ def sensor_temperature_plan(sensor, temp_arr: np.ndarray
     return events
 
 
-#: Slot order of the packed scalar-state vector used by the compiled
-#: engine's kernels.  The names match the locals of the fused kernel;
-#: :func:`pack_scalar_state` fills the vector from the platform objects
-#: and :func:`unpack_scalar_state` writes it back, reproducing exactly
-#: the state the fused kernel reads at entry / writes at exit.  Booleans
-#: travel as 0.0/1.0, counters as exact small floats, the start-up
-#: sequencer state as its enum value and ``st_ready`` uses -1.0 for
-#: "not ready yet" (the reference sequencer never reports sample 0).
+#: Slot order of the packed scalar-state vector shared by the compiled
+#: kernels and the batched fleet (one column per lane).  The names are
+#: the engines' loop locals; :func:`pack_scalar_state` fills the vector
+#: from the platform objects and :func:`unpack_scalar_state` writes it
+#: back, so every loop variable is loaded and stored here and nowhere
+#: else.  Booleans travel as 0.0/1.0, counters as exact small floats,
+#: the start-up sequencer state as its enum value and ``st_ready`` uses
+#: -1.0 for "not ready yet" (the reference sequencer never reports
+#: sample 0).
 SCALAR_STATE = (
     "x", "xv", "y", "yv",
     "pga_p_state", "pga_s_state", "aa_p1", "aa_p2", "aa_s1", "aa_s2",
@@ -173,9 +179,9 @@ STATE_INDEX = {name: index for index, name in enumerate(SCALAR_STATE)}
 def pack_scalar_state(platform) -> np.ndarray:
     """Pack one platform's mutable loop state into a float64 vector.
 
-    Reads exactly the attributes the fused kernel loads into locals at
-    entry (see :data:`SCALAR_STATE` for the slot order), so a kernel
-    operating on the vector starts from bit-identical state.
+    Reads every attribute the loop carries from sample to sample (see
+    :data:`SCALAR_STATE` for the slot order), so a kernel operating on
+    the vector starts from bit-identical state.
     """
     frontend = platform.frontend
     conditioner = platform.conditioner
@@ -241,12 +247,12 @@ def pack_scalar_state(platform) -> np.ndarray:
 def unpack_scalar_state(platform, state: np.ndarray) -> None:
     """Write a packed state vector back into the platform objects.
 
-    Performs the same writeback the fused kernel does at exit (the
-    caller still owns biquad states, the sample counter, the platform
-    clock and the monitor-register refresh).  Values are converted back
-    to the plain Python types the reference chain keeps (floats, ints,
-    bools, :class:`~repro.gyro.startup.StartupState`), so platforms that
-    ran compiled pickle/digest identically to ones that ran fused.
+    :func:`finish_run` adds the biquad states, the sample counter, the
+    platform clock and the monitor-register refresh.  Values are
+    converted back to the plain Python types the reference chain keeps
+    (floats, ints, bools, :class:`~repro.gyro.startup.StartupState`), so
+    platforms that ran a fast engine pickle/digest identically to ones
+    that ran the reference loop.
     """
     from ..gyro.startup import StartupState
     g = {name: state[index] for index, name in enumerate(SCALAR_STATE)}
@@ -321,11 +327,11 @@ def unpack_scalar_state(platform, state: np.ndarray) -> None:
 
 
 def biquad_arrays(iir_filter) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat ``(coefs, z)`` arrays of an IirFilter for the compiled kernels.
+    """Flat ``(coefs, z)`` arrays of an IirFilter for the fast engines.
 
     ``coefs`` is ``[b0, b1, b2, a1, a2]`` per section, flattened;
-    ``z`` is ``[z1, z2]`` per section, flattened (the kernel mutates it
-    in place; push it back with :func:`writeback_biquad_arrays`).
+    ``z`` is ``[z1, z2]`` per section, flattened (the engine updates it;
+    push it back with :func:`writeback_biquad_arrays`).
     """
     coefs = []
     z = []
@@ -337,26 +343,157 @@ def biquad_arrays(iir_filter) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def writeback_biquad_arrays(iir_filter, z: np.ndarray) -> None:
-    """Push a compiled kernel's flat biquad states back into the filter."""
+    """Push an engine's flat biquad states back into the filter."""
     for index, section in enumerate(iir_filter.sections):
         section._z1 = float(z[2 * index])
         section._z2 = float(z[2 * index + 1])
 
 
-def biquad_sections(iir_filter) -> List[List[float]]:
-    """Extract ``[b0, b1, b2, a1, a2, z1, z2]`` rows from an IirFilter."""
-    rows = []
-    for section in iir_filter.sections:
-        rows.append([section.b[0], section.b[1], section.b[2],
-                     section.a[1], section.a[2], section._z1, section._z2])
-    return rows
+#: Slot order of the per-run scalar-constant vector (one column per lane
+#: in the batched fleet).  The names are the engines' constant locals;
+#: :func:`gather_consts` fills it.
+CONSTS = (
+    "kq", "kc", "s_drive_gain", "s_control_gain",
+    "ca_gain", "ca_rail", "trim_p", "trim_s",
+    "pga_p_gain", "pga_s_gain", "pga_p_alpha", "pga_s_alpha",
+    "pga_p_rail", "pga_s_rail", "aa_alpha", "aa_alpha_s",
+    "adc_p_kinl", "adc_p_vref", "adc_p_lsb", "adc_p_cmin", "adc_p_cmax",
+    "adc_s_kinl", "adc_s_vref", "adc_s_lsb", "adc_s_cmin", "adc_s_cmax",
+    "ov_thr",
+    "ddac_lsb", "ddac_vref", "ddac_min", "ddac_max",
+    "cdac_lsb", "cdac_vref", "cdac_min", "cdac_max",
+    "rdac_lsb", "rdac_vref", "rdac_min", "rdac_max",
+    "mid", "out_span", "trim_out",
+    "pd_alpha", "amp_alpha", "pll_thr", "pll_kp", "pll_ki",
+    "lock_thr", "lock_count", "tuning_range", "nco_fc", "nco_fs",
+    "agc_target", "agc_kp", "agc_ki", "agc_min", "agc_max", "settle_thr",
+    "demod_alpha", "qc_coeff", "off_comp", "scale_dps", "full_scale",
+    "reb_alpha", "reb_kp", "reb_ki", "reb_limit",
+    "wd_samples", "settle_samples", "dt", "start_time",
+)
 
 
-def writeback_biquads(iir_filter, rows: List[List[float]]) -> None:
-    """Push kernel biquad states back into the IirFilter sections."""
-    for section, row in zip(iir_filter.sections, rows):
-        section._z1 = float(row[5])
-        section._z2 = float(row[6])
+def gather_consts(platform, start_time: float) -> np.ndarray:
+    """Pack the run's scalar constants in :data:`CONSTS` order."""
+    cfg = platform.config
+    sensor = platform.sensor
+    frontend = platform.frontend
+    conditioner = platform.conditioner
+    drive_loop = conditioner.drive_loop
+    pll = drive_loop.pll
+    nco = pll.nco
+    agc = drive_loop.agc
+    sense = conditioner.sense_chain
+    rebalance = conditioner.rebalance
+    startup = conditioner.startup
+
+    p = sensor.params
+    ca_cfg = frontend.primary_charge_amp.config
+    pga_p = frontend.primary_pga
+    pga_s = frontend.secondary_pga
+    adc_p = frontend.primary_adc
+    adc_s = frontend.secondary_adc
+    ddac = frontend.drive_dac
+    cdac = frontend.control_dac
+    rdac = frontend.rate_output_dac
+    pll_cfg = pll.config
+    agc_cfg = agc.config
+    reb_cfg = rebalance.config
+    st_cfg = startup.config
+    values = {
+        "kq": (p.quadrature_error_dps * math.pi / 180.0)
+              * 2.0 * p.angular_gain,
+        "kc": -2.0 * p.angular_gain,
+        "s_drive_gain": p.drive_gain_ms2_per_v,
+        "s_control_gain": p.control_gain_ms2_per_v,
+        "ca_gain": ca_cfg.transimpedance_gain,
+        "ca_rail": ca_cfg.rail_v,
+        "trim_p": frontend._offset_trim_primary_v,
+        "trim_s": frontend._offset_trim_secondary_v,
+        "pga_p_gain": pga_p.gain,
+        "pga_s_gain": pga_s.gain,
+        "pga_p_alpha": pga_p._alpha,
+        "pga_s_alpha": pga_s._alpha,
+        "pga_p_rail": pga_p.config.rail_v,
+        "pga_s_rail": pga_s.config.rail_v,
+        "aa_alpha": frontend.primary_antialias._first._alpha,
+        "aa_alpha_s": frontend.secondary_antialias._first._alpha,
+        "adc_p_kinl": adc_p.config.inl_lsb * adc_p._lsb,
+        "adc_p_vref": adc_p.config.vref,
+        "adc_p_lsb": adc_p._lsb,
+        "adc_p_cmin": float(adc_p._code_min),
+        "adc_p_cmax": float(adc_p._code_max),
+        "adc_s_kinl": adc_s.config.inl_lsb * adc_s._lsb,
+        "adc_s_vref": adc_s.config.vref,
+        "adc_s_lsb": adc_s._lsb,
+        "adc_s_cmin": float(adc_s._code_min),
+        "adc_s_cmax": float(adc_s._code_max),
+        "ov_thr": 0.98 * frontend.config.adc.vref,
+        "ddac_lsb": ddac._lsb,
+        "ddac_vref": ddac.config.vref,
+        "ddac_min": ddac._out_min,
+        "ddac_max": ddac._out_max,
+        "cdac_lsb": cdac._lsb,
+        "cdac_vref": cdac.config.vref,
+        "cdac_min": cdac._out_min,
+        "cdac_max": cdac._out_max,
+        "rdac_lsb": rdac._lsb,
+        "rdac_vref": rdac.config.vref,
+        "rdac_min": rdac._out_min,
+        "rdac_max": rdac._out_max,
+        "mid": frontend.supply.config.nominal_v / 2.0,
+        "out_span": frontend.config.rate_output_sensitivity_v_per_fs,
+        "trim_out": frontend._offset_trim_output_v,
+        "pd_alpha": pll._pd_filter.alpha,
+        "amp_alpha": pll._amp_filter.alpha,
+        "pll_thr": pll_cfg.amplitude_threshold,
+        "pll_kp": pll_cfg.kp,
+        "pll_ki": pll_cfg.ki,
+        "lock_thr": pll_cfg.lock_threshold,
+        "lock_count": float(pll_cfg.lock_count),
+        "tuning_range": nco.tuning_range_hz,
+        "nco_fc": nco.center_frequency_hz,
+        "nco_fs": nco.sample_rate_hz,
+        "agc_target": agc_cfg.target_amplitude,
+        "agc_kp": agc_cfg.kp,
+        "agc_ki": agc_cfg.ki,
+        "agc_min": agc_cfg.min_gain,
+        "agc_max": agc_cfg.max_gain,
+        "settle_thr": agc_cfg.settle_threshold,
+        "demod_alpha": sense.demodulator.in_phase._filter.alpha,
+        "qc_coeff": sense.quadrature_cancel.coefficient,
+        "off_comp": sense.offset_comp.offset,
+        "scale_dps": sense.scaler.config.scale_dps_per_unit,
+        "full_scale": sense.scaler.config.full_scale_dps,
+        "reb_alpha": rebalance._demod._filter.alpha,
+        "reb_kp": reb_cfg.kp,
+        "reb_ki": reb_cfg.ki,
+        "reb_limit": reb_cfg.max_command,
+        "wd_samples": st_cfg.watchdog_time_s * st_cfg.sample_rate_hz,
+        "settle_samples": st_cfg.settling_time_s * st_cfg.sample_rate_hz,
+        "dt": 1.0 / cfg.sample_rate_hz,
+        "start_time": start_time,
+    }
+    return np.array([float(values[name]) for name in CONSTS])
+
+
+def finish_run(platform, state: np.ndarray, out_z: np.ndarray,
+               quad_z: np.ndarray, n: int, start_time: float) -> None:
+    """Store a finished ``n``-sample run back into the platform.
+
+    The end-of-run writeback both fast engines share: the packed loop
+    state, the output/quadrature biquad states, the conditioner's sample
+    counter and monitor registers (refreshed once, at the end of the
+    run) and the platform clock.
+    """
+    conditioner = platform.conditioner
+    sense = conditioner.sense_chain
+    unpack_scalar_state(platform, state)
+    writeback_biquad_arrays(sense.output_filter, out_z)
+    writeback_biquad_arrays(sense.quadrature_filter, quad_z)
+    conditioner._sample_count += n
+    conditioner._refresh_registers()
+    platform._time_s = start_time + n * (1.0 / platform.config.sample_rate_hz)
 
 
 def check_fleet_compatible(platforms) -> None:
@@ -364,37 +501,23 @@ def check_fleet_compatible(platforms) -> None:
 
     Per-lane *values* (gains, seeds, noise levels, sensor parameters,
     startup timings...) may differ freely; what must match is the
-    *structure*: sample rate, record decimation, loop topology, filter
-    section counts and fixed-point formats, because those decide the
-    shape of the vectorised state.
+    sample rate, the record decimation and the :func:`loop_structure`
+    (loop topology, filter section counts and the fixed-point formats of
+    the live blocks), because the lockstep loop runs one body for every
+    lane and quantises with lane 0's formats.
     """
     if not platforms:
         raise ConfigurationError("fleet needs at least one platform")
     ref = platforms[0]
     rc = ref.config
+    structure = loop_structure(ref)
     for p in platforms[1:]:
         c = p.config
         if c.sample_rate_hz != rc.sample_rate_hz:
             raise ConfigurationError("fleet lanes must share the sample rate")
         if c.record_decimation != rc.record_decimation:
             raise ConfigurationError("fleet lanes must share record_decimation")
-        if c.conditioner.closed_loop != rc.conditioner.closed_loop:
-            raise ConfigurationError("fleet lanes must share the loop topology")
-        if c.conditioner.fixed_point != rc.conditioner.fixed_point:
-            raise ConfigurationError("fleet lanes must share the datapath mode")
-        for fmt_a, fmt_b in (
-                (c.conditioner.drive.output_format, rc.conditioner.drive.output_format),
-                (c.conditioner.sense.output_format, rc.conditioner.sense.output_format),
-                (c.conditioner.drive.pll.output_format,
-                 rc.conditioner.drive.pll.output_format),
-                (c.conditioner.drive.agc.output_format,
-                 rc.conditioner.drive.agc.output_format)):
-            if fmt_a != fmt_b:
-                raise ConfigurationError("fleet lanes must share fixed-point formats")
-        if (len(p.conditioner.sense_chain.output_filter.sections)
-                != len(ref.conditioner.sense_chain.output_filter.sections)):
-            raise ConfigurationError("fleet lanes must share the output filter order")
-        if (len(p.conditioner.sense_chain.quadrature_filter.sections)
-                != len(ref.conditioner.sense_chain.quadrature_filter.sections)):
+        if loop_structure(p) != structure:
             raise ConfigurationError(
-                "fleet lanes must share the quadrature filter order")
+                "fleet lanes must share the loop topology, filter orders "
+                "and fixed-point formats")

@@ -129,7 +129,7 @@ class GyroCharacterization:
     Args:
         engine: campaign engine for the multi-scenario sweeps (rate
             table, bandwidth probes).  Defaults to the batched fleet;
-            pass ``"fused"`` to replay the same scenarios sequentially
+            pass ``"compiled"`` to replay the same scenarios sequentially
             (bit-identical results, faster below ~12 concurrent lanes —
             see ``BENCH_engine.json``).
         executor: campaign executor for those sweeps (``"local"``

@@ -13,7 +13,7 @@ This is the object the evaluation harness and the benchmarks drive.
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -63,11 +63,10 @@ class GyroPlatformConfig:
         conditioner: digital conditioning chain configuration.
         temperature_sensor: on-chip temperature sensor model.
         record_decimation: trace recording decimation factor.
-        engine: default simulation engine — ``"fused"`` (flattened
-            single-function kernel, the fast default), ``"compiled"``
-            (generated specialised kernel, numba-JIT when available) or
-            ``"reference"`` (the original object-oriented per-sample
-            loop).  All produce bit-identical traces; see
+        engine: default simulation engine — ``"compiled"`` (generated
+            specialised kernel, numba-JIT when available; the fast
+            default) or ``"reference"`` (the original object-oriented
+            per-sample loop).  Both produce bit-identical traces; see
             ``repro.engine`` and the registry in
             ``repro.scenarios.engines``.
     """
@@ -79,7 +78,7 @@ class GyroPlatformConfig:
     temperature_sensor: TemperatureSensorConfig = field(
         default_factory=TemperatureSensorConfig)
     record_decimation: int = 16
-    engine: str = "fused"
+    engine: str = "compiled"
 
     def __post_init__(self) -> None:
         if self.sample_rate_hz <= 0:
@@ -158,7 +157,7 @@ class GyroPlatform:
                 benches).
             engine: override the simulation engine for this run
                 (:func:`~repro.scenarios.engines.engine_names`).  Single
-                environments accept the scalar engines (``"fused"``,
+                environments accept the scalar engines (``"compiled"``,
                 ``"reference"``); sequences default to ``"batched"``
                 lockstep and accept a scalar engine to replay the lanes
                 sequentially instead.  All engines produce bit-identical
@@ -180,8 +179,8 @@ class GyroPlatform:
             A :class:`GyroSimulationResult` for a single environment, or
             a list with one result per environment.
         """
-        if duration_s <= 0:
-            raise SimulationError("duration must be > 0")
+        if not 0.0 < duration_s < math.inf:
+            raise SimulationError("duration must be finite and > 0")
         if isinstance(environment, Environment) and fleet is None:
             if workers not in (None, 1) or executor not in (None, "local"):
                 raise ConfigurationError(
@@ -323,8 +322,9 @@ class GyroPlatform:
         Each lane is a deep copy — calibration words, filter states,
         start-up progress and noise-generator positions included.  Keep
         the returned :class:`~repro.engine.batch.FleetSimulator` around
-        and pass it back to :meth:`run_batch` (or run it directly) so
-        repeated campaigns do not pay a fresh deep copy per call.
+        and pass it back to :meth:`run` as ``fleet=`` (or run it
+        directly) so repeated campaigns do not pay a fresh deep copy per
+        call.
         """
         import copy
 
@@ -332,30 +332,6 @@ class GyroPlatform:
         if n < 1:
             raise ConfigurationError("fleet size must be >= 1")
         return FleetSimulator([copy.deepcopy(self) for _ in range(n)])
-
-    def run_batch(self, environments: Sequence[Environment],
-                  duration_s: float, reset: bool = False,
-                  record_waveforms: bool = False,
-                  fleet: "Optional[FleetSimulator]" = None
-                  ) -> "List[GyroSimulationResult]":
-        """Deprecated alias for :meth:`run` with a sequence of environments.
-
-        .. deprecated::
-            ``run`` now accepts a sequence of environments directly (plus
-            ``engine=``, ``executor=``, ``workers=`` and ``fleet=``) and
-            returns the same bit-identical per-environment results; this
-            shim forwards to it.
-        """
-        warnings.warn(
-            "GyroPlatform.run_batch is deprecated; call run() with a "
-            "sequence of environments instead",
-            DeprecationWarning, stacklevel=2)
-        if isinstance(environments, Environment) and fleet is None:
-            raise ConfigurationError(
-                "a single environment does not define the fleet size; "
-                "pass a sequence of environments or an explicit fleet")
-        return self.run(environments, duration_s, reset=reset,
-                        record_waveforms=record_waveforms, fleet=fleet)
 
     # -- start-up and calibration -------------------------------------------------
 

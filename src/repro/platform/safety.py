@@ -14,7 +14,7 @@ detect → degrade → recover loop in software.
 
 Observation happens at chunk boundaries only, where every engine
 exposes identical platform state, so the monitor (and the result fields
-it stamps) is bit-identical across the reference, fused and batched
+it stamps) is bit-identical across the reference, compiled and batched
 engines and both executors.
 """
 

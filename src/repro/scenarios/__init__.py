@@ -13,7 +13,6 @@ across worker processes with a resumable batch manifest).
 
 from .engines import (
     ENGINE_BATCHED,
-    ENGINE_FUSED,
     ENGINE_REFERENCE,
     EngineSpec,
     engine_names,
@@ -60,7 +59,6 @@ from .library import (
 
 __all__ = [
     "ENGINE_BATCHED",
-    "ENGINE_FUSED",
     "ENGINE_REFERENCE",
     "EngineSpec",
     "engine_names",

@@ -38,7 +38,6 @@ from typing import List, Optional, Sequence, Union
 
 from ..chaos.runtime import active as chaos_active
 from ..common.exceptions import ConfigurationError, SimulationError
-from ..common.retry import RetryPolicy
 from ..platform.result import concatenate_results
 from .engines import ENGINE_BATCHED, get_engine
 from .scenario import Scenario, ScenarioOutcome
@@ -304,7 +303,7 @@ class Campaign:
         programs: one entry per lane — a single :class:`Scenario` or a
             sequence of scenarios run back-to-back on that lane.
         engine: default engine for :meth:`run` (``"reference"``,
-            ``"fused"`` or ``"batched"``); when omitted, multi-lane
+            ``"compiled"`` or ``"batched"``); when omitted, multi-lane
             campaigns default to ``"batched"`` and single-lane campaigns
             to the base platform's configured engine.
         name: label for error messages and reports.
@@ -337,8 +336,6 @@ class Campaign:
             engine: Optional[str] = None, executor: Optional[str] = None,
             workers: Optional[int] = None, mutate: bool = False,
             manifest_dir=None, retry=None,
-            max_retries: Optional[int] = None,
-            retry_backoff_s: Optional[float] = None,
             shard_timeout_s: Optional[float] = None,
             shard_size: Optional[int] = None,
             fault_hook=None, chaos=None,
@@ -390,14 +387,8 @@ class Campaign:
                 ``failed_shards`` report names it with its full attempt
                 history (lanes of quarantined shards are ``None``)
                 instead of raising; resume with the same
-                ``manifest_dir`` to fill them in.
-            max_retries: deprecated spelling of the retry budget —
-                re-runs allowed per failed shard, equivalent to
-                ``RetryPolicy(max_attempts=max_retries + 1)``.
-                Incompatible with ``retry``.
-            retry_backoff_s: deprecated spelling of the retry backoff —
-                equivalent to ``RetryPolicy(backoff_s=...)``.
-                Incompatible with ``retry``.
+                ``manifest_dir`` to fill them in.  Defaults to
+                ``RetryPolicy()`` (three attempts, no backoff).
             shard_timeout_s: sharded only — wall-clock budget per shard
                 attempt.
             shard_size: sharded only — lanes per shard (default spreads
@@ -458,15 +449,6 @@ class Campaign:
         get_engine(engine)
         if executor is None:
             executor = "sharded" if workers else "local"
-        if retry is not None and (max_retries is not None
-                                  or retry_backoff_s is not None):
-            raise ConfigurationError(
-                "give either retry=RetryPolicy(...) or the legacy "
-                "max_retries/retry_backoff_s scalars, not both")
-        if retry is None:
-            retry = RetryPolicy.from_legacy(
-                2 if max_retries is None else max_retries,
-                retry_backoff_s or 0.0)
         options = ExecutorOptions(workers=workers, manifest_dir=manifest_dir,
                                   retry=retry,
                                   shard_timeout_s=shard_timeout_s,
@@ -519,7 +501,8 @@ def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
         steps = [s.samples_to_boundary() for s in active]
         environments = [state.environment() for state in active]
         record = any(state.scenario.record_waveforms for state in active)
-        if spec.fleet_runner is not None and (spec.batched or len(active) > 1):
+        if spec.fleet_runner is not None and (spec.runner is None
+                                              or len(active) > 1):
             results = spec.run_fleet([state.platform for state in active],
                                      environments,
                                      [step / fs for step in steps],

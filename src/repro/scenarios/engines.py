@@ -6,22 +6,22 @@ resolve engine names here instead of keeping their own string checks.
 
 * ``"reference"`` — the object-oriented per-sample loop; the behavioural
   ground truth.  Use it when debugging a single block.
-* ``"fused"`` — the flattened scalar kernel; bit-identical, several
-  times faster.  The right default for any single-platform run.
-* ``"batched"`` — the NumPy lockstep fleet.  It has no scalar runner:
-  campaigns (or :class:`repro.engine.FleetSimulator` directly) pack
-  scenarios into its lanes.  One lockstep pass costs several fused
-  samples, so it only pays off with enough concurrent lanes (roughly
-  B >= 12 on the benchmark machine, see ``BENCH_engine.json``); below
-  that, running scenarios sequentially on the fused kernel is faster.
 * ``"compiled"`` — a kernel *generated* for the platform's structure
   (quantisers inlined, biquads unrolled, dead branches dropped) and
   JIT-compiled with numba when it is installed, falling back to a plain
   ``exec``-compiled Python kernel otherwise.  Bit-identical to the
-  reference chain on both backends.  It also exposes a fleet entry
-  point: lanes run sequentially through their specialised kernels, so
-  compiled fleets may be structurally heterogeneous and retire lanes
-  early for free.
+  reference chain on both backends, and the default for single-platform
+  runs.  Plans with ``overflow="error"`` formats run on the reference
+  loop, because a generated kernel cannot raise.  It also exposes a
+  fleet entry point: lanes run sequentially through their specialised
+  kernels, so compiled fleets may be structurally heterogeneous and
+  retire lanes early for free.
+* ``"batched"`` — the NumPy lockstep fleet.  It has no scalar runner:
+  campaigns (or :class:`repro.engine.FleetSimulator` directly) pack
+  scenarios into its lanes.  One lockstep pass costs several compiled
+  samples, so it only pays off with enough concurrent lanes (see
+  ``BENCH_engine.json``); below that, running scenarios sequentially on
+  the compiled kernel is faster.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Callable, Dict, Optional, Tuple
 from ..common.exceptions import ConfigurationError
 
 ENGINE_REFERENCE = "reference"
-ENGINE_FUSED = "fused"
 ENGINE_BATCHED = "batched"
 ENGINE_COMPILED = "compiled"
 
@@ -43,13 +42,12 @@ class EngineSpec:
 
     Attributes:
         name: registry key (the value of ``GyroPlatformConfig.engine``).
-        batched: whether the engine steps a whole fleet per pass; such
-            engines have no scalar runner and are driven through the
-            campaign layer / :class:`~repro.engine.batch.FleetSimulator`.
         description: one-line summary for error messages and reports.
         runner: scalar entry point
             ``runner(platform, environment, duration_s, record_waveforms)``
-            returning a :class:`~repro.platform.result.GyroSimulationResult`.
+            returning a :class:`~repro.platform.result.GyroSimulationResult`;
+            ``None`` for fleet-only engines, which are driven through the
+            campaign layer / :class:`~repro.engine.batch.FleetSimulator`.
         fleet_runner: optional fleet entry point
             ``fleet_runner(platforms, environments, durations_s,
             record_waveforms)`` returning one result per lane; engines
@@ -59,7 +57,6 @@ class EngineSpec:
     """
 
     name: str
-    batched: bool
     description: str
     runner: Optional[Callable] = None
     fleet_runner: Optional[Callable] = None
@@ -88,12 +85,6 @@ class EngineSpec:
 def _run_reference(platform, environment, duration_s: float,
                    record_waveforms: bool = False):
     return platform._run_reference(environment, duration_s, record_waveforms)
-
-
-def _run_fused(platform, environment, duration_s: float,
-               record_waveforms: bool = False):
-    from ..engine.fused import run_fused
-    return run_fused(platform, environment, duration_s, record_waveforms)
 
 
 def _run_fleet_batched(platforms, environments, durations_s,
@@ -127,29 +118,26 @@ def register_engine(spec: EngineSpec) -> None:
 
 
 register_engine(EngineSpec(
-    ENGINE_REFERENCE, batched=False,
+    ENGINE_REFERENCE,
     description="object-oriented per-sample loop (behavioural ground truth)",
     runner=_run_reference))
 register_engine(EngineSpec(
-    ENGINE_FUSED, batched=False,
-    description="flattened scalar kernel (fast single-platform default)",
-    runner=_run_fused))
-register_engine(EngineSpec(
-    ENGINE_BATCHED, batched=True,
+    ENGINE_BATCHED,
     description="NumPy lockstep fleet (amortises the interpreter over "
                 "B concurrent lanes)",
     fleet_runner=_run_fleet_batched))
 register_engine(EngineSpec(
-    ENGINE_COMPILED, batched=False,
+    ENGINE_COMPILED,
     description="generated specialised kernel (numba JIT when installed, "
-                "exec-compiled Python fallback otherwise)",
+                "exec-compiled Python fallback otherwise; the "
+                "single-platform default)",
     runner=_run_compiled, fleet_runner=_run_compiled_fleet))
 
 
 def engine_names(scalar_only: bool = False) -> Tuple[str, ...]:
     """Names of the registered engines (optionally scalar ones only)."""
     return tuple(name for name, spec in _REGISTRY.items()
-                 if not (scalar_only and spec.batched))
+                 if not (scalar_only and spec.runner is None))
 
 
 def get_engine(name: str, scalar_only: bool = False) -> EngineSpec:
@@ -157,7 +145,7 @@ def get_engine(name: str, scalar_only: bool = False) -> EngineSpec:
 
     Args:
         name: registry key to look up.
-        scalar_only: additionally reject batch-only engines — used by
+        scalar_only: additionally reject fleet-only engines — used by
             the single-platform entry points (``GyroPlatform.run`` and
             the platform configuration default).
     """
@@ -166,7 +154,7 @@ def get_engine(name: str, scalar_only: bool = False) -> EngineSpec:
         raise ConfigurationError(
             f"unknown engine {name!r}; available engines: "
             f"{', '.join(sorted(_REGISTRY))}")
-    if scalar_only and spec.batched:
+    if scalar_only and spec.runner is None:
         raise ConfigurationError(
             f"engine {name!r} steps whole fleets and cannot drive a single "
             f"run; pick one of: {', '.join(sorted(engine_names(True)))}")

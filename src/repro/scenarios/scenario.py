@@ -7,7 +7,7 @@ chunked start-up loop has always worked) and named metric extractors
 that turn the recorded traces and final platform state into numbers.
 
 Scenarios carry no engine choice and no platform reference — the same
-object can be replayed on the reference loop, the fused kernel or a
+object can be replayed on the reference loop, the compiled kernel or a
 batched fleet lane, and two replays from the same platform state are
 bit-identical.  The :class:`~repro.scenarios.campaign.Campaign` runner
 executes them.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -96,8 +97,9 @@ class Scenario:
     faults: Tuple = ()
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError("scenario duration must be > 0")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                "scenario duration must be finite and > 0")
         self.faults = tuple(self.faults)
         for fault in self.faults:
             validate_fault(fault)

@@ -212,7 +212,7 @@ class Environment:
         """Vectorised evaluation: ``(rate_dps, temperature_c)`` arrays.
 
         Evaluates both profiles over an array of time stamps in one call.
-        The engine's fused/batched simulation paths use this instead of
+        The compiled and batched engines use this instead of
         per-sample :meth:`Profile.value` calls; every built-in profile
         guarantees ``sample(t)[i] == value(t[i])`` bit-for-bit.
         """

@@ -111,13 +111,6 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             policy.delay_for(0)
 
-    def test_from_legacy_mapping(self):
-        policy = RetryPolicy.from_legacy(max_retries=1, retry_backoff_s=0.25)
-        assert policy.max_attempts == 2
-        assert policy.backoff_s == 0.25
-        with pytest.raises(ConfigurationError):
-            RetryPolicy.from_legacy(max_retries=-1)
-
     def test_dict_round_trip(self):
         policy = RetryPolicy(max_attempts=4, backoff_s=0.1, deadline_s=9.0)
         assert RetryPolicy.from_dict(policy.to_dict()) == policy
@@ -396,7 +389,7 @@ class TestChaosExecution:
             self, two_lane_campaign, started_platform, tmp_path):
         result = two_lane_campaign.run(
             copy.deepcopy(started_platform), workers=2,
-            manifest_dir=str(tmp_path), max_retries=0,
+            manifest_dir=str(tmp_path), retry=RetryPolicy(max_attempts=1),
             fault_hook=_FailShard(0))
         assert len(result.failed_shards) == 1
         entry = result.failed_shards[0]["history"][0]
@@ -427,13 +420,6 @@ class TestChaosExecution:
         with pytest.raises(ConfigurationError, match="picklable"):
             two_lane_campaign.run(copy.deepcopy(started_platform),
                                   workers=2, chaos=lambda: None)
-
-    def test_retry_policy_and_legacy_scalars_are_exclusive(
-            self, two_lane_campaign, started_platform):
-        with pytest.raises(ConfigurationError, match="not both"):
-            two_lane_campaign.run(copy.deepcopy(started_platform),
-                                  workers=2, retry=RetryPolicy(),
-                                  max_retries=1)
 
     def test_heartbeat_files_published(self, two_lane_campaign,
                                        started_platform, tmp_path):

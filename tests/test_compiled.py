@@ -11,7 +11,8 @@ reference loop; this module locks the pieces that make that possible:
 * the fleet entry point handles heterogeneous lanes, broadcasts scalar
   environments, validates length mismatches and stays chunk-invariant on
   fleets large enough to take the small-chunk path;
-* plans with ``overflow="error"`` sites delegate to the fused engine;
+* plans with ``overflow="error"`` sites delegate to the reference loop,
+  which raises on a real overflow on every engine;
 * backend provenance reports whichever of numba / generated-Python is
   actually active (numba-specific assertions carry a skip marker so the
   suite is green either way).
@@ -26,19 +27,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import ConfigurationError
+from repro.common import ConfigurationError, FixedPointOverflowError
 from repro.common.fixedpoint import QFormat, quantize
-from repro.engine import backend_info, compiled_backend, run_compiled, \
-    run_compiled_fleet
+from repro.engine import FleetSimulator, backend_info, compiled_backend, \
+    run_compiled, run_compiled_fleet
 from repro.engine.compiled import (
     HAVE_NUMBA,
     LANE_CHUNK,
     _compile_kernel,
-    _fmt_spec,
     kernel_plan,
     quantizer_lines,
 )
-from repro.engine.state import pack_scalar_state, unpack_scalar_state
+from repro.engine.state import fmt_spec, pack_scalar_state, \
+    unpack_scalar_state
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.sensors import Environment
 
@@ -48,7 +49,7 @@ requires_numba = pytest.mark.skipif(not HAVE_NUMBA,
 
 def _exec_quantizer(fmt: QFormat):
     """Build a callable from the exact snippet the codegen would inline."""
-    spec = _fmt_spec(fmt)
+    spec = fmt_spec(fmt)
     lines = ["def q(x):"] + quantizer_lines("x", spec, 4, [0]) + \
         ["    return x"]
     namespace = {"floor": math.floor, "trunc": math.trunc}
@@ -90,8 +91,8 @@ class TestQuantizerCodegen:
     def test_temporaries_are_unique_per_site(self):
         fmt = QFormat(3, 8)
         counter = [0]
-        a = "\n".join(quantizer_lines("x", _fmt_spec(fmt), 0, counter))
-        b = "\n".join(quantizer_lines("y", _fmt_spec(fmt), 0, counter))
+        a = "\n".join(quantizer_lines("x", fmt_spec(fmt), 0, counter))
+        b = "\n".join(quantizer_lines("y", fmt_spec(fmt), 0, counter))
         assert "_s0" in a and "_s1" in b
         assert counter[0] == 2
 
@@ -119,7 +120,7 @@ class TestPlanAndBackend:
         assert compiled_backend() == "numba"
         assert backend_info()["numba_version"]
 
-    def test_error_overflow_plan_delegates_to_fused(self):
+    def test_error_overflow_plan_delegates_to_reference(self):
         cfg = GyroPlatformConfig()
         cfg.conditioner.fixed_point = True
         com = GyroPlatform(copy.deepcopy(cfg))
@@ -136,6 +137,27 @@ class TestPlanAndBackend:
                                       r_ref.rate_output_dps)
         np.testing.assert_array_equal(r_com.amplitude_control,
                                       r_ref.amplitude_control)
+        assert com.now == ref.now
+        np.testing.assert_array_equal(pack_scalar_state(com),
+                                      pack_scalar_state(ref))
+        assert (com.conditioner.registers.dump()
+                == ref.conditioner.registers.dump())
+
+    def test_error_overflow_format_raises_on_every_engine(self):
+        # Q0.14 cannot hold the NCO's +1.0 peak: with overflow="error"
+        # every engine must surface the overflow rather than saturate
+        def platform():
+            p = GyroPlatform()
+            p.conditioner.drive_loop.pll.nco.output_format = QFormat(
+                0, 14, overflow="error")
+            return p
+
+        with pytest.raises(FixedPointOverflowError):
+            platform().run(Environment.still(), 0.05)
+        with pytest.raises(FixedPointOverflowError):
+            platform().run(Environment.still(), 0.05, engine="reference")
+        with pytest.raises(FixedPointOverflowError):
+            FleetSimulator([platform()]).run(Environment.still(), 0.05)
 
 
 class TestPackedState:
@@ -197,6 +219,14 @@ class TestCompiledFleet:
             run_compiled_fleet(lanes, [Environment.still()] * 3, 0.02)
         with pytest.raises(ConfigurationError):
             run_compiled_fleet(lanes, Environment.still(), [0.02] * 3)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_durations_rejected(self, bad):
+        lanes = [GyroPlatform(GyroPlatformConfig()) for _ in range(2)]
+        with pytest.raises(ConfigurationError):
+            run_compiled_fleet(lanes, Environment.still(), bad)
+        with pytest.raises(ConfigurationError):
+            run_compiled_fleet(lanes, Environment.still(), [0.01, bad])
 
     def test_big_fleet_chunk_path_is_bit_identical(self):
         # LANE_CHUNK+1 lanes flips the fleet runner onto the small

@@ -1,21 +1,26 @@
 """Tests for the fast co-simulation engines (``repro.engine``).
 
-The fused scalar kernel, the compiled (generated, optionally numba-JIT)
-kernel and the batched fleet engine all promise *bit-identical* traces
-and final platform state relative to the object-oriented reference
-loop.  These tests hold them to it on short runs covering lock-in,
-temperature ramps, fixed-point (prototype) mode, closed-loop rebalance
-and waveform recording, and check the supporting vectorised helpers
+The compiled (generated, optionally numba-JIT) kernel and the batched
+fleet engine both promise *bit-identical* traces and final platform
+state relative to the object-oriented reference loop.  These tests hold
+them to it on short runs covering lock-in, temperature ramps,
+fixed-point (prototype) mode, closed-loop rebalance, waveform recording
+and early lane retirement, and check the supporting vectorised helpers
 (``Environment.sample``, ``BufferedGaussianNoise.take``) against their
 scalar counterparts.
 """
+
+import copy
+import math
 
 import numpy as np
 import pytest
 
 from repro.common import ConfigurationError
+from repro.common.fixedpoint import QFormat
 from repro.common.noise import BufferedGaussianNoise
-from repro.engine import FleetSimulator, run_fused
+from repro.engine import FleetSimulator, run_compiled
+from repro.engine.state import pack_scalar_state
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.sensors import Environment
 from repro.sensors.environment import (
@@ -63,11 +68,10 @@ def _assert_platform_state_identical(a, b):
 
 def _pair(config=None):
     cfg = config or GyroPlatformConfig()
-    import copy
     return (GyroPlatform(copy.deepcopy(cfg)), GyroPlatform(copy.deepcopy(cfg)))
 
 
-@pytest.mark.parametrize("engine", ["fused", "compiled"])
+@pytest.mark.parametrize("engine", ["compiled"])
 class TestScalarEngineEquivalence:
     """Every scalar fast engine must match the reference loop bit for bit
     (the ``compiled`` rows run on whichever backend is active — numba
@@ -133,12 +137,12 @@ class TestScalarEngineEquivalence:
         _assert_platform_state_identical(ref, mixed)
 
 
-class TestFusedEquivalence:
-    def test_run_fused_entrypoint_matches_run(self):
-        ref, fus = _pair()
+class TestEngineSelection:
+    def test_run_compiled_entrypoint_matches_run(self):
+        ref, com = _pair()
         env = Environment.still()
-        r1 = ref.run(env, 0.02, engine="fused")
-        r2 = run_fused(fus, env, 0.02)
+        r1 = ref.run(env, 0.02)
+        r2 = run_compiled(com, env, 0.02)
         _assert_results_identical(r1, r2)
 
     def test_bad_engine_rejected(self):
@@ -157,34 +161,30 @@ class TestFusedEquivalence:
             platform.run(Environment.still(), 0.01, reset=True, engine="fuse")
         assert platform.now == pytest.approx(0.02)
 
-    def test_run_batch_waveforms_passthrough(self):
+    def test_run_sequence_waveforms_passthrough(self):
         platform = GyroPlatform()
-        results = platform.run_batch([Environment.still()], 0.02,
-                                     record_waveforms=True)
+        results = platform.run([Environment.still()], 0.02,
+                               record_waveforms=True)
         assert results[0].primary_pickoff_norm is not None
         assert results[0].drive_word is not None
 
 
 class TestLockingScenarioAcceptance:
-    """The ISSUE acceptance run: fused/compiled/batched match the
-    reference on lock time, amplitude and rate output for the Fig. 5
-    locking case."""
+    """The acceptance run: compiled/batched match the reference on lock
+    time, amplitude and rate output for the Fig. 5 locking case."""
 
     def test_all_engines_agree_on_locking_run(self):
         env = Environment.still()
-        import copy
         cfg = GyroPlatformConfig()
         ref = GyroPlatform(copy.deepcopy(cfg))
-        fus = GyroPlatform(copy.deepcopy(cfg))
         com = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(env, 0.4, engine="reference", reset=True)
-        r_fus = fus.run(env, 0.4, engine="fused", reset=True)
         r_com = com.run(env, 0.4, engine="compiled", reset=True)
         fleet = FleetSimulator.from_config(cfg, 2)
         r_bat = fleet.run(env, 0.4, reset=True)[0]
 
         assert r_ref.pll_locked[-1]
-        for other in (r_fus, r_com, r_bat):
+        for other in (r_com, r_bat):
             assert abs(other.lock_time_s() - r_ref.lock_time_s()) <= 1e-9
             assert np.max(np.abs(other.amplitude_control
                                  - r_ref.amplitude_control)) <= 1e-9
@@ -204,7 +204,6 @@ class TestBatchEquivalence:
         batch = fleet.run(envs, 0.06)
         for env, lane_result, lane_platform in zip(envs, batch,
                                                    fleet.platforms):
-            import copy
             ref = GyroPlatform(copy.deepcopy(cfg))
             r_ref = ref.run(env, 0.06, engine="reference")
             _assert_results_identical(r_ref, lane_result)
@@ -217,12 +216,11 @@ class TestBatchEquivalence:
         _assert_results_identical(results[0], results[1])
         _assert_results_identical(results[0], results[2])
 
-    def test_run_batch_platform_method(self):
+    def test_run_sequence_platform_method(self):
         platform = GyroPlatform()
         envs = [Environment.constant_rate(r) for r in (-50.0, 0.0, 50.0)]
-        results = platform.run_batch(envs, 0.02)
+        results = platform.run(envs, 0.02)
         assert len(results) == len(envs)
-        import copy
         ref = GyroPlatform(copy.deepcopy(platform.config))
         r_ref = ref.run(envs[1], 0.02, engine="reference", reset=True)
         _assert_results_identical(r_ref, results[1])
@@ -231,7 +229,6 @@ class TestBatchEquivalence:
     def test_batch_matches_reference_in_special_modes(self, mode):
         # the quantised and rebalance branches are reimplemented in the
         # batch engine; hold them to the reference like the default path
-        import copy
         cfg = GyroPlatformConfig()
         setattr(cfg.conditioner, mode, True)
         env = Environment.constant_rate(60.0)
@@ -242,19 +239,18 @@ class TestBatchEquivalence:
         _assert_results_identical(r_ref, batch[0])
         _assert_platform_state_identical(ref, fleet.platforms[0])
 
-    def test_run_batch_continues_from_platform_state(self):
-        # regression: run_batch must carry the platform's calibration and
-        # runtime state into the lanes, not restart from the bare config
-        import copy
+    def test_run_sequence_continues_from_platform_state(self):
+        # regression: a sequence run must carry the platform's calibration
+        # and runtime state into the lanes, not restart from the bare config
         warm = GyroPlatform()
         warm.run(Environment.still(), 0.04)  # advance filters, PLL, startup
         warm.conditioner.sense_chain.calibrate_scale(3.0e-5)
         dedicated = copy.deepcopy(warm)
         env = Environment.constant_rate(75.0)
-        batch = warm.run_batch([env, Environment.still()], 0.03)
+        batch = warm.run([env, Environment.still()], 0.03)
         r_ref = dedicated.run(env, 0.03, engine="reference")
         _assert_results_identical(r_ref, batch[0])
-        # the source platform itself is not advanced by run_batch
+        # the source platform itself is not advanced by a sequence run
         assert warm.now == pytest.approx(0.04)
 
     def test_environment_count_mismatch_rejected(self):
@@ -262,18 +258,51 @@ class TestBatchEquivalence:
         with pytest.raises(ConfigurationError):
             fleet.run([Environment.still()], 0.01)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_durations_rejected(self, bad):
+        fleet = FleetSimulator.from_config(GyroPlatformConfig(), 2)
+        with pytest.raises(ConfigurationError):
+            fleet.run(Environment.still(), bad)
+        with pytest.raises(ConfigurationError):
+            fleet.run(Environment.still(), [0.01, bad])
+
+    def test_retired_lanes_match_standalone_runs(self):
+        # lanes shorter than the longest retire mid-run: each must end
+        # exactly where a standalone run of its own length ends, noise
+        # generator positions included (the follow-on run shows those)
+        cfg = GyroPlatformConfig()
+        envs = [Environment.still(),
+                Environment.constant_rate(90.0),
+                Environment(rate_dps=SineProfile(amplitude=60.0,
+                                                 frequency_hz=40.0),
+                            temperature_c=RampProfile(start=25.0, stop=45.0,
+                                                      t0=0.0, t1=0.05))]
+        durations = [0.02, 0.05, 0.035]
+        fleet = FleetSimulator.from_config(cfg, len(envs))
+        results = fleet.run(envs, durations)
+        follow_on = Environment.constant_rate(30.0)
+        for env, duration, result, lane in zip(envs, durations, results,
+                                               fleet.platforms):
+            solo = GyroPlatform(copy.deepcopy(cfg))
+            _assert_results_identical(
+                solo.run(env, duration, engine="reference"), result)
+            _assert_platform_state_identical(solo, lane)
+            np.testing.assert_array_equal(pack_scalar_state(lane),
+                                          pack_scalar_state(solo))
+            _assert_results_identical(
+                solo.run(follow_on, 0.01, engine="reference"),
+                lane.run(follow_on, 0.01, engine="reference"))
+
     def test_waveform_recording(self):
         cfg = GyroPlatformConfig()
         fleet = FleetSimulator.from_config(cfg, 2)
         results = fleet.run(Environment.still(), 0.02, record_waveforms=True)
-        import copy
         ref = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(Environment.still(), 0.02, engine="reference",
                         record_waveforms=True)
         _assert_results_identical(r_ref, results[0], waveforms=True)
 
     def test_incompatible_structures_rejected(self):
-        import copy
         a = GyroPlatform(GyroPlatformConfig())
         b = GyroPlatform(GyroPlatformConfig(sample_rate_hz=240_000.0))
         with pytest.raises(ConfigurationError):
@@ -285,6 +314,16 @@ class TestBatchEquivalence:
             FleetSimulator([a, c])
         with pytest.raises(ConfigurationError):
             FleetSimulator([])
+        # formats are compared on the live blocks the lockstep loop
+        # quantises with, not on the configs: a lane whose NCO format was
+        # changed after construction would run on lane 0's format
+        fixed = copy.deepcopy(a.config)
+        fixed.conditioner.fixed_point = True
+        d = GyroPlatform(copy.deepcopy(fixed))
+        e = GyroPlatform(copy.deepcopy(fixed))
+        e.conditioner.drive_loop.pll.nco.output_format = QFormat(1, 6)
+        with pytest.raises(ConfigurationError):
+            FleetSimulator([d, e])
 
     def test_monte_carlo_fleet_lanes_differ(self):
         rng = np.random.default_rng(7)

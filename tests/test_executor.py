@@ -7,8 +7,8 @@ calibration words and the behaviour of the returned lane platforms — is
 bit-identical to the in-process local executor.  These tests hold it to
 that, exercise the batch manifest's verify-and-retry / resume machinery
 with injected faults, and cover the executor registry, the unified
-``GyroPlatform.run`` signature (and its ``run_batch`` deprecation shim)
-and the result serialisation round-trips the shard files rely on.
+``GyroPlatform.run`` signature and the result serialisation round-trips
+the shard files rely on.
 """
 
 import copy
@@ -19,7 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.common import ConfigurationError, SimulationError
+from repro.common import ConfigurationError, RetryPolicy, SimulationError
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.faults import AfeSaturation
 from repro.scenarios import (
@@ -168,7 +168,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("kwargs,match", [
         (dict(campaign_name="other"), "campaign name"),
-        (dict(engine="fused"), "engine"),
+        (dict(engine="compiled"), "engine"),
         (dict(source_digest="beef"), "lane source"),
     ])
     def test_create_or_resume_rejects_mismatch(self, tmp_path, kwargs, match):
@@ -339,7 +339,8 @@ class TestSerialisation:
                         name="lossless")
         partial = camp.run(copy.deepcopy(started_platform), workers=2,
                            shard_size=1, manifest_dir=str(tmp_path),
-                           max_retries=0, fault_hook=FailShard(1))
+                           retry=RetryPolicy(max_attempts=1),
+                           fault_hook=FailShard(1))
         assert not partial.complete and partial.lanes[1] is None
 
         data = partial.to_dict()
@@ -365,7 +366,7 @@ class TestSerialisation:
 
 
 # ---------------------------------------------------------------------------
-# unified GyroPlatform.run API + deprecation shims
+# unified GyroPlatform.run API
 # ---------------------------------------------------------------------------
 
 class TestUnifiedRunApi:
@@ -380,16 +381,6 @@ class TestUnifiedRunApi:
             for field in TRACE_FIELDS:
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field)), field
-
-    def test_run_batch_shim_warns_and_matches(self):
-        platform = GyroPlatform()
-        envs = [Environment.still(), Environment.constant_rate(20.0)]
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            old = platform.run_batch(envs, 0.02)
-        new = platform.run(envs, 0.02)
-        for a, b in zip(old, new):
-            for field in TRACE_FIELDS:
-                assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_run_sequence_with_workers_matches_local(self):
         envs = [Environment.still(), Environment.constant_rate(40.0)]
@@ -533,8 +524,8 @@ class TestFaultInjectionAndResume:
         camp = Campaign(rate_table_scenarios([0.0, 40.0], settle_s=0.04),
                         name="resume")
         partial = camp.run(copy.deepcopy(started_platform), workers=2,
-                           manifest_dir=str(tmp_path), max_retries=1,
-                           retry_backoff_s=0.01,
+                           manifest_dir=str(tmp_path),
+                           retry=RetryPolicy(max_attempts=2, backoff_s=0.01),
                            fault_hook=FailShard(1))
 
         # the poisoned shard is quarantined, not fatal: the campaign

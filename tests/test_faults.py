@@ -2,8 +2,8 @@
 
 The contract under test: every fault model is declarative and picklable,
 arms and disarms exactly at the campaign's chunk boundaries, produces
-bit-identical traces on the reference, fused, batched and compiled
-engines and on both executors, never leaks into a neighbouring fleet
+bit-identical traces on the reference, batched and compiled engines and
+on both executors, never leaks into a neighbouring fleet
 lane, and is fully
 restored when its scenario completes.  On top of that, the platform's
 graceful-degradation path — overload observation, the safe-mode latch,
@@ -224,9 +224,9 @@ class TestFaultBitIdentity:
                    clean_scenario()]
         runs = {engine: Campaign(program, name="x").run(started_platform,
                                                         engine=engine)
-                for engine in ("reference", "fused", "batched", "compiled")}
+                for engine in ("reference", "batched", "compiled")}
         ref = runs["reference"]
-        for engine in ("fused", "batched", "compiled"):
+        for engine in ("batched", "compiled"):
             for lane_ref, lane_eng in zip(ref.lanes, runs[engine].lanes):
                 for a, b in zip(lane_ref.outcomes, lane_eng.outcomes):
                     assert_results_identical(a.result, b.result)
@@ -245,9 +245,9 @@ class TestFaultBitIdentity:
                                   name="f-shard"),
                    clean_scenario()]
         local = Campaign(program, name="s").run(started_platform,
-                                                engine="fused")
+                                                engine="compiled")
         sharded = Campaign(program, name="s").run(
-            started_platform, engine="fused", executor="sharded", workers=2,
+            started_platform, engine="compiled", executor="sharded", workers=2,
             manifest_dir=str(tmp_path))
         assert sharded.complete
         for lane_a, lane_b in zip(local.lanes, sharded.lanes):
@@ -256,7 +256,7 @@ class TestFaultBitIdentity:
                 assert_metrics_identical(a.metrics, b.metrics)
         # the clean lane next to a faulted one equals a solo clean run
         solo = Campaign([clean_scenario()], name="solo").run(
-            started_platform, engine="fused")
+            started_platform, engine="compiled")
         assert_results_identical(solo.lanes[0].outcomes[0].result,
                                  local.lanes[1].outcomes[0].result)
 
@@ -458,7 +458,7 @@ class TestResilienceExtractors:
         scenario = fault_scenario(AfeSaturation(t_start=0.01, t_stop=0.02),
                                   duration_s=0.03)
         result = Campaign([scenario], name="rx").run(started_platform,
-                                                     engine="fused")
+                                                     engine="compiled")
         return result.lanes[0].outcomes[0]
 
     def test_standard_metrics_present(self, saturated_outcome):
@@ -473,7 +473,7 @@ class TestResilienceExtractors:
 
     def test_detection_latency_none_without_latch(self, started_platform):
         result = Campaign([clean_scenario(0.02)], name="nl").run(
-            started_platform, engine="fused")
+            started_platform, engine="compiled")
         outcome = result.lanes[0].outcomes[0]
         assert DetectionLatency(0.0)(None, outcome.result) is None
         assert TimeInSaturation()(None, outcome.result) == 0.0

@@ -5,6 +5,8 @@ started platform and a calibrated platform) are built once per test
 session and shared.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -196,8 +198,11 @@ class TestGyroPlatform:
 
     def test_run_rejects_bad_duration(self):
         platform = GyroPlatform()
-        with pytest.raises(SimulationError):
-            platform.run(Environment.still(), 0.0)
+        for bad in (0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(SimulationError):
+                platform.run(Environment.still(), bad)
+            with pytest.raises(SimulationError):
+                platform.run([Environment.still()] * 2, bad)
 
     def test_startup_locks_and_completes(self, started_platform):
         platform, result = started_platform

@@ -1,15 +1,16 @@
 """Tests for the scenario / campaign subsystem (``repro.scenarios``).
 
 The campaign runner promises that a scenario program replayed through
-any engine — reference loop, fused kernel or batched fleet lanes — from
-the same platform state produces bit-identical traces, metrics and
+any engine — reference loop, compiled kernel or batched fleet lanes —
+from the same platform state produces bit-identical traces, metrics and
 final state, early-stop chunking included.  These tests hold it to
 that, lock the batched-vs-sequential calibration equivalence the
 refactor depends on, and cover the engine registry and the fleet-reuse
-path of ``run_batch``.
+path of ``GyroPlatform.run(..., fleet=...)``.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -56,10 +57,10 @@ def _assert_outcomes_identical(a, b):
 
 class TestEngineRegistry:
     def test_registry_names(self):
-        assert set(engine_names()) == {"reference", "fused", "batched",
-                                       "compiled"}
-        assert set(engine_names(scalar_only=True)) == {"reference", "fused",
+        assert set(engine_names()) == {"reference", "batched", "compiled"}
+        assert set(engine_names(scalar_only=True)) == {"reference",
                                                        "compiled"}
+        assert GyroPlatformConfig().engine == "compiled"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -85,8 +86,9 @@ class TestEngineRegistry:
 
 class TestScenarioValidation:
     def test_duration_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            Scenario("bad", Environment.still(), 0.0)
+        for bad in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                Scenario("bad", Environment.still(), bad)
 
     def test_stop_check_needs_stop(self):
         with pytest.raises(ConfigurationError):
@@ -161,9 +163,9 @@ class TestCampaignEquivalence:
         base = GyroPlatform()
         campaign = Campaign(_mixed_programs())
         batched = campaign.run(base, engine="batched")
-        fused = campaign.run(base, engine="fused")
+        compiled = campaign.run(base, engine="compiled")
         reference = campaign.run(base, engine="reference")
-        for res in (fused, reference):
+        for res in (compiled, reference):
             for lane_a, lane_b in zip(batched.lanes, res.lanes):
                 assert len(lane_a.outcomes) == len(lane_b.outcomes)
                 for a, b in zip(lane_a.outcomes, lane_b.outcomes):
@@ -211,7 +213,7 @@ class TestCampaignEquivalence:
     def test_metric_and_outcome_lookup(self):
         campaign = Campaign(rate_table_scenarios((-50.0, 50.0),
                                                  settle_s=0.02))
-        result = campaign.run(GyroPlatform(), engine="fused")
+        result = campaign.run(GyroPlatform(), engine="compiled")
         assert len(result.metric("raw_channel")) == 2
         assert result.outcome("settled[+50dps@25C]").metrics["raw_channel"] \
             == result.lanes[1].outcomes[0].metrics["raw_channel"]
@@ -228,7 +230,7 @@ class TestCalibrationEquivalence:
         batched = GyroPlatform()
         sequential = GyroPlatform()
         batched.calibrate(settle_s=0.1)                    # fleet sweep
-        sequential.calibrate(settle_s=0.1, engine="fused")  # legacy loop
+        sequential.calibrate(settle_s=0.1, engine="compiled")  # one by one
         chain_b = batched.conditioner.sense_chain
         chain_s = sequential.conditioner.sense_chain
         assert chain_b.scaler.config == chain_s.scaler.config
@@ -237,27 +239,27 @@ class TestCalibrationEquivalence:
 
     def test_temperature_calibration_identical(self):
         base = GyroPlatform()
-        base.calibrate(settle_s=0.1, engine="fused")
+        base.calibrate(settle_s=0.1, engine="compiled")
         other = copy.deepcopy(base)
         base.calibrate_temperature(temperatures_c=(0.0, 25.0, 60.0),
                                    settle_s=0.06)
         other.calibrate_temperature(temperatures_c=(0.0, 25.0, 60.0),
-                                    settle_s=0.06, engine="fused")
+                                    settle_s=0.06, engine="compiled")
         assert (base.conditioner.sense_chain.temperature_comp.config
                 == other.conditioner.sense_chain.temperature_comp.config)
 
 
 class TestFleetReuse:
-    def test_run_batch_accepts_existing_fleet(self):
+    def test_run_accepts_existing_fleet(self):
         platform = GyroPlatform()
         fleet = platform.make_fleet(2)
         lanes = list(fleet.platforms)
         envs = [Environment.still(), Environment.constant_rate(80.0)]
-        first = platform.run_batch(envs, 0.02, fleet=fleet)
+        first = platform.run(envs, 0.02, fleet=fleet)
         # the same lane objects are reused, carrying their state forward
         assert fleet.platforms == lanes
         assert all(lane.now == pytest.approx(0.02) for lane in lanes)
-        second = platform.run_batch(envs, 0.02, fleet=fleet)
+        second = platform.run(envs, 0.02, fleet=fleet)
         assert all(lane.now == pytest.approx(0.04) for lane in lanes)
         # continuing the fleet is exactly one longer dedicated run
         dedicated = GyroPlatform(copy.deepcopy(platform.config))
@@ -267,11 +269,11 @@ class TestFleetReuse:
             np.concatenate([first[1].rate_output_dps,
                             second[1].rate_output_dps]))
 
-    def test_run_batch_fleet_size_mismatch_rejected(self):
+    def test_run_fleet_size_mismatch_rejected(self):
         platform = GyroPlatform()
         fleet = platform.make_fleet(2)
         with pytest.raises(ConfigurationError):
-            platform.run_batch([Environment.still()], 0.01, fleet=fleet)
+            platform.run([Environment.still()], 0.01, fleet=fleet)
 
     def test_make_fleet_validates_size(self):
         with pytest.raises(ConfigurationError):

@@ -505,7 +505,7 @@ class TestKeyProperties:
         base = lane_key("src", "batched", digests)
         assert lane_key("src", "batched", digests) == base
         assert lane_key("other", "batched", digests) != base
-        assert lane_key("src", "fused", digests) != base
+        assert lane_key("src", "compiled", digests) != base
         assert lane_key("src", "batched", ["d2", "d1"]) != base
         assert lane_key("src", "batched", ["d1"]) != base
 
@@ -660,7 +660,8 @@ class TestStoreBackedResume:
         manifest_dir = str(tmp_path / "manifest")
         partial = camp.run(copy.deepcopy(started_platform), store=store,
                            workers=2, shard_size=1,
-                           manifest_dir=manifest_dir, max_retries=0,
+                           manifest_dir=manifest_dir,
+                           retry=RetryPolicy(max_attempts=1),
                            fault_hook=FailShard(1))
         # the healthy lane was stored; the poisoned one is reported
         # against its ORIGINAL campaign lane index
