@@ -1,26 +1,32 @@
-"""Engine performance report: reference vs. compiled vs. batched.
+"""Engine performance report: reference vs. compiled, and the fleet layouts.
 
 Times the co-simulation paths on the same fixed workload — the Fig. 5
 drive-loop locking scenario (sensor at rest from power-on) — plus the
 scenario-campaign orchestrator on a rate-table sweep, both in-process
-and through the sharded multi-process executor, and writes
-``BENCH_engine.json`` at the repository root so the perf trajectory can
-be tracked across PRs.
+and through the sharded multi-process executor, all on the default
+engine, and writes ``BENCH_engine.json`` at the repository root so the
+perf trajectory can be tracked across PRs.
 
 Schema: a list of ``{path, samples_per_sec, speedup_vs_reference}``
 records under ``"entries"``.  ``samples_per_sec`` is simulated
-samples per wall-clock second; for the batched and campaign paths all
-fleet lanes count, so their speedup is the *per-scenario* throughput
-gain at ``B`` lanes.  ``compiled_backend`` records whether the compiled
-rows ran the numba JIT or the generated-Python fallback; the compiled
-engine's kernel generation/JIT warm-up is excluded from its timings (a
-throwaway run compiles and caches the kernel before the clock starts).
+samples per wall-clock second; for the campaign paths all fleet lanes
+count, so their speedup is the *per-scenario* throughput gain at ``B``
+lanes.  ``"crossover"`` times one fleet of ``B`` 0.05 s rate-table lanes
+(branched from a started platform) forced onto each fleet layout —
+lockstep and lane by lane — at several ``B``: the table behind
+``repro.engine.compiled.LOCKSTEP_CROSSOVER``.  ``compiled_backend``
+records whether the compiled rows ran the numba JIT or the
+generated-Python fallback; kernel generation/JIT warm-up is excluded
+from every timing (a throwaway run compiles and caches the kernels
+before the clock starts).
 
-Run with:  PYTHONPATH=src python benchmarks/perf_report.py [--quick]
+Run with:  python benchmarks/perf_report.py [--quick]
 """
 
 import argparse
+import copy
 import json
+import math
 import os
 import sys
 import time
@@ -28,7 +34,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.engine import FleetSimulator, backend_info      # noqa: E402
-from repro.engine import run_compiled_fleet                # noqa: E402
+from repro.engine import compiled                          # noqa: E402
 from repro.platform import GyroPlatform, GyroPlatformConfig  # noqa: E402
 from repro.scenarios import Campaign, rate_table_scenarios  # noqa: E402
 from repro.sensors import Environment                      # noqa: E402
@@ -38,6 +44,8 @@ REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_engine.json")
 
 DURATION_S = 0.5   # the fixed locking scenario
 BATCH_LANES = 32
+CROSSOVER_LANES = (8, 16, 24, 32, 48)
+CROSSOVER_S = 0.05   # rate-table lane length
 
 
 REPEATS = 2  # best-of-N to damp scheduler noise
@@ -59,26 +67,31 @@ def _time_engine(engine: str, duration_s: float) -> float:
     return best
 
 
-def _time_compiled_fleet(lanes: int, duration_s: float) -> float:
-    """Time ``run_compiled_fleet`` over ``lanes`` homogeneous lanes
-    (kernel already warm from the scalar compiled row)."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        fleet = [GyroPlatform(GyroPlatformConfig()) for _ in range(lanes)]
-        start = time.perf_counter()
-        run_compiled_fleet(fleet, Environment.still(), duration_s)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_layouts(platform, lanes: int, duration_s: float) -> dict:
+    """Time one ``lanes``-lane rate-table fleet on each fleet layout.
 
-
-def _time_batch(lanes: int, duration_s: float) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        fleet = FleetSimulator.from_config(GyroPlatformConfig(), lanes)
-        start = time.perf_counter()
-        fleet.run(Environment.still(), duration_s, reset=True)
-        best = min(best, time.perf_counter() - start)
-    return best
+    Each lane is a copy of the started ``platform`` held at its own
+    constant rate; returns the best wall time per layout.
+    """
+    envs = [Environment.constant_rate(-200.0 + 400.0 * i / max(lanes - 1, 1))
+            for i in range(lanes)]
+    saved = compiled.LOCKSTEP_CROSSOVER
+    times = {}
+    try:
+        for layout, crossover in (("lockstep", 1), ("lane", math.inf)):
+            compiled.LOCKSTEP_CROSSOVER = crossover
+            FleetSimulator([copy.deepcopy(platform)]).run(envs[0], 0.001)
+            best = float("inf")
+            for _ in range(REPEATS):
+                fleet = FleetSimulator([copy.deepcopy(platform)
+                                        for _ in range(lanes)])
+                start = time.perf_counter()
+                fleet.run(envs, duration_s)
+                best = min(best, time.perf_counter() - start)
+            times[layout] = best
+    finally:
+        compiled.LOCKSTEP_CROSSOVER = saved
+    return times
 
 
 def _time_campaign(lanes: int, duration_s: float) -> float:
@@ -86,7 +99,7 @@ def _time_campaign(lanes: int, duration_s: float) -> float:
 
     The platform start-up is not timed — the campaign layer is what is
     being measured: scenario branching, fleet packing and metric
-    extraction on top of the batched engine.
+    extraction on top of the default engine's fleet layout choice.
     """
     rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
     best = float("inf")
@@ -96,7 +109,7 @@ def _time_campaign(lanes: int, duration_s: float) -> float:
         campaign = Campaign(rate_table_scenarios(rates, settle_s=duration_s),
                             name="bench-rate-table")
         start = time.perf_counter()
-        campaign.run(platform, engine="batched")
+        campaign.run(platform)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -122,8 +135,8 @@ def _time_sharded(lanes: int, duration_s: float, workers: int) -> float:
         manifest_dir = tempfile.mkdtemp(prefix="bench-sharded-")
         try:
             start = time.perf_counter()
-            campaign.run(platform, engine="batched", executor="sharded",
-                         workers=workers, manifest_dir=manifest_dir)
+            campaign.run(platform, executor="sharded", workers=workers,
+                         manifest_dir=manifest_dir)
             best = min(best, time.perf_counter() - start)
         finally:
             shutil.rmtree(manifest_dir, ignore_errors=True)
@@ -132,7 +145,9 @@ def _time_sharded(lanes: int, duration_s: float, workers: int) -> float:
 
 def build_report(duration_s: float = DURATION_S,
                  lanes: int = BATCH_LANES,
-                 workers: int = None) -> dict:
+                 workers: int = None,
+                 crossover_lanes=CROSSOVER_LANES,
+                 crossover_s: float = CROSSOVER_S) -> dict:
     """Time the engines and the campaign layer; return the report dict."""
     fs = GyroPlatformConfig().sample_rate_hz
     n = int(round(duration_s * fs))
@@ -140,8 +155,6 @@ def build_report(duration_s: float = DURATION_S,
 
     t_ref = _time_engine("reference", duration_s)
     t_compiled = _time_engine("compiled", duration_s)
-    t_batch = _time_batch(lanes, duration_s)
-    t_compiled_fleet = _time_compiled_fleet(lanes, duration_s)
     t_campaign = _time_campaign(lanes, duration_s)
     t_sharded = _time_sharded(lanes, duration_s, workers)
 
@@ -149,9 +162,6 @@ def build_report(duration_s: float = DURATION_S,
     entries = []
     for path, sps in (("reference", sps_ref),
                       ("compiled", n / t_compiled),
-                      (f"batched[B={lanes}]", n * lanes / t_batch),
-                      (f"compiled-batched[B={lanes}]",
-                       n * lanes / t_compiled_fleet),
                       (f"campaign[rate-table B={lanes}]",
                        n * lanes / t_campaign),
                       (f"sharded[{workers} workers, rate-table B={lanes}]",
@@ -160,6 +170,19 @@ def build_report(duration_s: float = DURATION_S,
             "path": path,
             "samples_per_sec": round(sps, 1),
             "speedup_vs_reference": round(sps / sps_ref, 2),
+        })
+    started = GyroPlatform(GyroPlatformConfig())
+    started.start()
+    n_cross = int(round(crossover_s * fs))
+    crossover = []
+    for b in crossover_lanes:
+        times = _time_layouts(started, b, crossover_s)
+        crossover.append({
+            "lanes": b,
+            "lockstep_samples_per_sec": round(n_cross * b
+                                              / times["lockstep"], 1),
+            "lane_samples_per_sec": round(n_cross * b / times["lane"], 1),
+            "lockstep_vs_lane": round(times["lane"] / times["lockstep"], 2),
         })
     return {
         "scenario": ("fig5 locking run: sensor at rest from power-on, "
@@ -172,6 +195,11 @@ def build_report(duration_s: float = DURATION_S,
         "cpu_count": os.cpu_count(),
         "compiled_backend": backend_info(),
         "entries": entries,
+        "crossover_scenario": (f"one fleet of B rate-table lanes, "
+                               f"{crossover_s} s each from a started "
+                               "platform, forced onto each fleet layout"),
+        "lockstep_crossover": compiled.LOCKSTEP_CROSSOVER,
+        "crossover": crossover,
     }
 
 
@@ -190,7 +218,9 @@ def main() -> None:
 
     duration = 0.1 if args.quick else DURATION_S
     lanes = 8 if args.quick else BATCH_LANES
-    report = build_report(duration, lanes, args.workers)
+    report = build_report(duration, lanes, args.workers,
+                          (4, 8) if args.quick else CROSSOVER_LANES,
+                          0.01 if args.quick else CROSSOVER_S)
     # a --quick run measures a different scenario: never let it silently
     # overwrite the tracked perf-trajectory file
     output = args.output or (None if args.quick else REPORT_PATH)
@@ -204,6 +234,9 @@ def main() -> None:
     for entry in report["entries"]:
         print(f"  {entry['path']:<40s} {entry['samples_per_sec']:>12,.0f} "
               f"samples/s   {entry['speedup_vs_reference']:>6.2f}x")
+    for row in report["crossover"]:
+        print(f"  lockstep vs lane by lane, B={row['lanes']:<3d}"
+              f"{row['lockstep_vs_lane']:>27.2f}x")
 
 
 if __name__ == "__main__":

@@ -45,9 +45,8 @@ def main() -> None:
     print("\n=== Full simulation-backed DSE sweep (scenario campaigns) ===")
     # The analytic models score hundreds of points in milliseconds;
     # sweep() then validates the whole Pareto front with the true
-    # mixed-signal loop — three rate-table scenarios per point, and
-    # points sharing a vectorised-state structure packed into one
-    # batched fleet by the campaign runner.  This is where the models
+    # mixed-signal loop — three rate-table scenarios per point, every
+    # point in one campaign whatever its structure.  This is where the models
     # get honest: a datapath the noise model likes can still quantise
     # the rate channel to nothing (the Q1.14 order-4 output filter
     # does exactly that, and the sweep reports it).
@@ -55,8 +54,8 @@ def main() -> None:
         print("  ", simulated.summary())
 
     print("\n=== Monte-Carlo fleet: part-to-part turn-on spread ===")
-    # the batch axis also amortises Monte Carlo mismatch runs: each lane
-    # is a different simulated physical device of the same design
+    # fleets also carry Monte Carlo mismatch runs: each lane is a
+    # different simulated physical device of the same design
     fleet = FleetSimulator.with_part_variation(
         GyroPlatformConfig(), 4, rng=np.random.default_rng(2026))
     from repro.sensors import Environment

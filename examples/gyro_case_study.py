@@ -7,7 +7,7 @@ SensorDynamics, ADXRS300 and Gyrostar numbers.
 
 The characterisation harness and the baseline models replay the same
 scenario-campaign definitions (``repro.scenarios.library``): the rate
-table sweep runs as one batched fleet on the platform and the identical
+table sweep runs as one fleet on the platform and the identical
 stimulus plan drives the behavioural baseline devices.
 
 Run with:  python examples/gyro_case_study.py

@@ -4,8 +4,8 @@ Runs the full mixed-signal co-simulation — MEMS vibrating-ring sensor,
 analog front-end and digital conditioning chain — from power-on, then
 applies yaw rates and prints the chain's digital and analog outputs.
 The rate readings run as one declarative scenario *campaign*: three
-settled-output scenarios branching from the calibrated platform, packed
-into a single batched fleet.
+settled-output scenarios branching from the calibrated platform, run as
+one fleet.
 
 Run with:  python examples/quickstart.py
 """

@@ -158,7 +158,7 @@ class BufferedGaussianNoise:
         Produces exactly the same sequence as ``n`` calls to
         :meth:`next` — blocks are refilled on the same boundaries — and
         leaves the buffer/index state where per-sample consumption would
-        have left it, so streaming and batched consumers can be mixed
+        have left it, so per-sample and chunked consumers can be mixed
         freely.  With ``sigma == 0`` nothing is consumed and zeros are
         returned, matching :meth:`next`.
         """

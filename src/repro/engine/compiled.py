@@ -12,29 +12,40 @@ one platform structure.  :func:`kernel_plan` extracts the structural key
 (loop topology, filter orders, the exact fixed-point formats at each of
 the ten quantisation sites, noise/INL presence) and
 :func:`generate_kernel_source` emits a straight-line Python function for
-that key: the whole closed loop on local floats, quantisers inlined with
-their constants baked as literals, biquad cascades unrolled, dead
-branches dropped, the start-up sequencer skipped once it reaches RUNNING
-and the record point tracked with a countdown instead of a modulo.
+that key: the whole closed loop, quantisers inlined with their constants
+baked as literals, biquad cascades unrolled, dead branches dropped, the
+start-up sequencer skipped once it reaches RUNNING and the record point
+tracked with a countdown instead of a modulo.
 
-The same generated source is compiled two ways:
+One emit sequence renders the plan in two *layouts*:
 
-* ``"numba"`` — wrapped in ``numba.njit`` (no ``fastmath``, so IEEE-754
-  semantics are preserved) when numba is importable; the kernel then
-  runs as native code after a one-off JIT compile per new structure.
-* ``"python"`` — plain ``compile()``/``exec``; a ``.tolist()`` prelude
-  moves the per-sample arrays into Python floats so the loop runs on
-  scalar floats.  This fallback is selected automatically when numba is
-  missing, so the ``"compiled"`` engine always registers and behaves
-  identically — only slower.
+* **lane** — the loop on local floats for one platform.  The source is
+  compiled two ways: ``"numba"`` wraps it in ``numba.njit`` (no
+  ``fastmath``, so IEEE-754 semantics are preserved) when numba is
+  importable; ``"python"`` runs it through ``compile()``/``exec`` after
+  a ``.tolist()`` prelude that moves the per-sample arrays into Python
+  floats.  The fallback is selected automatically, so the ``"compiled"``
+  engine always registers and behaves identically — only slower.
+* **lockstep** — the same loop with every local a ``(B,)`` NumPy row of
+  ``B`` lanes stepped together: the packed ``(S, B)`` state, the
+  ``(C, B)`` constants, the biquad arrays and ``(nc, B)`` chunk inputs.
+  One interpreter pass per sample then advances the whole fleet.  Only
+  clips and quantisers, the PLL/lock branch, the start-up sequencer,
+  the temperature events and the two acquisition channels (stacked on
+  a ``(2, B)`` axis) render differently.
+
+:func:`run_compiled_fleet` picks the layout from the fleet's shape (see
+:data:`LOCKSTEP_CROSSOVER`); no option selects it.
 
 Bit-identity contract: the generated arithmetic replicates the reference
 chain operation for operation — same expression order, same rounding
-points, same RNG block draws — so traces and end-of-run platform state
-are bit-identical to the reference engine on both backends.  The DSP
-monitor registers are refreshed once at the end of each run instead of
-every ``status_update_interval`` samples.  All mutable loop state
-travels through the packed vectors of :mod:`repro.engine.state`
+points, same RNG block draws, and NumPy's elementwise ``sin``/``cos``/
+``rint``/``floor`` match ``math``'s and ``round`` bit for bit — so traces
+and end-of-run platform state are bit-identical to the reference engine
+in both layouts and on both backends.  The DSP monitor registers are
+refreshed once at the end of each run instead of every
+``status_update_interval`` samples.  All mutable loop state travels
+through the packed vectors of :mod:`repro.engine.state`
 (:func:`~repro.engine.state.pack_scalar_state` /
 :func:`~repro.engine.state.finish_run`), which is what lets faults,
 safe-mode latching and early-exit lane retirement behave identically:
@@ -45,21 +56,23 @@ Formats with ``overflow="error"`` cannot raise from inside a generated
 kernel, so :func:`run_compiled` transparently delegates such platforms
 to the reference loop (same results, same exception behaviour).
 
-Runs are processed in time chunks (:data:`CHUNK_SAMPLES`) like the
-batched engine; fleets of more than :data:`LANE_CHUNK` lanes drop to
+Runs are processed in time chunks (:data:`CHUNK_SAMPLES`); fleets of
+more than :data:`LANE_CHUNK` lanes drop to
 :data:`BIG_FLEET_CHUNK_SAMPLES` so a big Monte Carlo sweep's per-lane
 working set stays cache-resident.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..common.exceptions import ConfigurationError
 from ..platform.result import GyroSimulationResult
+from ..sensors.environment import Environment
 from .state import (
     CONSTS,
     SCALAR_STATE,
@@ -87,40 +100,80 @@ LANE_CHUNK = 64
 #: combined per-lane buffers of a big sweep stay cache-resident.
 BIG_FLEET_CHUNK_SAMPLES = 4096
 
+#: A group of structurally equal lanes runs in lockstep when its
+#: lane-samples divided by the samples of its longest lane reach this
+#: value; below it the lanes run one after another.  One lockstep pass
+#: costs about as much as 24 lane samples on the Python backend: the
+#: ``BENCH_engine.json`` crossover table (0.05 s rate-table lanes, 2-vCPU
+#: x86 host, no numba) reads lockstep/lane-by-lane 0.66x at B = 16,
+#: 0.95x at B = 24 and 1.20x at B = 32.  A numba lane kernel is native
+#: code, which lockstep NumPy never beats.
+LOCKSTEP_CROSSOVER = math.inf if HAVE_NUMBA else 24.0
+
 _PI = repr(math.pi)
 _TWO_PI = repr(2.0 * math.pi)
 
-#: Kernel argument order (shared by both backends).
-_KERNEL_ARGS = (
-    "n0", "nc", "dec", "rec", "record_waveforms", "state", "consts",
-    "rate", "temp", "sens_noise", "ca_off", "ca_p_noise", "ca_s_noise",
-    "pga_p_off", "pga_s_off", "pga_p_noise", "pga_s_noise",
+#: Per-sample inputs of one lane over a chunk, as filled by
+#: :func:`_fill_lane_inputs`.
+_LANE_INPUTS = (
+    "rate", "temp", "sens_noise", "ca_p_off", "ca_s_off",
+    "ca_p_noise", "ca_s_noise", "pga_p_off", "pga_s_off", "pga_p_noise", "pga_s_noise",
     "adc_p_gain", "adc_p_off", "adc_p_noise",
     "adc_s_gain", "adc_s_off", "adc_s_noise",
     "ddac_gain", "ddac_off", "cdac_gain", "cdac_off",
     "rdac_gain", "rdac_off", "tcomp_off", "tcomp_sens",
-    "ev_starts", "ev_coefs", "out_coefs", "out_z", "quad_coefs", "quad_z",
+)
+
+#: Primary/secondary input pairs the lockstep layout stacks on a
+#: ``(nc, 2, B)`` axis under one name.
+_PAIRS = {
+    "ca_off2": ("ca_p_off", "ca_s_off"),
+    "ca_noise2": ("ca_p_noise", "ca_s_noise"),
+    "pga_off2": ("pga_p_off", "pga_s_off"),
+    "pga_noise2": ("pga_p_noise", "pga_s_noise"),
+    "adc_gain2": ("adc_p_gain", "adc_s_gain"),
+    "adc_off2": ("adc_p_off", "adc_s_off"),
+    "adc_noise2": ("adc_p_noise", "adc_s_noise"),
+}
+_PAIRED = {name for pair in _PAIRS.values() for name in pair}
+_LOCKSTEP_INPUTS = tuple(n for n in _LANE_INPUTS if n not in _PAIRED) \
+    + tuple(_PAIRS)
+
+_TRACES = (
     "time_tr", "rate_tr", "temp_tr", "out_dps_tr", "out_v_tr", "agc_tr",
     "agc_err_tr", "perr_tr", "vco_tr", "lock_tr", "run_tr",
     "pick_tr", "drive_tr",
 )
 
-#: Arrays the Python backend converts to lists up front (per-sample
-#: reads on Python floats are several times faster than on NumPy
-#: scalars).  The write-back arrays (state/out_z/quad_z/traces) and the
-#: record-point-only arrays (temp, rdac_gain, rdac_off) stay ndarrays.
+_HEAD_ARGS = (
+    "n0", "nc", "dec", "rec", "record_waveforms", "state", "consts",
+    "out_coefs", "out_z", "quad_coefs", "quad_z",
+    "ev_starts", "ev_lanes", "ev_coefs",
+)
+
+#: Arrays the lane layout's Python backend converts to lists up front
+#: (per-sample reads on Python floats are several times faster than on
+#: NumPy scalars).  The write-back arrays (state/out_z/quad_z/traces)
+#: and the record-point-only arrays (temp, rdac_gain, rdac_off) stay
+#: ndarrays.
 _HOT_ARRAYS = (
-    "consts", "state", "rate", "sens_noise", "ca_off", "ca_p_noise",
-    "ca_s_noise", "pga_p_off", "pga_s_off", "pga_p_noise", "pga_s_noise",
+    "consts", "state", "out_coefs", "out_z", "quad_coefs", "quad_z",
+    "ev_starts", "ev_coefs", "rate", "sens_noise", "ca_p_off", "ca_s_off",
+    "ca_p_noise", "ca_s_noise", "pga_p_off", "pga_s_off", "pga_p_noise", "pga_s_noise",
     "adc_p_gain", "adc_p_off", "adc_s_gain", "adc_s_off",
     "ddac_gain", "ddac_off", "cdac_gain", "cdac_off",
     "tcomp_off", "tcomp_sens",
-    "ev_starts", "ev_coefs", "out_coefs", "out_z", "quad_coefs", "quad_z",
 )
 
 _EV_NAMES = ("pa11", "pa12", "pa21", "pa22", "pb1", "pb2",
              "sa11", "sa12", "sa21", "sa22", "sb1", "sb2",
              "pick_gain", "offset_rate", "res_hz")
+
+
+def kernel_args(lockstep: bool = False) -> Tuple[str, ...]:
+    """Argument order of a generated kernel in one layout."""
+    inputs = _LOCKSTEP_INPUTS if lockstep else _LANE_INPUTS
+    return _HEAD_ARGS + inputs + _TRACES
 
 
 def kernel_plan(platform) -> Optional[Tuple]:
@@ -129,9 +182,9 @@ def kernel_plan(platform) -> Optional[Tuple]:
     The :func:`~repro.engine.state.loop_structure` plus ADC noise/INL
     presence.  Two platforms with the same plan share one generated
     kernel (their differing *values* travel through the consts/state
-    vectors).  Returns ``None`` when any quantisation site uses
-    ``overflow="error"`` — generated kernels cannot raise, so such runs
-    delegate to the reference loop.
+    vectors) and can step in one lockstep fleet.  Returns ``None`` when
+    any quantisation site uses ``overflow="error"`` — generated kernels
+    cannot raise, so such runs delegate to the reference loop.
     """
     structure = loop_structure(platform)
     for spec in structure[3:]:
@@ -147,14 +200,23 @@ def kernel_plan(platform) -> Optional[Tuple]:
     )
 
 
-def quantizer_lines(var, spec, indent: int, counter) -> list:
+def _clip(target: str, src: str, lo: str, hi: str, lockstep: bool) -> str:
+    """``target = src`` clamped to ``[lo, hi]`` (lower bound checked first)."""
+    if lockstep:
+        return f"{target} = minimum(maximum({src}, {lo}), {hi})"
+    return f"{target} = {lo} if {src} < {lo} else ({hi} if {src} > {hi} else {src})"
+
+
+def quantizer_lines(var, spec, indent: int, counter,
+                    lockstep: bool = False) -> list:
     """Emit the bit-exact inline equivalent of ``var = quantize(var, fmt)``.
 
     ``spec`` is a :func:`~repro.engine.state.fmt_spec` tuple (``None``
     emits nothing) and ``counter`` a one-element list used to mint
-    unique temporaries, so
-    every inlined site stays SSA-friendly for numba.  Exposed at module
-    level so tests can lock the generated snippet against
+    unique temporaries, so every inlined site stays SSA-friendly for
+    numba.  ``floor``/``trunc`` resolve to :mod:`math` in the lane layout
+    and to NumPy in the lockstep layout.  Exposed at module level so
+    tests can lock the generated snippet against
     :func:`repro.common.fixedpoint.quantize` directly.
     """
     if spec is None:
@@ -172,8 +234,7 @@ def quantizer_lines(var, spec, indent: int, counter) -> list:
     else:  # truncate
         lines.append(f"{pad}{r} = trunc({s})")
     if overflow == "saturate":
-        lines.append(f"{pad}{r} = {lo!r} if {r} < {lo!r} "
-                     f"else ({hi!r} if {r} > {hi!r} else {r})")
+        lines.append(pad + _clip(r, r, repr(lo), repr(hi), lockstep))
     else:  # wrap ("error" never reaches codegen: kernel_plan -> None)
         span = hi - lo + 1
         lines.append(f"{pad}{r} = (({r} - {lo!r}) % {span!r}) + {lo!r}")
@@ -181,16 +242,21 @@ def quantizer_lines(var, spec, indent: int, counter) -> list:
     return lines
 
 
-def generate_kernel_source(plan: Tuple, backend: str) -> str:
-    """Emit the specialised kernel source for one plan and backend.
+def generate_kernel_source(plan: Tuple, backend: str,
+                           lockstep: bool = False) -> str:
+    """Emit the specialised kernel source for one plan, backend and layout.
 
-    The produced function body is identical for both backends except for
-    the array-access prelude; the ``"python"`` variant reads per-sample
-    data from ``.tolist()`` copies while ``"numba"`` indexes the ndarrays
-    directly (and is then compiled by :func:`numba.njit`).
+    The function body is one emit sequence for both layouts; the lane
+    layout's two backends differ only in the array-access prelude (the
+    ``"python"`` variant reads per-sample data from ``.tolist()`` copies
+    while ``"numba"`` indexes the ndarrays directly and is then compiled
+    by :func:`numba.njit`).  The lockstep layout runs on NumPy and only
+    has the ``"python"`` backend.
     """
     if backend not in ("python", "numba"):
         raise ConfigurationError(f"unknown kernel backend {backend!r}")
+    if lockstep and backend != "python":
+        raise ConfigurationError("the lockstep layout runs on NumPy only")
     (closed, n_out, n_quad, q_nco, q_agc, q_drive, q_demod, q_qc,
      q_out, q_quad, q_off, q_tc, q_scaler,
      has_p_noise, has_s_noise, has_p_inl, has_s_inl) = plan
@@ -199,27 +265,39 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     emit = lines.append
     counter = [0]
 
-    def quant(var, spec, indent):
-        lines.extend(quantizer_lines(var, spec, indent, counter))
+    def quant(var, spec, indent=8):
+        lines.extend(quantizer_lines(var, spec, indent, counter, lockstep))
 
-    args = ", ".join(_KERNEL_ARGS)
-    emit(f"def kernel({args}):")
+    def clip(target, src, lo, hi, indent=8):
+        emit(" " * indent + _clip(target, src, lo, hi, lockstep))
 
-    # ---- backend prelude: array access + function binding -----------------
-    if backend == "python":
+    emit(f"def kernel({', '.join(kernel_args(lockstep))}):")
+
+    # ---- prelude: array access + function binding -------------------------
+    if backend == "numba":
+        for name in _HOT_ARRAYS + ("adc_p_noise", "adc_s_noise"):
+            emit(f"    {name}_r = {name}")
+    else:
         emit("    floor = _floor; trunc = _trunc")
         emit("    sin = _sin; cos = _cos; rnd = _rnd")
+    if lockstep:
+        emit("    minimum = _minimum; maximum = _maximum; where = _where")
+        for name in _HOT_ARRAYS:
+            if name not in _PAIRED and name != "ev_starts":
+                emit(f"    {name}_r = {name}")
+        emit("    ev_starts_r = ev_starts.tolist()")
+        emit("    ev_lanes_r = ev_lanes.tolist()")
+        for name in _PAIRS:
+            emit(f"    {name}_r = {name}")
+    elif backend == "python":
         hot = set(_HOT_ARRAYS)
         if has_p_noise:
             hot.add("adc_p_noise")
         if has_s_noise:
             hot.add("adc_s_noise")
-        for name in _KERNEL_ARGS:
+        for name in kernel_args():
             if name in hot:
                 emit(f"    {name}_r = {name}.tolist()")
-    else:
-        for name in _HOT_ARRAYS + ("adc_p_noise", "adc_s_noise"):
-            emit(f"    {name}_r = {name}")
 
     # ---- constants and entry state into locals ----------------------------
     for index, name in enumerate(CONSTS):
@@ -234,46 +312,77 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
             emit(f"    st_count0 = state_r[{index}]")
         else:
             emit(f"    {name} = state_r[{index}]")
-    emit("    st_active = st_state != 4.0")
+    if lockstep:
+        emit("    st_active = bool((st_state != 4.0).any())")
+        # the two acquisition channels run the same block sequence, so
+        # they are stacked on a (2, B) axis (primary row, secondary row)
+        for name, (p, s) in (
+                ("pga_state2", ("pga_p_state", "pga_s_state")),
+                ("ca_gain2", ("ca_gain", "ca_gain")),
+                ("ca_rail2", ("ca_rail", "ca_rail")),
+                ("aa1", ("aa_p1", "aa_s1")), ("aa2", ("aa_p2", "aa_s2")),
+                ("pga_gain2", ("pga_p_gain", "pga_s_gain")),
+                ("pga_alpha2", ("pga_p_alpha", "pga_s_alpha")),
+                ("pga_rail2", ("pga_p_rail", "pga_s_rail")),
+                ("trim2", ("trim_p", "trim_s")),
+                ("aa_alpha2", ("aa_alpha", "aa_alpha_s")),
+                ("adc_kinl2", ("adc_p_kinl", "adc_s_kinl")),
+                ("adc_vref2", ("adc_p_vref", "adc_s_vref")),
+                ("adc_lsb2", ("adc_p_lsb", "adc_s_lsb")),
+                ("adc_cmin2", ("adc_p_cmin", "adc_s_cmin")),
+                ("adc_cmax2", ("adc_p_cmax", "adc_s_cmax"))):
+            emit(f"    {name} = _array(({p}, {s}))")
+        emit("    neg_ca_rail2 = -ca_rail2; neg_pga_rail2 = -pga_rail2")
+        emit("    neg_tuning_range = -tuning_range")
+    else:
+        emit("    st_active = st_state != 4.0")
 
     # ---- biquad cascades unrolled into locals -----------------------------
-    for k in range(n_out):
-        base, zb = 5 * k, 2 * k
-        emit(f"    ob0_{k} = out_coefs_r[{base}]; "
-             f"ob1_{k} = out_coefs_r[{base + 1}]; "
-             f"ob2_{k} = out_coefs_r[{base + 2}]")
-        emit(f"    oa1_{k} = out_coefs_r[{base + 3}]; "
-             f"oa2_{k} = out_coefs_r[{base + 4}]")
-        emit(f"    oz1_{k} = out_z_r[{zb}]; oz2_{k} = out_z_r[{zb + 1}]")
-    for k in range(n_quad):
-        base, zb = 5 * k, 2 * k
-        emit(f"    qb0_{k} = quad_coefs_r[{base}]; "
-             f"qb1_{k} = quad_coefs_r[{base + 1}]; "
-             f"qb2_{k} = quad_coefs_r[{base + 2}]")
-        emit(f"    qa1_{k} = quad_coefs_r[{base + 3}]; "
-             f"qa2_{k} = quad_coefs_r[{base + 4}]")
-        emit(f"    qz1_{k} = quad_z_r[{zb}]; qz2_{k} = quad_z_r[{zb + 1}]")
+    for prefix, n_sec, coefs, zs in (("o", n_out, "out_coefs_r", "out_z_r"),
+                                     ("q", n_quad, "quad_coefs_r", "quad_z_r")):
+        for k in range(n_sec):
+            base, zb = 5 * k, 2 * k
+            emit(f"    {prefix}b0_{k} = {coefs}[{base}]; "
+                 f"{prefix}b1_{k} = {coefs}[{base + 1}]; "
+                 f"{prefix}b2_{k} = {coefs}[{base + 2}]")
+            emit(f"    {prefix}a1_{k} = {coefs}[{base + 3}]; "
+                 f"{prefix}a2_{k} = {coefs}[{base + 4}]")
+            emit(f"    {prefix}z1_{k} = {zs}[{zb}]; "
+                 f"{prefix}z2_{k} = {zs}[{zb + 1}]")
 
     # ---- sensor temperature events ----------------------------------------
     emit("    ev_n = len(ev_starts_r)")
-    emit("    ev_idx = 1")
-    emit("    if ev_n > 1:")
-    emit("        next_ev = int(ev_starts_r[1])")
-    emit("    else:")
-    emit("        next_ev = -1")
-    for offset, name in enumerate(_EV_NAMES):
-        emit(f"    {name} = ev_coefs_r[{offset}]")
+    if lockstep:
+        # every lane has an event at sample 0 carrying its entry values;
+        # the per-lane coefficient rows are updated in place on events
+        emit("    _ev = _empty((15, state.shape[1]))")
+        emit("    " + ", ".join(_EV_NAMES) + " = _ev")
+        emit("    ev_idx = 0")
+        emit("    next_ev = int(ev_starts_r[0])")
+    else:
+        emit("    ev_idx = 1")
+        emit("    if ev_n > 1:")
+        emit("        next_ev = int(ev_starts_r[1])")
+        emit("    else:")
+        emit("        next_ev = -1")
+        for offset, name in enumerate(_EV_NAMES):
+            emit(f"    {name} = ev_coefs_r[{offset}]")
 
     emit("    next_rec = (dec - n0 % dec) % dec")
     emit("    for j in range(nc):")
     emit("        rate_j = rate_r[j]")
 
     emit("        if j == next_ev:")
-    emit("            _b = ev_idx * 15")
-    for offset, name in enumerate(_EV_NAMES):
-        emit(f"            {name} = ev_coefs_r[_b + {offset}]"
-             if offset else f"            {name} = ev_coefs_r[_b]")
-    emit("            ev_idx += 1")
+    if lockstep:
+        emit("            while ev_idx < ev_n and ev_starts_r[ev_idx] == j:")
+        emit("                _ev[:, ev_lanes_r[ev_idx]] = ev_coefs_r[ev_idx]")
+        emit("                ev_idx += 1")
+    else:
+        emit("            _b = ev_idx * 15")
+        for offset, name in enumerate(_EV_NAMES):
+            emit(f"            {name} = ev_coefs_r[_b + {offset}]"
+                 if offset else f"            {name} = ev_coefs_r[_b]")
+        emit("            ev_idx += 1")
     emit("            if ev_idx < ev_n:")
     emit("                next_ev = int(ev_starts_r[ev_idx])")
     emit("            else:")
@@ -294,112 +403,117 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     emit("        y = y_new")
 
     # AFE acquisition: charge amp -> PGA -> anti-alias -> SAR ADC
-    emit("        out = pick_gain * x * ca_gain + ca_off_r[j]"
-         " + ca_p_noise_r[j]")
-    emit("        p1 = -ca_rail if out < -ca_rail"
-         " else (ca_rail if out > ca_rail else out)")
-    emit("        ideal = (p1 + trim_p + pga_p_off_r[j] + pga_p_noise_r[j])"
-         " * pga_p_gain")
-    emit("        pga_p_state = pga_p_state"
-         " + pga_p_alpha * (ideal - pga_p_state)")
-    emit("        p2 = (-pga_p_rail if pga_p_state < -pga_p_rail"
-         " else (pga_p_rail if pga_p_state > pga_p_rail else pga_p_state))")
-    emit("        aa_p1 = aa_p1 + aa_alpha * (p2 - aa_p1)")
-    emit("        aa_p2 = aa_p2 + aa_alpha * (aa_p1 - aa_p2)")
-
-    emit("        out = pick_gain * y * ca_gain + ca_off_r[j]"
-         " + ca_s_noise_r[j]")
-    emit("        s1 = -ca_rail if out < -ca_rail"
-         " else (ca_rail if out > ca_rail else out)")
-    emit("        ideal = (s1 + trim_s + pga_s_off_r[j] + pga_s_noise_r[j])"
-         " * pga_s_gain")
-    emit("        pga_s_state = pga_s_state"
-         " + pga_s_alpha * (ideal - pga_s_state)")
-    emit("        s2 = (-pga_s_rail if pga_s_state < -pga_s_rail"
-         " else (pga_s_rail if pga_s_state > pga_s_rail else pga_s_state))")
-    emit("        aa_s1 = aa_s1 + aa_alpha_s * (s2 - aa_s1)")
-    emit("        aa_s2 = aa_s2 + aa_alpha_s * (aa_s1 - aa_s2)")
-
-    emit("        d = aa_p2 * adc_p_gain_r[j] + adc_p_off_r[j]")
-    if has_p_inl:
-        emit("        nrm = d / adc_p_vref")
-        emit("        nrm = -1.0 if nrm < -1.0 else (1.0 if nrm > 1.0"
-             " else nrm)")
-        emit("        d += adc_p_kinl * (1.0 - nrm * nrm)")
-    if has_p_noise:
-        emit("        d += adc_p_noise_r[j]")
-    emit("        code = floor(d / adc_p_lsb + 0.5)")
-    emit("        code = adc_p_cmin if code < adc_p_cmin"
-         " else (adc_p_cmax if code > adc_p_cmax else code)")
-    emit("        p_norm = code * adc_p_lsb / adc_p_vref")
-
-    emit("        d = aa_s2 * adc_s_gain_r[j] + adc_s_off_r[j]")
-    if has_s_inl:
-        emit("        nrm = d / adc_s_vref")
-        emit("        nrm = -1.0 if nrm < -1.0 else (1.0 if nrm > 1.0"
-             " else nrm)")
-        emit("        d += adc_s_kinl * (1.0 - nrm * nrm)")
-    if has_s_noise:
-        emit("        d += adc_s_noise_r[j]")
-    emit("        code = floor(d / adc_s_lsb + 0.5)")
-    emit("        code = adc_s_cmin if code < adc_s_cmin"
-         " else (adc_s_cmax if code > adc_s_cmax else code)")
-    emit("        s_norm = code * adc_s_lsb / adc_s_vref")
+    if lockstep:
+        emit("        out = _array((pick_gain * x, pick_gain * y)) * ca_gain2"
+             " + ca_off2_r[j] + ca_noise2_r[j]")
+        clip("p1", "out", "neg_ca_rail2", "ca_rail2")
+        emit("        ideal = (p1 + trim2 + pga_off2_r[j] + pga_noise2_r[j])"
+             " * pga_gain2")
+        emit("        pga_state2 = pga_state2"
+             " + pga_alpha2 * (ideal - pga_state2)")
+        clip("p2", "pga_state2", "neg_pga_rail2", "pga_rail2")
+        emit("        aa1 = aa1 + aa_alpha2 * (p2 - aa1)")
+        emit("        aa2 = aa2 + aa_alpha2 * (aa1 - aa2)")
+        emit("        d = aa2 * adc_gain2_r[j] + adc_off2_r[j]")
+        if has_p_inl or has_s_inl:
+            emit("        nrm = d / adc_vref2")
+            clip("nrm", "nrm", "-1.0", "1.0")
+            emit("        d = d + adc_kinl2 * (1.0 - nrm * nrm)")
+        if has_p_noise or has_s_noise:
+            emit("        d = d + adc_noise2_r[j]")
+        emit("        code = floor(d / adc_lsb2 + 0.5)")
+        clip("code", "code", "adc_cmin2", "adc_cmax2")
+        emit("        norm = code * adc_lsb2 / adc_vref2")
+        emit("        p_norm = norm[0]")
+        emit("        s_norm = norm[1]")
+    else:
+        for ch, pos, aa_alpha in (("p", "x", "aa_alpha"),
+                                  ("s", "y", "aa_alpha_s")):
+            emit(f"        out = pick_gain * {pos} * ca_gain + ca_{ch}_off_r[j]"
+                 f" + ca_{ch}_noise_r[j]")
+            clip(f"{ch}1", "out", "-ca_rail", "ca_rail")
+            emit(f"        ideal = ({ch}1 + trim_{ch} + pga_{ch}_off_r[j]"
+                 f" + pga_{ch}_noise_r[j]) * pga_{ch}_gain")
+            emit(f"        pga_{ch}_state = pga_{ch}_state"
+                 f" + pga_{ch}_alpha * (ideal - pga_{ch}_state)")
+            clip(f"{ch}2", f"pga_{ch}_state", f"-pga_{ch}_rail",
+                 f"pga_{ch}_rail")
+            emit(f"        aa_{ch}1 = aa_{ch}1 + {aa_alpha} * ({ch}2 - aa_{ch}1)")
+            emit(f"        aa_{ch}2 = aa_{ch}2 + {aa_alpha} * (aa_{ch}1 - aa_{ch}2)")
+        for ch, has_inl, has_noise in (("p", has_p_inl, has_p_noise),
+                                       ("s", has_s_inl, has_s_noise)):
+            emit(f"        d = aa_{ch}2 * adc_{ch}_gain_r[j] + adc_{ch}_off_r[j]")
+            if has_inl:
+                emit(f"        nrm = d / adc_{ch}_vref")
+                clip("nrm", "nrm", "-1.0", "1.0")
+                emit(f"        d += adc_{ch}_kinl * (1.0 - nrm * nrm)")
+            if has_noise:
+                emit(f"        d += adc_{ch}_noise_r[j]")
+            emit(f"        code = floor(d / adc_{ch}_lsb + 0.5)")
+            clip("code", "code", f"adc_{ch}_cmin", f"adc_{ch}_cmax")
+            emit(f"        {ch}_norm = code * adc_{ch}_lsb / adc_{ch}_vref")
 
     # drive PLL: phase detector -> PI -> NCO
     emit("        pd_state = pd_state + pd_alpha * (p_norm * cos_ref"
          " - pd_state)")
     emit("        amp_state = amp_state + amp_alpha * (p_norm * sin_ref"
          " - amp_state)")
-    emit("        amplitude = 2.0 * amp_state")
-    emit("        if amplitude < 0.0:")
-    emit("            amplitude = 0.0")
-    emit("        if amplitude > pll_thr:")
-    emit("            denom = amplitude if amplitude > pll_thr else pll_thr")
-    emit("            err = 2.0 * pd_state / denom")
-    emit("            pll_integ += pll_ki * err")
-    emit("            if pll_integ > tuning_range:")
-    emit("                pll_integ = tuning_range")
-    emit("            elif pll_integ < -tuning_range:")
-    emit("                pll_integ = -tuning_range")
-    emit("            tuning = pll_kp * err + pll_integ")
-    emit("            if tuning > tuning_range:")
-    emit("                tuning = tuning_range")
-    emit("            elif tuning < -tuning_range:")
-    emit("                tuning = -tuning_range")
-    emit("            phase_err = err")
-    emit("            if (err if err >= 0.0 else -err) < lock_thr:")
-    emit("                lock_counter = lock_counter + 1.0"
-         " if lock_counter < lock_count else lock_count")
-    emit("            else:")
-    emit("                lock_counter = 0.0")
-    emit("        else:")
-    emit("            tuning = 0.0")
-    emit("            phase_err = 0.0")
-    emit("            lock_counter = 0.0")
+    if lockstep:
+        emit("        amplitude = maximum(0.0, 2.0 * amp_state)")
+        emit("        mask = amplitude > pll_thr")
+        emit("        err = 2.0 * pd_state / maximum(amplitude, pll_thr)")
+        emit("        integ = pll_integ + pll_ki * err")
+        clip("integ", "integ", "neg_tuning_range", "tuning_range")
+        emit("        pll_integ = where(mask, integ, pll_integ)")
+        emit("        tuning = pll_kp * err + integ")
+        clip("tuning", "tuning", "neg_tuning_range", "tuning_range")
+        emit("        tuning = where(mask, tuning, 0.0)")
+        emit("        phase_err = where(mask, err, 0.0)")
+        emit("        lock_counter = where(mask & (_absolute(err) < lock_thr),"
+             " minimum(lock_counter + 1.0, lock_count), 0.0)")
+    else:
+        emit("        amplitude = 2.0 * amp_state")
+        emit("        if amplitude < 0.0:")
+        emit("            amplitude = 0.0")
+        emit("        if amplitude > pll_thr:")
+        emit("            err = 2.0 * pd_state / amplitude")
+        emit("            pll_integ += pll_ki * err")
+        emit("            if pll_integ > tuning_range:")
+        emit("                pll_integ = tuning_range")
+        emit("            elif pll_integ < -tuning_range:")
+        emit("                pll_integ = -tuning_range")
+        emit("            tuning = pll_kp * err + pll_integ")
+        emit("            if tuning > tuning_range:")
+        emit("                tuning = tuning_range")
+        emit("            elif tuning < -tuning_range:")
+        emit("                tuning = -tuning_range")
+        emit("            phase_err = err")
+        emit("            if (err if err >= 0.0 else -err) < lock_thr:")
+        emit("                lock_counter = lock_counter + 1.0"
+             " if lock_counter < lock_count else lock_count")
+        emit("            else:")
+        emit("                lock_counter = 0.0")
+        emit("        else:")
+        emit("            tuning = 0.0")
+        emit("            phase_err = 0.0")
+        emit("            lock_counter = 0.0")
     emit("        locked = lock_counter >= lock_count")
     emit(f"        nco_phase = (nco_phase + {_TWO_PI} * (nco_fc + tuning)"
          f" / nco_fs) % {_TWO_PI}")
     emit("        sin_ref = sin(nco_phase)")
     emit("        cos_ref = cos(nco_phase)")
-    quant("sin_ref", q_nco, 8)
-    quant("cos_ref", q_nco, 8)
+    quant("sin_ref", q_nco)
+    quant("cos_ref", q_nco)
 
     # AGC
     emit("        agc_err = agc_target - amplitude")
-    emit("        agc_integ += agc_ki * agc_err")
-    emit("        if agc_integ < agc_min:")
-    emit("            agc_integ = agc_min")
-    emit("        elif agc_integ > agc_max:")
-    emit("            agc_integ = agc_max")
+    emit("        agc_integ = agc_integ + agc_ki * agc_err")
+    clip("agc_integ", "agc_integ", "agc_min", "agc_max")
     emit("        agc_gain = agc_kp * agc_err + agc_integ")
-    emit("        if agc_gain < agc_min:")
-    emit("            agc_gain = agc_min")
-    emit("        elif agc_gain > agc_max:")
-    emit("            agc_gain = agc_max")
-    quant("agc_gain", q_agc, 8)
+    clip("agc_gain", "agc_gain", "agc_min", "agc_max")
+    quant("agc_gain", q_agc)
     emit("        drive_word = agc_gain * cos_ref")
-    quant("drive_word", q_drive, 8)
+    quant("drive_word", q_drive)
 
     # sense chain: I/Q demod -> quadrature cancel -> filters -> comp
     emit("        di_state = di_state + demod_alpha * (s_norm * cos_ref"
@@ -408,35 +522,31 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     emit("        dq_state = dq_state + demod_alpha * (s_norm * sin_ref"
          " - dq_state)")
     emit("        q_chan = 2.0 * dq_state")
-    quant("i_chan", q_demod, 8)
-    quant("q_chan", q_demod, 8)
+    quant("i_chan", q_demod)
+    quant("q_chan", q_demod)
     emit("        raw = i_chan - qc_coeff * q_chan")
-    quant("raw", q_qc, 8)
-    emit("        v = raw")
-    for k in range(n_out):
-        emit(f"        yy = ob0_{k} * v + oz1_{k}")
-        emit(f"        oz1_{k} = ob1_{k} * v - oa1_{k} * yy + oz2_{k}")
-        emit(f"        oz2_{k} = ob2_{k} * v - oa2_{k} * yy")
-        quant("yy", q_out, 8)
-        emit("        v = yy")
-    emit("        rate_channel = v")
-    emit("        v = q_chan")
-    for k in range(n_quad):
-        emit(f"        yy = qb0_{k} * v + qz1_{k}")
-        emit(f"        qz1_{k} = qb1_{k} * v - qa1_{k} * yy + qz2_{k}")
-        emit(f"        qz2_{k} = qb2_{k} * v - qa2_{k} * yy")
-        quant("yy", q_quad, 8)
-        emit("        v = yy")
-    emit("        quad_channel = v")
+    quant("raw", q_qc)
+    for prefix, n_sec, q_sec, src, dst in (
+            ("o", n_out, q_out, "raw", "rate_channel"),
+            ("q", n_quad, q_quad, "q_chan", "quad_channel")):
+        emit(f"        v = {src}")
+        for k in range(n_sec):
+            emit(f"        yy = {prefix}b0_{k} * v + {prefix}z1_{k}")
+            emit(f"        {prefix}z1_{k} = {prefix}b1_{k} * v"
+                 f" - {prefix}a1_{k} * yy + {prefix}z2_{k}")
+            emit(f"        {prefix}z2_{k} = {prefix}b2_{k} * v"
+                 f" - {prefix}a2_{k} * yy")
+            quant("yy", q_sec)
+            emit("        v = yy")
+        emit(f"        {dst} = v")
     emit("        comp = rate_channel - off_comp")
-    quant("comp", q_off, 8)
+    quant("comp", q_off)
     emit("        comp = (comp - tcomp_off_r[j]) / tcomp_sens_r[j]")
-    quant("comp", q_tc, 8)
+    quant("comp", q_tc)
     emit("        rate_dps_val = comp * scale_dps")
     emit("        word = rate_dps_val / full_scale")
-    emit("        word = -1.0 if word < -1.0 else (1.0 if word > 1.0"
-         " else word)")
-    quant("word", q_scaler, 8)
+    clip("word", "word", "-1.0", "1.0")
+    quant("word", q_scaler)
     emit("        rate_word = word")
 
     # force rebalance (closed-loop configuration) — structural branch
@@ -444,22 +554,15 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
         emit("        reb_state = reb_state + reb_alpha * (s_norm * cos_ref"
              " - reb_state)")
         emit("        reb_residual = 2.0 * reb_state")
-        emit("        reb_integ += reb_ki * reb_residual")
-        emit("        if reb_integ > reb_limit:")
-        emit("            reb_integ = reb_limit")
-        emit("        elif reb_integ < -reb_limit:")
-        emit("            reb_integ = -reb_limit")
+        emit("        reb_integ = reb_integ + reb_ki * reb_residual")
+        clip("reb_integ", "reb_integ", "-reb_limit", "reb_limit")
         emit("        reb_cmd = reb_kp * reb_residual + reb_integ")
-        emit("        if reb_cmd > reb_limit:")
-        emit("            reb_cmd = reb_limit")
-        emit("        elif reb_cmd < -reb_limit:")
-        emit("            reb_cmd = -reb_limit")
+        clip("reb_cmd", "reb_cmd", "-reb_limit", "reb_limit")
         emit("        control_word = -reb_cmd * cos_ref")
         emit("        out_dps = reb_cmd * scale_dps")
         emit("        out_word = out_dps / full_scale")
-        emit("        out_word = -1.0 if out_word < -1.0"
-             " else (1.0 if out_word > 1.0 else out_word)")
-        quant("out_word", q_scaler, 8)
+        clip("out_word", "out_word", "-1.0", "1.0")
+        quant("out_word", q_scaler)
     else:
         emit("        control_word = 0.0")
         emit("        out_dps = rate_dps_val")
@@ -470,61 +573,81 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     # st_count0 + nc write-back at exit)
     emit("        if st_active:")
     emit("            cur = st_count0 + (j + 1.0)")
-    emit("            just_failed = False")
-    emit("            if not st_failed:")
-    emit("                if cur > wd_samples:")
-    emit("                    st_failed = True")
-    emit("                    just_failed = True")
-    emit("            if not just_failed:")
-    emit("                if st_state == 0.0:")
-    emit("                    st_state = 1.0")
-    emit("                elif st_state == 1.0:")
-    emit("                    if locked:")
-    emit("                        st_state = 2.0")
-    emit("                elif st_state == 2.0:")
-    emit("                    if agc_err < settle_thr and"
-         " agc_err > -settle_thr:")
-    emit("                        st_state = 3.0")
-    emit("                        st_settle = 0.0")
-    emit("                    elif not locked:")
-    emit("                        st_state = 1.0")
-    emit("                elif st_state == 3.0:")
-    emit("                    if locked and (agc_err < settle_thr"
-         " and agc_err > -settle_thr):")
-    emit("                        st_settle = st_settle + 1.0")
-    emit("                    else:")
-    emit("                        st_settle = 0.0")
-    emit("                    if st_settle >= settle_samples:")
-    emit("                        st_state = 4.0")
-    emit("                        st_ready = cur")
-    emit("                        st_active = False")
+    if lockstep:
+        emit("            just_failed = (st_state != 4.0) & ~st_failed"
+             " & (cur > wd_samples)")
+        emit("            st_failed = st_failed | just_failed")
+        emit("            trans = ~just_failed")
+        emit("            settled = (agc_err < settle_thr)"
+             " & (agc_err > -settle_thr)")
+        emit("            new_state = st_state.copy()")
+        emit("            new_state[trans & (st_state == 0.0)] = 1.0")
+        emit("            new_state[trans & (st_state == 1.0) & locked] = 2.0")
+        emit("            m_lock = trans & (st_state == 2.0)")
+        emit("            new_state[m_lock & settled] = 3.0")
+        emit("            st_settle = where(m_lock & settled, 0.0, st_settle)")
+        emit("            new_state[m_lock & ~settled & ~locked] = 1.0")
+        emit("            m_set = trans & (st_state == 3.0)")
+        emit("            st_settle = where(m_set & settled & locked,"
+             " st_settle + 1.0, where(m_set, 0.0, st_settle))")
+        emit("            done = m_set & (st_settle >= settle_samples)")
+        emit("            new_state[done] = 4.0")
+        emit("            st_ready = where(done, cur, st_ready)")
+        emit("            st_state = new_state")
+        emit("            st_active = bool((st_state != 4.0).any())")
+    else:
+        emit("            just_failed = False")
+        emit("            if not st_failed:")
+        emit("                if cur > wd_samples:")
+        emit("                    st_failed = True")
+        emit("                    just_failed = True")
+        emit("            if not just_failed:")
+        emit("                if st_state == 0.0:")
+        emit("                    st_state = 1.0")
+        emit("                elif st_state == 1.0:")
+        emit("                    if locked:")
+        emit("                        st_state = 2.0")
+        emit("                elif st_state == 2.0:")
+        emit("                    if agc_err < settle_thr and"
+             " agc_err > -settle_thr:")
+        emit("                        st_state = 3.0")
+        emit("                        st_settle = 0.0")
+        emit("                    elif not locked:")
+        emit("                        st_state = 1.0")
+        emit("                elif st_state == 3.0:")
+        emit("                    if locked and (agc_err < settle_thr"
+             " and agc_err > -settle_thr):")
+        emit("                        st_settle = st_settle + 1.0")
+        emit("                    else:")
+        emit("                        st_settle = 0.0")
+        emit("                    if st_settle >= settle_samples:")
+        emit("                        st_state = 4.0")
+        emit("                        st_ready = cur")
+        emit("                        st_active = False")
 
-    # drive / control DACs
-    emit("        val = -1.0 if drive_word < -1.0"
-         " else (1.0 if drive_word > 1.0 else drive_word)")
+    # drive / control DACs (open loop: the control word is 0.0, which
+    # quantises to code 0)
+    clip("val", "drive_word", "-1.0", "1.0")
     emit("        qd = rnd(val * ddac_vref / ddac_lsb) * ddac_lsb")
     emit("        out = qd * ddac_gain_r[j] + ddac_off_r[j]")
-    emit("        drive_v = ddac_min if out < ddac_min"
-         " else (ddac_max if out > ddac_max else out)")
-    emit("        val = -1.0 if control_word < -1.0"
-         " else (1.0 if control_word > 1.0 else control_word)")
-    emit("        qd = rnd(val * cdac_vref / cdac_lsb) * cdac_lsb")
-    emit("        out = qd * cdac_gain_r[j] + cdac_off_r[j]")
-    emit("        control_v = cdac_min if out < cdac_min"
-         " else (cdac_max if out > cdac_max else out)")
+    clip("drive_v", "out", "ddac_min", "ddac_max")
+    if closed:
+        clip("val", "control_word", "-1.0", "1.0")
+        emit("        qd = rnd(val * cdac_vref / cdac_lsb) * cdac_lsb")
+        emit("        out = qd * cdac_gain_r[j] + cdac_off_r[j]")
+    else:
+        emit("        out = 0.0 * cdac_gain_r[j] + cdac_off_r[j]")
+    clip("control_v", "out", "cdac_min", "cdac_max")
 
     # trace recording (decimated; countdown instead of a per-sample %)
     emit("        if j == next_rec:")
-    emit("            clipped = -1.0 if out_word < -1.0"
-         " else (1.0 if out_word > 1.0 else out_word)")
+    clip("clipped", "out_word", "-1.0", "1.0", 12)
     emit("            target = (mid + clipped * out_span + trim_out)"
          " / rdac_vref")
-    emit("            val = 0.0 if target < 0.0"
-         " else (1.0 if target > 1.0 else target)")
+    clip("val", "target", "0.0", "1.0", 12)
     emit("            qd = rnd(val * rdac_vref / rdac_lsb) * rdac_lsb")
     emit("            out = qd * rdac_gain[j] + rdac_off[j]")
-    emit("            rdac_held = rdac_min if out < rdac_min"
-         " else (rdac_max if out > rdac_max else out)")
+    clip("rdac_held", "out", "rdac_min", "rdac_max", 12)
     emit("            i = n0 + j")
     emit("            time_tr[rec] = start_time + i * dt")
     emit("            rate_tr[rec] = rate_j")
@@ -544,30 +667,46 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     emit("            next_rec += dec")
 
     # ---- write the final state back into the packed vectors ---------------
+    if lockstep:
+        emit("    pga_p_state = pga_state2[0]; pga_s_state = pga_state2[1]")
+        emit("    aa_p1 = aa1[0]; aa_s1 = aa1[1]")
+        emit("    aa_p2 = aa2[0]; aa_s2 = aa2[1]")
     for name in SCALAR_STATE:
         index = STATE_INDEX[name]
         if name == "overload":
-            emit(f"    state[{index}] = 1.0 if (aa_p2 >= ov_thr"
+            emit(f"    state[{index}] = _where((aa_p2 >= ov_thr)"
+                 " | (-aa_p2 >= ov_thr) | (aa_s2 >= ov_thr)"
+                 " | (-aa_s2 >= ov_thr), 1.0, 0.0)" if lockstep else
+                 f"    state[{index}] = 1.0 if (aa_p2 >= ov_thr"
                  " or -aa_p2 >= ov_thr or aa_s2 >= ov_thr"
                  " or -aa_s2 >= ov_thr) else 0.0")
-        elif name in ("locked", "st_failed"):
+        elif name in ("locked", "st_failed") and not lockstep:
             emit(f"    state[{index}] = 1.0 if {name} else 0.0")
         elif name == "st_count":
             emit(f"    state[{index}] = st_count0 + nc")
         else:
             emit(f"    state[{index}] = {name}")
-    for k in range(n_out):
-        emit(f"    out_z[{2 * k}] = oz1_{k}")
-        emit(f"    out_z[{2 * k + 1}] = oz2_{k}")
-    for k in range(n_quad):
-        emit(f"    quad_z[{2 * k}] = qz1_{k}")
-        emit(f"    quad_z[{2 * k + 1}] = qz2_{k}")
+    for prefix, zs, n_sec in (("o", "out_z", n_out), ("q", "quad_z", n_quad)):
+        for k in range(n_sec):
+            emit(f"    {zs}[{2 * k}] = {prefix}z1_{k}")
+            emit(f"    {zs}[{2 * k + 1}] = {prefix}z2_{k}")
     emit("    return rec")
     emit("")
     return "\n".join(lines)
 
 
 _KERNELS: dict = {}
+
+#: Functions a generated kernel calls, per layout.  The Python backend
+#: binds the ``_``-prefixed copies to locals in its prelude.
+_LANE_FUNCTIONS = {"floor": math.floor, "trunc": math.trunc,
+                   "sin": math.sin, "cos": math.cos, "rnd": round}
+_LOCKSTEP_FUNCTIONS = {
+    "floor": np.floor, "trunc": np.trunc, "sin": np.sin, "cos": np.cos,
+    "rnd": np.rint, "minimum": np.minimum, "maximum": np.maximum,
+    "where": np.where, "absolute": np.absolute, "array": np.array,
+    "empty": np.empty,
+}
 
 
 def compiled_backend() -> str:
@@ -583,21 +722,22 @@ def backend_info() -> dict:
     return info
 
 
-def _compile_kernel(plan: Tuple, backend: Optional[str] = None):
-    """Compile (and cache) the specialised kernel for one plan."""
-    if backend is None:
+def _compile_kernel(plan: Tuple, backend: Optional[str] = None,
+                    lockstep: bool = False):
+    """Compile (and cache) the specialised kernel for one plan and layout."""
+    if lockstep:
+        backend = "python"
+    elif backend is None:
         backend = compiled_backend()
-    key = (plan, backend)
+    key = (plan, backend, lockstep)
     fn = _KERNELS.get(key)
     if fn is None:
-        source = generate_kernel_source(plan, backend)
-        namespace = {
-            "floor": math.floor, "trunc": math.trunc,
-            "sin": math.sin, "cos": math.cos, "rnd": round,
-            "_floor": math.floor, "_trunc": math.trunc,
-            "_sin": math.sin, "_cos": math.cos, "_rnd": round,
-        }
-        code = compile(source, f"<repro-compiled-kernel:{backend}>", "exec")
+        source = generate_kernel_source(plan, backend, lockstep)
+        functions = _LOCKSTEP_FUNCTIONS if lockstep else _LANE_FUNCTIONS
+        namespace = dict(functions)
+        namespace.update(("_" + name, fn) for name, fn in functions.items())
+        layout = "lockstep" if lockstep else backend
+        code = compile(source, f"<repro-compiled-kernel:{layout}>", "exec")
         exec(code, namespace)
         fn = namespace["kernel"]
         if backend == "numba":  # pragma: no cover - optional dependency
@@ -606,7 +746,109 @@ def _compile_kernel(plan: Tuple, backend: Optional[str] = None):
     return fn
 
 
+def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
+    """Fill one lane's per-sample chunk inputs in place.
+
+    ``out`` maps every :data:`_LANE_INPUTS` name to a writable 1-D
+    array of ``len(t)`` samples — a fresh row for a lane run, a column
+    of the ``(nc, B)`` chunk arrays for a lockstep fleet.  Draws the
+    lane's noise blocks and retunes its sensor exactly as the reference
+    loop would over the chunk, and returns the sensor's temperature
+    events (:func:`~repro.engine.state.sensor_temperature_plan`).
+    """
+    nc = t.size
+    sensor = platform.sensor
+    frontend = platform.frontend
+    tsens = platform.config.temperature_sensor
+    tc_cfg = platform.conditioner.sense_chain.temperature_comp.config
+    out["rate"][:], out["temp"][:] = environment.sample(t)
+    temp = out["temp"]
+    dt_c = temp - 25.0
+    dtm = (np.round((temp + tsens.offset_error_c) / tsens.resolution_c)
+           * tsens.resolution_c) - 25.0
+    events = sensor_temperature_plan(sensor, temp)
+
+    out["sens_noise"][:] = sensor._noise.take(nc)
+    for ch, amp, pga, adc in (
+            ("p", frontend.primary_charge_amp, frontend.primary_pga,
+             frontend.primary_adc),
+            ("s", frontend.secondary_charge_amp, frontend.secondary_pga,
+             frontend.secondary_adc)):
+        out[f"ca_{ch}_off"][:] = (amp.config.offset_v
+                                  + amp.config.offset_tc_v_per_c * dt_c)
+        out[f"ca_{ch}_noise"][:] = amp._noise.take(nc)
+        out[f"pga_{ch}_off"][:] = (pga.config.offset_v
+                                   + pga.config.offset_tc_v_per_c * dt_c)
+        out[f"pga_{ch}_noise"][:] = pga._noise.take(nc)
+        out[f"adc_{ch}_noise"][:] = adc._noise.take(nc)
+    for name, device in (("adc_p", frontend.primary_adc),
+                         ("adc_s", frontend.secondary_adc),
+                         ("ddac", frontend.drive_dac),
+                         ("cdac", frontend.control_dac),
+                         ("rdac", frontend.rate_output_dac)):
+        c = device.config
+        out[name + "_gain"][:] = ((1.0 + c.gain_error)
+                                  * (1.0 + c.gain_tc_ppm_per_c * 1e-6 * dt_c))
+        out[name + "_off"][:] = c.offset_error_v + c.offset_tc_v_per_c * dt_c
+
+    tcomp_off = np.zeros(nc)
+    for i, c in enumerate(tc_cfg.offset_poly):
+        tcomp_off = tcomp_off + c * dtm ** i
+    tcomp_sens = np.zeros(nc)
+    for i, c in enumerate(tc_cfg.sensitivity_poly):
+        tcomp_sens = tcomp_sens + c * dtm ** (i + 1)
+    out["tcomp_off"][:] = tcomp_off
+    out["tcomp_sens"][:] = 1.0 + tcomp_sens
+    if np.any(out["tcomp_sens"] == 0.0):
+        raise ConfigurationError("sensitivity correction factor reached zero")
+    return events
+
+
+def _event_rows(events) -> Tuple[List[int], np.ndarray]:
+    """Sample indices and ``(m, 15)`` coefficient rows of sensor events."""
+    rows = np.empty((len(events), 15))
+    for k, (_, ev) in enumerate(events):
+        rows[k, :6] = ev["pa"]
+        rows[k, 6:12] = ev["sa"]
+        rows[k, 12:] = (ev["pickoff_gain"], ev["offset_rate_dps"],
+                        ev["primary_res_hz"])
+    return [e[0] for e in events], rows
+
+
+def _result(traces, rl: int, fs: float, dec: int, record_waveforms: bool,
+            platform) -> GyroSimulationResult:
+    """Slice the first ``rl`` records of one lane's trace arrays."""
+    (time_tr, rate_tr, temp_tr, out_dps_tr, out_v_tr, agc_tr, agc_err_tr,
+     perr_tr, vco_tr, lock_tr, run_tr, pick_tr, drive_tr) = traces
+    return GyroSimulationResult(
+        time_s=time_tr[:rl],
+        sample_rate_hz=fs / dec,
+        true_rate_dps=rate_tr[:rl],
+        temperature_c=temp_tr[:rl],
+        rate_output_dps=out_dps_tr[:rl],
+        rate_output_v=out_v_tr[:rl],
+        amplitude_control=agc_tr[:rl],
+        amplitude_error=agc_err_tr[:rl],
+        phase_error=perr_tr[:rl],
+        vco_control=vco_tr[:rl],
+        pll_locked=lock_tr[:rl],
+        running=run_tr[:rl],
+        primary_pickoff_norm=pick_tr[:rl] if record_waveforms else None,
+        drive_word=drive_tr[:rl] if record_waveforms else None,
+        turn_on_time_s=platform.conditioner.startup.turn_on_time_s,
+    )
+
+
 _EMPTY = np.zeros(0)
+_NO_LANES = np.zeros(0, dtype=np.int64)
+
+
+def _trace_arrays(shape, record_waveforms: bool) -> list:
+    """Zeroed trace buffers in :data:`_TRACES` order."""
+    return [_EMPTY if name in ("pick_tr", "drive_tr") and not record_waveforms
+            else np.zeros(shape, dtype=bool if name in ("lock_tr", "run_tr")
+                          else float)
+            for name in _TRACES]
 
 
 def run_compiled(platform, environment, duration_s: float,
@@ -625,176 +867,259 @@ def run_compiled(platform, environment, duration_s: float,
     if plan is None:
         return platform._run_reference(environment, duration_s,
                                        record_waveforms)
-
-    cfg = platform.config
-    fs = cfg.sample_rate_hz
+    fs = platform.config.sample_rate_hz
     dt = 1.0 / fs
     n = int(round(duration_s * fs))
-    dec = cfg.record_decimation
-    n_rec = n // dec + 1
+    dec = platform.config.record_decimation
     start_time = platform._time_s
-
-    sensor = platform.sensor
-    frontend = platform.frontend
-    conditioner = platform.conditioner
-    sense = conditioner.sense_chain
-    tsens = cfg.temperature_sensor
-    tc_cfg = sense.temperature_comp.config
-    ca_cfg = frontend.primary_charge_amp.config
-    pga_p = frontend.primary_pga
-    pga_s = frontend.secondary_pga
-    adc_p = frontend.primary_adc
-    adc_s = frontend.secondary_adc
-    ddac = frontend.drive_dac
-    cdac = frontend.control_dac
-    rdac = frontend.rate_output_dac
-    has_p_noise, has_s_noise = plan[13], plan[14]
+    sense = platform.conditioner.sense_chain
 
     kernel = _compile_kernel(plan)
     consts = gather_consts(platform, start_time)
     state = pack_scalar_state(platform)
     out_coefs, out_z = biquad_arrays(sense.output_filter)
     quad_coefs, quad_z = biquad_arrays(sense.quadrature_filter)
-
-    time_tr = np.zeros(n_rec)
-    rate_tr = np.zeros(n_rec)
-    temp_tr = np.zeros(n_rec)
-    out_dps_tr = np.zeros(n_rec)
-    out_v_tr = np.zeros(n_rec)
-    agc_tr = np.zeros(n_rec)
-    agc_err_tr = np.zeros(n_rec)
-    perr_tr = np.zeros(n_rec)
-    vco_tr = np.zeros(n_rec)
-    lock_tr = np.zeros(n_rec, dtype=bool)
-    run_tr = np.zeros(n_rec, dtype=bool)
-    pick_tr = np.zeros(n_rec) if record_waveforms else _EMPTY
-    drive_tr = np.zeros(n_rec) if record_waveforms else _EMPTY
+    traces = _trace_arrays(n // dec + 1, record_waveforms)
     rec = 0
 
     chunk = int(chunk_samples) if chunk_samples else CHUNK_SAMPLES
-    n0 = 0
-    while n0 < n:
+    for n0 in range(0, n, chunk):
         nc = min(chunk, n - n0)
-        t = np.arange(n0, n0 + nc) * dt
-        rate_arr, temp_arr = environment.sample(t)
-        rate_arr = np.asarray(rate_arr, dtype=float)
-        temp_arr = np.asarray(temp_arr, dtype=float)
-        dt_c = temp_arr - 25.0
-        meas = (np.round((temp_arr + tsens.offset_error_c)
-                         / tsens.resolution_c) * tsens.resolution_c)
-        dtm = meas - 25.0
-
-        events = sensor_temperature_plan(sensor, temp_arr)
-        ev_starts = np.array([e[0] for e in events], dtype=np.int64)
-        ev_coefs = np.empty(len(events) * 15)
-        for k, (_, ev) in enumerate(events):
-            base = 15 * k
-            ev_coefs[base:base + 6] = ev["pa"]
-            ev_coefs[base + 6:base + 12] = ev["sa"]
-            ev_coefs[base + 12] = ev["pickoff_gain"]
-            ev_coefs[base + 13] = ev["offset_rate_dps"]
-            ev_coefs[base + 14] = ev["primary_res_hz"]
-
-        sens_noise = sensor._noise.take(nc)
-        ca_off = ca_cfg.offset_v + ca_cfg.offset_tc_v_per_c * dt_c
-        ca_p_noise = frontend.primary_charge_amp._noise.take(nc)
-        ca_s_noise = frontend.secondary_charge_amp._noise.take(nc)
-        pga_p_off = (pga_p.config.offset_v
-                     + pga_p.config.offset_tc_v_per_c * dt_c)
-        pga_s_off = (pga_s.config.offset_v
-                     + pga_s.config.offset_tc_v_per_c * dt_c)
-        pga_p_noise = pga_p._noise.take(nc)
-        pga_s_noise = pga_s._noise.take(nc)
-
-        def converter_drift(device):
-            c = device.config
-            gain = ((1.0 + c.gain_error)
-                    * (1.0 + c.gain_tc_ppm_per_c * 1e-6 * dt_c))
-            off = c.offset_error_v + c.offset_tc_v_per_c * dt_c
-            return gain, off
-
-        adc_p_gain, adc_p_off = converter_drift(adc_p)
-        adc_s_gain, adc_s_off = converter_drift(adc_s)
-        adc_p_noise = adc_p._noise.take(nc) if has_p_noise else _EMPTY
-        adc_s_noise = adc_s._noise.take(nc) if has_s_noise else _EMPTY
-        ddac_gain, ddac_off = converter_drift(ddac)
-        cdac_gain, cdac_off = converter_drift(cdac)
-        rdac_gain, rdac_off = converter_drift(rdac)
-
-        tcomp_off = np.zeros(nc)
-        for i, c in enumerate(tc_cfg.offset_poly):
-            tcomp_off = tcomp_off + c * dtm ** i
-        tcomp_sens = np.zeros(nc)
-        for i, c in enumerate(tc_cfg.sensitivity_poly):
-            tcomp_sens = tcomp_sens + c * dtm ** (i + 1)
-        tcomp_sens = 1.0 + tcomp_sens
-        if np.any(tcomp_sens == 0.0):
-            raise ConfigurationError(
-                "sensitivity correction factor reached zero")
-
+        inputs = np.empty((len(_LANE_INPUTS), nc))
+        events = _fill_lane_inputs(platform, environment,
+                                   np.arange(n0, n0 + nc) * dt,
+                                   dict(zip(_LANE_INPUTS, inputs)))
+        ev_starts, ev_rows = _event_rows(events)
         rec = int(kernel(
             n0, nc, dec, rec, record_waveforms, state, consts,
-            rate_arr, temp_arr, sens_noise, ca_off, ca_p_noise, ca_s_noise,
-            pga_p_off, pga_s_off, pga_p_noise, pga_s_noise,
-            adc_p_gain, adc_p_off, adc_p_noise,
-            adc_s_gain, adc_s_off, adc_s_noise,
-            ddac_gain, ddac_off, cdac_gain, cdac_off,
-            rdac_gain, rdac_off, tcomp_off, tcomp_sens,
-            ev_starts, ev_coefs, out_coefs, out_z, quad_coefs, quad_z,
-            time_tr, rate_tr, temp_tr, out_dps_tr, out_v_tr, agc_tr,
-            agc_err_tr, perr_tr, vco_tr, lock_tr, run_tr,
-            pick_tr, drive_tr))
-        n0 += nc
+            out_coefs, out_z, quad_coefs, quad_z,
+            np.array(ev_starts, dtype=np.int64), _NO_LANES, ev_rows.ravel(),
+            *inputs, *traces))
 
     finish_run(platform, state, out_z, quad_z, n, start_time)
+    return _result(traces, rec, fs, dec, record_waveforms, platform)
 
-    return GyroSimulationResult(
-        time_s=time_tr[:rec],
-        sample_rate_hz=fs / dec,
-        true_rate_dps=rate_tr[:rec],
-        temperature_c=temp_tr[:rec],
-        rate_output_dps=out_dps_tr[:rec],
-        rate_output_v=out_v_tr[:rec],
-        amplitude_control=agc_tr[:rec],
-        amplitude_error=agc_err_tr[:rec],
-        phase_error=perr_tr[:rec],
-        vco_control=vco_tr[:rec],
-        pll_locked=lock_tr[:rec],
-        running=run_tr[:rec],
-        primary_pickoff_norm=pick_tr[:rec] if record_waveforms else None,
-        drive_word=drive_tr[:rec] if record_waveforms else None,
-        turn_on_time_s=conditioner.startup.turn_on_time_s,
-    )
+
+def _run_lockstep(platforms, environments, n_lane: Sequence[int], plan,
+                  record_waveforms: bool) -> List[GyroSimulationResult]:
+    """Step lanes of one kernel plan and sample grid in NumPy lockstep.
+
+    Lanes are packed longest first, so the lanes still running at any
+    sample are a prefix of the columns.  The chunk grid is split at
+    every lane's end; a retiring lane's state columns simply stop being
+    passed to the kernel, so its state stays where its own run ends and
+    its noise generators stop advancing.
+    """
+    order = sorted(range(len(platforms)), key=lambda b: -n_lane[b])
+    lanes = [platforms[b] for b in order]
+    envs = [environments[b] for b in order]
+    ends = [n_lane[b] for b in order]
+    B = len(lanes)
+    cfg = lanes[0].config
+    fs = cfg.sample_rate_hz
+    dt = 1.0 / fs
+    dec = cfg.record_decimation
+    n = ends[0]
+    kernel = _compile_kernel(plan, lockstep=True)
+
+    start_times = [p._time_s for p in lanes]
+    consts = np.empty((len(CONSTS), B))
+    state = np.empty((len(SCALAR_STATE), B))
+    senses = [p.conditioner.sense_chain for p in lanes]
+    out_coefs = np.empty((5 * plan[1], B))
+    out_z = np.empty((2 * plan[1], B))
+    quad_coefs = np.empty((5 * plan[2], B))
+    quad_z = np.empty((2 * plan[2], B))
+    for b, platform in enumerate(lanes):
+        consts[:, b] = gather_consts(platform, start_times[b])
+        state[:, b] = pack_scalar_state(platform)
+        out_coefs[:, b], out_z[:, b] = biquad_arrays(senses[b].output_filter)
+        quad_coefs[:, b], quad_z[:, b] = biquad_arrays(
+            senses[b].quadrature_filter)
+    traces = _trace_arrays((n // dec + 1, B), record_waveforms)
+    rec = 0
+
+    chunk = CHUNK_SAMPLES if B <= LANE_CHUNK else BIG_FLEET_CHUNK_SAMPLES
+    bounds = sorted(set(range(0, n, chunk)) | set(ends))
+    nc_max = max(b1 - b0 for b0, b1 in zip(bounds, bounds[1:]))
+    # lane-major storage: each lane's column of an (nc, B) input is
+    # contiguous, so the per-lane fill writes whole cache lines
+    buffers = {name: np.empty((B, 2, nc_max) if name in _PAIRS
+                              else (B, nc_max)).T
+               for name in _LOCKSTEP_INPUTS}
+    for n0, n1 in zip(bounds, bounds[1:]):
+        nc = n1 - n0
+        k = sum(1 for end in ends if end > n0)
+        t = np.arange(n0, n1) * dt
+        ev_starts, ev_lanes, ev_rows = [], [], []
+        for b in range(k):
+            out = {name: buffers[name][:nc, b] for name in _LANE_INPUTS
+                   if name not in _PAIRED}
+            for name, (p, s) in _PAIRS.items():
+                out[p] = buffers[name][:nc, 0, b]
+                out[s] = buffers[name][:nc, 1, b]
+            starts, rows = _event_rows(_fill_lane_inputs(lanes[b], envs[b],
+                                                         t, out))
+            ev_starts += starts
+            ev_lanes += [b] * len(starts)
+            ev_rows.append(rows)
+        ev_order = np.argsort(ev_starts, kind="stable")
+        rec = int(kernel(
+            n0, nc, dec, rec, record_waveforms, state[:, :k], consts[:, :k],
+            out_coefs[:, :k], out_z[:, :k], quad_coefs[:, :k], quad_z[:, :k],
+            np.array(ev_starts, dtype=np.int64)[ev_order],
+            np.array(ev_lanes, dtype=np.int64)[ev_order],
+            np.concatenate(ev_rows)[ev_order],
+            *(buffers[name][:nc, ..., :k] for name in _LOCKSTEP_INPUTS),
+            *(tr if tr is _EMPTY else tr[:, :k] for tr in traces)))
+
+    results = [None] * B
+    for b, platform in enumerate(lanes):
+        finish_run(platform, state[:, b], out_z[:, b], quad_z[:, b],
+                   ends[b], start_times[b])
+        rl = (ends[b] - 1) // dec + 1
+        lane_traces = [tr if tr is _EMPTY else tr[:rl, b].copy()
+                       for tr in traces]
+        results[order[b]] = _result(lane_traces, rl, fs, dec,
+                                    record_waveforms, platform)
+    return results
+
+
+def _fleet_inputs(n_lanes: int, environments, durations_s):
+    """Validate and broadcast a fleet's environments and durations."""
+    if isinstance(environments, Environment):
+        environments = [environments] * n_lanes
+    environments = list(environments)
+    if isinstance(durations_s, (int, float)):
+        durations_s = [durations_s] * n_lanes
+    durations_s = [float(d) for d in durations_s]
+    if len(environments) != n_lanes or len(durations_s) != n_lanes:
+        raise ConfigurationError(
+            f"got {len(environments)} environments and {len(durations_s)} "
+            f"durations for {n_lanes} fleet lanes")
+    if not all(0.0 < d < math.inf for d in durations_s):
+        raise ConfigurationError("durations must be finite and > 0")
+    return environments, durations_s
 
 
 def run_compiled_fleet(platforms: Sequence, environments, durations_s,
                        record_waveforms: bool = False):
     """Run a fleet of platforms on the compiled engine.
 
-    Unlike the lockstep :class:`~repro.engine.batch.FleetSimulator`, the
-    lanes run sequentially through their own specialised kernels, so the
-    fleet may be structurally heterogeneous and per-lane durations
-    (early-exit retirement) are free.  Fleets larger than
-    :data:`LANE_CHUNK` use the smaller :data:`BIG_FLEET_CHUNK_SAMPLES`
-    time chunk so big Monte Carlo sweeps stay cache-resident.
+    Lanes are grouped by ``(kernel_plan, sample_rate_hz,
+    record_decimation)``.  A group whose lane-samples divided by the
+    samples of its longest lane reach :data:`LOCKSTEP_CROSSOVER` steps in
+    NumPy lockstep; every other lane runs on its own specialised kernel,
+    with :data:`BIG_FLEET_CHUNK_SAMPLES` time chunks in fleets larger
+    than :data:`LANE_CHUNK`.  Either way each lane's traces and final
+    state are bit-identical to a standalone run of its own duration, so
+    fleets may mix structures, sample rates and durations freely.
 
     Returns one :class:`~repro.platform.result.GyroSimulationResult` per
     lane.
     """
-    n_lanes = len(platforms)
-    if not isinstance(environments, (list, tuple)):
-        environments = [environments] * n_lanes
-    if isinstance(durations_s, (int, float)):
-        durations_s = [durations_s] * n_lanes
-    if len(environments) != n_lanes or len(durations_s) != n_lanes:
-        raise ConfigurationError(
-            "fleet environments/durations must match the number of lanes")
-    if not all(0.0 < d < math.inf for d in durations_s):
-        raise ConfigurationError("durations must be finite and > 0")
-    chunk = CHUNK_SAMPLES if n_lanes <= LANE_CHUNK else BIG_FLEET_CHUNK_SAMPLES
-    return [
-        run_compiled(platform, environment, duration_s, record_waveforms,
-                     chunk_samples=chunk)
-        for platform, environment, duration_s
-        in zip(platforms, environments, durations_s)
-    ]
+    environments, durations_s = _fleet_inputs(len(platforms), environments,
+                                              durations_s)
+    groups = {}
+    for index, platform in enumerate(platforms):
+        cfg = platform.config
+        plan = kernel_plan(platform)
+        if plan is not None:
+            groups.setdefault((plan, cfg.sample_rate_hz,
+                               cfg.record_decimation), []).append(index)
+    results = [None] * len(platforms)
+    for (plan, fs, _), members in groups.items():
+        n_lane = [int(round(durations_s[i] * fs)) for i in members]
+        if min(n_lane) > 0 and sum(n_lane) / max(n_lane) >= LOCKSTEP_CROSSOVER:
+            for index, result in zip(members, _run_lockstep(
+                    [platforms[i] for i in members],
+                    [environments[i] for i in members], n_lane, plan,
+                    record_waveforms)):
+                results[index] = result
+    chunk = (CHUNK_SAMPLES if len(platforms) <= LANE_CHUNK
+             else BIG_FLEET_CHUNK_SAMPLES)
+    for index, platform in enumerate(platforms):
+        if results[index] is None:
+            results[index] = run_compiled(platform, environments[index],
+                                          durations_s[index],
+                                          record_waveforms,
+                                          chunk_samples=chunk)
+    return results
+
+
+class FleetSimulator:
+    """A fleet of :class:`~repro.platform.gyro_platform.GyroPlatform` lanes.
+
+    A thin front over :func:`run_compiled_fleet`: the lanes are ordinary
+    platforms whose state is read at the start of a run and written back
+    at the end, so fleet runs mix freely with per-platform simulation,
+    calibration and register access.  Lanes may differ in values and in
+    structure; the fleet layout follows the fleet's shape.
+    """
+
+    def __init__(self, platforms: Sequence):
+        if not platforms:
+            raise ConfigurationError("fleet needs at least one platform")
+        self.platforms = list(platforms)
+
+    def __len__(self) -> int:
+        return len(self.platforms)
+
+    @classmethod
+    def from_config(cls, config, n: int) -> "FleetSimulator":
+        """Build a fleet of ``n`` identical platforms from one config."""
+        from ..platform.gyro_platform import GyroPlatform
+        if n < 1:
+            raise ConfigurationError("fleet size must be >= 1")
+        return cls([GyroPlatform(copy.deepcopy(config)) for _ in range(n)])
+
+    @classmethod
+    def with_part_variation(cls, config, n: int,
+                            rng: Optional[np.random.Generator] = None,
+                            **spreads) -> "FleetSimulator":
+        """Build a Monte-Carlo fleet with part-to-part sensor mismatch.
+
+        Each lane gets a sensor drawn via
+        :meth:`GyroParameters.with_part_variation` (its own pick-off
+        gain, resonances, offset and noise seed) and a distinct
+        front-end noise seed, modelling ``n`` different physical devices
+        of the same design.
+        """
+        from ..platform.gyro_platform import GyroPlatform
+        if n < 1:
+            raise ConfigurationError("fleet size must be >= 1")
+        rng = rng or np.random.default_rng()
+        platforms = []
+        for _ in range(n):
+            cfg = copy.deepcopy(config)
+            cfg.sensor = cfg.sensor.with_part_variation(rng, **spreads)
+            if cfg.frontend.seed is not None:
+                cfg.frontend.seed = int(rng.integers(0, 2 ** 31 - 1))
+            platforms.append(GyroPlatform(cfg))
+        return cls(platforms)
+
+    def run(self, environments: Union[Environment, Sequence[Environment]],
+            duration_s: Union[float, Sequence[float]], reset: bool = False,
+            record_waveforms: bool = False) -> List[GyroSimulationResult]:
+        """Run every lane for its own duration.
+
+        Args:
+            environments: one :class:`Environment` per lane, or a single
+                environment applied to all lanes.
+            duration_s: a scalar applied to every lane, or one duration
+                per lane; each lane's traces and final state equal a
+                standalone run of its own length.
+            reset: power-cycle every lane before running.
+            record_waveforms: record pick-off / drive-word waveforms.
+
+        Returns:
+            One :class:`GyroSimulationResult` per lane, bit-identical to
+            per-platform reference runs.
+        """
+        environments, durations = _fleet_inputs(len(self.platforms),
+                                                environments, duration_s)
+        if reset:
+            for p in self.platforms:
+                p.reset()
+        return run_compiled_fleet(self.platforms, environments, durations,
+                                  record_waveforms)

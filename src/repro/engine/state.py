@@ -1,26 +1,24 @@
 """Shared state/coefficient plumbing for the fast co-simulation engines.
 
-The compiled kernels and the batched fleet flatten the object-oriented
-reference chain (sensor → AFE → DSP → DACs) into plain locals / NumPy
-arrays.  This module is the one place that knows how: it packs every
-loop variable into a float vector in :data:`SCALAR_STATE` order and
-writes it back, gathers the per-run constants in :data:`CONSTS` order
-(so both engines compute with *exactly* the same coefficient bits as the
+The generated kernels flatten the object-oriented reference chain
+(sensor → AFE → DSP → DACs) into plain locals / NumPy rows.  This
+module is the one place that knows how: it packs every loop variable
+into a float vector in :data:`SCALAR_STATE` order and writes it back,
+gathers the per-run constants in :data:`CONSTS` order (so both kernel
+layouts compute with *exactly* the same coefficient bits as the
 reference chain), flattens the biquad cascades, and defines the
-structural key two platforms must share to run in one lockstep fleet.
-The batched engine stacks the per-lane vectors into ``(S, B)`` /
-``(C, B)`` matrices; the compiled engine hands them to its kernels one
-lane at a time.
+structural key of a platform's loop.  The lane layout hands the vectors
+to its kernel one lane at a time; the lockstep layout fills one column
+per lane of ``(S, B)`` / ``(C, B)`` matrices.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..common.exceptions import ConfigurationError, FixedPointOverflowError
 from ..common.fixedpoint import QFormat
 
 
@@ -39,8 +37,8 @@ def loop_structure(platform) -> Tuple:
     :func:`fmt_spec` of the ten quantisation sites, read from the live
     blocks (not the configs) because that is what the engines quantise
     with.  Platforms with equal keys run the same loop body: the
-    compiled engine builds its kernel plan on it and a lockstep fleet
-    requires it of every lane.
+    compiled engine builds its kernel plan on it, and lanes of one plan
+    can share a lockstep fleet.
     """
     conditioner = platform.conditioner
     drive_loop = conditioner.drive_loop
@@ -62,38 +60,6 @@ def loop_structure(platform) -> Tuple:
     )
 
 
-def array_quantizer(fmt: Optional[QFormat]
-                    ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Vectorised equivalent of ``quantize(x, fmt)`` (bit-exact)."""
-    if fmt is None:
-        return None
-    lsb = fmt.lsb
-    lo = fmt.min_value / lsb
-    hi = fmt.max_value / lsb
-    rounding = fmt.rounding
-    overflow = fmt.overflow
-    span = hi - lo + 1
-
-    def q(x: np.ndarray) -> np.ndarray:
-        scaled = x / lsb
-        if rounding == "nearest":
-            r = np.floor(scaled + 0.5)
-        elif rounding == "floor":
-            r = np.floor(scaled)
-        else:
-            r = np.trunc(scaled)
-        if overflow == "saturate":
-            r = np.clip(r, lo, hi)
-        elif overflow == "wrap":
-            r = ((r - lo) % span) + lo
-        elif np.any(r > hi) or np.any(r < lo):
-            raise FixedPointOverflowError(
-                f"value out of range for {fmt.describe()}")
-        return r * lsb
-
-    return q
-
-
 def sensor_temperature_plan(sensor, temp_arr: np.ndarray
                             ) -> List[Tuple[int, dict]]:
     """Plan the sensor's temperature-dependent coefficient updates.
@@ -106,9 +72,9 @@ def sensor_temperature_plan(sensor, temp_arr: np.ndarray
     at each event, ``_temperature_c`` at the final trace value).
 
     Because the retune happens eagerly, an exception raised later in a
-    batched run (e.g. a fixed-point ``overflow="error"`` format
-    tripping mid-loop) leaves the sensor's temperature state ahead of
-    the sample where the run aborted; treat the platform as needing a
+    compiled run (e.g. a sensitivity correction reaching zero) leaves
+    the sensor's temperature state ahead of the sample where the run
+    aborted; treat the platform as needing a
     ``reset()`` after an engine error, as with any half-completed run.
 
     The first entry always describes the coefficients valid from sample
@@ -137,11 +103,18 @@ def sensor_temperature_plan(sensor, temp_arr: np.ndarray
             sensor._temperature_c = temps[-1]
             return [(0, snapshot())]
     initial = snapshot()
-    for i, temp in enumerate(temps):
-        if last is None or abs(temp - last) >= 0.05:
-            sensor._apply_temperature(temp)
-            last = temp
-            events.append((i, snapshot()))
+    i = 0
+    while i < len(temps):
+        if last is not None:
+            # jump to the next sample that leaves the hysteresis band
+            moved = np.flatnonzero(np.abs(temp_arr[i:] - last) >= 0.05)
+            if not moved.size:
+                break
+            i += int(moved[0])
+        sensor._apply_temperature(temps[i])
+        last = temps[i]
+        events.append((i, snapshot()))
+        i += 1
     if not events or events[0][0] != 0:
         # samples before the first recompute use the pre-run coefficients
         events.insert(0, (0, initial))
@@ -150,8 +123,8 @@ def sensor_temperature_plan(sensor, temp_arr: np.ndarray
     return events
 
 
-#: Slot order of the packed scalar-state vector shared by the compiled
-#: kernels and the batched fleet (one column per lane).  The names are
+#: Slot order of the packed scalar-state vector shared by both kernel
+#: layouts (one column per lane in a lockstep fleet).  The names are
 #: the engines' loop locals; :func:`pack_scalar_state` fills the vector
 #: from the platform objects and :func:`unpack_scalar_state` writes it
 #: back, so every loop variable is loaded and stored here and nowhere
@@ -350,7 +323,7 @@ def writeback_biquad_arrays(iir_filter, z: np.ndarray) -> None:
 
 
 #: Slot order of the per-run scalar-constant vector (one column per lane
-#: in the batched fleet).  The names are the engines' constant locals;
+#: in a lockstep fleet).  The names are the engines' constant locals;
 #: :func:`gather_consts` fills it.
 CONSTS = (
     "kq", "kc", "s_drive_gain", "s_control_gain",
@@ -481,7 +454,7 @@ def finish_run(platform, state: np.ndarray, out_z: np.ndarray,
                quad_z: np.ndarray, n: int, start_time: float) -> None:
     """Store a finished ``n``-sample run back into the platform.
 
-    The end-of-run writeback both fast engines share: the packed loop
+    The end-of-run writeback both kernel layouts share: the packed loop
     state, the output/quadrature biquad states, the conditioner's sample
     counter and monitor registers (refreshed once, at the end of the
     run) and the platform clock.
@@ -494,30 +467,3 @@ def finish_run(platform, state: np.ndarray, out_z: np.ndarray,
     conditioner._sample_count += n
     conditioner._refresh_registers()
     platform._time_s = start_time + n * (1.0 / platform.config.sample_rate_hz)
-
-
-def check_fleet_compatible(platforms) -> None:
-    """Validate that a set of platforms can run in NumPy lockstep.
-
-    Per-lane *values* (gains, seeds, noise levels, sensor parameters,
-    startup timings...) may differ freely; what must match is the
-    sample rate, the record decimation and the :func:`loop_structure`
-    (loop topology, filter section counts and the fixed-point formats of
-    the live blocks), because the lockstep loop runs one body for every
-    lane and quantises with lane 0's formats.
-    """
-    if not platforms:
-        raise ConfigurationError("fleet needs at least one platform")
-    ref = platforms[0]
-    rc = ref.config
-    structure = loop_structure(ref)
-    for p in platforms[1:]:
-        c = p.config
-        if c.sample_rate_hz != rc.sample_rate_hz:
-            raise ConfigurationError("fleet lanes must share the sample rate")
-        if c.record_decimation != rc.record_decimation:
-            raise ConfigurationError("fleet lanes must share record_decimation")
-        if loop_structure(p) != structure:
-            raise ConfigurationError(
-                "fleet lanes must share the loop topology, filter orders "
-                "and fixed-point formats")

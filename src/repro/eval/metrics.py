@@ -20,7 +20,6 @@ from ..common.exceptions import ConfigurationError
 from ..common.units import ROOM_TEMPERATURE_C
 from ..platform.gyro_platform import GyroPlatform
 from ..scenarios.campaign import Campaign
-from ..scenarios.engines import ENGINE_BATCHED
 from ..scenarios.library import (
     bandwidth_probe_scenario,
     noise_floor_scenario,
@@ -128,10 +127,8 @@ class GyroCharacterization:
 
     Args:
         engine: campaign engine for the multi-scenario sweeps (rate
-            table, bandwidth probes).  Defaults to the batched fleet;
-            pass ``"compiled"`` to replay the same scenarios sequentially
-            (bit-identical results, faster below ~12 concurrent lanes —
-            see ``BENCH_engine.json``).
+            table, bandwidth probes).  Defaults to the platform's
+            configured engine; every engine gives bit-identical results.
         executor: campaign executor for those sweeps (``"local"``
             in-process, ``"sharded"`` across worker processes);
             bit-identical datasheets either way.
@@ -145,7 +142,7 @@ class GyroCharacterization:
 
     def __init__(self, platform: GyroPlatform,
                  config: Optional[CharacterizationConfig] = None,
-                 engine: str = ENGINE_BATCHED,
+                 engine: Optional[str] = None,
                  executor: Optional[str] = None,
                  workers: Optional[int] = None,
                  store=None):
@@ -164,7 +161,7 @@ class GyroCharacterization:
 
         The sweep is one campaign of settled-output scenarios branching
         from the platform's current state — one fleet lane per
-        rate-table point on the batched engine.
+        rate-table point.
 
         Returns:
             ``(rates, output_volts, output_dps)`` arrays.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def recommend(config: Optional[DseConfig] = None) -> EvaluatedPoint:
 
 
 # ---------------------------------------------------------------------------
-# Simulation-backed validation (batched co-simulation engine)
+# Simulation-backed validation (fleet co-simulation through campaigns)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -162,9 +162,9 @@ class SimulatedPoint:
 
     Where :class:`EvaluatedPoint` scores a point with fast analytic
     models, this carries metrics *measured* on simulated traces of the
-    fully configured platform: the batched engine runs a still scenario
-    (noise floor, zero-rate offset) and ±probe-rate scenarios (scale
-    factor) in lockstep, and the rate-referred metrics come from a
+    fully configured platform: one fleet runs a still scenario (noise
+    floor, zero-rate offset) and ±probe-rate scenarios (scale factor),
+    and the rate-referred metrics come from a
     two-point fit of the simulated response — exactly what the rate
     table does to a physical part.
 
@@ -268,8 +268,8 @@ def simulate_point(evaluated: EvaluatedPoint, duration_s: float = 0.7,
     """Validate one design point through the campaign runner.
 
     The three validation scenarios — at rest (noise floor) and at
-    ±``probe_rate_dps`` (scale factor) — run as one campaign packed into
-    NumPy lockstep on identically configured platforms.  The metrics
+    ±``probe_rate_dps`` (scale factor) — run as one campaign on
+    identically configured platforms.  The metrics
     come from the settled tail of the traces, so ``duration_s`` must
     leave room for start-up (~0.5 s) plus a settled window.
     """
@@ -279,8 +279,7 @@ def simulate_point(evaluated: EvaluatedPoint, duration_s: float = 0.7,
     config = platform_config_for_point(evaluated.point)
     scenarios = design_validation_scenarios(probe_rate_dps, duration_s,
                                             settle_fraction)
-    result = Campaign(scenarios, engine="batched",
-                      name="dse-validation").run(config=config)
+    result = Campaign(scenarios, name="dse-validation").run(config=config)
     still, pos, neg = [lane.outcomes[0] for lane in result.lanes]
     return _simulated_from_lanes(evaluated, still, pos, neg, probe_rate_dps)
 
@@ -292,21 +291,10 @@ def validate_with_simulation(evaluated: Sequence[EvaluatedPoint],
     """Run :func:`simulate_point` over a set of candidate points.
 
     Each point gets its own three-scenario campaign; use :func:`sweep`
-    to additionally pack structurally compatible points into shared
-    fleets.
+    to run every point in one campaign.
     """
     return [simulate_point(e, duration_s=duration_s,
                            probe_rate_dps=probe_rate_dps) for e in evaluated]
-
-
-def _structure_key(point: DesignPoint) -> Tuple[int, int]:
-    """Fleet-compatibility key: what decides the vectorised state shape.
-
-    Per-lane *values* (ADC bits, bandwidths) may differ inside one
-    fleet; the fixed-point word length and the filter order are
-    structural (see :func:`repro.engine.state.check_fleet_compatible`).
-    """
-    return (point.dsp_word_length, point.output_filter_order)
 
 
 def sweep(config: Optional[DseConfig] = None,
@@ -323,10 +311,8 @@ def sweep(config: Optional[DseConfig] = None,
     Explores the analytic design space, takes the noise-vs-gates Pareto
     front (topped up with the next best-scoring points to at least
     ``min_points``) and validates every candidate with the true
-    mixed-signal co-simulation.  Candidates sharing a vectorised state
-    *structure* (word length, filter order) are packed into one batched
-    campaign — three scenarios per point, so ``k`` compatible points run
-    as a ``3k``-lane fleet.
+    mixed-signal co-simulation, all in one campaign — three scenarios
+    per point, so ``k`` points run as one ``3k``-lane fleet.
 
     Args:
         config: sweep ranges for the analytic exploration (ignored when
@@ -335,13 +321,13 @@ def sweep(config: Optional[DseConfig] = None,
         min_points: top up the front to at least this many candidates.
         max_points: cap the number of candidates (lowest noise first),
             for quick looks at large fronts.
-        executor: campaign executor for the validation campaigns
+        executor: campaign executor for the validation campaign
             (``"local"`` in-process, ``"sharded"`` across worker
             processes with a resumable manifest); metrics are
             bit-identical either way.
         workers: worker-process count for the sharded executor.
         store: a :class:`repro.store.ResultStore` backing the validation
-            campaigns — design points whose configuration and scenarios
+            campaign — design points whose configuration and scenarios
             are unchanged since a previous sweep are served from the
             store, so only new or changed candidates re-simulate.
 
@@ -368,31 +354,21 @@ def sweep(config: Optional[DseConfig] = None,
     if not candidates:
         raise ConfigurationError("no design points to sweep")
 
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for index, candidate in enumerate(candidates):
-        groups.setdefault(_structure_key(candidate.point), []).append(index)
-
-    simulated: List[Optional[SimulatedPoint]] = [None] * len(candidates)
-    for indices in groups.values():
-        programs = []
-        platforms = []
-        for index in indices:
-            candidate = candidates[index]
-            point_config = platform_config_for_point(candidate.point)
-            scenarios = design_validation_scenarios(
-                probe_rate_dps, duration_s, settle_fraction)
-            programs.extend(scenarios)
-            platforms.extend(_platforms_for_config(point_config,
-                                                   len(scenarios)))
-        campaign = Campaign(programs, engine="batched", name="dse-sweep")
-        result = campaign.run(platforms=platforms, executor=executor,
-                              workers=workers, store=store)
-        for slot, index in enumerate(indices):
-            still, pos, neg = [lane.outcomes[0] for lane in
-                               result.lanes[3 * slot:3 * slot + 3]]
-            simulated[index] = _simulated_from_lanes(
-                candidates[index], still, pos, neg, probe_rate_dps)
-    return simulated
+    programs = []
+    platforms = []
+    for candidate in candidates:
+        scenarios = design_validation_scenarios(probe_rate_dps, duration_s,
+                                                settle_fraction)
+        programs.extend(scenarios)
+        platforms.extend(_platforms_for_config(
+            platform_config_for_point(candidate.point), len(scenarios)))
+    result = Campaign(programs, name="dse-sweep").run(
+        platforms=platforms, executor=executor, workers=workers, store=store)
+    return [_simulated_from_lanes(candidate,
+                                  *[lane.outcomes[0] for lane
+                                    in result.lanes[3 * slot:3 * slot + 3]],
+                                  probe_rate_dps)
+            for slot, candidate in enumerate(candidates)]
 
 
 def _platforms_for_config(config, n: int) -> list:

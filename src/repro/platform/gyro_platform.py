@@ -28,7 +28,7 @@ from ..gyro.calibration import (
     select_reference_slope,
 )
 from ..gyro.conditioning import GyroConditioner, GyroConditionerConfig
-from ..scenarios.engines import ENGINE_BATCHED, get_engine, validate_engine
+from ..scenarios.engines import get_engine, validate_engine
 from ..sensors.environment import Environment
 from ..sensors.gyro import GyroParameters, VibratingRingGyro
 from .result import GyroSimulationResult
@@ -85,7 +85,7 @@ class GyroPlatformConfig:
             raise ConfigurationError("sample rate must be > 0")
         if self.record_decimation < 1:
             raise ConfigurationError("record decimation must be >= 1")
-        validate_engine(self.engine, scalar_only=True)
+        validate_engine(self.engine)
         # keep every section on the same time base
         self.frontend.sample_rate_hz = self.sample_rate_hz
         self.conditioner.drive.pll.sample_rate_hz = self.sample_rate_hz
@@ -141,8 +141,8 @@ class GyroPlatform:
         platform in-process and returns one result; a *sequence* of
         environments simulates one deep-copied clone per environment (the
         platform itself is not advanced) and returns one result per
-        environment — in NumPy lockstep by default, optionally fanned out
-        over worker processes.  Every combination produces bit-identical
+        environment — as one fleet on the configured engine, optionally
+        fanned out over worker processes.  Every combination produces bit-identical
         traces.
 
         Args:
@@ -156,12 +156,12 @@ class GyroPlatform:
                 drive-word waveforms (memory-hungry; used by the figure
                 benches).
             engine: override the simulation engine for this run
-                (:func:`~repro.scenarios.engines.engine_names`).  Single
-                environments accept the scalar engines (``"compiled"``,
-                ``"reference"``); sequences default to ``"batched"``
-                lockstep and accept a scalar engine to replay the lanes
-                sequentially instead.  All engines produce bit-identical
-                traces and platform state.
+                (:func:`~repro.scenarios.engines.engine_names`).  On the
+                default ``"compiled"`` engine a sequence runs as one
+                fleet, in lockstep or lane by lane as the fleet's shape
+                favours; ``"reference"`` replays the lanes one by one.
+                All engines produce bit-identical traces and platform
+                state.
             executor: for sequences —
                 :func:`~repro.scenarios.executor.executor_names`;
                 ``"local"`` (default) runs in the calling process,
@@ -186,7 +186,7 @@ class GyroPlatform:
                 raise ConfigurationError(
                     "a single environment runs in-process; pass a sequence "
                     "of environments to fan lanes out over workers")
-            spec = get_engine(engine or self.config.engine, scalar_only=True)
+            spec = get_engine(engine or self.config.engine)
             if reset:
                 self.reset()
             result = spec.run(self, environment, duration_s, record_waveforms)
@@ -219,8 +219,7 @@ class GyroPlatform:
                              record_waveforms=record_waveforms)
                     for i, env in enumerate(environments)]
         result = Campaign(programs, name="platform-run").run(
-            self, engine=engine or ENGINE_BATCHED, executor=executor,
-            workers=workers)
+            self, engine=engine, executor=executor, workers=workers)
         return [lane.outcomes[0].result for lane in result.lanes]
 
     def _run_reference(self, environment: Environment, duration_s: float,
@@ -317,18 +316,18 @@ class GyroPlatform:
         )
 
     def make_fleet(self, n: int) -> "FleetSimulator":
-        """Clone this platform into an ``n``-lane batched fleet.
+        """Clone this platform into an ``n``-lane fleet.
 
         Each lane is a deep copy — calibration words, filter states,
         start-up progress and noise-generator positions included.  Keep
-        the returned :class:`~repro.engine.batch.FleetSimulator` around
+        the returned :class:`~repro.engine.FleetSimulator` around
         and pass it back to :meth:`run` as ``fleet=`` (or run it
         directly) so repeated campaigns do not pay a fresh deep copy per
         call.
         """
         import copy
 
-        from ..engine.batch import FleetSimulator
+        from ..engine import FleetSimulator
         if n < 1:
             raise ConfigurationError("fleet size must be >= 1")
         return FleetSimulator([copy.deepcopy(self) for _ in range(n)])
@@ -374,22 +373,22 @@ class GyroPlatform:
     def calibrate(self, rates_dps: Sequence[float] = (-200.0, 0.0, 200.0),
                   temperature_c: float = ROOM_TEMPERATURE_C,
                   settle_s: float = 0.25,
-                  engine: str = ENGINE_BATCHED,
+                  engine: Optional[str] = None,
                   executor: Optional[str] = None,
                   workers: Optional[int] = None) -> None:
         """Factory calibration of scale factor and zero-rate offset.
 
         Runs start-up on this platform, then measures every calibration
         rate as one campaign of settled-output scenarios branching from
-        the started state — by default packed into a single batched
-        fleet, one lane per rate-table point — fits the response and
-        programs the sense-chain scaler and offset compensation.
+        the started state — one fleet lane per rate-table point — fits
+        the response and programs the sense-chain scaler and offset
+        compensation.
 
         Args:
-            engine: campaign engine for the rate sweep.  The scalar
-                engines replay the same scenarios sequentially and
-                program bit-identical calibration words (locked by
-                ``tests/test_scenarios.py``).
+            engine: campaign engine for the rate sweep (default: the
+                platform's configured engine).  Every engine and fleet
+                layout programs bit-identical calibration words (locked
+                by ``tests/test_scenarios.py``).
             executor: campaign executor for the rate sweep; the
                 ``"sharded"`` executor programs bit-identical
                 calibration words from worker processes.
@@ -415,7 +414,7 @@ class GyroPlatform:
                               temperatures_c: Sequence[float] = (-40.0, 25.0, 85.0),
                               probe_rate_dps: float = 100.0,
                               settle_s: float = 0.25,
-                              engine: str = ENGINE_BATCHED,
+                              engine: Optional[str] = None,
                               executor: Optional[str] = None,
                               workers: Optional[int] = None) -> None:
         """Fit and install temperature-compensation polynomials.
@@ -423,8 +422,8 @@ class GyroPlatform:
         Each temperature leg is one lane program — restart at the
         temperature, measure the zero-rate channel, measure the
         sensitivity at ``probe_rate_dps`` — and the legs run as one
-        campaign (by default a batched fleet whose lanes leave start-up
-        independently, exactly like the chunked ``start()`` loop).
+        campaign (one fleet whose lanes leave start-up independently,
+        exactly like the chunked ``start()`` loop).
         First-order compensation polynomials are fitted from the
         per-leg metrics.
         """

@@ -14,8 +14,8 @@ detect → degrade → recover loop in software.
 
 Observation happens at chunk boundaries only, where every engine
 exposes identical platform state, so the monitor (and the result fields
-it stamps) is bit-identical across the reference, compiled and batched
-engines and both executors.
+it stamps) is bit-identical across the reference and compiled engines,
+both fleet layouts and both executors.
 """
 
 from __future__ import annotations

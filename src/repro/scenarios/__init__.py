@@ -4,15 +4,14 @@ Every run loop in the codebase — chunked start-up, factory calibration,
 temperature calibration, datasheet characterisation, simulation-backed
 DSE, the examples and the benchmarks — is expressed as
 :class:`Scenario` objects executed by a :class:`Campaign`, which packs
-lanes into the batched fleet engine (or replays them sequentially on
-the scalar engines) with identical, bit-exact results.  Two orthogonal
+lanes into fleets on the compiled engine (or replays them one by one on
+the reference engine) with identical, bit-exact results.  Two orthogonal
 registries pick the run mechanics: *engines* (how a platform is
 stepped) and *executors* (where the lanes run — in-process or sharded
 across worker processes with a resumable batch manifest).
 """
 
 from .engines import (
-    ENGINE_BATCHED,
     ENGINE_REFERENCE,
     EngineSpec,
     engine_names,
@@ -58,7 +57,6 @@ from .library import (
 )
 
 __all__ = [
-    "ENGINE_BATCHED",
     "ENGINE_REFERENCE",
     "EngineSpec",
     "engine_names",

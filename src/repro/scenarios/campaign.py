@@ -2,23 +2,25 @@
 
 A :class:`Campaign` takes lane *programs* — each a scenario or a
 sequence of scenarios to run back-to-back on one platform — and executes
-them on any registered engine.  With a scalar engine the lanes run one
-after another; with the ``"batched"`` engine the lanes are packed into
-:class:`~repro.engine.batch.FleetSimulator` lockstep automatically.
+them on any registered engine.  On the ``"reference"`` engine the lanes
+run one after another; the ``"compiled"`` engine's fleet entry point
+takes all active lanes per call and steps them in lockstep or lane by
+lane, whichever the fleet's shape favours.
 
 Either way the campaign advances in *chunks*: every round, each lane
 steps to its own next boundary — a stop-condition check point or a
 scenario end — so early-stop conditions ("start-up completed") work in
-batch exactly like the platform's chunked ``start()`` loop always has,
+a fleet exactly like the platform's chunked ``start()`` loop always has,
 and lanes whose programs finish early simply drop out of the fleet.  A
 lane is never chopped at a *foreign* lane's boundary: shorter lanes
-retire inside the batched engine call (per-lane early exit) while the
-longer ones run on.  A lane's chunk sequence is therefore a pure
-function of its own program, and because consecutive engine runs
-compose exactly into one continuous simulation, the chunking is
-invisible: a scenario program replayed through any engine, in any fleet
-packing, on any executor's shard partition, from the same platform
-state produces bit-identical traces and metrics.
+retire inside the fleet engine call (per-lane early exit) while the
+longer ones run on, and every lane counts samples on its own platform's
+sample grid, so fleets may mix sample rates.  A lane's chunk sequence
+is therefore a pure function of its own program, and because
+consecutive engine runs compose exactly into one continuous simulation,
+the chunking is invisible: a scenario program replayed through any
+engine, in any fleet packing, on any executor's shard partition, from
+the same platform state produces bit-identical traces and metrics.
 
 One recording caveat: each engine call restarts the lane's
 trace-decimation grid at its own boundaries (stop checks and scenario
@@ -39,8 +41,13 @@ from typing import List, Optional, Sequence, Union
 from ..chaos.runtime import active as chaos_active
 from ..common.exceptions import ConfigurationError, SimulationError
 from ..platform.result import concatenate_results
-from .engines import ENGINE_BATCHED, get_engine
+from .engines import ENGINE_COMPILED, get_engine
 from .scenario import Scenario, ScenarioOutcome
+
+#: Former name of the multi-lane campaign default, kept only because the
+#: benchmark's provenance record (``perfbench/run.py``) reads it.  It is
+#: not a registry entry: campaigns default to the base platform's engine.
+ENGINE_BATCHED = ENGINE_COMPILED
 
 
 @dataclasses.dataclass
@@ -156,10 +163,10 @@ class CampaignResult:
 class _LaneState:
     """Execution cursor of one lane through its scenario program."""
 
-    def __init__(self, platform, program: Sequence[Scenario], fs: float):
+    def __init__(self, platform, program: Sequence[Scenario]):
         self.platform = platform
         self.program = list(program)
-        self.fs = fs
+        self.fs = platform.config.sample_rate_hz
         self.index = -1
         self.outcomes: List[ScenarioOutcome] = []
         self._segments = []
@@ -302,10 +309,9 @@ class Campaign:
     Args:
         programs: one entry per lane — a single :class:`Scenario` or a
             sequence of scenarios run back-to-back on that lane.
-        engine: default engine for :meth:`run` (``"reference"``,
-            ``"compiled"`` or ``"batched"``); when omitted, multi-lane
-            campaigns default to ``"batched"`` and single-lane campaigns
-            to the base platform's configured engine.
+        engine: default engine for :meth:`run` (``"reference"`` or
+            ``"compiled"``); when omitted, campaigns run on the base
+            platform's configured engine.
         name: label for error messages and reports.
     """
 
@@ -439,13 +445,9 @@ class Campaign:
         from .executor import ExecutorOptions, LaneSource, get_executor
         source = LaneSource.resolve(platform, platforms, config, mutate,
                                     len(self.programs))
-        engine = engine or self.engine
-        if engine is None:
-            # resolved against the whole campaign before any sharding, so
-            # a one-lane shard still runs the engine the full campaign
-            # would have picked (bit-identity across executors)
-            engine = (ENGINE_BATCHED if len(self.programs) > 1
-                      else source.default_engine())
+        # resolved against the whole campaign before any sharding, so a
+        # shard runs the engine the full campaign would have picked
+        engine = engine or self.engine or source.default_engine()
         get_engine(engine)
         if executor is None:
             executor = "sharded" if workers else "local"
@@ -481,19 +483,18 @@ def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
     ``"sharded"`` executor calls it inside each worker with that shard's
     slice of the lanes.  Chunking policy: every round, each lane steps
     to its *own* next boundary — its next stop-condition check or
-    scenario end, never a foreign lane's.  Engines that expose a fleet
-    entry point (``batched``, ``compiled``) step all active lanes per
-    call; the shorter lanes retire at their boundary (per-lane early
-    exit) while the longer lanes run on, so a lane's step sequence is a
-    pure function of its own program and its own stop outcomes.  That is what makes the
+    scenario end, never a foreign lane's, counted on the lane's own
+    sample grid.  Engines that expose a fleet entry point
+    (``compiled``) step all active lanes per call; the shorter lanes
+    retire at their boundary (per-lane early exit) while the longer
+    lanes run on, so a lane's step sequence is a pure function of its
+    own program and its own stop outcomes.  That is what makes the
     traces invariant to packing: sequential replay, any fleet grouping
     and any shard partition all advance each lane through identical
     engine-call boundaries, hence bit-identical results.
     """
     spec = get_engine(engine)
-    fs = lanes[0].config.sample_rate_hz
-    states = [_LaneState(p, program, fs)
-              for p, program in zip(lanes, programs)]
+    states = [_LaneState(p, program) for p, program in zip(lanes, programs)]
     for state in states:
         state.begin_next_scenario()
     active = [s for s in states if not s.done]
@@ -501,14 +502,14 @@ def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
         steps = [s.samples_to_boundary() for s in active]
         environments = [state.environment() for state in active]
         record = any(state.scenario.record_waveforms for state in active)
-        if spec.fleet_runner is not None and (spec.runner is None
-                                              or len(active) > 1):
+        if spec.fleet_runner is not None and len(active) > 1:
             results = spec.run_fleet([state.platform for state in active],
                                      environments,
-                                     [step / fs for step in steps],
+                                     [step / state.fs for state, step
+                                      in zip(active, steps)],
                                      record_waveforms=record)
         else:
-            results = [spec.run(state.platform, env, step / fs,
+            results = [spec.run(state.platform, env, step / state.fs,
                                 state.scenario.record_waveforms)
                        for state, env, step in zip(active, environments,
                                                    steps)]

@@ -10,18 +10,13 @@ resolve engine names here instead of keeping their own string checks.
   (quantisers inlined, biquads unrolled, dead branches dropped) and
   JIT-compiled with numba when it is installed, falling back to a plain
   ``exec``-compiled Python kernel otherwise.  Bit-identical to the
-  reference chain on both backends, and the default for single-platform
-  runs.  Plans with ``overflow="error"`` formats run on the reference
-  loop, because a generated kernel cannot raise.  It also exposes a
-  fleet entry point: lanes run sequentially through their specialised
-  kernels, so compiled fleets may be structurally heterogeneous and
-  retire lanes early for free.
-* ``"batched"`` — the NumPy lockstep fleet.  It has no scalar runner:
-  campaigns (or :class:`repro.engine.FleetSimulator` directly) pack
-  scenarios into its lanes.  One lockstep pass costs several compiled
-  samples, so it only pays off with enough concurrent lanes (see
-  ``BENCH_engine.json``); below that, running scenarios sequentially on
-  the compiled kernel is faster.
+  reference chain on both backends, and the default.  Plans with
+  ``overflow="error"`` formats run on the reference loop, because a
+  generated kernel cannot raise.  Its fleet entry point takes fleets of
+  any mix of structures and picks the fleet layout from the fleet's
+  shape: groups of equal structure with enough concurrent lanes step in
+  NumPy lockstep, the rest run lane by lane (see
+  :data:`repro.engine.compiled.LOCKSTEP_CROSSOVER`).
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from typing import Callable, Dict, Optional, Tuple
 from ..common.exceptions import ConfigurationError
 
 ENGINE_REFERENCE = "reference"
-ENGINE_BATCHED = "batched"
 ENGINE_COMPILED = "compiled"
 
 
@@ -43,31 +37,24 @@ class EngineSpec:
     Attributes:
         name: registry key (the value of ``GyroPlatformConfig.engine``).
         description: one-line summary for error messages and reports.
-        runner: scalar entry point
+        runner: single-platform entry point
             ``runner(platform, environment, duration_s, record_waveforms)``
-            returning a :class:`~repro.platform.result.GyroSimulationResult`;
-            ``None`` for fleet-only engines, which are driven through the
-            campaign layer / :class:`~repro.engine.batch.FleetSimulator`.
+            returning a :class:`~repro.platform.result.GyroSimulationResult`.
         fleet_runner: optional fleet entry point
             ``fleet_runner(platforms, environments, durations_s,
-            record_waveforms)`` returning one result per lane; engines
-            that provide it can step many lanes per call (lockstep or
-            specialised-kernel), and the campaign chunker drives them
-            through :meth:`run_fleet` instead of per-lane :meth:`run`.
+            record_waveforms)`` returning one result per lane; the
+            campaign chunker drives engines that provide it through
+            :meth:`run_fleet` instead of per-lane :meth:`run`.
     """
 
     name: str
     description: str
-    runner: Optional[Callable] = None
+    runner: Callable
     fleet_runner: Optional[Callable] = None
 
     def run(self, platform, environment, duration_s: float,
             record_waveforms: bool = False):
-        """Run one platform through this engine's scalar entry point."""
-        if self.runner is None:
-            raise ConfigurationError(
-                f"engine {self.name!r} has no scalar runner; drive it "
-                "through a Campaign or a FleetSimulator")
+        """Run one platform through this engine's entry point."""
         return self.runner(platform, environment, duration_s,
                            record_waveforms)
 
@@ -85,13 +72,6 @@ class EngineSpec:
 def _run_reference(platform, environment, duration_s: float,
                    record_waveforms: bool = False):
     return platform._run_reference(environment, duration_s, record_waveforms)
-
-
-def _run_fleet_batched(platforms, environments, durations_s,
-                       record_waveforms: bool = False):
-    from ..engine.batch import FleetSimulator
-    return FleetSimulator(list(platforms)).run(
-        environments, durations_s, record_waveforms=record_waveforms)
 
 
 def _run_compiled(platform, environment, duration_s: float,
@@ -122,46 +102,30 @@ register_engine(EngineSpec(
     description="object-oriented per-sample loop (behavioural ground truth)",
     runner=_run_reference))
 register_engine(EngineSpec(
-    ENGINE_BATCHED,
-    description="NumPy lockstep fleet (amortises the interpreter over "
-                "B concurrent lanes)",
-    fleet_runner=_run_fleet_batched))
-register_engine(EngineSpec(
     ENGINE_COMPILED,
     description="generated specialised kernel (numba JIT when installed, "
                 "exec-compiled Python fallback otherwise; the "
-                "single-platform default)",
+                "default; fleets pick lockstep or lane by lane from "
+                "their shape)",
     runner=_run_compiled, fleet_runner=_run_compiled_fleet))
 
 
-def engine_names(scalar_only: bool = False) -> Tuple[str, ...]:
-    """Names of the registered engines (optionally scalar ones only)."""
-    return tuple(name for name, spec in _REGISTRY.items()
-                 if not (scalar_only and spec.runner is None))
+def engine_names() -> Tuple[str, ...]:
+    """Names of the registered engines."""
+    return tuple(_REGISTRY)
 
 
-def get_engine(name: str, scalar_only: bool = False) -> EngineSpec:
-    """Resolve an engine name, raising :class:`ConfigurationError` on miss.
-
-    Args:
-        name: registry key to look up.
-        scalar_only: additionally reject fleet-only engines — used by
-            the single-platform entry points (``GyroPlatform.run`` and
-            the platform configuration default).
-    """
+def get_engine(name: str) -> EngineSpec:
+    """Resolve an engine name, raising :class:`ConfigurationError` on miss."""
     spec = _REGISTRY.get(name)
     if spec is None:
         raise ConfigurationError(
             f"unknown engine {name!r}; available engines: "
             f"{', '.join(sorted(_REGISTRY))}")
-    if scalar_only and spec.runner is None:
-        raise ConfigurationError(
-            f"engine {name!r} steps whole fleets and cannot drive a single "
-            f"run; pick one of: {', '.join(sorted(engine_names(True)))}")
     return spec
 
 
-def validate_engine(name: str, scalar_only: bool = False) -> str:
+def validate_engine(name: str) -> str:
     """Validate an engine name and return it unchanged."""
-    get_engine(name, scalar_only=scalar_only)
+    get_engine(name)
     return name

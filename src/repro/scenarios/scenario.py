@@ -8,7 +8,7 @@ that turn the recorded traces and final platform state into numbers.
 
 Scenarios carry no engine choice and no platform reference — the same
 object can be replayed on the reference loop, the compiled kernel or a
-batched fleet lane, and two replays from the same platform state are
+lane of a compiled fleet in either layout, and two replays from the same platform state are
 bit-identical.  The :class:`~repro.scenarios.campaign.Campaign` runner
 executes them.
 """

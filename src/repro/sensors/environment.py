@@ -212,8 +212,8 @@ class Environment:
         """Vectorised evaluation: ``(rate_dps, temperature_c)`` arrays.
 
         Evaluates both profiles over an array of time stamps in one call.
-        The compiled and batched engines use this instead of
-        per-sample :meth:`Profile.value` calls; every built-in profile
+        The compiled engine uses this instead of per-sample
+        :meth:`Profile.value` calls; every built-in profile
         guarantees ``sample(t)[i] == value(t[i])`` bit-for-bit.
         """
         t = np.asarray(t, dtype=np.float64)

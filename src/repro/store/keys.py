@@ -7,10 +7,11 @@ extracted.  Its key is a pure function of what determines those bits —
 * the lane's **starting state** (the per-lane digest of the campaign's
   :class:`~repro.scenarios.executor.LaneSource`: a pickled platform,
   one platform of a pre-built list, or a configuration);
-* the **engine** the campaign resolved (``"reference"``, ``"compiled"``,
-  ``"batched"`` — equivalence-locked bit-identical, but kept in the key
+* the **engine** the campaign resolved (``"reference"`` or
+  ``"compiled"`` — equivalence-locked bit-identical, but kept in the key
   so an engine regression can never silently serve another engine's
-  traces as its own);
+  traces as its own; the compiled engine's fleet layout is not part of
+  it, because a lane's result does not depend on its fleet);
 * the **scenario program** (each scenario's
   :meth:`~repro.scenarios.scenario.Scenario.digest`, in program order —
   which already folds in the environment, timing, stop configuration,

@@ -1,16 +1,19 @@
 """Tests for the fast co-simulation engines (``repro.engine``).
 
-The compiled (generated, optionally numba-JIT) kernel and the batched
-fleet engine both promise *bit-identical* traces and final platform
-state relative to the object-oriented reference loop.  These tests hold
-them to it on short runs covering lock-in, temperature ramps,
-fixed-point (prototype) mode, closed-loop rebalance, waveform recording
-and early lane retirement, and check the supporting vectorised helpers
+The compiled (generated, optionally numba-JIT) kernel promises
+*bit-identical* traces and final platform state relative to the
+object-oriented reference loop, for single platforms and for fleets in
+both layouts (lockstep and lane by lane, forced through the
+``fleet_layout`` fixture).  These tests hold it to that on short runs
+covering lock-in, temperature ramps, fixed-point (prototype) mode,
+closed-loop rebalance, waveform recording, mixed-structure fleets and
+early lane retirement, and check the supporting vectorised helpers
 (``Environment.sample``, ``BufferedGaussianNoise.take``) against their
 scalar counterparts.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +23,7 @@ from repro.common import ConfigurationError
 from repro.common.fixedpoint import QFormat
 from repro.common.noise import BufferedGaussianNoise
 from repro.engine import FleetSimulator, run_compiled
+from repro.engine.compiled import kernel_plan
 from repro.engine.state import pack_scalar_state
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.sensors import Environment
@@ -170,21 +174,23 @@ class TestEngineSelection:
 
 
 class TestLockingScenarioAcceptance:
-    """The acceptance run: compiled/batched match the reference on lock
-    time, amplitude and rate output for the Fig. 5 locking case."""
+    """The acceptance run: the compiled engine and both fleet layouts
+    match the reference on lock time, amplitude and rate output for the
+    Fig. 5 locking case."""
 
-    def test_all_engines_agree_on_locking_run(self):
+    def test_all_engines_agree_on_locking_run(self, fleet_layout):
         env = Environment.still()
         cfg = GyroPlatformConfig()
         ref = GyroPlatform(copy.deepcopy(cfg))
         com = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(env, 0.4, engine="reference", reset=True)
         r_com = com.run(env, 0.4, engine="compiled", reset=True)
-        fleet = FleetSimulator.from_config(cfg, 2)
-        r_bat = fleet.run(env, 0.4, reset=True)[0]
+        r_fleet = [FleetSimulator.from_config(cfg, 2).run(env, 0.4,
+                                                          reset=True)[0]
+                   for _ in fleet_layout]
 
         assert r_ref.pll_locked[-1]
-        for other in (r_com, r_bat):
+        for other in (r_com, *r_fleet):
             assert abs(other.lock_time_s() - r_ref.lock_time_s()) <= 1e-9
             assert np.max(np.abs(other.amplitude_control
                                  - r_ref.amplitude_control)) <= 1e-9
@@ -193,53 +199,63 @@ class TestLockingScenarioAcceptance:
 
 
 class TestBatchEquivalence:
-    def test_heterogeneous_lanes_match_reference(self):
+    """Fleets in both layouts against per-lane reference runs."""
+
+    def test_heterogeneous_lanes_match_reference(self, fleet_layout):
         cfg = GyroPlatformConfig()
         envs = [Environment.still(),
                 Environment.constant_rate(150.0),
                 Environment(rate_dps=SineProfile(amplitude=80.0,
                                                  frequency_hz=30.0),
                             temperature_c=ConstantProfile(40.0))]
-        fleet = FleetSimulator.from_config(cfg, len(envs))
-        batch = fleet.run(envs, 0.06)
-        for env, lane_result, lane_platform in zip(envs, batch,
-                                                   fleet.platforms):
+        refs = []
+        for env in envs:
             ref = GyroPlatform(copy.deepcopy(cfg))
-            r_ref = ref.run(env, 0.06, engine="reference")
-            _assert_results_identical(r_ref, lane_result)
-            _assert_platform_state_identical(ref, lane_platform)
+            refs.append((ref, ref.run(env, 0.06, engine="reference")))
+        for _ in fleet_layout:
+            fleet = FleetSimulator.from_config(cfg, len(envs))
+            results = fleet.run(envs, 0.06)
+            for (ref, r_ref), lane_result, lane_platform in zip(
+                    refs, results, fleet.platforms):
+                _assert_results_identical(r_ref, lane_result)
+                _assert_platform_state_identical(ref, lane_platform)
 
-    def test_single_environment_broadcasts(self):
-        fleet = FleetSimulator.from_config(GyroPlatformConfig(), 3)
-        results = fleet.run(Environment.still(), 0.02)
-        assert len(results) == 3
-        _assert_results_identical(results[0], results[1])
-        _assert_results_identical(results[0], results[2])
+    def test_single_environment_broadcasts(self, fleet_layout):
+        for _ in fleet_layout:
+            fleet = FleetSimulator.from_config(GyroPlatformConfig(), 3)
+            results = fleet.run(Environment.still(), 0.02)
+            assert len(results) == 3
+            _assert_results_identical(results[0], results[1])
+            _assert_results_identical(results[0], results[2])
 
-    def test_run_sequence_platform_method(self):
+    def test_run_sequence_platform_method(self, fleet_layout):
         platform = GyroPlatform()
         envs = [Environment.constant_rate(r) for r in (-50.0, 0.0, 50.0)]
-        results = platform.run(envs, 0.02)
-        assert len(results) == len(envs)
         ref = GyroPlatform(copy.deepcopy(platform.config))
         r_ref = ref.run(envs[1], 0.02, engine="reference", reset=True)
-        _assert_results_identical(r_ref, results[1])
+        for _ in fleet_layout:
+            results = platform.run(envs, 0.02)
+            assert len(results) == len(envs)
+            _assert_results_identical(r_ref, results[1])
 
     @pytest.mark.parametrize("mode", ["fixed_point", "closed_loop"])
-    def test_batch_matches_reference_in_special_modes(self, mode):
-        # the quantised and rebalance branches are reimplemented in the
-        # batch engine; hold them to the reference like the default path
+    def test_batch_matches_reference_in_special_modes(self, mode,
+                                                      fleet_layout):
+        # the quantisers and the rebalance branch render differently in
+        # the lockstep layout; hold them to the reference like the
+        # default path
         cfg = GyroPlatformConfig()
         setattr(cfg.conditioner, mode, True)
         env = Environment.constant_rate(60.0)
-        fleet = FleetSimulator.from_config(cfg, 2)
-        batch = fleet.run(env, 0.05)
         ref = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(env, 0.05, engine="reference")
-        _assert_results_identical(r_ref, batch[0])
-        _assert_platform_state_identical(ref, fleet.platforms[0])
+        for _ in fleet_layout:
+            fleet = FleetSimulator.from_config(cfg, 2)
+            results = fleet.run(env, 0.05)
+            _assert_results_identical(r_ref, results[0])
+            _assert_platform_state_identical(ref, fleet.platforms[0])
 
-    def test_run_sequence_continues_from_platform_state(self):
+    def test_run_sequence_continues_from_platform_state(self, fleet_layout):
         # regression: a sequence run must carry the platform's calibration
         # and runtime state into the lanes, not restart from the bare config
         warm = GyroPlatform()
@@ -247,11 +263,12 @@ class TestBatchEquivalence:
         warm.conditioner.sense_chain.calibrate_scale(3.0e-5)
         dedicated = copy.deepcopy(warm)
         env = Environment.constant_rate(75.0)
-        batch = warm.run([env, Environment.still()], 0.03)
         r_ref = dedicated.run(env, 0.03, engine="reference")
-        _assert_results_identical(r_ref, batch[0])
-        # the source platform itself is not advanced by a sequence run
-        assert warm.now == pytest.approx(0.04)
+        for _ in fleet_layout:
+            results = warm.run([env, Environment.still()], 0.03)
+            _assert_results_identical(r_ref, results[0])
+            # the source platform itself is not advanced by a sequence run
+            assert warm.now == pytest.approx(0.04)
 
     def test_environment_count_mismatch_rejected(self):
         fleet = FleetSimulator.from_config(GyroPlatformConfig(), 2)
@@ -266,7 +283,7 @@ class TestBatchEquivalence:
         with pytest.raises(ConfigurationError):
             fleet.run(Environment.still(), [0.01, bad])
 
-    def test_retired_lanes_match_standalone_runs(self):
+    def test_retired_lanes_match_standalone_runs(self, fleet_layout):
         # lanes shorter than the longest retire mid-run: each must end
         # exactly where a standalone run of its own length ends, noise
         # generator positions included (the follow-on run shows those)
@@ -278,52 +295,79 @@ class TestBatchEquivalence:
                             temperature_c=RampProfile(start=25.0, stop=45.0,
                                                       t0=0.0, t1=0.05))]
         durations = [0.02, 0.05, 0.035]
-        fleet = FleetSimulator.from_config(cfg, len(envs))
-        results = fleet.run(envs, durations)
         follow_on = Environment.constant_rate(30.0)
-        for env, duration, result, lane in zip(envs, durations, results,
-                                               fleet.platforms):
-            solo = GyroPlatform(copy.deepcopy(cfg))
-            _assert_results_identical(
-                solo.run(env, duration, engine="reference"), result)
-            _assert_platform_state_identical(solo, lane)
-            np.testing.assert_array_equal(pack_scalar_state(lane),
-                                          pack_scalar_state(solo))
-            _assert_results_identical(
-                solo.run(follow_on, 0.01, engine="reference"),
-                lane.run(follow_on, 0.01, engine="reference"))
+        for _ in fleet_layout:
+            fleet = FleetSimulator.from_config(cfg, len(envs))
+            results = fleet.run(envs, durations)
+            for env, duration, result, lane in zip(envs, durations, results,
+                                                   fleet.platforms):
+                solo = GyroPlatform(copy.deepcopy(cfg))
+                _assert_results_identical(
+                    solo.run(env, duration, engine="reference"), result)
+                _assert_platform_state_identical(solo, lane)
+                np.testing.assert_array_equal(pack_scalar_state(lane),
+                                              pack_scalar_state(solo))
+                _assert_results_identical(
+                    solo.run(follow_on, 0.01, engine="reference"),
+                    lane.run(follow_on, 0.01, engine="reference"))
 
-    def test_waveform_recording(self):
+    def test_waveform_recording(self, fleet_layout):
         cfg = GyroPlatformConfig()
-        fleet = FleetSimulator.from_config(cfg, 2)
-        results = fleet.run(Environment.still(), 0.02, record_waveforms=True)
         ref = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(Environment.still(), 0.02, engine="reference",
                         record_waveforms=True)
-        _assert_results_identical(r_ref, results[0], waveforms=True)
+        for _ in fleet_layout:
+            fleet = FleetSimulator.from_config(cfg, 2)
+            results = fleet.run(Environment.still(), 0.02,
+                                record_waveforms=True)
+            _assert_results_identical(r_ref, results[0], waveforms=True)
 
-    def test_incompatible_structures_rejected(self):
-        a = GyroPlatform(GyroPlatformConfig())
-        b = GyroPlatform(GyroPlatformConfig(sample_rate_hz=240_000.0))
-        with pytest.raises(ConfigurationError):
-            FleetSimulator([a, b])
-        cfg_c = copy.deepcopy(a.config)
-        cfg_c.conditioner.closed_loop = True
-        c = GyroPlatform(cfg_c)
-        with pytest.raises(ConfigurationError):
-            FleetSimulator([a, c])
+    def test_mixed_structure_fleet_matches_reference(self, fleet_layout):
+        # one fleet mixing sample rates, loop topologies, fixed-point
+        # formats (a Q1.6 NCO set on the live block) and an
+        # overflow="error" lane that delegates to the reference loop:
+        # every lane must equal its own reference run
+        fixed = GyroPlatformConfig()
+        fixed.conditioner.fixed_point = True
+        closed = GyroPlatformConfig()
+        closed.conditioner.closed_loop = True
+
+        def build():
+            lanes = [GyroPlatform(GyroPlatformConfig()),
+                     GyroPlatform(GyroPlatformConfig()),
+                     GyroPlatform(GyroPlatformConfig(sample_rate_hz=100_000.0)),
+                     GyroPlatform(GyroPlatformConfig(sample_rate_hz=100_000.0)),
+                     GyroPlatform(copy.deepcopy(closed)),
+                     GyroPlatform(copy.deepcopy(fixed)),
+                     GyroPlatform(copy.deepcopy(fixed))]
+            lanes[5].conditioner.drive_loop.pll.nco.output_format = \
+                QFormat(1, 6)
+            scaler = lanes[6].conditioner.sense_chain.scaler
+            scaler.output_format = dataclasses.replace(
+                scaler.output_format, overflow="error")
+            return lanes
+
+        envs = [Environment.still(), Environment.constant_rate(70.0),
+                Environment.constant_rate(-40.0), Environment.still(30.0),
+                Environment.constant_rate(80.0),
+                Environment.constant_rate(50.0), Environment.still()]
+        durations = [0.03, 0.02, 0.03, 0.0123456, 0.025, 0.02, 0.02]
+        refs = []
+        for lane, env, duration in zip(build(), envs, durations):
+            refs.append((lane, lane.run(env, duration, engine="reference")))
+        # default (at two rates), closed loop, fixed point, error format
+        assert len({kernel_plan(lane) for lane, _ in refs}) == 4
+        for _ in fleet_layout:
+            fleet = FleetSimulator(build())
+            results = fleet.run(envs, durations)
+            for (ref, r_ref), result, lane in zip(refs, results,
+                                                  fleet.platforms):
+                _assert_results_identical(r_ref, result)
+                _assert_platform_state_identical(ref, lane)
+                np.testing.assert_array_equal(pack_scalar_state(lane),
+                                              pack_scalar_state(ref))
         with pytest.raises(ConfigurationError):
             FleetSimulator([])
-        # formats are compared on the live blocks the lockstep loop
-        # quantises with, not on the configs: a lane whose NCO format was
-        # changed after construction would run on lane 0's format
-        fixed = copy.deepcopy(a.config)
-        fixed.conditioner.fixed_point = True
-        d = GyroPlatform(copy.deepcopy(fixed))
-        e = GyroPlatform(copy.deepcopy(fixed))
-        e.conditioner.drive_loop.pll.nco.output_format = QFormat(1, 6)
-        with pytest.raises(ConfigurationError):
-            FleetSimulator([d, e])
 
     def test_monte_carlo_fleet_lanes_differ(self):
         rng = np.random.default_rng(7)

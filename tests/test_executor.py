@@ -132,19 +132,19 @@ class TestManifest:
         assert clone == record
 
     def test_write_load_round_trip(self, tmp_path):
-        manifest = CampaignManifest(str(tmp_path), "camp", "batched",
+        manifest = CampaignManifest(str(tmp_path), "camp", "compiled",
                                     "f00d", make_shards())
         manifest.write()
         loaded = CampaignManifest.load(str(tmp_path))
         assert loaded.campaign_name == "camp"
-        assert loaded.engine == "batched"
+        assert loaded.engine == "compiled"
         assert loaded.source_digest == "f00d"
         assert loaded.shards == manifest.shards
 
     def test_load_rejects_missing_and_bad_version(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             CampaignManifest.load(str(tmp_path))
-        manifest = CampaignManifest(str(tmp_path), "camp", "batched",
+        manifest = CampaignManifest(str(tmp_path), "camp", "compiled",
                                     "f00d", make_shards())
         manifest.write()
         import json
@@ -156,25 +156,25 @@ class TestManifest:
 
     def test_create_or_resume_keeps_statuses(self, tmp_path):
         first = CampaignManifest.create_or_resume(
-            str(tmp_path), "camp", "batched", "f00d", make_shards())
+            str(tmp_path), "camp", "compiled", "f00d", make_shards())
         first.shards[0].status = SHARD_DONE
         first.shards[0].attempts = 1
         first.write()
         resumed = CampaignManifest.create_or_resume(
-            str(tmp_path), "camp", "batched", "f00d", make_shards())
+            str(tmp_path), "camp", "compiled", "f00d", make_shards())
         assert resumed.shards[0].status == SHARD_DONE
         assert resumed.shards[0].attempts == 1
         assert resumed.shards[1].status != SHARD_DONE
 
     @pytest.mark.parametrize("kwargs,match", [
         (dict(campaign_name="other"), "campaign name"),
-        (dict(engine="compiled"), "engine"),
+        (dict(engine="reference"), "engine"),
         (dict(source_digest="beef"), "lane source"),
     ])
     def test_create_or_resume_rejects_mismatch(self, tmp_path, kwargs, match):
-        CampaignManifest.create_or_resume(str(tmp_path), "camp", "batched",
+        CampaignManifest.create_or_resume(str(tmp_path), "camp", "compiled",
                                           "f00d", make_shards())
-        fields = dict(campaign_name="camp", engine="batched",
+        fields = dict(campaign_name="camp", engine="compiled",
                       source_digest="f00d")
         fields.update(kwargs)
         with pytest.raises(ConfigurationError, match=match):
@@ -183,16 +183,16 @@ class TestManifest:
                 fields["source_digest"], make_shards())
 
     def test_create_or_resume_rejects_different_partition(self, tmp_path):
-        CampaignManifest.create_or_resume(str(tmp_path), "camp", "batched",
+        CampaignManifest.create_or_resume(str(tmp_path), "camp", "compiled",
                                           "f00d", make_shards())
         shards = make_shards()
         shards[1].digests = [["ee", "dd"]]
         with pytest.raises(ConfigurationError, match="different lanes"):
             CampaignManifest.create_or_resume(str(tmp_path), "camp",
-                                              "batched", "f00d", shards)
+                                              "compiled", "f00d", shards)
 
     def test_load_shard_result_verifies_identity(self, tmp_path):
-        manifest = CampaignManifest(str(tmp_path), "camp", "batched",
+        manifest = CampaignManifest(str(tmp_path), "camp", "compiled",
                                     "f00d", make_shards())
         record = manifest.shards[0]
         # missing file
@@ -214,14 +214,14 @@ class TestManifest:
         assert payload["outcomes"] == ["ok"]
 
     def test_counts_and_unfinished(self):
-        manifest = CampaignManifest("/nonexistent", "camp", "batched",
+        manifest = CampaignManifest("/nonexistent", "camp", "compiled",
                                     "f00d", make_shards())
         manifest.shards[0].status = SHARD_DONE
         assert manifest.counts()[SHARD_DONE] == 1
         assert [s.shard_id for s in manifest.unfinished()] == [1]
 
     def test_load_corrupt_manifest_raises_corruption_error(self, tmp_path):
-        manifest = CampaignManifest(str(tmp_path), "camp", "batched",
+        manifest = CampaignManifest(str(tmp_path), "camp", "compiled",
                                     "f00d", make_shards())
         manifest.write()
         # truncation (a crash mid-write of a non-atomic editor, or a
@@ -236,7 +236,7 @@ class TestManifest:
         assert issubclass(ManifestCorruptionError, ConfigurationError)
 
     def test_malformed_fields_are_corruption(self, tmp_path):
-        manifest = CampaignManifest(str(tmp_path), "camp", "batched",
+        manifest = CampaignManifest(str(tmp_path), "camp", "compiled",
                                     "f00d", make_shards())
         manifest.write()
         import json
@@ -248,14 +248,14 @@ class TestManifest:
 
     def test_create_or_resume_salvages_corrupt_manifest(self, tmp_path):
         first = CampaignManifest.create_or_resume(
-            str(tmp_path), "camp", "batched", "f00d", make_shards())
+            str(tmp_path), "camp", "compiled", "f00d", make_shards())
         first.shards[0].status = SHARD_DONE
         first.write()
         with open(first.path, "w") as fh:
             fh.write('{"version": 1, "campaign_na')
         with pytest.warns(RuntimeWarning, match="corrupt"):
             rebuilt = CampaignManifest.create_or_resume(
-                str(tmp_path), "camp", "batched", "f00d", make_shards())
+                str(tmp_path), "camp", "compiled", "f00d", make_shards())
         # the damaged file is moved aside, never deleted
         assert os.path.exists(first.path + ".corrupt-0")
         # the rebuilt manifest starts from the requested shard set;

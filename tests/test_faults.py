@@ -2,8 +2,8 @@
 
 The contract under test: every fault model is declarative and picklable,
 arms and disarms exactly at the campaign's chunk boundaries, produces
-bit-identical traces on the reference, batched and compiled engines and
-on both executors, never leaks into a neighbouring fleet
+bit-identical traces on the reference and compiled engines (fleets in
+both layouts) and on both executors, never leaks into a neighbouring fleet
 lane, and is fully
 restored when its scenario completes.  On top of that, the platform's
 graceful-degradation path — overload observation, the safe-mode latch,
@@ -217,17 +217,17 @@ class TestFaultValidation:
 class TestFaultBitIdentity:
     @pytest.mark.parametrize("fault_name", sorted(FAULT_GRID))
     def test_engines_identical_and_fault_perturbs(self, started_platform,
-                                                  fault_name):
+                                                  fault_name, fleet_layout):
         fault = FAULT_GRID[fault_name]
         program = [fault_scenario(fault, duration_s=0.03,
                                   name=f"f-{fault_name}"),
                    clean_scenario()]
-        runs = {engine: Campaign(program, name="x").run(started_platform,
-                                                        engine=engine)
-                for engine in ("reference", "batched", "compiled")}
-        ref = runs["reference"]
-        for engine in ("batched", "compiled"):
-            for lane_ref, lane_eng in zip(ref.lanes, runs[engine].lanes):
+        ref = Campaign(program, name="x").run(started_platform,
+                                              engine="reference")
+        for _ in fleet_layout:
+            fleet = Campaign(program, name="x").run(started_platform,
+                                                    engine="compiled")
+            for lane_ref, lane_eng in zip(ref.lanes, fleet.lanes):
                 for a, b in zip(lane_ref.outcomes, lane_eng.outcomes):
                     assert_results_identical(a.result, b.result)
                     assert_metrics_identical(a.metrics, b.metrics)

@@ -333,9 +333,10 @@ class TestSimulationBackedDse:
 class TestSimulationBackedSweep:
     """The full simulation-backed DSE sweep (heavyweight acceptance).
 
-    One sweep() call validates eight design points through the campaign
-    runner — packed into two batched fleets, one per vectorised-state
-    structure — and must keep reporting the known Q1.14 failure mode
+    One sweep() call validates eight design points as one 24-lane
+    campaign (the two filter orders are two kernel structures of 12
+    lanes, each too few to fill a lockstep fleet, so every lane runs on
+    its own kernel) and must keep reporting the known Q1.14 failure mode
     honestly: with the 16-bit (Q1.14) datapath the order-4 output
     filter's per-section quantisation wipes out the rate signal, so
     those points come back started-but-unresponsive.

@@ -1,12 +1,13 @@
 """Tests for the scenario / campaign subsystem (``repro.scenarios``).
 
 The campaign runner promises that a scenario program replayed through
-any engine — reference loop, compiled kernel or batched fleet lanes —
-from the same platform state produces bit-identical traces, metrics and
-final state, early-stop chunking included.  These tests hold it to
-that, lock the batched-vs-sequential calibration equivalence the
-refactor depends on, and cover the engine registry and the fleet-reuse
-path of ``GyroPlatform.run(..., fleet=...)``.
+any engine — reference loop, compiled kernel, fleet lanes in lockstep
+or lane by lane — from the same platform state produces bit-identical
+traces, metrics and final state, early-stop chunking included.  These
+tests hold it to that, lock the fleet-vs-sequential calibration
+equivalence, check that each lane counts samples on its own platform's
+grid in mixed-rate campaigns, and cover the engine registry and the
+fleet-reuse path of ``GyroPlatform.run(..., fleet=...)``.
 """
 
 import copy
@@ -57,9 +58,7 @@ def _assert_outcomes_identical(a, b):
 
 class TestEngineRegistry:
     def test_registry_names(self):
-        assert set(engine_names()) == {"reference", "batched", "compiled"}
-        assert set(engine_names(scalar_only=True)) == {"reference",
-                                                       "compiled"}
+        assert engine_names() == ("reference", "compiled")
         assert GyroPlatformConfig().engine == "compiled"
 
     def test_unknown_engine_rejected(self):
@@ -68,20 +67,18 @@ class TestEngineRegistry:
         with pytest.raises(ConfigurationError):
             validate_engine("warp")
 
-    def test_batched_rejected_where_scalar_required(self):
-        get_engine("batched")
+    def test_batched_is_not_an_engine(self):
+        # the fleet layout follows the fleet's shape; no engine name
+        # selects it
+        old_name = "batched"
         with pytest.raises(ConfigurationError):
-            get_engine("batched", scalar_only=True)
+            get_engine(old_name)
         with pytest.raises(ConfigurationError):
-            GyroPlatformConfig(engine="batched")
-        platform = GyroPlatform()
+            GyroPlatformConfig(engine=old_name)
         with pytest.raises(ConfigurationError):
-            platform.run(Environment.still(), 0.01, engine="batched")
-
-    def test_batched_spec_has_no_scalar_runner(self):
+            GyroPlatform().run(Environment.still(), 0.01, engine=old_name)
         with pytest.raises(ConfigurationError):
-            get_engine("batched").run(GyroPlatform(), Environment.still(),
-                                      0.01)
+            Campaign([settled_output_scenario(0.0)], engine=old_name)
 
 
 class TestScenarioValidation:
@@ -159,19 +156,18 @@ def _mixed_programs():
 
 
 class TestCampaignEquivalence:
-    def test_batched_matches_sequential_with_early_stop(self):
+    def test_batched_matches_sequential_with_early_stop(self, fleet_layout):
         base = GyroPlatform()
         campaign = Campaign(_mixed_programs())
-        batched = campaign.run(base, engine="batched")
-        compiled = campaign.run(base, engine="compiled")
         reference = campaign.run(base, engine="reference")
-        for res in (compiled, reference):
-            for lane_a, lane_b in zip(batched.lanes, res.lanes):
+        for _ in fleet_layout:
+            fleet = campaign.run(base)
+            for lane_a, lane_b in zip(fleet.lanes, reference.lanes):
                 assert len(lane_a.outcomes) == len(lane_b.outcomes)
                 for a, b in zip(lane_a.outcomes, lane_b.outcomes):
                     _assert_outcomes_identical(a, b)
         # the early stop actually fired before the duration limit
-        lock = batched.outcome("lock-in")
+        lock = reference.outcome("lock-in")
         assert lock.stopped_early
         assert lock.elapsed_s < 0.4
         # branching campaigns leave the base platform untouched
@@ -199,16 +195,34 @@ class TestCampaignEquivalence:
             # far too short for the sequencer to reach RUNNING
             platform.start(max_duration_s=0.05, chunk_s=0.05)
 
-    def test_waveforms_only_where_requested(self):
+    def test_waveforms_only_where_requested(self, fleet_layout):
         want = Scenario("wave", Environment.still(), 0.02, reset=True,
                         record_waveforms=True)
         plain = Scenario("plain", Environment.still(), 0.02, reset=True)
-        result = Campaign([want, plain]).run(GyroPlatform(),
-                                             engine="batched")
-        wave = result.outcome("wave").result
-        assert wave.primary_pickoff_norm is not None
-        assert wave.drive_word is not None
-        assert result.outcome("plain").result.primary_pickoff_norm is None
+        for _ in fleet_layout:
+            result = Campaign([want, plain]).run(GyroPlatform())
+            wave = result.outcome("wave").result
+            assert wave.primary_pickoff_norm is not None
+            assert wave.drive_word is not None
+            assert result.outcome("plain").result.primary_pickoff_norm \
+                is None
+
+    def test_mixed_rate_lanes_count_their_own_samples(self):
+        # each lane steps on its own platform's sample grid: the 100 kHz
+        # lane of a mixed-rate campaign runs exactly what it runs alone
+        scenario = Scenario("odd", Environment.constant_rate(40.0),
+                            0.0123456)
+        alone = Campaign([scenario]).run(
+            GyroPlatform(GyroPlatformConfig(sample_rate_hz=100_000.0)))
+        mixed = Campaign([scenario, scenario], engine="compiled").run(
+            platforms=[GyroPlatform(),
+                       GyroPlatform(GyroPlatformConfig(
+                           sample_rate_hz=100_000.0))])
+        assert mixed.lanes[1].outcomes[0].elapsed_s == 1235 / 100_000.0
+        _assert_outcomes_identical(mixed.lanes[1].outcomes[0],
+                                   alone.lanes[0].outcomes[0])
+        assert (mixed.lanes[1].outcomes[0].result.digest()
+                == alone.lanes[0].outcomes[0].result.digest())
 
     def test_metric_and_outcome_lookup(self):
         campaign = Campaign(rate_table_scenarios((-50.0, 50.0),
@@ -224,29 +238,31 @@ class TestCampaignEquivalence:
 
 
 class TestCalibrationEquivalence:
-    """ISSUE lock: batched calibration programs bit-identical words."""
+    """Fleet calibration programs bit-identical words in both layouts."""
 
-    def test_fleet_and_sequential_calibration_identical(self):
-        batched = GyroPlatform()
+    def test_fleet_and_sequential_calibration_identical(self, fleet_layout):
         sequential = GyroPlatform()
-        batched.calibrate(settle_s=0.1)                    # fleet sweep
-        sequential.calibrate(settle_s=0.1, engine="compiled")  # one by one
-        chain_b = batched.conditioner.sense_chain
+        sequential.calibrate(settle_s=0.1, engine="reference")  # one by one
         chain_s = sequential.conditioner.sense_chain
-        assert chain_b.scaler.config == chain_s.scaler.config
-        assert chain_b.offset_comp.offset == chain_s.offset_comp.offset
-        assert batched.calibrated and sequential.calibrated
+        for _ in fleet_layout:
+            fleet = GyroPlatform()
+            fleet.calibrate(settle_s=0.1)                       # fleet sweep
+            chain_f = fleet.conditioner.sense_chain
+            assert chain_f.scaler.config == chain_s.scaler.config
+            assert chain_f.offset_comp.offset == chain_s.offset_comp.offset
+            assert fleet.calibrated and sequential.calibrated
 
-    def test_temperature_calibration_identical(self):
+    def test_temperature_calibration_identical(self, fleet_layout):
         base = GyroPlatform()
-        base.calibrate(settle_s=0.1, engine="compiled")
-        other = copy.deepcopy(base)
-        base.calibrate_temperature(temperatures_c=(0.0, 25.0, 60.0),
-                                   settle_s=0.06)
-        other.calibrate_temperature(temperatures_c=(0.0, 25.0, 60.0),
-                                    settle_s=0.06, engine="compiled")
-        assert (base.conditioner.sense_chain.temperature_comp.config
-                == other.conditioner.sense_chain.temperature_comp.config)
+        base.calibrate(settle_s=0.1)
+        configs = []
+        for _ in fleet_layout:
+            other = copy.deepcopy(base)
+            other.calibrate_temperature(temperatures_c=(0.0, 25.0, 60.0),
+                                        settle_s=0.06)
+            configs.append(
+                other.conditioner.sense_chain.temperature_comp.config)
+        assert configs[0] == configs[1]
 
 
 class TestFleetReuse:

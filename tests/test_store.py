@@ -502,12 +502,12 @@ def _faulted_scenario(faults):
 class TestKeyProperties:
     def test_lane_key_is_content_sensitive(self):
         digests = ["d1", "d2"]
-        base = lane_key("src", "batched", digests)
-        assert lane_key("src", "batched", digests) == base
-        assert lane_key("other", "batched", digests) != base
-        assert lane_key("src", "compiled", digests) != base
-        assert lane_key("src", "batched", ["d2", "d1"]) != base
-        assert lane_key("src", "batched", ["d1"]) != base
+        base = lane_key("src", "compiled", digests)
+        assert lane_key("src", "compiled", digests) == base
+        assert lane_key("other", "compiled", digests) != base
+        assert lane_key("src", "reference", digests) != base
+        assert lane_key("src", "compiled", ["d2", "d1"]) != base
+        assert lane_key("src", "compiled", ["d1"]) != base
 
     def test_miss_set_digest_order_insensitive(self):
         assert miss_set_digest(["a", "b"]) == miss_set_digest(["b", "a"])
@@ -519,8 +519,8 @@ class TestKeyProperties:
         base = _faulted_scenario(SCENARIO_FAULTS)
         other = _faulted_scenario(perm)
         assert other.digest() == base.digest()
-        assert (lane_key("src", "batched", [other.digest()])
-                == lane_key("src", "batched", [base.digest()]))
+        assert (lane_key("src", "compiled", [other.digest()])
+                == lane_key("src", "compiled", [base.digest()]))
 
     @STANDARD_SETTINGS
     @given(perm=st.permutations(EXTRACTORS))
@@ -548,7 +548,7 @@ class TestKeyProperties:
     def test_lane_key_stable_across_process_restart(self):
         scenario = settled_output_scenario(25.0, settle_s=0.05)
         source = LaneSource.resolve(GyroPlatform(), None, None, False, 1)
-        key = lane_key(source.lane_digests(1)[0], "batched",
+        key = lane_key(source.lane_digests(1)[0], "compiled",
                        [scenario.digest()])
         script = (
             "from repro.platform import GyroPlatform\n"
@@ -558,7 +558,7 @@ class TestKeyProperties:
             "source = LaneSource.resolve(GyroPlatform(), None, None,"
             " False, 1)\n"
             "scenario = settled_output_scenario(25.0, settle_s=0.05)\n"
-            "print(lane_key(source.lane_digests(1)[0], 'batched',"
+            "print(lane_key(source.lane_digests(1)[0], 'compiled',"
             " [scenario.digest()]))\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
