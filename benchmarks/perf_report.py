@@ -14,7 +14,11 @@ count, so their speedup is the *per-scenario* throughput gain at ``B``
 lanes.  ``"crossover"`` times one fleet of ``B`` 0.05 s rate-table lanes
 (branched from a started platform) forced onto each fleet layout —
 lockstep and lane by lane — at several ``B``: the table behind
-``repro.engine.compiled.LOCKSTEP_CROSSOVER``.  ``compiled_backend``
+``repro.engine.compiled.LOCKSTEP_CROSSOVER``.  ``"store"`` times the
+result store on one campaign of ``STORE_LANES`` 0.05 s settled-output
+lanes branched from a started platform: the mean entry size, the put
+time per lane into a fresh store (cold) and the hit time per lane
+reading every entry back (warm).  ``compiled_backend``
 records whether the compiled rows ran the numba JIT or the
 generated-Python fallback; kernel generation/JIT warm-up is excluded
 from every timing (a throwaway run compiles and caches the kernels
@@ -28,7 +32,9 @@ import copy
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -38,6 +44,7 @@ from repro.engine import compiled                          # noqa: E402
 from repro.platform import GyroPlatform, GyroPlatformConfig  # noqa: E402
 from repro.scenarios import Campaign, rate_table_scenarios  # noqa: E402
 from repro.sensors import Environment                      # noqa: E402
+from repro.store import ResultStore                        # noqa: E402
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_engine.json")
@@ -46,6 +53,8 @@ DURATION_S = 0.5   # the fixed locking scenario
 BATCH_LANES = 32
 CROSSOVER_LANES = (8, 16, 24, 32, 48)
 CROSSOVER_S = 0.05   # rate-table lane length
+STORE_LANES = 16
+STORE_S = 0.05       # settled-output lane length
 
 
 REPEATS = 2  # best-of-N to damp scheduler noise
@@ -122,9 +131,6 @@ def _time_sharded(lanes: int, duration_s: float, workers: int) -> float:
     start-up, manifest bookkeeping and result-file round-trips.  Each
     repeat gets a fresh manifest directory so nothing is resumed.
     """
-    import shutil
-    import tempfile
-
     rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
     best = float("inf")
     for _ in range(REPEATS):
@@ -141,6 +147,46 @@ def _time_sharded(lanes: int, duration_s: float, workers: int) -> float:
         finally:
             shutil.rmtree(manifest_dir, ignore_errors=True)
     return best
+
+
+def _time_store(platform, lanes: int, settle_s: float) -> dict:
+    """Time store puts (cold) and hits (warm) per lane.
+
+    One ``lanes``-lane rate-table campaign branched from the started
+    ``platform`` fills a store; its entries are then put again into a
+    fresh store and read back, so only store work is timed.  Returns
+    the mean entry size and the best per-lane put and hit times.
+    """
+    rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
+    campaign = Campaign(rate_table_scenarios(rates, settle_s=settle_s),
+                        name="bench-store")
+    root = tempfile.mkdtemp(prefix="bench-store-")
+    try:
+        seed = ResultStore(os.path.join(root, "seed"))
+        campaign.run(platform, store=seed)
+        entries = [seed.load_entry(key) for key in seed.keys()]
+        outcomes = [e.lane_outcome() for e in entries]
+        put_s = get_s = float("inf")
+        for rep in range(REPEATS):
+            store = ResultStore(os.path.join(root, f"cold-{rep}"))
+            start = time.perf_counter()
+            paths = [store.put(e.key, lane, config_blob=e.config,
+                               campaign=e.campaign, engine=e.engine,
+                               executor=e.executor,
+                               source_digest=e.source_digest)
+                     for e, lane in zip(entries, outcomes)]
+            put_s = min(put_s, time.perf_counter() - start)
+            start = time.perf_counter()
+            hits = [store.get(e.key) for e in entries]
+            get_s = min(get_s, time.perf_counter() - start)
+            assert None not in hits
+        kib = sum(os.path.getsize(path) for path in paths) / len(paths) / 1024
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return {"lanes": lanes,
+            "entry_kib": round(kib, 1),
+            "put_ms_per_lane": round(put_s / lanes * 1e3, 3),
+            "hit_ms_per_lane": round(get_s / lanes * 1e3, 3)}
 
 
 def build_report(duration_s: float = DURATION_S,
@@ -200,6 +246,11 @@ def build_report(duration_s: float = DURATION_S,
                                "platform, forced onto each fleet layout"),
         "lockstep_crossover": compiled.LOCKSTEP_CROSSOVER,
         "crossover": crossover,
+        "store_scenario": (f"one campaign of {STORE_LANES} settled-output "
+                           f"lanes, {STORE_S} s each from a started "
+                           "platform: every entry put into a fresh "
+                           "ResultStore (cold), then read back (warm hit)"),
+        "store": _time_store(started, STORE_LANES, STORE_S),
     }
 
 
@@ -237,6 +288,10 @@ def main() -> None:
     for row in report["crossover"]:
         print(f"  lockstep vs lane by lane, B={row['lanes']:<3d}"
               f"{row['lockstep_vs_lane']:>27.2f}x")
+    store = report["store"]
+    print(f"  store, {store['lanes']} lanes: {store['entry_kib']:.1f} KiB "
+          f"per entry, put {store['put_ms_per_lane']:.2f} ms/lane, "
+          f"hit {store['hit_ms_per_lane']:.2f} ms/lane")
 
 
 if __name__ == "__main__":

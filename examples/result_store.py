@@ -4,7 +4,7 @@ Runs the same characterisation campaign against a content-addressed
 :class:`repro.store.ResultStore` three times:
 
 1. **cold** — every lane misses, simulates and is durably stored
-   (fsync + atomic rename, checksummed envelope);
+   (fsync + atomic rename, one checksum over the entry);
 2. **warm** — every lane is served from the store with zero fleet
    simulation, bit-identical to the cold run;
 3. **healed** — one stored entry is deliberately corrupted (a flipped

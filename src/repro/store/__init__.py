@@ -3,8 +3,8 @@
 The serving layer for repeated characterisations, sweeps and CI runs: a
 :class:`ResultStore` keys every campaign lane on *what determines its
 bits* — starting platform state, engine, scenario program digests — and
-persists the outcome durably (fsync + atomic rename) with SHA-256
-checksums over payload and replay config.  ``Campaign.run(store=...)``
+persists the outcome durably (fsync + atomic rename), sealed by one
+SHA-256 over the entry's raw bytes.  ``Campaign.run(store=...)``
 serves hits instantly, simulates only missing or quarantined lanes, and
 merges fresh results back bit-identically;
 :meth:`ResultStore.audit` re-simulates a sample of cached entries on the

@@ -29,10 +29,10 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence
 
-#: Version of the on-disk entry schema.  Bump it when the envelope or
+#: Version of the on-disk entry schema.  Bump it when the entry or
 #: payload layout changes: entries written under another schema are
 #: quarantined on read (treated as misses), never misinterpreted.
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 
 #: Separator byte that cannot appear in hex digests or engine names.
 _SEP = "\x1f"

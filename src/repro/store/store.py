@@ -5,33 +5,40 @@ One directory holds one store:
 .. code-block:: text
 
     store_dir/
-        store.json              # layout marker: {"schema": 1}
+        store.json              # layout marker: {"schema": 2}
         entries/
             ab/abcdef….json     # one verified entry per lane key
         quarantine/
-            abcdef….json.payload-checksum-0
+            abcdef….json.checksum-0
                                 # damaged entries, moved aside — never
                                 # deleted, so nothing is lost to a bug
                                 # in the verifier
 
-Every entry is a single JSON *envelope*: schema version, provenance
-metadata (campaign, engine, executor, scenario digests), a SHA-256
-checksum over the canonical payload bytes, a SHA-256 checksum over the
-pickled replay config, the base64 replay config itself (the lane's
-scenario program plus its starting :class:`LaneSource` — the ``res.cfg``
-round-trip discipline: every stored result carries enough serialized
-config to re-derive itself), the payload (the serialised
-:class:`~repro.scenarios.campaign.LaneOutcome`) and a whole-envelope
-checksum over all of the above, so a flipped byte anywhere in the file —
-payload, config or provenance metadata — fails verification.
+Every entry is three newline-terminated lines and a binary tail:
+
+.. code-block:: text
+
+    line 1  header    {"key": …, "schema": 2, "sha256": <hex digest>}
+    line 2  metadata  campaign, engine, executor, source_digest,
+                      scenarios, created_unix (canonical JSON)
+    line 3  payload   the serialised LaneOutcome (canonical JSON)
+    rest    config    the raw replay pickle: (program, lane source)
+
+The header's ``sha256`` covers every byte after the header line, so one
+hash verifies the metadata, the payload and the replay config (the
+``res.cfg`` round-trip discipline: every stored result carries enough
+serialized config to re-derive itself) — a flipped byte anywhere in the
+file fails verification.  A read checks the raw bytes with that one
+hash, parses only the metadata and payload lines and leaves the replay
+config as bytes; only :meth:`ResultStore.audit` unpickles it.
 
 Writes are durable: temp file in the same directory, ``fsync``, atomic
 rename, directory ``fsync``.  A crash at any point leaves either the
 previous state or the complete new entry — never a readable-but-wrong
 file.  Transient write failures (ENOSPC, EIO) are retried under the
 store's :class:`~repro.common.retry.RetryPolicy` before surfacing.
-Reads verify everything; any mismatch (checksum, schema version,
-truncation, unparseable JSON) quarantines the entry and reports a miss.
+Reads verify everything; any mismatch (checksum, schema version, key,
+unreadable header) quarantines the entry and reports a miss.
 Both failure modes are chaos-tested: :mod:`repro.chaos` injects ENOSPC
 and kill-mid-rename at the ``store.write`` / ``store.rename`` sites
 fired inside the durable-write path.
@@ -45,8 +52,8 @@ payload drifts from the live re-simulation.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -85,7 +92,14 @@ class StoreStats:
 
 @dataclasses.dataclass
 class StoreEntry:
-    """One verified store entry (metadata + deserialised payload)."""
+    """One verified store entry.
+
+    ``campaign`` through ``created_unix`` are the metadata line;
+    ``payload`` is the parsed payload line and ``payload_sha256`` the
+    SHA-256 of its bytes (what :meth:`ResultStore.audit` compares);
+    ``config`` is the raw replay pickle, left undecoded until
+    :meth:`replay_config`.
+    """
 
     key: str
     path: str
@@ -96,9 +110,8 @@ class StoreEntry:
     scenarios: List[dict]
     created_unix: float
     payload_sha256: str
-    config_sha256: str
-    config_b64: str
     payload: dict
+    config: bytes
 
     def lane_outcome(self):
         """The stored lane outcome (``platform=None``; see LaneOutcome)."""
@@ -107,7 +120,7 @@ class StoreEntry:
 
     def replay_config(self):
         """Unpickle the stored replay config: ``(program, lane_source)``."""
-        return pickle.loads(base64.b64decode(self.config_b64))
+        return pickle.loads(self.config)
 
 
 @dataclasses.dataclass
@@ -203,35 +216,29 @@ class ResultStore:
                 captured *before* the lane ran — the replay config the
                 equivalence audit re-simulates from.
             campaign, engine, executor, source_digest: provenance
-                metadata recorded in the envelope.
+                metadata recorded in the entry's metadata line.
 
         Returns the entry path.  The write is atomic and fsynced: a
         crash mid-put leaves the store exactly as it was.
         """
-        payload = lane.to_dict()
-        scenarios = [{"name": outcome.name, "digest": outcome.digest()}
-                     for outcome in lane.outcomes]
-        envelope = {
-            "schema": STORE_SCHEMA,
-            "key": key,
+        metadata = canonical_bytes({
             "campaign": campaign,
             "engine": engine,
             "executor": executor,
             "source_digest": source_digest,
-            "scenarios": scenarios,
+            "scenarios": [{"name": outcome.name, "digest": outcome.digest()}
+                          for outcome in lane.outcomes],
             "created_unix": time.time(),
-            "config_sha256": content_digest({"pickle": _b64(config_blob)}),
-            "config_b64": _b64(config_blob),
-            "payload_sha256": content_digest(payload),
-            "payload": payload,
-        }
-        # whole-envelope checksum: covers the provenance metadata the
-        # field checksums above do not, so a flipped byte ANYWHERE in
-        # the entry quarantines it
-        envelope["entry_sha256"] = content_digest(envelope)
+        })
+        # canonical JSON escapes every newline, so the first two
+        # separators below are the only ones before the config
+        body = b"\n".join((metadata, canonical_bytes(lane.to_dict()),
+                           config_blob))
+        header = canonical_bytes({"key": key, "schema": STORE_SCHEMA,
+                                  "sha256": hashlib.sha256(body).hexdigest()})
         path = self.entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        blob = json.dumps(envelope, indent=1).encode("utf-8")
+        blob = b"\n".join((header, body))
         self.retry.call(lambda: _durable_write(path, blob))
         self.stats.puts += 1
         return path
@@ -241,10 +248,11 @@ class ResultStore:
     def get(self, key: str):
         """The verified lane outcome stored under ``key``, or ``None``.
 
-        Any integrity failure — unparseable JSON (truncation, flipped
-        bytes), schema or key mismatch, payload or config checksum
-        mismatch — quarantines the entry and returns ``None``: corrupted
-        cache entries degrade to misses, never to wrong results.
+        Any integrity failure — an unreadable header, a schema or key
+        mismatch, or a checksum mismatch anywhere after the header
+        (flipped bytes, truncation) — quarantines the entry and returns
+        ``None``: corrupted cache entries degrade to misses, never to
+        wrong results.
         """
         entry = self.load_entry(key)
         if entry is None:
@@ -254,68 +262,59 @@ class ResultStore:
         return entry.lane_outcome()
 
     def load_entry(self, key: str) -> Optional[StoreEntry]:
-        """Load and fully verify one envelope (quarantining failures)."""
+        """Load and fully verify one entry (quarantining failures)."""
         path = self.entry_path(key)
-        if not os.path.exists(path):
-            return None
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            self._quarantine(key, "unreadable")
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except FileNotFoundError:
             return None
-        reason = self._verify(key, data)
+        except OSError:
+            blob = b""                   # unreadable: quarantined below
+        header, _, body = blob.partition(b"\n")
+        reason = self._verify(key, header, body)
         if reason is not None:
             self._quarantine(key, reason)
             return None
-        return StoreEntry(
-            key=key, path=path,
-            campaign=data["campaign"], engine=data["engine"],
-            executor=data["executor"],
-            source_digest=data["source_digest"],
-            scenarios=data["scenarios"],
-            created_unix=data["created_unix"],
-            payload_sha256=data["payload_sha256"],
-            config_sha256=data["config_sha256"],
-            config_b64=data["config_b64"],
-            payload=data["payload"])
+        metadata, payload, config = body.split(b"\n", 2)
+        return StoreEntry(key=key, path=path, **json.loads(metadata),
+                          payload_sha256=hashlib.sha256(payload).hexdigest(),
+                          payload=json.loads(payload), config=config)
 
     @staticmethod
-    def _verify(key: str, data: dict) -> Optional[str]:
-        """Reason the envelope fails verification, or None when sound."""
-        if not isinstance(data, dict):
-            return "malformed"
-        if data.get("schema") != STORE_SCHEMA:
+    def _verify(key: str, header: bytes, body: bytes) -> Optional[str]:
+        """Reason the entry fails verification, or None when sound."""
+        try:
+            fields = json.loads(header)
+        except ValueError:
+            return "unreadable"
+        if not isinstance(fields, dict):
+            return "unreadable"
+        if fields.get("schema") != STORE_SCHEMA:
             return "schema-version"
-        if data.get("key") != key:
+        if fields.get("key") != key:
             return "key-mismatch"
-        for field in ("campaign", "engine", "executor", "source_digest",
-                      "scenarios", "created_unix", "config_b64",
-                      "config_sha256", "payload_sha256", "payload",
-                      "entry_sha256"):
-            if field not in data:
-                return "malformed"
-        if content_digest(data["payload"]) != data["payload_sha256"]:
-            return "payload-checksum"
-        if (content_digest({"pickle": data["config_b64"]})
-                != data["config_sha256"]):
-            return "config-checksum"
-        body = {k: v for k, v in data.items() if k != "entry_sha256"}
-        if content_digest(body) != data["entry_sha256"]:
-            return "entry-checksum"
+        if hashlib.sha256(body).hexdigest() != fields.get("sha256"):
+            return "checksum"
         return None
 
     # -- quarantine ---------------------------------------------------------
 
-    def _quarantine(self, key: str, reason: str) -> str:
-        """Move a damaged entry aside (never delete) and count it."""
+    def _quarantine(self, key: str, reason: str) -> None:
+        """Move a damaged entry aside (never delete) and count it.
+
+        An entry that vanished since it was read was quarantined by
+        another store sharing the directory; only the mover counts it.
+        """
         path = self.entry_path(key)
         target = _free_name(
             os.path.join(self.quarantine_dir,
                          f"{os.path.basename(path)}.{reason}"))
-        os.replace(path, target)
+        try:
+            os.replace(path, target)
+        except FileNotFoundError:
+            return
         self.stats.quarantined += 1
-        return target
 
     def quarantined(self) -> List[dict]:
         """Quarantined files as ``{"file", "key", "reason"}`` records."""
@@ -342,8 +341,8 @@ class ResultStore:
         locks promise exactly that, so any difference means the store,
         the serialisation or an engine has broken, and the audit raises
         :class:`StoreIntegrityError` after quarantining the drifted
-        entry.  Entries that fail envelope verification or whose config
-        no longer unpickles are quarantined and reported (not drift).
+        entry.  Entries that fail verification or whose config no longer
+        unpickles are quarantined and reported (not drift).
 
         Returns an :class:`AuditReport`; raises on drift.
         """
@@ -383,10 +382,6 @@ class ResultStore:
                 f"entries were quarantined under {self.quarantine_dir!r}")
         return AuditReport(checked=len(keys), verified_keys=verified,
                            quarantined_keys=quarantined)
-
-
-def _b64(blob: bytes) -> str:
-    return base64.b64encode(blob).decode("ascii")
 
 
 def _free_name(base: str) -> str:

@@ -15,6 +15,7 @@ provenance, not identity).
 
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -25,7 +26,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from strategies.settings import SLOW_SETTINGS, STANDARD_SETTINGS
 
@@ -40,7 +41,7 @@ from repro.common import (
 from repro.common.retry import RetryPolicy
 from repro.eval.metrics import CharacterizationConfig, GyroCharacterization
 from repro.faults import AfeSaturation, SensorDropout, StuckAdcCode
-from repro.platform import GyroPlatform, content_digest
+from repro.platform import GyroPlatform, canonical_bytes
 from repro.scenarios import (
     Campaign,
     Scenario,
@@ -93,6 +94,38 @@ def forbid_simulation(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("simulated despite a warm store")
     monkeypatch.setattr("repro.scenarios.executor._execute_lanes", boom)
+
+
+ENTRY_SECTIONS = ("header", "metadata", "payload", "config")
+
+
+def rewrite_entry(path, section, edit, reseal=False):
+    """Replace one section of a stored entry with ``edit(section)``.
+
+    ``edit`` receives the parsed JSON of the header, metadata or payload
+    line, or the raw bytes of the replay config, and returns the new
+    value.  ``reseal`` recomputes the header's SHA-256 over the edited
+    body, so the entry verifies again and only re-simulation can tell.
+    """
+    with open(path, "rb") as fh:
+        sections = fh.read().split(b"\n", 3)
+    i = ENTRY_SECTIONS.index(section)
+    sections[i] = (edit(sections[i]) if section == "config"
+                   else canonical_bytes(edit(json.loads(sections[i]))))
+    if reseal:
+        header = json.loads(sections[0])
+        header["sha256"] = hashlib.sha256(
+            b"\n".join(sections[1:])).hexdigest()
+        sections[0] = canonical_bytes(header)
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(sections))
+
+
+def bump_first_metric(payload):
+    """Payload edit: add 1.0 to the first metric of the first outcome."""
+    metrics = payload["outcomes"][0]["metrics"]
+    metrics[sorted(metrics)[0]] += 1.0
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -323,49 +356,33 @@ class TestQuarantine:
         records = store.quarantined()
         assert len(records) == 1
         assert records[0]["key"] == key
-        assert records[0]["reason"] == "unreadable"
+        assert records[0]["reason"] == "checksum"
         assert not os.path.exists(path)       # moved aside, not left behind
 
-    def test_metadata_tamper_is_entry_checksum(self, started_platform,
-                                               tmp_path):
-        # provenance fields are not covered by the payload/config
-        # checksums; the whole-envelope checksum catches them
+    def test_metadata_tamper_is_checksum(self, started_platform, tmp_path):
+        # provenance metadata is covered by the same header hash as the
+        # payload and the replay config
         _, store, _ = self._cold_store(started_platform, tmp_path / "store")
         key = store.keys()[0]
-        path = store.entry_path(key)
-        with open(path) as fh:
-            data = json.load(fh)
-        data["created_unix"] += 1.0
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        rewrite_entry(
+            store.entry_path(key), "metadata",
+            lambda meta: dict(meta, created_unix=meta["created_unix"] + 1.0))
         assert store.get(key) is None
-        assert store.quarantined()[0]["reason"] == "entry-checksum"
+        assert store.quarantined()[0]["reason"] == "checksum"
 
-    def test_payload_tamper_is_payload_checksum(self, started_platform,
-                                                tmp_path):
+    def test_payload_tamper_is_checksum(self, started_platform, tmp_path):
         _, store, _ = self._cold_store(started_platform, tmp_path / "store")
         key = store.keys()[0]
-        path = store.entry_path(key)
-        with open(path) as fh:
-            data = json.load(fh)
-        outcome = data["payload"]["outcomes"][0]
-        name = sorted(outcome["metrics"])[0]
-        outcome["metrics"][name] += 1.0
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        rewrite_entry(store.entry_path(key), "payload", bump_first_metric)
         assert store.get(key) is None
-        assert store.quarantined()[0]["reason"] == "payload-checksum"
+        assert store.quarantined()[0]["reason"] == "checksum"
 
     def test_schema_version_entry_quarantined(self, started_platform,
                                               tmp_path):
         _, store, _ = self._cold_store(started_platform, tmp_path / "store")
         key = store.keys()[0]
-        path = store.entry_path(key)
-        with open(path) as fh:
-            data = json.load(fh)
-        data["schema"] = STORE_SCHEMA + 1
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        rewrite_entry(store.entry_path(key), "header",
+                      lambda header: dict(header, schema=STORE_SCHEMA + 1))
         assert store.get(key) is None
         assert store.quarantined()[0]["reason"] == "schema-version"
 
@@ -388,6 +405,35 @@ class TestQuarantine:
         names = sorted(os.listdir(store.quarantine_dir))
         assert names == [f"{key}.json.unreadable-0",
                          f"{key}.json.unreadable-1"]
+
+    def test_lost_quarantine_race_is_a_miss(self, started_platform, tmp_path,
+                                            monkeypatch):
+        # two stores share one directory; a rival quarantines a damaged
+        # entry after this store read it but before this store moves it
+        # aside — this store must report a plain miss, not raise, and
+        # only the rival that moved the file counts it
+        _, store, _ = self._cold_store(started_platform, tmp_path / "store")
+        rival = ResultStore(store.directory)
+        key = store.keys()[0]
+        path = store.entry_path(key)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        blob[len(blob) // 2] ^= 0x01
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        verify = ResultStore._verify
+
+        def rival_wins(*args):
+            monkeypatch.setattr(ResultStore, "_verify", staticmethod(verify))
+            assert rival.get(key) is None
+            return verify(*args)
+        monkeypatch.setattr(ResultStore, "_verify", staticmethod(rival_wins))
+        misses = store.stats.misses
+        assert store.get(key) is None
+        assert store.stats.misses == misses + 1
+        assert store.stats.quarantined == 0
+        assert rival.stats.quarantined == 1
+        assert len(store.quarantined()) == 1
 
     def test_stray_tmp_file_is_invisible(self, started_platform, tmp_path):
         # a writer killed before the atomic rename leaves only a temp
@@ -423,24 +469,15 @@ class TestAudit:
 
     def test_audit_catches_consistent_tamper_as_drift(self, started_platform,
                                                       tmp_path):
-        # tamper a metric AND recompute every checksum: the envelope
+        # tamper a metric AND re-seal the header hash: the entry
         # verifies, so only re-simulation can catch it — that is
         # exactly what the audit is for
         store = ResultStore(str(tmp_path / "store"))
         make_campaign().run(copy.deepcopy(started_platform), store=store)
         key = store.keys()[0]
-        path = store.entry_path(key)
-        with open(path) as fh:
-            data = json.load(fh)
-        outcome = data["payload"]["outcomes"][0]
-        name = sorted(outcome["metrics"])[0]
-        outcome["metrics"][name] += 1.0
-        data["payload_sha256"] = content_digest(data["payload"])
-        data["entry_sha256"] = content_digest(
-            {k: v for k, v in data.items() if k != "entry_sha256"})
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-        assert store.get(key) is not None     # envelope looks sound
+        rewrite_entry(store.entry_path(key), "payload", bump_first_metric,
+                      reseal=True)
+        assert store.get(key) is not None     # entry looks sound
         with pytest.raises(StoreIntegrityError, match="drifted"):
             store.audit()
         reasons = {r["key"]: r["reason"] for r in store.quarantined()}
@@ -450,20 +487,11 @@ class TestAudit:
 
     def test_audit_quarantines_unreplayable_config(self, started_platform,
                                                    tmp_path):
-        import base64
         store = ResultStore(str(tmp_path / "store"))
         make_campaign().run(copy.deepcopy(started_platform), store=store)
         key = store.keys()[0]
-        path = store.entry_path(key)
-        with open(path) as fh:
-            data = json.load(fh)
-        data["config_b64"] = base64.b64encode(b"not a pickle").decode()
-        data["config_sha256"] = content_digest(
-            {"pickle": data["config_b64"]})
-        data["entry_sha256"] = content_digest(
-            {k: v for k, v in data.items() if k != "entry_sha256"})
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        rewrite_entry(store.entry_path(key), "config",
+                      lambda config: b"not a pickle", reseal=True)
         report = store.audit()                # reported, not raised
         assert not report.ok
         assert report.quarantined_keys == [key]
@@ -615,15 +643,20 @@ class TestKillDuringWrite:
             shutil.rmtree(root, ignore_errors=True)
 
     @SLOW_SETTINGS
-    @given(index=st.integers(0, 10_000), flip=st.integers(1, 255))
+    @given(frac=st.floats(0.0, 1.0), flip=st.integers(1, 255))
+    # one flip inside each section: header, metadata, payload, config
+    @example(frac=0.002, flip=1)
+    @example(frac=0.007, flip=1)
+    @example(frac=0.3, flip=1)
+    @example(frac=0.8, flip=1)
     def test_flipped_byte_never_readable_but_wrong(self, sealed_entry,
-                                                   index, flip):
-        # bitrot anywhere in the file — payload, config, provenance
-        # metadata, even insignificant whitespace — must degrade to a
-        # miss or leave the entry bit-identical, never corrupt a read
+                                                   frac, flip):
+        # bitrot anywhere in the file — header, provenance metadata,
+        # payload or replay config — must degrade to a miss or leave the
+        # entry bit-identical, never corrupt a read
         key, blob, payload = sealed_entry
         damaged = bytearray(blob)
-        damaged[index % len(blob)] ^= flip
+        damaged[min(len(blob) - 1, int(frac * len(blob)))] ^= flip
         root = tempfile.mkdtemp(prefix="repro-store-flip-")
         try:
             store = ResultStore(root)
@@ -695,7 +728,6 @@ class TestStoreBackedResume:
 @pytest.fixture(scope="module")
 def store_put_args(started_platform, tmp_path_factory):
     """A verified entry's put() arguments, harvested from a cold run."""
-    import base64
     root = tmp_path_factory.mktemp("chaos-seed")
     store = ResultStore(str(root / "store"))
     camp = Campaign([settled_output_scenario(10.0, settle_s=0.02)],
@@ -706,8 +738,7 @@ def store_put_args(started_platform, tmp_path_factory):
     provenance = dict(campaign=entry.campaign, engine=entry.engine,
                       executor=entry.executor,
                       source_digest=entry.source_digest)
-    return (key, entry.lane_outcome(),
-            base64.b64decode(entry.config_b64), provenance)
+    return key, entry.lane_outcome(), entry.config, provenance
 
 
 class TestChaosDurability:
