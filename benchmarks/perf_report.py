@@ -18,7 +18,10 @@ lockstep and lane by lane — at several ``B``: the table behind
 result store on one campaign of ``STORE_LANES`` 0.05 s settled-output
 lanes branched from a started platform: the mean entry size, the put
 time per lane into a fresh store (cold) and the hit time per lane
-reading every entry back (warm).  ``compiled_backend``
+reading every entry back (warm).  ``"branch"`` times
+``LaneSource.materialize`` branching ``BRANCH_LANES`` campaign lanes
+from a started platform, per lane.  ``"host"`` records the CPU model
+and the Python and NumPy versions the report ran on.  ``compiled_backend``
 records whether the compiled rows ran the numba JIT or the
 generated-Python fallback; kernel generation/JIT warm-up is excluded
 from every timing (a throwaway run compiles and caches the kernels
@@ -32,10 +35,13 @@ import copy
 import json
 import math
 import os
+import platform as host
 import shutil
 import sys
 import tempfile
 import time
+
+import numpy
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -43,6 +49,7 @@ from repro.engine import FleetSimulator, backend_info      # noqa: E402
 from repro.engine import compiled                          # noqa: E402
 from repro.platform import GyroPlatform, GyroPlatformConfig  # noqa: E402
 from repro.scenarios import Campaign, rate_table_scenarios  # noqa: E402
+from repro.scenarios.executor import LaneSource            # noqa: E402
 from repro.sensors import Environment                      # noqa: E402
 from repro.store import ResultStore                        # noqa: E402
 
@@ -55,6 +62,7 @@ CROSSOVER_LANES = (8, 16, 24, 32, 48)
 CROSSOVER_S = 0.05   # rate-table lane length
 STORE_LANES = 16
 STORE_S = 0.05       # settled-output lane length
+BRANCH_LANES = 32
 
 
 REPEATS = 2  # best-of-N to damp scheduler noise
@@ -189,6 +197,37 @@ def _time_store(platform, lanes: int, settle_s: float) -> dict:
             "hit_ms_per_lane": round(get_s / lanes * 1e3, 3)}
 
 
+def _time_branch(platform, lanes: int) -> dict:
+    """Time branching ``lanes`` campaign lanes from ``platform``.
+
+    One ``LaneSource.materialize`` call builds every lane of a
+    ``lanes``-lane campaign on the started ``platform``; returns the
+    best time per lane.
+    """
+    source = LaneSource.resolve(platform, None, None, False, lanes)
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        source.materialize(range(lanes))
+        best = min(best, time.perf_counter() - start)
+    return {"lanes": lanes, "ms_per_lane": round(best / lanes * 1e3, 3)}
+
+
+def _host() -> dict:
+    """CPU model and the Python and NumPy versions of this host."""
+    cpu = host.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu": cpu, "python": host.python_version(),
+            "numpy": numpy.__version__}
+
+
 def build_report(duration_s: float = DURATION_S,
                  lanes: int = BATCH_LANES,
                  workers: int = None,
@@ -239,6 +278,7 @@ def build_report(duration_s: float = DURATION_S,
         "batch_lanes": lanes,
         "workers": workers,
         "cpu_count": os.cpu_count(),
+        "host": _host(),
         "compiled_backend": backend_info(),
         "entries": entries,
         "crossover_scenario": (f"one fleet of B rate-table lanes, "
@@ -251,6 +291,10 @@ def build_report(duration_s: float = DURATION_S,
                            "platform: every entry put into a fresh "
                            "ResultStore (cold), then read back (warm hit)"),
         "store": _time_store(started, STORE_LANES, STORE_S),
+        "branch_scenario": (f"one LaneSource.materialize call branching "
+                            f"{BRANCH_LANES} campaign lanes from a started "
+                            "platform"),
+        "branch": _time_branch(started, BRANCH_LANES),
     }
 
 
@@ -292,6 +336,9 @@ def main() -> None:
     print(f"  store, {store['lanes']} lanes: {store['entry_kib']:.1f} KiB "
           f"per entry, put {store['put_ms_per_lane']:.2f} ms/lane, "
           f"hit {store['hit_ms_per_lane']:.2f} ms/lane")
+    branch = report["branch"]
+    print(f"  branch, {branch['lanes']} lanes: "
+          f"{branch['ms_per_lane']:.2f} ms/lane")
 
 
 if __name__ == "__main__":

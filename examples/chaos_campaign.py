@@ -2,7 +2,8 @@
 
 Runs one campaign uninjected to fix the baseline, then replays it under
 a matrix of deterministic, seeded infrastructure failures — worker
-crashes, frozen workers (heartbeat loss), hung stragglers, torn and
+crashes, worker errors, frozen workers (heartbeat loss), hung
+stragglers, torn and
 corrupted shard result writes, slow publishes, ENOSPC on manifest
 writes, and a kill between the result store's fsync and its atomic
 rename.  The acceptance bar for every cell:
@@ -15,7 +16,8 @@ rename.  The acceptance bar for every cell:
 Along the way it demonstrates the hardening mechanics: crashed and
 frozen workers are rescheduled off missed heartbeats long before the
 shard timeout, a hung straggler is superseded by a speculative backup
-that is only credited after digest verification, and every attempt's
+that is only credited after digest verification, a worker that raises
+reports its error before the shard is retried, and every attempt's
 outcome lands in the batch manifest's shard history.
 
 ``--ci`` asserts every cell (exit non-zero on any violation) instead of
@@ -42,6 +44,7 @@ from repro.chaos import (
     SlowWrite,
     TornWrite,
     WorkerCrash,
+    WorkerError,
     WorkerHang,
 )
 from repro.platform import GyroPlatform
@@ -53,6 +56,7 @@ SHARD_TIMEOUT_S = 120.0
 
 MATRIX = (
     ("worker-crash", ChaosPlan([WorkerCrash(shard=0)])),
+    ("worker-error", ChaosPlan([WorkerError(shard=1)])),
     ("heartbeat-loss", ChaosPlan([HeartbeatLoss(shard=1, hang_s=90.0)])),
     ("torn-write", ChaosPlan([TornWrite(shard=2)])),
     ("corrupt-payload", ChaosPlan([CorruptShardPayload(shard=0)])),
@@ -139,6 +143,11 @@ def main():
                            for e in history), history
             if name == "heartbeat-loss":
                 assert "heartbeat-lost" in outcomes[1], outcomes
+            if name == "worker-error":
+                # the raising worker wrote its error report, then the
+                # retry was credited
+                assert outcomes[1][0] == "error", outcomes
+                assert "ok" in outcomes[1][1:], outcomes
 
     print("\n[store-kill-mid-rename]  crash between fsync and rename...")
     store = ResultStore(os.path.join(args.root, "store"))

@@ -4,7 +4,7 @@
 chaos-tests the *execution substrate* underneath it — worker processes,
 shard result publishes, batch-manifest writes and result-store durable
 writes.  Declare a seeded :class:`ChaosPlan` of failures (worker
-crashes, hangs, heartbeat loss, torn/slow/corrupted writes, ENOSPC,
+crashes, errors, hangs, heartbeat loss, torn/slow/corrupted writes, ENOSPC,
 kill-mid-rename), pass it to ``Campaign.run(chaos=...)`` (or activate it
 with :func:`repro.chaos.runtime.active` around store operations), and
 the hardened executor/manifest/store paths must ride every injected
@@ -23,6 +23,7 @@ from .models import (
     SlowWrite,
     TornWrite,
     WorkerCrash,
+    WorkerError,
     WorkerHang,
 )
 from .runtime import activate, active, current, deactivate, fire, fired_counts
@@ -39,6 +40,7 @@ __all__ = [
     "SlowWrite",
     "TornWrite",
     "WorkerCrash",
+    "WorkerError",
     "WorkerHang",
     "activate",
     "active",

@@ -134,6 +134,24 @@ class WorkerCrash(ChaosModel):
 
 
 @dataclass(frozen=True)
+class WorkerError(ChaosModel):
+    """Raise ``RuntimeError(message)`` in the worker before it simulates.
+
+    Unlike :class:`WorkerCrash` the worker survives long enough to write
+    its error report (exception class, message and truncated traceback),
+    so the parent records an ``error`` attempt in the shard history.
+    """
+
+    site: ClassVar[str] = "worker.start"
+
+    attempt: Optional[int] = 1
+    message: str = "chaos: injected worker error"
+
+    def fire(self, event: ChaosEvent) -> None:
+        raise RuntimeError(self.message)
+
+
+@dataclass(frozen=True)
 class WorkerHang(ChaosModel):
     """Stall the worker's main thread for ``hang_s`` before simulating.
 

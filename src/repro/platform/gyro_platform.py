@@ -131,19 +131,21 @@ class GyroPlatform:
     def run(self, environment: "Union[Environment, Sequence[Environment]]",
             duration_s: float, reset: bool = False,
             record_waveforms: bool = False, engine: Optional[str] = None,
-            *, executor: Optional[str] = None, workers: Optional[int] = None,
-            fleet: "Optional[FleetSimulator]" = None
+            *, executor: Optional[str] = None, workers: Optional[int] = None
             ) -> "Union[GyroSimulationResult, List[GyroSimulationResult]]":
         """Run the co-simulation for ``duration_s`` seconds.
 
         This is the one run entry point: a single
         :class:`~repro.sensors.environment.Environment` simulates this
         platform in-process and returns one result; a *sequence* of
-        environments simulates one deep-copied clone per environment (the
-        platform itself is not advanced) and returns one result per
-        environment — as one fleet on the configured engine, optionally
-        fanned out over worker processes.  Every combination produces bit-identical
-        traces.
+        environments runs one campaign lane per environment, each
+        unpickled from one shared pickle of this platform (the platform
+        itself is not advanced), and returns one result per environment
+        — as one fleet on the configured engine, optionally fanned out
+        over worker processes.  Every combination produces
+        bit-identical traces.  To carry lane state from run to run,
+        keep the lanes and pass them to ``Campaign.run(platforms=...)``
+        or :class:`~repro.engine.FleetSimulator`.
 
         Args:
             environment: applied rate and temperature profiles (time is
@@ -169,11 +171,6 @@ class GyroPlatform:
                 processes.  Defaults to ``"sharded"`` when ``workers``
                 is given.
             workers: worker-process count for the sharded executor.
-            fleet: an existing fleet (e.g. from :meth:`make_fleet`) to
-                run instead of cloning this platform — its lanes carry
-                their state from run to run, so it cannot be combined
-                with the sharded executor (which advances worker-side
-                copies).
 
         Returns:
             A :class:`GyroSimulationResult` for a single environment, or
@@ -181,7 +178,7 @@ class GyroPlatform:
         """
         if not 0.0 < duration_s < math.inf:
             raise SimulationError("duration must be finite and > 0")
-        if isinstance(environment, Environment) and fleet is None:
+        if isinstance(environment, Environment):
             if workers not in (None, 1) or executor not in (None, "local"):
                 raise ConfigurationError(
                     "a single environment runs in-process; pass a sequence "
@@ -194,19 +191,6 @@ class GyroPlatform:
                                 duration_s)
             return dataclasses.replace(result,
                                        **self.safety.result_fields())
-        if fleet is not None:
-            if workers not in (None, 1) or executor not in (None, "local"):
-                raise ConfigurationError(
-                    "an existing fleet carries caller-owned lane state and "
-                    "cannot cross process boundaries; drop fleet= to use "
-                    "the sharded executor")
-            if (not isinstance(environment, Environment)
-                    and len(environment) != len(fleet)):
-                raise ConfigurationError(
-                    f"got {len(environment)} environments for "
-                    f"{len(fleet)} fleet lanes")
-            return fleet.run(environment, duration_s, reset=reset,
-                             record_waveforms=record_waveforms)
         from ..scenarios.campaign import Campaign
         from ..scenarios.scenario import Scenario
 
@@ -314,23 +298,6 @@ class GyroPlatform:
             drive_word=drive_tr[:rec] if record_waveforms else None,
             turn_on_time_s=conditioner.startup.turn_on_time_s,
         )
-
-    def make_fleet(self, n: int) -> "FleetSimulator":
-        """Clone this platform into an ``n``-lane fleet.
-
-        Each lane is a deep copy — calibration words, filter states,
-        start-up progress and noise-generator positions included.  Keep
-        the returned :class:`~repro.engine.FleetSimulator` around
-        and pass it back to :meth:`run` as ``fleet=`` (or run it
-        directly) so repeated campaigns do not pay a fresh deep copy per
-        call.
-        """
-        import copy
-
-        from ..engine import FleetSimulator
-        if n < 1:
-            raise ConfigurationError("fleet size must be >= 1")
-        return FleetSimulator([copy.deepcopy(self) for _ in range(n)])
 
     # -- start-up and calibration -------------------------------------------------
 

@@ -344,25 +344,25 @@ class Campaign:
             manifest_dir=None, retry=None,
             shard_timeout_s: Optional[float] = None,
             shard_size: Optional[int] = None,
-            fault_hook=None, chaos=None,
+            chaos=None,
             heartbeat_interval_s: float = 0.5,
             heartbeat_grace: float = 6.0,
             speculation_factor: Optional[float] = 4.0,
-            speculation_min_done: int = 2,
-            store=None, fleet=None) -> CampaignResult:
+            store=None) -> CampaignResult:
         """Execute every lane program and return the per-lane outcomes.
 
         Exactly one base must be given:
 
-        * ``platform`` — each lane runs on a deep copy (state, noise
-          positions and calibration words included), so campaigns branch
-          from the platform without advancing it.  With ``mutate=True``
-          (single-lane campaigns only) the lane runs on the platform
-          itself, the way ``start()`` and the settled-output
-          measurements work.
+        * ``platform`` — each lane is unpickled from one shared pickle
+          of the platform (state, noise positions and calibration words
+          included), so campaigns branch from the platform without
+          advancing it; the platform must therefore be picklable.  With
+          ``mutate=True`` (single-lane campaigns only) the lane runs on
+          the platform itself, the way ``start()`` and the
+          settled-output measurements work.
         * ``platforms`` — one pre-built platform per lane, advanced in
-          place; reuse them across campaigns to avoid per-run deep
-          copies.  (The ``"sharded"`` executor advances worker-side
+          place, so lane state carries over from one campaign to the
+          next.  (The ``"sharded"`` executor advances worker-side
           copies instead; read final state from the lane outcomes.)
         * ``config`` — each lane gets a fresh platform built from its
           own deep copy of the configuration.
@@ -399,17 +399,13 @@ class Campaign:
                 attempt.
             shard_size: sharded only — lanes per shard (default spreads
                 the lanes evenly over ``workers``).
-            fault_hook: sharded only — picklable callable invoked in
-                each worker before its shard runs (fault-injection
-                testing).
             chaos: a :class:`repro.chaos.ChaosPlan` of seeded
-                infrastructure failures (worker crashes, hangs,
-                heartbeat loss, torn/corrupted/slow result writes,
-                ENOSPC, kill-mid-rename) injected at the
+                infrastructure failures (worker crashes, errors and
+                hangs, heartbeat loss, torn/corrupted/slow result
+                writes, ENOSPC, kill-mid-rename) injected at the
                 executor/manifest/store boundaries for this run —
                 chaos-testing the execution substrate, the way
-                ``fault_hook`` and :mod:`repro.faults` test the
-                platform.
+                :mod:`repro.faults` tests the platform.
             heartbeat_interval_s: sharded only — how often each shard
                 worker beats its liveness file.
             heartbeat_grace: sharded only — heartbeat silence beyond
@@ -421,8 +417,6 @@ class Campaign:
                 duration gets a speculative backup attempt; whichever
                 attempt publishes a digest-verified result first is
                 credited.  ``None`` disables speculation.
-            speculation_min_done: sharded only — completed shards
-                required before the median is trusted for speculation.
             store: a :class:`repro.store.ResultStore` — lanes whose
                 results are already stored (same starting state, engine
                 and scenario program) are served from disk with zero
@@ -431,16 +425,6 @@ class Campaign:
                 outcomes are durably stored before the merged result
                 returns.  Served lanes carry ``platform=None``.
                 Incompatible with ``mutate=True``.
-            fleet: store-backed ``platform=`` runs only — a pool of
-                pre-built warm platforms (``len(fleet) >= len(self)``)
-                for the cache-miss lanes to run on.  Each miss borrows
-                a fleet lane and rewinds it in place to the base
-                platform's exact state from one shared pickle, instead
-                of deep-copying the base once per miss — reuse the same
-                fleet across many store-backed campaigns to amortise
-                lane construction.  Results, store keys and stored
-                entries are bit-identical to the cold (no-``fleet``)
-                path; local executor only.
         """
         from .executor import ExecutorOptions, LaneSource, get_executor
         source = LaneSource.resolve(platform, platforms, config, mutate,
@@ -455,22 +439,16 @@ class Campaign:
                                   retry=retry,
                                   shard_timeout_s=shard_timeout_s,
                                   shard_size=shard_size,
-                                  fault_hook=fault_hook,
                                   chaos=chaos,
                                   heartbeat_interval_s=heartbeat_interval_s,
                                   heartbeat_grace=heartbeat_grace,
-                                  speculation_factor=speculation_factor,
-                                  speculation_min_done=speculation_min_done)
-        if fleet is not None and store is None:
-            raise ConfigurationError(
-                "fleet= provides warm lanes for store cache misses; it "
-                "requires store=")
+                                  speculation_factor=speculation_factor)
         spec = get_executor(executor)
         with chaos_active(chaos):
             if store is not None:
                 from ..store.serve import run_with_store
                 return run_with_store(self, source, engine, executor,
-                                      options, store, fleet=fleet)
+                                      options, store)
             return spec.runner(self, source, engine, options)
 
 

@@ -89,6 +89,12 @@ from .manifest import (
 EXECUTOR_LOCAL = "local"
 EXECUTOR_SHARDED = "sharded"
 
+#: Completed shards required before their median duration is trusted
+#: for straggler speculation.
+SPECULATION_MIN_DONE = 2
+#: Seconds the sharded scheduler sleeps when a poll made no progress.
+POLL_INTERVAL_S = 0.02
+
 
 @dataclasses.dataclass(frozen=True)
 class ExecutorOptions:
@@ -99,13 +105,10 @@ class ExecutorOptions:
     retry: Optional[RetryPolicy] = None
     shard_timeout_s: Optional[float] = None
     shard_size: Optional[int] = None
-    fault_hook: Optional[Callable] = None
     chaos: Optional[object] = None
     heartbeat_interval_s: float = 0.5
     heartbeat_grace: float = 6.0
     speculation_factor: Optional[float] = 4.0
-    speculation_min_done: int = 2
-    poll_interval_s: float = 0.02
 
 
 @dataclasses.dataclass
@@ -115,8 +118,10 @@ class LaneSource:
     Captures the ``platform`` / ``platforms`` / ``config`` choice of
     ``Campaign.run`` without materialising anything, so the sharded
     executor can ship each worker only its own slice and materialise
-    lanes worker-side.  A pickle round-trip preserves platform state
-    bit-for-bit, so worker-side materialisation equals local
+    lanes worker-side.  ``platform`` lanes are unpickled from one shared
+    pickle of the base, so the base must pickle; a pickle round-trip
+    preserves platform state bit-for-bit, so every lane starts from the
+    base's exact state and worker-side materialisation equals local
     materialisation exactly.
     """
 
@@ -159,7 +164,17 @@ class LaneSource:
         return self.base.config.engine
 
     def materialize(self, indices: Sequence[int]) -> list:
-        """Build the lane platforms for the given campaign lane indices."""
+        """Build the lane platforms for the given campaign lane indices.
+
+        ``platform`` lanes branch from one ``pickle.dumps`` of the base
+        and one ``pickle.loads`` per lane; ``config`` lanes are fresh
+        constructions, so a config with ``seed=None`` still draws
+        distinct noise per lane.
+
+        Raises:
+            ConfigurationError: the base platform does not pickle (a
+                lambda register hook, say).
+        """
         if self.mode == "platforms":
             return [self.base[i] for i in indices]
         if self.mode == "config":
@@ -167,19 +182,22 @@ class LaneSource:
             return [GyroPlatform(copy.deepcopy(self.base)) for _ in indices]
         if self.mutate:
             return [self.base]
-        return [copy.deepcopy(self.base) for _ in indices]
+        try:
+            blob = pickle.dumps(self.base, protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise ConfigurationError(
+                "campaign lanes branch from one pickle of the base "
+                "platform, so it must be picklable (lambdas and closures, "
+                "e.g. in register write hooks, are not); pass platforms= "
+                f"or mutate=True to run it without branching: {exc}"
+            ) from exc
+        return [pickle.loads(blob) for _ in indices]
 
     def subset(self, indices: Sequence[int]) -> "LaneSource":
         """The slice of this source one shard needs (for its payload)."""
         if self.mode == "platforms":
             return LaneSource("platforms", [self.base[i] for i in indices])
         return LaneSource(self.mode, self.base)
-
-    def digest(self) -> str:
-        """Content digest of the lane source for resume verification."""
-        blob = pickle.dumps((self.mode, self.base),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        return hashlib.sha256(blob).hexdigest()[:16]
 
     def lane_digests(self, n_lanes: int) -> List[str]:
         """Per-lane content digests of the starting state (store keys).
@@ -359,8 +377,6 @@ def _shard_worker_main(task: dict) -> None:
         heartbeat.start()
         _chaos.fire("worker.start", shard=task["shard_id"],
                     attempt=task["attempt"], heartbeat=heartbeat)
-        if task["fault_hook"] is not None:
-            task["fault_hook"](task["shard_id"], task["attempt"])
         source: LaneSource = task["source"]
         lanes = source.materialize(range(len(task["programs"])))
         outcomes = _execute_lanes(task["programs"], lanes, task["engine"])
@@ -395,22 +411,20 @@ def _check_picklable(campaign: Campaign, source: LaneSource,
 
     The lane source (typically the largest payload — whole platform
     objects) is pickled exactly once and the bytes reused for the
-    manifest's resume-verification digest, instead of a second full
-    pickle through :meth:`LaneSource.digest`.  The digest bytes are
-    identical to ``source.digest()``.
+    manifest's resume-verification digest: the first 16 hex digits of
+    the SHA-256 of ``pickle.dumps((source.mode, source.base))``.
     """
     try:
         source_blob = pickle.dumps((source.mode, source.base),
                                    protocol=pickle.HIGHEST_PROTOCOL)
-        pickle.dumps((campaign.programs, options.fault_hook,
-                      options.chaos),
+        pickle.dumps((campaign.programs, options.chaos),
                      protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise ConfigurationError(
             "the sharded executor ships lane programs to worker processes "
-            "by pickling them; every stop condition, metric extractor, "
-            "fault hook and chaos model must be picklable (the scenario "
-            "and chaos libraries' are — lambdas and closures are not): "
+            "by pickling them; every stop condition, metric extractor "
+            "and chaos model must be picklable (the scenario and chaos "
+            "libraries' are — lambdas and closures are not): "
             f"{exc}") from exc
     return hashlib.sha256(source_blob).hexdigest()[:16]
 
@@ -549,7 +563,7 @@ class _ShardScheduler:
         self.slots: Dict[int, dict] = {}
         self.dead_after_s = max(
             options.heartbeat_interval_s * options.heartbeat_grace,
-            4 * options.poll_interval_s)
+            4 * POLL_INTERVAL_S)
         # a freshly forked worker needs time for its first beat (import
         # and fork latency on a loaded host), so silence is measured
         # against a larger allowance until the first beat lands
@@ -572,7 +586,7 @@ class _ShardScheduler:
                     slot["pending"] for slot in self.slots.values()):
                 break
             if not progressed:
-                time.sleep(self.options.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
 
     # -- harvesting ---------------------------------------------------------
 
@@ -758,12 +772,11 @@ class _ShardScheduler:
         slot = self.slots[record.shard_id]
         if (slot["launched"] >= self.policy.max_attempts
                 or len(self._live_attempts(record.shard_id)) > 1
-                or len(self.completed_durations)
-                < self.options.speculation_min_done
+                or len(self.completed_durations) < SPECULATION_MIN_DONE
                 or len(self.running) >= self.workers):
             return
         median = statistics.median(self.completed_durations)
-        if runtime <= factor * max(median, self.options.poll_interval_s):
+        if runtime <= factor * max(median, POLL_INTERVAL_S):
             return
         self._launch(slot, speculative=True)
 
@@ -788,7 +801,6 @@ class _ShardScheduler:
             "heartbeat_path": self.manifest.heartbeat_path(
                 record.shard_id, number),
             "heartbeat_interval_s": self.options.heartbeat_interval_s,
-            "fault_hook": self.options.fault_hook,
             "chaos": self.options.chaos,
         }
         process = self.mp_context.Process(

@@ -21,6 +21,9 @@ Self-healing resume, end to end:
 Because the campaign chunking is packing-invariant and the engines and
 executors are equivalence-locked, a lane served from the store is bit
 identical to a lane simulated fresh — the merge order never matters.
+Missing lanes branch from the lane source like any campaign's lanes
+(one shared pickle of a ``platform=`` base), so store keys, stored
+entries and results are the same whichever lanes happened to miss.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .store import ResultStore
 
 
 def run_with_store(campaign, source, engine: str, executor_name: str,
-                   options, store: ResultStore, fleet=None):
+                   options, store: ResultStore):
     """Execute a campaign against a result store (see module docstring).
 
     Called by ``Campaign.run`` after it has resolved the engine, the
@@ -44,17 +47,9 @@ def run_with_store(campaign, source, engine: str, executor_name: str,
     :class:`CampaignResult`.  Lanes served from the store carry
     ``platform=None`` (the store persists traces and metrics, not live
     simulator objects); lanes that simulated fresh keep their platforms.
-
-    ``fleet`` is an optional pool of pre-built warm platforms: instead
-    of deep-copying the base platform once per missing lane, each miss
-    borrows a fleet lane and rewinds it to the base platform's exact
-    state by reloading one shared pickle of the base (a pickle round
-    trip preserves platform state bit-for-bit, so the rewound lane is
-    indistinguishable from a cold deep copy).  Store keys are untouched
-    — a warm run and a cold run key and replay identically.
     """
     from ..scenarios.campaign import Campaign, CampaignResult
-    from ..scenarios.executor import LaneSource, get_executor
+    from ..scenarios.executor import get_executor
 
     if source.mutate:
         raise ConfigurationError(
@@ -63,21 +58,6 @@ def run_with_store(campaign, source, engine: str, executor_name: str,
             "(drop mutate, or drop store)")
     programs = campaign.programs
     n_lanes = len(programs)
-    if fleet is not None:
-        if source.mode != "platform":
-            raise ConfigurationError(
-                "fleet= rewinds warm lanes to one base platform's state; "
-                "it requires the platform= lane source")
-        if executor_name != "local":
-            raise ConfigurationError(
-                "fleet= reuses in-process platform objects, which cannot "
-                "cross the sharded executor's process boundary; use the "
-                "local executor (or drop fleet=)")
-        fleet = list(fleet)
-        if len(fleet) < n_lanes:
-            raise ConfigurationError(
-                f"fleet of {len(fleet)} warm lanes cannot cover a "
-                f"{n_lanes}-lane campaign")
     source_digests = source.lane_digests(n_lanes)
     keys = [lane_key(source_digests[i], engine,
                      [s.digest() for s in programs[i]])
@@ -96,20 +76,7 @@ def run_with_store(campaign, source, engine: str, executor_name: str,
             for i in missing}
         sub_campaign = Campaign([programs[i] for i in missing],
                                 name=campaign.name)
-        if fleet is not None:
-            # one pickle of the base per campaign, shared by every miss:
-            # each borrowed warm lane is rewound in place to the base
-            # platform's exact starting state
-            base_blob = pickle.dumps(source.base,
-                                     protocol=pickle.HIGHEST_PROTOCOL)
-            warm_lanes = fleet[:len(missing)]
-            for lane in warm_lanes:
-                fresh = pickle.loads(base_blob)
-                lane.__dict__.clear()
-                lane.__dict__.update(fresh.__dict__)
-            sub_source = LaneSource("platforms", warm_lanes)
-        else:
-            sub_source = source.subset(missing)
+        sub_source = source.subset(missing)
         sub_options = options
         if options.manifest_dir is not None:
             tag = miss_set_digest(keys[i] for i in missing)

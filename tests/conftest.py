@@ -1,10 +1,12 @@
 """Shared fixtures for the tier-1 suite."""
 
+import copy
 import math
 
 import pytest
 
 from repro.engine import compiled
+from repro.platform import GyroPlatform
 
 
 class FleetLayout:
@@ -38,3 +40,16 @@ class FleetLayout:
 def fleet_layout(monkeypatch):
     """A :class:`FleetLayout`; the crossover is restored after the test."""
     return FleetLayout(monkeypatch)
+
+
+@pytest.fixture
+def forbid_platform_deepcopy(monkeypatch):
+    """Make any ``copy.deepcopy`` of a platform fail the test loudly."""
+    deepcopy = copy.deepcopy
+
+    def guarded(obj, *args, **kwargs):
+        if isinstance(obj, GyroPlatform):
+            raise AssertionError("deep-copied a platform")
+        return deepcopy(obj, *args, **kwargs)
+
+    monkeypatch.setattr(copy, "deepcopy", guarded)

@@ -33,6 +33,7 @@ from repro.chaos import (
     SlowWrite,
     TornWrite,
     WorkerCrash,
+    WorkerError,
     WorkerHang,
 )
 from repro.chaos import runtime as chaos_runtime
@@ -199,6 +200,20 @@ class TestChaosModels:
         assert clone == plan
         assert "seed=7" in plan.digest_token()
         assert "WorkerCrash" in plan.digest_token()
+
+    def test_worker_error_raises_only_at_its_own_trigger(self):
+        model = WorkerError(shard=1, message="boom")
+        assert model.attempt == 1             # fail once, then recover
+        assert pickle.loads(pickle.dumps(model)) == model
+        assert model.matches(ChaosEvent("worker.start", shard=1, attempt=1))
+        for other in (ChaosEvent("worker.start", shard=0, attempt=1),
+                      ChaosEvent("worker.start", shard=1, attempt=2),
+                      ChaosEvent("shard.write", shard=1, attempt=1)):
+            assert not model.matches(other)
+        with chaos_runtime.active(ChaosPlan([model])):
+            chaos_runtime.fire("worker.start", shard=0, attempt=1)
+            with pytest.raises(RuntimeError, match="boom"):
+                chaos_runtime.fire("worker.start", shard=1, attempt=1)
 
     def test_times_budget_bounds_firings(self):
         plan = ChaosPlan([Enospc(site="store.write", times=2)])
@@ -390,7 +405,7 @@ class TestChaosExecution:
         result = two_lane_campaign.run(
             copy.deepcopy(started_platform), workers=2,
             manifest_dir=str(tmp_path), retry=RetryPolicy(max_attempts=1),
-            fault_hook=_FailShard(0))
+            chaos=_FAIL_SHARD_0)
         assert len(result.failed_shards) == 1
         entry = result.failed_shards[0]["history"][0]
         assert entry["outcome"] == "error"
@@ -406,7 +421,7 @@ class TestChaosExecution:
         started = time.monotonic()
         result = two_lane_campaign.run(
             copy.deepcopy(started_platform), workers=2,
-            manifest_dir=str(tmp_path), fault_hook=_FailShard(0),
+            manifest_dir=str(tmp_path), chaos=_FAIL_SHARD_0,
             retry=RetryPolicy(max_attempts=10, backoff_s=60.0,
                               deadline_s=2.0))
         elapsed = time.monotonic() - started
@@ -435,17 +450,9 @@ class TestChaosExecution:
         assert beat["pid"] != os.getpid()
 
 
-class _FailShard:
-    """Picklable fault hook failing one shard on every attempt."""
-
-    def __init__(self, shard_id):
-        self.shard_id = shard_id
-
-    def __call__(self, shard_id, attempt):
-        if shard_id == self.shard_id:
-            raise RuntimeError(
-                f"injected shard fault (shard {shard_id}, "
-                f"attempt {attempt})")
+#: shard 0's worker raises on every attempt and reports the error
+_FAIL_SHARD_0 = ChaosPlan([WorkerError(shard=0, attempt=None,
+                                       message="injected shard fault")])
 
 
 # ---------------------------------------------------------------------------

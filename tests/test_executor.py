@@ -12,13 +12,13 @@ the shard files rely on.
 """
 
 import copy
-import dataclasses
 import os
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosPlan, WorkerError
 from repro.common import ConfigurationError, RetryPolicy, SimulationError
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.faults import AfeSaturation
@@ -340,7 +340,7 @@ class TestSerialisation:
         partial = camp.run(copy.deepcopy(started_platform), workers=2,
                            shard_size=1, manifest_dir=str(tmp_path),
                            retry=RetryPolicy(max_attempts=1),
-                           fault_hook=FailShard(1))
+                           chaos=FAIL_SHARD_1)
         assert not partial.complete and partial.lanes[1] is None
 
         data = partial.to_dict()
@@ -393,13 +393,6 @@ class TestUnifiedRunApi:
     def test_single_environment_rejects_workers(self):
         with pytest.raises(ConfigurationError, match="single environment"):
             GyroPlatform().run(Environment.still(), 0.01, workers=2)
-
-    def test_fleet_rejects_sharded(self):
-        platform = GyroPlatform()
-        fleet = platform.make_fleet(2)
-        envs = [Environment.still()] * 2
-        with pytest.raises(ConfigurationError, match="fleet"):
-            platform.run(envs, 0.01, workers=2, fleet=fleet)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ConfigurationError, match="must not be empty"):
@@ -477,32 +470,14 @@ class TestShardedEquivalence:
 # fault injection, retry and resume
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class FailFirstAttempt:
-    """Picklable fault hook: every shard's first attempt dies."""
-
-    def __call__(self, shard_id: int, attempt: int) -> None:
-        if attempt == 1:
-            raise RuntimeError(f"injected fault on shard {shard_id}")
-
-
-@dataclasses.dataclass(frozen=True)
-class FailShard:
-    """Picklable fault hook: one shard fails on every attempt."""
-
-    shard_id: int
-
-    def __call__(self, shard_id: int, attempt: int) -> None:
-        if shard_id == self.shard_id:
-            raise RuntimeError("injected persistent fault")
-
-
-@dataclasses.dataclass(frozen=True)
-class FailAlways:
-    """Picklable fault hook: any shard that actually launches dies."""
-
-    def __call__(self, shard_id: int, attempt: int) -> None:
-        raise RuntimeError(f"shard {shard_id} should not have run")
+#: every shard's first attempt raises
+FAIL_FIRST_ATTEMPT = ChaosPlan([WorkerError(message="injected fault")])
+#: shard 1 raises on every attempt
+FAIL_SHARD_1 = ChaosPlan([WorkerError(shard=1, attempt=None,
+                                      message="injected persistent fault")])
+#: any shard that actually launches raises
+FAIL_ALWAYS = ChaosPlan([WorkerError(attempt=None,
+                                     message="shard should not have run")])
 
 
 class TestFaultInjectionAndResume:
@@ -513,7 +488,7 @@ class TestFaultInjectionAndResume:
         local = camp.run(copy.deepcopy(started_platform))
         sharded = camp.run(copy.deepcopy(started_platform), workers=2,
                            manifest_dir=str(tmp_path),
-                           fault_hook=FailFirstAttempt())
+                           chaos=FAIL_FIRST_ATTEMPT)
         assert_campaigns_identical(local, sharded)
         manifest = CampaignManifest.load(str(tmp_path))
         assert all(s.status == SHARD_DONE for s in manifest.shards)
@@ -526,7 +501,7 @@ class TestFaultInjectionAndResume:
         partial = camp.run(copy.deepcopy(started_platform), workers=2,
                            manifest_dir=str(tmp_path),
                            retry=RetryPolicy(max_attempts=2, backoff_s=0.01),
-                           fault_hook=FailShard(1))
+                           chaos=FAIL_SHARD_1)
 
         # the poisoned shard is quarantined, not fatal: the campaign
         # completes with the healthy shard's results and an explicit
@@ -587,7 +562,7 @@ class TestFaultInjectionAndResume:
         with pytest.warns(RuntimeWarning, match="corrupt"):
             resumed = camp.run(copy.deepcopy(started_platform), workers=2,
                                manifest_dir=str(tmp_path),
-                               fault_hook=FailAlways())
+                               chaos=FAIL_ALWAYS)
         assert resumed.complete
         assert_campaigns_identical(first, resumed)
         assert os.path.exists(manifest_path + ".corrupt-0")

@@ -6,8 +6,10 @@ or lane by lane — from the same platform state produces bit-identical
 traces, metrics and final state, early-stop chunking included.  These
 tests hold it to that, lock the fleet-vs-sequential calibration
 equivalence, check that each lane counts samples on its own platform's
-grid in mixed-rate campaigns, and cover the engine registry and the
-fleet-reuse path of ``GyroPlatform.run(..., fleet=...)``.
+grid in mixed-rate campaigns, and cover the engine registry and lane
+branching: every ``platform=`` lane is unpickled from one shared
+pickle of the base, never deep-copied, and shares no state with its
+siblings or the base.
 """
 
 import copy
@@ -30,6 +32,7 @@ from repro.scenarios import (
     tail_mean,
     validate_engine,
 )
+from repro.scenarios.executor import LaneSource, _state_digest
 from repro.sensors import Environment
 from repro.sensors.environment import (
     ConstantProfile,
@@ -265,35 +268,60 @@ class TestCalibrationEquivalence:
         assert configs[0] == configs[1]
 
 
-class TestFleetReuse:
-    def test_run_accepts_existing_fleet(self):
+class TestBranching:
+    def test_branching_never_deep_copies_a_platform(
+            self, forbid_platform_deepcopy):
         platform = GyroPlatform()
-        fleet = platform.make_fleet(2)
-        lanes = list(fleet.platforms)
+        before = _state_digest(platform)
         envs = [Environment.still(), Environment.constant_rate(80.0)]
-        first = platform.run(envs, 0.02, fleet=fleet)
-        # the same lane objects are reused, carrying their state forward
-        assert fleet.platforms == lanes
+        branched = platform.run(envs, 0.02)
+        direct = [GyroPlatform().run(env, 0.02) for env in envs]
+        assert ([r.digest() for r in branched]
+                == [r.digest() for r in direct])
+        assert _state_digest(platform) == before
+
+    def test_branched_lanes_share_no_state(self):
+        base = GyroPlatform()
+        before = _state_digest(base)
+        source = LaneSource.resolve(base, None, None, False, 2)
+        first, second = source.materialize(range(2))
+        # every lane starts from the base's exact state
+        assert _state_digest(second) == before
+        first.run(Environment.constant_rate(50.0), 0.01)
+        assert _state_digest(second) == before
+        assert _state_digest(base) == before
+
+    def test_prebuilt_platforms_carry_state_across_campaigns(self):
+        lanes = [GyroPlatform(), GyroPlatform()]
+        envs = [Environment.still(), Environment.constant_rate(80.0)]
+        campaign = Campaign([Scenario(name=f"run[{i}]", environment=env,
+                                      duration_s=0.02)
+                             for i, env in enumerate(envs)])
+        first = campaign.run(platforms=lanes)
         assert all(lane.now == pytest.approx(0.02) for lane in lanes)
-        second = platform.run(envs, 0.02, fleet=fleet)
+        second = campaign.run(platforms=lanes)
         assert all(lane.now == pytest.approx(0.04) for lane in lanes)
-        # continuing the fleet is exactly one longer dedicated run
-        dedicated = GyroPlatform(copy.deepcopy(platform.config))
-        long = dedicated.run(envs[1], 0.04, engine="reference")
-        np.testing.assert_array_equal(
-            long.rate_output_dps,
-            np.concatenate([first[1].rate_output_dps,
-                            second[1].rate_output_dps]))
+        assert all(outcome.platform is lane
+                   for outcome, lane in zip(second.lanes, lanes))
+        # two campaigns on the same lanes are exactly one longer run
+        long = GyroPlatform().run(envs[1], 0.04, engine="reference")
+        halves = [run.lanes[1].outcomes[0].result.rate_output_dps
+                  for run in (first, second)]
+        np.testing.assert_array_equal(long.rate_output_dps,
+                                      np.concatenate(halves))
 
-    def test_run_fleet_size_mismatch_rejected(self):
+    def test_unpicklable_base_is_rejected_but_runs_unbranched(self):
         platform = GyroPlatform()
-        fleet = platform.make_fleet(2)
-        with pytest.raises(ConfigurationError):
-            platform.run([Environment.still()], 0.01, fleet=fleet)
-
-    def test_make_fleet_validates_size(self):
-        with pytest.raises(ConfigurationError):
-            GyroPlatform().make_fleet(0)
+        platform.conditioner.registers.on_write("dsp_drive_gain",
+                                                lambda value: None)
+        campaign = Campaign([Scenario(name="hooked",
+                                      environment=Environment.still(),
+                                      duration_s=0.01)])
+        with pytest.raises(ConfigurationError, match="must be picklable"):
+            campaign.run(platform)
+        # caller-owned lanes never branch, so the hooked platform runs
+        assert campaign.run(platforms=[platform]).complete
+        assert campaign.run(platform, mutate=True).complete
 
 
 class TestTimeShiftedProfiles:

@@ -14,7 +14,6 @@ provenance, not identity).
 """
 
 import copy
-import dataclasses
 import hashlib
 import json
 import os
@@ -31,7 +30,13 @@ from hypothesis import example, given, strategies as st
 from strategies.settings import SLOW_SETTINGS, STANDARD_SETTINGS
 
 import repro
-from repro.chaos import ChaosPlan, Enospc, InjectedCrash, KillMidRename
+from repro.chaos import (
+    ChaosPlan,
+    Enospc,
+    InjectedCrash,
+    KillMidRename,
+    WorkerError,
+)
 from repro.chaos import runtime as chaos_runtime
 from repro.common import (
     ConfigurationError,
@@ -195,6 +200,16 @@ class TestServing:
         assert store.stats.puts == 3
         assert len(store) == 3
 
+    def test_cold_misses_never_deep_copy_a_platform(
+            self, started_platform, tmp_path, forbid_platform_deepcopy):
+        camp = make_campaign()
+        base = pickle.loads(pickle.dumps(started_platform))
+        plain = camp.run(base)
+        store = ResultStore(str(tmp_path / "store"))
+        cold = camp.run(base, store=store)
+        assert_campaigns_identical(plain, cold)
+        assert store.stats.misses == 2 and store.stats.puts == 2
+
     def test_mutate_with_store_rejected(self, started_platform, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         camp = Campaign([settled_output_scenario(0.0, settle_s=0.01)])
@@ -209,104 +224,6 @@ class TestServing:
             json.dump({"schema": 99}, fh)
         with pytest.raises(StoreError, match="schema"):
             ResultStore(str(root))
-
-
-class TestWarmFleet:
-    """``Campaign.run(fleet=...)``: store misses borrow pre-built warm
-    lanes (rewound to the base platform's state from one shared pickle)
-    instead of deep-copying the base once per miss."""
-
-    def _fleet(self, platform, n):
-        blob = pickle.dumps(platform, protocol=pickle.HIGHEST_PROTOCOL)
-        return [pickle.loads(blob) for _ in range(n)]
-
-    def test_fleet_run_bit_identical_to_cold(self, started_platform,
-                                             tmp_path):
-        camp = make_campaign()
-        cold_store = ResultStore(str(tmp_path / "cold"))
-        cold = camp.run(copy.deepcopy(started_platform), store=cold_store)
-
-        fleet = self._fleet(started_platform, len(camp))
-        warm_store = ResultStore(str(tmp_path / "warm"))
-        warm = camp.run(copy.deepcopy(started_platform), store=warm_store,
-                        fleet=fleet)
-        assert_campaigns_identical(cold, warm)
-        # a warm-fleet run keys and stores exactly what a cold run does
-        assert sorted(warm_store.keys()) == sorted(cold_store.keys())
-        assert warm_store.stats.misses == 2 and warm_store.stats.puts == 2
-
-    def test_fleet_misses_never_deepcopy(self, started_platform, tmp_path,
-                                         monkeypatch):
-        camp = make_campaign()
-        store = ResultStore(str(tmp_path / "store"))
-        fleet = self._fleet(started_platform, len(camp))
-        base = copy.deepcopy(started_platform)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("cache miss deep-copied a platform "
-                                 "despite a warm fleet")
-        monkeypatch.setattr(copy, "deepcopy", boom)
-        result = camp.run(base, store=store, fleet=fleet)
-        assert result.complete
-        assert store.stats.misses == 2 and store.stats.puts == 2
-
-    def test_fleet_is_reusable_across_campaigns(self, started_platform,
-                                                tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        fleet = self._fleet(started_platform, 2)
-        first = make_campaign().run(copy.deepcopy(started_platform),
-                                    store=store, fleet=fleet)
-        changed = Campaign(rate_table_scenarios([0.0, 31.0], settle_s=0.02),
-                           name="store-camp")
-        second = changed.run(copy.deepcopy(started_platform), store=store,
-                             fleet=fleet)
-        assert first.complete and second.complete
-        # second campaign: the 0.0 lane hits, the 31.0 lane reuses a
-        # rewound fleet lane for its miss
-        assert store.stats.hits == 1 and store.stats.puts == 3
-
-    def test_fleet_serves_hits_without_touching_lanes(self, started_platform,
-                                                      tmp_path, monkeypatch):
-        camp = make_campaign()
-        store = ResultStore(str(tmp_path / "store"))
-        camp.run(copy.deepcopy(started_platform), store=store)
-        forbid_simulation(monkeypatch)
-        fleet = self._fleet(started_platform, len(camp))
-        warm = camp.run(copy.deepcopy(started_platform), store=store,
-                        fleet=fleet)
-        assert warm.complete and store.stats.hits == 2
-
-    def test_fleet_without_store_rejected(self, started_platform):
-        camp = make_campaign()
-        fleet = self._fleet(started_platform, len(camp))
-        with pytest.raises(ConfigurationError, match="store"):
-            camp.run(copy.deepcopy(started_platform), fleet=fleet)
-
-    def test_fleet_requires_platform_source(self, started_platform,
-                                            tmp_path):
-        camp = make_campaign()
-        store = ResultStore(str(tmp_path / "store"))
-        fleet = self._fleet(started_platform, len(camp))
-        with pytest.raises(ConfigurationError, match="platform="):
-            camp.run(platforms=self._fleet(started_platform, len(camp)),
-                     store=store, fleet=fleet)
-
-    def test_fleet_on_sharded_executor_rejected(self, started_platform,
-                                                tmp_path):
-        camp = make_campaign()
-        store = ResultStore(str(tmp_path / "store"))
-        fleet = self._fleet(started_platform, len(camp))
-        with pytest.raises(ConfigurationError, match="local"):
-            camp.run(copy.deepcopy(started_platform), store=store,
-                     fleet=fleet, workers=2,
-                     manifest_dir=str(tmp_path / "manifest"))
-
-    def test_too_small_fleet_rejected(self, started_platform, tmp_path):
-        camp = make_campaign()
-        store = ResultStore(str(tmp_path / "store"))
-        with pytest.raises(ConfigurationError, match="fleet"):
-            camp.run(copy.deepcopy(started_platform), store=store,
-                     fleet=self._fleet(started_platform, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -674,17 +591,6 @@ class TestKillDuringWrite:
 # store + sharded executor: failure quarantine and self-healing resume
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class FailShard:
-    """Picklable fault hook: one shard fails on every attempt."""
-
-    shard_id: int
-
-    def __call__(self, shard_id: int, attempt: int) -> None:
-        if shard_id == self.shard_id:
-            raise RuntimeError("injected persistent fault")
-
-
 class TestStoreBackedResume:
     def test_failed_shard_reported_then_healed(self, started_platform,
                                                tmp_path):
@@ -695,7 +601,9 @@ class TestStoreBackedResume:
                            workers=2, shard_size=1,
                            manifest_dir=manifest_dir,
                            retry=RetryPolicy(max_attempts=1),
-                           fault_hook=FailShard(1))
+                           chaos=ChaosPlan([WorkerError(
+                               shard=1, attempt=None,
+                               message="injected persistent fault")]))
         # the healthy lane was stored; the poisoned one is reported
         # against its ORIGINAL campaign lane index
         assert not partial.complete
