@@ -3,34 +3,41 @@
 Times the co-simulation paths on the same fixed workload — the Fig. 5
 drive-loop locking scenario (sensor at rest from power-on) — plus the
 scenario-campaign orchestrator on a rate-table sweep, both in-process
-and through the sharded multi-process executor, all on the default
-engine, and writes ``BENCH_engine.json`` at the repository root so the
-perf trajectory can be tracked across PRs.
+and through the sharded multi-process executor, on the default engine
+with each lane-kernel backend (C and generated Python), and writes
+``BENCH_engine.json`` at the repository root so the perf trajectory
+can be tracked across PRs.
 
 Schema: a list of ``{path, samples_per_sec, speedup_vs_reference}``
-records under ``"entries"``.  ``samples_per_sec`` is simulated
+records under ``"entries"``; the compiled, campaign and sharded paths
+carry their backend in brackets.  ``samples_per_sec`` is simulated
 samples per wall-clock second; for the campaign paths all fleet lanes
 count, so their speedup is the *per-scenario* throughput gain at ``B``
 lanes.  ``"crossover"`` times one fleet of ``B`` 0.05 s rate-table lanes
 (branched from a started platform) forced onto each fleet layout —
-lockstep and lane by lane — at several ``B``: the table behind
-``repro.engine.compiled.LOCKSTEP_CROSSOVER``.  ``"store"`` times the
-result store on one campaign of ``STORE_LANES`` 0.05 s settled-output
-lanes branched from a started platform: the mean entry size, the put
-time per lane into a fresh store (cold) and the hit time per lane
-reading every entry back (warm).  ``"branch"`` times
+lockstep, and lane by lane on each backend — at several ``B``: the
+table behind ``repro.engine.compiled.LOCKSTEP_CROSSOVER``, which
+``"lockstep_crossover"`` records (``null`` when it is infinite, that
+is when every fleet runs lane by lane).  ``"build"``
+times the C backend's on-disk kernel cache in a temporary cache
+directory, per kernel plan: the cold build (lowering, compiling and the
+self-check) and the warm load from the cache in the same process.
+``"store"`` times the result store on one campaign of ``STORE_LANES``
+0.05 s settled-output lanes branched from a started platform: the mean
+entry size, the put time per lane into a fresh store (cold) and the hit
+time per lane reading every entry back (warm).  ``"branch"`` times
 ``LaneSource.materialize`` branching ``BRANCH_LANES`` campaign lanes
 from a started platform, per lane.  ``"host"`` records the CPU model
 and the Python and NumPy versions the report ran on.  ``compiled_backend``
-records whether the compiled rows ran the numba JIT or the
-generated-Python fallback; kernel generation/JIT warm-up is excluded
-from every timing (a throwaway run compiles and caches the kernels
-before the clock starts).
+records the default backend and the compiler; kernel generation and
+builds are excluded from every timing but ``"build"`` (a throwaway run
+compiles and caches the kernels before the clock starts).
 
 Run with:  python benchmarks/perf_report.py [--quick]
 """
 
 import argparse
+import contextlib
 import copy
 import json
 import math
@@ -47,6 +54,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.engine import FleetSimulator, backend_info      # noqa: E402
 from repro.engine import compiled                          # noqa: E402
+from repro.engine.compiled import kernel_plan              # noqa: E402
 from repro.platform import GyroPlatform, GyroPlatformConfig  # noqa: E402
 from repro.scenarios import Campaign, rate_table_scenarios  # noqa: E402
 from repro.scenarios.executor import LaneSource            # noqa: E402
@@ -66,6 +74,20 @@ BRANCH_LANES = 32
 
 
 REPEATS = 2  # best-of-N to damp scheduler noise
+
+#: Lane-kernel backends this host can run, default first.
+BACKENDS = ("c", "python") if compiled.COMPILER else ("python",)
+
+
+@contextlib.contextmanager
+def _backend(name: str):
+    """Run the compiled engine's lane kernels on one backend."""
+    saved = compiled.BACKEND
+    compiled.BACKEND = name
+    try:
+        yield
+    finally:
+        compiled.BACKEND = saved
 
 
 def _time_engine(engine: str, duration_s: float) -> float:
@@ -88,23 +110,27 @@ def _time_layouts(platform, lanes: int, duration_s: float) -> dict:
     """Time one ``lanes``-lane rate-table fleet on each fleet layout.
 
     Each lane is a copy of the started ``platform`` held at its own
-    constant rate; returns the best wall time per layout.
+    constant rate; returns the best wall time of the lockstep layout
+    and of the lane layout on each backend (``"lane[c]"``, ...).
     """
     envs = [Environment.constant_rate(-200.0 + 400.0 * i / max(lanes - 1, 1))
             for i in range(lanes)]
     saved = compiled.LOCKSTEP_CROSSOVER
     times = {}
+    layouts = [("lockstep", 1, BACKENDS[0])] + [
+        (f"lane[{backend}]", math.inf, backend) for backend in BACKENDS]
     try:
-        for layout, crossover in (("lockstep", 1), ("lane", math.inf)):
+        for layout, crossover, backend in layouts:
             compiled.LOCKSTEP_CROSSOVER = crossover
-            FleetSimulator([copy.deepcopy(platform)]).run(envs[0], 0.001)
-            best = float("inf")
-            for _ in range(REPEATS):
-                fleet = FleetSimulator([copy.deepcopy(platform)
-                                        for _ in range(lanes)])
-                start = time.perf_counter()
-                fleet.run(envs, duration_s)
-                best = min(best, time.perf_counter() - start)
+            with _backend(backend):
+                FleetSimulator([copy.deepcopy(platform)]).run(envs[0], 0.001)
+                best = float("inf")
+                for _ in range(REPEATS):
+                    fleet = FleetSimulator([copy.deepcopy(platform)
+                                            for _ in range(lanes)])
+                    start = time.perf_counter()
+                    fleet.run(envs, duration_s)
+                    best = min(best, time.perf_counter() - start)
             times[layout] = best
     finally:
         compiled.LOCKSTEP_CROSSOVER = saved
@@ -213,6 +239,51 @@ def _time_branch(platform, lanes: int) -> dict:
     return {"lanes": lanes, "ms_per_lane": round(best / lanes * 1e3, 3)}
 
 
+def _time_build() -> list:
+    """Cold build and warm load of lane kernels, in a temporary cache.
+
+    Per kernel plan (default, fixed point, closed loop): the seconds a
+    first request takes on an empty cache (lowering, compiling and the
+    self-check) and the best milliseconds a later request takes once the
+    in-process kernel table is cleared (source generation, lowering,
+    hashing and loading the cached library, which is already mapped
+    into this process).
+    """
+    configs = {"default": GyroPlatformConfig()}
+    for mode in ("fixed_point", "closed_loop"):
+        configs[mode] = GyroPlatformConfig()
+        setattr(configs[mode].conditioner, mode, True)
+    saved_env = os.environ.get("XDG_CACHE_HOME")
+    saved_kernels = compiled._KERNELS
+    root = tempfile.mkdtemp(prefix="bench-kernels-")
+    rows = []
+    try:
+        os.environ["XDG_CACHE_HOME"] = root
+        for name, cfg in configs.items():
+            platform = GyroPlatform(cfg)
+            plan = kernel_plan(platform)
+            seconds = []
+            for _ in range(1 + REPEATS):
+                compiled._KERNELS = {}
+                start = time.perf_counter()
+                kernel = compiled._compile_kernel(
+                    plan, "c", platform=platform,
+                    environment=Environment.still())
+                seconds.append(time.perf_counter() - start)
+                assert hasattr(kernel, "library"), "no C kernel was built"
+            rows.append({"plan": name,
+                         "cold_build_s": round(seconds[0], 3),
+                         "warm_load_ms": round(min(seconds[1:]) * 1e3, 2)})
+    finally:
+        if saved_env is None:
+            os.environ.pop("XDG_CACHE_HOME", None)
+        else:
+            os.environ["XDG_CACHE_HOME"] = saved_env
+        compiled._KERNELS = saved_kernels
+        shutil.rmtree(root, ignore_errors=True)
+    return rows
+
+
 def _host() -> dict:
     """CPU model and the Python and NumPy versions of this host."""
     cpu = host.processor() or "unknown"
@@ -239,18 +310,21 @@ def build_report(duration_s: float = DURATION_S,
     workers = workers or min(2, os.cpu_count() or 1)
 
     t_ref = _time_engine("reference", duration_s)
-    t_compiled = _time_engine("compiled", duration_s)
-    t_campaign = _time_campaign(lanes, duration_s)
-    t_sharded = _time_sharded(lanes, duration_s, workers)
-
     sps_ref = n / t_ref
+    rows = [("reference", sps_ref)]
+    for backend in BACKENDS:
+        with _backend(backend):
+            rows += [
+                (f"compiled[{backend}]",
+                 n / _time_engine("compiled", duration_s)),
+                (f"campaign[{backend}, rate-table B={lanes}]",
+                 n * lanes / _time_campaign(lanes, duration_s)),
+                (f"sharded[{backend}, {workers} workers, rate-table "
+                 f"B={lanes}]",
+                 n * lanes / _time_sharded(lanes, duration_s, workers)),
+            ]
     entries = []
-    for path, sps in (("reference", sps_ref),
-                      ("compiled", n / t_compiled),
-                      (f"campaign[rate-table B={lanes}]",
-                       n * lanes / t_campaign),
-                      (f"sharded[{workers} workers, rate-table B={lanes}]",
-                       n * lanes / t_sharded)):
+    for path, sps in rows:
         entries.append({
             "path": path,
             "samples_per_sec": round(sps, 1),
@@ -262,13 +336,13 @@ def build_report(duration_s: float = DURATION_S,
     crossover = []
     for b in crossover_lanes:
         times = _time_layouts(started, b, crossover_s)
-        crossover.append({
-            "lanes": b,
-            "lockstep_samples_per_sec": round(n_cross * b
-                                              / times["lockstep"], 1),
-            "lane_samples_per_sec": round(n_cross * b / times["lane"], 1),
-            "lockstep_vs_lane": round(times["lane"] / times["lockstep"], 2),
-        })
+        row = {"lanes": b}
+        for layout, seconds in times.items():
+            row[f"{layout}_samples_per_sec"] = round(n_cross * b / seconds, 1)
+        for backend in BACKENDS:
+            row[f"lockstep_vs_lane[{backend}]"] = round(
+                times[f"lane[{backend}]"] / times["lockstep"], 2)
+        crossover.append(row)
     return {
         "scenario": ("fig5 locking run: sensor at rest from power-on, "
                      f"{duration_s} s @ {fs:.0f} Hz; campaign/sharded "
@@ -279,12 +353,17 @@ def build_report(duration_s: float = DURATION_S,
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "host": _host(),
-        "compiled_backend": backend_info(),
+        "compiled_backend": dict(
+            backend_info(), cache_dir=backend_info()["cache_dir"].replace(
+                os.path.expanduser("~"), "~", 1)),
         "entries": entries,
         "crossover_scenario": (f"one fleet of B rate-table lanes, "
                                f"{crossover_s} s each from a started "
-                               "platform, forced onto each fleet layout"),
-        "lockstep_crossover": compiled.LOCKSTEP_CROSSOVER,
+                               "platform, forced onto each fleet layout "
+                               "and lane backend"),
+        # JSON has no infinity: null means every fleet runs lane by lane
+        "lockstep_crossover": (None if math.isinf(compiled.LOCKSTEP_CROSSOVER)
+                               else compiled.LOCKSTEP_CROSSOVER),
         "crossover": crossover,
         "store_scenario": (f"one campaign of {STORE_LANES} settled-output "
                            f"lanes, {STORE_S} s each from a started "
@@ -295,6 +374,11 @@ def build_report(duration_s: float = DURATION_S,
                             f"{BRANCH_LANES} campaign lanes from a started "
                             "platform"),
         "branch": _time_branch(started, BRANCH_LANES),
+        "build_scenario": ("per kernel plan, in an empty temporary kernel "
+                           "cache: the first request (C lowering, compile, "
+                           "self-check) and a repeat request after the "
+                           "in-process kernel table is cleared"),
+        "build": _time_build() if compiled.COMPILER else [],
     }
 
 
@@ -321,7 +405,7 @@ def main() -> None:
     output = args.output or (None if args.quick else REPORT_PATH)
     if output is not None:
         with open(output, "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
             fh.write("\n")
         print(f"wrote {output}")
     else:
@@ -330,8 +414,13 @@ def main() -> None:
         print(f"  {entry['path']:<40s} {entry['samples_per_sec']:>12,.0f} "
               f"samples/s   {entry['speedup_vs_reference']:>6.2f}x")
     for row in report["crossover"]:
-        print(f"  lockstep vs lane by lane, B={row['lanes']:<3d}"
-              f"{row['lockstep_vs_lane']:>27.2f}x")
+        for backend in BACKENDS:
+            print(f"  lockstep vs lane by lane [{backend}], "
+                  f"B={row['lanes']:<3d}"
+                  f"{row[f'lockstep_vs_lane[{backend}]']:>20.2f}x")
+    for row in report["build"]:
+        print(f"  build {row['plan']:<12s} cold {row['cold_build_s']:.2f} s, "
+              f"warm {row['warm_load_ms']:.1f} ms")
     store = report["store"]
     print(f"  store, {store['lanes']} lanes: {store['entry_kib']:.1f} KiB "
           f"per entry, put {store['put_ms_per_lane']:.2f} ms/lane, "

@@ -7,10 +7,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy", "scipy"],
-    extras_require={
-        # the compiled engine JITs its generated kernels with numba when
-        # available and falls back to plain exec-compiled Python when
-        # not; install with `pip install -e .[jit]` for the fast path
-        "jit": ["numba"],
-    },
 )

@@ -8,9 +8,10 @@ Two interchangeable ways to run the same mixed-signal co-simulation:
 * **compiled** (:func:`repro.engine.compiled.run_compiled`) — a kernel
   *generated* for the platform's structure (the whole sensor → AFE →
   DSP → DAC loop, fixed-point quantisers inlined, biquads unrolled, dead
-  branches dropped) and JIT-compiled with numba when it is installed;
-  without numba the same generated source runs as a plain Python
-  kernel.  Bit-identical traces and state, and the default.
+  branches dropped) and lowered to C by :mod:`repro.engine.native`,
+  built once per host into an on-disk cache; without a C compiler the
+  same generated source runs as a plain Python kernel.  Bit-identical
+  traces and state, and the default.
   :func:`run_compiled_fleet` (and its thin front
   :class:`FleetSimulator`) runs fleets of any mix of structures: groups
   of structurally equal lanes that fill a fleet step in NumPy lockstep,

@@ -19,13 +19,18 @@ tracked with a countdown instead of a modulo.
 
 One emit sequence renders the plan in two *layouts*:
 
-* **lane** — the loop on local floats for one platform.  The source is
-  compiled two ways: ``"numba"`` wraps it in ``numba.njit`` (no
-  ``fastmath``, so IEEE-754 semantics are preserved) when numba is
-  importable; ``"python"`` runs it through ``compile()``/``exec`` after
-  a ``.tolist()`` prelude that moves the per-sample arrays into Python
-  floats.  The fallback is selected automatically, so the ``"compiled"``
-  engine always registers and behaves identically — only slower.
+* **lane** — the loop on local floats for one platform, with two
+  backends.  ``"c"`` lowers the source variant that indexes the
+  ndarrays directly to C (:mod:`repro.engine.native`), builds it with
+  the system compiler into an on-disk cache and calls it through
+  :mod:`ctypes`; a new library must reproduce the Python kernel bit for
+  bit on the requesting platform's own stimulus before it is cached
+  (:data:`SELF_CHECK_SAMPLES`).  ``"python"`` runs the source through
+  ``compile()``/``exec`` after a ``.tolist()`` prelude that moves the
+  per-sample arrays into Python floats.  It is the fallback when no
+  compiler is found (:data:`COMPILER`) or a build fails, so the
+  ``"compiled"`` engine always registers and behaves identically, only
+  slower.
 * **lockstep** — the same loop with every local a ``(B,)`` NumPy row of
   ``B`` lanes stepped together: the packed ``(S, B)`` state, the
   ``(C, B)`` constants, the biquad arrays and ``(nc, B)`` chunk inputs.
@@ -56,6 +61,14 @@ Formats with ``overflow="error"`` cannot raise from inside a generated
 kernel, so :func:`run_compiled` transparently delegates such platforms
 to the reference loop (same results, same exception behaviour).
 
+Bad input raises the same exception types on every engine and backend:
+a non-finite rate or temperature stimulus raises
+:class:`~repro.common.exceptions.ConfigurationError` before the chunk
+that holds it runs, and a loop driven out of range (a huge rate, say)
+raises :class:`~repro.common.exceptions.SimulationError`, from the
+Python kernel where it fails and from the C kernel at the end of the
+chunk, before any state is written back to the platform.
+
 Runs are processed in time chunks (:data:`CHUNK_SAMPLES`); fleets of
 more than :data:`LANE_CHUNK` lanes drop to
 :data:`BIG_FLEET_CHUNK_SAMPLES` so a big Monte Carlo sweep's per-lane
@@ -66,11 +79,13 @@ from __future__ import annotations
 
 import copy
 import math
+import pickle
+import warnings
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..common.exceptions import ConfigurationError
+from ..common.exceptions import ConfigurationError, SimulationError
 from ..platform.result import GyroSimulationResult
 from ..sensors.environment import Environment
 from .state import (
@@ -78,19 +93,20 @@ from .state import (
     SCALAR_STATE,
     STATE_INDEX,
     biquad_arrays,
+    check_divisors,
     finish_run,
     gather_consts,
     loop_structure,
     pack_scalar_state,
     sensor_temperature_plan,
 )
+from . import native
 
-try:  # pragma: no cover - absence is the tested path in this environment
-    import numba
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
+#: The C compiler command (:func:`repro.engine.native.find_compiler`:
+#: ``$CC``, else Python's build ``CC``), or ``None`` when none is found.
+COMPILER = native.find_compiler()
+#: Backend of the lane layout: ``"c"`` with a compiler, else ``"python"``.
+BACKEND = "c" if COMPILER else "python"
 
 #: Samples per kernel invocation for single runs and small fleets.
 CHUNK_SAMPLES = 16384
@@ -105,10 +121,16 @@ BIG_FLEET_CHUNK_SAMPLES = 4096
 #: value; below it the lanes run one after another.  One lockstep pass
 #: costs about as much as 24 lane samples on the Python backend: the
 #: ``BENCH_engine.json`` crossover table (0.05 s rate-table lanes, 2-vCPU
-#: x86 host, no numba) reads lockstep/lane-by-lane 0.66x at B = 16,
-#: 0.95x at B = 24 and 1.20x at B = 32.  A numba lane kernel is native
-#: code, which lockstep NumPy never beats.
-LOCKSTEP_CROSSOVER = math.inf if HAVE_NUMBA else 24.0
+#: x86 host) reads lockstep/lane-by-lane 0.66x at B = 16, 0.95x at
+#: B = 24 and 1.20x at B = 32 on Python lanes.  A C lane kernel is native
+#: code, which lockstep NumPy never beats at any fleet size in that
+#: table, so with a compiler every lane runs on its own kernel.
+LOCKSTEP_CROSSOVER = math.inf if COMPILER else 24.0
+
+#: Samples of the requesting platform's own stimulus on which a newly
+#: built C kernel must match the Python kernel bit for bit (traces at
+#: every sample, packed state and biquad states) before it is cached.
+SELF_CHECK_SAMPLES = 4096
 
 _PI = repr(math.pi)
 _TWO_PI = repr(2.0 * math.pi)
@@ -213,8 +235,8 @@ def quantizer_lines(var, spec, indent: int, counter,
 
     ``spec`` is a :func:`~repro.engine.state.fmt_spec` tuple (``None``
     emits nothing) and ``counter`` a one-element list used to mint
-    unique temporaries, so every inlined site stays SSA-friendly for
-    numba.  ``floor``/``trunc`` resolve to :mod:`math` in the lane layout
+    unique temporaries, so every inlined site assigns fresh names.
+    ``floor``/``trunc`` resolve to :mod:`math` in the lane layout
     and to NumPy in the lockstep layout.  Exposed at module level so
     tests can lock the generated snippet against
     :func:`repro.common.fixedpoint.quantize` directly.
@@ -249,11 +271,11 @@ def generate_kernel_source(plan: Tuple, backend: str,
     The function body is one emit sequence for both layouts; the lane
     layout's two backends differ only in the array-access prelude (the
     ``"python"`` variant reads per-sample data from ``.tolist()`` copies
-    while ``"numba"`` indexes the ndarrays directly and is then compiled
-    by :func:`numba.njit`).  The lockstep layout runs on NumPy and only
-    has the ``"python"`` backend.
+    while ``"c"`` indexes the ndarrays directly and is then lowered to C
+    by :func:`repro.engine.native.lower`).  The lockstep layout runs on
+    NumPy and only has the ``"python"`` backend.
     """
-    if backend not in ("python", "numba"):
+    if backend not in ("python", "c"):
         raise ConfigurationError(f"unknown kernel backend {backend!r}")
     if lockstep and backend != "python":
         raise ConfigurationError("the lockstep layout runs on NumPy only")
@@ -274,7 +296,7 @@ def generate_kernel_source(plan: Tuple, backend: str,
     emit(f"def kernel({', '.join(kernel_args(lockstep))}):")
 
     # ---- prelude: array access + function binding -------------------------
-    if backend == "numba":
+    if backend == "c":
         for name in _HOT_ARRAYS + ("adc_p_noise", "adc_s_noise"):
             emit(f"    {name}_r = {name}")
     else:
@@ -709,41 +731,141 @@ _LOCKSTEP_FUNCTIONS = {
 }
 
 
+#: Lane-kernel arguments passed by value, and the loop names the C
+#: lowering keeps as integers and booleans (everything else is a double).
+_SCALAR_ARGS = _HEAD_ARGS[:5]
+_INT_NAMES = ("j", "i", "rec", "ev_idx", "ev_n", "next_ev", "next_rec", "_b")
+_BOOL_NAMES = ("locked", "st_failed", "st_active", "just_failed")
+_ARRAY_TYPES = {"ev_starts": "int", "ev_lanes": "int",
+                "lock_tr": "bool", "run_tr": "bool"}
+
+
 def compiled_backend() -> str:
-    """Name of the backend the compiled engine selects: numba or python."""
-    return "numba" if HAVE_NUMBA else "python"
+    """Name of the lane-layout backend in use: ``"c"`` or ``"python"``."""
+    return BACKEND
 
 
 def backend_info() -> dict:
     """Provenance record for benchmark artifacts and diagnostics."""
-    info = {"backend": compiled_backend(), "numba_available": HAVE_NUMBA}
-    if HAVE_NUMBA:  # pragma: no cover - requires the optional dependency
-        info["numba_version"] = numba.__version__
-    return info
+    return {"backend": compiled_backend(),
+            "compiler": COMPILER[0] if COMPILER else None,
+            "cache_dir": str(native.cache_dir())}
 
 
-def _compile_kernel(plan: Tuple, backend: Optional[str] = None,
-                    lockstep: bool = False):
-    """Compile (and cache) the specialised kernel for one plan and layout."""
-    if lockstep:
-        backend = "python"
-    elif backend is None:
-        backend = compiled_backend()
-    key = (plan, backend, lockstep)
+def _python_kernel(plan: Tuple, lockstep: bool = False):
+    """The ``exec``-compiled kernel of one plan and layout (cached)."""
+    key = (plan, "python", lockstep)
     fn = _KERNELS.get(key)
     if fn is None:
-        source = generate_kernel_source(plan, backend, lockstep)
+        source = generate_kernel_source(plan, "python", lockstep)
         functions = _LOCKSTEP_FUNCTIONS if lockstep else _LANE_FUNCTIONS
         namespace = dict(functions)
         namespace.update(("_" + name, fn) for name, fn in functions.items())
-        layout = "lockstep" if lockstep else backend
+        layout = "lockstep" if lockstep else "python"
         code = compile(source, f"<repro-compiled-kernel:{layout}>", "exec")
         exec(code, namespace)
-        fn = namespace["kernel"]
-        if backend == "numba":  # pragma: no cover - optional dependency
-            fn = numba.njit(cache=False, fastmath=False)(fn)
-        _KERNELS[key] = fn
+        fn = _KERNELS[key] = namespace["kernel"]
     return fn
+
+
+def _native_kernel(plan: Tuple, platform, environment):
+    """The C lane kernel of one plan, or the Python one if C fails.
+
+    A lowering, build or self-check failure warns once and returns the
+    Python kernel, which the caller then keeps for the plan.
+    """
+    try:
+        c_source, lengths = native.lower(
+            generate_kernel_source(plan, "c"), _SCALAR_ARGS, _INT_NAMES,
+            _BOOL_NAMES, _ARRAY_TYPES)
+        return native.load_or_build(
+            c_source, COMPILER,
+            lambda lib: native.bind(lib, kernel_args(), _SCALAR_ARGS,
+                                    lengths, _ARRAY_TYPES),
+            lambda candidate: _self_check(plan, candidate, platform,
+                                          environment))
+    except (native.LoweringError, native.BuildError, OSError) as exc:
+        warnings.warn(f"compiled engine: no C kernel for this plan, running "
+                      f"it on the Python backend ({exc})", RuntimeWarning,
+                      stacklevel=4)
+        return _python_kernel(plan)
+
+
+def _compile_kernel(plan: Tuple, backend: Optional[str] = None,
+                    lockstep: bool = False, platform=None, environment=None):
+    """The specialised kernel for one plan and layout, cached per process.
+
+    The one entry point that adds kernels to the cache.  A C lane kernel
+    comes from the on-disk library cache or from a fresh build, which
+    must first reproduce the Python kernel on ``platform``'s own
+    ``environment`` (:func:`_self_check`), so the first request for a
+    plan on the C backend needs both.  Whichever kernel that request
+    settles on serves the plan for the rest of the process.
+    """
+    if lockstep:
+        return _python_kernel(plan, lockstep=True)
+    backend = backend or compiled_backend()
+    if backend != "c":
+        return _python_kernel(plan)
+    key = (plan, "c", False)
+    fn = _KERNELS.get(key)
+    if fn is None:
+        if platform is None or environment is None:
+            raise ValueError("the first request for a C lane kernel needs "
+                             "the platform and environment to self-check "
+                             "it on")
+        fn = _KERNELS[key] = _native_kernel(plan, platform, environment)
+    return fn
+
+
+def _self_check(plan: Tuple, candidate, platform, environment) -> bool:
+    """Whether ``candidate`` matches the Python kernel bit for bit.
+
+    Both kernels run :data:`SELF_CHECK_SAMPLES` samples of ``platform``'s
+    own stimulus, each on its own copy of the platform (so the
+    platform's noise generators do not advance), recording every sample
+    with waveforms.  When the Python kernel rejects that stimulus (a
+    non-finite profile, say) the check runs on a still environment
+    instead.  Raises :class:`~repro.engine.native.BuildError` when the
+    platform cannot be copied or the Python kernel rejects both stimuli.
+    """
+    n = SELF_CHECK_SAMPLES
+    for stimulus in (environment, Environment.still()):
+        outputs = []
+        for kernel in (_python_kernel(plan), candidate):
+            probe = _probe_copy(platform)
+            arrays = _lane_arrays(probe)
+            traces = _trace_arrays(n + 1, True)
+            try:
+                _run_lane_chunk(kernel, probe, stimulus, 0, n, 1, 0, True,
+                                arrays, traces)
+            except (ConfigurationError, SimulationError):
+                if kernel is candidate:
+                    return False
+                break  # the stimulus, not the candidate, is at fault
+            state, _, _, out_z, _, quad_z = arrays
+            outputs.append((state, out_z, quad_z, *traces))
+        else:
+            return all(a.tobytes() == b.tobytes() for a, b in zip(*outputs))
+    raise native.BuildError("the Python kernel rejects every self-check "
+                            "stimulus on this platform")
+
+
+def _probe_copy(platform):
+    """An independent copy of ``platform`` to self-check a kernel on.
+
+    Pickled, like a campaign lane; deep-copied when it does not pickle
+    (a lambda register hook, say).
+    """
+    try:
+        return pickle.loads(pickle.dumps(platform))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        pass
+    try:
+        return copy.deepcopy(platform)
+    except (TypeError, AttributeError, copy.Error) as exc:
+        raise native.BuildError(
+            f"cannot copy the platform to self-check on: {exc}") from exc
 
 
 def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
@@ -755,6 +877,7 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
     lane's noise blocks and retunes its sensor exactly as the reference
     loop would over the chunk, and returns the sensor's temperature
     events (:func:`~repro.engine.state.sensor_temperature_plan`).
+    Raises :class:`ConfigurationError` if the stimulus is not finite.
     """
     nc = t.size
     sensor = platform.sensor
@@ -763,6 +886,13 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
     tc_cfg = platform.conditioner.sense_chain.temperature_comp.config
     out["rate"][:], out["temp"][:] = environment.sample(t)
     temp = out["temp"]
+    for name, values, profile in (
+            ("rate", out["rate"], environment.rate_dps),
+            ("temperature", temp, environment.temperature_c)):
+        if not np.isfinite(values).all():
+            raise ConfigurationError(
+                f"{name} profile {profile!r} is not finite in the chunk "
+                f"starting at t = {t[0]:g} s")
     dt_c = temp - 25.0
     dtm = (np.round((temp + tsens.offset_error_c) / tsens.resolution_c)
            * tsens.resolution_c) - 25.0
@@ -851,6 +981,56 @@ def _trace_arrays(shape, record_waveforms: bool) -> list:
             for name in _TRACES]
 
 
+def _lane_arrays(platform) -> tuple:
+    """``(state, consts, out_coefs, out_z, quad_coefs, quad_z)`` of a lane.
+
+    Raises :class:`ConfigurationError` if a constant the kernel divides
+    by is zero or not finite.
+    """
+    sense = platform.conditioner.sense_chain
+    consts = gather_consts(platform, platform._time_s)
+    check_divisors(consts)
+    return ((pack_scalar_state(platform), consts)
+            + biquad_arrays(sense.output_filter)
+            + biquad_arrays(sense.quadrature_filter))
+
+
+def _check_finite(t0: float, *arrays) -> None:
+    """Raise :class:`SimulationError` unless every loop state is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SimulationError(
+            f"the loop state left the finite range in the chunk starting "
+            f"at t = {t0:g} s")
+
+
+def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,
+                    dec: int, rec: int, record_waveforms: bool, arrays,
+                    traces) -> int:
+    """Fill one chunk's inputs and run it on a lane kernel; returns ``rec``.
+
+    A kernel ``ValueError``/``OverflowError``/``ZeroDivisionError`` (the
+    Python backend failing mid-chunk) and non-finite state after the
+    chunk (the C backend carrying on) both raise
+    :class:`SimulationError`.
+    """
+    t = np.arange(n0, n0 + nc) * (1.0 / platform.config.sample_rate_hz)
+    inputs = np.empty((len(_LANE_INPUTS), nc))
+    state, _, _, out_z, _, quad_z = arrays
+    try:
+        events = _fill_lane_inputs(platform, environment, t,
+                                   dict(zip(_LANE_INPUTS, inputs)))
+        ev_starts, ev_rows = _event_rows(events)
+        rec = int(kernel(n0, nc, dec, rec, record_waveforms, *arrays,
+                         np.array(ev_starts, dtype=np.int64), _NO_LANES,
+                         ev_rows.ravel(), *inputs, *traces))
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise SimulationError(
+            f"the loop failed in the chunk starting at t = {t[0]:g} s: "
+            f"{exc}") from exc
+    _check_finite(t[0], state, out_z, quad_z)
+    return rec
+
+
 def run_compiled(platform, environment, duration_s: float,
                  record_waveforms: bool = False, *,
                  chunk_samples: Optional[int] = None) -> GyroSimulationResult:
@@ -868,34 +1048,22 @@ def run_compiled(platform, environment, duration_s: float,
         return platform._run_reference(environment, duration_s,
                                        record_waveforms)
     fs = platform.config.sample_rate_hz
-    dt = 1.0 / fs
     n = int(round(duration_s * fs))
     dec = platform.config.record_decimation
     start_time = platform._time_s
-    sense = platform.conditioner.sense_chain
 
-    kernel = _compile_kernel(plan)
-    consts = gather_consts(platform, start_time)
-    state = pack_scalar_state(platform)
-    out_coefs, out_z = biquad_arrays(sense.output_filter)
-    quad_coefs, quad_z = biquad_arrays(sense.quadrature_filter)
+    arrays = _lane_arrays(platform)
+    kernel = _compile_kernel(plan, platform=platform,
+                             environment=environment)
     traces = _trace_arrays(n // dec + 1, record_waveforms)
     rec = 0
-
     chunk = int(chunk_samples) if chunk_samples else CHUNK_SAMPLES
     for n0 in range(0, n, chunk):
-        nc = min(chunk, n - n0)
-        inputs = np.empty((len(_LANE_INPUTS), nc))
-        events = _fill_lane_inputs(platform, environment,
-                                   np.arange(n0, n0 + nc) * dt,
-                                   dict(zip(_LANE_INPUTS, inputs)))
-        ev_starts, ev_rows = _event_rows(events)
-        rec = int(kernel(
-            n0, nc, dec, rec, record_waveforms, state, consts,
-            out_coefs, out_z, quad_coefs, quad_z,
-            np.array(ev_starts, dtype=np.int64), _NO_LANES, ev_rows.ravel(),
-            *inputs, *traces))
+        rec = _run_lane_chunk(kernel, platform, environment, n0,
+                              min(chunk, n - n0), dec, rec,
+                              record_waveforms, arrays, traces)
 
+    state, _, _, out_z, _, quad_z = arrays
     finish_run(platform, state, out_z, quad_z, n, start_time)
     return _result(traces, rec, fs, dec, record_waveforms, platform)
 
@@ -936,6 +1104,7 @@ def _run_lockstep(platforms, environments, n_lane: Sequence[int], plan,
         out_coefs[:, b], out_z[:, b] = biquad_arrays(senses[b].output_filter)
         quad_coefs[:, b], quad_z[:, b] = biquad_arrays(
             senses[b].quadrature_filter)
+    check_divisors(consts)
     traces = _trace_arrays((n // dec + 1, B), record_waveforms)
     rec = 0
 
@@ -952,26 +1121,38 @@ def _run_lockstep(platforms, environments, n_lane: Sequence[int], plan,
         k = sum(1 for end in ends if end > n0)
         t = np.arange(n0, n1) * dt
         ev_starts, ev_lanes, ev_rows = [], [], []
-        for b in range(k):
-            out = {name: buffers[name][:nc, b] for name in _LANE_INPUTS
-                   if name not in _PAIRED}
-            for name, (p, s) in _PAIRS.items():
-                out[p] = buffers[name][:nc, 0, b]
-                out[s] = buffers[name][:nc, 1, b]
-            starts, rows = _event_rows(_fill_lane_inputs(lanes[b], envs[b],
-                                                         t, out))
-            ev_starts += starts
-            ev_lanes += [b] * len(starts)
-            ev_rows.append(rows)
-        ev_order = np.argsort(ev_starts, kind="stable")
-        rec = int(kernel(
-            n0, nc, dec, rec, record_waveforms, state[:, :k], consts[:, :k],
-            out_coefs[:, :k], out_z[:, :k], quad_coefs[:, :k], quad_z[:, :k],
-            np.array(ev_starts, dtype=np.int64)[ev_order],
-            np.array(ev_lanes, dtype=np.int64)[ev_order],
-            np.concatenate(ev_rows)[ev_order],
-            *(buffers[name][:nc, ..., :k] for name in _LOCKSTEP_INPUTS),
-            *(tr if tr is _EMPTY else tr[:, :k] for tr in traces)))
+        try:
+            for b in range(k):
+                out = {name: buffers[name][:nc, b] for name in _LANE_INPUTS
+                       if name not in _PAIRED}
+                for name, (p, s) in _PAIRS.items():
+                    out[p] = buffers[name][:nc, 0, b]
+                    out[s] = buffers[name][:nc, 1, b]
+                starts, rows = _event_rows(_fill_lane_inputs(
+                    lanes[b], envs[b], t, out))
+                ev_starts += starts
+                ev_lanes += [b] * len(starts)
+                ev_rows.append(rows)
+            ev_order = np.argsort(ev_starts, kind="stable")
+            # NumPy carries a diverging lane on as inf/NaN, like the C
+            # backend; the finite check below turns it into an error
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                rec = int(kernel(
+                    n0, nc, dec, rec, record_waveforms, state[:, :k],
+                    consts[:, :k], out_coefs[:, :k], out_z[:, :k],
+                    quad_coefs[:, :k], quad_z[:, :k],
+                    np.array(ev_starts, dtype=np.int64)[ev_order],
+                    np.array(ev_lanes, dtype=np.int64)[ev_order],
+                    np.concatenate(ev_rows)[ev_order],
+                    *(buffers[name][:nc, ..., :k]
+                      for name in _LOCKSTEP_INPUTS),
+                    *(tr if tr is _EMPTY else tr[:, :k] for tr in traces)))
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise SimulationError(
+                f"the loop failed in the chunk starting at t = {t[0]:g} s: "
+                f"{exc}") from exc
+        _check_finite(t[0], state[:, :k], out_z[:, :k], quad_z[:, :k])
 
     results = [None] * B
     for b, platform in enumerate(lanes):

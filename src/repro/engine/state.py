@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..common.exceptions import ConfigurationError
 from ..common.fixedpoint import QFormat
 
 
@@ -344,6 +345,30 @@ CONSTS = (
     "reb_alpha", "reb_kp", "reb_ki", "reb_limit",
     "wd_samples", "settle_samples", "dt", "start_time",
 )
+
+
+#: Constants the generated kernels divide by.
+DIVISORS = ("adc_p_vref", "adc_p_lsb", "adc_s_vref", "adc_s_lsb",
+            "ddac_lsb", "cdac_lsb", "rdac_lsb", "rdac_vref", "nco_fs",
+            "full_scale")
+_DIVISOR_INDEX = [CONSTS.index(name) for name in DIVISORS]
+
+
+def check_divisors(consts: np.ndarray) -> None:
+    """Raise :class:`ConfigurationError` unless every divisor is usable.
+
+    ``consts`` is a :func:`gather_consts` vector, or a ``(C, B)`` matrix
+    with one such column per lane.  A zero or non-finite divisor would
+    make Python raise mid-loop but C carry on, so every engine checks
+    them once per run, before the first sample.
+    """
+    values = consts[_DIVISOR_INDEX]
+    if not (np.isfinite(values).all() and values.all()):
+        names = [name for name, row in zip(DIVISORS, values)
+                 if not (np.isfinite(row).all() and np.all(row))]
+        raise ConfigurationError(
+            f"the loop divides by {', '.join(names)}, which must be finite "
+            "and non-zero")
 
 
 def gather_consts(platform, start_time: float) -> np.ndarray:

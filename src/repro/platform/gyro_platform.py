@@ -64,9 +64,10 @@ class GyroPlatformConfig:
         temperature_sensor: on-chip temperature sensor model.
         record_decimation: trace recording decimation factor.
         engine: default simulation engine — ``"compiled"`` (generated
-            specialised kernel, numba-JIT when available; the fast
-            default) or ``"reference"`` (the original object-oriented
-            per-sample loop).  Both produce bit-identical traces; see
+            specialised kernel, lowered to C when a compiler is found
+            and run as generated Python otherwise; the fast default) or
+            ``"reference"`` (the original object-oriented per-sample
+            loop).  Both produce bit-identical traces; see
             ``repro.engine`` and the registry in
             ``repro.scenarios.engines``.
     """
@@ -211,8 +212,14 @@ class GyroPlatform:
         """The original object-oriented per-sample loop (ground truth).
 
         Validation and reset are handled by the caller (:meth:`run` or
-        the engine registry).
+        the engine registry).  Raises the compiled engine's exception
+        types for the same bad input: :class:`ConfigurationError` for a
+        zero or non-finite divisor constant or a non-finite stimulus
+        sample, :class:`SimulationError` when the loop fails on the way.
         """
+        from ..engine.state import check_divisors, gather_consts, \
+            pack_scalar_state
+        check_divisors(gather_consts(self, self._time_s))
         cfg = self.config
         fs = cfg.sample_rate_hz
         dt = 1.0 / fs
@@ -245,37 +252,53 @@ class GyroPlatform:
         rec = 0
         drive_v = self._drive_v
         control_v = self._control_v
-        for i in range(n):
-            t = i * dt
-            rate_dps = rate_profile.value(t)
-            temp_c = temp_profile.value(t)
+        try:
+            for i in range(n):
+                t = i * dt
+                rate_dps = rate_profile.value(t)
+                temp_c = temp_profile.value(t)
+                if not (math.isfinite(rate_dps) and math.isfinite(temp_c)):
+                    name, profile = (("rate", rate_profile)
+                                     if not math.isfinite(rate_dps)
+                                     else ("temperature", temp_profile))
+                    raise ConfigurationError(
+                        f"{name} profile {profile!r} is not finite at "
+                        f"t = {t:g} s")
 
-            primary_v, secondary_v = sensor.step(drive_v, control_v,
-                                                 rate_dps, temp_c)
-            p_norm, s_norm = frontend.acquire(primary_v, secondary_v, temp_c)
-            measured_temp = (round((temp_c + tsensor.offset_error_c)
-                                   / tsensor.resolution_c) * tsensor.resolution_c)
-            drive_word, control_word, rate_word = conditioner.step(
-                p_norm, s_norm, measured_temp)
-            drive_v, control_v = frontend.drive(drive_word, control_word, temp_c)
+                primary_v, secondary_v = sensor.step(drive_v, control_v,
+                                                     rate_dps, temp_c)
+                p_norm, s_norm = frontend.acquire(primary_v, secondary_v,
+                                                  temp_c)
+                measured_temp = (round((temp_c + tsensor.offset_error_c)
+                                       / tsensor.resolution_c)
+                                 * tsensor.resolution_c)
+                drive_word, control_word, rate_word = conditioner.step(
+                    p_norm, s_norm, measured_temp)
+                drive_v, control_v = frontend.drive(drive_word, control_word,
+                                                    temp_c)
 
-            if i % dec == 0:
-                out_v = frontend.rate_output(rate_word, temp_c)
-                time_tr[rec] = start_time + t
-                rate_tr[rec] = rate_dps
-                temp_tr[rec] = temp_c
-                out_dps_tr[rec] = conditioner.rate_dps
-                out_v_tr[rec] = out_v
-                agc_tr[rec] = conditioner.drive_loop.amplitude_control
-                agc_err_tr[rec] = conditioner.drive_loop.amplitude_error
-                perr_tr[rec] = conditioner.drive_loop.phase_error
-                vco_tr[rec] = conditioner.drive_loop.vco_control
-                lock_tr[rec] = conditioner.drive_loop.locked
-                run_tr[rec] = conditioner.running
-                if record_waveforms:
-                    pick_tr[rec] = p_norm
-                    drive_tr[rec] = drive_word
-                rec += 1
+                if i % dec == 0:
+                    out_v = frontend.rate_output(rate_word, temp_c)
+                    time_tr[rec] = start_time + t
+                    rate_tr[rec] = rate_dps
+                    temp_tr[rec] = temp_c
+                    out_dps_tr[rec] = conditioner.rate_dps
+                    out_v_tr[rec] = out_v
+                    agc_tr[rec] = conditioner.drive_loop.amplitude_control
+                    agc_err_tr[rec] = conditioner.drive_loop.amplitude_error
+                    perr_tr[rec] = conditioner.drive_loop.phase_error
+                    vco_tr[rec] = conditioner.drive_loop.vco_control
+                    lock_tr[rec] = conditioner.drive_loop.locked
+                    run_tr[rec] = conditioner.running
+                    if record_waveforms:
+                        pick_tr[rec] = p_norm
+                        drive_tr[rec] = drive_word
+                    rec += 1
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise SimulationError(
+                f"the loop failed at t = {i * dt:g} s: {exc}") from exc
+        if not np.isfinite(pack_scalar_state(self)).all():
+            raise SimulationError("the loop state left the finite range")
 
         self._drive_v = drive_v
         self._control_v = control_v

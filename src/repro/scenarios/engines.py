@@ -8,9 +8,10 @@ resolve engine names here instead of keeping their own string checks.
   ground truth.  Use it when debugging a single block.
 * ``"compiled"`` — a kernel *generated* for the platform's structure
   (quantisers inlined, biquads unrolled, dead branches dropped) and
-  JIT-compiled with numba when it is installed, falling back to a plain
-  ``exec``-compiled Python kernel otherwise.  Bit-identical to the
-  reference chain on both backends, and the default.  Plans with
+  lowered to C with the system compiler, falling back to a plain
+  ``exec``-compiled Python kernel when there is no compiler.
+  Bit-identical to the reference chain on both backends, and the
+  default.  Plans with
   ``overflow="error"`` formats run on the reference loop, because a
   generated kernel cannot raise.  Its fleet entry point takes fleets of
   any mix of structures and picks the fleet layout from the fleet's
@@ -103,10 +104,10 @@ register_engine(EngineSpec(
     runner=_run_reference))
 register_engine(EngineSpec(
     ENGINE_COMPILED,
-    description="generated specialised kernel (numba JIT when installed, "
-                "exec-compiled Python fallback otherwise; the "
-                "default; fleets pick lockstep or lane by lane from "
-                "their shape)",
+    description="generated specialised kernel (lowered to C with the "
+                "system compiler, exec-compiled Python fallback without "
+                "one; the default; fleets pick lockstep or lane by lane "
+                "from their shape)",
     runner=_run_compiled, fleet_runner=_run_compiled_fleet))
 
 

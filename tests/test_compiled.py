@@ -18,14 +18,27 @@ reference loop; this module locks the pieces that make that possible:
   (Hypothesis property over structures and durations);
 * plans with ``overflow="error"`` sites delegate to the reference loop,
   which raises on a real overflow on every engine;
-* backend provenance reports whichever of numba / generated-Python is
-  actually active (numba-specific assertions carry a skip marker so the
-  suite is green either way).
+* backend provenance reports whichever of C / generated-Python is
+  actually active;
+* the C lowering is bit-exact against the ``exec``-compiled source on
+  every quantiser variant, float ``%`` and ``round`` (Hypothesis), and
+  the on-disk build cache loads warm libraries without starting a
+  process, rebuilds corrupted ones, survives concurrent builders and
+  hosts without glibc, starts the compiler at most once per plan and
+  process (also for a platform that does not pickle or a stimulus the
+  Python kernel rejects) and keeps a plan whose build fails its
+  self-check on Python.
 """
 
 import copy
 import dataclasses
+import hashlib
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,15 +46,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies.settings import QUICK_SETTINGS
+from strategies.settings import DETERMINISM_SETTINGS, QUICK_SETTINGS
 
 from repro.common import ConfigurationError, FixedPointOverflowError
 from repro.common.fixedpoint import QFormat, quantize
 from repro.engine import FleetSimulator, backend_info, compiled_backend, \
     run_compiled, run_compiled_fleet
-from repro.engine import compiled
+import repro
+from repro.engine import compiled, native
 from repro.engine.compiled import (
-    HAVE_NUMBA,
     LANE_CHUNK,
     _compile_kernel,
     kernel_plan,
@@ -62,8 +75,8 @@ from repro.scenarios import (
 )
 from repro.sensors import Environment
 
-requires_numba = pytest.mark.skipif(not HAVE_NUMBA,
-                                    reason="numba not installed")
+requires_compiler = pytest.mark.skipif(compiled.COMPILER is None,
+                                       reason="no C compiler found")
 
 
 def _exec_quantizer(fmt: QFormat, lockstep: bool = False):
@@ -131,19 +144,25 @@ class TestPlanAndBackend:
         assert plan == kernel_plan(b)
 
     def test_kernel_cache_reuse(self):
-        plan = kernel_plan(GyroPlatform(GyroPlatformConfig()))
-        assert _compile_kernel(plan) is _compile_kernel(plan)
+        platform = GyroPlatform(GyroPlatformConfig())
+        plan = kernel_plan(platform)
+        first = _compile_kernel(plan, platform=platform,
+                                environment=Environment.still())
+        assert _compile_kernel(plan) is first
+
+    def test_first_c_request_needs_a_platform(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_KERNELS", {})
+        plan = kernel_plan(GyroPlatform())
+        with pytest.raises(ValueError, match="self-check"):
+            _compile_kernel(plan, "c")
 
     def test_backend_provenance(self):
-        assert compiled_backend() == ("numba" if HAVE_NUMBA else "python")
+        assert compiled_backend() == ("c" if compiled.COMPILER else "python")
         info = backend_info()
         assert info["backend"] == compiled_backend()
-        assert isinstance(info["numba_available"], bool)
-
-    @requires_numba
-    def test_numba_backend_active_when_installed(self):
-        assert compiled_backend() == "numba"
-        assert backend_info()["numba_version"]
+        assert info["compiler"] == (compiled.COMPILER[0]
+                                    if compiled.COMPILER else None)
+        assert Path(info["cache_dir"]) == native.cache_dir()
 
     def test_error_overflow_plan_delegates_to_reference(self):
         cfg = GyroPlatformConfig()
@@ -314,9 +333,10 @@ class TestFleetLayoutSelection:
         calls = self._spy(monkeypatch)
         lanes = [GyroPlatform() for _ in range(32)]
         run_compiled_fleet(lanes, Environment.still(), 0.002)
-        # a numba lane kernel is native code: nothing runs in lockstep
-        assert calls == ([] if HAVE_NUMBA else [32])
-        assert compiled.LOCKSTEP_CROSSOVER == (math.inf if HAVE_NUMBA
+        # a C lane kernel is native code: nothing runs in lockstep
+        native_lanes = compiled_backend() == "c"
+        assert calls == ([] if native_lanes else [32])
+        assert compiled.LOCKSTEP_CROSSOVER == (math.inf if native_lanes
                                                else 24.0)
 
         calls.clear()
@@ -335,7 +355,9 @@ class TestFleetLayoutSelection:
         assert calls == []
 
 
-_structures = st.tuples(st.booleans(), st.booleans())
+_structures = st.tuples(st.booleans(), st.booleans(),
+                        st.sampled_from(("c", "python") if compiled.COMPILER
+                                        else ("python",)))
 _durations = st.lists(st.integers(min_value=1, max_value=20),
                       min_size=2, max_size=5)
 
@@ -347,7 +369,7 @@ class TestLayoutProperty:
                           min_size=5, max_size=5))
     def test_layouts_and_reference_agree_per_lane(self, structure,
                                                   durations_ms, rates):
-        closed, fixed = structure
+        closed, fixed, backend = structure
         cfg = GyroPlatformConfig()
         cfg.conditioner.closed_loop = closed
         cfg.conditioner.fixed_point = fixed
@@ -360,7 +382,8 @@ class TestLayoutProperty:
         for layout, crossover in (("lockstep", 1), ("lane", math.inf)):
             lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in durations]
             with mock.patch.object(compiled, "LOCKSTEP_CROSSOVER",
-                                   crossover):
+                                   crossover), \
+                    mock.patch.object(compiled, "BACKEND", backend):
                 runs[layout] = (lanes, run_compiled_fleet(lanes, envs,
                                                           durations))
         for b, (env, duration) in enumerate(zip(envs, durations)):
@@ -378,6 +401,273 @@ class TestLayoutProperty:
                 np.testing.assert_array_equal(pack_scalar_state(lanes[b]),
                                               ref_state)
                 # the lane's noise generators stopped where it retired
-                np.testing.assert_array_equal(
-                    lanes[b].run(follow_on, 0.005).rate_output_dps,
-                    r_next.rate_output_dps)
+                with mock.patch.object(compiled, "BACKEND", backend):
+                    follow = lanes[b].run(follow_on, 0.005)
+                np.testing.assert_array_equal(follow.rate_output_dps,
+                                              r_next.rate_output_dps)
+
+
+def _lowering_probe_source() -> str:
+    """A generated function with every quantiser variant (nearest, floor,
+    truncate x saturate, wrap), float ``%`` and ``round``."""
+    lines = ["def probe(xs, out):", "    x = xs[0]"]
+    counter = [0]
+    slot = 0
+    for rounding in ("nearest", "floor", "truncate"):
+        for overflow in ("saturate", "wrap"):
+            spec = fmt_spec(QFormat(3, 8, True, rounding, overflow))
+            lines.append("    v = x")
+            lines += quantizer_lines("v", spec, 4, counter)
+            lines.append(f"    out[{slot}] = v")
+            slot += 1
+    for expression in ("x % 2.5", "x % -0.75", "rnd(x)", "rnd(x * 0.5)"):
+        lines.append(f"    out[{slot}] = {expression}")
+        slot += 1
+    lines.append("    return 0")
+    return "\n".join(lines) + "\n"
+
+
+_PROBE_SLOTS = 10
+
+
+@pytest.fixture(scope="session")
+def lowered_probe(tmp_path_factory):
+    """The probe as ``exec``'d Python and as a C library, built once."""
+    source = _lowering_probe_source()
+    namespace = {"floor": math.floor, "trunc": math.trunc, "rnd": round}
+    exec(source, namespace)
+    c_source, lengths = native.lower(source, scalars=())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        built = native.load_or_build(
+            c_source, compiled.COMPILER,
+            lambda lib: native.bind(lib, ("xs", "out"), (), lengths),
+            lambda kernel: True)
+    return namespace["probe"], built
+
+
+_probe_values = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, 2.5, -2.5, 7.998046875,
+                     -8.0, 2.0 ** 53, 2.0 ** 53 + 2.0, -(2.0 ** 60) - 2048.0,
+                     1e20, -1e20]),
+    # exact .5 ties of round() and of the Q3.8 quantisers' LSB
+    st.integers(-2 ** 40, 2 ** 40).map(lambda k: k + 0.5),
+    st.integers(-2 ** 30, 2 ** 30).map(lambda k: (k + 0.5) / 256.0),
+)
+
+
+@pytest.fixture
+def kernel_cache(tmp_path, monkeypatch):
+    """An empty on-disk kernel cache and an empty in-process kernel table."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(compiled, "_KERNELS", {})
+    return native.cache_dir()
+
+
+@pytest.fixture
+def compiler_starts(monkeypatch):
+    """Every command ``subprocess.run`` starts during the test."""
+    started = []
+    run = subprocess.run
+
+    def counting(args, *rest, **kwargs):
+        started.append(args)
+        return run(args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting)
+    return started
+
+
+def _is_native(platform) -> bool:
+    kernel = compiled._KERNELS.get((kernel_plan(platform), "c", False))
+    return hasattr(kernel, "library")
+
+
+def _cached_run(duration: float = 0.05):
+    platform = GyroPlatform()
+    result = platform.run(Environment.constant_rate(30.0), duration)
+    return platform, result
+
+
+def _assert_same_run(a, b):
+    (pa, ra), (pb, rb) = a, b
+    for name in ("rate_output_dps", "amplitude_control", "pll_locked",
+                 "phase_error", "rate_output_v"):
+        np.testing.assert_array_equal(getattr(ra, name), getattr(rb, name))
+    np.testing.assert_array_equal(pack_scalar_state(pa),
+                                  pack_scalar_state(pb))
+
+
+def test_compiler_lookup_honours_cc(monkeypatch):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    assert native.find_compiler() is None
+
+
+@requires_compiler
+class TestCLowering:
+    @DETERMINISM_SETTINGS
+    @given(x=_probe_values)
+    def test_lowered_probe_matches_exec(self, lowered_probe, x):
+        python, lowered = lowered_probe
+        expected = np.zeros(_PROBE_SLOTS)
+        got = np.zeros(_PROBE_SLOTS)
+        python(np.array([x]), expected)
+        lowered(np.array([x]), got)
+        assert got.tobytes() == expected.tobytes(), (x, got, expected)
+
+    def test_call_refuses_wrong_dtype_or_layout(self, lowered_probe):
+        _, lowered = lowered_probe
+        out = np.zeros(_PROBE_SLOTS)
+        for xs in (np.zeros(4)[::2], np.zeros(1, dtype=np.int64)):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                lowered(xs, out)
+
+    def test_unknown_construct_is_refused(self):
+        with pytest.raises(native.LoweringError):
+            native.lower("def f(xs):\n    return xs[0] ** 2\n", scalars=())
+
+
+@requires_compiler
+class TestKernelCache:
+    def test_warm_load_starts_no_process(self, kernel_cache, monkeypatch):
+        built = _cached_run()
+        assert _is_native(built[0])
+        library, = kernel_cache.glob("*.so")
+        assert sorted(p.name for p in kernel_cache.iterdir()) == [
+            library.stem + ".sha256", library.name]
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a warm kernel load started a process")
+
+        compiled._KERNELS.clear()
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        warm = _cached_run()
+        assert _is_native(warm[0])
+        _assert_same_run(built, warm)
+
+    def test_flipped_byte_is_rebuilt(self, kernel_cache):
+        built = _cached_run()
+        library, = kernel_cache.glob("*.so")
+        corrupt = bytearray(library.read_bytes())
+        corrupt[len(corrupt) // 2] ^= 0xFF
+        flipped = library.with_suffix(".flipped")
+        flipped.write_bytes(bytes(corrupt))
+        os.replace(flipped, library)
+
+        compiled._KERNELS.clear()
+        rebuilt = _cached_run()
+        assert _is_native(rebuilt[0])
+        data = library.read_bytes()
+        assert data != bytes(corrupt)
+        assert hashlib.sha256(data).hexdigest() == \
+            library.with_suffix(".sha256").read_text().strip()
+        _assert_same_run(built, rebuilt)
+
+    def test_concurrent_builders_both_succeed(self, kernel_cache):
+        script = (
+            "import hashlib\n"
+            "from repro.engine import compiled\n"
+            "from repro.platform import GyroPlatform\n"
+            "from repro.sensors import Environment\n"
+            "p = GyroPlatform()\n"
+            "r = p.run(Environment.constant_rate(30.0), 0.02)\n"
+            "k = compiled._KERNELS[(compiled.kernel_plan(p), 'c', False)]\n"
+            "assert hasattr(k, 'library')\n"
+            "print(hashlib.sha256(r.rate_output_dps.tobytes()).hexdigest())\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        builders = [subprocess.Popen([sys.executable, "-c", script], env=env,
+                                     stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE, text=True)
+                    for _ in range(2)]
+        outputs = [builder.communicate(timeout=300) for builder in builders]
+        assert [b.returncode for b in builders] == [0, 0], outputs
+        assert outputs[0][0] == outputs[1][0]
+        names = sorted(p.suffix for p in kernel_cache.iterdir())
+        assert names == [".sha256", ".so"]
+
+    def test_host_without_glibc_builds_and_loads(self, kernel_cache,
+                                                 monkeypatch,
+                                                 compiler_starts):
+        def unknown_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        # macOS and musl: the name is unknown to the C library
+        monkeypatch.setattr(os, "confstr", unknown_name)
+        env = Environment.constant_rate(30.0)
+        platform = GyroPlatform()
+        result = platform.run(env, 0.05)
+        assert _is_native(platform) and len(compiler_starts) == 1
+        ref = GyroPlatform()
+        _assert_same_run((ref, ref.run(env, 0.05, engine="reference")),
+                         (platform, result))
+        # Windows: no os.confstr at all, the same key and a warm load
+        monkeypatch.delattr(os, "confstr")
+        compiled._KERNELS.clear()
+        warm = _cached_run()
+        assert _is_native(warm[0]) and len(compiler_starts) == 1
+
+    def test_unpicklable_platform_builds_once(self, kernel_cache,
+                                              compiler_starts):
+        env = Environment.constant_rate(30.0)
+        platform = GyroPlatform()
+        platform.conditioner.registers.on_write("dsp_drive_gain",
+                                                lambda value: None)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(platform)
+        results = [platform.run(env, 0.02) for _ in range(2)]
+        assert len(compiler_starts) == 1
+        assert _is_native(platform)
+        ref = GyroPlatform()
+        expected = [ref.run(env, 0.02, engine="reference") for _ in range(2)]
+        _assert_same_run((ref, expected[1]), (platform, results[1]))
+
+    def test_rejected_stimulus_still_caches_the_build(self, kernel_cache,
+                                                      compiler_starts):
+        platform = GyroPlatform()
+        with pytest.raises(ConfigurationError, match="not finite"):
+            platform.run(Environment.constant_rate(math.nan), 0.02)
+        assert len(compiler_starts) == 1
+        assert _is_native(platform)
+        assert len(list(kernel_cache.glob("*.so"))) == 1
+        good = _cached_run()
+        assert _is_native(good[0]) and len(compiler_starts) == 1
+
+    def test_unwritable_cache_builds_per_process(self, kernel_cache,
+                                                 monkeypatch, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.setattr(native, "_fallback_dir", None)
+        closed = GyroPlatformConfig()
+        closed.conditioner.closed_loop = True
+        with pytest.warns(RuntimeWarning, match="not writable") as caught:
+            platform, _ = _cached_run(0.01)
+            other = GyroPlatform(closed)
+            other.run(Environment.still(), 0.01)
+        assert len(caught) == 1
+        assert _is_native(platform) and _is_native(other)
+        assert len(list(Path(native._fallback_dir).glob("*.so"))) == 2
+
+    def test_failed_self_check_keeps_python(self, kernel_cache, monkeypatch):
+        original = compiled.generate_kernel_source
+
+        def perturbed(plan, backend, lockstep=False):
+            source = original(plan, backend, lockstep)
+            if backend == "c":
+                source = source.replace(" / 180.0", " / 180.00000000000003")
+            return source
+
+        monkeypatch.setattr(compiled, "generate_kernel_source", perturbed)
+        env = Environment.constant_rate(30.0)
+        platform = GyroPlatform()
+        with pytest.warns(RuntimeWarning, match="differs from the Python"):
+            result = platform.run(env, 0.05)
+        plan = kernel_plan(platform)
+        assert compiled._KERNELS[(plan, "c", False)] \
+            is compiled._KERNELS[(plan, "python", False)]
+        assert not list(kernel_cache.glob("*.so"))
+        ref = GyroPlatform()
+        _assert_same_run((ref, ref.run(env, 0.05, engine="reference")),
+                         (platform, result))

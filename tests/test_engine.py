@@ -1,28 +1,35 @@
 """Tests for the fast co-simulation engines (``repro.engine``).
 
-The compiled (generated, optionally numba-JIT) kernel promises
-*bit-identical* traces and final platform state relative to the
-object-oriented reference loop, for single platforms and for fleets in
-both layouts (lockstep and lane by lane, forced through the
-``fleet_layout`` fixture).  These tests hold it to that on short runs
-covering lock-in, temperature ramps, fixed-point (prototype) mode,
-closed-loop rebalance, waveform recording, mixed-structure fleets and
-early lane retirement, and check the supporting vectorised helpers
-(``Environment.sample``, ``BufferedGaussianNoise.take``) against their
-scalar counterparts.
+The compiled (generated) kernel promises *bit-identical* traces and
+final platform state relative to the object-oriented reference loop,
+for single platforms on both lane backends (C and generated Python,
+forced through the ``kernel_backend`` fixture) and for fleets in both
+layouts (lockstep and lane by lane, forced through the ``fleet_layout``
+fixture, which visits the lane layout once per backend).  These tests
+hold it to that on short runs covering lock-in, temperature ramps,
+fixed-point (prototype) mode, closed-loop rebalance, waveform
+recording, mixed-structure fleets and early lane retirement, check
+that bad input raises the same exception type everywhere, and check the
+supporting vectorised helpers (``Environment.sample``,
+``BufferedGaussianNoise.take``) against their scalar counterparts.
 """
 
 import copy
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+
+from strategies.settings import QUICK_SETTINGS
+from strategies.stimulus import bad_stimulus
 
 from repro.common import ConfigurationError
 from repro.common.fixedpoint import QFormat
 from repro.common.noise import BufferedGaussianNoise
-from repro.engine import FleetSimulator, run_compiled
+from repro.engine import FleetSimulator, compiled, run_compiled
 from repro.engine.compiled import kernel_plan
 from repro.engine.state import pack_scalar_state
 from repro.platform import GyroPlatform, GyroPlatformConfig
@@ -75,70 +82,73 @@ def _pair(config=None):
     return (GyroPlatform(copy.deepcopy(cfg)), GyroPlatform(copy.deepcopy(cfg)))
 
 
+def _check_against_reference(engine, kernel_backend, env, duration,
+                             config=None, state=True, waveforms=False):
+    """One reference run against a fresh ``engine`` run per lane backend."""
+    cfg = config or GyroPlatformConfig()
+    ref = GyroPlatform(copy.deepcopy(cfg))
+    r_ref = ref.run(env, duration, engine="reference",
+                    record_waveforms=waveforms)
+    for _ in kernel_backend:
+        fast = GyroPlatform(copy.deepcopy(cfg))
+        r_fast = fast.run(env, duration, engine=engine,
+                          record_waveforms=waveforms)
+        _assert_results_identical(r_ref, r_fast, waveforms=waveforms)
+        if state:
+            _assert_platform_state_identical(ref, fast)
+            np.testing.assert_array_equal(pack_scalar_state(fast),
+                                          pack_scalar_state(ref))
+
+
 @pytest.mark.parametrize("engine", ["compiled"])
 class TestScalarEngineEquivalence:
     """Every scalar fast engine must match the reference loop bit for bit
-    (the ``compiled`` rows run on whichever backend is active — numba
-    when installed, the generated-Python fallback otherwise)."""
+    (the ``compiled`` rows run on every lane backend this host has: the C
+    kernels and the generated-Python fallback)."""
 
-    def test_lockin_traces_bit_identical(self, engine):
-        ref, fast = _pair()
-        env = Environment.still()
-        r_ref = ref.run(env, 0.1, engine="reference")
-        r_fast = fast.run(env, 0.1, engine=engine)
-        _assert_results_identical(r_ref, r_fast)
-        _assert_platform_state_identical(ref, fast)
+    def test_lockin_traces_bit_identical(self, engine, kernel_backend):
+        _check_against_reference(engine, kernel_backend, Environment.still(),
+                                 0.1)
 
-    def test_rate_and_temperature_ramp(self, engine):
+    def test_rate_and_temperature_ramp(self, engine, kernel_backend):
         # exercises the sensor temperature-retune plan and the
         # temperature-compensation paths
         env = Environment(
             rate_dps=RampProfile(start=-100.0, stop=100.0, t0=0.0, t1=0.06),
             temperature_c=RampProfile(start=25.0, stop=65.0, t0=0.0, t1=0.06))
-        ref, fast = _pair()
-        r_ref = ref.run(env, 0.08, engine="reference")
-        r_fast = fast.run(env, 0.08, engine=engine)
-        _assert_results_identical(r_ref, r_fast)
-        _assert_platform_state_identical(ref, fast)
+        _check_against_reference(engine, kernel_backend, env, 0.08)
 
-    def test_fixed_point_mode(self, engine):
+    def test_fixed_point_mode(self, engine, kernel_backend):
         cfg = GyroPlatformConfig()
         cfg.conditioner.fixed_point = True
-        ref, fast = _pair(cfg)
-        env = Environment.constant_rate(50.0)
-        r_ref = ref.run(env, 0.06, engine="reference")
-        r_fast = fast.run(env, 0.06, engine=engine)
-        _assert_results_identical(r_ref, r_fast)
+        _check_against_reference(engine, kernel_backend,
+                                 Environment.constant_rate(50.0), 0.06, cfg)
 
-    def test_closed_loop_mode(self, engine):
+    def test_closed_loop_mode(self, engine, kernel_backend):
         cfg = GyroPlatformConfig()
         cfg.conditioner.closed_loop = True
-        ref, fast = _pair(cfg)
-        env = Environment.constant_rate(80.0)
-        r_ref = ref.run(env, 0.06, engine="reference")
-        r_fast = fast.run(env, 0.06, engine=engine)
-        _assert_results_identical(r_ref, r_fast)
-        _assert_platform_state_identical(ref, fast)
+        _check_against_reference(engine, kernel_backend,
+                                 Environment.constant_rate(80.0), 0.06, cfg)
 
-    def test_waveform_recording(self, engine):
-        ref, fast = _pair()
-        env = Environment.still()
-        r_ref = ref.run(env, 0.04, engine="reference", record_waveforms=True)
-        r_fast = fast.run(env, 0.04, engine=engine, record_waveforms=True)
-        _assert_results_identical(r_ref, r_fast, waveforms=True)
+    def test_waveform_recording(self, engine, kernel_backend):
+        _check_against_reference(engine, kernel_backend, Environment.still(),
+                                 0.04, state=False, waveforms=True)
 
-    def test_engines_interleave_on_one_platform(self, engine):
+    def test_engines_interleave_on_one_platform(self, engine,
+                                                kernel_backend):
         # a fast-engine segment must leave the platform exactly where a
         # reference segment would, so segments can be mixed freely
-        ref, mixed = _pair()
         env = Environment.rate_step(120.0, step_time=0.03)
+        ref = GyroPlatform()
         a = ref.run(env, 0.03, engine="reference")
         b = ref.run(env, 0.03, engine="reference")
-        c = mixed.run(env, 0.03, engine=engine)
-        d = mixed.run(env, 0.03, engine="reference")
-        _assert_results_identical(a, c)
-        _assert_results_identical(b, d)
-        _assert_platform_state_identical(ref, mixed)
+        for _ in kernel_backend:
+            mixed = GyroPlatform()
+            c = mixed.run(env, 0.03, engine=engine)
+            d = mixed.run(env, 0.03, engine="reference")
+            _assert_results_identical(a, c)
+            _assert_results_identical(b, d)
+            _assert_platform_state_identical(ref, mixed)
 
 
 class TestEngineSelection:
@@ -433,3 +443,54 @@ class TestVectorisedHelpers:
         assert g2.take(0).size == 0
         with pytest.raises(ConfigurationError):
             g2.take(-1)
+
+
+class TestTypedErrors:
+    """Bad input raises the same exception type on every engine and
+    backend, before any state is written back."""
+
+    PATHS = (("reference", None), ("compiled", "python"), ("compiled", "c"))
+
+    def _paths(self):
+        for engine, backend in self.PATHS:
+            if backend == "c" and not compiled.COMPILER:
+                continue
+            with mock.patch.object(compiled, "BACKEND",
+                                   backend or compiled.BACKEND):
+                yield engine
+
+    @QUICK_SETTINGS
+    @given(case=bad_stimulus())
+    def test_same_input_same_exception_type(self, case):
+        environment, expected = case
+        for engine in self._paths():
+            # a good run first, so the C path runs its cached library
+            GyroPlatform().run(Environment.still(), 0.001, engine=engine)
+            platform = GyroPlatform()
+            before = pack_scalar_state(platform)
+            with pytest.raises(expected):
+                platform.run(environment, 0.005, engine=engine)
+            if engine == "compiled":
+                np.testing.assert_array_equal(pack_scalar_state(platform),
+                                              before)
+
+    @pytest.mark.parametrize("breaks", ["adc_lsb", "full_scale"])
+    def test_zero_divisor_rejected_on_every_engine(self, breaks):
+        def broken():
+            platform = GyroPlatform()
+            if breaks == "adc_lsb":
+                platform.frontend.primary_adc._lsb = 0.0
+            else:
+                platform.conditioner.sense_chain.scaler.config \
+                    .full_scale_dps = math.nan
+            return platform
+
+        for engine in self._paths():
+            with pytest.raises(ConfigurationError, match="divides by"):
+                broken().run(Environment.still(), 0.001, engine=engine)
+        for crossover in (1, math.inf):
+            with mock.patch.object(compiled, "LOCKSTEP_CROSSOVER",
+                                   crossover):
+                with pytest.raises(ConfigurationError, match="divides by"):
+                    FleetSimulator([broken(), broken()]).run(
+                        Environment.still(), 0.001)

@@ -265,7 +265,7 @@ class TestCalibrationEquivalence:
                                         settle_s=0.06)
             configs.append(
                 other.conditioner.sense_chain.temperature_comp.config)
-        assert configs[0] == configs[1]
+        assert all(config == configs[0] for config in configs)
 
 
 class TestBranching:
