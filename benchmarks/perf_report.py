@@ -24,8 +24,11 @@ directory, per kernel plan: the cold build (lowering, compiling and the
 self-check) and the warm load from the cache in the same process.
 ``"store"`` times the result store on one campaign of ``STORE_LANES``
 0.05 s settled-output lanes branched from a started platform: the mean
-entry size, the put time per lane into a fresh store (cold) and the hit
-time per lane reading every entry back (warm).  ``"branch"`` times
+entry size, the put time per lane into a fresh store (cold), the hit
+time per lane reading every entry back (warm), the lane-key cost
+(``LaneSource.lane_digests`` on the started platform) and the size of
+that platform's pickle, the snapshot every lane key and branch hashes
+or loads.  ``"branch"`` times
 ``LaneSource.materialize`` branching ``BRANCH_LANES`` campaign lanes
 from a started platform, per lane.  ``"host"`` records the CPU model
 and the Python and NumPy versions the report ran on.  ``compiled_backend``
@@ -42,6 +45,7 @@ import copy
 import json
 import math
 import os
+import pickle
 import platform as host
 import shutil
 import sys
@@ -184,12 +188,13 @@ def _time_sharded(lanes: int, duration_s: float, workers: int) -> float:
 
 
 def _time_store(platform, lanes: int, settle_s: float) -> dict:
-    """Time store puts (cold) and hits (warm) per lane.
+    """Time store puts (cold), hits (warm) and lane keys.
 
     One ``lanes``-lane rate-table campaign branched from the started
     ``platform`` fills a store; its entries are then put again into a
     fresh store and read back, so only store work is timed.  Returns
-    the mean entry size and the best per-lane put and hit times.
+    the mean entry size, the best per-lane put and hit times, the best
+    time of one ``lane_digests`` call and the platform's pickle size.
     """
     rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
     campaign = Campaign(rate_table_scenarios(rates, settle_s=settle_s),
@@ -217,10 +222,19 @@ def _time_store(platform, lanes: int, settle_s: float) -> dict:
         kib = sum(os.path.getsize(path) for path in paths) / len(paths) / 1024
     finally:
         shutil.rmtree(root, ignore_errors=True)
+    source = LaneSource.resolve(platform, None, None, False, lanes)
+    key_s = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        source.lane_digests(lanes)
+        key_s = min(key_s, time.perf_counter() - start)
+    snapshot = pickle.dumps(platform, protocol=pickle.HIGHEST_PROTOCOL)
     return {"lanes": lanes,
             "entry_kib": round(kib, 1),
             "put_ms_per_lane": round(put_s / lanes * 1e3, 3),
-            "hit_ms_per_lane": round(get_s / lanes * 1e3, 3)}
+            "hit_ms_per_lane": round(get_s / lanes * 1e3, 3),
+            "key_ms": round(key_s * 1e3, 3),
+            "snapshot_kib": round(len(snapshot) / 1024, 1)}
 
 
 def _time_branch(platform, lanes: int) -> dict:
@@ -368,7 +382,9 @@ def build_report(duration_s: float = DURATION_S,
         "store_scenario": (f"one campaign of {STORE_LANES} settled-output "
                            f"lanes, {STORE_S} s each from a started "
                            "platform: every entry put into a fresh "
-                           "ResultStore (cold), then read back (warm hit)"),
+                           "ResultStore (cold), then read back (warm hit); "
+                           "one lane_digests call and the pickle size of "
+                           "the started platform"),
         "store": _time_store(started, STORE_LANES, STORE_S),
         "branch_scenario": (f"one LaneSource.materialize call branching "
                             f"{BRANCH_LANES} campaign lanes from a started "
@@ -424,7 +440,9 @@ def main() -> None:
     store = report["store"]
     print(f"  store, {store['lanes']} lanes: {store['entry_kib']:.1f} KiB "
           f"per entry, put {store['put_ms_per_lane']:.2f} ms/lane, "
-          f"hit {store['hit_ms_per_lane']:.2f} ms/lane")
+          f"hit {store['hit_ms_per_lane']:.2f} ms/lane, "
+          f"key {store['key_ms']:.2f} ms, "
+          f"snapshot {store['snapshot_kib']:.1f} KiB")
     branch = report["branch"]
     print(f"  branch, {branch['lanes']} lanes: "
           f"{branch['ms_per_lane']:.2f} ms/lane")

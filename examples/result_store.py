@@ -18,7 +18,11 @@ its recorded checksum bit for bit.
 
 ``--ci`` asserts every step (exit non-zero on any violation) instead of
 just narrating — the CI ``store`` job runs that mode against a store
-directory it uploads on failure.
+directory it uploads on failure, then runs it again in a new process on
+the same directory.  A store that already holds the campaign must serve
+the cold run entirely (hits, no puts): a lane key that changes between
+processes — a platform that does not pickle deterministically — would
+still re-simulate correctly, so only this check notices it.
 
 Run with:  python examples/result_store.py [--store runs/result_store]
            [--ci]
@@ -81,14 +85,19 @@ def main() -> None:
     if args.fresh and os.path.isdir(args.store):
         shutil.rmtree(args.store)
     store = ResultStore(args.store)
+    stored = len(store)
     platform = build_platform()
 
-    print(f"\nCold run (store: {args.store})...")
+    print(f"\nCold run (store: {args.store}, {stored} entries)...")
     cold = run_campaign(platform, store)
     cold_out = outputs(cold)
     print(f"  stats: {store.stats.as_dict()}")
     print(f"  outputs: {np.array2string(cold_out, precision=3)}")
-    if args.ci:
+    if args.ci and stored:
+        # an earlier process stored this campaign: every lane must hit
+        assert store.stats.hits == len(RATES_DPS), store.stats
+        assert store.stats.puts == 0, store.stats
+    elif args.ci:
         assert store.stats.puts == len(RATES_DPS), store.stats
 
     print("\nWarm run (every lane served, zero fleet simulation)...")
@@ -103,10 +112,11 @@ def main() -> None:
         assert np.array_equal(outputs(warm), cold_out)
 
     print("\nFlipping one byte in a stored entry...")
+    earlier = {q["file"] for q in store.quarantined()}
     key = corrupt_one_entry(store)
     print(f"  corrupted {key[:16]}...")
     healed = run_campaign(platform, store)
-    quarantined = store.quarantined()
+    quarantined = [q for q in store.quarantined() if q["file"] not in earlier]
     print(f"  quarantined: {[q['reason'] for q in quarantined]}")
     print(f"  re-simulated bit-identical: "
           f"{np.array_equal(outputs(healed), cold_out)}")

@@ -9,6 +9,7 @@ output record.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -121,12 +122,20 @@ class NoiseSource:
 
 
 class BufferedGaussianNoise:
-    """Per-sample Gaussian noise drawn from pre-generated blocks.
+    """Per-sample Gaussian noise from one seeded ``numpy`` generator.
 
     ``numpy`` generator calls are comparatively expensive for scalar
-    draws; the per-sample simulation loops (ADC, amplifiers, sensor)
-    instead pull from a block of 4096 pre-generated samples that is
-    refilled on demand.  The sequence is identical for a given seed.
+    draws, so the per-sample reference loops (ADC, amplifiers, sensor)
+    pull from a block of ``block_size`` pre-generated samples that
+    :meth:`next` refills on demand, while chunked consumers draw exactly
+    the samples they need with :meth:`take`.  ``Generator.normal``
+    returns the same value stream whatever the call sizes, so every mix
+    of the two yields the sequence of one long draw for a given seed.
+
+    A pickle (or deep copy) carries no block: it holds the generator
+    positioned at the next value the source will hand out, so a started
+    platform snapshots in a few KiB and two sources at the same stream
+    position pickle to the same bytes however they got there.
     """
 
     def __init__(self, sigma: float, seed: Optional[int] = None,
@@ -138,14 +147,19 @@ class BufferedGaussianNoise:
         self.sigma = float(sigma)
         self._rng = np.random.default_rng(seed)
         self._block_size = int(block_size)
-        self._buffer = np.zeros(0)
+        self._drop_block()
+
+    def _drop_block(self) -> None:
+        self._buffer = _NO_BLOCK
         self._index = 0
+        self._block_start = None     # generator state the block began at
 
     def next(self) -> float:
         """Return the next noise sample (0.0 when sigma is zero)."""
         if self.sigma == 0.0:
             return 0.0
         if self._index >= self._buffer.size:
+            self._block_start = self._rng.bit_generator.state
             self._buffer = self._rng.normal(0.0, self.sigma, self._block_size)
             self._index = 0
         value = self._buffer[self._index]
@@ -155,29 +169,47 @@ class BufferedGaussianNoise:
     def take(self, n: int) -> np.ndarray:
         """Return the next ``n`` samples as an array.
 
-        Produces exactly the same sequence as ``n`` calls to
-        :meth:`next` — blocks are refilled on the same boundaries — and
-        leaves the buffer/index state where per-sample consumption would
-        have left it, so per-sample and chunked consumers can be mixed
-        freely.  With ``sigma == 0`` nothing is consumed and zeros are
-        returned, matching :meth:`next`.
+        Hands out what is left of a block :meth:`next` started, then
+        draws the rest in one ``normal`` call — the same sequence as
+        ``n`` calls to :meth:`next`, so per-sample and chunked consumers
+        can be mixed freely.  With ``sigma == 0`` nothing is consumed
+        and zeros are returned, matching :meth:`next`.
         """
         if n < 0:
             raise ConfigurationError("n must be >= 0")
         if self.sigma == 0.0 or n == 0:
             return np.zeros(n)
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            if self._index >= self._buffer.size:
-                self._buffer = self._rng.normal(0.0, self.sigma, self._block_size)
-                self._index = 0
-            chunk = min(n - filled, self._buffer.size - self._index)
-            out[filled:filled + chunk] = \
-                self._buffer[self._index:self._index + chunk]
-            self._index += chunk
-            filled += chunk
-        return out
+        pending = self._buffer.size - self._index
+        if pending <= 0:
+            return self._rng.normal(0.0, self.sigma, n)
+        if n < pending:
+            self._index += n
+            return self._buffer[self._index - n:self._index].copy()
+        head = self._buffer[self._index:]
+        self._drop_block()
+        return np.concatenate(
+            (head, self._rng.normal(0.0, self.sigma, n - pending)))
+
+    def __getstate__(self) -> dict:
+        rng = self._rng
+        if self._index < self._buffer.size:
+            # a block is pending: pickle a copy of the live generator
+            # (same bit generator and seed sequence) rewound to the
+            # block start and advanced past the values already handed out
+            rng = copy.deepcopy(rng)
+            rng.bit_generator.state = self._block_start
+            rng.normal(0.0, self.sigma, self._index)
+        return {"sigma": self.sigma, "rng": rng,
+                "block_size": self._block_size}
+
+    def __setstate__(self, state: dict) -> None:
+        self.sigma = state["sigma"]
+        self._rng = state["rng"]
+        self._block_size = state["block_size"]
+        self._drop_block()
+
+
+_NO_BLOCK = np.zeros(0)
 
 
 def amplitude_spectral_density(x: np.ndarray, sample_rate_hz: float,

@@ -874,10 +874,14 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
     ``out`` maps every :data:`_LANE_INPUTS` name to a writable 1-D
     array of ``len(t)`` samples — a fresh row for a lane run, a column
     of the ``(nc, B)`` chunk arrays for a lockstep fleet.  Draws the
-    lane's noise blocks and retunes its sensor exactly as the reference
-    loop would over the chunk, and returns the sensor's temperature
-    events (:func:`~repro.engine.state.sensor_temperature_plan`).
-    Raises :class:`ConfigurationError` if the stimulus is not finite.
+    lane's noise and retunes its sensor exactly as the reference loop
+    would over the chunk, and returns the sensor's temperature events
+    (:func:`~repro.engine.state.sensor_temperature_plan`).
+
+    Raises :class:`ConfigurationError` if the stimulus is not finite or
+    the sensor rejects a temperature, and :class:`SimulationError` if
+    the temperature sensor's reading overflows — the reference loop
+    fails on exactly these inputs with the same types.
     """
     nc = t.size
     sensor = platform.sensor
@@ -886,17 +890,28 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
     tc_cfg = platform.conditioner.sense_chain.temperature_comp.config
     out["rate"][:], out["temp"][:] = environment.sample(t)
     temp = out["temp"]
-    for name, values, profile in (
-            ("rate", out["rate"], environment.rate_dps),
-            ("temperature", temp, environment.temperature_c)):
-        if not np.isfinite(values).all():
+    # the extremes flag a non-finite temperature, bound the sensor
+    # reading below and spare the sensor plan its own pass
+    tmin, tmax = float(temp.min()), float(temp.max())
+    for name, finite, profile in (
+            ("rate", np.isfinite(out["rate"]).all(), environment.rate_dps),
+            ("temperature", math.isfinite(tmin) and math.isfinite(tmax),
+             environment.temperature_c)):
+        if not finite:
             raise ConfigurationError(
                 f"{name} profile {profile!r} is not finite in the chunk "
                 f"starting at t = {t[0]:g} s")
+    events = sensor_temperature_plan(sensor, temp, tmin, tmax)
+    # the reading is monotonic in the temperature, so it overflows at an
+    # extreme or nowhere (checked in Python floats: NumPy would warn)
+    if any(math.isinf((x + tsens.offset_error_c) / tsens.resolution_c)
+           for x in (tmin, tmax)):
+        raise SimulationError(
+            "the temperature sensor reading overflows in the chunk "
+            f"starting at t = {t[0]:g} s")
     dt_c = temp - 25.0
     dtm = (np.round((temp + tsens.offset_error_c) / tsens.resolution_c)
            * tsens.resolution_c) - 25.0
-    events = sensor_temperature_plan(sensor, temp)
 
     out["sens_noise"][:] = sensor._noise.take(nc)
     for ch, amp, pga, adc in (

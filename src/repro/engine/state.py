@@ -61,13 +61,14 @@ def loop_structure(platform) -> Tuple:
     )
 
 
-def sensor_temperature_plan(sensor, temp_arr: np.ndarray
-                            ) -> List[Tuple[int, dict]]:
+def sensor_temperature_plan(sensor, temp_arr: np.ndarray, tmin: float,
+                            tmax: float) -> List[Tuple[int, dict]]:
     """Plan the sensor's temperature-dependent coefficient updates.
 
     Replays the per-sample ``_apply_temperature`` hysteresis (recompute
     only when the temperature moved by >= 0.05 °C since the last applied
-    value) over the whole temperature trace up front.  Returns a list of
+    value) over the whole temperature trace up front; ``tmin`` and
+    ``tmax`` are the trace's extremes.  Returns a list of
     ``(sample_index, coefficients)`` events; the sensor object is mutated
     exactly as the reference loop would have left it (propagators retuned
     at each event, ``_temperature_c`` at the final trace value).
@@ -97,8 +98,6 @@ def sensor_temperature_plan(sensor, temp_arr: np.ndarray
     last = sensor._last_temp_applied
     events: List[Tuple[int, dict]] = []
     if last is not None and temp_arr.size:
-        tmin = float(np.min(temp_arr))
-        tmax = float(np.max(temp_arr))
         if abs(tmin - last) < 0.05 and abs(tmax - last) < 0.05:
             # the whole run stays inside the hysteresis band: no retune
             sensor._temperature_c = temps[-1]

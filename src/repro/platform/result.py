@@ -30,6 +30,34 @@ def content_digest(data: dict) -> str:
     return hashlib.sha256(canonical_bytes(data)).hexdigest()
 
 
+#: Section format of each trace dtype in a trace block: float traces
+#: as little-endian binary64, bool traces as one 0/1 byte per sample.
+_SECTION_CODES = {np.float64: "<f8", np.bool_: "u1"}
+
+
+def _pack_trace(block: bytearray, values: np.ndarray, dtype) -> list:
+    """Append a trace to ``block`` as one raw section.
+
+    Returns the section's reference ``[code, offset, count]``: the
+    section format (:data:`_SECTION_CODES`), its byte offset in the
+    block and its sample count.
+    """
+    code = _SECTION_CODES[dtype]
+    ref = [code, len(block), int(values.size)]
+    block += np.asarray(values, dtype=code).tobytes()
+    return ref
+
+
+def _unpack_trace(block, ref: list, dtype) -> np.ndarray:
+    """The trace a :func:`_pack_trace` reference locates in ``block``.
+
+    Returns a writable ``dtype`` copy, never a view of ``block``.
+    """
+    _code, offset, count = ref
+    return np.frombuffer(block, dtype=_SECTION_CODES[dtype], count=count,
+                         offset=offset).astype(dtype)
+
+
 @dataclass
 class GyroSimulationResult:
     """Recorded traces from a :class:`~repro.platform.gyro_platform.GyroPlatform` run.
@@ -82,9 +110,7 @@ class GyroSimulationResult:
 
     def __post_init__(self) -> None:
         n = self.time_s.size
-        for name in ("true_rate_dps", "temperature_c", "rate_output_dps",
-                     "rate_output_v", "amplitude_control", "amplitude_error",
-                     "phase_error", "vco_control", "pll_locked", "running"):
+        for name in self._FLOAT_TRACES + self._BOOL_TRACES:
             arr = getattr(self, name)
             if arr.size != n:
                 raise ConfigurationError(
@@ -135,40 +161,54 @@ class GyroSimulationResult:
                      "rate_output_dps", "rate_output_v", "amplitude_control",
                      "amplitude_error", "phase_error", "vco_control")
     _BOOL_TRACES = ("pll_locked", "running")
+    _WAVEFORMS = ("primary_pickoff_norm", "drive_word")   # optional floats
     _SCALARS = ("turn_on_time_s", "safe_mode", "safe_mode_events",
                 "safe_mode_entry_s", "overload_time_s")
+    #: ``(name, dtype)`` of every trace, in serialisation order.
+    _TRACE_DTYPES = (tuple((name, np.float64)
+                           for name in _FLOAT_TRACES + _WAVEFORMS)
+                     + tuple((name, np.bool_) for name in _BOOL_TRACES))
 
-    def to_dict(self) -> dict:
+    def to_dict(self, block: Optional[bytearray] = None) -> dict:
         """JSON-compatible dict; :meth:`from_dict` restores it exactly.
 
         Float traces round-trip losslessly: Python floats keep full
         binary64 precision through ``json`` (repr round-trips), and
         :meth:`from_dict` rebuilds the float64/bool arrays.
+
+        With a ``block``, every trace is appended to it as a raw section
+        (:func:`_pack_trace`) and the dict holds the section's reference
+        instead of a number list — the result store's encoding, which
+        ``from_dict(data, block)`` reads back.
         """
         out = {"sample_rate_hz": self.sample_rate_hz}
         for name in self._SCALARS:
             out[name] = getattr(self, name)
-        for name in self._FLOAT_TRACES + self._BOOL_TRACES:
-            out[name] = getattr(self, name).tolist()
-        for name in ("primary_pickoff_norm", "drive_word"):
+        for name, dtype in self._TRACE_DTYPES:
             arr = getattr(self, name)
-            out[name] = None if arr is None else arr.tolist()
+            out[name] = (None if arr is None
+                         else arr.tolist() if block is None
+                         else _pack_trace(block, arr, dtype))
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "GyroSimulationResult":
-        """Rebuild a result from :meth:`to_dict` output, bit-exact."""
+    def from_dict(cls, data: dict, block=None) -> "GyroSimulationResult":
+        """Rebuild a result from :meth:`to_dict` output, bit-exact.
+
+        ``block`` is the trace block a ``to_dict(block)`` call filled
+        (any bytes-like object); pass it when ``data`` came from that
+        call.
+        """
         kwargs = {"sample_rate_hz": data["sample_rate_hz"]}
         for name in cls._SCALARS:
             kwargs[name] = data.get(name)
-        for name in cls._FLOAT_TRACES:
-            kwargs[name] = np.asarray(data[name], dtype=np.float64)
-        for name in cls._BOOL_TRACES:
-            kwargs[name] = np.asarray(data[name], dtype=bool)
-        for name in ("primary_pickoff_norm", "drive_word"):
-            value = data.get(name)
+        for name, dtype in cls._TRACE_DTYPES:
+            value = (data.get(name) if name in cls._WAVEFORMS
+                     else data[name])
             kwargs[name] = (None if value is None
-                            else np.asarray(value, dtype=np.float64))
+                            else np.asarray(value, dtype=dtype)
+                            if block is None
+                            else _unpack_trace(block, value, dtype))
         return cls(**kwargs)
 
     def digest(self) -> str:

@@ -74,20 +74,21 @@ class LaneOutcome:
         raise ConfigurationError(
             f"lane has no outcome for scenario {name!r}")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, block: Optional[bytearray] = None) -> dict:
         """JSON-compatible dict of the lane's outcomes.
 
         The platform is not serialised (it is a full mixed-signal model;
         use pickle when the final platform state must travel too), so
-        :meth:`from_dict` restores ``platform=None``.
+        :meth:`from_dict` restores ``platform=None``.  ``block`` collects
+        the traces as raw sections (:meth:`GyroSimulationResult.to_dict`).
         """
-        return {"outcomes": [o.to_dict() for o in self.outcomes]}
+        return {"outcomes": [o.to_dict(block) for o in self.outcomes]}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LaneOutcome":
+    def from_dict(cls, data: dict, block=None) -> "LaneOutcome":
         """Rebuild a lane outcome (with ``platform=None``)."""
         return cls(platform=None,
-                   outcomes=[ScenarioOutcome.from_dict(o)
+                   outcomes=[ScenarioOutcome.from_dict(o, block)
                              for o in data["outcomes"]])
 
 

@@ -182,7 +182,7 @@ class ScenarioOutcome:
         """
         return self.scenario_digest or self.scenario.digest()
 
-    def to_dict(self) -> dict:
+    def to_dict(self, block: Optional[bytearray] = None) -> dict:
         """JSON-compatible dict of the outcome.
 
         The scenario itself is summarised (name, duration, digest), not
@@ -190,27 +190,30 @@ class ScenarioOutcome:
         callables.  :meth:`from_dict` therefore rebuilds a placeholder
         scenario carrying the name/duration/digest only — metrics are
         already evaluated, so nothing downstream needs the callables.
-        Use pickle when full scenario fidelity is required.
+        Use pickle when full scenario fidelity is required.  ``block``
+        collects the traces as raw sections
+        (:meth:`GyroSimulationResult.to_dict`).
         """
         return {
             "scenario": {"name": self.scenario.name,
                          "duration_s": self.scenario.duration_s,
                          "digest": self.digest()},
-            "result": self.result.to_dict(),
+            "result": self.result.to_dict(block),
             "metrics": dict(self.metrics),
             "stopped_early": self.stopped_early,
             "elapsed_s": self.elapsed_s,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioOutcome":
-        """Rebuild an outcome from :meth:`to_dict` output."""
+    def from_dict(cls, data: dict, block=None) -> "ScenarioOutcome":
+        """Rebuild an outcome from :meth:`to_dict` output (and its block)."""
         from ..sensors.environment import Environment
         meta = data["scenario"]
         scenario = Scenario(name=meta["name"], environment=Environment.still(),
                             duration_s=meta["duration_s"])
         return cls(scenario=scenario,
-                   result=GyroSimulationResult.from_dict(data["result"]),
+                   result=GyroSimulationResult.from_dict(data["result"],
+                                                         block),
                    metrics=dict(data["metrics"]),
                    stopped_early=bool(data["stopped_early"]),
                    elapsed_s=float(data["elapsed_s"]),

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 #: Version of the on-disk entry schema.  Bump it when the entry or
 #: payload layout changes: entries written under another schema are
 #: quarantined on read (treated as misses), never misinterpreted.
-STORE_SCHEMA = 2
+STORE_SCHEMA = 3
 
 #: Separator byte that cannot appear in hex digests or engine names.
 _SEP = "\x1f"

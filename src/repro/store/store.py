@@ -5,7 +5,7 @@ One directory holds one store:
 .. code-block:: text
 
     store_dir/
-        store.json              # layout marker: {"schema": 2}
+        store.json              # layout marker: {"schema": 3}
         entries/
             ab/abcdef….json     # one verified entry per lane key
         quarantine/
@@ -18,18 +18,26 @@ Every entry is three newline-terminated lines and a binary tail:
 
 .. code-block:: text
 
-    line 1  header    {"key": …, "schema": 2, "sha256": <hex digest>}
+    line 1  header    {"key": …, "schema": 3, "sha256": <hex digest>}
     line 2  metadata  campaign, engine, executor, source_digest,
                       scenarios, created_unix (canonical JSON)
-    line 3  payload   the serialised LaneOutcome (canonical JSON)
-    rest    config    the raw replay pickle: (program, lane source)
+    line 3  payload   the LaneOutcome's ``to_dict(block)`` skeleton
+                      (canonical JSON): every trace is a
+                      [dtype, offset, count] reference into the trace
+                      block, whose byte length is recorded under
+                      "trace_block_bytes"
+    rest    traces    the trace block: raw little-endian sections
+                      (float traces "<f8", bool traces "u1" 0/1)
+            config    the raw replay pickle: (program, lane source)
 
 The header's ``sha256`` covers every byte after the header line, so one
-hash verifies the metadata, the payload and the replay config (the
-``res.cfg`` round-trip discipline: every stored result carries enough
-serialized config to re-derive itself) — a flipped byte anywhere in the
-file fails verification.  A read checks the raw bytes with that one
-hash, parses only the metadata and payload lines and leaves the replay
+hash verifies the metadata, the payload, the traces and the replay
+config (the ``res.cfg`` round-trip discipline: every stored result
+carries enough serialized config to re-derive itself) — a flipped byte
+anywhere in the file fails verification.  A read checks the raw bytes
+with that one hash before parsing anything, parses only the metadata
+and the payload skeleton, wraps each trace section with
+``np.frombuffer`` (copied into a writable array) and leaves the replay
 config as bytes; only :meth:`ResultStore.audit` unpickles it.
 
 Writes are durable: temp file in the same directory, ``fsync``, atomic
@@ -59,7 +67,7 @@ import os
 import pickle
 import random
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from ..chaos.runtime import fire as _chaos_fire
 from ..common.exceptions import (
@@ -68,12 +76,14 @@ from ..common.exceptions import (
     StoreIntegrityError,
 )
 from ..common.retry import RetryPolicy
-from ..platform.result import canonical_bytes, content_digest
+from ..platform.result import canonical_bytes
 from .keys import STORE_SCHEMA
 
 STORE_MARKER = "store.json"
 ENTRIES_DIR = "entries"
 QUARANTINE_DIR = "quarantine"
+#: Payload field holding the byte length of the entry's trace block.
+TRACE_BLOCK_BYTES = "trace_block_bytes"
 
 
 @dataclasses.dataclass
@@ -95,10 +105,9 @@ class StoreEntry:
     """One verified store entry.
 
     ``campaign`` through ``created_unix`` are the metadata line;
-    ``payload`` is the parsed payload line and ``payload_sha256`` the
-    SHA-256 of its bytes (what :meth:`ResultStore.audit` compares);
-    ``config`` is the raw replay pickle, left undecoded until
-    :meth:`replay_config`.
+    ``payload`` is the parsed payload line, ``traces`` the raw trace
+    block it refers into and ``config`` the raw replay pickle, left
+    undecoded until :meth:`replay_config`.
     """
 
     key: str
@@ -109,14 +118,14 @@ class StoreEntry:
     source_digest: str
     scenarios: List[dict]
     created_unix: float
-    payload_sha256: str
     payload: dict
+    traces: bytes
     config: bytes
 
     def lane_outcome(self):
         """The stored lane outcome (``platform=None``; see LaneOutcome)."""
         from ..scenarios.campaign import LaneOutcome
-        return LaneOutcome.from_dict(self.payload)
+        return LaneOutcome.from_dict(self.payload, self.traces)
 
     def replay_config(self):
         """Unpickle the stored replay config: ``(program, lane_source)``."""
@@ -209,9 +218,9 @@ class ResultStore:
         """Durably persist one lane outcome under ``key``.
 
         Args:
-            lane: the :class:`LaneOutcome` to store (its ``to_dict``
-                serialisation is the payload; the platform object does
-                not travel).
+            lane: the :class:`LaneOutcome` to store (:func:`encode_lane`
+                gives the payload and the trace block; the platform
+                object does not travel).
             config_blob: ``pickle.dumps((program, lane_source))``
                 captured *before* the lane ran — the replay config the
                 equivalence audit re-simulates from.
@@ -221,6 +230,7 @@ class ResultStore:
         Returns the entry path.  The write is atomic and fsynced: a
         crash mid-put leaves the store exactly as it was.
         """
+        payload, traces = encode_lane(lane)
         metadata = canonical_bytes({
             "campaign": campaign,
             "engine": engine,
@@ -230,10 +240,10 @@ class ResultStore:
                           for outcome in lane.outcomes],
             "created_unix": time.time(),
         })
-        # canonical JSON escapes every newline, so the first two
-        # separators below are the only ones before the config
-        body = b"\n".join((metadata, canonical_bytes(lane.to_dict()),
-                           config_blob))
+        # canonical JSON escapes every newline, so the two separators
+        # below are the only ones before the trace block
+        body = b"".join((metadata, b"\n", payload, b"\n", traces,
+                         config_blob))
         header = canonical_bytes({"key": key, "schema": STORE_SCHEMA,
                                   "sha256": hashlib.sha256(body).hexdigest()})
         path = self.entry_path(key)
@@ -276,10 +286,12 @@ class ResultStore:
         if reason is not None:
             self._quarantine(key, reason)
             return None
-        metadata, payload, config = body.split(b"\n", 2)
+        metadata, payload, tail = body.split(b"\n", 2)
+        payload = json.loads(payload)
+        size = payload[TRACE_BLOCK_BYTES]
         return StoreEntry(key=key, path=path, **json.loads(metadata),
-                          payload_sha256=hashlib.sha256(payload).hexdigest(),
-                          payload=json.loads(payload), config=config)
+                          payload=payload, traces=tail[:size],
+                          config=tail[size:])
 
     @staticmethod
     def _verify(key: str, header: bytes, body: bytes) -> Optional[str]:
@@ -336,10 +348,11 @@ class ResultStore:
         A random ``sample`` of entries (all of them when ``sample`` is
         None) is replayed from each entry's own pickled config — the
         scenario program and the lane's starting state — on ``engine``
-        (the reference chain by default).  The fresh payload checksum
-        must equal the stored one bit for bit; the engine equivalence
-        locks promise exactly that, so any difference means the store,
-        the serialisation or an engine has broken, and the audit raises
+        (the reference chain by default).  The fresh lane's encoding —
+        payload line and trace block — must equal the stored one bit for
+        bit; the engine equivalence locks promise exactly that, so any
+        difference means the store, the serialisation or an engine has
+        broken, and the audit raises
         :class:`StoreIntegrityError` after quarantining the drifted
         entry.  Entries that fail verification or whose config no longer
         unpickles are quarantined and reported (not drift).
@@ -368,7 +381,8 @@ class ResultStore:
                 self.stats.audited += 1
                 continue
             self.stats.audited += 1
-            if content_digest(fresh.to_dict()) != entry.payload_sha256:
+            if encode_lane(fresh) != (canonical_bytes(entry.payload),
+                                      entry.traces):
                 self._quarantine(key, "drift")
                 drifted.append(key)
             else:
@@ -382,6 +396,19 @@ class ResultStore:
                 f"entries were quarantined under {self.quarantine_dir!r}")
         return AuditReport(checked=len(keys), verified_keys=verified,
                            quarantined_keys=quarantined)
+
+
+def encode_lane(lane) -> Tuple[bytes, bytes]:
+    """A lane outcome's ``(payload line, trace block)`` (schema 3).
+
+    The payload is the canonical JSON of ``lane.to_dict(block)`` plus the
+    block's byte length; the same lane always encodes to the same bytes,
+    and ``LaneOutcome.from_dict(json.loads(payload), block)`` decodes it.
+    """
+    block = bytearray()
+    payload = lane.to_dict(block)
+    payload[TRACE_BLOCK_BYTES] = len(block)
+    return canonical_bytes(payload), bytes(block)
 
 
 def _free_name(base: str) -> str:

@@ -11,19 +11,22 @@ fixed-point (prototype) mode, closed-loop rebalance, waveform
 recording, mixed-structure fleets and early lane retirement, check
 that bad input raises the same exception type everywhere, and check the
 supporting vectorised helpers (``Environment.sample``,
-``BufferedGaussianNoise.take``) against their scalar counterparts.
+``BufferedGaussianNoise.take``) against their scalar counterparts —
+including that noise sources pickle and copy without losing or
+repeating a value, and pickle by stream position alone.
 """
 
 import copy
 import dataclasses
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from strategies.settings import QUICK_SETTINGS
+from strategies.settings import QUICK_SETTINGS, STANDARD_SETTINGS
 from strategies.stimulus import bad_stimulus
 
 from repro.common import ConfigurationError
@@ -444,10 +447,57 @@ class TestVectorisedHelpers:
         with pytest.raises(ConfigurationError):
             g2.take(-1)
 
+    @STANDARD_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1),
+           sigma=st.sampled_from([0.0, 1e-3, 1.0, 7.5]),
+           block_size=st.integers(1, 9),
+           ops=st.lists(st.one_of(
+               st.just("next"), st.just("pickle"), st.just("deepcopy"),
+               st.integers(0, 20)), max_size=40))
+    def test_noise_stream_survives_any_consumption(self, seed, sigma,
+                                                   block_size, ops):
+        # every mix of per-sample draws, chunked takes, pickle round
+        # trips and deep copies hands out one long draw's values, none
+        # lost or repeated
+        g = BufferedGaussianNoise(sigma, seed, block_size)
+        values = []
+        for op in ops:
+            if op == "next":
+                values.append(g.next())
+            elif op == "pickle":
+                g = pickle.loads(pickle.dumps(g))
+            elif op == "deepcopy":
+                g = copy.deepcopy(g)
+            else:
+                values.extend(g.take(op))
+        expected = np.random.default_rng(seed).normal(0.0, sigma,
+                                                      len(values))
+        np.testing.assert_array_equal(np.array(values), expected)
 
+    @STANDARD_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), block_size=st.integers(1, 9),
+           nexts=st.integers(0, 30), takes=st.lists(st.integers(0, 12),
+                                                    max_size=4))
+    def test_noise_pickles_by_stream_position(self, seed, block_size,
+                                              nexts, takes):
+        # a source mid-block and a source that never had a block pickle
+        # to the same bytes at the same stream position
+        by_next = BufferedGaussianNoise(0.5, seed, block_size)
+        by_take = BufferedGaussianNoise(0.5, seed, block_size)
+        position = nexts + sum(takes)
+        for _ in range(nexts):
+            by_next.next()
+        for k in takes:
+            by_next.take(k)
+        by_take.take(position)
+        assert pickle.dumps(by_next) == pickle.dumps(by_take)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTypedErrors:
     """Bad input raises the same exception type on every engine and
-    backend, before any state is written back."""
+    backend, before any state is written back — and nothing warns
+    first."""
 
     PATHS = (("reference", None), ("compiled", "python"), ("compiled", "c"))
 

@@ -16,6 +16,7 @@ provenance, not identity).
 import copy
 import hashlib
 import json
+import math
 import os
 import pickle
 import shutil
@@ -27,7 +28,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from strategies.settings import SLOW_SETTINGS, STANDARD_SETTINGS
+from strategies.settings import (
+    DETERMINISM_SETTINGS,
+    SLOW_SETTINGS,
+    STANDARD_SETTINGS,
+)
 
 import repro
 from repro.chaos import (
@@ -46,10 +51,17 @@ from repro.common import (
 from repro.common.retry import RetryPolicy
 from repro.eval.metrics import CharacterizationConfig, GyroCharacterization
 from repro.faults import AfeSaturation, SensorDropout, StuckAdcCode
-from repro.platform import GyroPlatform, canonical_bytes
+from repro.platform import (
+    GyroPlatform,
+    GyroSimulationResult,
+    canonical_bytes,
+    content_digest,
+)
 from repro.scenarios import (
     Campaign,
+    LaneOutcome,
     Scenario,
+    ScenarioOutcome,
     rate_table_scenarios,
     settled_output_scenario,
 )
@@ -61,6 +73,7 @@ from repro.store import (
     lane_key,
     miss_set_digest,
 )
+from repro.store.store import TRACE_BLOCK_BYTES, encode_lane
 
 TRACE_FIELDS = (
     "time_s", "true_rate_dps", "temperature_c", "rate_output_dps",
@@ -101,29 +114,32 @@ def forbid_simulation(monkeypatch):
     monkeypatch.setattr("repro.scenarios.executor._execute_lanes", boom)
 
 
-ENTRY_SECTIONS = ("header", "metadata", "payload", "config")
+ENTRY_SECTIONS = ("header", "metadata", "payload", "traces", "config")
 
 
 def rewrite_entry(path, section, edit, reseal=False):
     """Replace one section of a stored entry with ``edit(section)``.
 
     ``edit`` receives the parsed JSON of the header, metadata or payload
-    line, or the raw bytes of the replay config, and returns the new
-    value.  ``reseal`` recomputes the header's SHA-256 over the edited
-    body, so the entry verifies again and only re-simulation can tell.
+    line, or the raw bytes of the trace block or the replay config, and
+    returns the new value.  ``reseal`` recomputes the header's SHA-256
+    over the edited body, so the entry verifies again and only
+    re-simulation can tell.
     """
     with open(path, "rb") as fh:
-        sections = fh.read().split(b"\n", 3)
+        header, metadata, payload, tail = fh.read().split(b"\n", 3)
+    size = json.loads(payload)[TRACE_BLOCK_BYTES]
+    sections = [header, metadata, payload, tail[:size], tail[size:]]
     i = ENTRY_SECTIONS.index(section)
-    sections[i] = (edit(sections[i]) if section == "config"
+    sections[i] = (edit(sections[i]) if section in ("traces", "config")
                    else canonical_bytes(edit(json.loads(sections[i]))))
+    body = b"\n".join(sections[1:3]) + b"\n" + b"".join(sections[3:])
     if reseal:
         header = json.loads(sections[0])
-        header["sha256"] = hashlib.sha256(
-            b"\n".join(sections[1:])).hexdigest()
+        header["sha256"] = hashlib.sha256(body).hexdigest()
         sections[0] = canonical_bytes(header)
     with open(path, "wb") as fh:
-        fh.write(b"\n".join(sections))
+        fh.write(sections[0] + b"\n" + body)
 
 
 def bump_first_metric(payload):
@@ -490,28 +506,124 @@ class TestKeyProperties:
         clone = pickle.loads(pickle.dumps(source))
         assert clone.lane_digests(1) == source.lane_digests(1)
 
+    #: Lane keys of a fresh platform, a started one (noise streams
+    #: mid-stream) and a started one left mid-block by a reference
+    #: segment; run in-process and as a script in a new process.
+    LANE_KEYS_SCRIPT = (
+        "from repro.platform import GyroPlatform\n"
+        "from repro.scenarios import settled_output_scenario\n"
+        "from repro.scenarios.executor import LaneSource\n"
+        "from repro.sensors import Environment\n"
+        "from repro.store import lane_key\n"
+        "def lane_keys():\n"
+        "    scenario = settled_output_scenario(25.0, settle_s=0.05)\n"
+        "    def key(platform):\n"
+        "        source = LaneSource.resolve(platform, None, None, False,"
+        " 1)\n"
+        "        return lane_key(source.lane_digests(1)[0], 'compiled',"
+        " [scenario.digest()])\n"
+        "    platform = GyroPlatform()\n"
+        "    keys = [key(platform)]\n"
+        "    platform.start()\n"
+        "    keys.append(key(platform))\n"
+        "    platform.run(Environment.still(), 0.001, engine='reference')\n"
+        "    keys.append(key(platform))\n"
+        "    return keys\n"
+        "if __name__ == '__main__':\n"
+        "    print(*lane_keys())\n")
+
     def test_lane_key_stable_across_process_restart(self):
-        scenario = settled_output_scenario(25.0, settle_s=0.05)
-        source = LaneSource.resolve(GyroPlatform(), None, None, False, 1)
-        key = lane_key(source.lane_digests(1)[0], "compiled",
-                       [scenario.digest()])
-        script = (
-            "from repro.platform import GyroPlatform\n"
-            "from repro.scenarios import settled_output_scenario\n"
-            "from repro.scenarios.executor import LaneSource\n"
-            "from repro.store import lane_key\n"
-            "source = LaneSource.resolve(GyroPlatform(), None, None,"
-            " False, 1)\n"
-            "scenario = settled_output_scenario(25.0, settle_s=0.05)\n"
-            "print(lane_key(source.lane_digests(1)[0], 'compiled',"
-            " [scenario.digest()]))\n")
+        # every key is stable, so no pickled noise generator may carry
+        # fresh entropy (NumPy pickles a bit generator's seed sequence)
+        namespace = {"__name__": "lane_keys"}
+        exec(self.LANE_KEYS_SCRIPT, namespace)
+        keys = namespace["lane_keys"]()
+        assert len(set(keys)) == 3
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.dirname(os.path.dirname(repro.__file__)),
              env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == key
+        out = subprocess.run([sys.executable, "-c", self.LANE_KEYS_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.split() == keys
+
+
+# ---------------------------------------------------------------------------
+# the schema-3 entry format: JSON skeleton plus raw trace sections
+# ---------------------------------------------------------------------------
+
+#: Doubles the trace block must carry bit for bit: signed zeros, NaN,
+#: infinities, subnormals and the extremes.
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                                  5e-324, -2.2e-308, 1.7976931348623157e308])
+TRACE_FLOATS = SPECIAL_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
+SCALAR_FLOATS = st.none() | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def scenario_outcomes(draw):
+    """A ScenarioOutcome with arbitrary traces of one drawn length."""
+    n = draw(st.integers(0, 6))
+    floats = st.lists(TRACE_FLOATS, min_size=n, max_size=n).map(
+        lambda values: np.array(values, dtype=np.float64))
+    bools = st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda values: np.array(values, dtype=bool))
+    traces = {name: draw(bools if name in ("pll_locked", "running")
+                         else floats)
+              for name in TRACE_FIELDS}
+    waveforms = draw(st.booleans())
+    result = GyroSimulationResult(
+        sample_rate_hz=draw(st.floats(1.0, 1e6)),
+        primary_pickoff_norm=draw(floats) if waveforms else None,
+        drive_word=draw(floats) if waveforms else None,
+        turn_on_time_s=draw(SCALAR_FLOATS),
+        safe_mode=draw(st.none() | st.booleans()),
+        safe_mode_events=draw(st.none() | st.integers(0, 9)),
+        safe_mode_entry_s=draw(SCALAR_FLOATS),
+        overload_time_s=draw(SCALAR_FLOATS),
+        **traces)
+    scenario = Scenario(name=draw(st.text(max_size=8)),
+                        environment=Environment.still(),
+                        duration_s=draw(st.floats(1e-3, 10.0)))
+    metrics = draw(st.dictionaries(st.text(max_size=6), TRACE_FLOATS,
+                                   max_size=3))
+    return ScenarioOutcome(scenario=scenario, result=result, metrics=metrics,
+                           stopped_early=draw(st.booleans()),
+                           elapsed_s=draw(st.floats(0.0, 10.0)))
+
+
+class TestEntryFormat:
+    @DETERMINISM_SETTINGS
+    @given(outcomes=st.lists(scenario_outcomes(), max_size=3))
+    def test_encoding_round_trips_bit_exact(self, outcomes):
+        lane = LaneOutcome(platform=None, outcomes=outcomes)
+        payload, traces = encode_lane(lane)
+        assert encode_lane(lane) == (payload, traces)   # deterministic
+        back = LaneOutcome.from_dict(json.loads(payload), traces)
+        assert content_digest(back.to_dict()) == content_digest(lane.to_dict())
+        assert encode_lane(back) == (payload, traces)
+        for original, decoded in zip(outcomes, back.outcomes):
+            for name in TRACE_FIELDS + ("primary_pickoff_norm", "drive_word"):
+                a = getattr(original.result, name)
+                b = getattr(decoded.result, name)
+                if a is None:
+                    assert b is None
+                    continue
+                # the float64 bits themselves (NaN payloads included),
+                # in a writable array of the trace's own dtype
+                assert b.dtype == a.dtype and b.tobytes() == a.tobytes()
+                assert b.flags.writeable
+
+    def test_started_platform_entry_stays_small(self, started_platform,
+                                                tmp_path):
+        # a started platform's replay pickle carries its noise streams'
+        # positions, not their pre-drawn blocks
+        store = ResultStore(str(tmp_path / "store"))
+        make_campaign().run(copy.deepcopy(started_platform), store=store)
+        sizes = [os.path.getsize(store.entry_path(key))
+                 for key in store.keys()]
+        assert len(sizes) == 2 and max(sizes) <= 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +673,11 @@ class TestKillDuringWrite:
 
     @SLOW_SETTINGS
     @given(frac=st.floats(0.0, 1.0), flip=st.integers(1, 255))
-    # one flip inside each section: header, metadata, payload, config
+    # one flip inside each section: header, metadata, payload, traces,
+    # config
     @example(frac=0.002, flip=1)
     @example(frac=0.007, flip=1)
+    @example(frac=0.03, flip=1)
     @example(frac=0.3, flip=1)
     @example(frac=0.8, flip=1)
     def test_flipped_byte_never_readable_but_wrong(self, sealed_entry,
