@@ -1,4 +1,4 @@
-"""Engine performance report: reference vs. compiled, and the fleet layouts.
+"""Engine performance report: reference vs. compiled, per lane backend.
 
 Times the co-simulation paths on the same fixed workload — the Fig. 5
 drive-loop locking scenario (sensor at rest from power-on) — plus the
@@ -13,15 +13,10 @@ records under ``"entries"``; the compiled, campaign and sharded paths
 carry their backend in brackets.  ``samples_per_sec`` is simulated
 samples per wall-clock second; for the campaign paths all fleet lanes
 count, so their speedup is the *per-scenario* throughput gain at ``B``
-lanes.  ``"crossover"`` times one fleet of ``B`` 0.05 s rate-table lanes
-(branched from a started platform) forced onto each fleet layout —
-lockstep, and lane by lane on each backend — at several ``B``: the
-table behind ``repro.engine.compiled.LOCKSTEP_CROSSOVER``, which
-``"lockstep_crossover"`` records (``null`` when it is infinite, that
-is when every fleet runs lane by lane).  ``"build"``
-times the C backend's on-disk kernel cache in a temporary cache
-directory, per kernel plan: the cold build (lowering, compiling and the
-self-check) and the warm load from the cache in the same process.
+lanes.  ``"build"`` times the C backend's on-disk kernel cache in a
+temporary cache directory, per kernel plan: the cold build (lowering,
+compiling and the self-check) and the warm load from the cache in the
+same process.
 ``"store"`` times the result store on one campaign of ``STORE_LANES``
 0.05 s settled-output lanes branched from a started platform: the mean
 entry size, the put time per lane into a fresh store (cold), the hit
@@ -41,9 +36,7 @@ Run with:  python benchmarks/perf_report.py [--quick]
 
 import argparse
 import contextlib
-import copy
 import json
-import math
 import os
 import pickle
 import platform as host
@@ -56,7 +49,7 @@ import numpy
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.engine import FleetSimulator, backend_info      # noqa: E402
+from repro.engine import backend_info                      # noqa: E402
 from repro.engine import compiled                          # noqa: E402
 from repro.engine.compiled import kernel_plan              # noqa: E402
 from repro.platform import GyroPlatform, GyroPlatformConfig  # noqa: E402
@@ -70,8 +63,6 @@ REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_engine.json")
 
 DURATION_S = 0.5   # the fixed locking scenario
 BATCH_LANES = 32
-CROSSOVER_LANES = (8, 16, 24, 32, 48)
-CROSSOVER_S = 0.05   # rate-table lane length
 STORE_LANES = 16
 STORE_S = 0.05       # settled-output lane length
 BRANCH_LANES = 32
@@ -110,43 +101,12 @@ def _time_engine(engine: str, duration_s: float) -> float:
     return best
 
 
-def _time_layouts(platform, lanes: int, duration_s: float) -> dict:
-    """Time one ``lanes``-lane rate-table fleet on each fleet layout.
-
-    Each lane is a copy of the started ``platform`` held at its own
-    constant rate; returns the best wall time of the lockstep layout
-    and of the lane layout on each backend (``"lane[c]"``, ...).
-    """
-    envs = [Environment.constant_rate(-200.0 + 400.0 * i / max(lanes - 1, 1))
-            for i in range(lanes)]
-    saved = compiled.LOCKSTEP_CROSSOVER
-    times = {}
-    layouts = [("lockstep", 1, BACKENDS[0])] + [
-        (f"lane[{backend}]", math.inf, backend) for backend in BACKENDS]
-    try:
-        for layout, crossover, backend in layouts:
-            compiled.LOCKSTEP_CROSSOVER = crossover
-            with _backend(backend):
-                FleetSimulator([copy.deepcopy(platform)]).run(envs[0], 0.001)
-                best = float("inf")
-                for _ in range(REPEATS):
-                    fleet = FleetSimulator([copy.deepcopy(platform)
-                                            for _ in range(lanes)])
-                    start = time.perf_counter()
-                    fleet.run(envs, duration_s)
-                    best = min(best, time.perf_counter() - start)
-            times[layout] = best
-    finally:
-        compiled.LOCKSTEP_CROSSOVER = saved
-    return times
-
-
 def _time_campaign(lanes: int, duration_s: float) -> float:
     """Time a rate-table campaign: B settled-output scenarios, one fleet.
 
     The platform start-up is not timed — the campaign layer is what is
-    being measured: scenario branching, fleet packing and metric
-    extraction on top of the default engine's fleet layout choice.
+    being measured: scenario branching, the per-round fleet calls and
+    metric extraction on top of the lane kernels.
     """
     rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
     best = float("inf")
@@ -315,9 +275,7 @@ def _host() -> dict:
 
 def build_report(duration_s: float = DURATION_S,
                  lanes: int = BATCH_LANES,
-                 workers: int = None,
-                 crossover_lanes=CROSSOVER_LANES,
-                 crossover_s: float = CROSSOVER_S) -> dict:
+                 workers: int = None) -> dict:
     """Time the engines and the campaign layer; return the report dict."""
     fs = GyroPlatformConfig().sample_rate_hz
     n = int(round(duration_s * fs))
@@ -346,17 +304,6 @@ def build_report(duration_s: float = DURATION_S,
         })
     started = GyroPlatform(GyroPlatformConfig())
     started.start()
-    n_cross = int(round(crossover_s * fs))
-    crossover = []
-    for b in crossover_lanes:
-        times = _time_layouts(started, b, crossover_s)
-        row = {"lanes": b}
-        for layout, seconds in times.items():
-            row[f"{layout}_samples_per_sec"] = round(n_cross * b / seconds, 1)
-        for backend in BACKENDS:
-            row[f"lockstep_vs_lane[{backend}]"] = round(
-                times[f"lane[{backend}]"] / times["lockstep"], 2)
-        crossover.append(row)
     return {
         "scenario": ("fig5 locking run: sensor at rest from power-on, "
                      f"{duration_s} s @ {fs:.0f} Hz; campaign/sharded "
@@ -371,14 +318,6 @@ def build_report(duration_s: float = DURATION_S,
             backend_info(), cache_dir=backend_info()["cache_dir"].replace(
                 os.path.expanduser("~"), "~", 1)),
         "entries": entries,
-        "crossover_scenario": (f"one fleet of B rate-table lanes, "
-                               f"{crossover_s} s each from a started "
-                               "platform, forced onto each fleet layout "
-                               "and lane backend"),
-        # JSON has no infinity: null means every fleet runs lane by lane
-        "lockstep_crossover": (None if math.isinf(compiled.LOCKSTEP_CROSSOVER)
-                               else compiled.LOCKSTEP_CROSSOVER),
-        "crossover": crossover,
         "store_scenario": (f"one campaign of {STORE_LANES} settled-output "
                            f"lanes, {STORE_S} s each from a started "
                            "platform: every entry put into a fresh "
@@ -413,9 +352,7 @@ def main() -> None:
 
     duration = 0.1 if args.quick else DURATION_S
     lanes = 8 if args.quick else BATCH_LANES
-    report = build_report(duration, lanes, args.workers,
-                          (4, 8) if args.quick else CROSSOVER_LANES,
-                          0.01 if args.quick else CROSSOVER_S)
+    report = build_report(duration, lanes, args.workers)
     # a --quick run measures a different scenario: never let it silently
     # overwrite the tracked perf-trajectory file
     output = args.output or (None if args.quick else REPORT_PATH)
@@ -429,11 +366,6 @@ def main() -> None:
     for entry in report["entries"]:
         print(f"  {entry['path']:<40s} {entry['samples_per_sec']:>12,.0f} "
               f"samples/s   {entry['speedup_vs_reference']:>6.2f}x")
-    for row in report["crossover"]:
-        for backend in BACKENDS:
-            print(f"  lockstep vs lane by lane [{backend}], "
-                  f"B={row['lanes']:<3d}"
-                  f"{row[f'lockstep_vs_lane[{backend}]']:>20.2f}x")
     for row in report["build"]:
         print(f"  build {row['plan']:<12s} cold {row['cold_build_s']:.2f} s, "
               f"warm {row['warm_load_ms']:.1f} ms")

@@ -15,7 +15,7 @@ Subpackages
 ``repro.mcu``       8051 microcontroller subsystem (ISS, buses, peripherals, JTAG)
 ``repro.gyro``      gyro conditioning chain (drive loop, sense chain)
 ``repro.platform``  generic platform, IP portfolio, case-study instance
-``repro.engine``    generated co-simulation kernels (lane and lockstep fleets)
+``repro.engine``    generated co-simulation kernels (C, with a Python fallback)
 ``repro.scenarios`` declarative scenario/campaign orchestrator + engine registry
 ``repro.store``     durable content-addressed result store (hits, audit, quarantine)
 ``repro.flow``      platform-based design flow (partitioning, DSE, prototyping)

@@ -12,17 +12,14 @@ Two interchangeable ways to run the same mixed-signal co-simulation:
   built once per host into an on-disk cache; without a C compiler the
   same generated source runs as a plain Python kernel.  Bit-identical
   traces and state, and the default.
-  :func:`run_compiled_fleet` (and its thin front
-  :class:`FleetSimulator`) runs fleets of any mix of structures: groups
-  of structurally equal lanes that fill a fleet step in NumPy lockstep,
-  a second rendering of the same generated kernel, and the rest run
-  lane by lane.
 
-Both layouts load and store platform state through the packed schema of
-:mod:`repro.engine.state`.  ``GyroPlatform.run`` dispatches through the
-engine registry (``GyroPlatformConfig.engine``); a sequence of
-environments passed to ``GyroPlatform.run`` and :class:`FleetSimulator`
-expose the fleet axis.
+The compiled kernels load and store platform state through the packed
+schema of :mod:`repro.engine.state`.  ``GyroPlatform.run`` dispatches through the
+engine registry (``GyroPlatformConfig.engine``).  Fleets run every lane
+on its own kernel: a sequence of environments passed to
+``GyroPlatform.run`` runs one campaign lane each, and
+:class:`FleetSimulator` runs a list of platforms through their own
+``GyroPlatform.run``.
 """
 
 from .compiled import (
@@ -30,7 +27,6 @@ from .compiled import (
     backend_info,
     compiled_backend,
     run_compiled,
-    run_compiled_fleet,
 )
 
 __all__ = [
@@ -38,5 +34,4 @@ __all__ = [
     "backend_info",
     "compiled_backend",
     "run_compiled",
-    "run_compiled_fleet",
 ]

@@ -17,39 +17,27 @@ baked as literals, biquad cascades unrolled, dead branches dropped, the
 start-up sequencer skipped once it reaches RUNNING and the record point
 tracked with a countdown instead of a modulo.
 
-One emit sequence renders the plan in two *layouts*:
-
-* **lane** — the loop on local floats for one platform, with two
-  backends.  ``"c"`` lowers the source variant that indexes the
-  ndarrays directly to C (:mod:`repro.engine.native`), builds it with
-  the system compiler into an on-disk cache and calls it through
-  :mod:`ctypes`; a new library must reproduce the Python kernel bit for
-  bit on the requesting platform's own stimulus before it is cached
-  (:data:`SELF_CHECK_SAMPLES`).  ``"python"`` runs the source through
-  ``compile()``/``exec`` after a ``.tolist()`` prelude that moves the
-  per-sample arrays into Python floats.  It is the fallback when no
-  compiler is found (:data:`COMPILER`) or a build fails, so the
-  ``"compiled"`` engine always registers and behaves identically, only
-  slower.
-* **lockstep** — the same loop with every local a ``(B,)`` NumPy row of
-  ``B`` lanes stepped together: the packed ``(S, B)`` state, the
-  ``(C, B)`` constants, the biquad arrays and ``(nc, B)`` chunk inputs.
-  One interpreter pass per sample then advances the whole fleet.  Only
-  clips and quantisers, the PLL/lock branch, the start-up sequencer,
-  the temperature events and the two acquisition channels (stacked on
-  a ``(2, B)`` axis) render differently.
-
-:func:`run_compiled_fleet` picks the layout from the fleet's shape (see
-:data:`LOCKSTEP_CROSSOVER`); no option selects it.
+The kernel runs the loop on local floats for one platform, with two
+backends.  ``"c"`` lowers the source variant that indexes the ndarrays
+directly to C (:mod:`repro.engine.native`), builds it with the system
+compiler into an on-disk cache and calls it through :mod:`ctypes`; a new
+library must reproduce the Python kernel bit for bit on the requesting
+platform's own stimulus before it is cached (:data:`SELF_CHECK_SAMPLES`).
+``"python"`` runs the source through ``compile()``/``exec`` after a
+``.tolist()`` prelude that moves the per-sample arrays into Python
+floats.  It is the fallback when no compiler is found
+(:data:`COMPILER`) or a build fails, so the ``"compiled"`` engine always
+registers and behaves identically, only slower.  Fleets run every lane
+on its own kernel: :class:`FleetSimulator` calls each lane's
+``GyroPlatform.run``, a campaign round
+:meth:`~repro.scenarios.engines.EngineSpec.run_fleet`.
 
 Bit-identity contract: the generated arithmetic replicates the reference
 chain operation for operation — same expression order, same rounding
-points, same RNG block draws, and NumPy's elementwise ``sin``/``cos``/
-``rint``/``floor`` match ``math``'s and ``round`` bit for bit — so traces
-and end-of-run platform state are bit-identical to the reference engine
-in both layouts and on both backends.  The DSP monitor registers are
-refreshed once at the end of each run instead of every
-``status_update_interval`` samples.  All mutable loop state travels
+points, same RNG block draws — so traces and end-of-run platform state
+are bit-identical to the reference engine on both backends.  The DSP
+monitor registers are refreshed once at the end of each run instead of
+every ``status_update_interval`` samples.  All mutable loop state travels
 through the packed vectors of :mod:`repro.engine.state`
 (:func:`~repro.engine.state.pack_scalar_state` /
 :func:`~repro.engine.state.finish_run`), which is what lets faults,
@@ -69,10 +57,7 @@ raises :class:`~repro.common.exceptions.SimulationError`, from the
 Python kernel where it fails and from the C kernel at the end of the
 chunk, before any state is written back to the platform.
 
-Runs are processed in time chunks (:data:`CHUNK_SAMPLES`); fleets of
-more than :data:`LANE_CHUNK` lanes drop to
-:data:`BIG_FLEET_CHUNK_SAMPLES` so a big Monte Carlo sweep's per-lane
-working set stays cache-resident.
+Runs are processed in time chunks of :data:`CHUNK_SAMPLES` samples.
 """
 
 from __future__ import annotations
@@ -105,27 +90,11 @@ from . import native
 #: The C compiler command (:func:`repro.engine.native.find_compiler`:
 #: ``$CC``, else Python's build ``CC``), or ``None`` when none is found.
 COMPILER = native.find_compiler()
-#: Backend of the lane layout: ``"c"`` with a compiler, else ``"python"``.
+#: Backend of the lane kernels: ``"c"`` with a compiler, else ``"python"``.
 BACKEND = "c" if COMPILER else "python"
 
-#: Samples per kernel invocation for single runs and small fleets.
+#: Samples per kernel invocation.
 CHUNK_SAMPLES = 16384
-#: Fleet size above which the per-lane time chunk shrinks.
-LANE_CHUNK = 64
-#: Samples per kernel invocation for >LANE_CHUNK-lane fleets, so the
-#: combined per-lane buffers of a big sweep stay cache-resident.
-BIG_FLEET_CHUNK_SAMPLES = 4096
-
-#: A group of structurally equal lanes runs in lockstep when its
-#: lane-samples divided by the samples of its longest lane reach this
-#: value; below it the lanes run one after another.  One lockstep pass
-#: costs about as much as 24 lane samples on the Python backend: the
-#: ``BENCH_engine.json`` crossover table (0.05 s rate-table lanes, 2-vCPU
-#: x86 host) reads lockstep/lane-by-lane 0.66x at B = 16, 0.95x at
-#: B = 24 and 1.20x at B = 32 on Python lanes.  A C lane kernel is native
-#: code, which lockstep NumPy never beats at any fleet size in that
-#: table, so with a compiler every lane runs on its own kernel.
-LOCKSTEP_CROSSOVER = math.inf if COMPILER else 24.0
 
 #: Samples of the requesting platform's own stimulus on which a newly
 #: built C kernel must match the Python kernel bit for bit (traces at
@@ -146,21 +115,6 @@ _LANE_INPUTS = (
     "rdac_gain", "rdac_off", "tcomp_off", "tcomp_sens",
 )
 
-#: Primary/secondary input pairs the lockstep layout stacks on a
-#: ``(nc, 2, B)`` axis under one name.
-_PAIRS = {
-    "ca_off2": ("ca_p_off", "ca_s_off"),
-    "ca_noise2": ("ca_p_noise", "ca_s_noise"),
-    "pga_off2": ("pga_p_off", "pga_s_off"),
-    "pga_noise2": ("pga_p_noise", "pga_s_noise"),
-    "adc_gain2": ("adc_p_gain", "adc_s_gain"),
-    "adc_off2": ("adc_p_off", "adc_s_off"),
-    "adc_noise2": ("adc_p_noise", "adc_s_noise"),
-}
-_PAIRED = {name for pair in _PAIRS.values() for name in pair}
-_LOCKSTEP_INPUTS = tuple(n for n in _LANE_INPUTS if n not in _PAIRED) \
-    + tuple(_PAIRS)
-
 _TRACES = (
     "time_tr", "rate_tr", "temp_tr", "out_dps_tr", "out_v_tr", "agc_tr",
     "agc_err_tr", "perr_tr", "vco_tr", "lock_tr", "run_tr",
@@ -170,10 +124,10 @@ _TRACES = (
 _HEAD_ARGS = (
     "n0", "nc", "dec", "rec", "record_waveforms", "state", "consts",
     "out_coefs", "out_z", "quad_coefs", "quad_z",
-    "ev_starts", "ev_lanes", "ev_coefs",
+    "ev_starts", "ev_coefs",
 )
 
-#: Arrays the lane layout's Python backend converts to lists up front
+#: Arrays the Python backend converts to lists up front
 #: (per-sample reads on Python floats are several times faster than on
 #: NumPy scalars).  The write-back arrays (state/out_z/quad_z/traces)
 #: and the record-point-only arrays (temp, rdac_gain, rdac_off) stay
@@ -187,15 +141,12 @@ _HOT_ARRAYS = (
     "tcomp_off", "tcomp_sens",
 )
 
+#: Argument order of a generated kernel.
+_KERNEL_ARGS = _HEAD_ARGS + _LANE_INPUTS + _TRACES
+
 _EV_NAMES = ("pa11", "pa12", "pa21", "pa22", "pb1", "pb2",
              "sa11", "sa12", "sa21", "sa22", "sb1", "sb2",
              "pick_gain", "offset_rate", "res_hz")
-
-
-def kernel_args(lockstep: bool = False) -> Tuple[str, ...]:
-    """Argument order of a generated kernel in one layout."""
-    inputs = _LOCKSTEP_INPUTS if lockstep else _LANE_INPUTS
-    return _HEAD_ARGS + inputs + _TRACES
 
 
 def kernel_plan(platform) -> Optional[Tuple]:
@@ -204,9 +155,9 @@ def kernel_plan(platform) -> Optional[Tuple]:
     The :func:`~repro.engine.state.loop_structure` plus ADC noise/INL
     presence.  Two platforms with the same plan share one generated
     kernel (their differing *values* travel through the consts/state
-    vectors) and can step in one lockstep fleet.  Returns ``None`` when
-    any quantisation site uses ``overflow="error"`` — generated kernels
-    cannot raise, so such runs delegate to the reference loop.
+    vectors).  Returns ``None`` when any quantisation site uses
+    ``overflow="error"`` — generated kernels cannot raise, so such runs
+    delegate to the reference loop.
     """
     structure = loop_structure(platform)
     for spec in structure[3:]:
@@ -222,22 +173,18 @@ def kernel_plan(platform) -> Optional[Tuple]:
     )
 
 
-def _clip(target: str, src: str, lo: str, hi: str, lockstep: bool) -> str:
+def _clip(target: str, src: str, lo: str, hi: str) -> str:
     """``target = src`` clamped to ``[lo, hi]`` (lower bound checked first)."""
-    if lockstep:
-        return f"{target} = minimum(maximum({src}, {lo}), {hi})"
     return f"{target} = {lo} if {src} < {lo} else ({hi} if {src} > {hi} else {src})"
 
 
-def quantizer_lines(var, spec, indent: int, counter,
-                    lockstep: bool = False) -> list:
+def quantizer_lines(var, spec, indent: int, counter) -> list:
     """Emit the bit-exact inline equivalent of ``var = quantize(var, fmt)``.
 
     ``spec`` is a :func:`~repro.engine.state.fmt_spec` tuple (``None``
     emits nothing) and ``counter`` a one-element list used to mint
     unique temporaries, so every inlined site assigns fresh names.
-    ``floor``/``trunc`` resolve to :mod:`math` in the lane layout
-    and to NumPy in the lockstep layout.  Exposed at module level so
+    ``floor``/``trunc`` resolve to :mod:`math`.  Exposed at module level so
     tests can lock the generated snippet against
     :func:`repro.common.fixedpoint.quantize` directly.
     """
@@ -256,7 +203,7 @@ def quantizer_lines(var, spec, indent: int, counter,
     else:  # truncate
         lines.append(f"{pad}{r} = trunc({s})")
     if overflow == "saturate":
-        lines.append(pad + _clip(r, r, repr(lo), repr(hi), lockstep))
+        lines.append(pad + _clip(r, r, repr(lo), repr(hi)))
     else:  # wrap ("error" never reaches codegen: kernel_plan -> None)
         span = hi - lo + 1
         lines.append(f"{pad}{r} = (({r} - {lo!r}) % {span!r}) + {lo!r}")
@@ -264,21 +211,16 @@ def quantizer_lines(var, spec, indent: int, counter,
     return lines
 
 
-def generate_kernel_source(plan: Tuple, backend: str,
-                           lockstep: bool = False) -> str:
-    """Emit the specialised kernel source for one plan, backend and layout.
+def generate_kernel_source(plan: Tuple, backend: str) -> str:
+    """Emit the specialised kernel source for one plan and backend.
 
-    The function body is one emit sequence for both layouts; the lane
-    layout's two backends differ only in the array-access prelude (the
+    The two backends differ only in the array-access prelude: the
     ``"python"`` variant reads per-sample data from ``.tolist()`` copies
     while ``"c"`` indexes the ndarrays directly and is then lowered to C
-    by :func:`repro.engine.native.lower`).  The lockstep layout runs on
-    NumPy and only has the ``"python"`` backend.
+    by :func:`repro.engine.native.lower`.
     """
     if backend not in ("python", "c"):
         raise ConfigurationError(f"unknown kernel backend {backend!r}")
-    if lockstep and backend != "python":
-        raise ConfigurationError("the lockstep layout runs on NumPy only")
     (closed, n_out, n_quad, q_nco, q_agc, q_drive, q_demod, q_qc,
      q_out, q_quad, q_off, q_tc, q_scaler,
      has_p_noise, has_s_noise, has_p_inl, has_s_inl) = plan
@@ -288,12 +230,12 @@ def generate_kernel_source(plan: Tuple, backend: str,
     counter = [0]
 
     def quant(var, spec, indent=8):
-        lines.extend(quantizer_lines(var, spec, indent, counter, lockstep))
+        lines.extend(quantizer_lines(var, spec, indent, counter))
 
     def clip(target, src, lo, hi, indent=8):
-        emit(" " * indent + _clip(target, src, lo, hi, lockstep))
+        emit(" " * indent + _clip(target, src, lo, hi))
 
-    emit(f"def kernel({', '.join(kernel_args(lockstep))}):")
+    emit(f"def kernel({', '.join(_KERNEL_ARGS)}):")
 
     # ---- prelude: array access + function binding -------------------------
     if backend == "c":
@@ -302,22 +244,12 @@ def generate_kernel_source(plan: Tuple, backend: str,
     else:
         emit("    floor = _floor; trunc = _trunc")
         emit("    sin = _sin; cos = _cos; rnd = _rnd")
-    if lockstep:
-        emit("    minimum = _minimum; maximum = _maximum; where = _where")
-        for name in _HOT_ARRAYS:
-            if name not in _PAIRED and name != "ev_starts":
-                emit(f"    {name}_r = {name}")
-        emit("    ev_starts_r = ev_starts.tolist()")
-        emit("    ev_lanes_r = ev_lanes.tolist()")
-        for name in _PAIRS:
-            emit(f"    {name}_r = {name}")
-    elif backend == "python":
         hot = set(_HOT_ARRAYS)
         if has_p_noise:
             hot.add("adc_p_noise")
         if has_s_noise:
             hot.add("adc_s_noise")
-        for name in kernel_args():
+        for name in _KERNEL_ARGS:
             if name in hot:
                 emit(f"    {name}_r = {name}.tolist()")
 
@@ -334,30 +266,7 @@ def generate_kernel_source(plan: Tuple, backend: str,
             emit(f"    st_count0 = state_r[{index}]")
         else:
             emit(f"    {name} = state_r[{index}]")
-    if lockstep:
-        emit("    st_active = bool((st_state != 4.0).any())")
-        # the two acquisition channels run the same block sequence, so
-        # they are stacked on a (2, B) axis (primary row, secondary row)
-        for name, (p, s) in (
-                ("pga_state2", ("pga_p_state", "pga_s_state")),
-                ("ca_gain2", ("ca_gain", "ca_gain")),
-                ("ca_rail2", ("ca_rail", "ca_rail")),
-                ("aa1", ("aa_p1", "aa_s1")), ("aa2", ("aa_p2", "aa_s2")),
-                ("pga_gain2", ("pga_p_gain", "pga_s_gain")),
-                ("pga_alpha2", ("pga_p_alpha", "pga_s_alpha")),
-                ("pga_rail2", ("pga_p_rail", "pga_s_rail")),
-                ("trim2", ("trim_p", "trim_s")),
-                ("aa_alpha2", ("aa_alpha", "aa_alpha_s")),
-                ("adc_kinl2", ("adc_p_kinl", "adc_s_kinl")),
-                ("adc_vref2", ("adc_p_vref", "adc_s_vref")),
-                ("adc_lsb2", ("adc_p_lsb", "adc_s_lsb")),
-                ("adc_cmin2", ("adc_p_cmin", "adc_s_cmin")),
-                ("adc_cmax2", ("adc_p_cmax", "adc_s_cmax"))):
-            emit(f"    {name} = _array(({p}, {s}))")
-        emit("    neg_ca_rail2 = -ca_rail2; neg_pga_rail2 = -pga_rail2")
-        emit("    neg_tuning_range = -tuning_range")
-    else:
-        emit("    st_active = st_state != 4.0")
+    emit("    st_active = st_state != 4.0")
 
     # ---- biquad cascades unrolled into locals -----------------------------
     for prefix, n_sec, coefs, zs in (("o", n_out, "out_coefs_r", "out_z_r"),
@@ -374,37 +283,24 @@ def generate_kernel_source(plan: Tuple, backend: str,
 
     # ---- sensor temperature events ----------------------------------------
     emit("    ev_n = len(ev_starts_r)")
-    if lockstep:
-        # every lane has an event at sample 0 carrying its entry values;
-        # the per-lane coefficient rows are updated in place on events
-        emit("    _ev = _empty((15, state.shape[1]))")
-        emit("    " + ", ".join(_EV_NAMES) + " = _ev")
-        emit("    ev_idx = 0")
-        emit("    next_ev = int(ev_starts_r[0])")
-    else:
-        emit("    ev_idx = 1")
-        emit("    if ev_n > 1:")
-        emit("        next_ev = int(ev_starts_r[1])")
-        emit("    else:")
-        emit("        next_ev = -1")
-        for offset, name in enumerate(_EV_NAMES):
-            emit(f"    {name} = ev_coefs_r[{offset}]")
+    emit("    ev_idx = 1")
+    emit("    if ev_n > 1:")
+    emit("        next_ev = int(ev_starts_r[1])")
+    emit("    else:")
+    emit("        next_ev = -1")
+    for offset, name in enumerate(_EV_NAMES):
+        emit(f"    {name} = ev_coefs_r[{offset}]")
 
     emit("    next_rec = (dec - n0 % dec) % dec")
     emit("    for j in range(nc):")
     emit("        rate_j = rate_r[j]")
 
     emit("        if j == next_ev:")
-    if lockstep:
-        emit("            while ev_idx < ev_n and ev_starts_r[ev_idx] == j:")
-        emit("                _ev[:, ev_lanes_r[ev_idx]] = ev_coefs_r[ev_idx]")
-        emit("                ev_idx += 1")
-    else:
-        emit("            _b = ev_idx * 15")
-        for offset, name in enumerate(_EV_NAMES):
-            emit(f"            {name} = ev_coefs_r[_b + {offset}]"
-                 if offset else f"            {name} = ev_coefs_r[_b]")
-        emit("            ev_idx += 1")
+    emit("            _b = ev_idx * 15")
+    for offset, name in enumerate(_EV_NAMES):
+        emit(f"            {name} = ev_coefs_r[_b + {offset}]"
+             if offset else f"            {name} = ev_coefs_r[_b]")
+    emit("            ev_idx += 1")
     emit("            if ev_idx < ev_n:")
     emit("                next_ev = int(ev_starts_r[ev_idx])")
     emit("            else:")
@@ -425,100 +321,62 @@ def generate_kernel_source(plan: Tuple, backend: str,
     emit("        y = y_new")
 
     # AFE acquisition: charge amp -> PGA -> anti-alias -> SAR ADC
-    if lockstep:
-        emit("        out = _array((pick_gain * x, pick_gain * y)) * ca_gain2"
-             " + ca_off2_r[j] + ca_noise2_r[j]")
-        clip("p1", "out", "neg_ca_rail2", "ca_rail2")
-        emit("        ideal = (p1 + trim2 + pga_off2_r[j] + pga_noise2_r[j])"
-             " * pga_gain2")
-        emit("        pga_state2 = pga_state2"
-             " + pga_alpha2 * (ideal - pga_state2)")
-        clip("p2", "pga_state2", "neg_pga_rail2", "pga_rail2")
-        emit("        aa1 = aa1 + aa_alpha2 * (p2 - aa1)")
-        emit("        aa2 = aa2 + aa_alpha2 * (aa1 - aa2)")
-        emit("        d = aa2 * adc_gain2_r[j] + adc_off2_r[j]")
-        if has_p_inl or has_s_inl:
-            emit("        nrm = d / adc_vref2")
+    for ch, pos, aa_alpha in (("p", "x", "aa_alpha"),
+                              ("s", "y", "aa_alpha_s")):
+        emit(f"        out = pick_gain * {pos} * ca_gain + ca_{ch}_off_r[j]"
+             f" + ca_{ch}_noise_r[j]")
+        clip(f"{ch}1", "out", "-ca_rail", "ca_rail")
+        emit(f"        ideal = ({ch}1 + trim_{ch} + pga_{ch}_off_r[j]"
+             f" + pga_{ch}_noise_r[j]) * pga_{ch}_gain")
+        emit(f"        pga_{ch}_state = pga_{ch}_state"
+             f" + pga_{ch}_alpha * (ideal - pga_{ch}_state)")
+        clip(f"{ch}2", f"pga_{ch}_state", f"-pga_{ch}_rail",
+             f"pga_{ch}_rail")
+        emit(f"        aa_{ch}1 = aa_{ch}1 + {aa_alpha} * ({ch}2 - aa_{ch}1)")
+        emit(f"        aa_{ch}2 = aa_{ch}2 + {aa_alpha} * (aa_{ch}1 - aa_{ch}2)")
+    for ch, has_inl, has_noise in (("p", has_p_inl, has_p_noise),
+                                   ("s", has_s_inl, has_s_noise)):
+        emit(f"        d = aa_{ch}2 * adc_{ch}_gain_r[j] + adc_{ch}_off_r[j]")
+        if has_inl:
+            emit(f"        nrm = d / adc_{ch}_vref")
             clip("nrm", "nrm", "-1.0", "1.0")
-            emit("        d = d + adc_kinl2 * (1.0 - nrm * nrm)")
-        if has_p_noise or has_s_noise:
-            emit("        d = d + adc_noise2_r[j]")
-        emit("        code = floor(d / adc_lsb2 + 0.5)")
-        clip("code", "code", "adc_cmin2", "adc_cmax2")
-        emit("        norm = code * adc_lsb2 / adc_vref2")
-        emit("        p_norm = norm[0]")
-        emit("        s_norm = norm[1]")
-    else:
-        for ch, pos, aa_alpha in (("p", "x", "aa_alpha"),
-                                  ("s", "y", "aa_alpha_s")):
-            emit(f"        out = pick_gain * {pos} * ca_gain + ca_{ch}_off_r[j]"
-                 f" + ca_{ch}_noise_r[j]")
-            clip(f"{ch}1", "out", "-ca_rail", "ca_rail")
-            emit(f"        ideal = ({ch}1 + trim_{ch} + pga_{ch}_off_r[j]"
-                 f" + pga_{ch}_noise_r[j]) * pga_{ch}_gain")
-            emit(f"        pga_{ch}_state = pga_{ch}_state"
-                 f" + pga_{ch}_alpha * (ideal - pga_{ch}_state)")
-            clip(f"{ch}2", f"pga_{ch}_state", f"-pga_{ch}_rail",
-                 f"pga_{ch}_rail")
-            emit(f"        aa_{ch}1 = aa_{ch}1 + {aa_alpha} * ({ch}2 - aa_{ch}1)")
-            emit(f"        aa_{ch}2 = aa_{ch}2 + {aa_alpha} * (aa_{ch}1 - aa_{ch}2)")
-        for ch, has_inl, has_noise in (("p", has_p_inl, has_p_noise),
-                                       ("s", has_s_inl, has_s_noise)):
-            emit(f"        d = aa_{ch}2 * adc_{ch}_gain_r[j] + adc_{ch}_off_r[j]")
-            if has_inl:
-                emit(f"        nrm = d / adc_{ch}_vref")
-                clip("nrm", "nrm", "-1.0", "1.0")
-                emit(f"        d += adc_{ch}_kinl * (1.0 - nrm * nrm)")
-            if has_noise:
-                emit(f"        d += adc_{ch}_noise_r[j]")
-            emit(f"        code = floor(d / adc_{ch}_lsb + 0.5)")
-            clip("code", "code", f"adc_{ch}_cmin", f"adc_{ch}_cmax")
-            emit(f"        {ch}_norm = code * adc_{ch}_lsb / adc_{ch}_vref")
+            emit(f"        d += adc_{ch}_kinl * (1.0 - nrm * nrm)")
+        if has_noise:
+            emit(f"        d += adc_{ch}_noise_r[j]")
+        emit(f"        code = floor(d / adc_{ch}_lsb + 0.5)")
+        clip("code", "code", f"adc_{ch}_cmin", f"adc_{ch}_cmax")
+        emit(f"        {ch}_norm = code * adc_{ch}_lsb / adc_{ch}_vref")
 
     # drive PLL: phase detector -> PI -> NCO
     emit("        pd_state = pd_state + pd_alpha * (p_norm * cos_ref"
          " - pd_state)")
     emit("        amp_state = amp_state + amp_alpha * (p_norm * sin_ref"
          " - amp_state)")
-    if lockstep:
-        emit("        amplitude = maximum(0.0, 2.0 * amp_state)")
-        emit("        mask = amplitude > pll_thr")
-        emit("        err = 2.0 * pd_state / maximum(amplitude, pll_thr)")
-        emit("        integ = pll_integ + pll_ki * err")
-        clip("integ", "integ", "neg_tuning_range", "tuning_range")
-        emit("        pll_integ = where(mask, integ, pll_integ)")
-        emit("        tuning = pll_kp * err + integ")
-        clip("tuning", "tuning", "neg_tuning_range", "tuning_range")
-        emit("        tuning = where(mask, tuning, 0.0)")
-        emit("        phase_err = where(mask, err, 0.0)")
-        emit("        lock_counter = where(mask & (_absolute(err) < lock_thr),"
-             " minimum(lock_counter + 1.0, lock_count), 0.0)")
-    else:
-        emit("        amplitude = 2.0 * amp_state")
-        emit("        if amplitude < 0.0:")
-        emit("            amplitude = 0.0")
-        emit("        if amplitude > pll_thr:")
-        emit("            err = 2.0 * pd_state / amplitude")
-        emit("            pll_integ += pll_ki * err")
-        emit("            if pll_integ > tuning_range:")
-        emit("                pll_integ = tuning_range")
-        emit("            elif pll_integ < -tuning_range:")
-        emit("                pll_integ = -tuning_range")
-        emit("            tuning = pll_kp * err + pll_integ")
-        emit("            if tuning > tuning_range:")
-        emit("                tuning = tuning_range")
-        emit("            elif tuning < -tuning_range:")
-        emit("                tuning = -tuning_range")
-        emit("            phase_err = err")
-        emit("            if (err if err >= 0.0 else -err) < lock_thr:")
-        emit("                lock_counter = lock_counter + 1.0"
-             " if lock_counter < lock_count else lock_count")
-        emit("            else:")
-        emit("                lock_counter = 0.0")
-        emit("        else:")
-        emit("            tuning = 0.0")
-        emit("            phase_err = 0.0")
-        emit("            lock_counter = 0.0")
+    emit("        amplitude = 2.0 * amp_state")
+    emit("        if amplitude < 0.0:")
+    emit("            amplitude = 0.0")
+    emit("        if amplitude > pll_thr:")
+    emit("            err = 2.0 * pd_state / amplitude")
+    emit("            pll_integ += pll_ki * err")
+    emit("            if pll_integ > tuning_range:")
+    emit("                pll_integ = tuning_range")
+    emit("            elif pll_integ < -tuning_range:")
+    emit("                pll_integ = -tuning_range")
+    emit("            tuning = pll_kp * err + pll_integ")
+    emit("            if tuning > tuning_range:")
+    emit("                tuning = tuning_range")
+    emit("            elif tuning < -tuning_range:")
+    emit("                tuning = -tuning_range")
+    emit("            phase_err = err")
+    emit("            if (err if err >= 0.0 else -err) < lock_thr:")
+    emit("                lock_counter = lock_counter + 1.0"
+         " if lock_counter < lock_count else lock_count")
+    emit("            else:")
+    emit("                lock_counter = 0.0")
+    emit("        else:")
+    emit("            tuning = 0.0")
+    emit("            phase_err = 0.0")
+    emit("            lock_counter = 0.0")
     emit("        locked = lock_counter >= lock_count")
     emit(f"        nco_phase = (nco_phase + {_TWO_PI} * (nco_fc + tuning)"
          f" / nco_fs) % {_TWO_PI}")
@@ -595,57 +453,34 @@ def generate_kernel_source(plan: Tuple, backend: str,
     # st_count0 + nc write-back at exit)
     emit("        if st_active:")
     emit("            cur = st_count0 + (j + 1.0)")
-    if lockstep:
-        emit("            just_failed = (st_state != 4.0) & ~st_failed"
-             " & (cur > wd_samples)")
-        emit("            st_failed = st_failed | just_failed")
-        emit("            trans = ~just_failed")
-        emit("            settled = (agc_err < settle_thr)"
-             " & (agc_err > -settle_thr)")
-        emit("            new_state = st_state.copy()")
-        emit("            new_state[trans & (st_state == 0.0)] = 1.0")
-        emit("            new_state[trans & (st_state == 1.0) & locked] = 2.0")
-        emit("            m_lock = trans & (st_state == 2.0)")
-        emit("            new_state[m_lock & settled] = 3.0")
-        emit("            st_settle = where(m_lock & settled, 0.0, st_settle)")
-        emit("            new_state[m_lock & ~settled & ~locked] = 1.0")
-        emit("            m_set = trans & (st_state == 3.0)")
-        emit("            st_settle = where(m_set & settled & locked,"
-             " st_settle + 1.0, where(m_set, 0.0, st_settle))")
-        emit("            done = m_set & (st_settle >= settle_samples)")
-        emit("            new_state[done] = 4.0")
-        emit("            st_ready = where(done, cur, st_ready)")
-        emit("            st_state = new_state")
-        emit("            st_active = bool((st_state != 4.0).any())")
-    else:
-        emit("            just_failed = False")
-        emit("            if not st_failed:")
-        emit("                if cur > wd_samples:")
-        emit("                    st_failed = True")
-        emit("                    just_failed = True")
-        emit("            if not just_failed:")
-        emit("                if st_state == 0.0:")
-        emit("                    st_state = 1.0")
-        emit("                elif st_state == 1.0:")
-        emit("                    if locked:")
-        emit("                        st_state = 2.0")
-        emit("                elif st_state == 2.0:")
-        emit("                    if agc_err < settle_thr and"
-             " agc_err > -settle_thr:")
-        emit("                        st_state = 3.0")
-        emit("                        st_settle = 0.0")
-        emit("                    elif not locked:")
-        emit("                        st_state = 1.0")
-        emit("                elif st_state == 3.0:")
-        emit("                    if locked and (agc_err < settle_thr"
-             " and agc_err > -settle_thr):")
-        emit("                        st_settle = st_settle + 1.0")
-        emit("                    else:")
-        emit("                        st_settle = 0.0")
-        emit("                    if st_settle >= settle_samples:")
-        emit("                        st_state = 4.0")
-        emit("                        st_ready = cur")
-        emit("                        st_active = False")
+    emit("            just_failed = False")
+    emit("            if not st_failed:")
+    emit("                if cur > wd_samples:")
+    emit("                    st_failed = True")
+    emit("                    just_failed = True")
+    emit("            if not just_failed:")
+    emit("                if st_state == 0.0:")
+    emit("                    st_state = 1.0")
+    emit("                elif st_state == 1.0:")
+    emit("                    if locked:")
+    emit("                        st_state = 2.0")
+    emit("                elif st_state == 2.0:")
+    emit("                    if agc_err < settle_thr and"
+         " agc_err > -settle_thr:")
+    emit("                        st_state = 3.0")
+    emit("                        st_settle = 0.0")
+    emit("                    elif not locked:")
+    emit("                        st_state = 1.0")
+    emit("                elif st_state == 3.0:")
+    emit("                    if locked and (agc_err < settle_thr"
+         " and agc_err > -settle_thr):")
+    emit("                        st_settle = st_settle + 1.0")
+    emit("                    else:")
+    emit("                        st_settle = 0.0")
+    emit("                    if st_settle >= settle_samples:")
+    emit("                        st_state = 4.0")
+    emit("                        st_ready = cur")
+    emit("                        st_active = False")
 
     # drive / control DACs (open loop: the control word is 0.0, which
     # quantises to code 0)
@@ -689,20 +524,13 @@ def generate_kernel_source(plan: Tuple, backend: str,
     emit("            next_rec += dec")
 
     # ---- write the final state back into the packed vectors ---------------
-    if lockstep:
-        emit("    pga_p_state = pga_state2[0]; pga_s_state = pga_state2[1]")
-        emit("    aa_p1 = aa1[0]; aa_s1 = aa1[1]")
-        emit("    aa_p2 = aa2[0]; aa_s2 = aa2[1]")
     for name in SCALAR_STATE:
         index = STATE_INDEX[name]
         if name == "overload":
-            emit(f"    state[{index}] = _where((aa_p2 >= ov_thr)"
-                 " | (-aa_p2 >= ov_thr) | (aa_s2 >= ov_thr)"
-                 " | (-aa_s2 >= ov_thr), 1.0, 0.0)" if lockstep else
-                 f"    state[{index}] = 1.0 if (aa_p2 >= ov_thr"
+            emit(f"    state[{index}] = 1.0 if (aa_p2 >= ov_thr"
                  " or -aa_p2 >= ov_thr or aa_s2 >= ov_thr"
                  " or -aa_s2 >= ov_thr) else 0.0")
-        elif name in ("locked", "st_failed") and not lockstep:
+        elif name in ("locked", "st_failed"):
             emit(f"    state[{index}] = 1.0 if {name} else 0.0")
         elif name == "st_count":
             emit(f"    state[{index}] = st_count0 + nc")
@@ -719,16 +547,10 @@ def generate_kernel_source(plan: Tuple, backend: str,
 
 _KERNELS: dict = {}
 
-#: Functions a generated kernel calls, per layout.  The Python backend
-#: binds the ``_``-prefixed copies to locals in its prelude.
-_LANE_FUNCTIONS = {"floor": math.floor, "trunc": math.trunc,
-                   "sin": math.sin, "cos": math.cos, "rnd": round}
-_LOCKSTEP_FUNCTIONS = {
-    "floor": np.floor, "trunc": np.trunc, "sin": np.sin, "cos": np.cos,
-    "rnd": np.rint, "minimum": np.minimum, "maximum": np.maximum,
-    "where": np.where, "absolute": np.absolute, "array": np.array,
-    "empty": np.empty,
-}
+#: Functions a generated kernel calls.  The Python backend binds the
+#: ``_``-prefixed copies to locals in its prelude.
+_FUNCTIONS = {"floor": math.floor, "trunc": math.trunc,
+              "sin": math.sin, "cos": math.cos, "rnd": round}
 
 
 #: Lane-kernel arguments passed by value, and the loop names the C
@@ -736,12 +558,11 @@ _LOCKSTEP_FUNCTIONS = {
 _SCALAR_ARGS = _HEAD_ARGS[:5]
 _INT_NAMES = ("j", "i", "rec", "ev_idx", "ev_n", "next_ev", "next_rec", "_b")
 _BOOL_NAMES = ("locked", "st_failed", "st_active", "just_failed")
-_ARRAY_TYPES = {"ev_starts": "int", "ev_lanes": "int",
-                "lock_tr": "bool", "run_tr": "bool"}
+_ARRAY_TYPES = {"ev_starts": "int", "lock_tr": "bool", "run_tr": "bool"}
 
 
 def compiled_backend() -> str:
-    """Name of the lane-layout backend in use: ``"c"`` or ``"python"``."""
+    """Name of the lane-kernel backend in use: ``"c"`` or ``"python"``."""
     return BACKEND
 
 
@@ -752,17 +573,15 @@ def backend_info() -> dict:
             "cache_dir": str(native.cache_dir())}
 
 
-def _python_kernel(plan: Tuple, lockstep: bool = False):
-    """The ``exec``-compiled kernel of one plan and layout (cached)."""
-    key = (plan, "python", lockstep)
+def _python_kernel(plan: Tuple):
+    """The ``exec``-compiled kernel of one plan (cached)."""
+    key = (plan, "python")
     fn = _KERNELS.get(key)
     if fn is None:
-        source = generate_kernel_source(plan, "python", lockstep)
-        functions = _LOCKSTEP_FUNCTIONS if lockstep else _LANE_FUNCTIONS
-        namespace = dict(functions)
-        namespace.update(("_" + name, fn) for name, fn in functions.items())
-        layout = "lockstep" if lockstep else "python"
-        code = compile(source, f"<repro-compiled-kernel:{layout}>", "exec")
+        source = generate_kernel_source(plan, "python")
+        namespace = dict(_FUNCTIONS)
+        namespace.update(("_" + name, fn) for name, fn in _FUNCTIONS.items())
+        code = compile(source, "<repro-compiled-kernel:python>", "exec")
         exec(code, namespace)
         fn = _KERNELS[key] = namespace["kernel"]
     return fn
@@ -780,7 +599,7 @@ def _native_kernel(plan: Tuple, platform, environment):
             _BOOL_NAMES, _ARRAY_TYPES)
         return native.load_or_build(
             c_source, COMPILER,
-            lambda lib: native.bind(lib, kernel_args(), _SCALAR_ARGS,
+            lambda lib: native.bind(lib, _KERNEL_ARGS, _SCALAR_ARGS,
                                     lengths, _ARRAY_TYPES),
             lambda candidate: _self_check(plan, candidate, platform,
                                           environment))
@@ -792,8 +611,8 @@ def _native_kernel(plan: Tuple, platform, environment):
 
 
 def _compile_kernel(plan: Tuple, backend: Optional[str] = None,
-                    lockstep: bool = False, platform=None, environment=None):
-    """The specialised kernel for one plan and layout, cached per process.
+                    platform=None, environment=None):
+    """The specialised kernel for one plan, cached per process.
 
     The one entry point that adds kernels to the cache.  A C lane kernel
     comes from the on-disk library cache or from a fresh build, which
@@ -802,12 +621,10 @@ def _compile_kernel(plan: Tuple, backend: Optional[str] = None,
     plan on the C backend needs both.  Whichever kernel that request
     settles on serves the plan for the rest of the process.
     """
-    if lockstep:
-        return _python_kernel(plan, lockstep=True)
     backend = backend or compiled_backend()
     if backend != "c":
         return _python_kernel(plan)
-    key = (plan, "c", False)
+    key = (plan, "c")
     fn = _KERNELS.get(key)
     if fn is None:
         if platform is None or environment is None:
@@ -872,10 +689,9 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
     """Fill one lane's per-sample chunk inputs in place.
 
     ``out`` maps every :data:`_LANE_INPUTS` name to a writable 1-D
-    array of ``len(t)`` samples — a fresh row for a lane run, a column
-    of the ``(nc, B)`` chunk arrays for a lockstep fleet.  Draws the
-    lane's noise and retunes its sensor exactly as the reference loop
-    would over the chunk, and returns the sensor's temperature events
+    array of ``len(t)`` samples.  Draws the lane's noise and retunes its
+    sensor exactly as the reference loop would over the chunk, and
+    returns the sensor's temperature events
     (:func:`~repro.engine.state.sensor_temperature_plan`).
 
     Raises :class:`ConfigurationError` if the stimulus is not finite or
@@ -985,13 +801,12 @@ def _result(traces, rl: int, fs: float, dec: int, record_waveforms: bool,
 
 
 _EMPTY = np.zeros(0)
-_NO_LANES = np.zeros(0, dtype=np.int64)
 
 
-def _trace_arrays(shape, record_waveforms: bool) -> list:
-    """Zeroed trace buffers in :data:`_TRACES` order."""
+def _trace_arrays(n_rec: int, record_waveforms: bool) -> list:
+    """Zeroed trace buffers of ``n_rec`` records in :data:`_TRACES` order."""
     return [_EMPTY if name in ("pick_tr", "drive_tr") and not record_waveforms
-            else np.zeros(shape, dtype=bool if name in ("lock_tr", "run_tr")
+            else np.zeros(n_rec, dtype=bool if name in ("lock_tr", "run_tr")
                           else float)
             for name in _TRACES]
 
@@ -1036,7 +851,7 @@ def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,
                                    dict(zip(_LANE_INPUTS, inputs)))
         ev_starts, ev_rows = _event_rows(events)
         rec = int(kernel(n0, nc, dec, rec, record_waveforms, *arrays,
-                         np.array(ev_starts, dtype=np.int64), _NO_LANES,
+                         np.array(ev_starts, dtype=np.int64),
                          ev_rows.ravel(), *inputs, *traces))
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise SimulationError(
@@ -1047,8 +862,7 @@ def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,
 
 
 def run_compiled(platform, environment, duration_s: float,
-                 record_waveforms: bool = False, *,
-                 chunk_samples: Optional[int] = None) -> GyroSimulationResult:
+                 record_waveforms: bool = False) -> GyroSimulationResult:
     """Run the platform co-simulation on the compiled engine.
 
     Drop-in replacement for the reference loop of
@@ -1072,7 +886,7 @@ def run_compiled(platform, environment, duration_s: float,
                              environment=environment)
     traces = _trace_arrays(n // dec + 1, record_waveforms)
     rec = 0
-    chunk = int(chunk_samples) if chunk_samples else CHUNK_SAMPLES
+    chunk = CHUNK_SAMPLES
     for n0 in range(0, n, chunk):
         rec = _run_lane_chunk(kernel, platform, environment, n0,
                               min(chunk, n - n0), dec, rec,
@@ -1083,110 +897,16 @@ def run_compiled(platform, environment, duration_s: float,
     return _result(traces, rec, fs, dec, record_waveforms, platform)
 
 
-def _run_lockstep(platforms, environments, n_lane: Sequence[int], plan,
-                  record_waveforms: bool) -> List[GyroSimulationResult]:
-    """Step lanes of one kernel plan and sample grid in NumPy lockstep.
-
-    Lanes are packed longest first, so the lanes still running at any
-    sample are a prefix of the columns.  The chunk grid is split at
-    every lane's end; a retiring lane's state columns simply stop being
-    passed to the kernel, so its state stays where its own run ends and
-    its noise generators stop advancing.
-    """
-    order = sorted(range(len(platforms)), key=lambda b: -n_lane[b])
-    lanes = [platforms[b] for b in order]
-    envs = [environments[b] for b in order]
-    ends = [n_lane[b] for b in order]
-    B = len(lanes)
-    cfg = lanes[0].config
-    fs = cfg.sample_rate_hz
-    dt = 1.0 / fs
-    dec = cfg.record_decimation
-    n = ends[0]
-    kernel = _compile_kernel(plan, lockstep=True)
-
-    start_times = [p._time_s for p in lanes]
-    consts = np.empty((len(CONSTS), B))
-    state = np.empty((len(SCALAR_STATE), B))
-    senses = [p.conditioner.sense_chain for p in lanes]
-    out_coefs = np.empty((5 * plan[1], B))
-    out_z = np.empty((2 * plan[1], B))
-    quad_coefs = np.empty((5 * plan[2], B))
-    quad_z = np.empty((2 * plan[2], B))
-    for b, platform in enumerate(lanes):
-        consts[:, b] = gather_consts(platform, start_times[b])
-        state[:, b] = pack_scalar_state(platform)
-        out_coefs[:, b], out_z[:, b] = biquad_arrays(senses[b].output_filter)
-        quad_coefs[:, b], quad_z[:, b] = biquad_arrays(
-            senses[b].quadrature_filter)
-    check_divisors(consts)
-    traces = _trace_arrays((n // dec + 1, B), record_waveforms)
-    rec = 0
-
-    chunk = CHUNK_SAMPLES if B <= LANE_CHUNK else BIG_FLEET_CHUNK_SAMPLES
-    bounds = sorted(set(range(0, n, chunk)) | set(ends))
-    nc_max = max(b1 - b0 for b0, b1 in zip(bounds, bounds[1:]))
-    # lane-major storage: each lane's column of an (nc, B) input is
-    # contiguous, so the per-lane fill writes whole cache lines
-    buffers = {name: np.empty((B, 2, nc_max) if name in _PAIRS
-                              else (B, nc_max)).T
-               for name in _LOCKSTEP_INPUTS}
-    for n0, n1 in zip(bounds, bounds[1:]):
-        nc = n1 - n0
-        k = sum(1 for end in ends if end > n0)
-        t = np.arange(n0, n1) * dt
-        ev_starts, ev_lanes, ev_rows = [], [], []
-        try:
-            for b in range(k):
-                out = {name: buffers[name][:nc, b] for name in _LANE_INPUTS
-                       if name not in _PAIRED}
-                for name, (p, s) in _PAIRS.items():
-                    out[p] = buffers[name][:nc, 0, b]
-                    out[s] = buffers[name][:nc, 1, b]
-                starts, rows = _event_rows(_fill_lane_inputs(
-                    lanes[b], envs[b], t, out))
-                ev_starts += starts
-                ev_lanes += [b] * len(starts)
-                ev_rows.append(rows)
-            ev_order = np.argsort(ev_starts, kind="stable")
-            # NumPy carries a diverging lane on as inf/NaN, like the C
-            # backend; the finite check below turns it into an error
-            with np.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
-                rec = int(kernel(
-                    n0, nc, dec, rec, record_waveforms, state[:, :k],
-                    consts[:, :k], out_coefs[:, :k], out_z[:, :k],
-                    quad_coefs[:, :k], quad_z[:, :k],
-                    np.array(ev_starts, dtype=np.int64)[ev_order],
-                    np.array(ev_lanes, dtype=np.int64)[ev_order],
-                    np.concatenate(ev_rows)[ev_order],
-                    *(buffers[name][:nc, ..., :k]
-                      for name in _LOCKSTEP_INPUTS),
-                    *(tr if tr is _EMPTY else tr[:, :k] for tr in traces)))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise SimulationError(
-                f"the loop failed in the chunk starting at t = {t[0]:g} s: "
-                f"{exc}") from exc
-        _check_finite(t[0], state[:, :k], out_z[:, :k], quad_z[:, :k])
-
-    results = [None] * B
-    for b, platform in enumerate(lanes):
-        finish_run(platform, state[:, b], out_z[:, b], quad_z[:, b],
-                   ends[b], start_times[b])
-        rl = (ends[b] - 1) // dec + 1
-        lane_traces = [tr if tr is _EMPTY else tr[:rl, b].copy()
-                       for tr in traces]
-        results[order[b]] = _result(lane_traces, rl, fs, dec,
-                                    record_waveforms, platform)
-    return results
-
-
 def _fleet_inputs(n_lanes: int, environments, durations_s):
-    """Validate and broadcast a fleet's environments and durations."""
+    """Validate and broadcast a fleet's environments and durations.
+
+    A single :class:`Environment` and a 0-d duration (a Python or NumPy
+    scalar) apply to every lane.
+    """
     if isinstance(environments, Environment):
         environments = [environments] * n_lanes
     environments = list(environments)
-    if isinstance(durations_s, (int, float)):
+    if np.ndim(durations_s) == 0:
         durations_s = [durations_s] * n_lanes
     durations_s = [float(d) for d in durations_s]
     if len(environments) != n_lanes or len(durations_s) != n_lanes:
@@ -1198,59 +918,14 @@ def _fleet_inputs(n_lanes: int, environments, durations_s):
     return environments, durations_s
 
 
-def run_compiled_fleet(platforms: Sequence, environments, durations_s,
-                       record_waveforms: bool = False):
-    """Run a fleet of platforms on the compiled engine.
-
-    Lanes are grouped by ``(kernel_plan, sample_rate_hz,
-    record_decimation)``.  A group whose lane-samples divided by the
-    samples of its longest lane reach :data:`LOCKSTEP_CROSSOVER` steps in
-    NumPy lockstep; every other lane runs on its own specialised kernel,
-    with :data:`BIG_FLEET_CHUNK_SAMPLES` time chunks in fleets larger
-    than :data:`LANE_CHUNK`.  Either way each lane's traces and final
-    state are bit-identical to a standalone run of its own duration, so
-    fleets may mix structures, sample rates and durations freely.
-
-    Returns one :class:`~repro.platform.result.GyroSimulationResult` per
-    lane.
-    """
-    environments, durations_s = _fleet_inputs(len(platforms), environments,
-                                              durations_s)
-    groups = {}
-    for index, platform in enumerate(platforms):
-        cfg = platform.config
-        plan = kernel_plan(platform)
-        if plan is not None:
-            groups.setdefault((plan, cfg.sample_rate_hz,
-                               cfg.record_decimation), []).append(index)
-    results = [None] * len(platforms)
-    for (plan, fs, _), members in groups.items():
-        n_lane = [int(round(durations_s[i] * fs)) for i in members]
-        if min(n_lane) > 0 and sum(n_lane) / max(n_lane) >= LOCKSTEP_CROSSOVER:
-            for index, result in zip(members, _run_lockstep(
-                    [platforms[i] for i in members],
-                    [environments[i] for i in members], n_lane, plan,
-                    record_waveforms)):
-                results[index] = result
-    chunk = (CHUNK_SAMPLES if len(platforms) <= LANE_CHUNK
-             else BIG_FLEET_CHUNK_SAMPLES)
-    for index, platform in enumerate(platforms):
-        if results[index] is None:
-            results[index] = run_compiled(platform, environments[index],
-                                          durations_s[index],
-                                          record_waveforms,
-                                          chunk_samples=chunk)
-    return results
-
-
 class FleetSimulator:
     """A fleet of :class:`~repro.platform.gyro_platform.GyroPlatform` lanes.
 
-    A thin front over :func:`run_compiled_fleet`: the lanes are ordinary
-    platforms whose state is read at the start of a run and written back
-    at the end, so fleet runs mix freely with per-platform simulation,
-    calibration and register access.  Lanes may differ in values and in
-    structure; the fleet layout follows the fleet's shape.
+    The lanes are ordinary platforms and each runs through its own
+    :meth:`~repro.platform.gyro_platform.GyroPlatform.run` on its
+    configured engine, so fleet runs mix freely with per-platform
+    simulation, calibration and register access, and lanes may differ in
+    values, structure and sample rate.
     """
 
     def __init__(self, platforms: Sequence):
@@ -1309,13 +984,15 @@ class FleetSimulator:
             record_waveforms: record pick-off / drive-word waveforms.
 
         Returns:
-            One :class:`GyroSimulationResult` per lane, bit-identical to
-            per-platform reference runs.
+            One :class:`GyroSimulationResult` per lane, equal to the
+            lane's own :meth:`GyroPlatform.run` (safe-mode fields
+            included) and bit-identical on every engine.
         """
         environments, durations = _fleet_inputs(len(self.platforms),
                                                 environments, duration_s)
         if reset:
             for p in self.platforms:
                 p.reset()
-        return run_compiled_fleet(self.platforms, environments, durations,
-                                  record_waveforms)
+        return [platform.run(env, duration, record_waveforms=record_waveforms)
+                for platform, env, duration in zip(self.platforms,
+                                                   environments, durations)]

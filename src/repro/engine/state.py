@@ -1,15 +1,13 @@
 """Shared state/coefficient plumbing for the fast co-simulation engines.
 
 The generated kernels flatten the object-oriented reference chain
-(sensor → AFE → DSP → DACs) into plain locals / NumPy rows.  This
-module is the one place that knows how: it packs every loop variable
-into a float vector in :data:`SCALAR_STATE` order and writes it back,
-gathers the per-run constants in :data:`CONSTS` order (so both kernel
-layouts compute with *exactly* the same coefficient bits as the
-reference chain), flattens the biquad cascades, and defines the
-structural key of a platform's loop.  The lane layout hands the vectors
-to its kernel one lane at a time; the lockstep layout fills one column
-per lane of ``(S, B)`` / ``(C, B)`` matrices.
+(sensor → AFE → DSP → DACs) into plain locals.  This module is the one
+place that knows how: it packs every loop variable into a float vector
+in :data:`SCALAR_STATE` order and writes it back, gathers the per-run
+constants in :data:`CONSTS` order (so every kernel computes with
+*exactly* the same coefficient bits as the reference chain), flattens
+the biquad cascades, and defines the structural key of a platform's
+loop.  Each kernel call gets one platform's vectors.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ def loop_structure(platform) -> Tuple:
     :func:`fmt_spec` of the ten quantisation sites, read from the live
     blocks (not the configs) because that is what the engines quantise
     with.  Platforms with equal keys run the same loop body: the
-    compiled engine builds its kernel plan on it, and lanes of one plan
-    can share a lockstep fleet.
+    compiled engine builds its kernel plan on it.
     """
     conditioner = platform.conditioner
     drive_loop = conditioner.drive_loop
@@ -123,15 +120,14 @@ def sensor_temperature_plan(sensor, temp_arr: np.ndarray, tmin: float,
     return events
 
 
-#: Slot order of the packed scalar-state vector shared by both kernel
-#: layouts (one column per lane in a lockstep fleet).  The names are
-#: the engines' loop locals; :func:`pack_scalar_state` fills the vector
-#: from the platform objects and :func:`unpack_scalar_state` writes it
-#: back, so every loop variable is loaded and stored here and nowhere
-#: else.  Booleans travel as 0.0/1.0, counters as exact small floats,
-#: the start-up sequencer state as its enum value and ``st_ready`` uses
-#: -1.0 for "not ready yet" (the reference sequencer never reports
-#: sample 0).
+#: Slot order of the packed scalar-state vector of a kernel run.  The
+#: names are the engines' loop locals; :func:`pack_scalar_state` fills
+#: the vector from the platform objects and :func:`unpack_scalar_state`
+#: writes it back, so every loop variable is loaded and stored here and
+#: nowhere else.  Booleans travel as 0.0/1.0, counters as exact small
+#: floats, the start-up sequencer state as its enum value and
+#: ``st_ready`` uses -1.0 for "not ready yet" (the reference sequencer
+#: never reports sample 0).
 SCALAR_STATE = (
     "x", "xv", "y", "yv",
     "pga_p_state", "pga_s_state", "aa_p1", "aa_p2", "aa_s1", "aa_s2",
@@ -322,9 +318,8 @@ def writeback_biquad_arrays(iir_filter, z: np.ndarray) -> None:
         section._z2 = float(z[2 * index + 1])
 
 
-#: Slot order of the per-run scalar-constant vector (one column per lane
-#: in a lockstep fleet).  The names are the engines' constant locals;
-#: :func:`gather_consts` fills it.
+#: Slot order of the per-run scalar-constant vector.  The names are the
+#: engines' constant locals; :func:`gather_consts` fills it.
 CONSTS = (
     "kq", "kc", "s_drive_gain", "s_control_gain",
     "ca_gain", "ca_rail", "trim_p", "trim_s",
@@ -356,15 +351,14 @@ _DIVISOR_INDEX = [CONSTS.index(name) for name in DIVISORS]
 def check_divisors(consts: np.ndarray) -> None:
     """Raise :class:`ConfigurationError` unless every divisor is usable.
 
-    ``consts`` is a :func:`gather_consts` vector, or a ``(C, B)`` matrix
-    with one such column per lane.  A zero or non-finite divisor would
-    make Python raise mid-loop but C carry on, so every engine checks
-    them once per run, before the first sample.
+    ``consts`` is a :func:`gather_consts` vector.  A zero or non-finite
+    divisor would make Python raise mid-loop but C carry on, so every
+    engine checks them once per run, before the first sample.
     """
     values = consts[_DIVISOR_INDEX]
     if not (np.isfinite(values).all() and values.all()):
-        names = [name for name, row in zip(DIVISORS, values)
-                 if not (np.isfinite(row).all() and np.all(row))]
+        names = [name for name, value in zip(DIVISORS, values)
+                 if not (math.isfinite(value) and value)]
         raise ConfigurationError(
             f"the loop divides by {', '.join(names)}, which must be finite "
             "and non-zero")
@@ -478,8 +472,8 @@ def finish_run(platform, state: np.ndarray, out_z: np.ndarray,
                quad_z: np.ndarray, n: int, start_time: float) -> None:
     """Store a finished ``n``-sample run back into the platform.
 
-    The end-of-run writeback both kernel layouts share: the packed loop
-    state, the output/quadrature biquad states, the conditioner's sample
+    The end-of-run writeback of a compiled run: the packed loop state,
+    the output/quadrature biquad states, the conditioner's sample
     counter and monitor registers (refreshed once, at the end of the
     run) and the platform clock.
     """

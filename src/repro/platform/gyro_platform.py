@@ -159,12 +159,9 @@ class GyroPlatform:
                 drive-word waveforms (memory-hungry; used by the figure
                 benches).
             engine: override the simulation engine for this run
-                (:func:`~repro.scenarios.engines.engine_names`).  On the
-                default ``"compiled"`` engine a sequence runs as one
-                fleet, in lockstep or lane by lane as the fleet's shape
-                favours; ``"reference"`` replays the lanes one by one.
-                All engines produce bit-identical traces and platform
-                state.
+                (:func:`~repro.scenarios.engines.engine_names`); a
+                sequence runs each lane on it.  All engines produce
+                bit-identical traces and platform state.
             executor: for sequences —
                 :func:`~repro.scenarios.executor.executor_names`;
                 ``"local"`` (default) runs in the calling process,
@@ -376,8 +373,8 @@ class GyroPlatform:
 
         Args:
             engine: campaign engine for the rate sweep (default: the
-                platform's configured engine).  Every engine and fleet
-                layout programs bit-identical calibration words (locked
+                platform's configured engine).  Every engine and lane
+                backend programs bit-identical calibration words (locked
                 by ``tests/test_scenarios.py``).
             executor: campaign executor for the rate sweep; the
                 ``"sharded"`` executor programs bit-identical

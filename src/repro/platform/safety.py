@@ -15,7 +15,7 @@ detect → degrade → recover loop in software.
 Observation happens at chunk boundaries only, where every engine
 exposes identical platform state, so the monitor (and the result fields
 it stamps) is bit-identical across the reference and compiled engines,
-both fleet layouts and both executors.
+both lane-kernel backends and both executors.
 """
 
 from __future__ import annotations

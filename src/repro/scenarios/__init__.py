@@ -3,11 +3,10 @@
 Every run loop in the codebase — chunked start-up, factory calibration,
 temperature calibration, datasheet characterisation, simulation-backed
 DSE, the examples and the benchmarks — is expressed as
-:class:`Scenario` objects executed by a :class:`Campaign`, which packs
-lanes into fleets on the compiled engine (or replays them one by one on
-the reference engine) with identical, bit-exact results.  Two orthogonal
-registries pick the run mechanics: *engines* (how a platform is
-stepped) and *executors* (where the lanes run — in-process or sharded
+:class:`Scenario` objects executed by a :class:`Campaign`, which runs
+lanes as fleets on any engine with identical, bit-exact results.  Two
+orthogonal registries pick the run mechanics: *engines* (how a platform
+is stepped) and *executors* (where the lanes run — in-process or sharded
 across worker processes with a resumable batch manifest).
 """
 

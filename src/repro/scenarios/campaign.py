@@ -2,25 +2,24 @@
 
 A :class:`Campaign` takes lane *programs* — each a scenario or a
 sequence of scenarios to run back-to-back on one platform — and executes
-them on any registered engine.  On the ``"reference"`` engine the lanes
-run one after another; the ``"compiled"`` engine's fleet entry point
-takes all active lanes per call and steps them in lockstep or lane by
-lane, whichever the fleet's shape favours.
+them on any registered engine.  Every round is one engine fleet call
+(:meth:`~repro.scenarios.engines.EngineSpec.run_fleet`) that runs each
+active lane on its own, for its own number of samples.
 
-Either way the campaign advances in *chunks*: every round, each lane
-steps to its own next boundary — a stop-condition check point or a
-scenario end — so early-stop conditions ("start-up completed") work in
-a fleet exactly like the platform's chunked ``start()`` loop always has,
-and lanes whose programs finish early simply drop out of the fleet.  A
-lane is never chopped at a *foreign* lane's boundary: shorter lanes
-retire inside the fleet engine call (per-lane early exit) while the
-longer ones run on, and every lane counts samples on its own platform's
-sample grid, so fleets may mix sample rates.  A lane's chunk sequence
-is therefore a pure function of its own program, and because
-consecutive engine runs compose exactly into one continuous simulation,
-the chunking is invisible: a scenario program replayed through any
-engine, in any fleet packing, on any executor's shard partition, from
-the same platform state produces bit-identical traces and metrics.
+The campaign advances in *chunks*: every round, each lane steps to its
+own next boundary — a stop-condition check point or a scenario end — so
+early-stop conditions ("start-up completed") work in a fleet exactly
+like the platform's chunked ``start()`` loop always has, and lanes whose
+programs finish early simply drop out of the fleet.  A lane is never
+chopped at a *foreign* lane's boundary: shorter lanes retire at their
+own boundary while the longer ones run on, and every lane counts
+samples on its own platform's sample grid, so fleets may mix sample
+rates.  A lane's chunk sequence is therefore a pure function of its own
+program, and because consecutive engine runs compose exactly into one
+continuous simulation, the chunking is invisible: a scenario program
+replayed through any engine, in any fleet packing, on any executor's
+shard partition, from the same platform state produces bit-identical
+traces and metrics.
 
 One recording caveat: each engine call restarts the lane's
 trace-decimation grid at its own boundaries (stop checks and scenario
@@ -283,11 +282,6 @@ class _LaneState:
     def _finish(self, stopped_early: bool) -> None:
         scenario = self.scenario
         result = concatenate_results(self._segments)
-        if not scenario.record_waveforms and result.primary_pickoff_norm is not None:
-            # another fleet lane wanted waveforms this chunk; recording is
-            # trace-only, so dropping them preserves bit-identity
-            result = dataclasses.replace(result, primary_pickoff_norm=None,
-                                         drive_word=None)
         monitor = getattr(self.platform, "safety", None)
         if monitor is not None:
             # stamp the safe-mode snapshot before the extractors run so
@@ -305,7 +299,7 @@ Program = Union[Scenario, Sequence[Scenario]]
 
 
 class Campaign:
-    """Packs scenario programs into fleet lanes (or sequential runs).
+    """Packs scenario programs into fleet lanes.
 
     Args:
         programs: one entry per lane — a single :class:`Scenario` or a
@@ -463,14 +457,13 @@ def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
     slice of the lanes.  Chunking policy: every round, each lane steps
     to its *own* next boundary — its next stop-condition check or
     scenario end, never a foreign lane's, counted on the lane's own
-    sample grid.  Engines that expose a fleet entry point
-    (``compiled``) step all active lanes per call; the shorter lanes
-    retire at their boundary (per-lane early exit) while the longer
-    lanes run on, so a lane's step sequence is a pure function of its
-    own program and its own stop outcomes.  That is what makes the
-    traces invariant to packing: sequential replay, any fleet grouping
-    and any shard partition all advance each lane through identical
-    engine-call boundaries, hence bit-identical results.
+    sample grid — and every round is one
+    :meth:`~repro.scenarios.engines.EngineSpec.run_fleet` call over the
+    active lanes.  A lane's step sequence is therefore a pure function
+    of its own program and its own stop outcomes.  That is what makes
+    the traces invariant to packing: sequential replay, any fleet
+    grouping and any shard partition all advance each lane through
+    identical engine-call boundaries, hence bit-identical results.
     """
     spec = get_engine(engine)
     states = [_LaneState(p, program) for p, program in zip(lanes, programs)]
@@ -479,19 +472,11 @@ def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
     active = [s for s in states if not s.done]
     while active:
         steps = [s.samples_to_boundary() for s in active]
-        environments = [state.environment() for state in active]
-        record = any(state.scenario.record_waveforms for state in active)
-        if spec.fleet_runner is not None and len(active) > 1:
-            results = spec.run_fleet([state.platform for state in active],
-                                     environments,
-                                     [step / state.fs for state, step
-                                      in zip(active, steps)],
-                                     record_waveforms=record)
-        else:
-            results = [spec.run(state.platform, env, step / state.fs,
-                                state.scenario.record_waveforms)
-                       for state, env, step in zip(active, environments,
-                                                   steps)]
+        results = spec.run_fleet(
+            [state.platform for state in active],
+            [state.environment() for state in active],
+            [step / state.fs for state, step in zip(active, steps)],
+            [state.scenario.record_waveforms for state in active])
         for state, result, step in zip(active, results, steps):
             state.advance(step, result)
         active = [s for s in active if not s.done]

@@ -11,19 +11,17 @@ resolve engine names here instead of keeping their own string checks.
   lowered to C with the system compiler, falling back to a plain
   ``exec``-compiled Python kernel when there is no compiler.
   Bit-identical to the reference chain on both backends, and the
-  default.  Plans with
-  ``overflow="error"`` formats run on the reference loop, because a
-  generated kernel cannot raise.  Its fleet entry point takes fleets of
-  any mix of structures and picks the fleet layout from the fleet's
-  shape: groups of equal structure with enough concurrent lanes step in
-  NumPy lockstep, the rest run lane by lane (see
-  :data:`repro.engine.compiled.LOCKSTEP_CROSSOVER`).
+  default.  Plans with ``overflow="error"`` formats run on the reference
+  loop, because a generated kernel cannot raise.
+
+Every engine runs a fleet the same way: :meth:`EngineSpec.run_fleet`
+runs each lane through the engine's single-platform runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..common.exceptions import ConfigurationError
 
@@ -41,17 +39,11 @@ class EngineSpec:
         runner: single-platform entry point
             ``runner(platform, environment, duration_s, record_waveforms)``
             returning a :class:`~repro.platform.result.GyroSimulationResult`.
-        fleet_runner: optional fleet entry point
-            ``fleet_runner(platforms, environments, durations_s,
-            record_waveforms)`` returning one result per lane; the
-            campaign chunker drives engines that provide it through
-            :meth:`run_fleet` instead of per-lane :meth:`run`.
     """
 
     name: str
     description: str
     runner: Callable
-    fleet_runner: Optional[Callable] = None
 
     def run(self, platform, environment, duration_s: float,
             record_waveforms: bool = False):
@@ -60,14 +52,18 @@ class EngineSpec:
                            record_waveforms)
 
     def run_fleet(self, platforms, environments, durations_s,
-                  record_waveforms: bool = False):
-        """Run a fleet of platforms through this engine's fleet entry point."""
-        if self.fleet_runner is None:
-            raise ConfigurationError(
-                f"engine {self.name!r} has no fleet runner; run its lanes "
-                "one at a time through run()")
-        return self.fleet_runner(platforms, environments, durations_s,
-                                 record_waveforms)
+                  record_waveforms: Sequence[bool]):
+        """Run each lane through :attr:`runner`; one result per lane.
+
+        Every argument holds one entry per lane: the lane's platform,
+        stimulus, duration and whether it records waveforms.  A fleet
+        call is one engine call (a campaign round), so it calls
+        :attr:`runner` directly: nesting :meth:`run` inside it would
+        make a wrapper that times engine calls count every lane twice.
+        """
+        return [self.runner(platform, environment, duration_s, record)
+                for platform, environment, duration_s, record in zip(
+                    platforms, environments, durations_s, record_waveforms)]
 
 
 def _run_reference(platform, environment, duration_s: float,
@@ -79,13 +75,6 @@ def _run_compiled(platform, environment, duration_s: float,
                   record_waveforms: bool = False):
     from ..engine.compiled import run_compiled
     return run_compiled(platform, environment, duration_s, record_waveforms)
-
-
-def _run_compiled_fleet(platforms, environments, durations_s,
-                        record_waveforms: bool = False):
-    from ..engine.compiled import run_compiled_fleet
-    return run_compiled_fleet(platforms, environments, durations_s,
-                              record_waveforms)
 
 
 _REGISTRY: Dict[str, EngineSpec] = {}
@@ -106,9 +95,8 @@ register_engine(EngineSpec(
     ENGINE_COMPILED,
     description="generated specialised kernel (lowered to C with the "
                 "system compiler, exec-compiled Python fallback without "
-                "one; the default; fleets pick lockstep or lane by lane "
-                "from their shape)",
-    runner=_run_compiled, fleet_runner=_run_compiled_fleet))
+                "one; the default)",
+    runner=_run_compiled))
 
 
 def engine_names() -> Tuple[str, ...]:

@@ -8,8 +8,8 @@ that turn the recorded traces and final platform state into numbers.
 
 Scenarios carry no engine choice and no platform reference — the same
 object can be replayed on the reference loop, the compiled kernel or a
-lane of a compiled fleet in either layout, and two replays from the same platform state are
-bit-identical.  The :class:`~repro.scenarios.campaign.Campaign` runner
+lane of any campaign fleet, and two replays from the same platform state
+are bit-identical.  The :class:`~repro.scenarios.campaign.Campaign` runner
 executes them.
 """
 

@@ -10,8 +10,8 @@ extracted.  Its key is a pure function of what determines those bits —
 * the **engine** the campaign resolved (``"reference"`` or
   ``"compiled"`` — equivalence-locked bit-identical, but kept in the key
   so an engine regression can never silently serve another engine's
-  traces as its own; the compiled engine's fleet layout is not part of
-  it, because a lane's result does not depend on its fleet);
+  traces as its own; the fleet a lane ran in is not part of it,
+  because a lane's result does not depend on its fleet);
 * the **scenario program** (each scenario's
   :meth:`~repro.scenarios.scenario.Scenario.digest`, in program order —
   which already folds in the environment, timing, stop configuration,

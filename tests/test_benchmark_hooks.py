@@ -1,0 +1,70 @@
+"""The program's entry points the benchmark in ``perfbench/`` reaches by name.
+
+``perfbench/tracing.py`` wraps ``EngineSpec.run``, ``EngineSpec.run_fleet``,
+``compiled._compile_kernel`` and the other stack layers at run time, and
+``perfbench/run.py`` records provenance from ``repro.engine.backend_info()``
+and ``campaign.ENGINE_BATCHED``.  These tests install and uninstall the
+tracer around one traced fleet and build the provenance record, so a
+renamed or re-signed hook point fails here rather than only in the
+benchmark's own self-test.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.engine import backend_info, compiled
+from repro.platform import GyroPlatform
+from repro.scenarios.engines import EngineSpec
+from repro.sensors import Environment
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The benchmark's ``run`` and ``tracing`` modules, imported fresh."""
+    names = ("run", "tracing")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield {name: importlib.import_module(name) for name in names}
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+def test_tracer_wraps_and_restores_the_hook_points(perfbench, tmp_path,
+                                                   monkeypatch):
+    hooks = [(EngineSpec, "run"), (EngineSpec, "run_fleet"),
+             (compiled, "_compile_kernel"), (GyroPlatform, "run")]
+    originals = [vars(owner)[name] for owner, name in hooks]
+    # an empty kernel table, so the traced run generates its kernel
+    monkeypatch.setattr(compiled, "_KERNELS", {})
+    tracer = perfbench["tracing"].Tracer("hooks", str(tmp_path))
+    tracer.install()
+    try:
+        assert all(vars(owner)[name] is not original
+                   for (owner, name), original in zip(hooks, originals))
+        GyroPlatform().run([Environment.still()] * 2, 0.002)
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[name] is original
+               for (owner, name), original in zip(hooks, originals))
+
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span[2], []).append(span)
+    assert "engine.warmup" in spans
+    fleet, = spans["engine.fleet"]
+    assert fleet[6] == {"samples": 480, "slots": 480}
+    # the fleet call runs each lane without a nested EngineSpec.run
+    assert "engine.run" not in spans
+
+
+def test_provenance_reads_the_engine(perfbench):
+    record = perfbench["run"].provenance()
+    assert record["compiled_backend"] == backend_info()
+    assert record["default_scalar_engine"] == "compiled"
+    assert record["default_campaign_engine"] == "compiled"

@@ -5,17 +5,16 @@ The cross-engine bit-identity suites in ``test_engine.py`` and
 reference loop; this module locks the pieces that make that possible:
 
 * the inline quantiser snippets emitted into generated kernels are
-  bit-exact against :func:`repro.common.fixedpoint.quantize` in both
-  layouts (Hypothesis property over formats, rounding and overflow
-  modes);
-* packed scalar-state vectors round-trip through pack/unpack;
-* the fleet entry point handles heterogeneous lanes, broadcasts scalar
-  environments, validates length mismatches and stays chunk-invariant on
-  fleets large enough to take the small-chunk path, in both layouts;
-* the fleet layout follows the fleet's shape: full groups of equal
-  structure run in lockstep, ragged campaign rounds lane by lane, and
-  lockstep, lane-by-lane and reference runs agree lane for lane
-  (Hypothesis property over structures and durations);
+  bit-exact against :func:`repro.common.fixedpoint.quantize`
+  (Hypothesis property over formats, rounding and overflow modes);
+* packed scalar-state vectors round-trip through pack/unpack, and runs
+  are invariant to the kernel's time chunk;
+* :class:`FleetSimulator` handles heterogeneous lanes, broadcasts a
+  scalar environment and any 0-d duration (NumPy scalars included) and
+  validates length mismatches and bad durations;
+* a ragged campaign round is one fleet call over all its lanes, and
+  fleet lanes agree with reference runs lane for lane (Hypothesis
+  property over structures, backends and durations);
 * plans with ``overflow="error"`` sites delegate to the reference loop,
   which raises on a real overflow on every engine;
 * backend provenance reports whichever of C / generated-Python is
@@ -51,15 +50,11 @@ from strategies.settings import DETERMINISM_SETTINGS, QUICK_SETTINGS
 from repro.common import ConfigurationError, FixedPointOverflowError
 from repro.common.fixedpoint import QFormat, quantize
 from repro.engine import FleetSimulator, backend_info, compiled_backend, \
-    run_compiled, run_compiled_fleet
+    run_compiled
 import repro
 from repro.engine import compiled, native
-from repro.engine.compiled import (
-    LANE_CHUNK,
-    _compile_kernel,
-    kernel_plan,
-    quantizer_lines,
-)
+from repro.engine.compiled import _compile_kernel, kernel_plan, \
+    quantizer_lines
 from repro.engine.state import fmt_spec, pack_scalar_state, \
     unpack_scalar_state
 from repro.faults.models import StuckAdcCode
@@ -73,22 +68,19 @@ from repro.scenarios import (
     settled_output_scenario,
     startup_complete,
 )
+from repro.scenarios.engines import EngineSpec
 from repro.sensors import Environment
 
 requires_compiler = pytest.mark.skipif(compiled.COMPILER is None,
                                        reason="no C compiler found")
 
 
-def _exec_quantizer(fmt: QFormat, lockstep: bool = False):
+def _exec_quantizer(fmt: QFormat):
     """Build a callable from the exact snippet the codegen would inline."""
     spec = fmt_spec(fmt)
-    lines = ["def q(x):"] + quantizer_lines("x", spec, 4, [0], lockstep) \
+    lines = ["def q(x):"] + quantizer_lines("x", spec, 4, [0]) \
         + ["    return x"]
-    if lockstep:
-        namespace = {"floor": np.floor, "trunc": np.trunc,
-                     "minimum": np.minimum, "maximum": np.maximum}
-    else:
-        namespace = {"floor": math.floor, "trunc": math.trunc}
+    namespace = {"floor": math.floor, "trunc": math.trunc}
     exec("\n".join(lines), namespace)
     return namespace["q"]
 
@@ -120,8 +112,6 @@ class TestQuantizerCodegen:
         assert got == expected
         if expected != 0.0:
             assert math.copysign(1.0, got) == math.copysign(1.0, expected)
-        lanes = _exec_quantizer(fmt, lockstep=True)(np.full(3, value))
-        np.testing.assert_array_equal(lanes, np.full(3, expected))
 
     def test_none_spec_emits_nothing(self):
         assert quantizer_lines("x", None, 4, [0]) == []
@@ -214,12 +204,13 @@ class TestPackedState:
         unpack_scalar_state(target, packed)
         np.testing.assert_array_equal(pack_scalar_state(target), packed)
 
-    def test_chunk_size_invariance(self):
+    def test_chunk_size_invariance(self, monkeypatch):
         env = Environment.constant_rate(75.0)
         a = GyroPlatform(GyroPlatformConfig())
         b = GyroPlatform(GyroPlatformConfig())
         r_a = run_compiled(a, env, 0.06)
-        r_b = run_compiled(b, env, 0.06, chunk_samples=997)
+        monkeypatch.setattr(compiled, "CHUNK_SAMPLES", 997)
+        r_b = run_compiled(b, env, 0.06)
         np.testing.assert_array_equal(r_a.rate_output_dps,
                                       r_b.rate_output_dps)
         np.testing.assert_array_equal(pack_scalar_state(a),
@@ -227,7 +218,7 @@ class TestPackedState:
 
 
 class TestCompiledFleet:
-    def test_heterogeneous_lanes_match_reference(self, fleet_layout):
+    def test_heterogeneous_lanes_match_reference(self, kernel_backend):
         open_cfg = GyroPlatformConfig()
         closed_cfg = GyroPlatformConfig()
         closed_cfg.conditioner.closed_loop = True
@@ -240,56 +231,39 @@ class TestCompiledFleet:
         refs = [GyroPlatform(copy.deepcopy(cfg)).run(env, 0.05,
                                                      engine="reference")
                 for cfg, env in zip(configs, envs)]
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             lanes = [GyroPlatform(copy.deepcopy(cfg)) for cfg in configs]
-            results = run_compiled_fleet(lanes, envs, [0.05] * 3)
+            results = FleetSimulator(lanes).run(envs, [0.05] * 3)
             for r_ref, result in zip(refs, results):
                 np.testing.assert_array_equal(result.rate_output_dps,
                                               r_ref.rate_output_dps)
                 np.testing.assert_array_equal(result.pll_locked,
                                               r_ref.pll_locked)
 
-    def test_scalar_environment_and_duration_broadcast(self, fleet_layout):
-        for _ in fleet_layout:
-            lanes = [GyroPlatform(GyroPlatformConfig()) for _ in range(3)]
-            results = run_compiled_fleet(lanes, Environment.still(), 0.02)
-            assert len(results) == 3
-            np.testing.assert_array_equal(results[0].rate_output_dps,
-                                          results[1].rate_output_dps)
-            np.testing.assert_array_equal(results[0].rate_output_dps,
-                                          results[2].rate_output_dps)
+    def test_scalar_environment_and_duration_broadcast(self, kernel_backend):
+        # any 0-d duration applies to every lane, NumPy scalars included
+        for duration in (0.02, np.float32(0.02), np.int64(1)):
+            solo = GyroPlatform().run(Environment.still(), float(duration))
+            for _ in kernel_backend:
+                lanes = [GyroPlatform() for _ in range(2)]
+                results = FleetSimulator(lanes).run(Environment.still(),
+                                                    duration)
+                assert [r.digest() for r in results] == [solo.digest()] * 2
 
     def test_length_mismatch_rejected(self):
-        lanes = [GyroPlatform(GyroPlatformConfig()) for _ in range(2)]
+        fleet = FleetSimulator([GyroPlatform() for _ in range(2)])
         with pytest.raises(ConfigurationError):
-            run_compiled_fleet(lanes, [Environment.still()] * 3, 0.02)
+            fleet.run([Environment.still()] * 3, 0.02)
         with pytest.raises(ConfigurationError):
-            run_compiled_fleet(lanes, Environment.still(), [0.02] * 3)
+            fleet.run(Environment.still(), [0.02] * 3)
 
     @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
     def test_bad_durations_rejected(self, bad):
-        lanes = [GyroPlatform(GyroPlatformConfig()) for _ in range(2)]
+        fleet = FleetSimulator([GyroPlatform() for _ in range(2)])
         with pytest.raises(ConfigurationError):
-            run_compiled_fleet(lanes, Environment.still(), bad)
+            fleet.run(Environment.still(), bad)
         with pytest.raises(ConfigurationError):
-            run_compiled_fleet(lanes, Environment.still(), [0.01, bad])
-
-    def test_big_fleet_chunk_path_is_bit_identical(self, fleet_layout):
-        # LANE_CHUNK+1 lanes flips the fleet runner onto the small
-        # per-chunk sample count; lane 0 must still match a solo run.
-        n_lanes = LANE_CHUNK + 1
-        cfg = GyroPlatformConfig()
-        solo = GyroPlatform(copy.deepcopy(cfg))
-        r_solo = run_compiled(solo, Environment.still(), 0.01)
-        for _ in fleet_layout:
-            lanes = [GyroPlatform(copy.deepcopy(cfg))
-                     for _ in range(n_lanes)]
-            results = run_compiled_fleet(lanes, Environment.still(), 0.01)
-            assert len(results) == n_lanes
-            np.testing.assert_array_equal(results[0].rate_output_dps,
-                                          r_solo.rate_output_dps)
-            np.testing.assert_array_equal(pack_scalar_state(lanes[0]),
-                                          pack_scalar_state(solo))
+            fleet.run(Environment.still(), [0.01, bad])
 
 
 def _characterisation_round() -> list:
@@ -316,43 +290,27 @@ def _characterisation_round() -> list:
     return programs
 
 
-class TestFleetLayoutSelection:
-    def _spy(self, monkeypatch) -> list:
-        calls = []
-        original = compiled._run_lockstep
+class TestCampaignRounds:
+    def test_ragged_round_is_one_fleet_call(self, monkeypatch):
+        fleets, runs = [], []
+        run_fleet = EngineSpec.run_fleet
 
-        def spy(platforms, *args):
-            calls.append(len(platforms))
-            return original(platforms, *args)
-
-        monkeypatch.setattr(compiled, "_run_lockstep", spy)
-        return calls
-
-    def test_full_fleet_lockstep_ragged_round_lane_by_lane(self,
-                                                           monkeypatch):
-        calls = self._spy(monkeypatch)
-        lanes = [GyroPlatform() for _ in range(32)]
-        run_compiled_fleet(lanes, Environment.still(), 0.002)
-        # a C lane kernel is native code: nothing runs in lockstep
-        native_lanes = compiled_backend() == "c"
-        assert calls == ([] if native_lanes else [32])
-        assert compiled.LOCKSTEP_CROSSOVER == (math.inf if native_lanes
-                                               else 24.0)
-
-        calls.clear()
-        fleets = []
-        original = compiled.run_compiled_fleet
-
-        def record(platforms, *args, **kwargs):
+        def record(spec, platforms, *args, **kwargs):
             fleets.append(len(platforms))
-            return original(platforms, *args, **kwargs)
+            return run_fleet(spec, platforms, *args, **kwargs)
 
-        monkeypatch.setattr(compiled, "run_compiled_fleet", record)
+        monkeypatch.setattr(EngineSpec, "run_fleet", record)
+        monkeypatch.setattr(EngineSpec, "run",
+                            lambda spec, *args: runs.append(args))
         base = GyroPlatform()
         base.start()
+        fleets.clear()
         Campaign(_characterisation_round()).run(base)
+        # every round is one fleet call over the lanes still running,
+        # with no per-lane EngineSpec.run nested inside it
         assert fleets[0] == 13
-        assert calls == []
+        assert fleets == sorted(fleets, reverse=True)
+        assert runs == []
 
 
 _structures = st.tuples(st.booleans(), st.booleans(),
@@ -363,6 +321,9 @@ _durations = st.lists(st.integers(min_value=1, max_value=20),
 
 
 class TestLayoutProperty:
+    """Fleet lanes against per-lane reference runs, over structure, lane
+    backend and durations."""
+
     @QUICK_SETTINGS
     @given(structure=_structures, durations_ms=_durations,
            rates=st.lists(st.floats(min_value=-200.0, max_value=200.0),
@@ -378,33 +339,27 @@ class TestLayoutProperty:
         envs = envs[:len(durations)]
         follow_on = Environment.constant_rate(20.0)
 
-        runs = {}
-        for layout, crossover in (("lockstep", 1), ("lane", math.inf)):
-            lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in durations]
-            with mock.patch.object(compiled, "LOCKSTEP_CROSSOVER",
-                                   crossover), \
-                    mock.patch.object(compiled, "BACKEND", backend):
-                runs[layout] = (lanes, run_compiled_fleet(lanes, envs,
-                                                          durations))
+        lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in durations]
+        with mock.patch.object(compiled, "BACKEND", backend):
+            results = FleetSimulator(lanes).run(envs, durations)
         for b, (env, duration) in enumerate(zip(envs, durations)):
             ref = GyroPlatform(copy.deepcopy(cfg))
             r_ref = ref.run(env, duration, engine="reference")
             ref_state = pack_scalar_state(ref)
             r_next = ref.run(follow_on, 0.005, engine="reference")
-            for lanes, results in runs.values():
-                for name in ("time_s", "rate_output_dps", "rate_output_v",
-                             "amplitude_control", "phase_error",
-                             "pll_locked", "running"):
-                    np.testing.assert_array_equal(
-                        getattr(results[b], name), getattr(r_ref, name),
-                        err_msg=name)
-                np.testing.assert_array_equal(pack_scalar_state(lanes[b]),
-                                              ref_state)
-                # the lane's noise generators stopped where it retired
-                with mock.patch.object(compiled, "BACKEND", backend):
-                    follow = lanes[b].run(follow_on, 0.005)
-                np.testing.assert_array_equal(follow.rate_output_dps,
-                                              r_next.rate_output_dps)
+            for name in ("time_s", "rate_output_dps", "rate_output_v",
+                         "amplitude_control", "phase_error",
+                         "pll_locked", "running"):
+                np.testing.assert_array_equal(
+                    getattr(results[b], name), getattr(r_ref, name),
+                    err_msg=name)
+            np.testing.assert_array_equal(pack_scalar_state(lanes[b]),
+                                          ref_state)
+            # the lane's noise generators stopped where its run ended
+            with mock.patch.object(compiled, "BACKEND", backend):
+                follow = lanes[b].run(follow_on, 0.005)
+            np.testing.assert_array_equal(follow.rate_output_dps,
+                                          r_next.rate_output_dps)
 
 
 def _lowering_probe_source() -> str:
@@ -480,7 +435,7 @@ def compiler_starts(monkeypatch):
 
 
 def _is_native(platform) -> bool:
-    kernel = compiled._KERNELS.get((kernel_plan(platform), "c", False))
+    kernel = compiled._KERNELS.get((kernel_plan(platform), "c"))
     return hasattr(kernel, "library")
 
 
@@ -572,7 +527,7 @@ class TestKernelCache:
             "from repro.sensors import Environment\n"
             "p = GyroPlatform()\n"
             "r = p.run(Environment.constant_rate(30.0), 0.02)\n"
-            "k = compiled._KERNELS[(compiled.kernel_plan(p), 'c', False)]\n"
+            "k = compiled._KERNELS[(compiled.kernel_plan(p), 'c')]\n"
             "assert hasattr(k, 'library')\n"
             "print(hashlib.sha256(r.rate_output_dps.tobytes()).hexdigest())\n")
         env = dict(os.environ,
@@ -653,8 +608,8 @@ class TestKernelCache:
     def test_failed_self_check_keeps_python(self, kernel_cache, monkeypatch):
         original = compiled.generate_kernel_source
 
-        def perturbed(plan, backend, lockstep=False):
-            source = original(plan, backend, lockstep)
+        def perturbed(plan, backend):
+            source = original(plan, backend)
             if backend == "c":
                 source = source.replace(" / 180.0", " / 180.00000000000003")
             return source
@@ -665,8 +620,8 @@ class TestKernelCache:
         with pytest.warns(RuntimeWarning, match="differs from the Python"):
             result = platform.run(env, 0.05)
         plan = kernel_plan(platform)
-        assert compiled._KERNELS[(plan, "c", False)] \
-            is compiled._KERNELS[(plan, "python", False)]
+        assert compiled._KERNELS[(plan, "c")] \
+            is compiled._KERNELS[(plan, "python")]
         assert not list(kernel_cache.glob("*.so"))
         ref = GyroPlatform()
         _assert_same_run((ref, ref.run(env, 0.05, engine="reference")),

@@ -2,14 +2,14 @@
 
 The compiled (generated) kernel promises *bit-identical* traces and
 final platform state relative to the object-oriented reference loop,
-for single platforms on both lane backends (C and generated Python,
-forced through the ``kernel_backend`` fixture) and for fleets in both
-layouts (lockstep and lane by lane, forced through the ``fleet_layout``
-fixture, which visits the lane layout once per backend).  These tests
+for single platforms and fleets on both lane backends (C and generated
+Python, forced through the ``kernel_backend`` fixture).  These tests
 hold it to that on short runs covering lock-in, temperature ramps,
 fixed-point (prototype) mode, closed-loop rebalance, waveform
 recording, mixed-structure fleets and early lane retirement, check
-that bad input raises the same exception type everywhere, and check the
+that a fleet lane equals the lane's own ``GyroPlatform.run`` (safe-mode
+monitor included), that bad input raises the same exception type
+everywhere, and check the
 supporting vectorised helpers (``Environment.sample``,
 ``BufferedGaussianNoise.take``) against their scalar counterparts —
 including that noise sources pickle and copy without losing or
@@ -187,11 +187,11 @@ class TestEngineSelection:
 
 
 class TestLockingScenarioAcceptance:
-    """The acceptance run: the compiled engine and both fleet layouts
-    match the reference on lock time, amplitude and rate output for the
-    Fig. 5 locking case."""
+    """The acceptance run: the compiled engine and fleets on both lane
+    backends match the reference on lock time, amplitude and rate output
+    for the Fig. 5 locking case."""
 
-    def test_all_engines_agree_on_locking_run(self, fleet_layout):
+    def test_all_engines_agree_on_locking_run(self, kernel_backend):
         env = Environment.still()
         cfg = GyroPlatformConfig()
         ref = GyroPlatform(copy.deepcopy(cfg))
@@ -200,7 +200,7 @@ class TestLockingScenarioAcceptance:
         r_com = com.run(env, 0.4, engine="compiled", reset=True)
         r_fleet = [FleetSimulator.from_config(cfg, 2).run(env, 0.4,
                                                           reset=True)[0]
-                   for _ in fleet_layout]
+                   for _ in kernel_backend]
 
         assert r_ref.pll_locked[-1]
         for other in (r_com, *r_fleet):
@@ -212,9 +212,9 @@ class TestLockingScenarioAcceptance:
 
 
 class TestBatchEquivalence:
-    """Fleets in both layouts against per-lane reference runs."""
+    """Fleets on both lane backends against per-lane reference runs."""
 
-    def test_heterogeneous_lanes_match_reference(self, fleet_layout):
+    def test_heterogeneous_lanes_match_reference(self, kernel_backend):
         cfg = GyroPlatformConfig()
         envs = [Environment.still(),
                 Environment.constant_rate(150.0),
@@ -225,7 +225,7 @@ class TestBatchEquivalence:
         for env in envs:
             ref = GyroPlatform(copy.deepcopy(cfg))
             refs.append((ref, ref.run(env, 0.06, engine="reference")))
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             fleet = FleetSimulator.from_config(cfg, len(envs))
             results = fleet.run(envs, 0.06)
             for (ref, r_ref), lane_result, lane_platform in zip(
@@ -233,42 +233,41 @@ class TestBatchEquivalence:
                 _assert_results_identical(r_ref, lane_result)
                 _assert_platform_state_identical(ref, lane_platform)
 
-    def test_single_environment_broadcasts(self, fleet_layout):
-        for _ in fleet_layout:
+    def test_single_environment_broadcasts(self, kernel_backend):
+        for _ in kernel_backend:
             fleet = FleetSimulator.from_config(GyroPlatformConfig(), 3)
             results = fleet.run(Environment.still(), 0.02)
             assert len(results) == 3
             _assert_results_identical(results[0], results[1])
             _assert_results_identical(results[0], results[2])
 
-    def test_run_sequence_platform_method(self, fleet_layout):
+    def test_run_sequence_platform_method(self, kernel_backend):
         platform = GyroPlatform()
         envs = [Environment.constant_rate(r) for r in (-50.0, 0.0, 50.0)]
         ref = GyroPlatform(copy.deepcopy(platform.config))
         r_ref = ref.run(envs[1], 0.02, engine="reference", reset=True)
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             results = platform.run(envs, 0.02)
             assert len(results) == len(envs)
             _assert_results_identical(r_ref, results[1])
 
     @pytest.mark.parametrize("mode", ["fixed_point", "closed_loop"])
     def test_batch_matches_reference_in_special_modes(self, mode,
-                                                      fleet_layout):
-        # the quantisers and the rebalance branch render differently in
-        # the lockstep layout; hold them to the reference like the
-        # default path
+                                                      kernel_backend):
+        # the quantisers and the rebalance branch are generated only for
+        # these plans; hold them to the reference like the default path
         cfg = GyroPlatformConfig()
         setattr(cfg.conditioner, mode, True)
         env = Environment.constant_rate(60.0)
         ref = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(env, 0.05, engine="reference")
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             fleet = FleetSimulator.from_config(cfg, 2)
             results = fleet.run(env, 0.05)
             _assert_results_identical(r_ref, results[0])
             _assert_platform_state_identical(ref, fleet.platforms[0])
 
-    def test_run_sequence_continues_from_platform_state(self, fleet_layout):
+    def test_run_sequence_continues_from_platform_state(self, kernel_backend):
         # regression: a sequence run must carry the platform's calibration
         # and runtime state into the lanes, not restart from the bare config
         warm = GyroPlatform()
@@ -277,7 +276,7 @@ class TestBatchEquivalence:
         dedicated = copy.deepcopy(warm)
         env = Environment.constant_rate(75.0)
         r_ref = dedicated.run(env, 0.03, engine="reference")
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             results = warm.run([env, Environment.still()], 0.03)
             _assert_results_identical(r_ref, results[0])
             # the source platform itself is not advanced by a sequence run
@@ -296,7 +295,7 @@ class TestBatchEquivalence:
         with pytest.raises(ConfigurationError):
             fleet.run(Environment.still(), [0.01, bad])
 
-    def test_retired_lanes_match_standalone_runs(self, fleet_layout):
+    def test_retired_lanes_match_standalone_runs(self, kernel_backend):
         # lanes shorter than the longest retire mid-run: each must end
         # exactly where a standalone run of its own length ends, noise
         # generator positions included (the follow-on run shows those)
@@ -309,7 +308,7 @@ class TestBatchEquivalence:
                                                       t0=0.0, t1=0.05))]
         durations = [0.02, 0.05, 0.035]
         follow_on = Environment.constant_rate(30.0)
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             fleet = FleetSimulator.from_config(cfg, len(envs))
             results = fleet.run(envs, durations)
             for env, duration, result, lane in zip(envs, durations, results,
@@ -324,18 +323,18 @@ class TestBatchEquivalence:
                     solo.run(follow_on, 0.01, engine="reference"),
                     lane.run(follow_on, 0.01, engine="reference"))
 
-    def test_waveform_recording(self, fleet_layout):
+    def test_waveform_recording(self, kernel_backend):
         cfg = GyroPlatformConfig()
         ref = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(Environment.still(), 0.02, engine="reference",
                         record_waveforms=True)
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             fleet = FleetSimulator.from_config(cfg, 2)
             results = fleet.run(Environment.still(), 0.02,
                                 record_waveforms=True)
             _assert_results_identical(r_ref, results[0], waveforms=True)
 
-    def test_mixed_structure_fleet_matches_reference(self, fleet_layout):
+    def test_mixed_structure_fleet_matches_reference(self, kernel_backend):
         # one fleet mixing sample rates, loop topologies, fixed-point
         # formats (a Q1.6 NCO set on the live block) and an
         # overflow="error" lane that delegates to the reference loop:
@@ -370,7 +369,7 @@ class TestBatchEquivalence:
             refs.append((lane, lane.run(env, duration, engine="reference")))
         # default (at two rates), closed loop, fixed point, error format
         assert len({kernel_plan(lane) for lane, _ in refs}) == 4
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             fleet = FleetSimulator(build())
             results = fleet.run(envs, durations)
             for (ref, r_ref), result, lane in zip(refs, results,
@@ -381,6 +380,27 @@ class TestBatchEquivalence:
                                               pack_scalar_state(ref))
         with pytest.raises(ConfigurationError):
             FleetSimulator([])
+
+    def test_fleet_lanes_equal_platform_runs(self):
+        # every lane runs through its own GyroPlatform.run, safe-mode
+        # monitor included: one lane saturated into safe mode, one clean
+        def lanes():
+            saturated, clean = GyroPlatform(), GyroPlatform()
+            saturated.frontend.config.charge_amplifier.offset_v = 10.0
+            return [saturated, clean]
+
+        env = Environment.constant_rate(30.0)
+        solo = lanes()
+        expected = [platform.run(env, 0.05) for platform in solo]
+        assert expected[0].safe_mode and not expected[1].safe_mode
+        fleet = FleetSimulator(lanes())
+        results = fleet.run(env, 0.05)
+        for want, got, ref, lane in zip(expected, results, solo,
+                                        fleet.platforms):
+            assert got.digest() == want.digest()
+            assert lane.safety.result_fields() == ref.safety.result_fields()
+            assert lane.safety.registers.dump() == ref.safety.registers.dump()
+            _assert_platform_state_identical(ref, lane)
 
     def test_monte_carlo_fleet_lanes_differ(self):
         rng = np.random.default_rng(7)
@@ -538,9 +558,6 @@ class TestTypedErrors:
         for engine in self._paths():
             with pytest.raises(ConfigurationError, match="divides by"):
                 broken().run(Environment.still(), 0.001, engine=engine)
-        for crossover in (1, math.inf):
-            with mock.patch.object(compiled, "LOCKSTEP_CROSSOVER",
-                                   crossover):
-                with pytest.raises(ConfigurationError, match="divides by"):
-                    FleetSimulator([broken(), broken()]).run(
-                        Environment.still(), 0.001)
+        with pytest.raises(ConfigurationError, match="divides by"):
+            FleetSimulator([broken(), broken()]).run(Environment.still(),
+                                                     0.001)

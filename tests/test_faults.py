@@ -217,14 +217,14 @@ class TestFaultValidation:
 class TestFaultBitIdentity:
     @pytest.mark.parametrize("fault_name", sorted(FAULT_GRID))
     def test_engines_identical_and_fault_perturbs(self, started_platform,
-                                                  fault_name, fleet_layout):
+                                                  fault_name, kernel_backend):
         fault = FAULT_GRID[fault_name]
         program = [fault_scenario(fault, duration_s=0.03,
                                   name=f"f-{fault_name}"),
                    clean_scenario()]
         ref = Campaign(program, name="x").run(started_platform,
                                               engine="reference")
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             fleet = Campaign(program, name="x").run(started_platform,
                                                     engine="compiled")
             for lane_ref, lane_eng in zip(ref.lanes, fleet.lanes):

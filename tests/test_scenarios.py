@@ -1,8 +1,8 @@
 """Tests for the scenario / campaign subsystem (``repro.scenarios``).
 
 The campaign runner promises that a scenario program replayed through
-any engine — reference loop, compiled kernel, fleet lanes in lockstep
-or lane by lane — from the same platform state produces bit-identical
+any engine — reference loop, compiled kernel on either lane backend,
+any fleet packing — from the same platform state produces bit-identical
 traces, metrics and final state, early-stop chunking included.  These
 tests hold it to that, lock the fleet-vs-sequential calibration
 equivalence, check that each lane counts samples on its own platform's
@@ -159,11 +159,11 @@ def _mixed_programs():
 
 
 class TestCampaignEquivalence:
-    def test_batched_matches_sequential_with_early_stop(self, fleet_layout):
+    def test_batched_matches_sequential_with_early_stop(self, kernel_backend):
         base = GyroPlatform()
         campaign = Campaign(_mixed_programs())
         reference = campaign.run(base, engine="reference")
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             fleet = campaign.run(base)
             for lane_a, lane_b in zip(fleet.lanes, reference.lanes):
                 assert len(lane_a.outcomes) == len(lane_b.outcomes)
@@ -198,11 +198,11 @@ class TestCampaignEquivalence:
             # far too short for the sequencer to reach RUNNING
             platform.start(max_duration_s=0.05, chunk_s=0.05)
 
-    def test_waveforms_only_where_requested(self, fleet_layout):
+    def test_waveforms_only_where_requested(self, kernel_backend):
         want = Scenario("wave", Environment.still(), 0.02, reset=True,
                         record_waveforms=True)
         plain = Scenario("plain", Environment.still(), 0.02, reset=True)
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             result = Campaign([want, plain]).run(GyroPlatform())
             wave = result.outcome("wave").result
             assert wave.primary_pickoff_norm is not None
@@ -241,13 +241,13 @@ class TestCampaignEquivalence:
 
 
 class TestCalibrationEquivalence:
-    """Fleet calibration programs bit-identical words in both layouts."""
+    """Fleet calibration programs bit-identical words on both backends."""
 
-    def test_fleet_and_sequential_calibration_identical(self, fleet_layout):
+    def test_fleet_and_sequential_calibration_identical(self, kernel_backend):
         sequential = GyroPlatform()
         sequential.calibrate(settle_s=0.1, engine="reference")  # one by one
         chain_s = sequential.conditioner.sense_chain
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             fleet = GyroPlatform()
             fleet.calibrate(settle_s=0.1)                       # fleet sweep
             chain_f = fleet.conditioner.sense_chain
@@ -255,11 +255,11 @@ class TestCalibrationEquivalence:
             assert chain_f.offset_comp.offset == chain_s.offset_comp.offset
             assert fleet.calibrated and sequential.calibrated
 
-    def test_temperature_calibration_identical(self, fleet_layout):
+    def test_temperature_calibration_identical(self, kernel_backend):
         base = GyroPlatform()
         base.calibrate(settle_s=0.1)
         configs = []
-        for _ in fleet_layout:
+        for _ in kernel_backend:
             other = copy.deepcopy(base)
             other.calibrate_temperature(temperatures_c=(0.0, 25.0, 60.0),
                                         settle_s=0.06)
