@@ -182,7 +182,7 @@ def _time_store(platform, lanes: int, settle_s: float) -> dict:
         kib = sum(os.path.getsize(path) for path in paths) / len(paths) / 1024
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    source = LaneSource.resolve(platform, None, None, False, lanes)
+    source = LaneSource.resolve(platform, None, lanes)
     key_s = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -204,7 +204,7 @@ def _time_branch(platform, lanes: int) -> dict:
     ``lanes``-lane campaign on the started ``platform``; returns the
     best time per lane.
     """
-    source = LaneSource.resolve(platform, None, None, False, lanes)
+    source = LaneSource.resolve(platform, None, lanes)
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()

@@ -11,7 +11,6 @@ Run with:  python examples/design_space_exploration.py
 
 import numpy as np
 
-from repro.engine import FleetSimulator
 from repro.flow import (
     build_gyro_design_flow,
     estimate_asic,
@@ -23,7 +22,14 @@ from repro.flow import (
     recommend,
     sweep,
 )
-from repro.platform import Domain, GenericSensorPlatform, GyroPlatformConfig
+from repro.platform import (
+    Domain,
+    GenericSensorPlatform,
+    GyroPlatform,
+    GyroPlatformConfig,
+)
+from repro.scenarios import Campaign, Scenario
+from repro.sensors import Environment
 
 
 def main() -> None:
@@ -54,13 +60,16 @@ def main() -> None:
         print("  ", simulated.summary())
 
     print("\n=== Monte-Carlo fleet: part-to-part turn-on spread ===")
-    # fleets also carry Monte Carlo mismatch runs: each lane is a
-    # different simulated physical device of the same design
-    fleet = FleetSimulator.with_part_variation(
-        GyroPlatformConfig(), 4, rng=np.random.default_rng(2026))
-    from repro.sensors import Environment
-    results = fleet.run(Environment.still(), 0.8, reset=True)
-    turn_ons = [r.turn_on_time_s for r in results]
+    # campaigns also carry Monte Carlo mismatch runs: each lane is a
+    # different simulated physical device of the same design, drawn by
+    # GyroPlatformConfig.with_part_variation from one seeded generator
+    rng = np.random.default_rng(2026)
+    devices = [GyroPlatform(GyroPlatformConfig().with_part_variation(rng))
+               for _ in range(4)]
+    power_on = Scenario("power-on", Environment.still(), 0.8, reset=True)
+    fleet = Campaign([power_on] * len(devices), name="monte-carlo-turn-on")
+    turn_ons = [lane.outcomes[0].result.turn_on_time_s
+                for lane in fleet.run(platforms=devices)]
     for lane, t in enumerate(turn_ons):
         label = f"{t * 1000:.1f} ms" if t is not None else "did not start"
         print(f"  device {lane}: turn-on {label}")

@@ -19,7 +19,6 @@ Run with:  python examples/monte_carlo_yield.py [--parts 8] [--workers 2]
 """
 
 import argparse
-import copy
 import dataclasses
 
 import numpy as np
@@ -41,14 +40,7 @@ def part_configs(n: int, seed: int) -> list:
     """Draw ``n`` device configurations with part-to-part mismatch."""
     rng = np.random.default_rng(seed)
     nominal = GyroPlatformConfig()
-    configs = []
-    for _ in range(n):
-        cfg = copy.deepcopy(nominal)
-        cfg.sensor = cfg.sensor.with_part_variation(rng)
-        if cfg.frontend.seed is not None:
-            cfg.frontend.seed = int(rng.integers(0, 2 ** 31 - 1))
-        configs.append(cfg)
-    return configs
+    return [nominal.with_part_variation(rng) for _ in range(n)]
 
 
 def part_program(settle_s: float) -> list:

@@ -10,11 +10,34 @@ step before partitioning.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigurationError
+
+
+def check_duration(value, what: str = "duration") -> float:
+    """Validate a simulated duration in seconds and return it as a float.
+
+    Any real number is accepted, NumPy scalars included, and comes back
+    as the equal Python float, so it serialises, digests and keys a
+    store exactly like that float.
+
+    Raises:
+        ConfigurationError: ``value`` is not a real number, or is not
+            finite and > 0.
+    """
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(
+            f"{what} must be a real number of seconds, got {value!r}")
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{what} must be finite and > 0, "
+                                 f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -14,23 +14,19 @@ Two interchangeable ways to run the same mixed-signal co-simulation:
   traces and state, and the default.
 
 The compiled kernels load and store platform state through the packed
-schema of :mod:`repro.engine.state`.  ``GyroPlatform.run`` dispatches through the
-engine registry (``GyroPlatformConfig.engine``).  Fleets run every lane
-on its own kernel: a sequence of environments passed to
-``GyroPlatform.run`` runs one campaign lane each, and
-:class:`FleetSimulator` runs a list of platforms through their own
-``GyroPlatform.run``.
+schema of :mod:`repro.engine.state`.  ``GyroPlatform.run`` dispatches
+one platform through the engine registry (``GyroPlatformConfig.engine``).
+Multi-lane runs are campaigns (:class:`repro.scenarios.Campaign`), whose
+every lane runs on its own kernel.
 """
 
 from .compiled import (
-    FleetSimulator,
     backend_info,
     compiled_backend,
     run_compiled,
 )
 
 __all__ = [
-    "FleetSimulator",
     "backend_info",
     "compiled_backend",
     "run_compiled",

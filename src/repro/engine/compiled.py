@@ -27,10 +27,10 @@ platform's own stimulus before it is cached (:data:`SELF_CHECK_SAMPLES`).
 ``.tolist()`` prelude that moves the per-sample arrays into Python
 floats.  It is the fallback when no compiler is found
 (:data:`COMPILER`) or a build fails, so the ``"compiled"`` engine always
-registers and behaves identically, only slower.  Fleets run every lane
-on its own kernel: :class:`FleetSimulator` calls each lane's
-``GyroPlatform.run``, a campaign round
-:meth:`~repro.scenarios.engines.EngineSpec.run_fleet`.
+registers and behaves identically, only slower.  Every campaign lane
+runs on its own kernel: a campaign round is one
+:meth:`~repro.scenarios.engines.EngineSpec.run_fleet` call over the
+active lanes.
 
 Bit-identity contract: the generated arithmetic replicates the reference
 chain operation for operation — same expression order, same rounding
@@ -66,7 +66,7 @@ import copy
 import math
 import pickle
 import warnings
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -896,103 +896,3 @@ def run_compiled(platform, environment, duration_s: float,
     finish_run(platform, state, out_z, quad_z, n, start_time)
     return _result(traces, rec, fs, dec, record_waveforms, platform)
 
-
-def _fleet_inputs(n_lanes: int, environments, durations_s):
-    """Validate and broadcast a fleet's environments and durations.
-
-    A single :class:`Environment` and a 0-d duration (a Python or NumPy
-    scalar) apply to every lane.
-    """
-    if isinstance(environments, Environment):
-        environments = [environments] * n_lanes
-    environments = list(environments)
-    if np.ndim(durations_s) == 0:
-        durations_s = [durations_s] * n_lanes
-    durations_s = [float(d) for d in durations_s]
-    if len(environments) != n_lanes or len(durations_s) != n_lanes:
-        raise ConfigurationError(
-            f"got {len(environments)} environments and {len(durations_s)} "
-            f"durations for {n_lanes} fleet lanes")
-    if not all(0.0 < d < math.inf for d in durations_s):
-        raise ConfigurationError("durations must be finite and > 0")
-    return environments, durations_s
-
-
-class FleetSimulator:
-    """A fleet of :class:`~repro.platform.gyro_platform.GyroPlatform` lanes.
-
-    The lanes are ordinary platforms and each runs through its own
-    :meth:`~repro.platform.gyro_platform.GyroPlatform.run` on its
-    configured engine, so fleet runs mix freely with per-platform
-    simulation, calibration and register access, and lanes may differ in
-    values, structure and sample rate.
-    """
-
-    def __init__(self, platforms: Sequence):
-        if not platforms:
-            raise ConfigurationError("fleet needs at least one platform")
-        self.platforms = list(platforms)
-
-    def __len__(self) -> int:
-        return len(self.platforms)
-
-    @classmethod
-    def from_config(cls, config, n: int) -> "FleetSimulator":
-        """Build a fleet of ``n`` identical platforms from one config."""
-        from ..platform.gyro_platform import GyroPlatform
-        if n < 1:
-            raise ConfigurationError("fleet size must be >= 1")
-        return cls([GyroPlatform(copy.deepcopy(config)) for _ in range(n)])
-
-    @classmethod
-    def with_part_variation(cls, config, n: int,
-                            rng: Optional[np.random.Generator] = None,
-                            **spreads) -> "FleetSimulator":
-        """Build a Monte-Carlo fleet with part-to-part sensor mismatch.
-
-        Each lane gets a sensor drawn via
-        :meth:`GyroParameters.with_part_variation` (its own pick-off
-        gain, resonances, offset and noise seed) and a distinct
-        front-end noise seed, modelling ``n`` different physical devices
-        of the same design.
-        """
-        from ..platform.gyro_platform import GyroPlatform
-        if n < 1:
-            raise ConfigurationError("fleet size must be >= 1")
-        rng = rng or np.random.default_rng()
-        platforms = []
-        for _ in range(n):
-            cfg = copy.deepcopy(config)
-            cfg.sensor = cfg.sensor.with_part_variation(rng, **spreads)
-            if cfg.frontend.seed is not None:
-                cfg.frontend.seed = int(rng.integers(0, 2 ** 31 - 1))
-            platforms.append(GyroPlatform(cfg))
-        return cls(platforms)
-
-    def run(self, environments: Union[Environment, Sequence[Environment]],
-            duration_s: Union[float, Sequence[float]], reset: bool = False,
-            record_waveforms: bool = False) -> List[GyroSimulationResult]:
-        """Run every lane for its own duration.
-
-        Args:
-            environments: one :class:`Environment` per lane, or a single
-                environment applied to all lanes.
-            duration_s: a scalar applied to every lane, or one duration
-                per lane; each lane's traces and final state equal a
-                standalone run of its own length.
-            reset: power-cycle every lane before running.
-            record_waveforms: record pick-off / drive-word waveforms.
-
-        Returns:
-            One :class:`GyroSimulationResult` per lane, equal to the
-            lane's own :meth:`GyroPlatform.run` (safe-mode fields
-            included) and bit-identical on every engine.
-        """
-        environments, durations = _fleet_inputs(len(self.platforms),
-                                                environments, duration_s)
-        if reset:
-            for p in self.platforms:
-                p.reset()
-        return [platform.run(env, duration, record_waveforms=record_waveforms)
-                for platform, env, duration in zip(self.platforms,
-                                                   environments, durations)]

@@ -196,8 +196,8 @@ class GyroCharacterization:
         cfg = self.config
         scenario = noise_floor_scenario(temperature_c, cfg.noise_duration_s,
                                         cfg.noise_band_hz)
-        result = Campaign([scenario], name="noise-floor").run(self.platform,
-                                                              mutate=True)
+        result = Campaign([scenario], name="noise-floor").run(
+            platforms=[self.platform])
         return result.lanes[0].outcomes[0].metrics["noise_density"]
 
     def measure_bandwidth(self, method: str = "analytic") -> float:

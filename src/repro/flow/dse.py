@@ -279,7 +279,8 @@ def simulate_point(evaluated: EvaluatedPoint, duration_s: float = 0.7,
     config = platform_config_for_point(evaluated.point)
     scenarios = design_validation_scenarios(probe_rate_dps, duration_s,
                                             settle_fraction)
-    result = Campaign(scenarios, name="dse-validation").run(config=config)
+    result = Campaign(scenarios, name="dse-validation").run(
+        platforms=_platforms_for_config(config, len(scenarios)))
     still, pos, neg = [lane.outcomes[0] for lane in result.lanes]
     return _simulated_from_lanes(evaluated, still, pos, neg, probe_rate_dps)
 

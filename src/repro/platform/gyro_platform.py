@@ -12,15 +12,17 @@ This is the object the evaluation harness and the benchmarks drive.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..afe.frontend import FrontEndConfig, GyroAnalogFrontEnd
 from ..common.exceptions import ConfigurationError, SimulationError
+from ..common.timebase import check_duration
 from ..common.units import ROOM_TEMPERATURE_C
 from ..gyro.calibration import (
     fit_scale_factor,
@@ -94,6 +96,24 @@ class GyroPlatformConfig:
         self.conditioner.rebalance.sample_rate_hz = self.sample_rate_hz
         self.conditioner.startup.sample_rate_hz = self.sample_rate_hz
 
+    def with_part_variation(self, rng: np.random.Generator,
+                            **spreads) -> "GyroPlatformConfig":
+        """A copy modelling one more physical device of this design.
+
+        The copy gets a sensor drawn by
+        :meth:`~repro.sensors.gyro.GyroParameters.with_part_variation`
+        (its own pick-off gain, resonances, offset and noise seed;
+        ``spreads`` are that method's spread arguments) and, when the
+        front end is seeded, a fresh front-end noise seed — drawn from
+        ``rng`` in that order, so one generator seeds a reproducible
+        Monte Carlo population.
+        """
+        config = copy.deepcopy(self)
+        config.sensor = config.sensor.with_part_variation(rng, **spreads)
+        if config.frontend.seed is not None:
+            config.frontend.seed = int(rng.integers(0, 2 ** 31 - 1))
+        return config
+
 
 class GyroPlatform:
     """Mixed-signal co-simulation of the gyro conditioning platform."""
@@ -129,80 +149,47 @@ class GyroPlatform:
 
     # -- co-simulation -----------------------------------------------------------
 
-    def run(self, environment: "Union[Environment, Sequence[Environment]]",
-            duration_s: float, reset: bool = False,
-            record_waveforms: bool = False, engine: Optional[str] = None,
-            *, executor: Optional[str] = None, workers: Optional[int] = None
-            ) -> "Union[GyroSimulationResult, List[GyroSimulationResult]]":
+    def run(self, environment: Environment, duration_s: float,
+            reset: bool = False, record_waveforms: bool = False,
+            engine: Optional[str] = None) -> GyroSimulationResult:
         """Run the co-simulation for ``duration_s`` seconds.
 
-        This is the one run entry point: a single
-        :class:`~repro.sensors.environment.Environment` simulates this
-        platform in-process and returns one result; a *sequence* of
-        environments runs one campaign lane per environment, each
-        unpickled from one shared pickle of this platform (the platform
-        itself is not advanced), and returns one result per environment
-        — as one fleet on the configured engine, optionally fanned out
-        over worker processes.  Every combination produces
-        bit-identical traces.  To carry lane state from run to run,
-        keep the lanes and pass them to ``Campaign.run(platforms=...)``
-        or :class:`~repro.engine.FleetSimulator`.
+        Simulates this platform in-process from its current state,
+        advances it and returns one result.  To run several lanes —
+        stimuli, devices, worker processes — describe each as a
+        :class:`~repro.scenarios.scenario.Scenario` and run them as one
+        :class:`~repro.scenarios.campaign.Campaign`.
 
         Args:
             environment: applied rate and temperature profiles (time is
-                relative to the platform's current simulation time), or a
-                sequence of them — one clone lane each.
-            duration_s: how long to simulate.
-            reset: power-cycle the platform (or the clone lanes) before
-                running.
+                relative to the platform's current simulation time).
+            duration_s: how long to simulate, in seconds (finite, > 0).
+            reset: power-cycle the platform before running.
             record_waveforms: additionally record the primary pick-off and
                 drive-word waveforms (memory-hungry; used by the figure
                 benches).
             engine: override the simulation engine for this run
-                (:func:`~repro.scenarios.engines.engine_names`); a
-                sequence runs each lane on it.  All engines produce
-                bit-identical traces and platform state.
-            executor: for sequences —
-                :func:`~repro.scenarios.executor.executor_names`;
-                ``"local"`` (default) runs in the calling process,
-                ``"sharded"`` partitions the lanes across worker
-                processes.  Defaults to ``"sharded"`` when ``workers``
-                is given.
-            workers: worker-process count for the sharded executor.
+                (:func:`~repro.scenarios.engines.engine_names`).  All
+                engines produce bit-identical traces and platform state.
 
-        Returns:
-            A :class:`GyroSimulationResult` for a single environment, or
-            a list with one result per environment.
+        Raises:
+            ConfigurationError: ``environment`` is not one
+                :class:`~repro.sensors.environment.Environment`,
+                ``duration_s`` is not a finite real > 0, or ``engine``
+                is unknown; checked before any reset.
         """
-        if not 0.0 < duration_s < math.inf:
-            raise SimulationError("duration must be finite and > 0")
-        if isinstance(environment, Environment):
-            if workers not in (None, 1) or executor not in (None, "local"):
-                raise ConfigurationError(
-                    "a single environment runs in-process; pass a sequence "
-                    "of environments to fan lanes out over workers")
-            spec = get_engine(engine or self.config.engine)
-            if reset:
-                self.reset()
-            result = spec.run(self, environment, duration_s, record_waveforms)
-            self.safety.observe(self._time_s, self.frontend.overload,
-                                duration_s)
-            return dataclasses.replace(result,
-                                       **self.safety.result_fields())
-        from ..scenarios.campaign import Campaign
-        from ..scenarios.scenario import Scenario
-
-        environments = list(environment)
-        if not environments:
+        if not isinstance(environment, Environment):
             raise ConfigurationError(
-                "a sequence of environments must not be empty")
-        programs = [Scenario(name=f"run[{i}]", environment=env,
-                             duration_s=duration_s, reset=reset,
-                             record_waveforms=record_waveforms)
-                    for i, env in enumerate(environments)]
-        result = Campaign(programs, name="platform-run").run(
-            self, engine=engine, executor=executor, workers=workers)
-        return [lane.outcomes[0].result for lane in result.lanes]
+                "GyroPlatform.run takes one Environment, got "
+                f"{type(environment).__name__}; run several lanes as a "
+                "Campaign of scenarios")
+        duration_s = check_duration(duration_s)
+        spec = get_engine(engine or self.config.engine)
+        if reset:
+            self.reset()
+        result = spec.run(self, environment, duration_s, record_waveforms)
+        self.safety.observe(self._time_s, self.frontend.overload, duration_s)
+        return dataclasses.replace(result, **self.safety.result_fields())
 
     def _run_reference(self, environment: Environment, duration_s: float,
                        record_waveforms: bool = False) -> GyroSimulationResult:
@@ -334,7 +321,7 @@ class GyroPlatform:
         from ..scenarios.library import startup_scenario
 
         scenario = startup_scenario(temperature_c, max_duration_s, chunk_s)
-        result = Campaign([scenario], name="startup").run(self, mutate=True)
+        result = Campaign([scenario], name="startup").run(platforms=[self])
         return result.lanes[0].outcomes[0].result
 
     def measure_settled_output(self, rate_dps: float, temperature_c: float,
@@ -351,8 +338,8 @@ class GyroPlatform:
         from ..scenarios.library import settled_output_scenario
 
         scenario = settled_output_scenario(rate_dps, temperature_c, duration_s)
-        result = Campaign([scenario], name="settled-output").run(self,
-                                                                 mutate=True)
+        result = Campaign([scenario], name="settled-output").run(
+            platforms=[self])
         metrics = result.lanes[0].outcomes[0].metrics
         return (metrics["raw_channel"], metrics["rate_output_dps"],
                 metrics["rate_output_v"])

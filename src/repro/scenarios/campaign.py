@@ -55,9 +55,9 @@ class LaneOutcome:
 
     Attributes:
         platform: the platform the lane ran on (a clone of the base
-            platform unless the caller supplied its own lanes or ran
-            with ``mutate=True``) in its final state — inspect it or
-            adopt its state for follow-on runs.
+            platform unless the caller supplied its own lanes) in its
+            final state — inspect it or adopt its state for follow-on
+            runs.
         outcomes: one :class:`ScenarioOutcome` per program scenario, in
             execution order.
     """
@@ -301,17 +301,19 @@ Program = Union[Scenario, Sequence[Scenario]]
 class Campaign:
     """Packs scenario programs into fleet lanes.
 
+    The one way to run several lanes — stimuli, devices or design
+    points — through the co-simulation: in-process or across worker
+    processes, branched from one platform or on caller-owned platforms,
+    optionally backed by a result store.
+
     Args:
         programs: one entry per lane — a single :class:`Scenario` or a
             sequence of scenarios run back-to-back on that lane.
-        engine: default engine for :meth:`run` (``"reference"`` or
-            ``"compiled"``); when omitted, campaigns run on the base
-            platform's configured engine.
         name: label for error messages and reports.
     """
 
     def __init__(self, programs: Sequence[Program],
-                 engine: Optional[str] = None, name: str = "campaign"):
+                 name: str = "campaign"):
         if not programs:
             raise ConfigurationError("campaign needs at least one scenario")
         self.programs: List[List[Scenario]] = []
@@ -323,9 +325,6 @@ class Campaign:
                 raise ConfigurationError(
                     "programs must contain Scenario objects")
             self.programs.append(lane)
-        if engine is not None:
-            get_engine(engine)
-        self.engine = engine
         self.name = name
 
     def __len__(self) -> int:
@@ -333,9 +332,9 @@ class Campaign:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, platform=None, *, platforms=None, config=None,
+    def run(self, platform=None, *, platforms=None,
             engine: Optional[str] = None, executor: Optional[str] = None,
-            workers: Optional[int] = None, mutate: bool = False,
+            workers: Optional[int] = None,
             manifest_dir=None, retry=None,
             shard_timeout_s: Optional[float] = None,
             shard_size: Optional[int] = None,
@@ -351,20 +350,21 @@ class Campaign:
         * ``platform`` — each lane is unpickled from one shared pickle
           of the platform (state, noise positions and calibration words
           included), so campaigns branch from the platform without
-          advancing it; the platform must therefore be picklable.  With
-          ``mutate=True`` (single-lane campaigns only) the lane runs on
-          the platform itself, the way ``start()`` and the
-          settled-output measurements work.
+          advancing it; the platform must therefore be picklable.
         * ``platforms`` — one pre-built platform per lane, advanced in
           place, so lane state carries over from one campaign to the
-          next.  (The ``"sharded"`` executor advances worker-side
+          next; ``platforms=[p]`` runs a single lane on ``p`` itself,
+          the way ``start()`` and the settled-output measurements work.
+          For a population of devices, build one platform per lane
+          (``GyroPlatformConfig.with_part_variation`` draws Monte Carlo
+          parts).  (The ``"sharded"`` executor advances worker-side
           copies instead; read final state from the lane outcomes.)
-        * ``config`` — each lane gets a fresh platform built from its
-          own deep copy of the configuration.
 
         Args:
-            engine: override the campaign's engine for this run
-                (:func:`~repro.scenarios.engines.engine_names`).
+            engine: the engine for this run
+                (:func:`~repro.scenarios.engines.engine_names`);
+                defaults to the (first) base platform's configured
+                engine.
             executor: execution backend
                 (:func:`~repro.scenarios.executor.executor_names`) —
                 ``"local"`` runs in-process, ``"sharded"`` partitions
@@ -372,7 +372,6 @@ class Campaign:
                 batch manifest.  Defaults to ``"sharded"`` when
                 ``workers`` is given, else ``"local"``.
             workers: worker-process count for the sharded executor.
-            mutate: run a single-lane campaign directly on ``platform``.
             manifest_dir: sharded only — directory for the batch
                 manifest and shard results; reuse a previous run's
                 directory to resume it.  Defaults to a fresh temp dir.
@@ -418,15 +417,14 @@ class Campaign:
                 simulation; only missing, corrupted or quarantined
                 lanes run (on the requested executor) and their fresh
                 outcomes are durably stored before the merged result
-                returns.  Served lanes carry ``platform=None``.
-                Incompatible with ``mutate=True``.
+                returns.  Served lanes carry ``platform=None``, and
+                a ``platforms=`` lane that is served is not advanced.
         """
         from .executor import ExecutorOptions, LaneSource, get_executor
-        source = LaneSource.resolve(platform, platforms, config, mutate,
-                                    len(self.programs))
+        source = LaneSource.resolve(platform, platforms, len(self.programs))
         # resolved against the whole campaign before any sharding, so a
         # shard runs the engine the full campaign would have picked
-        engine = engine or self.engine or source.default_engine()
+        engine = engine or source.default_engine()
         get_engine(engine)
         if executor is None:
             executor = "sharded" if workers else "local"

@@ -6,10 +6,10 @@ stepped*; executors decide *where the campaign's lanes run*:
 * ``"local"`` — every lane in the calling process, the way campaigns
   have always run.
 * ``"sharded"`` — the lane programs are partitioned into contiguous
-  shards and farmed out to worker processes through
-  :class:`concurrent.futures.ProcessPoolExecutor`.  What travels to a
+  shards and farmed out to worker processes, one
+  ``multiprocessing.Process`` per shard attempt.  What travels to a
   worker is pickled *descriptions* — scenario programs plus the lane
-  source (base platform, per-lane platforms or a config) — never live
+  source (a base platform or per-lane platforms) — never live
   simulator internals, and a platform survives a pickle round-trip
   bit-identically, so every shard replays exactly the simulation the
   local executor would have run and the assembled
@@ -51,7 +51,6 @@ dead run are credited without re-simulation).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -115,61 +114,49 @@ class ExecutorOptions:
 class LaneSource:
     """Where a campaign's lane platforms come from.
 
-    Captures the ``platform`` / ``platforms`` / ``config`` choice of
-    ``Campaign.run`` without materialising anything, so the sharded
-    executor can ship each worker only its own slice and materialise
-    lanes worker-side.  ``platform`` lanes are unpickled from one shared
-    pickle of the base, so the base must pickle; a pickle round-trip
-    preserves platform state bit-for-bit, so every lane starts from the
-    base's exact state and worker-side materialisation equals local
-    materialisation exactly.
+    Captures the ``platform`` / ``platforms`` choice of ``Campaign.run``
+    without materialising anything, so the sharded executor can ship
+    each worker only its own slice and materialise lanes worker-side.
+    Two modes:
+
+    * ``"platform"`` — every lane is unpickled from one shared pickle
+      of ``base``, so the base must pickle; a pickle round-trip
+      preserves platform state bit-for-bit, so every lane starts from
+      the base's exact state and worker-side materialisation equals
+      local materialisation exactly.
+    * ``"platforms"`` — ``base`` is a list with one platform per lane,
+      run in place without branching (the sharded executor runs
+      worker-side copies).
     """
 
-    mode: str                   # "platform" | "platforms" | "config"
+    mode: str                   # "platform" | "platforms"
     base: object
-    mutate: bool = False
 
     @classmethod
-    def resolve(cls, platform, platforms, config, mutate: bool,
-                n_lanes: int) -> "LaneSource":
-        given = [x is not None for x in (platform, platforms, config)]
-        if sum(given) != 1:
+    def resolve(cls, platform, platforms, n_lanes: int) -> "LaneSource":
+        if (platform is None) == (platforms is None):
             raise ConfigurationError(
-                "give exactly one of platform, platforms or config")
-        if platforms is not None:
-            if mutate:
-                raise ConfigurationError(
-                    "mutate only applies when branching from one platform")
-            platforms = list(platforms)
-            if len(platforms) != n_lanes:
-                raise ConfigurationError(
-                    f"got {len(platforms)} platforms for {n_lanes} lanes")
-            return cls("platforms", platforms)
-        if config is not None:
-            if mutate:
-                raise ConfigurationError(
-                    "mutate only applies when branching from one platform")
-            return cls("config", config)
-        if mutate and n_lanes != 1:
+                "give exactly one of platform or platforms")
+        if platforms is None:
+            return cls("platform", platform)
+        platforms = list(platforms)
+        if len(platforms) != n_lanes:
             raise ConfigurationError(
-                "mutate=True requires a single-lane campaign")
-        return cls("platform", platform, mutate)
+                f"got {len(platforms)} platforms for {n_lanes} lanes")
+        return cls("platforms", platforms)
 
     def default_engine(self) -> str:
         """The configured engine of the (first) base platform."""
         if self.mode == "platforms":
             return self.base[0].config.engine
-        if self.mode == "config":
-            return self.base.engine
         return self.base.config.engine
 
     def materialize(self, indices: Sequence[int]) -> list:
         """Build the lane platforms for the given campaign lane indices.
 
         ``platform`` lanes branch from one ``pickle.dumps`` of the base
-        and one ``pickle.loads`` per lane; ``config`` lanes are fresh
-        constructions, so a config with ``seed=None`` still draws
-        distinct noise per lane.
+        and one ``pickle.loads`` per lane; ``platforms`` lanes are the
+        given platforms themselves.
 
         Raises:
             ConfigurationError: the base platform does not pickle (a
@@ -177,19 +164,14 @@ class LaneSource:
         """
         if self.mode == "platforms":
             return [self.base[i] for i in indices]
-        if self.mode == "config":
-            from ..platform.gyro_platform import GyroPlatform
-            return [GyroPlatform(copy.deepcopy(self.base)) for _ in indices]
-        if self.mutate:
-            return [self.base]
         try:
             blob = pickle.dumps(self.base, protocol=pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise ConfigurationError(
                 "campaign lanes branch from one pickle of the base "
                 "platform, so it must be picklable (lambdas and closures, "
-                "e.g. in register write hooks, are not); pass platforms= "
-                f"or mutate=True to run it without branching: {exc}"
+                "e.g. in register write hooks, are not); pass "
+                f"platforms=[platform] to run it without branching: {exc}"
             ) from exc
         return [pickle.loads(blob) for _ in indices]
 
@@ -203,13 +185,13 @@ class LaneSource:
         """Per-lane content digests of the starting state (store keys).
 
         Two lanes key identically exactly when they start from the same
-        platform state (or are built from the same configuration): with
-        a shared base (``platform`` / ``config`` mode) every lane gets
-        the same digest; with pre-built ``platforms`` each lane digests
-        its own platform, so heterogeneous fleets (e.g. the DSE sweep's
-        per-point configurations) never alias.  Platform state pickles
-        deterministically, so the digests are stable across process
-        restarts — the property the result store's keys rely on.
+        platform state: with a shared base (``platform`` mode) every
+        lane gets the same digest; with pre-built ``platforms`` each
+        lane digests its own platform, so heterogeneous fleets (e.g. the
+        DSE sweep's per-point configurations) never alias.  Platform
+        state pickles deterministically, so the digests are stable
+        across process restarts — the property the result store's keys
+        rely on.
         """
         if self.mode == "platforms":
             return ["platforms:" + _state_digest(platform)
@@ -441,10 +423,6 @@ def _terminate_process(process) -> None:
 
 def _run_sharded(campaign: Campaign, source: LaneSource, engine: str,
                  options: ExecutorOptions) -> CampaignResult:
-    if source.mutate:
-        raise ConfigurationError(
-            "mutate=True runs on the caller's platform object and cannot "
-            "cross process boundaries; use the local executor")
     source_digest = _check_picklable(campaign, source, options)
     workers = options.workers or max(1, os.cpu_count() or 1)
     if workers < 1:

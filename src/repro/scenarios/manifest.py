@@ -275,7 +275,7 @@ class CampaignManifest:
             try:
                 manifest = cls.load(directory)
             except ManifestCorruptionError as exc:
-                salvage = _sidelined_path(path, "corrupt")
+                salvage = free_name(f"{path}.corrupt")
                 os.replace(path, salvage)
                 warnings.warn(
                     f"campaign manifest {path!r} was corrupt ({exc}); "
@@ -435,14 +435,17 @@ class CampaignManifest:
         return counts
 
 
-def _sidelined_path(path: str, reason: str) -> str:
-    """First free ``<path>.<reason>-N`` name for moving a bad file aside."""
+def free_name(base: str) -> str:
+    """First free ``<base>-N`` filename, for moving a bad file aside.
+
+    Shared by the manifest's corrupt-file sideline and the result
+    store's quarantine, so neither ever overwrites an earlier one.
+    """
     for n in range(10_000):
-        candidate = f"{path}.{reason}-{n}"
+        candidate = f"{base}-{n}"
         if not os.path.exists(candidate):
             return candidate
-    raise ConfigurationError(
-        f"cannot sideline {path!r}: too many {reason!r} files")
+    raise ConfigurationError(f"too many files named {base!r}-N")
 
 
 def write_shard_payload(path: str, payload: dict) -> None:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..common.exceptions import ConfigurationError
+from ..common.timebase import check_duration
 from ..faults.models import validate_fault
 from ..platform.result import GyroSimulationResult
 from ..sensors.environment import Environment
@@ -62,8 +62,11 @@ class Scenario:
         name: label used in results, error messages and reports.
         environment: applied rate/temperature stimulus (time relative to
             the scenario start).
-        duration_s: how long to simulate — an upper bound when a stop
-            condition is set.
+        duration_s: how long to simulate, in seconds — an upper bound
+            when a stop condition is set.  Any finite real > 0 (NumPy
+            scalars included); stored as the equal Python float, like
+            ``stop_check_s``, so digests and store keys do not depend
+            on the number type.
         reset: power-cycle the platform before running.
         record_waveforms: record pick-off / drive-word waveforms.
         stop: optional early-stop condition, evaluated on the
@@ -97,9 +100,8 @@ class Scenario:
     faults: Tuple = ()
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.duration_s < math.inf:
-            raise ConfigurationError(
-                "scenario duration must be finite and > 0")
+        self.duration_s = check_duration(self.duration_s,
+                                         "scenario duration")
         self.faults = tuple(self.faults)
         for fault in self.faults:
             validate_fault(fault)
@@ -112,9 +114,12 @@ class Scenario:
                     "stop_check_s needs a stop condition")
         elif self.stop_check_s is None:
             self.stop_check_s = self.duration_s
-        elif not 0 < self.stop_check_s <= self.duration_s:
-            raise ConfigurationError(
-                "stop_check_s must be in (0, duration_s]")
+        else:
+            self.stop_check_s = check_duration(self.stop_check_s,
+                                               "stop_check_s")
+            if self.stop_check_s > self.duration_s:
+                raise ConfigurationError(
+                    "stop_check_s must be in (0, duration_s]")
 
     def digest(self) -> str:
         """Content digest of this scenario for shard-manifest integrity.

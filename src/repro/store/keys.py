@@ -6,7 +6,7 @@ extracted.  Its key is a pure function of what determines those bits —
 
 * the lane's **starting state** (the per-lane digest of the campaign's
   :class:`~repro.scenarios.executor.LaneSource`: a pickled platform,
-  one platform of a pre-built list, or a configuration);
+  or one platform of a pre-built list);
 * the **engine** the campaign resolved (``"reference"`` or
   ``"compiled"`` — equivalence-locked bit-identical, but kept in the key
   so an engine regression can never silently serve another engine's

@@ -21,9 +21,10 @@ Self-healing resume, end to end:
 Because the campaign chunking is packing-invariant and the engines and
 executors are equivalence-locked, a lane served from the store is bit
 identical to a lane simulated fresh — the merge order never matters.
-Missing lanes branch from the lane source like any campaign's lanes
-(one shared pickle of a ``platform=`` base), so store keys, stored
-entries and results are the same whichever lanes happened to miss.
+Missing lanes come from the lane source like any campaign's lanes
+(one shared pickle of a ``platform=`` base, or the caller's
+``platforms=``), so store keys, stored entries and results are the same
+whichever lanes happened to miss.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import os
 import pickle
 from typing import List, Optional
 
-from ..common.exceptions import ConfigurationError
 from .keys import lane_key, miss_set_digest
 from .store import ResultStore
 
@@ -51,11 +51,6 @@ def run_with_store(campaign, source, engine: str, executor_name: str,
     from ..scenarios.campaign import Campaign, CampaignResult
     from ..scenarios.executor import get_executor
 
-    if source.mutate:
-        raise ConfigurationError(
-            "mutate=True advances the caller's platform in place; a store "
-            "hit would skip that, so store-backed campaigns must branch "
-            "(drop mutate, or drop store)")
     programs = campaign.programs
     n_lanes = len(programs)
     source_digests = source.lane_digests(n_lanes)

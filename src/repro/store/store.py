@@ -70,13 +70,10 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..chaos.runtime import fire as _chaos_fire
-from ..common.exceptions import (
-    ConfigurationError,
-    StoreError,
-    StoreIntegrityError,
-)
+from ..common.exceptions import StoreError, StoreIntegrityError
 from ..common.retry import RetryPolicy
 from ..platform.result import canonical_bytes
+from ..scenarios.manifest import free_name
 from .keys import STORE_SCHEMA
 
 STORE_MARKER = "store.json"
@@ -319,7 +316,7 @@ class ResultStore:
         another store sharing the directory; only the mover counts it.
         """
         path = self.entry_path(key)
-        target = _free_name(
+        target = free_name(
             os.path.join(self.quarantine_dir,
                          f"{os.path.basename(path)}.{reason}"))
         try:
@@ -409,15 +406,6 @@ def encode_lane(lane) -> Tuple[bytes, bytes]:
     payload = lane.to_dict(block)
     payload[TRACE_BLOCK_BYTES] = len(block)
     return canonical_bytes(payload), bytes(block)
-
-
-def _free_name(base: str) -> str:
-    """First free ``<base>-N`` filename (quarantine never overwrites)."""
-    for n in range(10_000):
-        candidate = f"{base}-{n}"
-        if not os.path.exists(candidate):
-            return candidate
-    raise ConfigurationError(f"too many quarantine files for {base!r}")
 
 
 def _durable_write(path: str, blob: bytes) -> None:

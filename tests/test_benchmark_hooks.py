@@ -4,9 +4,9 @@
 ``compiled._compile_kernel`` and the other stack layers at run time, and
 ``perfbench/run.py`` records provenance from ``repro.engine.backend_info()``
 and ``campaign.ENGINE_BATCHED``.  These tests install and uninstall the
-tracer around one traced fleet and build the provenance record, so a
-renamed or re-signed hook point fails here rather than only in the
-benchmark's own self-test.
+tracer around one traced two-lane campaign and build the provenance
+record, so a renamed or re-signed hook point fails here rather than only
+in the benchmark's own self-test.
 """
 
 import importlib
@@ -17,6 +17,7 @@ import pytest
 
 from repro.engine import backend_info, compiled
 from repro.platform import GyroPlatform
+from repro.scenarios import Campaign, Scenario
 from repro.scenarios.engines import EngineSpec
 from repro.sensors import Environment
 
@@ -47,7 +48,8 @@ def test_tracer_wraps_and_restores_the_hook_points(perfbench, tmp_path,
     try:
         assert all(vars(owner)[name] is not original
                    for (owner, name), original in zip(hooks, originals))
-        GyroPlatform().run([Environment.still()] * 2, 0.002)
+        Campaign([Scenario("still", Environment.still(), 0.002)] * 2).run(
+            GyroPlatform())
     finally:
         tracer.uninstall()
     assert all(vars(owner)[name] is original

@@ -9,12 +9,13 @@ reference loop; this module locks the pieces that make that possible:
   (Hypothesis property over formats, rounding and overflow modes);
 * packed scalar-state vectors round-trip through pack/unpack, and runs
   are invariant to the kernel's time chunk;
-* :class:`FleetSimulator` handles heterogeneous lanes, broadcasts a
-  scalar environment and any 0-d duration (NumPy scalars included) and
-  validates length mismatches and bad durations;
+* campaign lanes of different structures match their reference runs,
+  and a campaign rejects mismatched lane counts, bad durations and bad
+  stop-check intervals;
 * a ragged campaign round is one fleet call over all its lanes, and
-  fleet lanes agree with reference runs lane for lane (Hypothesis
-  property over structures, backends and durations);
+  campaign lanes that retire at different rounds agree with per-lane
+  reference replays (Hypothesis property over structures, backends and
+  durations);
 * plans with ``overflow="error"`` sites delegate to the reference loop,
   which raises on a real overflow on every engine;
 * backend provenance reports whichever of C / generated-Python is
@@ -49,8 +50,7 @@ from strategies.settings import DETERMINISM_SETTINGS, QUICK_SETTINGS
 
 from repro.common import ConfigurationError, FixedPointOverflowError
 from repro.common.fixedpoint import QFormat, quantize
-from repro.engine import FleetSimulator, backend_info, compiled_backend, \
-    run_compiled
+from repro.engine import backend_info, compiled_backend, run_compiled
 import repro
 from repro.engine import compiled, native
 from repro.engine.compiled import _compile_kernel, kernel_plan, \
@@ -191,7 +191,8 @@ class TestPlanAndBackend:
         with pytest.raises(FixedPointOverflowError):
             platform().run(Environment.still(), 0.05, engine="reference")
         with pytest.raises(FixedPointOverflowError):
-            FleetSimulator([platform()]).run(Environment.still(), 0.05)
+            Campaign([Scenario("overflow", Environment.still(), 0.05)]).run(
+                platforms=[platform()])
 
 
 class TestPackedState:
@@ -231,39 +232,34 @@ class TestCompiledFleet:
         refs = [GyroPlatform(copy.deepcopy(cfg)).run(env, 0.05,
                                                      engine="reference")
                 for cfg, env in zip(configs, envs)]
+        campaign = Campaign([Scenario(f"lane[{i}]", env, 0.05)
+                             for i, env in enumerate(envs)])
         for _ in kernel_backend:
             lanes = [GyroPlatform(copy.deepcopy(cfg)) for cfg in configs]
-            results = FleetSimulator(lanes).run(envs, [0.05] * 3)
-            for r_ref, result in zip(refs, results):
-                np.testing.assert_array_equal(result.rate_output_dps,
+            result = campaign.run(platforms=lanes)
+            for r_ref, lane in zip(refs, result.lanes):
+                r_lane = lane.outcomes[0].result
+                np.testing.assert_array_equal(r_lane.rate_output_dps,
                                               r_ref.rate_output_dps)
-                np.testing.assert_array_equal(result.pll_locked,
+                np.testing.assert_array_equal(r_lane.pll_locked,
                                               r_ref.pll_locked)
 
-    def test_scalar_environment_and_duration_broadcast(self, kernel_backend):
-        # any 0-d duration applies to every lane, NumPy scalars included
-        for duration in (0.02, np.float32(0.02), np.int64(1)):
-            solo = GyroPlatform().run(Environment.still(), float(duration))
-            for _ in kernel_backend:
-                lanes = [GyroPlatform() for _ in range(2)]
-                results = FleetSimulator(lanes).run(Environment.still(),
-                                                    duration)
-                assert [r.digest() for r in results] == [solo.digest()] * 2
-
     def test_length_mismatch_rejected(self):
-        fleet = FleetSimulator([GyroPlatform() for _ in range(2)])
-        with pytest.raises(ConfigurationError):
-            fleet.run([Environment.still()] * 3, 0.02)
-        with pytest.raises(ConfigurationError):
-            fleet.run(Environment.still(), [0.02] * 3)
+        campaign = Campaign([Scenario(f"lane[{i}]", Environment.still(),
+                                      0.02) for i in range(2)])
+        for n in (1, 3):
+            with pytest.raises(ConfigurationError, match="platforms for"):
+                campaign.run(platforms=[GyroPlatform() for _ in range(n)])
 
     @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
     def test_bad_durations_rejected(self, bad):
-        fleet = FleetSimulator([GyroPlatform() for _ in range(2)])
+        # a campaign lane's duration and stop-check interval are checked
+        # when its scenario is built, before any lane runs
         with pytest.raises(ConfigurationError):
-            fleet.run(Environment.still(), bad)
+            Scenario("lane", Environment.still(), bad)
         with pytest.raises(ConfigurationError):
-            fleet.run(Environment.still(), [0.01, bad])
+            Scenario("lane", Environment.still(), 0.01,
+                     stop=startup_complete, stop_check_s=bad)
 
 
 def _characterisation_round() -> list:
@@ -320,44 +316,52 @@ _durations = st.lists(st.integers(min_value=1, max_value=20),
                       min_size=2, max_size=5)
 
 
-class TestLayoutProperty:
-    """Fleet lanes against per-lane reference runs, over structure, lane
-    backend and durations."""
+class TestCampaignLaneProperty:
+    """Campaign lanes against per-lane reference replays, over structure,
+    lane backend and durations."""
 
     @QUICK_SETTINGS
     @given(structure=_structures, durations_ms=_durations,
            rates=st.lists(st.floats(min_value=-200.0, max_value=200.0),
                           min_size=5, max_size=5))
-    def test_layouts_and_reference_agree_per_lane(self, structure,
-                                                  durations_ms, rates):
+    def test_campaign_lanes_match_reference_per_lane(self, structure,
+                                                     durations_ms, rates):
         closed, fixed, backend = structure
         cfg = GyroPlatformConfig()
         cfg.conditioner.closed_loop = closed
         cfg.conditioner.fixed_point = fixed
-        durations = [ms * 1e-3 for ms in durations_ms]
-        envs = [Environment.constant_rate(rate) for rate in rates]
-        envs = envs[:len(durations)]
+        # start-up never completes within 20 ms, so every lane is cut at
+        # each 2 ms stop check and retires after a number of rounds set
+        # by its own duration
+        programs = [Scenario(f"lane[{b}]", Environment.constant_rate(rate),
+                             ms * 1e-3, stop=startup_complete,
+                             stop_check_s=min(ms, 2) * 1e-3)
+                    for b, (ms, rate) in enumerate(zip(durations_ms, rates))]
         follow_on = Environment.constant_rate(20.0)
 
-        lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in durations]
+        lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in programs]
         with mock.patch.object(compiled, "BACKEND", backend):
-            results = FleetSimulator(lanes).run(envs, durations)
-        for b, (env, duration) in enumerate(zip(envs, durations)):
+            result = Campaign(programs).run(platforms=lanes)
+        for program, lane, platform in zip(programs, result.lanes, lanes):
             ref = GyroPlatform(copy.deepcopy(cfg))
-            r_ref = ref.run(env, duration, engine="reference")
+            r_ref = Campaign([program]).run(platforms=[ref],
+                                            engine="reference")
             ref_state = pack_scalar_state(ref)
             r_next = ref.run(follow_on, 0.005, engine="reference")
+            got, want = lane.outcomes[0], r_ref.lanes[0].outcomes[0]
+            assert not got.stopped_early
+            assert got.elapsed_s == want.elapsed_s
             for name in ("time_s", "rate_output_dps", "rate_output_v",
                          "amplitude_control", "phase_error",
                          "pll_locked", "running"):
                 np.testing.assert_array_equal(
-                    getattr(results[b], name), getattr(r_ref, name),
+                    getattr(got.result, name), getattr(want.result, name),
                     err_msg=name)
-            np.testing.assert_array_equal(pack_scalar_state(lanes[b]),
+            np.testing.assert_array_equal(pack_scalar_state(platform),
                                           ref_state)
             # the lane's noise generators stopped where its run ended
             with mock.patch.object(compiled, "BACKEND", backend):
-                follow = lanes[b].run(follow_on, 0.005)
+                follow = platform.run(follow_on, 0.005)
             np.testing.assert_array_equal(follow.rate_output_dps,
                                           r_next.rate_output_dps)
 

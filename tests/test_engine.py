@@ -2,14 +2,14 @@
 
 The compiled (generated) kernel promises *bit-identical* traces and
 final platform state relative to the object-oriented reference loop,
-for single platforms and fleets on both lane backends (C and generated
-Python, forced through the ``kernel_backend`` fixture).  These tests
-hold it to that on short runs covering lock-in, temperature ramps,
-fixed-point (prototype) mode, closed-loop rebalance, waveform
-recording, mixed-structure fleets and early lane retirement, check
-that a fleet lane equals the lane's own ``GyroPlatform.run`` (safe-mode
-monitor included), that bad input raises the same exception type
-everywhere, and check the
+for single platforms and campaign lanes on both lane backends (C and
+generated Python, forced through the ``kernel_backend`` fixture).
+These tests hold it to that on short runs covering lock-in,
+temperature ramps, fixed-point (prototype) mode, closed-loop
+rebalance, waveform recording, mixed-structure campaigns and early
+lane retirement, check that a campaign lane equals a per-platform
+``GyroPlatform.run`` (safe-mode monitor included), that bad input
+raises the same exception type everywhere, and check the
 supporting vectorised helpers (``Environment.sample``,
 ``BufferedGaussianNoise.take``) against their scalar counterparts —
 including that noise sources pickle and copy without losing or
@@ -32,10 +32,11 @@ from strategies.stimulus import bad_stimulus
 from repro.common import ConfigurationError
 from repro.common.fixedpoint import QFormat
 from repro.common.noise import BufferedGaussianNoise
-from repro.engine import FleetSimulator, compiled, run_compiled
+from repro.engine import compiled, run_compiled
 from repro.engine.compiled import kernel_plan
 from repro.engine.state import pack_scalar_state
 from repro.platform import GyroPlatform, GyroPlatformConfig
+from repro.scenarios import Campaign, Scenario
 from repro.sensors import Environment
 from repro.sensors.environment import (
     ConstantProfile,
@@ -78,6 +79,17 @@ def _assert_platform_state_identical(a, b):
     assert a.conditioner.running == b.conditioner.running
     assert (a.sensor.primary._displacement == b.sensor.primary._displacement)
     assert (a.sensor.secondary._velocity == b.sensor.secondary._velocity)
+
+
+def _campaign_results(platforms, environments, durations_s,
+                      record_waveforms=False):
+    """Run one campaign lane per platform, in place; one result each."""
+    programs = [Scenario(f"lane[{i}]", env, duration,
+                         record_waveforms=record_waveforms)
+                for i, (env, duration) in enumerate(zip(environments,
+                                                        durations_s))]
+    result = Campaign(programs).run(platforms=platforms)
+    return [lane.outcomes[0].result for lane in result.lanes]
 
 
 def _pair(config=None):
@@ -178,18 +190,11 @@ class TestEngineSelection:
             platform.run(Environment.still(), 0.01, reset=True, engine="fuse")
         assert platform.now == pytest.approx(0.02)
 
-    def test_run_sequence_waveforms_passthrough(self):
-        platform = GyroPlatform()
-        results = platform.run([Environment.still()], 0.02,
-                               record_waveforms=True)
-        assert results[0].primary_pickoff_norm is not None
-        assert results[0].drive_word is not None
-
 
 class TestLockingScenarioAcceptance:
-    """The acceptance run: the compiled engine and fleets on both lane
-    backends match the reference on lock time, amplitude and rate output
-    for the Fig. 5 locking case."""
+    """The acceptance run: the compiled engine and campaign lanes on
+    both lane backends match the reference on lock time, amplitude and
+    rate output for the Fig. 5 locking case."""
 
     def test_all_engines_agree_on_locking_run(self, kernel_backend):
         env = Environment.still()
@@ -198,8 +203,11 @@ class TestLockingScenarioAcceptance:
         com = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(env, 0.4, engine="reference", reset=True)
         r_com = com.run(env, 0.4, engine="compiled", reset=True)
-        r_fleet = [FleetSimulator.from_config(cfg, 2).run(env, 0.4,
-                                                          reset=True)[0]
+        locking = Scenario("locking", env, 0.4, reset=True)
+        r_fleet = [Campaign([locking] * 2).run(
+                       platforms=[GyroPlatform(copy.deepcopy(cfg))
+                                  for _ in range(2)]).lanes[0]
+                   .outcomes[0].result
                    for _ in kernel_backend]
 
         assert r_ref.pll_locked[-1]
@@ -212,7 +220,8 @@ class TestLockingScenarioAcceptance:
 
 
 class TestBatchEquivalence:
-    """Fleets on both lane backends against per-lane reference runs."""
+    """Campaign lanes on both lane backends against per-lane reference
+    runs."""
 
     def test_heterogeneous_lanes_match_reference(self, kernel_backend):
         cfg = GyroPlatformConfig()
@@ -226,30 +235,12 @@ class TestBatchEquivalence:
             ref = GyroPlatform(copy.deepcopy(cfg))
             refs.append((ref, ref.run(env, 0.06, engine="reference")))
         for _ in kernel_backend:
-            fleet = FleetSimulator.from_config(cfg, len(envs))
-            results = fleet.run(envs, 0.06)
+            lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in envs]
+            results = _campaign_results(lanes, envs, [0.06] * len(envs))
             for (ref, r_ref), lane_result, lane_platform in zip(
-                    refs, results, fleet.platforms):
+                    refs, results, lanes):
                 _assert_results_identical(r_ref, lane_result)
                 _assert_platform_state_identical(ref, lane_platform)
-
-    def test_single_environment_broadcasts(self, kernel_backend):
-        for _ in kernel_backend:
-            fleet = FleetSimulator.from_config(GyroPlatformConfig(), 3)
-            results = fleet.run(Environment.still(), 0.02)
-            assert len(results) == 3
-            _assert_results_identical(results[0], results[1])
-            _assert_results_identical(results[0], results[2])
-
-    def test_run_sequence_platform_method(self, kernel_backend):
-        platform = GyroPlatform()
-        envs = [Environment.constant_rate(r) for r in (-50.0, 0.0, 50.0)]
-        ref = GyroPlatform(copy.deepcopy(platform.config))
-        r_ref = ref.run(envs[1], 0.02, engine="reference", reset=True)
-        for _ in kernel_backend:
-            results = platform.run(envs, 0.02)
-            assert len(results) == len(envs)
-            _assert_results_identical(r_ref, results[1])
 
     @pytest.mark.parametrize("mode", ["fixed_point", "closed_loop"])
     def test_batch_matches_reference_in_special_modes(self, mode,
@@ -262,43 +253,27 @@ class TestBatchEquivalence:
         ref = GyroPlatform(copy.deepcopy(cfg))
         r_ref = ref.run(env, 0.05, engine="reference")
         for _ in kernel_backend:
-            fleet = FleetSimulator.from_config(cfg, 2)
-            results = fleet.run(env, 0.05)
+            lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in range(2)]
+            results = _campaign_results(lanes, [env] * 2, [0.05] * 2)
             _assert_results_identical(r_ref, results[0])
-            _assert_platform_state_identical(ref, fleet.platforms[0])
-
-    def test_run_sequence_continues_from_platform_state(self, kernel_backend):
-        # regression: a sequence run must carry the platform's calibration
-        # and runtime state into the lanes, not restart from the bare config
-        warm = GyroPlatform()
-        warm.run(Environment.still(), 0.04)  # advance filters, PLL, startup
-        warm.conditioner.sense_chain.calibrate_scale(3.0e-5)
-        dedicated = copy.deepcopy(warm)
-        env = Environment.constant_rate(75.0)
-        r_ref = dedicated.run(env, 0.03, engine="reference")
-        for _ in kernel_backend:
-            results = warm.run([env, Environment.still()], 0.03)
-            _assert_results_identical(r_ref, results[0])
-            # the source platform itself is not advanced by a sequence run
-            assert warm.now == pytest.approx(0.04)
-
-    def test_environment_count_mismatch_rejected(self):
-        fleet = FleetSimulator.from_config(GyroPlatformConfig(), 2)
-        with pytest.raises(ConfigurationError):
-            fleet.run([Environment.still()], 0.01)
+            _assert_platform_state_identical(ref, lanes[0])
 
     @pytest.mark.parametrize("bad", [0.0, -0.01, math.nan, math.inf])
     def test_bad_durations_rejected(self, bad):
-        fleet = FleetSimulator.from_config(GyroPlatformConfig(), 2)
-        with pytest.raises(ConfigurationError):
-            fleet.run(Environment.still(), bad)
-        with pytest.raises(ConfigurationError):
-            fleet.run(Environment.still(), [0.01, bad])
+        # every engine rejects a bad duration before the power cycle
+        for engine in ("reference", "compiled"):
+            platform = GyroPlatform()
+            platform.run(Environment.still(), 0.002)
+            with pytest.raises(ConfigurationError, match="duration"):
+                platform.run(Environment.still(), bad, reset=True,
+                             engine=engine)
+            assert platform.now == pytest.approx(0.002)
 
     def test_retired_lanes_match_standalone_runs(self, kernel_backend):
-        # lanes shorter than the longest retire mid-run: each must end
-        # exactly where a standalone run of its own length ends, noise
-        # generator positions included (the follow-on run shows those)
+        # lanes shorter than the longest retire mid-campaign: each must
+        # end exactly where a standalone run of its own length ends,
+        # noise generator positions included (the follow-on run shows
+        # those)
         cfg = GyroPlatformConfig()
         envs = [Environment.still(),
                 Environment.constant_rate(90.0),
@@ -309,10 +284,10 @@ class TestBatchEquivalence:
         durations = [0.02, 0.05, 0.035]
         follow_on = Environment.constant_rate(30.0)
         for _ in kernel_backend:
-            fleet = FleetSimulator.from_config(cfg, len(envs))
-            results = fleet.run(envs, durations)
+            lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in envs]
+            results = _campaign_results(lanes, envs, durations)
             for env, duration, result, lane in zip(envs, durations, results,
-                                                   fleet.platforms):
+                                                   lanes):
                 solo = GyroPlatform(copy.deepcopy(cfg))
                 _assert_results_identical(
                     solo.run(env, duration, engine="reference"), result)
@@ -329,13 +304,13 @@ class TestBatchEquivalence:
         r_ref = ref.run(Environment.still(), 0.02, engine="reference",
                         record_waveforms=True)
         for _ in kernel_backend:
-            fleet = FleetSimulator.from_config(cfg, 2)
-            results = fleet.run(Environment.still(), 0.02,
-                                record_waveforms=True)
+            lanes = [GyroPlatform(copy.deepcopy(cfg)) for _ in range(2)]
+            results = _campaign_results(lanes, [Environment.still()] * 2,
+                                        [0.02] * 2, record_waveforms=True)
             _assert_results_identical(r_ref, results[0], waveforms=True)
 
     def test_mixed_structure_fleet_matches_reference(self, kernel_backend):
-        # one fleet mixing sample rates, loop topologies, fixed-point
+        # one campaign mixing sample rates, loop topologies, fixed-point
         # formats (a Q1.6 NCO set on the live block) and an
         # overflow="error" lane that delegates to the reference loop:
         # every lane must equal its own reference run
@@ -370,20 +345,17 @@ class TestBatchEquivalence:
         # default (at two rates), closed loop, fixed point, error format
         assert len({kernel_plan(lane) for lane, _ in refs}) == 4
         for _ in kernel_backend:
-            fleet = FleetSimulator(build())
-            results = fleet.run(envs, durations)
-            for (ref, r_ref), result, lane in zip(refs, results,
-                                                  fleet.platforms):
+            lanes = build()
+            results = _campaign_results(lanes, envs, durations)
+            for (ref, r_ref), result, lane in zip(refs, results, lanes):
                 _assert_results_identical(r_ref, result)
                 _assert_platform_state_identical(ref, lane)
                 np.testing.assert_array_equal(pack_scalar_state(lane),
                                               pack_scalar_state(ref))
-        with pytest.raises(ConfigurationError):
-            FleetSimulator([])
 
     def test_fleet_lanes_equal_platform_runs(self):
-        # every lane runs through its own GyroPlatform.run, safe-mode
-        # monitor included: one lane saturated into safe mode, one clean
+        # a campaign lane carries the same safe-mode monitor state as a
+        # per-platform run: one lane saturated into safe mode, one clean
         def lanes():
             saturated, clean = GyroPlatform(), GyroPlatform()
             saturated.frontend.config.charge_amplifier.offset_v = 10.0
@@ -393,10 +365,9 @@ class TestBatchEquivalence:
         solo = lanes()
         expected = [platform.run(env, 0.05) for platform in solo]
         assert expected[0].safe_mode and not expected[1].safe_mode
-        fleet = FleetSimulator(lanes())
-        results = fleet.run(env, 0.05)
-        for want, got, ref, lane in zip(expected, results, solo,
-                                        fleet.platforms):
+        fleet = lanes()
+        results = _campaign_results(fleet, [env] * 2, [0.05] * 2)
+        for want, got, ref, lane in zip(expected, results, solo, fleet):
             assert got.digest() == want.digest()
             assert lane.safety.result_fields() == ref.safety.result_fields()
             assert lane.safety.registers.dump() == ref.safety.registers.dump()
@@ -404,12 +375,12 @@ class TestBatchEquivalence:
 
     def test_monte_carlo_fleet_lanes_differ(self):
         rng = np.random.default_rng(7)
-        fleet = FleetSimulator.with_part_variation(GyroPlatformConfig(), 3,
-                                                   rng=rng)
-        gains = {p.sensor.params.pickoff_gain_v_per_m
-                 for p in fleet.platforms}
+        lanes = [GyroPlatform(GyroPlatformConfig().with_part_variation(rng))
+                 for _ in range(3)]
+        gains = {p.sensor.params.pickoff_gain_v_per_m for p in lanes}
         assert len(gains) == 3
-        results = fleet.run(Environment.still(), 0.02)
+        results = _campaign_results(lanes, [Environment.still()] * 3,
+                                    [0.02] * 3)
         assert len(results) == 3
         # different devices, different traces
         assert not np.array_equal(results[0].amplitude_control,
@@ -559,5 +530,5 @@ class TestTypedErrors:
             with pytest.raises(ConfigurationError, match="divides by"):
                 broken().run(Environment.still(), 0.001, engine=engine)
         with pytest.raises(ConfigurationError, match="divides by"):
-            FleetSimulator([broken(), broken()]).run(Environment.still(),
-                                                     0.001)
+            _campaign_results([broken(), broken()],
+                              [Environment.still()] * 2, [0.001] * 2)

@@ -6,9 +6,8 @@ the assembled :class:`CampaignResult` — traces, metrics, programmed
 calibration words and the behaviour of the returned lane platforms — is
 bit-identical to the in-process local executor.  These tests hold it to
 that, exercise the batch manifest's verify-and-retry / resume machinery
-with injected faults, and cover the executor registry, the unified
-``GyroPlatform.run`` signature and the result serialisation round-trips
-the shard files rely on.
+with injected faults, and cover the executor registry and the result
+serialisation round-trips the shard files rely on.
 """
 
 import copy
@@ -319,8 +318,8 @@ class TestSerialisation:
         # the lane platform travels too, bit-identically: replaying the
         # same scenario on both continues the simulation identically
         follow = Campaign([settled_output_scenario(10.0, settle_s=0.02)])
-        a = follow.run(result.lanes[0].platform, mutate=True)
-        b = follow.run(clone.lanes[0].platform, mutate=True)
+        a = follow.run(platforms=[result.lanes[0].platform])
+        b = follow.run(platforms=[clone.lanes[0].platform])
         assert_campaigns_identical(a, b)
 
     def test_faulted_partial_result_round_trip_is_lossless(
@@ -366,40 +365,6 @@ class TestSerialisation:
 
 
 # ---------------------------------------------------------------------------
-# unified GyroPlatform.run API
-# ---------------------------------------------------------------------------
-
-class TestUnifiedRunApi:
-    def test_run_accepts_environment_sequence(self):
-        platform = GyroPlatform()
-        envs = [Environment.still(),
-                Environment.constant_rate(30.0)]
-        results = platform.run(envs, 0.02)
-        singles = [GyroPlatform().run(env, 0.02) for env in envs]
-        assert isinstance(results, list) and len(results) == 2
-        for got, want in zip(results, singles):
-            for field in TRACE_FIELDS:
-                assert np.array_equal(getattr(got, field),
-                                      getattr(want, field)), field
-
-    def test_run_sequence_with_workers_matches_local(self):
-        envs = [Environment.still(), Environment.constant_rate(40.0)]
-        local = GyroPlatform().run(envs, 0.02)
-        sharded = GyroPlatform().run(envs, 0.02, workers=2)
-        for a, b in zip(local, sharded):
-            for field in TRACE_FIELDS:
-                assert np.array_equal(getattr(a, field), getattr(b, field))
-
-    def test_single_environment_rejects_workers(self):
-        with pytest.raises(ConfigurationError, match="single environment"):
-            GyroPlatform().run(Environment.still(), 0.01, workers=2)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ConfigurationError, match="must not be empty"):
-            GyroPlatform().run([], 0.01)
-
-
-# ---------------------------------------------------------------------------
 # sharded == local equivalence (the tentpole lock)
 # ---------------------------------------------------------------------------
 
@@ -422,8 +387,8 @@ class TestShardedEquivalence:
         # the returned lane platforms behave bit-identically too
         follow = Campaign([settled_output_scenario(25.0, settle_s=0.02)])
         for lane_l, lane_s in zip(local.lanes, sharded.lanes):
-            a = follow.run(lane_l.platform, mutate=True)
-            b = follow.run(lane_s.platform, mutate=True)
+            a = follow.run(platforms=[lane_l.platform])
+            b = follow.run(platforms=[lane_s.platform])
             assert_campaigns_identical(a, b)
 
     def test_multi_scenario_programs_bit_identical(self, started_platform):
@@ -450,12 +415,6 @@ class TestShardedEquivalence:
                 == chain_l.scaler.config.scale_dps_per_unit)
         assert chain_s.offset_comp.offset == chain_l.offset_comp.offset
         assert sharded.calibrated
-
-    def test_sharded_rejects_mutate(self, started_platform):
-        camp = Campaign([settled_output_scenario(0.0, settle_s=0.01)])
-        with pytest.raises(ConfigurationError, match="mutate"):
-            camp.run(copy.deepcopy(started_platform), mutate=True,
-                     executor="sharded")
 
     def test_sharded_rejects_unpicklable_scenarios(self, started_platform):
         scenario = Scenario(name="lambda", environment=Environment.still(),

@@ -196,13 +196,35 @@ class TestGyroPlatform:
         with pytest.raises(ConfigurationError):
             TemperatureSensorConfig(resolution_c=0.0)
 
+    def test_part_variation_recipe(self):
+        # deep copy, sensor draw, then a fresh front-end seed, all from
+        # one generator; the nominal design is left as it was
+        nominal = GyroPlatformConfig()
+        part = nominal.with_part_variation(np.random.default_rng(3),
+                                           frequency_spread=0.0)
+        replay = np.random.default_rng(3)
+        assert part.sensor == nominal.sensor.with_part_variation(
+            replay, frequency_spread=0.0)
+        assert part.frontend.seed == int(replay.integers(0, 2 ** 31 - 1))
+        assert nominal == GyroPlatformConfig()
+        nominal.frontend.seed = None
+        assert nominal.with_part_variation(replay).frontend.seed is None
+
     def test_run_rejects_bad_duration(self):
         platform = GyroPlatform()
-        for bad in (0.0, -0.01, math.nan, math.inf):
-            with pytest.raises(SimulationError):
+        for bad in (0.0, -0.01, math.nan, math.inf, "0.1", None):
+            with pytest.raises(ConfigurationError, match="duration"):
                 platform.run(Environment.still(), bad)
-            with pytest.raises(SimulationError):
-                platform.run([Environment.still()] * 2, bad)
+        assert platform.now == 0.0
+
+    def test_run_rejects_environment_sequence(self):
+        # several lanes are a campaign; run takes exactly one environment
+        platform = GyroPlatform()
+        for environments in ([], [Environment.still()] * 2,
+                             (Environment.still(),)):
+            with pytest.raises(ConfigurationError, match="Campaign"):
+                platform.run(environments, 0.01)
+        assert platform.now == 0.0
 
     def test_startup_locks_and_completes(self, started_platform):
         platform, result = started_platform

@@ -13,6 +13,7 @@ siblings or the base.
 """
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.scenarios import (
     noise_floor_scenario,
     rate_table_scenarios,
     settled_output_scenario,
+    startup_complete,
     tail_mean,
     validate_engine,
 )
@@ -81,7 +83,8 @@ class TestEngineRegistry:
         with pytest.raises(ConfigurationError):
             GyroPlatform().run(Environment.still(), 0.01, engine=old_name)
         with pytest.raises(ConfigurationError):
-            Campaign([settled_output_scenario(0.0)], engine=old_name)
+            Campaign([settled_output_scenario(0.0)]).run(GyroPlatform(),
+                                                         engine=old_name)
 
 
 class TestScenarioValidation:
@@ -106,6 +109,37 @@ class TestScenarioValidation:
                             stop=lambda p: True)
         assert scenario.stop_check_s == 0.1
 
+    def test_non_real_durations_rejected(self):
+        for bad in ("0.1", None):
+            with pytest.raises(ConfigurationError, match="real number"):
+                Scenario("bad", Environment.still(), bad)
+        with pytest.raises(ConfigurationError, match="real number"):
+            Scenario("bad", Environment.still(), 0.1,
+                     stop=startup_complete, stop_check_s="0.05")
+
+    def test_numpy_and_int_durations_are_floats(self):
+        # a NumPy or int duration is stored as the equal Python float: it
+        # serialises, and digests (so keys a store) like that float
+        plain = Scenario("s", Environment.still(), 0.002)
+        for duration in (np.float64(0.002), np.float32(0.002), np.int64(1),
+                         1):
+            scenario = Scenario("s", Environment.still(), duration,
+                                stop=startup_complete,
+                                stop_check_s=np.float32(0.001))
+            assert type(scenario.duration_s) is float
+            assert type(scenario.stop_check_s) is float
+            assert scenario.duration_s == float(duration)
+        assert (Scenario("s", Environment.still(), np.float64(0.002))
+                .digest() == plain.digest())
+        # a campaign lane with a NumPy duration serialises like one with
+        # the equal float
+        lanes = [Campaign([Scenario("s", Environment.still(), duration)])
+                 .run(GyroPlatform()).lanes[0]
+                 for duration in (np.float32(0.002),
+                                  float(np.float32(0.002)))]
+        assert (json.dumps(lanes[0].to_dict())
+                == json.dumps(lanes[1].to_dict()))
+
 
 class TestCampaignValidation:
     def test_needs_programs(self):
@@ -116,22 +150,19 @@ class TestCampaignValidation:
         with pytest.raises(ConfigurationError):
             Campaign(["not a scenario"])
 
-    def test_engine_validated_at_construction(self):
+    def test_engine_validated_at_run(self):
+        platform = GyroPlatform()
         with pytest.raises(ConfigurationError):
-            Campaign([settled_output_scenario(0.0)], engine="warp")
+            Campaign([settled_output_scenario(0.0)]).run(platform,
+                                                         engine="warp")
+        assert platform.now == 0.0
 
     def test_exactly_one_base(self):
         campaign = Campaign([settled_output_scenario(0.0, settle_s=0.01)])
         with pytest.raises(ConfigurationError):
             campaign.run()
         with pytest.raises(ConfigurationError):
-            campaign.run(GyroPlatform(), config=GyroPlatformConfig())
-
-    def test_mutate_requires_single_lane(self):
-        campaign = Campaign([settled_output_scenario(0.0, settle_s=0.01),
-                             settled_output_scenario(10.0, settle_s=0.01)])
-        with pytest.raises(ConfigurationError):
-            campaign.run(GyroPlatform(), mutate=True)
+            campaign.run(GyroPlatform(), platforms=[GyroPlatform()])
 
     def test_platforms_count_must_match(self):
         campaign = Campaign([settled_output_scenario(0.0, settle_s=0.01)])
@@ -217,10 +248,11 @@ class TestCampaignEquivalence:
                             0.0123456)
         alone = Campaign([scenario]).run(
             GyroPlatform(GyroPlatformConfig(sample_rate_hz=100_000.0)))
-        mixed = Campaign([scenario, scenario], engine="compiled").run(
+        mixed = Campaign([scenario, scenario]).run(
             platforms=[GyroPlatform(),
                        GyroPlatform(GyroPlatformConfig(
-                           sample_rate_hz=100_000.0))])
+                           sample_rate_hz=100_000.0))],
+            engine="compiled")
         assert mixed.lanes[1].outcomes[0].elapsed_s == 1235 / 100_000.0
         _assert_outcomes_identical(mixed.lanes[1].outcomes[0],
                                    alone.lanes[0].outcomes[0])
@@ -274,16 +306,17 @@ class TestBranching:
         platform = GyroPlatform()
         before = _state_digest(platform)
         envs = [Environment.still(), Environment.constant_rate(80.0)]
-        branched = platform.run(envs, 0.02)
+        branched = Campaign([Scenario(f"run[{i}]", env, 0.02)
+                             for i, env in enumerate(envs)]).run(platform)
         direct = [GyroPlatform().run(env, 0.02) for env in envs]
-        assert ([r.digest() for r in branched]
+        assert ([lane.outcomes[0].result.digest() for lane in branched]
                 == [r.digest() for r in direct])
         assert _state_digest(platform) == before
 
     def test_branched_lanes_share_no_state(self):
         base = GyroPlatform()
         before = _state_digest(base)
-        source = LaneSource.resolve(base, None, None, False, 2)
+        source = LaneSource.resolve(base, None, 2)
         first, second = source.materialize(range(2))
         # every lane starts from the base's exact state
         assert _state_digest(second) == before
@@ -321,7 +354,6 @@ class TestBranching:
             campaign.run(platform)
         # caller-owned lanes never branch, so the hooked platform runs
         assert campaign.run(platforms=[platform]).complete
-        assert campaign.run(platform, mutate=True).complete
 
 
 class TestTimeShiftedProfiles:
@@ -356,7 +388,7 @@ class TestNoiseFloorScenario:
         platform.start()
         clone = copy.deepcopy(platform)
         scenario = noise_floor_scenario(duration_s=0.8)
-        result = Campaign([scenario]).run(platform, mutate=True)
+        result = Campaign([scenario]).run(platforms=[platform])
         density = result.lanes[0].outcomes[0].metrics["noise_density"]
         record = clone.run(Environment.still(), 0.8).rate_output_dps
         from repro.scenarios import noise_density_from_record

@@ -43,11 +43,7 @@ from repro.chaos import (
     WorkerError,
 )
 from repro.chaos import runtime as chaos_runtime
-from repro.common import (
-    ConfigurationError,
-    StoreError,
-    StoreIntegrityError,
-)
+from repro.common import StoreError, StoreIntegrityError
 from repro.common.retry import RetryPolicy
 from repro.eval.metrics import CharacterizationConfig, GyroCharacterization
 from repro.faults import AfeSaturation, SensorDropout, StuckAdcCode
@@ -225,13 +221,6 @@ class TestServing:
         cold = camp.run(base, store=store)
         assert_campaigns_identical(plain, cold)
         assert store.stats.misses == 2 and store.stats.puts == 2
-
-    def test_mutate_with_store_rejected(self, started_platform, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        camp = Campaign([settled_output_scenario(0.0, settle_s=0.01)])
-        with pytest.raises(ConfigurationError, match="mutate"):
-            camp.run(copy.deepcopy(started_platform), mutate=True,
-                     store=store)
 
     def test_schema_mismatch_refused(self, tmp_path):
         root = tmp_path / "store"
@@ -502,7 +491,7 @@ class TestKeyProperties:
 
     def test_source_digest_survives_pickle_round_trip(self):
         platform = GyroPlatform()
-        source = LaneSource.resolve(platform, None, None, False, 1)
+        source = LaneSource.resolve(platform, None, 1)
         clone = pickle.loads(pickle.dumps(source))
         assert clone.lane_digests(1) == source.lane_digests(1)
 
@@ -518,8 +507,7 @@ class TestKeyProperties:
         "def lane_keys():\n"
         "    scenario = settled_output_scenario(25.0, settle_s=0.05)\n"
         "    def key(platform):\n"
-        "        source = LaneSource.resolve(platform, None, None, False,"
-        " 1)\n"
+        "        source = LaneSource.resolve(platform, None, 1)\n"
         "        return lane_key(source.lane_digests(1)[0], 'compiled',"
         " [scenario.digest()])\n"
         "    platform = GyroPlatform()\n"
