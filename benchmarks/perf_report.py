@@ -23,13 +23,19 @@ entry size, the put time per lane into a fresh store (cold), the hit
 time per lane reading every entry back (warm), the lane-key cost
 (``LaneSource.lane_digests`` on the started platform) and the size of
 that platform's pickle, the snapshot every lane key and branch hashes
-or loads.  ``"branch"`` times
-``LaneSource.materialize`` branching ``BRANCH_LANES`` campaign lanes
-from a started platform, per lane.  ``"host"`` records the CPU model
-and the Python and NumPy versions the report ran on.  ``compiled_backend``
-records the default backend and the compiler; kernel generation and
-builds are excluded from every timing but ``"build"`` (a throwaway run
-compiles and caches the kernels before the clock starts).
+or loads.  ``"branch"`` times ``LaneSource.materialize`` branching
+``BRANCH_LANES`` campaign lanes from a started platform, per lane.
+``"short_call"`` times, per lane backend, a host polling a started
+platform: the median microseconds of a ``SHORT_CALL_SAMPLES``-sample
+``GyroPlatform.run`` after ``SHORT_CALL_WARMUP`` untimed calls (as the
+``single-platform`` benchmark workload does), the nanoseconds per
+sample of a ``LONG_CALL_SAMPLES``-sample call, and the fixed cost of a
+call, ``call_us - SHORT_CALL_SAMPLES * ns_per_sample``.  ``"host"``
+records the CPU model and the Python and NumPy versions the report ran
+on.  ``compiled_backend`` records the default backend and the compiler;
+kernel generation and builds are excluded from every timing but
+``"build"`` (a throwaway run compiles and caches the kernels before the
+clock starts).
 
 Run with:  python benchmarks/perf_report.py [--quick]
 """
@@ -41,6 +47,7 @@ import os
 import pickle
 import platform as host
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -66,6 +73,10 @@ BATCH_LANES = 32
 STORE_LANES = 16
 STORE_S = 0.05       # settled-output lane length
 BRANCH_LANES = 32
+SHORT_CALL_SAMPLES = 64
+SHORT_CALL_WARMUP = 48
+SHORT_CALLS = 400
+LONG_CALL_SAMPLES = 6000
 
 
 REPEATS = 2  # best-of-N to damp scheduler noise
@@ -213,6 +224,38 @@ def _time_branch(platform, lanes: int) -> dict:
     return {"lanes": lanes, "ms_per_lane": round(best / lanes * 1e3, 3)}
 
 
+def _time_short_call(started) -> dict:
+    """Time short polling calls and one long call on a started platform.
+
+    On a copy of ``started``: ``SHORT_CALL_WARMUP`` untimed
+    ``SHORT_CALL_SAMPLES``-sample calls, then the median of
+    ``SHORT_CALLS`` timed ones, and the best per-sample time of
+    ``REPEATS`` calls of ``LONG_CALL_SAMPLES`` samples.
+    """
+    platform = pickle.loads(pickle.dumps(started))
+    fs = platform.config.sample_rate_hz
+    environment = Environment.constant_rate(10.0)
+    short_s = SHORT_CALL_SAMPLES / fs
+    for _ in range(SHORT_CALL_WARMUP):
+        platform.run(environment, short_s)
+    seconds = []
+    for _ in range(SHORT_CALLS):
+        start = time.perf_counter()
+        platform.run(environment, short_s)
+        seconds.append(time.perf_counter() - start)
+    long_s = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        platform.run(environment, LONG_CALL_SAMPLES / fs)
+        long_s = min(long_s, time.perf_counter() - start)
+    call_us = statistics.median(seconds) * 1e6
+    ns_per_sample = long_s / LONG_CALL_SAMPLES * 1e9
+    return {"call_us": round(call_us, 1),
+            "ns_per_sample": round(ns_per_sample, 1),
+            "fixed_us": round(call_us - SHORT_CALL_SAMPLES * ns_per_sample
+                              / 1e3, 1)}
+
+
 def _time_build() -> list:
     """Cold build and warm load of lane kernels, in a temporary cache.
 
@@ -304,6 +347,10 @@ def build_report(duration_s: float = DURATION_S,
         })
     started = GyroPlatform(GyroPlatformConfig())
     started.start()
+    short_call = {}
+    for backend in BACKENDS:
+        with _backend(backend):
+            short_call[backend] = _time_short_call(started)
     return {
         "scenario": ("fig5 locking run: sensor at rest from power-on, "
                      f"{duration_s} s @ {fs:.0f} Hz; campaign/sharded "
@@ -329,6 +376,13 @@ def build_report(duration_s: float = DURATION_S,
                             f"{BRANCH_LANES} campaign lanes from a started "
                             "platform"),
         "branch": _time_branch(started, BRANCH_LANES),
+        "short_call_scenario": (
+            f"a started platform polled with {SHORT_CALL_SAMPLES}-sample "
+            f"GyroPlatform.run calls: the median of {SHORT_CALLS} after "
+            f"{SHORT_CALL_WARMUP} untimed ones, the per-sample time of one "
+            f"{LONG_CALL_SAMPLES}-sample call and the fixed cost per call "
+            f"(call_us - {SHORT_CALL_SAMPLES} x ns_per_sample)"),
+        "short_call": short_call,
         "build_scenario": ("per kernel plan, in an empty temporary kernel "
                            "cache: the first request (C lowering, compile, "
                            "self-check) and a repeat request after the "
@@ -378,6 +432,10 @@ def main() -> None:
     branch = report["branch"]
     print(f"  branch, {branch['lanes']} lanes: "
           f"{branch['ms_per_lane']:.2f} ms/lane")
+    for backend, row in report["short_call"].items():
+        print(f"  short call [{backend}]: {row['call_us']:.1f} us per "
+              f"{SHORT_CALL_SAMPLES}-sample call, {row['ns_per_sample']:.1f} "
+              f"ns/sample, fixed {row['fixed_us']:.1f} us")
 
 
 if __name__ == "__main__":

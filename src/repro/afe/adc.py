@@ -99,7 +99,9 @@ class SarAdc:
         dt_c = temperature_c - ROOM_TEMPERATURE_C
         gain = (1.0 + cfg.gain_error) * (1.0 + cfg.gain_tc_ppm_per_c * 1e-6 * dt_c)
         offset = cfg.offset_error_v + cfg.offset_tc_v_per_c * dt_c
-        distorted = voltage * gain + offset
+        # a Python float overflows to inf silently, where a NumPy scalar
+        # input would warn before the rounding raises
+        distorted = float(voltage) * gain + offset
         if cfg.inl_lsb:
             # parabolic INL bow, zero at the range ends, peak at mid-scale
             normalized = distorted / cfg.vref

@@ -13,8 +13,8 @@ Two interchangeable ways to run the same mixed-signal co-simulation:
   same generated source runs as a plain Python kernel.  Bit-identical
   traces and state, and the default.
 
-The compiled kernels load and store platform state through the packed
-schema of :mod:`repro.engine.state`.  ``GyroPlatform.run`` dispatches
+The compiled kernels load and store platform state through the state
+table of :mod:`repro.engine.state`.  ``GyroPlatform.run`` dispatches
 one platform through the engine registry (``GyroPlatformConfig.engine``).
 Multi-lane runs are campaigns (:class:`repro.scenarios.Campaign`), whose
 every lane runs on its own kernel.

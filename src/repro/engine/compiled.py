@@ -32,14 +32,22 @@ runs on its own kernel: a campaign round is one
 :meth:`~repro.scenarios.engines.EngineSpec.run_fleet` call over the
 active lanes.
 
+One call path serves both backends.  A run packs its lane into one
+float64 lane vector (:func:`_lane_arrays`) and two trace blocks, each
+chunk fills a ``(25, nc)`` input block and two event arrays, and the
+kernel takes these six blocks (:func:`_layout`): the C kernel as a
+pointer table computed from their base addresses, the Python kernel as
+views.  The vector's head (state and biquad states) is written back
+after the last chunk, and the result's traces are rows of the blocks.
+
 Bit-identity contract: the generated arithmetic replicates the reference
 chain operation for operation — same expression order, same rounding
 points, same RNG block draws — so traces and end-of-run platform state
 are bit-identical to the reference engine on both backends.  The DSP
 monitor registers are refreshed once at the end of each run instead of
 every ``status_update_interval`` samples.  All mutable loop state travels
-through the packed vectors of :mod:`repro.engine.state`
-(:func:`~repro.engine.state.pack_scalar_state` /
+through the state table of :mod:`repro.engine.state`
+(:func:`~repro.engine.state.state_values` /
 :func:`~repro.engine.state.finish_run`), which is what lets faults,
 safe-mode latching and early-exit lane retirement behave identically:
 the campaign layer keeps mutating the platform objects between chunks
@@ -55,7 +63,10 @@ a non-finite rate or temperature stimulus raises
 that holds it runs, and a loop driven out of range (a huge rate, say)
 raises :class:`~repro.common.exceptions.SimulationError`, from the
 Python kernel where it fails and from the C kernel at the end of the
-chunk, before any state is written back to the platform.
+chunk (a rounding of a value that is not finite, or non-finite loop
+state), before any state is written back to the platform.  AFE drift
+and compensation rows overflow to inf silently, as Python floats do,
+but an overflowing power raises, as ``float ** int`` does.
 
 Runs are processed in time chunks of :data:`CHUNK_SAMPLES` samples.
 """
@@ -63,10 +74,11 @@ Runs are processed in time chunks of :data:`CHUNK_SAMPLES` samples.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import pickle
 import warnings
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,15 +87,14 @@ from ..platform.result import GyroSimulationResult
 from ..sensors.environment import Environment
 from .state import (
     CONSTS,
-    SCALAR_STATE,
-    STATE_INDEX,
-    biquad_arrays,
+    STATE_TABLE,
+    biquad_values,
     check_divisors,
     finish_run,
     gather_consts,
     loop_structure,
-    pack_scalar_state,
     sensor_temperature_plan,
+    state_values,
 )
 from . import native
 
@@ -104,22 +115,26 @@ SELF_CHECK_SAMPLES = 4096
 _PI = repr(math.pi)
 _TWO_PI = repr(2.0 * math.pi)
 
-#: Per-sample inputs of one lane over a chunk, as filled by
-#: :func:`_fill_lane_inputs`.
+#: Rows of a lane's chunk input block (:func:`_fill_lane_inputs`):
+#: stimulus, noise, AFE offsets, AFE gains, temperature compensation.
 _LANE_INPUTS = (
-    "rate", "temp", "sens_noise", "ca_p_off", "ca_s_off",
-    "ca_p_noise", "ca_s_noise", "pga_p_off", "pga_s_off", "pga_p_noise", "pga_s_noise",
-    "adc_p_gain", "adc_p_off", "adc_p_noise",
-    "adc_s_gain", "adc_s_off", "adc_s_noise",
-    "ddac_gain", "ddac_off", "cdac_gain", "cdac_off",
-    "rdac_gain", "rdac_off", "tcomp_off", "tcomp_sens",
+    "rate", "temp", "sens_noise", "ca_p_noise", "ca_s_noise",
+    "pga_p_noise", "pga_s_noise", "adc_p_noise", "adc_s_noise",
+    "ca_p_off", "ca_s_off", "pga_p_off", "pga_s_off",
+    "adc_p_off", "adc_s_off", "ddac_off", "cdac_off", "rdac_off",
+    "adc_p_gain", "adc_s_gain", "ddac_gain", "cdac_gain", "rdac_gain",
+    "tcomp_off", "tcomp_sens",
 )
+_OFFSET_ROWS = slice(9, 18)
+_GAIN_ROWS = slice(18, 23)
 
-_TRACES = (
+#: Rows of the float and bool trace blocks, in the order of
+#: :meth:`GyroSimulationResult.trace_blocks`.
+_FLOAT_TRACES = (
     "time_tr", "rate_tr", "temp_tr", "out_dps_tr", "out_v_tr", "agc_tr",
-    "agc_err_tr", "perr_tr", "vco_tr", "lock_tr", "run_tr",
-    "pick_tr", "drive_tr",
+    "agc_err_tr", "perr_tr", "vco_tr", "pick_tr", "drive_tr",
 )
+_BOOL_TRACES = ("lock_tr", "run_tr")
 
 _HEAD_ARGS = (
     "n0", "nc", "dec", "rec", "record_waveforms", "state", "consts",
@@ -127,22 +142,21 @@ _HEAD_ARGS = (
     "ev_starts", "ev_coefs",
 )
 
-#: Arrays the Python backend converts to lists up front
-#: (per-sample reads on Python floats are several times faster than on
-#: NumPy scalars).  The write-back arrays (state/out_z/quad_z/traces)
-#: and the record-point-only arrays (temp, rdac_gain, rdac_off) stay
-#: ndarrays.
-_HOT_ARRAYS = (
-    "consts", "state", "out_coefs", "out_z", "quad_coefs", "quad_z",
-    "ev_starts", "ev_coefs", "rate", "sens_noise", "ca_p_off", "ca_s_off",
-    "ca_p_noise", "ca_s_noise", "pga_p_off", "pga_s_off", "pga_p_noise", "pga_s_noise",
-    "adc_p_gain", "adc_p_off", "adc_s_gain", "adc_s_off",
-    "ddac_gain", "ddac_off", "cdac_gain", "cdac_off",
-    "tcomp_off", "tcomp_sens",
-)
+#: Arrays the Python backend converts to lists up front (per-sample
+#: reads on Python floats are several times faster than on NumPy
+#: scalars): all but the record-point-only rows and the ADC noise, which
+#: only some plans read.  Writes go to the arrays themselves.
+_HOT_ARRAYS = tuple(name for name in _HEAD_ARGS[5:] + _LANE_INPUTS
+                    if name not in ("temp", "rdac_gain", "rdac_off",
+                                    "adc_p_noise", "adc_s_noise"))
 
 #: Argument order of a generated kernel.
-_KERNEL_ARGS = _HEAD_ARGS + _LANE_INPUTS + _TRACES
+_KERNEL_ARGS = _HEAD_ARGS + _LANE_INPUTS + _FLOAT_TRACES + _BOOL_TRACES
+
+#: Element types of the blocks a lane-kernel call takes after its
+#: scalars: the lane vector, the event starts and coefficients, the
+#: input block and the float and bool trace blocks (:func:`_layout`).
+_BLOCK_TYPES = ("double", "int", "double", "double", "double", "bool")
 
 _EV_NAMES = ("pa11", "pa12", "pa21", "pa22", "pb1", "pb2",
              "sa11", "sa12", "sa21", "sa22", "sb1", "sb2",
@@ -256,11 +270,10 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     # ---- constants and entry state into locals ----------------------------
     for index, name in enumerate(CONSTS):
         emit(f"    {name} = consts_r[{index}]")
-    for name in SCALAR_STATE:
-        index = STATE_INDEX[name]
+    for index, (name, kind, *_) in enumerate(STATE_TABLE):
         if name == "overload":
             continue  # recomputed from the final AA states at exit
-        if name in ("locked", "st_failed"):
+        if kind == "flag":
             emit(f"    {name} = state_r[{index}] != 0.0")
         elif name == "st_count":
             emit(f"    st_count0 = state_r[{index}]")
@@ -524,13 +537,12 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     emit("            next_rec += dec")
 
     # ---- write the final state back into the packed vectors ---------------
-    for name in SCALAR_STATE:
-        index = STATE_INDEX[name]
+    for index, (name, kind, *_) in enumerate(STATE_TABLE):
         if name == "overload":
             emit(f"    state[{index}] = 1.0 if (aa_p2 >= ov_thr"
                  " or -aa_p2 >= ov_thr or aa_s2 >= ov_thr"
                  " or -aa_s2 >= ov_thr) else 0.0")
-        elif name in ("locked", "st_failed"):
+        elif kind == "flag":
             emit(f"    state[{index}] = 1.0 if {name} else 0.0")
         elif name == "st_count":
             emit(f"    state[{index}] = st_count0 + nc")
@@ -556,9 +568,33 @@ _FUNCTIONS = {"floor": math.floor, "trunc": math.trunc,
 #: Lane-kernel arguments passed by value, and the loop names the C
 #: lowering keeps as integers and booleans (everything else is a double).
 _SCALAR_ARGS = _HEAD_ARGS[:5]
+_ARRAY_ARGS = _KERNEL_ARGS[len(_SCALAR_ARGS):]
 _INT_NAMES = ("j", "i", "rec", "ev_idx", "ev_n", "next_ev", "next_rec", "_b")
 _BOOL_NAMES = ("locked", "st_failed", "st_active", "just_failed")
 _ARRAY_TYPES = {"ev_starts": "int", "lock_tr": "bool", "run_tr": "bool"}
+
+
+def _layout(plan: Tuple) -> Tuple[Tuple[int, object], ...]:
+    """``(block, index)`` of each :data:`_ARRAY_ARGS` entry of a plan's kernel.
+
+    Block 0, the lane vector, holds the packed state, the output and
+    quadrature biquad states, the consts and the output and quadrature
+    biquad coefficients, in that order, so the state the kernel writes
+    back is one head slice.  The event arrays are blocks 1 and 2; inputs
+    and traces are rows of blocks 3 to 5 (:func:`repro.engine.native.bind`).
+    """
+    n_out, n_quad = plan[1], plan[2]
+    sizes = {"state": len(STATE_TABLE), "out_z": 2 * n_out,
+             "quad_z": 2 * n_quad, "consts": len(CONSTS),
+             "out_coefs": 5 * n_out, "quad_coefs": 5 * n_quad}
+    ends = list(itertools.accumulate(sizes.values()))
+    where = {name: (0, slice(end - size, end))
+             for (name, size), end in zip(sizes.items(), ends)}
+    where.update(ev_starts=(1, slice(None)), ev_coefs=(2, slice(None)))
+    for block, rows in enumerate((_LANE_INPUTS, _FLOAT_TRACES, _BOOL_TRACES),
+                                 3):
+        where.update((name, (block, row)) for row, name in enumerate(rows))
+    return tuple(where[name] for name in _ARRAY_ARGS)
 
 
 def compiled_backend() -> str:
@@ -574,17 +610,30 @@ def backend_info() -> dict:
 
 
 def _python_kernel(plan: Tuple):
-    """The ``exec``-compiled kernel of one plan (cached)."""
+    """The ``exec``-compiled kernel of one plan (cached).
+
+    It takes the C kernel's arguments, blocks included, and hands the
+    generated function views of the blocks (:func:`_layout`).
+    """
     key = (plan, "python")
-    fn = _KERNELS.get(key)
-    if fn is None:
+    kernel = _KERNELS.get(key)
+    if kernel is None:
         source = generate_kernel_source(plan, "python")
         namespace = dict(_FUNCTIONS)
         namespace.update(("_" + name, fn) for name, fn in _FUNCTIONS.items())
         code = compile(source, "<repro-compiled-kernel:python>", "exec")
         exec(code, namespace)
-        fn = _KERNELS[key] = namespace["kernel"]
-    return fn
+        function = namespace["kernel"]
+        layout = _layout(plan)
+        n_scalars = len(_SCALAR_ARGS)
+
+        def kernel(*values):
+            blocks = values[n_scalars:]
+            return function(*values[:n_scalars],
+                            *[blocks[block][index] for block, index in layout])
+
+        _KERNELS[key] = kernel
+    return kernel
 
 
 def _native_kernel(plan: Tuple, platform, environment):
@@ -597,10 +646,11 @@ def _native_kernel(plan: Tuple, platform, environment):
         c_source, lengths = native.lower(
             generate_kernel_source(plan, "c"), _SCALAR_ARGS, _INT_NAMES,
             _BOOL_NAMES, _ARRAY_TYPES)
+        positions = [_ARRAY_ARGS.index(name) for name in lengths]
         return native.load_or_build(
             c_source, COMPILER,
-            lambda lib: native.bind(lib, _KERNEL_ARGS, _SCALAR_ARGS,
-                                    lengths, _ARRAY_TYPES),
+            lambda lib: native.bind(lib, len(_SCALAR_ARGS), _layout(plan),
+                                    _BLOCK_TYPES, positions),
             lambda candidate: _self_check(plan, candidate, platform,
                                           environment))
     except (native.LoweringError, native.BuildError, OSError) as exc:
@@ -641,27 +691,27 @@ def _self_check(plan: Tuple, candidate, platform, environment) -> bool:
     Both kernels run :data:`SELF_CHECK_SAMPLES` samples of ``platform``'s
     own stimulus, each on its own copy of the platform (so the
     platform's noise generators do not advance), recording every sample
-    with waveforms.  When the Python kernel rejects that stimulus (a
-    non-finite profile, say) the check runs on a still environment
-    instead.  Raises :class:`~repro.engine.native.BuildError` when the
-    platform cannot be copied or the Python kernel rejects both stimuli.
+    with waveforms, and must leave the same loop state and traces.  When
+    the Python kernel rejects that stimulus (a non-finite profile, say)
+    the check runs on a still environment instead.  Raises
+    :class:`~repro.engine.native.BuildError` when the platform cannot be
+    copied or the Python kernel rejects both stimuli.
     """
     n = SELF_CHECK_SAMPLES
     for stimulus in (environment, Environment.still()):
         outputs = []
         for kernel in (_python_kernel(plan), candidate):
             probe = _probe_copy(platform)
-            arrays = _lane_arrays(probe)
-            traces = _trace_arrays(n + 1, True)
+            lane, loop = _lane_arrays(probe)
+            traces = GyroSimulationResult.trace_blocks(n + 1)
             try:
                 _run_lane_chunk(kernel, probe, stimulus, 0, n, 1, 0, True,
-                                arrays, traces)
+                                lane, loop, traces)
             except (ConfigurationError, SimulationError):
                 if kernel is candidate:
                     return False
                 break  # the stimulus, not the candidate, is at fault
-            state, _, _, out_z, _, quad_z = arrays
-            outputs.append((state, out_z, quad_z, *traces))
+            outputs.append((loop, *traces))
         else:
             return all(a.tobytes() == b.tobytes() for a, b in zip(*outputs))
     raise native.BuildError("the Python kernel rejects every self-check "
@@ -685,32 +735,34 @@ def _probe_copy(platform):
             f"cannot copy the platform to self-check on: {exc}") from exc
 
 
-def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
-    """Fill one lane's per-sample chunk inputs in place.
+def _fill_lane_inputs(platform, environment, t: np.ndarray,
+                      inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Fill one lane's chunk input block in place.
 
-    ``out`` maps every :data:`_LANE_INPUTS` name to a writable 1-D
-    array of ``len(t)`` samples.  Draws the lane's noise and retunes its
-    sensor exactly as the reference loop would over the chunk, and
-    returns the sensor's temperature events
-    (:func:`~repro.engine.state.sensor_temperature_plan`).
+    ``inputs`` is a writable ``(len(_LANE_INPUTS), len(t))`` block.
+    Draws the lane's noise and retunes its sensor exactly as the
+    reference loop would over the chunk, and returns the sensor's event
+    arrays (:func:`~repro.engine.state.sensor_temperature_plan`).  The
+    offset, gain and compensation rows overflow to inf or turn NaN
+    silently, as the reference's Python floats do.
 
     Raises :class:`ConfigurationError` if the stimulus is not finite or
     the sensor rejects a temperature, and :class:`SimulationError` if
-    the temperature sensor's reading overflows — the reference loop
-    fails on exactly these inputs with the same types.
+    the temperature sensor's reading or a power of the compensation
+    polynomials overflows, as the reference loop does.
     """
     nc = t.size
     sensor = platform.sensor
     frontend = platform.frontend
     tsens = platform.config.temperature_sensor
     tc_cfg = platform.conditioner.sense_chain.temperature_comp.config
-    out["rate"][:], out["temp"][:] = environment.sample(t)
-    temp = out["temp"]
+    inputs[0], inputs[1] = environment.sample(t)
+    rate, temp = inputs[0], inputs[1]
     # the extremes flag a non-finite temperature, bound the sensor
     # reading below and spare the sensor plan its own pass
     tmin, tmax = float(temp.min()), float(temp.max())
     for name, finite, profile in (
-            ("rate", np.isfinite(out["rate"]).all(), environment.rate_dps),
+            ("rate", np.isfinite(rate).all(), environment.rate_dps),
             ("temperature", math.isfinite(tmin) and math.isfinite(tmax),
              environment.temperature_c)):
         if not finite:
@@ -720,144 +772,111 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray, out) -> list:
     events = sensor_temperature_plan(sensor, temp, tmin, tmax)
     # the reading is monotonic in the temperature, so it overflows at an
     # extreme or nowhere (checked in Python floats: NumPy would warn)
-    if any(math.isinf((x + tsens.offset_error_c) / tsens.resolution_c)
-           for x in (tmin, tmax)):
+    readings = [(x + tsens.offset_error_c) / tsens.resolution_c
+                for x in (tmin, tmax)]
+    if any(math.isinf(reading) for reading in readings):
         raise SimulationError(
             "the temperature sensor reading overflows in the chunk "
             f"starting at t = {t[0]:g} s")
+    # Python's float ** int raises where NumPy returns inf; |dT| ** k
+    # grows with |dT| and k, so if any power of the polynomials
+    # overflows, the highest one at the extreme reading does
+    top = max(abs(round(reading) * tsens.resolution_c - 25.0)
+              for reading in readings)
+    try:
+        top ** max(len(tc_cfg.offset_poly) - 1,
+                   len(tc_cfg.sensitivity_poly))
+    except OverflowError:
+        raise SimulationError(
+            "a power of the temperature compensation polynomials "
+            f"overflows in the chunk starting at t = {t[0]:g} s") from None
     dt_c = temp - 25.0
     dtm = (np.round((temp + tsens.offset_error_c) / tsens.resolution_c)
            * tsens.resolution_c) - 25.0
 
-    out["sens_noise"][:] = sensor._noise.take(nc)
-    for ch, amp, pga, adc in (
-            ("p", frontend.primary_charge_amp, frontend.primary_pga,
-             frontend.primary_adc),
-            ("s", frontend.secondary_charge_amp, frontend.secondary_pga,
-             frontend.secondary_adc)):
-        out[f"ca_{ch}_off"][:] = (amp.config.offset_v
-                                  + amp.config.offset_tc_v_per_c * dt_c)
-        out[f"ca_{ch}_noise"][:] = amp._noise.take(nc)
-        out[f"pga_{ch}_off"][:] = (pga.config.offset_v
-                                   + pga.config.offset_tc_v_per_c * dt_c)
-        out[f"pga_{ch}_noise"][:] = pga._noise.take(nc)
-        out[f"adc_{ch}_noise"][:] = adc._noise.take(nc)
-    for name, device in (("adc_p", frontend.primary_adc),
-                         ("adc_s", frontend.secondary_adc),
-                         ("ddac", frontend.drive_dac),
-                         ("cdac", frontend.control_dac),
-                         ("rdac", frontend.rate_output_dac)):
-        c = device.config
-        out[name + "_gain"][:] = ((1.0 + c.gain_error)
-                                  * (1.0 + c.gain_tc_ppm_per_c * 1e-6 * dt_c))
-        out[name + "_off"][:] = c.offset_error_v + c.offset_tc_v_per_c * dt_c
-
-    tcomp_off = np.zeros(nc)
-    for i, c in enumerate(tc_cfg.offset_poly):
-        tcomp_off = tcomp_off + c * dtm ** i
-    tcomp_sens = np.zeros(nc)
-    for i, c in enumerate(tc_cfg.sensitivity_poly):
-        tcomp_sens = tcomp_sens + c * dtm ** (i + 1)
-    out["tcomp_off"][:] = tcomp_off
-    out["tcomp_sens"][:] = 1.0 + tcomp_sens
-    if np.any(out["tcomp_sens"] == 0.0):
+    amps = (frontend.primary_charge_amp, frontend.secondary_charge_amp,
+            frontend.primary_pga, frontend.secondary_pga)
+    converters = (frontend.primary_adc, frontend.secondary_adc,
+                  frontend.drive_dac, frontend.control_dac,
+                  frontend.rate_output_dac)
+    for row, device in enumerate((sensor,) + amps + converters[:2], 2):
+        inputs[row] = device._noise.take(nc)
+    offset = [a.config.offset_v for a in amps] \
+        + [c.config.offset_error_v for c in converters]
+    drift = [d.config.offset_tc_v_per_c for d in amps + converters]
+    gain = [1.0 + c.config.gain_error for c in converters]
+    gain_drift = [c.config.gain_tc_ppm_per_c * 1e-6 for c in converters]
+    offsets, gains = inputs[_OFFSET_ROWS], inputs[_GAIN_ROWS]
+    tcomp_off, tcomp_sens = inputs[-2], inputs[-1]
+    # in place, as the reference computes offset + drift * dT and
+    # gain * (1 + gain_drift * dT) per device, then the polynomials
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(np.array(drift)[:, None], dt_c, out=offsets)
+        offsets += np.array(offset)[:, None]
+        np.multiply(np.array(gain_drift)[:, None], dt_c, out=gains)
+        gains += 1.0
+        gains *= np.array(gain)[:, None]
+        tcomp_off[:] = 0.0
+        for i, c in enumerate(tc_cfg.offset_poly):
+            tcomp_off += c * dtm ** i
+        tcomp_sens[:] = 0.0
+        for i, c in enumerate(tc_cfg.sensitivity_poly):
+            tcomp_sens += c * dtm ** (i + 1)
+        tcomp_sens += 1.0
+    if (tcomp_sens == 0.0).any():
         raise ConfigurationError("sensitivity correction factor reached zero")
     return events
 
 
-def _event_rows(events) -> Tuple[List[int], np.ndarray]:
-    """Sample indices and ``(m, 15)`` coefficient rows of sensor events."""
-    rows = np.empty((len(events), 15))
-    for k, (_, ev) in enumerate(events):
-        rows[k, :6] = ev["pa"]
-        rows[k, 6:12] = ev["sa"]
-        rows[k, 12:] = (ev["pickoff_gain"], ev["offset_rate_dps"],
-                        ev["primary_res_hz"])
-    return [e[0] for e in events], rows
+def _lane_arrays(platform) -> Tuple[np.ndarray, np.ndarray]:
+    """A lane's kernel vector and its loop-state head, a view of it.
 
-
-def _result(traces, rl: int, fs: float, dec: int, record_waveforms: bool,
-            platform) -> GyroSimulationResult:
-    """Slice the first ``rl`` records of one lane's trace arrays."""
-    (time_tr, rate_tr, temp_tr, out_dps_tr, out_v_tr, agc_tr, agc_err_tr,
-     perr_tr, vco_tr, lock_tr, run_tr, pick_tr, drive_tr) = traces
-    return GyroSimulationResult(
-        time_s=time_tr[:rl],
-        sample_rate_hz=fs / dec,
-        true_rate_dps=rate_tr[:rl],
-        temperature_c=temp_tr[:rl],
-        rate_output_dps=out_dps_tr[:rl],
-        rate_output_v=out_v_tr[:rl],
-        amplitude_control=agc_tr[:rl],
-        amplitude_error=agc_err_tr[:rl],
-        phase_error=perr_tr[:rl],
-        vco_control=vco_tr[:rl],
-        pll_locked=lock_tr[:rl],
-        running=run_tr[:rl],
-        primary_pickoff_norm=pick_tr[:rl] if record_waveforms else None,
-        drive_word=drive_tr[:rl] if record_waveforms else None,
-        turn_on_time_s=platform.conditioner.startup.turn_on_time_s,
-    )
-
-
-_EMPTY = np.zeros(0)
-
-
-def _trace_arrays(n_rec: int, record_waveforms: bool) -> list:
-    """Zeroed trace buffers of ``n_rec`` records in :data:`_TRACES` order."""
-    return [_EMPTY if name in ("pick_tr", "drive_tr") and not record_waveforms
-            else np.zeros(n_rec, dtype=bool if name in ("lock_tr", "run_tr")
-                          else float)
-            for name in _TRACES]
-
-
-def _lane_arrays(platform) -> tuple:
-    """``(state, consts, out_coefs, out_z, quad_coefs, quad_z)`` of a lane.
-
+    The vector is laid out as :func:`_layout` says; the head is the
+    packed state and the biquad states, which the kernel writes back.
     Raises :class:`ConfigurationError` if a constant the kernel divides
     by is zero or not finite.
     """
     sense = platform.conditioner.sense_chain
     consts = gather_consts(platform, platform._time_s)
     check_divisors(consts)
-    return ((pack_scalar_state(platform), consts)
-            + biquad_arrays(sense.output_filter)
-            + biquad_arrays(sense.quadrature_filter))
-
-
-def _check_finite(t0: float, *arrays) -> None:
-    """Raise :class:`SimulationError` unless every loop state is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise SimulationError(
-            f"the loop state left the finite range in the chunk starting "
-            f"at t = {t0:g} s")
+    out_coefs, out_z = biquad_values(sense.output_filter)
+    quad_coefs, quad_z = biquad_values(sense.quadrature_filter)
+    loop = state_values(platform) + out_z + quad_z
+    lane = np.array(loop + consts + out_coefs + quad_coefs)
+    return lane, lane[:len(loop)]
 
 
 def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,
-                    dec: int, rec: int, record_waveforms: bool, arrays,
-                    traces) -> int:
+                    dec: int, rec: int, record_waveforms: bool,
+                    lane: np.ndarray, loop: np.ndarray, traces) -> int:
     """Fill one chunk's inputs and run it on a lane kernel; returns ``rec``.
 
-    A kernel ``ValueError``/``OverflowError``/``ZeroDivisionError`` (the
-    Python backend failing mid-chunk) and non-finite state after the
-    chunk (the C backend carrying on) both raise
-    :class:`SimulationError`.
+    ``lane`` and its head ``loop`` come from :func:`_lane_arrays`; the
+    kernel takes them, the chunk's event and input blocks and the trace
+    blocks in one call on either backend.  A kernel ``ValueError``/
+    ``OverflowError``/``ZeroDivisionError`` (the Python backend failing
+    mid-chunk), a negative return (the C backend having rounded a value
+    that is not finite) and non-finite loop state (the C backend carrying
+    on) raise :class:`SimulationError` before anything is written back.
     """
     t = np.arange(n0, n0 + nc) * (1.0 / platform.config.sample_rate_hz)
     inputs = np.empty((len(_LANE_INPUTS), nc))
-    state, _, _, out_z, _, quad_z = arrays
     try:
-        events = _fill_lane_inputs(platform, environment, t,
-                                   dict(zip(_LANE_INPUTS, inputs)))
-        ev_starts, ev_rows = _event_rows(events)
-        rec = int(kernel(n0, nc, dec, rec, record_waveforms, *arrays,
-                         np.array(ev_starts, dtype=np.int64),
-                         ev_rows.ravel(), *inputs, *traces))
+        events = _fill_lane_inputs(platform, environment, t, inputs)
+        rec = kernel(n0, nc, dec, rec, record_waveforms, lane, *events,
+                     inputs, *traces)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise SimulationError(
             f"the loop failed in the chunk starting at t = {t[0]:g} s: "
             f"{exc}") from exc
-    _check_finite(t[0], state, out_z, quad_z)
+    if rec < 0:
+        raise SimulationError(
+            f"the loop failed in the chunk starting at t = {t[0]:g} s: it "
+            "rounded a value that is not finite")
+    if not np.isfinite(loop).all():
+        raise SimulationError(
+            f"the loop state left the finite range in the chunk starting "
+            f"at t = {t[0]:g} s")
     return rec
 
 
@@ -881,18 +900,18 @@ def run_compiled(platform, environment, duration_s: float,
     dec = platform.config.record_decimation
     start_time = platform._time_s
 
-    arrays = _lane_arrays(platform)
+    lane, loop = _lane_arrays(platform)
     kernel = _compile_kernel(plan, platform=platform,
                              environment=environment)
-    traces = _trace_arrays(n // dec + 1, record_waveforms)
+    traces = GyroSimulationResult.trace_blocks(n // dec + 1)
     rec = 0
     chunk = CHUNK_SAMPLES
     for n0 in range(0, n, chunk):
         rec = _run_lane_chunk(kernel, platform, environment, n0,
                               min(chunk, n - n0), dec, rec,
-                              record_waveforms, arrays, traces)
+                              record_waveforms, lane, loop, traces)
 
-    state, _, _, out_z, _, quad_z = arrays
-    finish_run(platform, state, out_z, quad_z, n, start_time)
-    return _result(traces, rec, fs, dec, record_waveforms, platform)
-
+    finish_run(platform, loop, n, start_time)
+    return GyroSimulationResult.from_trace_blocks(
+        traces, rec, record_waveforms, sample_rate_hz=fs / dec,
+        turn_on_time_s=platform.conditioner.startup.turn_on_time_s)

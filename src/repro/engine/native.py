@@ -17,8 +17,16 @@ with the same IEEE-754 results:
 * ``floor``/``trunc``/``round`` return Python ints, which have no
   negative zero, so they lower to ``floor``/``trunc``/``nearbyint`` plus
   ``0.0`` (``-0.0 + 0.0`` is ``+0.0``; every other value is unchanged).
-  ``nearbyint`` rounds ties to even, as ``round`` does;
+  ``nearbyint`` rounds ties to even, as ``round`` does.  Python raises
+  on an infinite or NaN argument where C returns it, so the lowered call
+  sets a flag instead, and a kernel that set it returns -1 in place of
+  its return value: the caller raises where Python would have;
 * ``sin``/``cos`` call the C library's, which is what :mod:`math` calls.
+
+A built kernel takes its arrays as a few blocks (:func:`bind`), each
+array a row of a 2-D block or a slice of a 1-D one: a call reads each
+block's ``__array_interface__`` once and computes the table of array
+pointers from the base addresses and fixed offsets.
 
 :func:`load_or_build` builds the C source with the system compiler into
 a persistent on-disk cache shared by every checkout on the host
@@ -76,6 +84,15 @@ static int64_t py_imod(int64_t x, int64_t y)
         mod += y;
     return mod;
 }
+
+/* math.floor, math.trunc and round: Python ints have no negative zero,
+   and Python raises on inf and nan, so those set *nonfinite */
+static inline double py_round(double (*round)(double), double x,
+                              int *nonfinite)
+{
+    *nonfinite |= !isfinite(x);
+    return round(x) + 0.0;
+}
 """
 
 _C_TYPES = {"double": "double", "int": "int64_t", "bool": "int"}
@@ -86,9 +103,9 @@ _CMPOPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
            ast.Eq: "==", ast.NotEq: "!="}
 #: Python calls the lowering knows, as ``name -> (C template, type)``.
 _CALLS = {
-    "floor": ("(floor({}) + 0.0)", "double"),
-    "trunc": ("(trunc({}) + 0.0)", "double"),
-    "rnd": ("(nearbyint({}) + 0.0)", "double"),
+    "floor": ("py_round(floor, {}, &nonfinite)", "double"),
+    "trunc": ("py_round(trunc, {}, &nonfinite)", "double"),
+    "rnd": ("py_round(nearbyint, {}, &nonfinite)", "double"),
     "sin": ("sin({})", "double"),
     "cos": ("cos({})", "double"),
     "int": ("((int64_t)({}))", "int"),
@@ -280,7 +297,8 @@ class _Lowering:
             self.block(stmt.body, depth + 1)
             self.emit(depth, "}")
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            self.emit(depth, f"return (int64_t)({self.expr(stmt.value)[0]});")
+            self.emit(depth, "return nonfinite ? INT64_C(-1) : "
+                      f"(int64_t)({self.expr(stmt.value)[0]});")
         else:
             raise LoweringError(f"cannot lower {ast.unparse(stmt)!r}")
 
@@ -299,8 +317,10 @@ def lower(source: str, scalars: Sequence[str], ints: Sequence[str] = (),
 
     with one length argument per array the source takes ``len()`` of and
     ``arrays`` holding every array argument's data pointer in argument
-    order.  Returns ``(c_source, length_arrays)``.  Raises
-    :class:`LoweringError` on a construct it does not know.
+    order.  A ``return`` returns -1 instead of its value once a rounding
+    call has met a value that is not finite.  Returns ``(c_source,
+    length_arrays)``.  Raises :class:`LoweringError` on a construct it
+    does not know.
     """
     fn = ast.parse(source).body[0]
     if not isinstance(fn, ast.FunctionDef):
@@ -308,7 +328,7 @@ def lower(source: str, scalars: Sequence[str], ints: Sequence[str] = (),
     low = _Lowering(fn, scalars, ints, bools, array_types or {})
     low.block(low.body, 1)
     body = low.lines
-    header = []
+    header = ["    int nonfinite = 0;"]
     for name in low.assigned:
         kind = low.type_of(name)
         zero = "0.0" if kind == "double" else "0"
@@ -325,38 +345,48 @@ def lower(source: str, scalars: Sequence[str], ints: Sequence[str] = (),
     return c_source, tuple(low.lengths)
 
 
-def bind(library: ctypes.CDLL, args: Sequence[str], scalars: Sequence[str],
-         lengths: Sequence[str], array_types: Optional[Dict] = None
-         ) -> Callable:
-    """A Python callable over a built library with the source's signature.
+def bind(library: ctypes.CDLL, n_scalars: int,
+         layout: Sequence[Tuple[int, object]], block_types: Sequence[str],
+         lengths: Sequence[int] = ()) -> Callable:
+    """A Python callable over a built library, taking its arrays as blocks.
 
-    The callable takes the generated function's positional arguments
-    (scalars first, then C-contiguous arrays of the declared dtypes, as
-    in :func:`lower`) and passes the arrays as one table of data
-    pointers.  It raises ``ValueError`` for an array of another dtype or
-    layout; sizing the arrays for the call is the caller's job.
+    The callable takes the source's ``n_scalars`` scalar arguments, then
+    one C-contiguous array per entry of ``block_types`` (``"double"``,
+    ``"int"`` or ``"bool"``), and raises ``ValueError`` for a block of
+    another dtype or layout.  ``layout`` places the source's array
+    arguments in the blocks, in argument order: ``(block, index)`` makes
+    the argument ``blocks[block][index]``, a row of a 2-D block or a
+    slice of a 1-D one.  ``lengths`` are the positions in ``layout`` of
+    the arguments the source takes ``len()`` of (:func:`lower` names
+    them).  Sizing the blocks for the call is the caller's job.
     """
     fn = library.kernel
-    n_scalar = len(scalars)
-    fn.argtypes = [ctypes.c_int64] * (n_scalar + len(lengths)) \
+    fn.argtypes = [ctypes.c_int64] * (n_scalars + len(lengths)) \
         + [ctypes.c_void_p]
     fn.restype = ctypes.c_int64
-    positions = [list(args).index(name) for name in lengths]
     dtypes = {"double": np.float64, "int": np.int64, "bool": np.bool_}
-    typestrs = [np.dtype(dtypes[(array_types or {}).get(name, "double")]).str
-                for name in args[n_scalar:]]
-    n_arrays = len(typestrs)
+    typestrs = [np.dtype(dtypes[kind]).str for kind in block_types]
+    owner = np.array([block for block, _ in layout], dtype=np.intp)
+    first = np.array([index.start or 0 if isinstance(index, slice) else index
+                      for _, index in layout], dtype=np.uintp)
+    views = [layout[position] for position in lengths]
 
     def kernel(*values):
+        blocks = values[n_scalars:]
         # strides are None exactly when an array is C-contiguous
-        interfaces = [a.__array_interface__ for a in values[n_scalar:]]
+        interfaces = [block.__array_interface__ for block in blocks]
         if [i["typestr"] for i in interfaces] != typestrs or any(
                 i["strides"] is not None for i in interfaces):
-            raise ValueError("kernel arrays must be C-contiguous and of "
+            raise ValueError("kernel blocks must be C-contiguous and of "
                              "the declared dtypes")
-        table = np.fromiter((i["data"][0] for i in interfaces),
-                            dtype=np.uintp, count=n_arrays)
-        return fn(*values[:n_scalar], *(len(values[p]) for p in positions),
+        # an argument starts at its block's base plus its index times the
+        # block's first stride (a row, or an element of a 1-D block)
+        bases = np.array([i["data"][0] for i in interfaces], dtype=np.uintp)
+        rows = np.array([block.strides[0] for block in blocks],
+                        dtype=np.uintp)
+        table = bases[owner] + first * rows[owner]
+        sizes = [len(blocks[block][index]) for block, index in views]
+        return fn(*values[:n_scalars], *sizes,
                   table.__array_interface__["data"][0])
 
     kernel.library = library

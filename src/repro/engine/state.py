@@ -1,24 +1,29 @@
-"""Shared state/coefficient plumbing for the fast co-simulation engines.
+"""Shared state/coefficient plumbing for the compiled engine.
 
 The generated kernels flatten the object-oriented reference chain
 (sensor → AFE → DSP → DACs) into plain locals.  This module is the one
-place that knows how: it packs every loop variable into a float vector
-in :data:`SCALAR_STATE` order and writes it back, gathers the per-run
-constants in :data:`CONSTS` order (so every kernel computes with
-*exactly* the same coefficient bits as the reference chain), flattens
-the biquad cascades, and defines the structural key of a platform's
-loop.  Each kernel call gets one platform's vectors.
+place that knows how.  :data:`STATE_TABLE` lists every loop variable
+once: its slot in the packed state vector, the platform attributes that
+hold it and its kind, which says how it converts to a float and back.
+:func:`pack_scalar_state` and :func:`unpack_scalar_state` are generated
+from the table once, at import, as the lane kernels are generated from
+their plan.  The module also gathers the per-run constants in
+:data:`CONSTS` order (so every kernel computes with *exactly* the same
+coefficient bits as the reference chain), flattens the biquad cascades
+and defines the structural key of a platform's loop.  Each kernel call
+gets one platform's values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..common.exceptions import ConfigurationError
 from ..common.fixedpoint import QFormat
+from ..gyro.startup import StartupState
 
 
 def fmt_spec(fmt: Optional[QFormat]) -> Optional[Tuple]:
@@ -59,16 +64,19 @@ def loop_structure(platform) -> Tuple:
 
 
 def sensor_temperature_plan(sensor, temp_arr: np.ndarray, tmin: float,
-                            tmax: float) -> List[Tuple[int, dict]]:
+                            tmax: float) -> Tuple[np.ndarray, np.ndarray]:
     """Plan the sensor's temperature-dependent coefficient updates.
 
     Replays the per-sample ``_apply_temperature`` hysteresis (recompute
     only when the temperature moved by >= 0.05 °C since the last applied
-    value) over the whole temperature trace up front; ``tmin`` and
-    ``tmax`` are the trace's extremes.  Returns a list of
-    ``(sample_index, coefficients)`` events; the sensor object is mutated
-    exactly as the reference loop would have left it (propagators retuned
-    at each event, ``_temperature_c`` at the final trace value).
+    value) over the whole (non-empty) temperature trace up front; ``tmin``
+    and ``tmax`` are the trace's extremes.  Returns the kernels' event
+    arrays: the sample index of each event (int64) and, flattened, its 15
+    coefficients (primary and secondary propagator ``a11, a12, a21, a22,
+    b1, b2``, pick-off gain, offset rate, primary resonance).  The sensor
+    object is mutated exactly as the reference loop would have left it
+    (propagators retuned at each event, ``_temperature_c`` at the final
+    trace value).
 
     Because the retune happens eagerly, an exception raised later in a
     compiled run (e.g. a sensitivity correction reaching zero) leaves
@@ -76,246 +84,204 @@ def sensor_temperature_plan(sensor, temp_arr: np.ndarray, tmin: float,
     aborted; treat the platform as needing a
     ``reset()`` after an engine error, as with any half-completed run.
 
-    The first entry always describes the coefficients valid from sample
+    The first event always describes the coefficients valid from sample
     0, whether or not sample 0 triggers a recompute.
     """
 
-    def snapshot() -> dict:
+    def snapshot() -> tuple:
         p = sensor.primary
         s = sensor.secondary
-        return {
-            "pa": (p._a11, p._a12, p._a21, p._a22, p._b1, p._b2),
-            "sa": (s._a11, s._a12, s._a21, s._a22, s._b1, s._b2),
-            "pickoff_gain": sensor._pickoff_gain,
-            "offset_rate_dps": sensor._offset_rate_dps,
-            "primary_res_hz": p.resonance_hz,
-        }
+        return (p._a11, p._a12, p._a21, p._a22, p._b1, p._b2,
+                s._a11, s._a12, s._a21, s._a22, s._b1, s._b2,
+                sensor._pickoff_gain, sensor._offset_rate_dps,
+                p.resonance_hz)
 
-    temps = temp_arr.tolist()
     last = sensor._last_temp_applied
-    events: List[Tuple[int, dict]] = []
-    if last is not None and temp_arr.size:
-        if abs(tmin - last) < 0.05 and abs(tmax - last) < 0.05:
-            # the whole run stays inside the hysteresis band: no retune
-            sensor._temperature_c = temps[-1]
-            return [(0, snapshot())]
-    initial = snapshot()
-    i = 0
-    while i < len(temps):
-        if last is not None:
-            # jump to the next sample that leaves the hysteresis band
-            moved = np.flatnonzero(np.abs(temp_arr[i:] - last) >= 0.05)
-            if not moved.size:
-                break
-            i += int(moved[0])
-        sensor._apply_temperature(temps[i])
-        last = temps[i]
-        events.append((i, snapshot()))
-        i += 1
-    if not events or events[0][0] != 0:
-        # samples before the first recompute use the pre-run coefficients
-        events.insert(0, (0, initial))
-    if temps:
-        sensor._temperature_c = temps[-1]
-    return events
+    if last is not None and abs(tmin - last) < 0.05 \
+            and abs(tmax - last) < 0.05:
+        # the whole run stays inside the hysteresis band: no retune
+        events = [(0, snapshot())]
+    else:
+        temps = temp_arr.tolist()
+        initial = snapshot()
+        events = []
+        i = 0
+        while i < len(temps):
+            if last is not None:
+                # jump to the next sample that leaves the hysteresis band
+                moved = np.flatnonzero(np.abs(temp_arr[i:] - last) >= 0.05)
+                if not moved.size:
+                    break
+                i += int(moved[0])
+            sensor._apply_temperature(temps[i])
+            last = temps[i]
+            events.append((i, snapshot()))
+            i += 1
+        if not events or events[0][0] != 0:
+            # samples before the first recompute use the pre-run
+            # coefficients
+            events.insert(0, (0, initial))
+    sensor._temperature_c = float(temp_arr[-1])
+    return (np.array([i for i, _ in events], dtype=np.int64),
+            np.array([coefs for _, coefs in events]).reshape(-1))
 
 
-#: Slot order of the packed scalar-state vector of a kernel run.  The
-#: names are the engines' loop locals; :func:`pack_scalar_state` fills
-#: the vector from the platform objects and :func:`unpack_scalar_state`
-#: writes it back, so every loop variable is loaded and stored here and
-#: nowhere else.  Booleans travel as 0.0/1.0, counters as exact small
-#: floats, the start-up sequencer state as its enum value and
-#: ``st_ready`` uses -1.0 for "not ready yet" (the reference sequencer
-#: never reports sample 0).
-SCALAR_STATE = (
-    "x", "xv", "y", "yv",
-    "pga_p_state", "pga_s_state", "aa_p1", "aa_p2", "aa_s1", "aa_s2",
-    "overload",
-    "pd_state", "amp_state", "pll_integ", "phase_err", "amplitude",
-    "lock_counter", "locked", "sin_ref", "cos_ref", "nco_phase", "tuning",
-    "agc_integ", "agc_gain", "agc_err",
-    "di_state", "dq_state", "rate_channel", "quad_channel",
-    "rate_dps_val", "rate_word",
-    "reb_state", "reb_integ", "reb_cmd", "reb_residual",
-    "st_state", "st_count", "st_settle", "st_ready", "st_failed",
-    "drive_v", "control_v", "drive_word", "control_word", "rdac_held",
+#: Slot kinds of the packed state vector: how a slot's Python value
+#: (``float``, ``int`` counter, ``bool`` flag, start-up state, ready
+#: sample or ``None``) becomes a float and back, as ``(pack, unpack)``
+#: expression templates over ``{0}``.  Counters travel as exact small
+#: floats and ``st_ready`` uses -1.0 for "not ready yet" (the reference
+#: sequencer never reports sample 0).
+SLOT_KINDS = {
+    "float": ("float({0})", "{0}"),
+    "count": ("float({0})", "int({0})"),
+    "flag": ("(1.0 if {0} else 0.0)", "({0} != 0.0)"),
+    "state": ("float({0}.value)", "StartupState(int({0}))"),
+    "ready": ("(-1.0 if {0} is None else float({0}))",
+              "(None if {0} < 0.0 else int({0}))"),
+}
+
+#: The packed state vector of a kernel run, one ``(name, kind, *paths)``
+#: entry per slot in slot order.  The name is the kernels' loop local,
+#: the kind a :data:`SLOT_KINDS` key and the paths the platform
+#: attributes that hold the value: :func:`pack_scalar_state` reads the
+#: first and :func:`unpack_scalar_state` writes every one, so every loop
+#: variable is loaded and stored here and nowhere else.
+STATE_TABLE = (
+    ("x", "float", "sensor.primary._displacement"),
+    ("xv", "float", "sensor.primary._velocity"),
+    ("y", "float", "sensor.secondary._displacement"),
+    ("yv", "float", "sensor.secondary._velocity"),
+    ("pga_p_state", "float", "frontend.primary_pga._state"),
+    ("pga_s_state", "float", "frontend.secondary_pga._state"),
+    ("aa_p1", "float", "frontend.primary_antialias._first._state"),
+    ("aa_p2", "float", "frontend.primary_antialias._second._state"),
+    ("aa_s1", "float", "frontend.secondary_antialias._first._state"),
+    ("aa_s2", "float", "frontend.secondary_antialias._second._state"),
+    ("overload", "flag", "frontend._overload"),
+    ("pd_state", "float", "conditioner.drive_loop.pll._pd_filter._state"),
+    ("amp_state", "float", "conditioner.drive_loop.pll._amp_filter._state"),
+    ("pll_integ", "float", "conditioner.drive_loop.pll._integrator"),
+    ("phase_err", "float", "conditioner.drive_loop.pll._phase_error"),
+    ("amplitude", "float", "conditioner.drive_loop.pll._amplitude"),
+    ("lock_counter", "count", "conditioner.drive_loop.pll._lock_counter"),
+    ("locked", "flag", "conditioner.drive_loop.pll._locked"),
+    ("sin_ref", "float", "conditioner.drive_loop.pll._sin_ref"),
+    ("cos_ref", "float", "conditioner.drive_loop.pll._cos_ref"),
+    ("nco_phase", "float", "conditioner.drive_loop.pll.nco._phase"),
+    ("tuning", "float", "conditioner.drive_loop.pll.nco._tuning_hz"),
+    ("agc_integ", "float", "conditioner.drive_loop.agc._integrator"),
+    ("agc_gain", "float", "conditioner.drive_loop.agc._gain"),
+    ("agc_err", "float", "conditioner.drive_loop.agc._error"),
+    ("di_state", "float",
+     "conditioner.sense_chain.demodulator.in_phase._filter._state"),
+    ("dq_state", "float",
+     "conditioner.sense_chain.demodulator.quadrature._filter._state"),
+    ("rate_channel", "float", "conditioner.sense_chain._rate_channel"),
+    ("quad_channel", "float", "conditioner.sense_chain._quadrature_channel"),
+    ("rate_dps_val", "float", "conditioner.sense_chain._rate_dps"),
+    ("rate_word", "float", "conditioner.sense_chain._rate_word"),
+    ("reb_state", "float", "conditioner.rebalance._demod._filter._state"),
+    ("reb_integ", "float", "conditioner.rebalance._integrator"),
+    ("reb_cmd", "float", "conditioner.rebalance._command"),
+    ("reb_residual", "float", "conditioner.rebalance._residual"),
+    ("st_state", "state", "conditioner.startup._state"),
+    ("st_count", "count", "conditioner.startup._sample_count"),
+    ("st_settle", "count", "conditioner.startup._settle_counter"),
+    ("st_ready", "ready", "conditioner.startup._ready_sample"),
+    ("st_failed", "flag", "conditioner.startup._failed"),
+    ("drive_v", "float", "_drive_v", "frontend.drive_dac._held_output"),
+    ("control_v", "float", "_control_v", "frontend.control_dac._held_output"),
+    ("drive_word", "float", "conditioner.drive_loop._drive_word"),
+    ("control_word", "float", "conditioner._control_word"),
+    ("rdac_held", "float", "frontend.rate_output_dac._held_output"),
 )
 
-STATE_INDEX = {name: index for index, name in enumerate(SCALAR_STATE)}
+
+def _state_functions() -> Tuple:
+    """``(values, unpack)`` generated from :data:`STATE_TABLE`.
+
+    ``values(platform)`` returns the packed state as a list of floats;
+    ``unpack(platform, values)`` writes one back and mirrors the overload
+    flag into the ``afe_status`` register.  Each object on an attribute
+    path is looked up once per call, as a hand-written pair would."""
+    owners: dict = {}
+
+    def owner(path: str) -> str:
+        if not path:
+            return "p"
+        if path not in owners:
+            parent, _, attr = path.rpartition(".")
+            reference = f"{owner(parent)}.{attr}"
+            owners[path] = (f"o{len(owners)}", reference)
+        return owners[path][0]
+
+    def attribute(path: str) -> str:
+        parent, _, attr = path.rpartition(".")
+        return f"{owner(parent)}.{attr}"
+
+    values = [SLOT_KINDS[kind][0].format(attribute(paths[0]))
+              for _, kind, *paths in STATE_TABLE]
+    pack = (["def values(p):", '    """Packed state of p, as floats."""']
+            + [f"    {name} = {ref}" for name, ref in owners.values()]
+            + ["    return [" + ", ".join(values) + "]"])
+    owners.clear()
+    stores = [f"    {attribute(path)} = "
+              + SLOT_KINDS[kind][1].format(f"s[{index}]")
+              for index, (_, kind, *paths) in enumerate(STATE_TABLE)
+              for path in paths]
+    stores.append(f"    {owner('frontend.trim')}.register('afe_status')"
+                  ".hw_write_field('overload', "
+                  f"int({attribute('frontend._overload')}))")
+    unpack = (["def unpack(p, s):"]
+              + [f"    {name} = {ref}" for name, ref in owners.values()]
+              + stores)
+    namespace = {"StartupState": StartupState}
+    exec(compile("\n".join(pack + unpack) + "\n", "<repro-state-table>",
+                 "exec"), namespace)
+    return namespace["values"], namespace["unpack"]
+
+
+state_values, _unpack = _state_functions()
 
 
 def pack_scalar_state(platform) -> np.ndarray:
-    """Pack one platform's mutable loop state into a float64 vector.
+    """One platform's mutable loop state as a float64 vector.
 
-    Reads every attribute the loop carries from sample to sample (see
-    :data:`SCALAR_STATE` for the slot order), so a kernel operating on
-    the vector starts from bit-identical state.
+    Reads every attribute the loop carries from sample to sample, in
+    :data:`STATE_TABLE` order, so a kernel operating on the vector starts
+    from bit-identical state.
     """
-    frontend = platform.frontend
-    conditioner = platform.conditioner
-    sensor = platform.sensor
-    drive_loop = conditioner.drive_loop
-    pll = drive_loop.pll
-    nco = pll.nco
-    agc = drive_loop.agc
-    sense = conditioner.sense_chain
-    rebalance = conditioner.rebalance
-    startup = conditioner.startup
-    ready = startup._ready_sample
-    values = {
-        "x": sensor.primary._displacement,
-        "xv": sensor.primary._velocity,
-        "y": sensor.secondary._displacement,
-        "yv": sensor.secondary._velocity,
-        "pga_p_state": frontend.primary_pga._state,
-        "pga_s_state": frontend.secondary_pga._state,
-        "aa_p1": frontend.primary_antialias._first._state,
-        "aa_p2": frontend.primary_antialias._second._state,
-        "aa_s1": frontend.secondary_antialias._first._state,
-        "aa_s2": frontend.secondary_antialias._second._state,
-        "overload": 1.0 if frontend._overload else 0.0,
-        "pd_state": pll._pd_filter._state,
-        "amp_state": pll._amp_filter._state,
-        "pll_integ": pll._integrator,
-        "phase_err": pll._phase_error,
-        "amplitude": pll._amplitude,
-        "lock_counter": float(pll._lock_counter),
-        "locked": 1.0 if pll._locked else 0.0,
-        "sin_ref": pll._sin_ref,
-        "cos_ref": pll._cos_ref,
-        "nco_phase": nco._phase,
-        "tuning": nco._tuning_hz,
-        "agc_integ": agc._integrator,
-        "agc_gain": agc._gain,
-        "agc_err": agc._error,
-        "di_state": sense.demodulator.in_phase._filter._state,
-        "dq_state": sense.demodulator.quadrature._filter._state,
-        "rate_channel": sense._rate_channel,
-        "quad_channel": sense._quadrature_channel,
-        "rate_dps_val": sense._rate_dps,
-        "rate_word": sense._rate_word,
-        "reb_state": rebalance._demod._filter._state,
-        "reb_integ": rebalance._integrator,
-        "reb_cmd": rebalance._command,
-        "reb_residual": rebalance._residual,
-        "st_state": float(startup._state.value),
-        "st_count": float(startup._sample_count),
-        "st_settle": float(startup._settle_counter),
-        "st_ready": -1.0 if ready is None else float(ready),
-        "st_failed": 1.0 if startup._failed else 0.0,
-        "drive_v": platform._drive_v,
-        "control_v": platform._control_v,
-        "drive_word": drive_loop._drive_word,
-        "control_word": conditioner._control_word,
-        "rdac_held": frontend.rate_output_dac._held_output,
-    }
-    return np.array([float(values[name]) for name in SCALAR_STATE])
+    return np.array(state_values(platform))
 
 
 def unpack_scalar_state(platform, state: np.ndarray) -> None:
     """Write a packed state vector back into the platform objects.
 
     :func:`finish_run` adds the biquad states, the sample counter, the
-    platform clock and the monitor-register refresh.  Values are
-    converted back to the plain Python types the reference chain keeps
-    (floats, ints, bools, :class:`~repro.gyro.startup.StartupState`), so
-    platforms that ran a fast engine pickle/digest identically to ones
-    that ran the reference loop.
+    platform clock and the monitor-register refresh.  Each slot goes back
+    as the Python type a fresh platform holds (``float``, ``int``,
+    ``bool``, :class:`~repro.gyro.startup.StartupState` or ``None``), so
+    the packed state round-trips exactly.  A platform is not byte-equal
+    to one that ran the same samples on the reference loop: that loop
+    leaves NumPy scalars in about 20 attributes, only it advances the
+    demodulator mixers' last carrier value (``_reference``), and the two
+    engines refresh the DSP monitor registers on different schedules.
     """
-    from ..gyro.startup import StartupState
-    g = {name: state[index] for index, name in enumerate(SCALAR_STATE)}
-    frontend = platform.frontend
-    conditioner = platform.conditioner
-    sensor = platform.sensor
-    drive_loop = conditioner.drive_loop
-    pll = drive_loop.pll
-    nco = pll.nco
-    agc = drive_loop.agc
-    sense = conditioner.sense_chain
-    rebalance = conditioner.rebalance
-    startup = conditioner.startup
-
-    sensor.primary._displacement = float(g["x"])
-    sensor.primary._velocity = float(g["xv"])
-    sensor.secondary._displacement = float(g["y"])
-    sensor.secondary._velocity = float(g["yv"])
-
-    frontend.primary_pga._state = float(g["pga_p_state"])
-    frontend.secondary_pga._state = float(g["pga_s_state"])
-    frontend.primary_antialias._first._state = float(g["aa_p1"])
-    frontend.primary_antialias._second._state = float(g["aa_p2"])
-    frontend.secondary_antialias._first._state = float(g["aa_s1"])
-    frontend.secondary_antialias._second._state = float(g["aa_s2"])
-    overload = bool(g["overload"] != 0.0)
-    frontend._overload = overload
-    frontend.trim.register("afe_status").hw_write_field(
-        "overload", int(overload))
-    frontend.drive_dac._held_output = float(g["drive_v"])
-    frontend.control_dac._held_output = float(g["control_v"])
-    frontend.rate_output_dac._held_output = float(g["rdac_held"])
-
-    pll._pd_filter._state = float(g["pd_state"])
-    pll._amp_filter._state = float(g["amp_state"])
-    pll._integrator = float(g["pll_integ"])
-    pll._phase_error = float(g["phase_err"])
-    pll._amplitude = float(g["amplitude"])
-    pll._lock_counter = int(g["lock_counter"])
-    pll._locked = bool(g["locked"] != 0.0)
-    pll._sin_ref = float(g["sin_ref"])
-    pll._cos_ref = float(g["cos_ref"])
-    nco._phase = float(g["nco_phase"])
-    nco._tuning_hz = float(g["tuning"])
-    agc._integrator = float(g["agc_integ"])
-    agc._gain = float(g["agc_gain"])
-    agc._error = float(g["agc_err"])
-    drive_loop._drive_word = float(g["drive_word"])
-
-    sense.demodulator.in_phase._filter._state = float(g["di_state"])
-    sense.demodulator.quadrature._filter._state = float(g["dq_state"])
-    sense._rate_channel = float(g["rate_channel"])
-    sense._quadrature_channel = float(g["quad_channel"])
-    sense._rate_dps = float(g["rate_dps_val"])
-    sense._rate_word = float(g["rate_word"])
-
-    rebalance._demod._filter._state = float(g["reb_state"])
-    rebalance._integrator = float(g["reb_integ"])
-    rebalance._command = float(g["reb_cmd"])
-    rebalance._residual = float(g["reb_residual"])
-
-    startup._state = StartupState(int(g["st_state"]))
-    startup._sample_count = int(g["st_count"])
-    startup._settle_counter = int(g["st_settle"])
-    ready = g["st_ready"]
-    startup._ready_sample = None if ready < 0.0 else int(ready)
-    startup._failed = bool(g["st_failed"] != 0.0)
-
-    conditioner._control_word = float(g["control_word"])
-    platform._drive_v = float(g["drive_v"])
-    platform._control_v = float(g["control_v"])
+    _unpack(platform, state.tolist())
 
 
-def biquad_arrays(iir_filter) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat ``(coefs, z)`` arrays of an IirFilter for the fast engines.
-
-    ``coefs`` is ``[b0, b1, b2, a1, a2]`` per section, flattened;
-    ``z`` is ``[z1, z2]`` per section, flattened (the engine updates it;
-    push it back with :func:`writeback_biquad_arrays`).
-    """
+def biquad_values(iir_filter) -> Tuple[list, list]:
+    """Flat ``(coefs, z)`` lists of an IirFilter for the compiled engine:
+    ``[b0, b1, b2, a1, a2]`` and ``[z1, z2]`` per section."""
     coefs = []
     z = []
     for section in iir_filter.sections:
-        coefs.extend((section.b[0], section.b[1], section.b[2],
-                      section.a[1], section.a[2]))
-        z.extend((section._z1, section._z2))
-    return np.array(coefs, dtype=float), np.array(z, dtype=float)
-
-
-def writeback_biquad_arrays(iir_filter, z: np.ndarray) -> None:
-    """Push an engine's flat biquad states back into the filter."""
-    for index, section in enumerate(iir_filter.sections):
-        section._z1 = float(z[2 * index])
-        section._z2 = float(z[2 * index + 1])
+        coefs.extend((float(section.b[0]), float(section.b[1]),
+                      float(section.b[2]), float(section.a[1]),
+                      float(section.a[2])))
+        z.extend((float(section._z1), float(section._z2)))
+    return coefs, z
 
 
 #: Slot order of the per-run scalar-constant vector.  The names are the
@@ -348,15 +314,15 @@ DIVISORS = ("adc_p_vref", "adc_p_lsb", "adc_s_vref", "adc_s_lsb",
 _DIVISOR_INDEX = [CONSTS.index(name) for name in DIVISORS]
 
 
-def check_divisors(consts: np.ndarray) -> None:
+def check_divisors(consts: list) -> None:
     """Raise :class:`ConfigurationError` unless every divisor is usable.
 
-    ``consts`` is a :func:`gather_consts` vector.  A zero or non-finite
+    ``consts`` is a :func:`gather_consts` list.  A zero or non-finite
     divisor would make Python raise mid-loop but C carry on, so every
     engine checks them once per run, before the first sample.
     """
-    values = consts[_DIVISOR_INDEX]
-    if not (np.isfinite(values).all() and values.all()):
+    values = [consts[index] for index in _DIVISOR_INDEX]
+    if not all(math.isfinite(value) and value for value in values):
         names = [name for name, value in zip(DIVISORS, values)
                  if not (math.isfinite(value) and value)]
         raise ConfigurationError(
@@ -364,8 +330,8 @@ def check_divisors(consts: np.ndarray) -> None:
             "and non-zero")
 
 
-def gather_consts(platform, start_time: float) -> np.ndarray:
-    """Pack the run's scalar constants in :data:`CONSTS` order."""
+def gather_consts(platform, start_time: float) -> list:
+    """The run's scalar constants as floats, in :data:`CONSTS` order."""
     cfg = platform.config
     sensor = platform.sensor
     frontend = platform.frontend
@@ -465,23 +431,27 @@ def gather_consts(platform, start_time: float) -> np.ndarray:
         "dt": 1.0 / cfg.sample_rate_hz,
         "start_time": start_time,
     }
-    return np.array([float(values[name]) for name in CONSTS])
+    return [float(values[name]) for name in CONSTS]
 
 
-def finish_run(platform, state: np.ndarray, out_z: np.ndarray,
-               quad_z: np.ndarray, n: int, start_time: float) -> None:
+def finish_run(platform, loop: np.ndarray, n: int, start_time: float) -> None:
     """Store a finished ``n``-sample run back into the platform.
 
-    The end-of-run writeback of a compiled run: the packed loop state,
-    the output/quadrature biquad states, the conditioner's sample
-    counter and monitor registers (refreshed once, at the end of the
-    run) and the platform clock.
+    The end-of-run writeback of a compiled run.  ``loop`` is the packed
+    state followed by the output and then the quadrature biquad states
+    (:func:`biquad_values` order); the conditioner's sample counter and
+    monitor registers (refreshed once, at the end of the run) and the
+    platform clock follow.
     """
     conditioner = platform.conditioner
     sense = conditioner.sense_chain
-    unpack_scalar_state(platform, state)
-    writeback_biquad_arrays(sense.output_filter, out_z)
-    writeback_biquad_arrays(sense.quadrature_filter, quad_z)
+    values = loop.tolist()
+    _unpack(platform, values)
+    z = iter(values[len(STATE_TABLE):])
+    for section in (sense.output_filter.sections
+                    + sense.quadrature_filter.sections):
+        section._z1 = next(z)
+        section._z2 = next(z)
     conditioner._sample_count += n
     conditioner._refresh_registers()
     platform._time_s = start_time + n * (1.0 / platform.config.sample_rate_hz)

@@ -13,7 +13,6 @@ This is the object the evaluation harness and the benchmarks drive.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -189,7 +188,8 @@ class GyroPlatform:
             self.reset()
         result = spec.run(self, environment, duration_s, record_waveforms)
         self.safety.observe(self._time_s, self.frontend.overload, duration_s)
-        return dataclasses.replace(result, **self.safety.result_fields())
+        vars(result).update(self.safety.result_fields())
+        return result
 
     def _run_reference(self, environment: Environment, duration_s: float,
                        record_waveforms: bool = False) -> GyroSimulationResult:
@@ -209,21 +209,9 @@ class GyroPlatform:
         dt = 1.0 / fs
         n = int(round(duration_s * fs))
         dec = cfg.record_decimation
-        n_rec = n // dec + 1
-
-        time_tr = np.zeros(n_rec)
-        rate_tr = np.zeros(n_rec)
-        temp_tr = np.zeros(n_rec)
-        out_dps_tr = np.zeros(n_rec)
-        out_v_tr = np.zeros(n_rec)
-        agc_tr = np.zeros(n_rec)
-        agc_err_tr = np.zeros(n_rec)
-        perr_tr = np.zeros(n_rec)
-        vco_tr = np.zeros(n_rec)
-        lock_tr = np.zeros(n_rec, dtype=bool)
-        run_tr = np.zeros(n_rec, dtype=bool)
-        pick_tr = np.zeros(n_rec) if record_waveforms else None
-        drive_tr = np.zeros(n_rec) if record_waveforms else None
+        traces = GyroSimulationResult.trace_blocks(n // dec + 1)
+        (time_tr, rate_tr, temp_tr, out_dps_tr, out_v_tr, agc_tr, agc_err_tr,
+         perr_tr, vco_tr, pick_tr, drive_tr), (lock_tr, run_tr) = traces
 
         sensor = self.sensor
         frontend = self.frontend
@@ -288,23 +276,9 @@ class GyroPlatform:
         self._control_v = control_v
         self._time_s = start_time + n * dt
 
-        return GyroSimulationResult(
-            time_s=time_tr[:rec],
-            sample_rate_hz=fs / dec,
-            true_rate_dps=rate_tr[:rec],
-            temperature_c=temp_tr[:rec],
-            rate_output_dps=out_dps_tr[:rec],
-            rate_output_v=out_v_tr[:rec],
-            amplitude_control=agc_tr[:rec],
-            amplitude_error=agc_err_tr[:rec],
-            phase_error=perr_tr[:rec],
-            vco_control=vco_tr[:rec],
-            pll_locked=lock_tr[:rec],
-            running=run_tr[:rec],
-            primary_pickoff_norm=pick_tr[:rec] if record_waveforms else None,
-            drive_word=drive_tr[:rec] if record_waveforms else None,
-            turn_on_time_s=conditioner.startup.turn_on_time_s,
-        )
+        return GyroSimulationResult.from_trace_blocks(
+            traces, rec, record_waveforms, sample_rate_hz=fs / dec,
+            turn_on_time_s=conditioner.startup.turn_on_time_s)
 
     # -- start-up and calibration -------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,6 +169,27 @@ class GyroSimulationResult:
                            for name in _FLOAT_TRACES + _WAVEFORMS)
                      + tuple((name, np.bool_) for name in _BOOL_TRACES))
 
+    @classmethod
+    def trace_blocks(cls, n_rec: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Zeroed float and bool blocks for an engine to record into: one
+        row of ``n_rec`` samples per trace, in serialisation order."""
+        return (np.zeros((len(cls._FLOAT_TRACES + cls._WAVEFORMS), n_rec)),
+                np.zeros((len(cls._BOOL_TRACES), n_rec), dtype=bool))
+
+    @classmethod
+    def from_trace_blocks(cls, blocks, records: int, waveforms: bool,
+                          **scalars) -> "GyroSimulationResult":
+        """A result whose traces are the first ``records`` samples of the
+        :meth:`trace_blocks` rows (views, not copies); the waveforms only
+        with ``waveforms``.  ``scalars`` are the other fields."""
+        floats, flags = blocks
+        traces = dict(zip(cls._FLOAT_TRACES + cls._WAVEFORMS,
+                          floats[:, :records]))
+        traces.update(zip(cls._BOOL_TRACES, flags[:, :records]))
+        if not waveforms:
+            traces.update(dict.fromkeys(cls._WAVEFORMS))
+        return cls(**traces, **scalars)
+
     def to_dict(self, block: Optional[bytearray] = None) -> dict:
         """JSON-compatible dict; :meth:`from_dict` restores it exactly.
 
@@ -237,30 +258,10 @@ def concatenate_results(results: Sequence["GyroSimulationResult"]
         raise SimulationError("no simulation segments to concatenate")
     if len(results) == 1:
         return results[0]
-    last = results[-1]
-
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([getattr(r, name) for r in results])
-
+    cls = GyroSimulationResult
     waveforms = all(r.primary_pickoff_norm is not None for r in results)
-    return GyroSimulationResult(
-        time_s=cat("time_s"),
-        sample_rate_hz=last.sample_rate_hz,
-        true_rate_dps=cat("true_rate_dps"),
-        temperature_c=cat("temperature_c"),
-        rate_output_dps=cat("rate_output_dps"),
-        rate_output_v=cat("rate_output_v"),
-        amplitude_control=cat("amplitude_control"),
-        amplitude_error=cat("amplitude_error"),
-        phase_error=cat("phase_error"),
-        vco_control=cat("vco_control"),
-        pll_locked=cat("pll_locked"),
-        running=cat("running"),
-        primary_pickoff_norm=cat("primary_pickoff_norm") if waveforms else None,
-        drive_word=cat("drive_word") if waveforms else None,
-        turn_on_time_s=last.turn_on_time_s,
-        safe_mode=last.safe_mode,
-        safe_mode_events=last.safe_mode_events,
-        safe_mode_entry_s=last.safe_mode_entry_s,
-        overload_time_s=last.overload_time_s,
-    )
+    traces = {name: np.concatenate([getattr(r, name) for r in results])
+              for name, _ in cls._TRACE_DTYPES
+              if waveforms or name not in cls._WAVEFORMS}
+    return cls(**traces, **{name: getattr(results[-1], name)
+                            for name in ("sample_rate_hz",) + cls._SCALARS})

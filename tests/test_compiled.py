@@ -7,8 +7,10 @@ reference loop; this module locks the pieces that make that possible:
 * the inline quantiser snippets emitted into generated kernels are
   bit-exact against :func:`repro.common.fixedpoint.quantize`
   (Hypothesis property over formats, rounding and overflow modes);
-* packed scalar-state vectors round-trip through pack/unpack, and runs
-  are invariant to the kernel's time chunk;
+* any valid packed scalar-state vector round-trips through unpack/pack
+  as the Python types a fresh platform holds (Hypothesis property over
+  the state table's slot kinds), and runs are invariant to the kernel's
+  time chunk;
 * campaign lanes of different structures match their reference runs,
   and a campaign rejects mismatched lane counts, bad durations and bad
   stop-check intervals;
@@ -38,15 +40,17 @@ import os
 import pickle
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strategies.settings import DETERMINISM_SETTINGS, QUICK_SETTINGS
+from strategies.settings import DETERMINISM_SETTINGS, QUICK_SETTINGS, \
+    STANDARD_SETTINGS
 
 from repro.common import ConfigurationError, FixedPointOverflowError
 from repro.common.fixedpoint import QFormat, quantize
@@ -55,9 +59,10 @@ import repro
 from repro.engine import compiled, native
 from repro.engine.compiled import _compile_kernel, kernel_plan, \
     quantizer_lines
-from repro.engine.state import fmt_spec, pack_scalar_state, \
+from repro.engine.state import STATE_TABLE, fmt_spec, pack_scalar_state, \
     unpack_scalar_state
 from repro.faults.models import StuckAdcCode
+from repro.gyro.startup import StartupState
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.scenarios import (
     Campaign,
@@ -195,15 +200,51 @@ class TestPlanAndBackend:
                 platforms=[platform()])
 
 
-class TestPackedState:
-    def test_pack_unpack_round_trip(self):
-        source = GyroPlatform(GyroPlatformConfig())
-        source.run(Environment.constant_rate(60.0), 0.04, engine="reference")
-        packed = pack_scalar_state(source)
+#: A valid value of each state-table slot kind, as a packed float.
+_SLOT_VALUES = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "count": st.integers(0, 2 ** 53).map(float),
+    "flag": st.sampled_from([0.0, 1.0]),
+    "state": st.integers(0, 4).map(float),
+    "ready": st.just(-1.0) | st.integers(0, 2 ** 53).map(float),
+}
+_state_vectors = st.tuples(*(_SLOT_VALUES[kind] for _, kind, *_ in
+                             STATE_TABLE)).map(np.array)
+#: The Python type each slot kind unpacks to (``ready``: int or None).
+_SLOT_TYPES = {"float": float, "count": int, "flag": bool,
+               "state": StartupState}
 
+
+class TestPackedState:
+    @STANDARD_SETTINGS
+    @given(packed=_state_vectors)
+    @example(packed=None)
+    def test_pack_unpack_round_trip(self, packed):
+        """A valid vector unpacked into a fresh platform packs back to the
+        same bytes, as the types a fresh platform holds; ``None`` stands
+        for the state a reference run leaves."""
+        if packed is None:
+            source = GyroPlatform(GyroPlatformConfig())
+            source.run(Environment.constant_rate(60.0), 0.04,
+                       engine="reference")
+            packed = pack_scalar_state(source)
+
+        fresh = GyroPlatform(GyroPlatformConfig())
         target = GyroPlatform(GyroPlatformConfig())
         unpack_scalar_state(target, packed)
-        np.testing.assert_array_equal(pack_scalar_state(target), packed)
+        assert pack_scalar_state(target).tobytes() == packed.tobytes()
+        for index, (name, kind, *paths) in enumerate(STATE_TABLE):
+            for path in paths:
+                if kind == "ready":
+                    assert attrgetter(path)(fresh) is None
+                    expected = type(None) if packed[index] < 0.0 else int
+                else:
+                    expected = _SLOT_TYPES[kind]
+                    assert type(attrgetter(path)(fresh)) is expected, name
+                assert type(attrgetter(path)(target)) is expected, name
+            if name == "overload":
+                assert target.frontend.trim.register("afe_status") \
+                    .read_field("overload") == packed[index]
 
     def test_chunk_size_invariance(self, monkeypatch):
         env = Environment.constant_rate(75.0)
@@ -400,7 +441,9 @@ def lowered_probe(tmp_path_factory):
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         built = native.load_or_build(
             c_source, compiled.COMPILER,
-            lambda lib: native.bind(lib, ("xs", "out"), (), lengths),
+            lambda lib: native.bind(lib, 0, ((0, slice(None)),
+                                             (1, slice(None))),
+                                    ("double", "double"), lengths),
             lambda kernel: True)
     return namespace["probe"], built
 
@@ -410,6 +453,8 @@ _probe_values = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, 2.5, -2.5, 7.998046875,
                      -8.0, 2.0 ** 53, 2.0 ** 53 + 2.0, -(2.0 ** 60) - 2048.0,
                      1e20, -1e20]),
+    # Python's rounding raises on these; the C kernel must report it
+    st.sampled_from([math.inf, -math.inf, math.nan]),
     # exact .5 ties of round() and of the Q3.8 quantisers' LSB
     st.integers(-2 ** 40, 2 ** 40).map(lambda k: k + 0.5),
     st.integers(-2 ** 30, 2 ** 30).map(lambda k: (k + 0.5) / 256.0),
@@ -471,9 +516,15 @@ class TestCLowering:
         python, lowered = lowered_probe
         expected = np.zeros(_PROBE_SLOTS)
         got = np.zeros(_PROBE_SLOTS)
-        python(np.array([x]), expected)
-        lowered(np.array([x]), got)
-        assert got.tobytes() == expected.tobytes(), (x, got, expected)
+        status = lowered(np.array([x]), got)
+        try:
+            python(np.array([x]), expected)
+        except (ValueError, OverflowError):
+            # Python rounds no infinity or NaN; C returns -1 instead
+            assert status == -1, x
+        else:
+            assert status == 0, x
+            assert got.tobytes() == expected.tobytes(), (x, got, expected)
 
     def test_call_refuses_wrong_dtype_or_layout(self, lowered_probe):
         _, lowered = lowered_probe

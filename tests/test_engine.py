@@ -9,7 +9,8 @@ temperature ramps, fixed-point (prototype) mode, closed-loop
 rebalance, waveform recording, mixed-structure campaigns and early
 lane retirement, check that a campaign lane equals a per-platform
 ``GyroPlatform.run`` (safe-mode monitor included), that bad input
-raises the same exception type everywhere, and check the
+raises the same exception type everywhere (also when a drift or
+compensation row overflows), and check the
 supporting vectorised helpers (``Environment.sample``,
 ``BufferedGaussianNoise.take``) against their scalar counterparts —
 including that noise sources pickle and copy without losing or
@@ -29,9 +30,10 @@ from hypothesis import given, strategies as st
 from strategies.settings import QUICK_SETTINGS, STANDARD_SETTINGS
 from strategies.stimulus import bad_stimulus
 
-from repro.common import ConfigurationError
+from repro.common import ConfigurationError, SimulationError
 from repro.common.fixedpoint import QFormat
 from repro.common.noise import BufferedGaussianNoise
+from repro.dsp.compensation import TemperatureCompensationConfig
 from repro.engine import compiled, run_compiled
 from repro.engine.compiled import kernel_plan
 from repro.engine.state import pack_scalar_state
@@ -484,6 +486,63 @@ class TestVectorisedHelpers:
         assert pickle.dumps(by_next) == pickle.dumps(by_take)
 
 
+def _adc(**fields):
+    """A platform whose ADCs have the given config ``fields``."""
+    cfg = GyroPlatformConfig()
+    for name, value in fields.items():
+        setattr(cfg.frontend.adc, name, value)
+    return GyroPlatform(cfg)
+
+
+def _charge_amp(**fields):
+    """A platform whose charge amplifiers have the given config ``fields``."""
+    cfg = GyroPlatformConfig()
+    for name, value in fields.items():
+        setattr(cfg.frontend.charge_amplifier, name, value)
+    return GyroPlatform(cfg)
+
+
+def _compensation(**polys):
+    """A platform with the given temperature-compensation polynomials."""
+    platform = GyroPlatform()
+    platform.conditioner.sense_chain.calibrate_temperature(
+        TemperatureCompensationConfig(**polys))
+    return platform
+
+
+#: Platforms whose drift or compensation rows leave the finite range:
+#: ``case -> (platform factory, temperature, exception)``.  With an
+#: exception every path raises it; with ``None`` every path runs to the
+#: same result and state, as the reference's Python floats turn the
+#: overflow into inf silently.
+_OVERFLOWING_ROWS = {
+    # an infinite ADC reading makes Python's rounding raise
+    "adc-gain-error-huge": (lambda: _adc(gain_error=1.7e308), 25.0,
+                            SimulationError),
+    "adc-gain-error-inf": (lambda: _adc(gain_error=math.inf), 25.0,
+                           SimulationError),
+    "adc-gain-drift-inf": (lambda: _adc(gain_tc_ppm_per_c=math.inf), 80.0,
+                           SimulationError),
+    "adc-offset-drift-inf": (lambda: _adc(offset_tc_v_per_c=math.inf),
+                             80.0, SimulationError),
+    "adc-offset-drift-huge": (lambda: _adc(offset_tc_v_per_c=1e307), 80.0,
+                              SimulationError),
+    # a product that overflows is inf, silently; an infinite offset then
+    # drives the loop non-finite, an infinite divisor does not
+    "offset-poly-product": (
+        lambda: _compensation(offset_poly=(0.0, 0.0, 1e305)), 80.0,
+        SimulationError),
+    "sensitivity-poly-product": (
+        lambda: _compensation(sensitivity_poly=(0.0, 1e305)), 80.0, None),
+    "charge-amp-drift-product": (
+        lambda: _charge_amp(offset_tc_v_per_c=1e307), 80.0, None),
+    # a power that overflows: Python's float ** int raises
+    "sensitivity-poly-power": (
+        lambda: _compensation(sensitivity_poly=(1e-300,) * 100), 2000.0,
+        SimulationError),
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTypedErrors:
     """Bad input raises the same exception type on every engine and
@@ -532,3 +591,25 @@ class TestTypedErrors:
         with pytest.raises(ConfigurationError, match="divides by"):
             _campaign_results([broken(), broken()],
                               [Environment.still()] * 2, [0.001] * 2)
+
+    @pytest.mark.parametrize("case", sorted(_OVERFLOWING_ROWS))
+    def test_overflowing_rows_same_outcome_on_every_path(self, case):
+        make, temperature, expected = _OVERFLOWING_ROWS[case]
+        environment = Environment.still(temperature)
+        outcomes = set()
+        for engine in self._paths():
+            # a good run first, so the C path runs its cached library
+            GyroPlatform().run(Environment.still(), 0.001, engine=engine)
+            platform = make()
+            before = pack_scalar_state(platform)
+            if expected is None:
+                result = platform.run(environment, 0.002, engine=engine)
+                outcomes.add((result.digest(),
+                              pack_scalar_state(platform).tobytes()))
+                continue
+            with pytest.raises(expected):
+                platform.run(environment, 0.002, engine=engine)
+            if engine == "compiled":
+                np.testing.assert_array_equal(pack_scalar_state(platform),
+                                              before)
+        assert len(outcomes) <= 1
