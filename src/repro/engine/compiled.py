@@ -17,28 +17,29 @@ baked as literals, biquad cascades unrolled, dead branches dropped, the
 start-up sequencer skipped once it reaches RUNNING and the record point
 tracked with a countdown instead of a modulo.
 
-The kernel runs the loop on local floats for one platform, with two
-backends.  ``"c"`` lowers the source variant that indexes the ndarrays
-directly to C (:mod:`repro.engine.native`), builds it with the system
-compiler into an on-disk cache and calls it through :mod:`ctypes`; a new
-library must reproduce the Python kernel bit for bit on the requesting
-platform's own stimulus before it is cached (:data:`SELF_CHECK_SAMPLES`).
-``"python"`` runs the source through ``compile()``/``exec`` after a
-``.tolist()`` prelude that moves the per-sample arrays into Python
-floats.  It is the fallback when no compiler is found
-(:data:`COMPILER`) or a build fails, so the ``"compiled"`` engine always
-registers and behaves identically, only slower.  Every campaign lane
-runs on its own kernel: a campaign round is one
+The kernel runs the loop on local floats for one platform, and its one
+source serves two backends.  ``"python"`` runs it through
+``compile()``/``exec``.  ``"c"`` lowers the same string to C
+(:mod:`repro.engine.native`), builds it with the system compiler into an
+on-disk cache and calls it through :mod:`ctypes`; a new library must
+reproduce the Python kernel bit for bit on the requesting platform's own
+stimulus before it is cached (:data:`SELF_CHECK_SAMPLES`).  Python is
+the fallback when no compiler is found (:data:`COMPILER`) or a build
+fails, so the ``"compiled"`` engine always registers and behaves
+identically, only slower.  Every campaign lane runs on its own kernel: a
+campaign round is one
 :meth:`~repro.scenarios.engines.EngineSpec.run_fleet` call over the
 active lanes.
 
 One call path serves both backends.  A run packs its lane into one
 float64 lane vector (:func:`_lane_arrays`) and two trace blocks, each
 chunk fills a ``(25, nc)`` input block and two event arrays, and the
-kernel takes these six blocks (:func:`_layout`): the C kernel as a
-pointer table computed from their base addresses, the Python kernel as
-views.  The vector's head (state and biquad states) is written back
-after the last chunk, and the result's traces are rows of the blocks.
+kernel takes these six blocks.  Its prelude binds each array the loop
+reads to a block or to a literal row of one, as a ``.tolist()`` copy
+where Python reads it per sample, and reads the lane vector at literal
+offsets (:func:`_lane_offsets`), so no layout travels with a call.  The
+vector's head (state and biquad states) is written back after the last
+chunk, and the result's traces are rows of the blocks.
 
 Bit-identity contract: the generated arithmetic replicates the reference
 chain operation for operation — same expression order, same rounding
@@ -127,6 +128,9 @@ _LANE_INPUTS = (
 )
 _OFFSET_ROWS = slice(9, 18)
 _GAIN_ROWS = slice(18, 23)
+#: Input rows read only at record points: the Python kernel reads every
+#: other row as a list (Python floats are several times faster to read).
+_RECORD_ROWS = ("temp", "rdac_off", "rdac_gain")
 
 #: Rows of the float and bool trace blocks, in the order of
 #: :meth:`GyroSimulationResult.trace_blocks`.
@@ -136,27 +140,11 @@ _FLOAT_TRACES = (
 )
 _BOOL_TRACES = ("lock_tr", "run_tr")
 
-_HEAD_ARGS = (
-    "n0", "nc", "dec", "rec", "record_waveforms", "state", "consts",
-    "out_coefs", "out_z", "quad_coefs", "quad_z",
-    "ev_starts", "ev_coefs",
-)
-
-#: Arrays the Python backend converts to lists up front (per-sample
-#: reads on Python floats are several times faster than on NumPy
-#: scalars): all but the record-point-only rows and the ADC noise, which
-#: only some plans read.  Writes go to the arrays themselves.
-_HOT_ARRAYS = tuple(name for name in _HEAD_ARGS[5:] + _LANE_INPUTS
-                    if name not in ("temp", "rdac_gain", "rdac_off",
-                                    "adc_p_noise", "adc_s_noise"))
-
-#: Argument order of a generated kernel.
-_KERNEL_ARGS = _HEAD_ARGS + _LANE_INPUTS + _FLOAT_TRACES + _BOOL_TRACES
-
-#: Element types of the blocks a lane-kernel call takes after its
-#: scalars: the lane vector, the event starts and coefficients, the
-#: input block and the float and bool trace blocks (:func:`_layout`).
-_BLOCK_TYPES = ("double", "int", "double", "double", "double", "bool")
+#: Arguments of a lane kernel: the scalars, then the six blocks — the
+#: lane vector (:func:`_lane_offsets`), the event starts and coefficients,
+#: the ``(25, nc)`` input block and the float and bool trace blocks.
+_SCALARS = ("n0", "nc", "dec", "rec", "record_waveforms")
+_BLOCKS = ("lane", "ev_starts", "ev_coefs", "inputs", "floats", "flags")
 
 _EV_NAMES = ("pa11", "pa12", "pa21", "pa22", "pb1", "pb2",
              "sa11", "sa12", "sa21", "sa22", "sb1", "sb2",
@@ -185,6 +173,20 @@ def kernel_plan(platform) -> Optional[Tuple]:
         bool(adc_p.config.inl_lsb * adc_p._lsb),
         bool(adc_s.config.inl_lsb * adc_s._lsb),
     )
+
+
+def _lane_offsets(n_out: int, n_quad: int) -> dict:
+    """Where each section of the lane vector starts, in vector order.
+
+    For ``n_out`` output and ``n_quad`` quadrature biquad sections: the
+    packed state, two states per section of each cascade, the consts and
+    five coefficients per section of each cascade.  The head, up to the
+    consts, is the loop state a kernel writes back.
+    """
+    sizes = {"state": len(STATE_TABLE), "out_z": 2 * n_out,
+             "quad_z": 2 * n_quad, "consts": len(CONSTS),
+             "out_coefs": 5 * n_out, "quad_coefs": 5 * n_quad}
+    return dict(zip(sizes, itertools.accumulate(sizes.values(), initial=0)))
 
 
 def _clip(target: str, src: str, lo: str, hi: str) -> str:
@@ -225,16 +227,18 @@ def quantizer_lines(var, spec, indent: int, counter) -> list:
     return lines
 
 
-def generate_kernel_source(plan: Tuple, backend: str) -> str:
-    """Emit the specialised kernel source for one plan and backend.
+def generate_kernel_source(plan: Tuple) -> str:
+    """Emit the specialised kernel source for one plan.
 
-    The two backends differ only in the array-access prelude: the
-    ``"python"`` variant reads per-sample data from ``.tolist()`` copies
-    while ``"c"`` indexes the ndarrays directly and is then lowered to C
-    by :func:`repro.engine.native.lower`.
+    One source serves both backends.  Its prelude binds each array the
+    loop uses to a block argument or to a literal row of a 2-D one, as a
+    ``.tolist()`` copy where the loop reads it per sample, and reads the
+    state, consts and biquads at literal offsets of the lane vector
+    (:func:`_lane_offsets`).  The Python backend ``exec``s the source;
+    :func:`repro.engine.native.lower` reads the same bindings as
+    pointers into the arguments and skips the local binding of the
+    kernel's functions.
     """
-    if backend not in ("python", "c"):
-        raise ConfigurationError(f"unknown kernel backend {backend!r}")
     (closed, n_out, n_quad, q_nco, q_agc, q_drive, q_demod, q_qc,
      q_out, q_quad, q_off, q_tc, q_scaler,
      has_p_noise, has_s_noise, has_p_inl, has_s_inl) = plan
@@ -249,50 +253,51 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     def clip(target, src, lo, hi, indent=8):
         emit(" " * indent + _clip(target, src, lo, hi))
 
-    emit(f"def kernel({', '.join(_KERNEL_ARGS)}):")
+    emit(f"def kernel({', '.join(_SCALARS + _BLOCKS)}):")
 
-    # ---- prelude: array access + function binding -------------------------
-    if backend == "c":
-        for name in _HOT_ARRAYS + ("adc_p_noise", "adc_s_noise"):
-            emit(f"    {name}_r = {name}")
-    else:
-        emit("    floor = _floor; trunc = _trunc")
-        emit("    sin = _sin; cos = _cos; rnd = _rnd")
-        hot = set(_HOT_ARRAYS)
-        if has_p_noise:
-            hot.add("adc_p_noise")
-        if has_s_noise:
-            hot.add("adc_s_noise")
-        for name in _KERNEL_ARGS:
-            if name in hot:
-                emit(f"    {name}_r = {name}.tolist()")
+    # ---- prelude: function binding + array access -------------------------
+    emit("    floor = _floor; trunc = _trunc")
+    emit("    sin = _sin; cos = _cos; rnd = _rnd")
+    for name in ("lane", "ev_starts", "ev_coefs"):
+        emit(f"    {name}_r = {name}.tolist()")
+    unread = {"adc_p_noise": not has_p_noise, "adc_s_noise": not has_s_noise}
+    for row, name in enumerate(_LANE_INPUTS):
+        if name in _RECORD_ROWS:
+            emit(f"    {name} = inputs[{row}]")
+        elif not unread.get(name):
+            emit(f"    {name}_r = inputs[{row}].tolist()")
+    for block, rows in (("floats", _FLOAT_TRACES), ("flags", _BOOL_TRACES)):
+        for row, name in enumerate(rows):
+            emit(f"    {name} = {block}[{row}]")
 
     # ---- constants and entry state into locals ----------------------------
-    for index, name in enumerate(CONSTS):
-        emit(f"    {name} = consts_r[{index}]")
-    for index, (name, kind, *_) in enumerate(STATE_TABLE):
+    at = _lane_offsets(n_out, n_quad)
+    for index, name in enumerate(CONSTS, at["consts"]):
+        emit(f"    {name} = lane_r[{index}]")
+    for index, (name, kind, *_) in enumerate(STATE_TABLE, at["state"]):
         if name == "overload":
             continue  # recomputed from the final AA states at exit
         if kind == "flag":
-            emit(f"    {name} = state_r[{index}] != 0.0")
+            emit(f"    {name} = lane_r[{index}] != 0.0")
         elif name == "st_count":
-            emit(f"    st_count0 = state_r[{index}]")
+            emit(f"    st_count0 = lane_r[{index}]")
         else:
-            emit(f"    {name} = state_r[{index}]")
+            emit(f"    {name} = lane_r[{index}]")
     emit("    st_active = st_state != 4.0")
 
     # ---- biquad cascades unrolled into locals -----------------------------
-    for prefix, n_sec, coefs, zs in (("o", n_out, "out_coefs_r", "out_z_r"),
-                                     ("q", n_quad, "quad_coefs_r", "quad_z_r")):
+    for prefix, n_sec, coefs, zs in (
+            ("o", n_out, at["out_coefs"], at["out_z"]),
+            ("q", n_quad, at["quad_coefs"], at["quad_z"])):
         for k in range(n_sec):
-            base, zb = 5 * k, 2 * k
-            emit(f"    {prefix}b0_{k} = {coefs}[{base}]; "
-                 f"{prefix}b1_{k} = {coefs}[{base + 1}]; "
-                 f"{prefix}b2_{k} = {coefs}[{base + 2}]")
-            emit(f"    {prefix}a1_{k} = {coefs}[{base + 3}]; "
-                 f"{prefix}a2_{k} = {coefs}[{base + 4}]")
-            emit(f"    {prefix}z1_{k} = {zs}[{zb}]; "
-                 f"{prefix}z2_{k} = {zs}[{zb + 1}]")
+            base, zb = coefs + 5 * k, zs + 2 * k
+            emit(f"    {prefix}b0_{k} = lane_r[{base}]; "
+                 f"{prefix}b1_{k} = lane_r[{base + 1}]; "
+                 f"{prefix}b2_{k} = lane_r[{base + 2}]")
+            emit(f"    {prefix}a1_{k} = lane_r[{base + 3}]; "
+                 f"{prefix}a2_{k} = lane_r[{base + 4}]")
+            emit(f"    {prefix}z1_{k} = lane_r[{zb}]; "
+                 f"{prefix}z2_{k} = lane_r[{zb + 1}]")
 
     # ---- sensor temperature events ----------------------------------------
     emit("    ev_n = len(ev_starts_r)")
@@ -536,22 +541,23 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
     emit("            rec += 1")
     emit("            next_rec += dec")
 
-    # ---- write the final state back into the packed vectors ---------------
-    for index, (name, kind, *_) in enumerate(STATE_TABLE):
+    # ---- write the final state back into the lane vector's head -----------
+    for index, (name, kind, *_) in enumerate(STATE_TABLE, at["state"]):
         if name == "overload":
-            emit(f"    state[{index}] = 1.0 if (aa_p2 >= ov_thr"
+            emit(f"    lane[{index}] = 1.0 if (aa_p2 >= ov_thr"
                  " or -aa_p2 >= ov_thr or aa_s2 >= ov_thr"
                  " or -aa_s2 >= ov_thr) else 0.0")
         elif kind == "flag":
-            emit(f"    state[{index}] = 1.0 if {name} else 0.0")
+            emit(f"    lane[{index}] = 1.0 if {name} else 0.0")
         elif name == "st_count":
-            emit(f"    state[{index}] = st_count0 + nc")
+            emit(f"    lane[{index}] = st_count0 + nc")
         else:
-            emit(f"    state[{index}] = {name}")
-    for prefix, zs, n_sec in (("o", "out_z", n_out), ("q", "quad_z", n_quad)):
+            emit(f"    lane[{index}] = {name}")
+    for prefix, zs, n_sec in (("o", at["out_z"], n_out),
+                              ("q", at["quad_z"], n_quad)):
         for k in range(n_sec):
-            emit(f"    {zs}[{2 * k}] = {prefix}z1_{k}")
-            emit(f"    {zs}[{2 * k + 1}] = {prefix}z2_{k}")
+            emit(f"    lane[{zs + 2 * k}] = {prefix}z1_{k}")
+            emit(f"    lane[{zs + 2 * k + 1}] = {prefix}z2_{k}")
     emit("    return rec")
     emit("")
     return "\n".join(lines)
@@ -559,42 +565,17 @@ def generate_kernel_source(plan: Tuple, backend: str) -> str:
 
 _KERNELS: dict = {}
 
-#: Functions a generated kernel calls.  The Python backend binds the
-#: ``_``-prefixed copies to locals in its prelude.
-_FUNCTIONS = {"floor": math.floor, "trunc": math.trunc,
-              "sin": math.sin, "cos": math.cos, "rnd": round}
+#: Functions a generated kernel calls.  Its prelude binds them to locals,
+#: which Python reads faster than globals; the C lowering skips that.
+_FUNCTIONS = {"_floor": math.floor, "_trunc": math.trunc,
+              "_sin": math.sin, "_cos": math.cos, "_rnd": round}
 
-
-#: Lane-kernel arguments passed by value, and the loop names the C
-#: lowering keeps as integers and booleans (everything else is a double).
-_SCALAR_ARGS = _HEAD_ARGS[:5]
-_ARRAY_ARGS = _KERNEL_ARGS[len(_SCALAR_ARGS):]
+#: For the C lowering: the loop names it keeps as integers and booleans
+#: (everything else is a double), the non-double and the 2-D blocks.
 _INT_NAMES = ("j", "i", "rec", "ev_idx", "ev_n", "next_ev", "next_rec", "_b")
 _BOOL_NAMES = ("locked", "st_failed", "st_active", "just_failed")
-_ARRAY_TYPES = {"ev_starts": "int", "lock_tr": "bool", "run_tr": "bool"}
-
-
-def _layout(plan: Tuple) -> Tuple[Tuple[int, object], ...]:
-    """``(block, index)`` of each :data:`_ARRAY_ARGS` entry of a plan's kernel.
-
-    Block 0, the lane vector, holds the packed state, the output and
-    quadrature biquad states, the consts and the output and quadrature
-    biquad coefficients, in that order, so the state the kernel writes
-    back is one head slice.  The event arrays are blocks 1 and 2; inputs
-    and traces are rows of blocks 3 to 5 (:func:`repro.engine.native.bind`).
-    """
-    n_out, n_quad = plan[1], plan[2]
-    sizes = {"state": len(STATE_TABLE), "out_z": 2 * n_out,
-             "quad_z": 2 * n_quad, "consts": len(CONSTS),
-             "out_coefs": 5 * n_out, "quad_coefs": 5 * n_quad}
-    ends = list(itertools.accumulate(sizes.values()))
-    where = {name: (0, slice(end - size, end))
-             for (name, size), end in zip(sizes.items(), ends)}
-    where.update(ev_starts=(1, slice(None)), ev_coefs=(2, slice(None)))
-    for block, rows in enumerate((_LANE_INPUTS, _FLOAT_TRACES, _BOOL_TRACES),
-                                 3):
-        where.update((name, (block, row)) for row, name in enumerate(rows))
-    return tuple(where[name] for name in _ARRAY_ARGS)
+_BLOCK_TYPES = {"ev_starts": "int", "flags": "bool"}
+_MATRICES = ("inputs", "floats", "flags")
 
 
 def compiled_backend() -> str:
@@ -610,29 +591,14 @@ def backend_info() -> dict:
 
 
 def _python_kernel(plan: Tuple):
-    """The ``exec``-compiled kernel of one plan (cached).
-
-    It takes the C kernel's arguments, blocks included, and hands the
-    generated function views of the blocks (:func:`_layout`).
-    """
+    """The ``exec``-compiled kernel of one plan (cached)."""
     key = (plan, "python")
     kernel = _KERNELS.get(key)
     if kernel is None:
-        source = generate_kernel_source(plan, "python")
         namespace = dict(_FUNCTIONS)
-        namespace.update(("_" + name, fn) for name, fn in _FUNCTIONS.items())
-        code = compile(source, "<repro-compiled-kernel:python>", "exec")
-        exec(code, namespace)
-        function = namespace["kernel"]
-        layout = _layout(plan)
-        n_scalars = len(_SCALAR_ARGS)
-
-        def kernel(*values):
-            blocks = values[n_scalars:]
-            return function(*values[:n_scalars],
-                            *[blocks[block][index] for block, index in layout])
-
-        _KERNELS[key] = kernel
+        exec(compile(generate_kernel_source(plan),
+                     "<repro-compiled-kernel>", "exec"), namespace)
+        kernel = _KERNELS[key] = namespace["kernel"]
     return kernel
 
 
@@ -643,14 +609,11 @@ def _native_kernel(plan: Tuple, platform, environment):
     Python kernel, which the caller then keeps for the plan.
     """
     try:
-        c_source, lengths = native.lower(
-            generate_kernel_source(plan, "c"), _SCALAR_ARGS, _INT_NAMES,
-            _BOOL_NAMES, _ARRAY_TYPES)
-        positions = [_ARRAY_ARGS.index(name) for name in lengths]
+        c_source, signature = native.lower(
+            generate_kernel_source(plan), _SCALARS, _INT_NAMES, _BOOL_NAMES,
+            _BLOCK_TYPES, _MATRICES)
         return native.load_or_build(
-            c_source, COMPILER,
-            lambda lib: native.bind(lib, len(_SCALAR_ARGS), _layout(plan),
-                                    _BLOCK_TYPES, positions),
+            c_source, COMPILER, lambda lib: native.bind(lib, signature),
             lambda candidate: _self_check(plan, candidate, platform,
                                           environment))
     except (native.LoweringError, native.BuildError, OSError) as exc:
@@ -831,19 +794,20 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray,
 def _lane_arrays(platform) -> Tuple[np.ndarray, np.ndarray]:
     """A lane's kernel vector and its loop-state head, a view of it.
 
-    The vector is laid out as :func:`_layout` says; the head is the
-    packed state and the biquad states, which the kernel writes back.
-    Raises :class:`ConfigurationError` if a constant the kernel divides
-    by is zero or not finite.
+    The vector holds its sections where :func:`_lane_offsets` says; the
+    head is the packed state and the biquad states, which the kernel
+    writes back.  Raises :class:`ConfigurationError` if a constant the
+    kernel divides by is zero or not finite.
     """
     sense = platform.conditioner.sense_chain
     consts = gather_consts(platform, platform._time_s)
     check_divisors(consts)
     out_coefs, out_z = biquad_values(sense.output_filter)
     quad_coefs, quad_z = biquad_values(sense.quadrature_filter)
-    loop = state_values(platform) + out_z + quad_z
-    lane = np.array(loop + consts + out_coefs + quad_coefs)
-    return lane, lane[:len(loop)]
+    lane = np.array(state_values(platform) + out_z + quad_z + consts
+                    + out_coefs + quad_coefs)
+    head = _lane_offsets(len(out_z) // 2, len(quad_z) // 2)["consts"]
+    return lane, lane[:head]
 
 
 def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,

@@ -1,8 +1,8 @@
 """Native backend of the compiled engine: generated lane kernels in C.
 
-:func:`lower` translates the generated lane-kernel source (the ``"c"``
-variant of :func:`repro.engine.compiled.generate_kernel_source`, which
-indexes the ndarrays directly) into C by walking its :mod:`ast`.  There
+:func:`lower` translates the generated lane-kernel source
+(:func:`repro.engine.compiled.generate_kernel_source`, the very string
+the Python backend ``exec``s) into C by walking its :mod:`ast`.  There
 is no hand-written C loop: the emit sequence stays the one source of the
 loop semantics, and the lowering only maps Python operations onto C ones
 with the same IEEE-754 results:
@@ -23,10 +23,11 @@ with the same IEEE-754 results:
   its return value: the caller raises where Python would have;
 * ``sin``/``cos`` call the C library's, which is what :mod:`math` calls.
 
-A built kernel takes its arrays as a few blocks (:func:`bind`), each
-array a row of a 2-D block or a slice of a 1-D one: a call reads each
-block's ``__array_interface__`` once and computes the table of array
-pointers from the base addresses and fixed offsets.
+The source binds the arrays its loop reads at its top level, to an
+argument or to a literal row of a 2-D one, through ``.tolist()`` where
+Python reads them per sample; the lowering reads each binding as a
+pointer into the argument.  A call (:func:`bind`) reads each argument's
+``__array_interface__`` once and passes its data pointer.
 
 :func:`load_or_build` builds the C source with the system compiler into
 a persistent on-disk cache shared by every checkout on the host
@@ -125,34 +126,65 @@ class _Lowering:
 
     def __init__(self, fn: ast.FunctionDef, scalars: Sequence[str],
                  ints: Sequence[str], bools: Sequence[str],
-                 array_types: Dict[str, str]):
+                 array_types: Dict[str, str], matrices: Sequence[str]):
         args = [a.arg for a in fn.args.args]
         self.scalars = [a for a in args if a in scalars]
         self.arrays = [a for a in args if a not in scalars]
         self.array_types = {a: array_types.get(a, "double")
                             for a in self.arrays}
+        self.matrices = set(matrices)
+        # every name that points into an array argument, as
+        # ``(argument, row)``; the row is None for the whole argument
+        self.views = {a: (a, None) for a in self.arrays}
         self.types = {name: "int" for name in ints}
         self.types.update((name, "int") for name in self.scalars)
         self.types.update((name, "bool") for name in bools)
-        self.alias: Dict[str, str] = {}
         self.assigned: Dict[str, None] = {}  # locals, in first-use order
-        self.lengths: list = []
+        self.lengths: list = []  # (array position, axis) of each length
         self.lines: list = []
         self.loops = 0
-        self.body = []
-        for stmt in fn.body:
-            # ``name_r = name`` only re-binds an array argument
-            if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and isinstance(stmt.value, ast.Name)
-                    and self._array(stmt.value.id) is not None):
-                self.alias[stmt.targets[0].id] = self._array(stmt.value.id)
-            else:
-                self.body.append(stmt)
 
-    def _array(self, name: str) -> Optional[str]:
-        name = self.alias.get(name, name)
-        return name if name in self.array_types else None
+    def length(self, argument: str, axis: int) -> str:
+        """The C parameter holding ``argument``'s shape along ``axis``."""
+        key = (self.arrays.index(argument), axis)
+        if key not in self.lengths:
+            self.lengths.append(key)
+        return f"len{axis}_{argument}"
+
+    def matrix(self, node) -> bool:
+        """Whether ``node`` names a whole 2-D array argument or view."""
+        view = isinstance(node, ast.Name) and self.views.get(node.id)
+        return bool(view) and view[1] is None and view[0] in self.matrices
+
+    def bind_view(self, name: str, value, depth: int) -> bool:
+        """Lower ``name = a`` or ``name = m[k]``, either maybe ``.tolist()``.
+
+        ``name`` then points at the array or view ``a``, or at row ``k``
+        (an int literal) of the 2-D ``m``; a ``.tolist()`` copy, which the
+        Python kernel only reads, is the same pointer.  False when
+        ``value`` is neither.
+        """
+        tolist = (isinstance(value, ast.Call) and not value.args
+                and isinstance(value.func, ast.Attribute)
+                and value.func.attr == "tolist")
+        node, row = (value.func.value if tolist else value), None
+        if isinstance(node, ast.Subscript) and self.matrix(node.value):
+            if not (isinstance(node.slice, ast.Constant)
+                    and type(node.slice.value) is int):
+                raise LoweringError(
+                    f"row index is not a literal in {ast.unparse(value)!r}")
+            node, row = node.value, node.slice.value
+        if not (isinstance(node, ast.Name) and node.id in self.views):
+            return False
+        if depth != 1 or name in self.views or name in self.assigned:
+            raise LoweringError(f"cannot bind {name!r} here")
+        argument, source_row = self.views[node.id]
+        self.views[name] = (argument, source_row if row is None else row)
+        pointer = f"a_{node.id}" if row is None else \
+            f"a_{node.id} + {row} * {self.length(argument, 1)}"
+        ctype = _ARRAY_C_TYPES[self.array_types[argument]]
+        self.emit(depth, f"{ctype} *a_{name} = {pointer};")
+        return True
 
     def type_of(self, name: str) -> str:
         return self.types.get(name, "double")
@@ -172,7 +204,7 @@ class _Lowering:
             if isinstance(value, float):
                 return f"({value.hex()})", "double"
         elif isinstance(node, ast.Name):
-            if self._array(node.id) is None:
+            if node.id not in self.views:
                 return f"v_{node.id}", self.type_of(node.id)
         elif isinstance(node, ast.BinOp):
             left, lt = self.expr(node.left)
@@ -213,11 +245,9 @@ class _Lowering:
               and len(node.args) == 1 and not node.keywords):
             name = node.func.id
             if name == "len" and isinstance(node.args[0], ast.Name) \
-                    and self._array(node.args[0].id) is not None:
-                array = self._array(node.args[0].id)
-                if array not in self.lengths:
-                    self.lengths.append(array)
-                return f"len_{array}", "int"
+                    and node.args[0].id in self.views:
+                argument, row = self.views[node.args[0].id]
+                return self.length(argument, 0 if row is None else 1), "int"
             if name in _CALLS:
                 template, kind = _CALLS[name]
                 return template.format(self.expr(node.args[0])[0]), kind
@@ -226,14 +256,14 @@ class _Lowering:
         raise LoweringError(f"cannot lower {ast.unparse(node)!r}")
 
     def subscript(self, node: ast.Subscript) -> Tuple[str, str]:
-        if not isinstance(node.value, ast.Name) \
-                or self._array(node.value.id) is None:
+        """``(C element, type)`` of an element of a 1-D array or view."""
+        name = node.value.id if isinstance(node.value, ast.Name) else None
+        if name not in self.views or self.matrix(node.value):
             raise LoweringError(f"cannot lower {ast.unparse(node)!r}")
-        array = self._array(node.value.id)
         index, kind = self.expr(node.slice)
         if kind == "double":
             raise LoweringError(f"float index in {ast.unparse(node)!r}")
-        return f"a_{array}[{index}]", self.array_types[array]
+        return f"a_{name}[{index}]", self.array_types[self.views[name][0]]
 
     # -- statements --------------------------------------------------------
 
@@ -241,8 +271,13 @@ class _Lowering:
         self.lines.append("    " * depth + text)
 
     def assign(self, target, value_node, depth: int) -> None:
+        if isinstance(target, ast.Name) and (
+                self.bind_view(target.id, value_node, depth)
+                or (depth == 1 and target.id in _CALLS  # floor = _floor
+                    and isinstance(value_node, ast.Name))):
+            return
         value, kind = self.expr(value_node)
-        if isinstance(target, ast.Name) and self._array(target.id) is None:
+        if isinstance(target, ast.Name) and target.id not in self.views:
             declared = self.type_of(target.id)
             if declared != "double" and kind == "double":
                 raise LoweringError(
@@ -304,90 +339,78 @@ class _Lowering:
 
 
 def lower(source: str, scalars: Sequence[str], ints: Sequence[str] = (),
-          bools: Sequence[str] = (), array_types: Optional[Dict] = None
-          ) -> Tuple[str, Tuple[str, ...]]:
+          bools: Sequence[str] = (), array_types: Optional[Dict] = None,
+          matrices: Sequence[str] = ()) -> Tuple[str, Tuple]:
     """Lower one generated Python function to a C translation unit.
 
     ``scalars`` names the arguments passed by value (as ``int64``); every
-    other argument is an array of ``array_types[name]`` (``"double"`` by
-    default, or ``"int"``/``"bool"``).  The C function is::
+    other argument is a C-contiguous array of ``array_types[name]``
+    (``"double"`` by default, or ``"int"``/``"bool"``), 2-D if
+    ``matrices`` names it.  The C function is::
 
-        int64_t kernel(int64_t <scalar>..., int64_t len_<array>...,
-                       void *const *arrays);
+        int64_t kernel(int64_t <scalar>..., int64_t len<axis>_<array>...,
+                       <type> *<array>...);
 
-    with one length argument per array the source takes ``len()`` of and
-    ``arrays`` holding every array argument's data pointer in argument
-    order.  A ``return`` returns -1 instead of its value once a rounding
-    call has met a value that is not finite.  Returns ``(c_source,
-    length_arrays)``.  Raises :class:`LoweringError` on a construct it
-    does not know.
+    The code reads arrays through views bound at its top level, ``x = a``
+    or ``x = m[k]`` (a row), either maybe through ``.tolist()``; a
+    top-level ``floor = _floor`` (the Python kernel's local binding) is
+    skipped.  A ``return`` returns -1 instead of its value once a
+    rounding call has met a value that is not finite.  Returns
+    ``(c_source, signature)``, the signature for :func:`bind`.  Raises
+    :class:`LoweringError` on a construct it does not know.
     """
     fn = ast.parse(source).body[0]
     if not isinstance(fn, ast.FunctionDef):
         raise LoweringError("expected one function definition")
-    low = _Lowering(fn, scalars, ints, bools, array_types or {})
-    low.block(low.body, 1)
-    body = low.lines
+    low = _Lowering(fn, scalars, ints, bools, array_types or {}, matrices)
+    low.block(fn.body, 1)
     header = ["    int nonfinite = 0;"]
     for name in low.assigned:
         kind = low.type_of(name)
         zero = "0.0" if kind == "double" else "0"
         header.append(f"    {_C_TYPES[kind]} v_{name} = {zero};")
-    for index, name in enumerate(low.arrays):
-        ctype = _ARRAY_C_TYPES[low.array_types[name]]
-        header.append(f"    {ctype} *a_{name} = ({ctype} *)arrays[{index}];")
     params = [f"int64_t v_{name}" for name in low.scalars]
-    params += [f"int64_t len_{name}" for name in low.lengths]
-    params.append("void *const *arrays")
+    params += [f"int64_t len{axis}_{low.arrays[position]}"
+               for position, axis in low.lengths]
+    params += [f"{_ARRAY_C_TYPES[low.array_types[name]]} *a_{name}"
+               for name in low.arrays]
     c_source = "\n".join(
         [_PRELUDE, f"int64_t kernel({', '.join(params)})", "{"]
-        + header + body + ["}", ""])
-    return c_source, tuple(low.lengths)
+        + header + low.lines + ["}", ""])
+    return c_source, (len(low.scalars),
+                      tuple(map(low.array_types.get, low.arrays)),
+                      tuple(low.lengths))
 
 
-def bind(library: ctypes.CDLL, n_scalars: int,
-         layout: Sequence[Tuple[int, object]], block_types: Sequence[str],
-         lengths: Sequence[int] = ()) -> Callable:
-    """A Python callable over a built library, taking its arrays as blocks.
+def bind(library: ctypes.CDLL, signature: Tuple) -> Callable:
+    """A Python callable over a library built from :func:`lower`'s source.
 
-    The callable takes the source's ``n_scalars`` scalar arguments, then
-    one C-contiguous array per entry of ``block_types`` (``"double"``,
-    ``"int"`` or ``"bool"``), and raises ``ValueError`` for a block of
-    another dtype or layout.  ``layout`` places the source's array
-    arguments in the blocks, in argument order: ``(block, index)`` makes
-    the argument ``blocks[block][index]``, a row of a 2-D block or a
-    slice of a 1-D one.  ``lengths`` are the positions in ``layout`` of
-    the arguments the source takes ``len()`` of (:func:`lower` names
-    them).  Sizing the blocks for the call is the caller's job.
+    ``signature`` is what :func:`lower` returned with that source.  The
+    callable takes the function's arguments and raises ``ValueError``
+    for an array that is not C-contiguous or not of its declared type.
+    It passes the scalars, the shape entries the C code asks for and the
+    arrays' data pointers; sizing the arrays is the caller's job.
     """
+    n_scalars, array_types, lengths = signature
     fn = library.kernel
     fn.argtypes = [ctypes.c_int64] * (n_scalars + len(lengths)) \
-        + [ctypes.c_void_p]
+        + [ctypes.c_void_p] * len(array_types)
     fn.restype = ctypes.c_int64
     dtypes = {"double": np.float64, "int": np.int64, "bool": np.bool_}
-    typestrs = [np.dtype(dtypes[kind]).str for kind in block_types]
-    owner = np.array([block for block, _ in layout], dtype=np.intp)
-    first = np.array([index.start or 0 if isinstance(index, slice) else index
-                      for _, index in layout], dtype=np.uintp)
-    views = [layout[position] for position in lengths]
+    typestrs = [np.dtype(dtypes[kind]).str for kind in array_types]
 
     def kernel(*values):
-        blocks = values[n_scalars:]
         # strides are None exactly when an array is C-contiguous
-        interfaces = [block.__array_interface__ for block in blocks]
+        interfaces = [array.__array_interface__
+                      for array in values[n_scalars:]]
         if [i["typestr"] for i in interfaces] != typestrs or any(
                 i["strides"] is not None for i in interfaces):
-            raise ValueError("kernel blocks must be C-contiguous and of "
+            raise ValueError("kernel arrays must be C-contiguous and of "
                              "the declared dtypes")
-        # an argument starts at its block's base plus its index times the
-        # block's first stride (a row, or an element of a 1-D block)
-        bases = np.array([i["data"][0] for i in interfaces], dtype=np.uintp)
-        rows = np.array([block.strides[0] for block in blocks],
-                        dtype=np.uintp)
-        table = bases[owner] + first * rows[owner]
-        sizes = [len(blocks[block][index]) for block, index in views]
-        return fn(*values[:n_scalars], *sizes,
-                  table.__array_interface__["data"][0])
+        return fn(*values[:n_scalars],
+                  *[interfaces[position]["shape"][axis]
+                    for position, axis in lengths],
+                  *[i["data"][0] for i in interfaces])
 
     kernel.library = library
     return kernel

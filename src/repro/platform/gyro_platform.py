@@ -187,9 +187,21 @@ class GyroPlatform:
         if reset:
             self.reset()
         result = spec.run(self, environment, duration_s, record_waveforms)
-        self.safety.observe(self._time_s, self.frontend.overload, duration_s)
-        vars(result).update(self.safety.result_fields())
+        fs = self.config.sample_rate_hz
+        self._observe_safety(result, int(round(duration_s * fs)))
         return result
+
+    def _observe_safety(self, result: GyroSimulationResult, n: int) -> None:
+        """Account an engine call of ``n`` samples in the safe-mode monitor.
+
+        The one place both run paths (:meth:`run` and every campaign
+        lane's chunk) observe the monitor: it is credited with the
+        ``n / fs`` seconds simulated, sees the front-end overload flag as
+        a ``bool``, and its snapshot is stamped onto ``result``.
+        """
+        self.safety.observe(self._time_s, bool(self.frontend.overload),
+                            n / self.config.sample_rate_hz)
+        vars(result).update(self.safety.result_fields())
 
     def _run_reference(self, environment: Environment, duration_s: float,
                        record_waveforms: bool = False) -> GyroSimulationResult:

@@ -244,23 +244,15 @@ class _LaneState:
             self.scenario.faults[i].restore(self.platform,
                                             self._armed.pop(i))
 
-    def _observe_safety(self, samples: int) -> None:
-        monitor = getattr(self.platform, "safety", None)
-        frontend = getattr(self.platform, "frontend", None)
-        if monitor is None or frontend is None:
-            return
-        monitor.observe(self.platform.now, bool(frontend.overload),
-                        samples / self.fs)
-
     def environment(self):
         """The current scenario's stimulus, shifted to the lane position."""
         return self.scenario.environment.shifted(self._sample / self.fs)
 
     def advance(self, samples: int, result) -> None:
         """Account a finished chunk and roll over completed scenarios."""
+        self.platform._observe_safety(result, samples)
         self._segments.append(result)
         self._sample += samples
-        self._observe_safety(samples)
         scenario = self.scenario
         at_check = self._sample % self._n_check == 0
         at_end = self._sample >= self._n_total
@@ -281,12 +273,9 @@ class _LaneState:
 
     def _finish(self, stopped_early: bool) -> None:
         scenario = self.scenario
+        # the last segment carries the safe-mode snapshot, so resilience
+        # metrics read it off the result
         result = concatenate_results(self._segments)
-        monitor = getattr(self.platform, "safety", None)
-        if monitor is not None:
-            # stamp the safe-mode snapshot before the extractors run so
-            # resilience metrics can read it off the result
-            result = dataclasses.replace(result, **monitor.result_fields())
         metrics = {name: fn(self.platform, result)
                    for name, fn in scenario.extractors.items()}
         self.outcomes.append(ScenarioOutcome(

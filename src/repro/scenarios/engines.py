@@ -35,14 +35,12 @@ class EngineSpec:
 
     Attributes:
         name: registry key (the value of ``GyroPlatformConfig.engine``).
-        description: one-line summary for error messages and reports.
         runner: single-platform entry point
             ``runner(platform, environment, duration_s, record_waveforms)``
             returning a :class:`~repro.platform.result.GyroSimulationResult`.
     """
 
     name: str
-    description: str
     runner: Callable
 
     def run(self, platform, environment, duration_s: float,
@@ -87,16 +85,8 @@ def register_engine(spec: EngineSpec) -> None:
     _REGISTRY[spec.name] = spec
 
 
-register_engine(EngineSpec(
-    ENGINE_REFERENCE,
-    description="object-oriented per-sample loop (behavioural ground truth)",
-    runner=_run_reference))
-register_engine(EngineSpec(
-    ENGINE_COMPILED,
-    description="generated specialised kernel (lowered to C with the "
-                "system compiler, exec-compiled Python fallback without "
-                "one; the default)",
-    runner=_run_compiled))
+register_engine(EngineSpec(ENGINE_REFERENCE, runner=_run_reference))
+register_engine(EngineSpec(ENGINE_COMPILED, runner=_run_compiled))
 
 
 def engine_names() -> Tuple[str, ...]:

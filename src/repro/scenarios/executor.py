@@ -223,15 +223,11 @@ class ExecutorSpec:
 
     Attributes:
         name: registry key (the ``executor=`` value of ``Campaign.run``).
-        parallel: whether the executor fans lanes out across processes.
-        description: one-line summary for error messages and reports.
         runner: entry point ``runner(campaign, source, engine, options)``
             returning a :class:`CampaignResult`.
     """
 
     name: str
-    parallel: bool
-    description: str
     runner: Callable
 
 
@@ -799,12 +795,5 @@ class _ShardScheduler:
         self.policy.call(self.manifest.write)
 
 
-register_executor(ExecutorSpec(
-    EXECUTOR_LOCAL, parallel=False,
-    description="runs every lane in the calling process",
-    runner=_run_local))
-register_executor(ExecutorSpec(
-    EXECUTOR_SHARDED, parallel=True,
-    description="partitions lanes into shards across worker processes "
-                "with a resumable batch manifest",
-    runner=_run_sharded))
+register_executor(ExecutorSpec(EXECUTOR_LOCAL, runner=_run_local))
+register_executor(ExecutorSpec(EXECUTOR_SHARDED, runner=_run_sharded))

@@ -22,8 +22,10 @@ reference loop; this module locks the pieces that make that possible:
   which raises on a real overflow on every engine;
 * backend provenance reports whichever of C / generated-Python is
   actually active;
-* the C lowering is bit-exact against the ``exec``-compiled source on
-  every quantiser variant, float ``%`` and ``round`` (Hypothesis), and
+* both backends run one generated source with one signature, the C
+  lowering is bit-exact against the ``exec``-compiled source on every
+  quantiser variant, float ``%`` and ``round``, read through whole-array
+  and row views (Hypothesis), and refuses views it cannot lower, and
   the on-disk build cache loads warm libraries without starting a
   process, rebuilds corrupted ones, survives concurrent builders and
   hosts without glibc, starts the compiler at most once per plan and
@@ -35,6 +37,7 @@ reference loop; this module locks the pieces that make that possible:
 import copy
 import dataclasses
 import hashlib
+import inspect
 import math
 import os
 import pickle
@@ -150,6 +153,39 @@ class TestPlanAndBackend:
         plan = kernel_plan(GyroPlatform())
         with pytest.raises(ValueError, match="self-check"):
             _compile_kernel(plan, "c")
+
+    @pytest.mark.parametrize("variant", ["default", "closed_loop",
+                                         "fixed_point", "adc_noise_off"])
+    def test_both_backends_run_one_source(self, variant, monkeypatch):
+        cfg = GyroPlatformConfig()
+        if variant == "adc_noise_off":
+            cfg.frontend.adc.noise_rms_v = 0.0  # the INL stays on
+        elif variant != "default":
+            setattr(cfg.conditioner, variant, True)
+        platform = GyroPlatform(cfg)
+        plan = kernel_plan(platform)
+        executed, lowered = [], []
+        lower = native.lower
+
+        def spy_compile(source, *args):
+            executed.append(source)
+            return compile(source, *args)
+
+        def spy_lower(source, *args):
+            lowered.append(source)
+            return lower(source, *args)
+
+        monkeypatch.setattr(compiled, "compile", spy_compile, raising=False)
+        monkeypatch.setattr(native, "lower", spy_lower)
+        monkeypatch.setattr(native, "load_or_build", lambda *args: "built")
+        monkeypatch.setattr(compiled, "_KERNELS", {})
+        python = compiled._python_kernel(plan)
+        assert compiled._native_kernel(plan, platform,
+                                       Environment.still()) == "built"
+        assert len(executed) == 1 and executed == lowered
+        assert tuple(inspect.signature(python).parameters) == (
+            "n0", "nc", "dec", "rec", "record_waveforms", "lane",
+            "ev_starts", "ev_coefs", "inputs", "floats", "flags")
 
     def test_backend_provenance(self):
         assert compiled_backend() == ("c" if compiled.COMPILER else "python")
@@ -409,8 +445,16 @@ class TestCampaignLaneProperty:
 
 def _lowering_probe_source() -> str:
     """A generated function with every quantiser variant (nearest, floor,
-    truncate x saturate, wrap), float ``%`` and ``round``."""
-    lines = ["def probe(xs, out):", "    x = xs[0]"]
+    truncate x saturate, wrap), float ``%`` and ``round``, reading its
+    input ``x`` through the views a kernel prelude binds: a whole-array
+    copy, a row of a 2-D array with and without ``.tolist()``, and a
+    ``len()`` (:func:`_probe_rows` puts ``x`` where each reads it)."""
+    lines = ["def probe(xs, rows, out):",
+             "    floor = _floor; trunc = _trunc; rnd = _rnd",
+             "    whole = xs.tolist()", "    first = rows[0]",
+             "    second = rows[1].tolist()",
+             "    x = whole[0]", "    y = first[len(second) - 1]",
+             "    z = second[0]"]
     counter = [0]
     slot = 0
     for rounding in ("nearest", "floor", "truncate"):
@@ -420,7 +464,7 @@ def _lowering_probe_source() -> str:
             lines += quantizer_lines("v", spec, 4, counter)
             lines.append(f"    out[{slot}] = v")
             slot += 1
-    for expression in ("x % 2.5", "x % -0.75", "rnd(x)", "rnd(x * 0.5)"):
+    for expression in ("y % 2.5", "y % -0.75", "rnd(z)", "rnd(z * 0.5)"):
         lines.append(f"    out[{slot}] = {expression}")
         slot += 1
     lines.append("    return 0")
@@ -430,21 +474,24 @@ def _lowering_probe_source() -> str:
 _PROBE_SLOTS = 10
 
 
+def _probe_rows(x: float) -> np.ndarray:
+    """The probe's 2-D input: ``x`` at ``[0][2]`` and ``[1][0]`` only."""
+    return np.array([[0.25, 0.5, x], [x, 0.75, 1.25]])
+
+
 @pytest.fixture(scope="session")
 def lowered_probe(tmp_path_factory):
     """The probe as ``exec``'d Python and as a C library, built once."""
     source = _lowering_probe_source()
-    namespace = {"floor": math.floor, "trunc": math.trunc, "rnd": round}
+    namespace = {"_floor": math.floor, "_trunc": math.trunc, "_rnd": round}
     exec(source, namespace)
-    c_source, lengths = native.lower(source, scalars=())
+    c_source, signature = native.lower(source, scalars=(),
+                                       matrices=("rows",))
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         built = native.load_or_build(
             c_source, compiled.COMPILER,
-            lambda lib: native.bind(lib, 0, ((0, slice(None)),
-                                             (1, slice(None))),
-                                    ("double", "double"), lengths),
-            lambda kernel: True)
+            lambda lib: native.bind(lib, signature), lambda kernel: True)
     return namespace["probe"], built
 
 
@@ -516,9 +563,9 @@ class TestCLowering:
         python, lowered = lowered_probe
         expected = np.zeros(_PROBE_SLOTS)
         got = np.zeros(_PROBE_SLOTS)
-        status = lowered(np.array([x]), got)
+        status = lowered(np.array([x]), _probe_rows(x), got)
         try:
-            python(np.array([x]), expected)
+            python(np.array([x]), _probe_rows(x), expected)
         except (ValueError, OverflowError):
             # Python rounds no infinity or NaN; C returns -1 instead
             assert status == -1, x
@@ -531,11 +578,22 @@ class TestCLowering:
         out = np.zeros(_PROBE_SLOTS)
         for xs in (np.zeros(4)[::2], np.zeros(1, dtype=np.int64)):
             with pytest.raises(ValueError, match="C-contiguous"):
-                lowered(xs, out)
+                lowered(xs, _probe_rows(0.0), out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            lowered(np.zeros(1), _probe_rows(0.0)[:, :2], out)
 
     def test_unknown_construct_is_refused(self):
-        with pytest.raises(native.LoweringError):
-            native.lower("def f(xs):\n    return xs[0] ** 2\n", scalars=())
+        for body, matrices in (
+                ("    return xs[0] ** 2", ()),
+                # a row of an argument not declared 2-D
+                ("    r = xs[0]\n    return r[1]", ()),
+                ("    r = xs[0].tolist()\n    return r[1]", ()),
+                # a row index that is not a literal
+                ("    r = xs[k]\n    return r[1]", ("xs",)),
+                ("    r = xs[0.0]\n    return r[1]", ("xs",))):
+            with pytest.raises(native.LoweringError):
+                native.lower(f"def f(k, xs):\n{body}\n", scalars=("k",),
+                             matrices=matrices)
 
 
 @requires_compiler
@@ -661,15 +719,16 @@ class TestKernelCache:
         assert len(list(Path(native._fallback_dir).glob("*.so"))) == 2
 
     def test_failed_self_check_keeps_python(self, kernel_cache, monkeypatch):
-        original = compiled.generate_kernel_source
+        lower = native.lower
 
-        def perturbed(plan, backend):
-            source = original(plan, backend)
-            if backend == "c":
-                source = source.replace(" / 180.0", " / 180.00000000000003")
-            return source
+        def perturbed(*args):
+            c_source, signature = lower(*args)
+            # the sensor's / 180.0, as the lowering spells it
+            assert "(0x1.6800000000000p+7)" in c_source
+            return c_source.replace("(0x1.6800000000000p+7)",
+                                    "(0x1.6800000000001p+7)"), signature
 
-        monkeypatch.setattr(compiled, "generate_kernel_source", perturbed)
+        monkeypatch.setattr(native, "lower", perturbed)
         env = Environment.constant_rate(30.0)
         platform = GyroPlatform()
         with pytest.warns(RuntimeWarning, match="differs from the Python"):

@@ -95,9 +95,7 @@ class TestExecutorRegistry:
     def test_duplicate_registration_rejected(self):
         spec = get_executor("local")
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_executor(ExecutorSpec("local", parallel=False,
-                                           description="dup",
-                                           runner=spec.runner))
+            register_executor(ExecutorSpec("local", runner=spec.runner))
 
     def test_campaign_run_rejects_unknown_executor(self, started_platform):
         camp = Campaign([settled_output_scenario(0.0, settle_s=0.01)])

@@ -406,6 +406,27 @@ class TestSafeModeLatch:
         assert result.safe_mode_events == 0
         assert result.overload_time_s == 0.0
 
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    def test_direct_run_and_campaign_lane_account_alike(self,
+                                                        started_platform,
+                                                        engine):
+        # 0.010004 s is 1200.48 samples: both paths simulate 1200, and
+        # the monitor must be credited with those, as a bool flag
+        env = Environment.constant_rate(80.0)
+        direct = copy.deepcopy(started_platform)
+        AfeSaturation().inject(direct)
+        result = direct.run(env, 0.010004, engine=engine)
+        lane = copy.deepcopy(started_platform)
+        scenario = Scenario(name="sat", environment=env, duration_s=0.010004,
+                            faults=(AfeSaturation(),))
+        outcome = Campaign([scenario]).run(platforms=[lane], engine=engine)
+        campaign_result = outcome.lanes[0].outcomes[0].result
+        assert result.overload_time_s == campaign_result.overload_time_s \
+            == 1200 / direct.config.sample_rate_hz
+        assert result.digest() == campaign_result.digest()
+        for platform in (direct, lane):
+            assert type(platform.safety._prev_overload) is bool
+
     def test_safety_fields_serialise(self, started_platform):
         _, result = self.run_windows(started_platform, [(0.01, 0.02)])
         restored = GyroSimulationResult.from_dict(result.to_dict())
