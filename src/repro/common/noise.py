@@ -5,6 +5,12 @@ The headline figure of merit in Table 1 is the rate-noise density in
 sources to inject into the sensor and front-end models and (b) a robust
 way to estimate a one-sided amplitude spectral density from a simulated
 output record.
+
+Every per-sample source in the co-simulated loop is a
+:class:`BufferedGaussianNoise`: the reference loop draws it one value at
+a time, the compiled engine's Python kernels a chunk at a time, and its
+C kernels straight from the generator's bit generator with NumPy's own
+``random_normal`` — one stream of values whichever mix runs.
 """
 
 from __future__ import annotations
@@ -135,7 +141,10 @@ class BufferedGaussianNoise:
     A pickle (or deep copy) carries no block: it holds the generator
     positioned at the next value the source will hand out, so a started
     platform snapshots in a few KiB and two sources at the same stream
-    position pickle to the same bytes however they got there.
+    position pickle to the same bytes however they got there.  Code that
+    draws the stream itself — the C lane kernels call NumPy's
+    ``random_normal`` — gets that generator's bit generator from
+    :meth:`bit_generator`.
     """
 
     def __init__(self, sigma: float, seed: Optional[int] = None,
@@ -190,15 +199,33 @@ class BufferedGaussianNoise:
         return np.concatenate(
             (head, self._rng.normal(0.0, self.sigma, n - pending)))
 
+    def _rewind(self, rng: np.random.Generator) -> None:
+        """Put ``rng``, this source's generator or a copy of it, at the
+        next value the source hands out while a block is pending: back at
+        the block start, then past the values already handed out."""
+        rng.bit_generator.state = self._block_start
+        rng.normal(0.0, self.sigma, self._index)
+
+    def bit_generator(self) -> np.random.BitGenerator:
+        """The generator's bit generator, at the next value of the stream.
+
+        For code that draws the stream itself, ``normal(0, sigma)`` at a
+        time (a draw whenever ``sigma`` is not zero): a block that
+        :meth:`next` left pending is folded back into the generator
+        first, so the stream carries on where it stands.
+        """
+        if self._index < self._buffer.size:
+            self._rewind(self._rng)
+            self._drop_block()
+        return self._rng.bit_generator
+
     def __getstate__(self) -> dict:
         rng = self._rng
         if self._index < self._buffer.size:
-            # a block is pending: pickle a copy of the live generator
-            # (same bit generator and seed sequence) rewound to the
-            # block start and advanced past the values already handed out
+            # a block is pending: pickle a rewound copy of the live
+            # generator (same bit generator and seed sequence)
             rng = copy.deepcopy(rng)
-            rng.bit_generator.state = self._block_start
-            rng.normal(0.0, self.sigma, self._index)
+            self._rewind(rng)
         return {"sigma": self.sigma, "rng": rng,
                 "block_size": self._block_size}
 

@@ -71,16 +71,26 @@ class TemperatureCompensation:
         self.config = config or TemperatureCompensationConfig()
         self.output_format = output_format
 
+    # Both corrections sum their terms left to right in plain floats, as
+    # the compiled engine's kernels do: ``sum()`` compensates its rounding
+    # from Python 3.12 on, and ``dT ** i`` is CPython's power, which a
+    # NumPy array power does not always match.
+
     def offset_correction(self, temperature_c: float) -> float:
         """Offset predicted by the polynomial at the given temperature."""
         dt_c = temperature_c - ROOM_TEMPERATURE_C
-        return float(sum(c * dt_c ** i for i, c in enumerate(self.config.offset_poly)))
+        total = 0.0
+        for i, c in enumerate(self.config.offset_poly):
+            total += c * dt_c ** i
+        return float(total)
 
     def sensitivity_correction(self, temperature_c: float) -> float:
         """Multiplicative sensitivity deviation at the given temperature."""
         dt_c = temperature_c - ROOM_TEMPERATURE_C
-        return float(1.0 + sum(c * dt_c ** (i + 1)
-                               for i, c in enumerate(self.config.sensitivity_poly)))
+        total = 0.0
+        for i, c in enumerate(self.config.sensitivity_poly):
+            total += c * dt_c ** (i + 1)
+        return float(1.0 + total)
 
     def step(self, x: float, temperature_c: float = ROOM_TEMPERATURE_C) -> float:
         """Apply both corrections to one sample."""

@@ -33,13 +33,20 @@ active lanes.
 
 One call path serves both backends.  A run packs its lane into one
 float64 lane vector (:func:`_lane_arrays`) and two trace blocks, each
-chunk fills a ``(25, nc)`` input block and two event arrays, and the
-kernel takes these six blocks.  Its prelude binds each array the loop
-reads to a block or to a literal row of one, as a ``.tolist()`` copy
-where Python reads it per sample, and reads the lane vector at literal
-offsets (:func:`_lane_offsets`), so no layout travels with a call.  The
-vector's head (state and biquad states) is written back after the last
-chunk, and the result's traces are rows of the blocks.
+chunk samples its stimulus (rate and temperature) into the first two
+rows of an input block and plans two event arrays, and the kernel takes
+these six blocks and the platform's noise sources.  Its prelude binds
+each array the loop reads to a block or to a literal row of one, as a
+``.tolist()`` copy where Python reads it per sample, reads the lane
+vector at literal offsets (:func:`_lane_offsets`), so no layout travels
+with a call, and draws the chunk's values of each noise source into the
+input block's row for it: the Python backend with
+:meth:`~repro.common.noise.BufferedGaussianNoise.take`, the C backend
+from the source's live NumPy bit generator.  The loop computes the front
+end's temperature drift and the compensation factors from each sample's
+temperature, again only when that changes.  The vector's head (state and
+biquad states) is written back after the last chunk, and the result's
+traces are rows of the blocks.
 
 Bit-identity contract: the generated arithmetic replicates the reference
 chain operation for operation — same expression order, same rounding
@@ -61,13 +68,16 @@ to the reference loop (same results, same exception behaviour).
 Bad input raises the same exception types on every engine and backend:
 a non-finite rate or temperature stimulus raises
 :class:`~repro.common.exceptions.ConfigurationError` before the chunk
-that holds it runs, and a loop driven out of range (a huge rate, say)
-raises :class:`~repro.common.exceptions.SimulationError`, from the
+that holds it runs, a sensitivity correction of zero raises it at the
+sample that reaches it, and a loop driven out of range (a huge rate,
+say) raises :class:`~repro.common.exceptions.SimulationError`, from the
 Python kernel where it fails and from the C kernel at the end of the
-chunk (a rounding of a value that is not finite, or non-finite loop
-state), before any state is written back to the platform.  AFE drift
-and compensation rows overflow to inf silently, as Python floats do,
-but an overflowing power raises, as ``float ** int`` does.
+chunk (a rounding of a value that is not finite, an overflowing power,
+or non-finite loop state).  Either comes before any state is written
+back to the platform, and after both backends have drawn the chunk's
+noise.  AFE drift and compensation products overflow to inf silently,
+as Python floats do, but an overflowing power raises, as
+``float ** int`` does.
 
 Runs are processed in time chunks of :data:`CHUNK_SAMPLES` samples.
 """
@@ -87,13 +97,16 @@ from ..common.exceptions import ConfigurationError, SimulationError
 from ..platform.result import GyroSimulationResult
 from ..sensors.environment import Environment
 from .state import (
-    CONSTS,
+    AFE_DRIFT,
+    CONST_NAMES,
+    NOISE_SOURCES,
     STATE_TABLE,
     biquad_values,
     check_divisors,
     finish_run,
     gather_consts,
     loop_structure,
+    noise_sources,
     sensor_temperature_plan,
     state_values,
 )
@@ -116,21 +129,11 @@ SELF_CHECK_SAMPLES = 4096
 _PI = repr(math.pi)
 _TWO_PI = repr(2.0 * math.pi)
 
-#: Rows of a lane's chunk input block (:func:`_fill_lane_inputs`):
-#: stimulus, noise, AFE offsets, AFE gains, temperature compensation.
-_LANE_INPUTS = (
-    "rate", "temp", "sens_noise", "ca_p_noise", "ca_s_noise",
-    "pga_p_noise", "pga_s_noise", "adc_p_noise", "adc_s_noise",
-    "ca_p_off", "ca_s_off", "pga_p_off", "pga_s_off",
-    "adc_p_off", "adc_s_off", "ddac_off", "cdac_off", "rdac_off",
-    "adc_p_gain", "adc_s_gain", "ddac_gain", "cdac_gain", "rdac_gain",
-    "tcomp_off", "tcomp_sens",
-)
-_OFFSET_ROWS = slice(9, 18)
-_GAIN_ROWS = slice(18, 23)
-#: Input rows read only at record points: the Python kernel reads every
-#: other row as a list (Python floats are several times faster to read).
-_RECORD_ROWS = ("temp", "rdac_off", "rdac_gain")
+#: Rows of a lane's chunk input block that :func:`_fill_lane_inputs`
+#: fills: the stimulus, from which the loop derives the front end's drift
+#: and the compensation.  One row per noise source follows, which the
+#: kernel fills with that source's values for the chunk.
+_LANE_INPUTS = ("rate", "temp")
 
 #: Rows of the float and bool trace blocks, in the order of
 #: :meth:`GyroSimulationResult.trace_blocks`.
@@ -140,11 +143,20 @@ _FLOAT_TRACES = (
 )
 _BOOL_TRACES = ("lock_tr", "run_tr")
 
-#: Arguments of a lane kernel: the scalars, then the six blocks — the
-#: lane vector (:func:`_lane_offsets`), the event starts and coefficients,
-#: the ``(25, nc)`` input block and the float and bool trace blocks.
+#: Arguments of a lane kernel: the scalars, the six blocks — the lane
+#: vector (:func:`_lane_offsets`), the event starts and coefficients, the
+#: input block (stimulus and noise rows) and the float and bool trace
+#: blocks — and the platform's noise sources
+#: (:data:`~repro.engine.state.NOISE_SOURCES`).
 _SCALARS = ("n0", "nc", "dec", "rec", "record_waveforms")
 _BLOCKS = ("lane", "ev_starts", "ev_coefs", "inputs", "floats", "flags")
+_ARGUMENTS = _SCALARS + _BLOCKS + ("noise",)
+
+#: What a kernel returns instead of ``rec`` when the sensitivity
+#: correction reached zero (the C kernel returns -1 where Python would
+#: have raised: a rounding of a value that is not finite, a power that
+#: overflows).
+_SENSITIVITY_ZERO = -2
 
 _EV_NAMES = ("pa11", "pa12", "pa21", "pa22", "pb1", "pb2",
              "sa11", "sa12", "sa21", "sa22", "sb1", "sb2",
@@ -154,8 +166,9 @@ _EV_NAMES = ("pa11", "pa12", "pa21", "pa22", "pb1", "pb2",
 def kernel_plan(platform) -> Optional[Tuple]:
     """Structural key deciding which specialised kernel a platform needs.
 
-    The :func:`~repro.engine.state.loop_structure` plus ADC noise/INL
-    presence.  Two platforms with the same plan share one generated
+    The :func:`~repro.engine.state.loop_structure`, ADC noise/INL
+    presence and the lengths of the temperature-compensation
+    polynomials.  Two platforms with the same plan share one generated
     kernel (their differing *values* travel through the consts/state
     vectors).  Returns ``None`` when any quantisation site uses
     ``overflow="error"`` — generated kernels cannot raise, so such runs
@@ -167,25 +180,31 @@ def kernel_plan(platform) -> Optional[Tuple]:
             return None
     adc_p = platform.frontend.primary_adc
     adc_s = platform.frontend.secondary_adc
+    compensation = platform.conditioner.sense_chain.temperature_comp.config
     return structure + (
         bool(adc_p.config.noise_rms_v),
         bool(adc_s.config.noise_rms_v),
         bool(adc_p.config.inl_lsb * adc_p._lsb),
         bool(adc_s.config.inl_lsb * adc_s._lsb),
+        len(compensation.offset_poly),
+        len(compensation.sensitivity_poly),
     )
 
 
-def _lane_offsets(n_out: int, n_quad: int) -> dict:
+def _lane_offsets(n_out: int, n_quad: int, n_off: int, n_sens: int) -> dict:
     """Where each section of the lane vector starts, in vector order.
 
-    For ``n_out`` output and ``n_quad`` quadrature biquad sections: the
-    packed state, two states per section of each cascade, the consts and
-    five coefficients per section of each cascade.  The head, up to the
-    consts, is the loop state a kernel writes back.
+    For ``n_out`` output and ``n_quad`` quadrature biquad sections and
+    temperature-compensation polynomials of ``n_off`` offset and
+    ``n_sens`` sensitivity coefficients: the packed state, two states per
+    section of each cascade, the consts, five coefficients per section of
+    each cascade and the two polynomials.  The head, up to the consts, is
+    the loop state a kernel writes back.
     """
     sizes = {"state": len(STATE_TABLE), "out_z": 2 * n_out,
-             "quad_z": 2 * n_quad, "consts": len(CONSTS),
-             "out_coefs": 5 * n_out, "quad_coefs": 5 * n_quad}
+             "quad_z": 2 * n_quad, "consts": len(CONST_NAMES),
+             "out_coefs": 5 * n_out, "quad_coefs": 5 * n_quad,
+             "off_poly": n_off, "sens_poly": n_sens}
     return dict(zip(sizes, itertools.accumulate(sizes.values(), initial=0)))
 
 
@@ -232,16 +251,24 @@ def generate_kernel_source(plan: Tuple) -> str:
 
     One source serves both backends.  Its prelude binds each array the
     loop uses to a block argument or to a literal row of a 2-D one, as a
-    ``.tolist()`` copy where the loop reads it per sample, and reads the
-    state, consts and biquads at literal offsets of the lane vector
-    (:func:`_lane_offsets`).  The Python backend ``exec``s the source;
-    :func:`repro.engine.native.lower` reads the same bindings as
-    pointers into the arguments and skips the local binding of the
-    kernel's functions.
+    ``.tolist()`` copy where the loop reads it per sample, reads the
+    state, consts, biquads and compensation polynomials at literal
+    offsets of the lane vector (:func:`_lane_offsets`) and draws the
+    chunk's values of each noise source the loop adds into that source's
+    row of the input block (``draw(noise[k], sigma, inputs[row])``).
+    The loop computes the front end's temperature drift from each
+    sample's temperature when it changes, and the compensation factors
+    when the temperature sensor's reading does.  The Python backend
+    ``exec``s the source, drawing with
+    :meth:`~repro.common.noise.BufferedGaussianNoise.take`;
+    :func:`repro.engine.native.lower` reads the same bindings as pointers
+    into the arguments, fills each drawn row with a loop of NumPy's
+    ``random_normal`` and skips the local binding of the kernel's
+    functions.
     """
     (closed, n_out, n_quad, q_nco, q_agc, q_drive, q_demod, q_qc,
      q_out, q_quad, q_off, q_tc, q_scaler,
-     has_p_noise, has_s_noise, has_p_inl, has_s_inl) = plan
+     has_p_noise, has_s_noise, has_p_inl, has_s_inl, n_off, n_sens) = plan
 
     lines = []
     emit = lines.append
@@ -253,27 +280,27 @@ def generate_kernel_source(plan: Tuple) -> str:
     def clip(target, src, lo, hi, indent=8):
         emit(" " * indent + _clip(target, src, lo, hi))
 
-    emit(f"def kernel({', '.join(_SCALARS + _BLOCKS)}):")
+    emit(f"def kernel({', '.join(_ARGUMENTS)}):")
 
     # ---- prelude: function binding + array access -------------------------
     emit("    floor = _floor; trunc = _trunc")
-    emit("    sin = _sin; cos = _cos; rnd = _rnd")
+    emit("    sin = _sin; cos = _cos; rnd = _rnd; draw = _draw")
     for name in ("lane", "ev_starts", "ev_coefs"):
         emit(f"    {name}_r = {name}.tolist()")
-    unread = {"adc_p_noise": not has_p_noise, "adc_s_noise": not has_s_noise}
     for row, name in enumerate(_LANE_INPUTS):
-        if name in _RECORD_ROWS:
-            emit(f"    {name} = inputs[{row}]")
-        elif not unread.get(name):
-            emit(f"    {name}_r = inputs[{row}].tolist()")
+        emit(f"    {name}_r = inputs[{row}].tolist()")
     for block, rows in (("floats", _FLOAT_TRACES), ("flags", _BOOL_TRACES)):
         for row, name in enumerate(rows):
             emit(f"    {name} = {block}[{row}]")
 
     # ---- constants and entry state into locals ----------------------------
-    at = _lane_offsets(n_out, n_quad)
-    for index, name in enumerate(CONSTS, at["consts"]):
+    at = _lane_offsets(n_out, n_quad, n_off, n_sens)
+    for index, name in enumerate(CONST_NAMES, at["consts"]):
         emit(f"    {name} = lane_r[{index}]")
+    for k in range(n_off):
+        emit(f"    off_poly_{k} = lane_r[{at['off_poly'] + k}]")
+    for k in range(n_sens):
+        emit(f"    sens_poly_{k} = lane_r[{at['sens_poly'] + k}]")
     for index, (name, kind, *_) in enumerate(STATE_TABLE, at["state"]):
         if name == "overload":
             continue  # recomputed from the final AA states at exit
@@ -284,6 +311,15 @@ def generate_kernel_source(plan: Tuple) -> str:
         else:
             emit(f"    {name} = lane_r[{index}]")
     emit("    st_active = st_state != 4.0")
+
+    # ---- the chunk's noise: every source the loop adds, drawn into its
+    # row of the input block (the reference adds ADC noise only when its
+    # config has some; a source whose sigma is 0 draws nothing, adds 0.0)
+    skipped = {"adc_p": not has_p_noise, "adc_s": not has_s_noise}
+    for index, (name, _) in enumerate(NOISE_SOURCES):
+        if not skipped.get(name):
+            emit(f"    {name}_noise_r = draw(noise[{index}], {name}_sigma,"
+                 f" inputs[{len(_LANE_INPUTS) + index}]).tolist()")
 
     # ---- biquad cascades unrolled into locals -----------------------------
     for prefix, n_sec, coefs, zs in (
@@ -312,6 +348,34 @@ def generate_kernel_source(plan: Tuple) -> str:
     emit("    next_rec = (dec - n0 % dec) % dec")
     emit("    for j in range(nc):")
     emit("        rate_j = rate_r[j]")
+    emit("        temp_j = temp_r[j]")
+
+    # the front end's drift and the compensation factors at this sample's
+    # temperature, in the reference's operation order; the compensation
+    # reads the temperature sensor's quantised value, so its polynomials
+    # change only with that reading
+    emit("        if j == 0 or temp_j != temp_prev:")
+    emit("            temp_prev = temp_j")
+    emit("            dt_c = temp_j - 25.0")
+    for prefix, _, _, gain in AFE_DRIFT:
+        emit(f"            {prefix}_off = {prefix}_off0"
+             f" + {prefix}_off_tc * dt_c")
+        if gain:
+            emit(f"            {prefix}_gain = {prefix}_gain0"
+                 f" * (1.0 + {prefix}_gain_tc * dt_c)")
+    emit("            ts_read = rnd((temp_j + ts_off) / ts_res)")
+    emit("            if j == 0 or ts_read != ts_read_prev:")
+    emit("                ts_read_prev = ts_read")
+    emit("                dtm = ts_read * ts_res - 25.0")
+    emit("                tcomp_off = 0.0")
+    for k in range(n_off):
+        emit(f"                tcomp_off = tcomp_off"
+             f" + off_poly_{k} * dtm ** {k}")
+    emit("                tcomp_sens = 0.0")
+    for k in range(n_sens):
+        emit(f"                tcomp_sens = tcomp_sens"
+             f" + sens_poly_{k} * dtm ** {k + 1}")
+    emit("                tcomp_sens = 1.0 + tcomp_sens")
 
     emit("        if j == next_ev:")
     emit("            _b = ev_idx * 15")
@@ -341,10 +405,10 @@ def generate_kernel_source(plan: Tuple) -> str:
     # AFE acquisition: charge amp -> PGA -> anti-alias -> SAR ADC
     for ch, pos, aa_alpha in (("p", "x", "aa_alpha"),
                               ("s", "y", "aa_alpha_s")):
-        emit(f"        out = pick_gain * {pos} * ca_gain + ca_{ch}_off_r[j]"
+        emit(f"        out = pick_gain * {pos} * ca_gain + ca_{ch}_off"
              f" + ca_{ch}_noise_r[j]")
         clip(f"{ch}1", "out", "-ca_rail", "ca_rail")
-        emit(f"        ideal = ({ch}1 + trim_{ch} + pga_{ch}_off_r[j]"
+        emit(f"        ideal = ({ch}1 + trim_{ch} + pga_{ch}_off"
              f" + pga_{ch}_noise_r[j]) * pga_{ch}_gain")
         emit(f"        pga_{ch}_state = pga_{ch}_state"
              f" + pga_{ch}_alpha * (ideal - pga_{ch}_state)")
@@ -354,7 +418,7 @@ def generate_kernel_source(plan: Tuple) -> str:
         emit(f"        aa_{ch}2 = aa_{ch}2 + {aa_alpha} * (aa_{ch}1 - aa_{ch}2)")
     for ch, has_inl, has_noise in (("p", has_p_inl, has_p_noise),
                                    ("s", has_s_inl, has_s_noise)):
-        emit(f"        d = aa_{ch}2 * adc_{ch}_gain_r[j] + adc_{ch}_off_r[j]")
+        emit(f"        d = aa_{ch}2 * adc_{ch}_gain + adc_{ch}_off")
         if has_inl:
             emit(f"        nrm = d / adc_{ch}_vref")
             clip("nrm", "nrm", "-1.0", "1.0")
@@ -439,7 +503,9 @@ def generate_kernel_source(plan: Tuple) -> str:
         emit(f"        {dst} = v")
     emit("        comp = rate_channel - off_comp")
     quant("comp", q_off)
-    emit("        comp = (comp - tcomp_off_r[j]) / tcomp_sens_r[j]")
+    emit("        if tcomp_sens == 0.0:")
+    emit(f"            return {_SENSITIVITY_ZERO}")
+    emit("        comp = (comp - tcomp_off) / tcomp_sens")
     quant("comp", q_tc)
     emit("        rate_dps_val = comp * scale_dps")
     emit("        word = rate_dps_val / full_scale")
@@ -504,14 +570,14 @@ def generate_kernel_source(plan: Tuple) -> str:
     # quantises to code 0)
     clip("val", "drive_word", "-1.0", "1.0")
     emit("        qd = rnd(val * ddac_vref / ddac_lsb) * ddac_lsb")
-    emit("        out = qd * ddac_gain_r[j] + ddac_off_r[j]")
+    emit("        out = qd * ddac_gain + ddac_off")
     clip("drive_v", "out", "ddac_min", "ddac_max")
     if closed:
         clip("val", "control_word", "-1.0", "1.0")
         emit("        qd = rnd(val * cdac_vref / cdac_lsb) * cdac_lsb")
-        emit("        out = qd * cdac_gain_r[j] + cdac_off_r[j]")
+        emit("        out = qd * cdac_gain + cdac_off")
     else:
-        emit("        out = 0.0 * cdac_gain_r[j] + cdac_off_r[j]")
+        emit("        out = 0.0 * cdac_gain + cdac_off")
     clip("control_v", "out", "cdac_min", "cdac_max")
 
     # trace recording (decimated; countdown instead of a per-sample %)
@@ -521,12 +587,12 @@ def generate_kernel_source(plan: Tuple) -> str:
          " / rdac_vref")
     clip("val", "target", "0.0", "1.0", 12)
     emit("            qd = rnd(val * rdac_vref / rdac_lsb) * rdac_lsb")
-    emit("            out = qd * rdac_gain[j] + rdac_off[j]")
+    emit("            out = qd * rdac_gain + rdac_off")
     clip("rdac_held", "out", "rdac_min", "rdac_max", 12)
     emit("            i = n0 + j")
     emit("            time_tr[rec] = start_time + i * dt")
     emit("            rate_tr[rec] = rate_j")
-    emit("            temp_tr[rec] = temp[j]")
+    emit("            temp_tr[rec] = temp_j")
     emit("            out_dps_tr[rec] = out_dps")
     emit("            out_v_tr[rec] = rdac_held")
     emit("            agc_tr[rec] = agc_gain")
@@ -565,16 +631,28 @@ def generate_kernel_source(plan: Tuple) -> str:
 
 _KERNELS: dict = {}
 
+
+def _draw(source, sigma: float, out: np.ndarray) -> np.ndarray:
+    """The Python kernel's ``draw``: fills ``out`` with the next values of
+    a noise source, drawn with its :meth:`take`, and returns it.
+    ``sigma`` is the source's own (a const read from it); C draws each
+    value with it."""
+    out[:] = source.take(out.size)
+    return out
+
+
 #: Functions a generated kernel calls.  Its prelude binds them to locals,
 #: which Python reads faster than globals; the C lowering skips that.
 _FUNCTIONS = {"_floor": math.floor, "_trunc": math.trunc,
-              "_sin": math.sin, "_cos": math.cos, "_rnd": round}
+              "_sin": math.sin, "_cos": math.cos, "_rnd": round,
+              "_draw": _draw}
 
 #: For the C lowering: the loop names it keeps as integers and booleans
-#: (everything else is a double), the non-double and the 2-D blocks.
+#: (everything else is a double), the non-double arguments and the 2-D
+#: blocks.
 _INT_NAMES = ("j", "i", "rec", "ev_idx", "ev_n", "next_ev", "next_rec", "_b")
 _BOOL_NAMES = ("locked", "st_failed", "st_active", "just_failed")
-_BLOCK_TYPES = {"ev_starts": "int", "flags": "bool"}
+_BLOCK_TYPES = {"ev_starts": "int", "flags": "bool", "noise": "stream"}
 _MATRICES = ("inputs", "floats", "flags")
 
 
@@ -654,11 +732,11 @@ def _self_check(plan: Tuple, candidate, platform, environment) -> bool:
     Both kernels run :data:`SELF_CHECK_SAMPLES` samples of ``platform``'s
     own stimulus, each on its own copy of the platform (so the
     platform's noise generators do not advance), recording every sample
-    with waveforms, and must leave the same loop state and traces.  When
-    the Python kernel rejects that stimulus (a non-finite profile, say)
-    the check runs on a still environment instead.  Raises
-    :class:`~repro.engine.native.BuildError` when the platform cannot be
-    copied or the Python kernel rejects both stimuli.
+    with waveforms, and must leave the same loop state, traces and noise
+    generator states.  When the Python kernel rejects that stimulus (a
+    non-finite profile, say) the check runs on a still environment
+    instead.  Raises :class:`~repro.engine.native.BuildError` when the
+    platform cannot be copied or the Python kernel rejects both stimuli.
     """
     n = SELF_CHECK_SAMPLES
     for stimulus in (environment, Environment.still()):
@@ -674,9 +752,13 @@ def _self_check(plan: Tuple, candidate, platform, environment) -> bool:
                 if kernel is candidate:
                     return False
                 break  # the stimulus, not the candidate, is at fault
-            outputs.append((loop, *traces))
+            generators = [source.bit_generator().state
+                          for source in noise_sources(probe)]
+            outputs.append(((loop, *traces), generators))
         else:
-            return all(a.tobytes() == b.tobytes() for a, b in zip(*outputs))
+            (arrays, generators), (c_arrays, c_generators) = outputs
+            return generators == c_generators and all(
+                a.tobytes() == b.tobytes() for a, b in zip(arrays, c_arrays))
     raise native.BuildError("the Python kernel rejects every self-check "
                             "stimulus on this platform")
 
@@ -702,23 +784,15 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray,
                       inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Fill one lane's chunk input block in place.
 
-    ``inputs`` is a writable ``(len(_LANE_INPUTS), len(t))`` block.
-    Draws the lane's noise and retunes its sensor exactly as the
-    reference loop would over the chunk, and returns the sensor's event
-    arrays (:func:`~repro.engine.state.sensor_temperature_plan`).  The
-    offset, gain and compensation rows overflow to inf or turn NaN
-    silently, as the reference's Python floats do.
+    ``inputs`` is a writable block of ``len(t)`` columns whose first
+    rows are the stimulus (:data:`_LANE_INPUTS`).  Retunes the lane's
+    sensor exactly as the reference loop would over the chunk and
+    returns the sensor's event arrays
+    (:func:`~repro.engine.state.sensor_temperature_plan`).
 
     Raises :class:`ConfigurationError` if the stimulus is not finite or
-    the sensor rejects a temperature, and :class:`SimulationError` if
-    the temperature sensor's reading or a power of the compensation
-    polynomials overflows, as the reference loop does.
+    the sensor rejects a temperature.
     """
-    nc = t.size
-    sensor = platform.sensor
-    frontend = platform.frontend
-    tsens = platform.config.temperature_sensor
-    tc_cfg = platform.conditioner.sense_chain.temperature_comp.config
     inputs[0], inputs[1] = environment.sample(t)
     rate, temp = inputs[0], inputs[1]
     # the extremes flag a non-finite temperature, bound the sensor
@@ -732,63 +806,7 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray,
             raise ConfigurationError(
                 f"{name} profile {profile!r} is not finite in the chunk "
                 f"starting at t = {t[0]:g} s")
-    events = sensor_temperature_plan(sensor, temp, tmin, tmax)
-    # the reading is monotonic in the temperature, so it overflows at an
-    # extreme or nowhere (checked in Python floats: NumPy would warn)
-    readings = [(x + tsens.offset_error_c) / tsens.resolution_c
-                for x in (tmin, tmax)]
-    if any(math.isinf(reading) for reading in readings):
-        raise SimulationError(
-            "the temperature sensor reading overflows in the chunk "
-            f"starting at t = {t[0]:g} s")
-    # Python's float ** int raises where NumPy returns inf; |dT| ** k
-    # grows with |dT| and k, so if any power of the polynomials
-    # overflows, the highest one at the extreme reading does
-    top = max(abs(round(reading) * tsens.resolution_c - 25.0)
-              for reading in readings)
-    try:
-        top ** max(len(tc_cfg.offset_poly) - 1,
-                   len(tc_cfg.sensitivity_poly))
-    except OverflowError:
-        raise SimulationError(
-            "a power of the temperature compensation polynomials "
-            f"overflows in the chunk starting at t = {t[0]:g} s") from None
-    dt_c = temp - 25.0
-    dtm = (np.round((temp + tsens.offset_error_c) / tsens.resolution_c)
-           * tsens.resolution_c) - 25.0
-
-    amps = (frontend.primary_charge_amp, frontend.secondary_charge_amp,
-            frontend.primary_pga, frontend.secondary_pga)
-    converters = (frontend.primary_adc, frontend.secondary_adc,
-                  frontend.drive_dac, frontend.control_dac,
-                  frontend.rate_output_dac)
-    for row, device in enumerate((sensor,) + amps + converters[:2], 2):
-        inputs[row] = device._noise.take(nc)
-    offset = [a.config.offset_v for a in amps] \
-        + [c.config.offset_error_v for c in converters]
-    drift = [d.config.offset_tc_v_per_c for d in amps + converters]
-    gain = [1.0 + c.config.gain_error for c in converters]
-    gain_drift = [c.config.gain_tc_ppm_per_c * 1e-6 for c in converters]
-    offsets, gains = inputs[_OFFSET_ROWS], inputs[_GAIN_ROWS]
-    tcomp_off, tcomp_sens = inputs[-2], inputs[-1]
-    # in place, as the reference computes offset + drift * dT and
-    # gain * (1 + gain_drift * dT) per device, then the polynomials
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(np.array(drift)[:, None], dt_c, out=offsets)
-        offsets += np.array(offset)[:, None]
-        np.multiply(np.array(gain_drift)[:, None], dt_c, out=gains)
-        gains += 1.0
-        gains *= np.array(gain)[:, None]
-        tcomp_off[:] = 0.0
-        for i, c in enumerate(tc_cfg.offset_poly):
-            tcomp_off += c * dtm ** i
-        tcomp_sens[:] = 0.0
-        for i, c in enumerate(tc_cfg.sensitivity_poly):
-            tcomp_sens += c * dtm ** (i + 1)
-        tcomp_sens += 1.0
-    if (tcomp_sens == 0.0).any():
-        raise ConfigurationError("sensitivity correction factor reached zero")
-    return events
+    return sensor_temperature_plan(platform.sensor, temp, tmin, tmax)
 
 
 def _lane_arrays(platform) -> Tuple[np.ndarray, np.ndarray]:
@@ -804,9 +822,14 @@ def _lane_arrays(platform) -> Tuple[np.ndarray, np.ndarray]:
     check_divisors(consts)
     out_coefs, out_z = biquad_values(sense.output_filter)
     quad_coefs, quad_z = biquad_values(sense.quadrature_filter)
+    compensation = sense.temperature_comp.config
+    off_poly = list(compensation.offset_poly)
+    sens_poly = list(compensation.sensitivity_poly)
     lane = np.array(state_values(platform) + out_z + quad_z + consts
-                    + out_coefs + quad_coefs)
-    head = _lane_offsets(len(out_z) // 2, len(quad_z) // 2)["consts"]
+                    + out_coefs + quad_coefs + off_poly + sens_poly,
+                    dtype=np.float64)
+    head = _lane_offsets(len(out_z) // 2, len(quad_z) // 2, len(off_poly),
+                         len(sens_poly))["consts"]
     return lane, lane[:head]
 
 
@@ -816,27 +839,32 @@ def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,
     """Fill one chunk's inputs and run it on a lane kernel; returns ``rec``.
 
     ``lane`` and its head ``loop`` come from :func:`_lane_arrays`; the
-    kernel takes them, the chunk's event and input blocks and the trace
-    blocks in one call on either backend.  A kernel ``ValueError``/
-    ``OverflowError``/``ZeroDivisionError`` (the Python backend failing
-    mid-chunk), a negative return (the C backend having rounded a value
-    that is not finite) and non-finite loop state (the C backend carrying
-    on) raise :class:`SimulationError` before anything is written back.
+    kernel takes them, the chunk's event and input blocks, the trace
+    blocks and the platform's noise sources in one call on either
+    backend.  A sensitivity correction of zero raises
+    :class:`ConfigurationError`, as the reference does.  A kernel
+    ``ValueError``/``OverflowError``/``ZeroDivisionError`` (the Python
+    backend failing mid-chunk), a return of -1 (the C backend having
+    rounded a value that is not finite, or overflowed a power) and
+    non-finite loop state (the C backend carrying on) raise
+    :class:`SimulationError`.  Both come before anything is written back.
     """
     t = np.arange(n0, n0 + nc) * (1.0 / platform.config.sample_rate_hz)
-    inputs = np.empty((len(_LANE_INPUTS), nc))
+    inputs = np.empty((len(_LANE_INPUTS) + len(NOISE_SOURCES), nc))
     try:
         events = _fill_lane_inputs(platform, environment, t, inputs)
         rec = kernel(n0, nc, dec, rec, record_waveforms, lane, *events,
-                     inputs, *traces)
+                     inputs, *traces, noise_sources(platform))
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise SimulationError(
             f"the loop failed in the chunk starting at t = {t[0]:g} s: "
             f"{exc}") from exc
+    if rec == _SENSITIVITY_ZERO:
+        raise ConfigurationError("sensitivity correction factor reached zero")
     if rec < 0:
         raise SimulationError(
             f"the loop failed in the chunk starting at t = {t[0]:g} s: it "
-            "rounded a value that is not finite")
+            "rounded a value that is not finite or overflowed a power")
     if not np.isfinite(loop).all():
         raise SimulationError(
             f"the loop state left the finite range in the chunk starting "

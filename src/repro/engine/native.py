@@ -21,20 +21,31 @@ with the same IEEE-754 results:
   on an infinite or NaN argument where C returns it, so the lowered call
   sets a flag instead, and a kernel that set it returns -1 in place of
   its return value: the caller raises where Python would have;
-* ``sin``/``cos`` call the C library's, which is what :mod:`math` calls.
+* ``sin``/``cos`` call the C library's, which is what :mod:`math` calls;
+  ``x ** k`` (a whole-number literal ``k``) is CPython's float power:
+  its special cases, then the C library's ``pow`` (never folded into a
+  multiplication: ``-fno-builtin-pow``), and an overflow sets the flag
+  as a rounding of inf does.
 
 The source binds the arrays its loop reads at its top level, to an
 argument or to a literal row of a 2-D one, through ``.tolist()`` where
 Python reads them per sample; the lowering reads each binding as a
-pointer into the argument.  A call (:func:`bind`) reads each argument's
-``__array_interface__`` once and passes its data pointer.
+pointer into the argument.  A binding ``draw(noise[k], sigma, row)``
+first fills the row with the next values of a noise source: the Python
+kernel with the source's block draw, C with a loop calling NumPy's
+``random_normal`` (linked from ``numpy/random/lib/libnpyrandom.a``) on
+the source's bit generator, so both draw as many values in the same
+order whatever the loop does with them.  A call
+(:func:`bind`) takes each array's data pointer from the buffer protocol,
+which also refuses a layout C cannot read, and each source's bit
+generator, holding its lock during the call.
 
 :func:`load_or_build` builds the C source with the system compiler into
 a persistent on-disk cache shared by every checkout on the host
-(:func:`cache_dir`), so a plan compiles once per host, not once per
-process.  A library is only ever loaded if its bytes hash to the
-SHA-256 recorded when it passed its self-check, and loading a cached
-library starts no process.
+(:func:`cache_dir`, keyed by :func:`cache_key`), so a plan compiles once
+per host, not once per process.  A library is only ever loaded if its
+bytes hash to the SHA-256 recorded when it passed its self-check, and
+loading a cached library starts no process.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from __future__ import annotations
 import ast
 import atexit
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -56,13 +68,59 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Compiler flags; part of every cache key.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
+#: Compiler flags; part of every cache key.  ``-fno-builtin-pow`` keeps
+#: every ``pow`` a call of the C library's, which CPython's ``**`` calls
+#: (gcc would fold ``pow(x, 2.0)`` into ``x*x``, which differs).
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math",
+         "-fno-builtin-pow")
 LIBS = ("-lm",)
+#: NumPy's C random library, whose ``random_normal`` the kernels draw
+#: noise with, and the include directory of its ``bitgen.h``.
+#: The library's SHA-256 and the NumPy version join every cache key.
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+NUMPY_INCLUDE = np.get_include()
 
 _PRELUDE = """\
 #include <math.h>
 #include <stdint.h>
+#include <numpy/random/bitgen.h>
+
+/* numpy/random/distributions.h needs Python.h, so declared here */
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+
+/* the next value of a noise source: NumPy's normal(0, sigma) drawn from
+   its bit generator, or 0.0 without a draw when sigma is 0 (what
+   BufferedGaussianNoise hands out) */
+static inline double py_draw(bitgen_t *bitgen, double sigma)
+{
+    return sigma != 0.0 ? random_normal(bitgen, 0.0, sigma) : 0.0;
+}
+
+/* CPython's float ** for an exponent that is a whole number >= 0: its
+   special cases, then the C library's pow of |x|; Python raises where
+   the result overflows, so that sets *failed */
+static double py_pow(double x, double y, int *failed)
+{
+    int odd = fmod(y, 2.0) == 1.0, negate = 0;
+    double r;
+    if (y == 0.0)
+        return 1.0;
+    if (isnan(x))
+        return x;
+    if (isinf(x))
+        return odd ? x : fabs(x);
+    if (x == 0.0)
+        return odd ? x : 0.0;
+    if (x < 0.0) {
+        x = -x;
+        negate = odd;
+    }
+    if (x == 1.0)
+        return negate ? -1.0 : 1.0;
+    r = pow(x, y);
+    *failed |= isinf(r);
+    return negate ? -r : r;
+}
 
 /* CPython's float_rem: the remainder takes the sign of the divisor */
 static double py_fmod(double x, double y)
@@ -87,11 +145,11 @@ static int64_t py_imod(int64_t x, int64_t y)
 }
 
 /* math.floor, math.trunc and round: Python ints have no negative zero,
-   and Python raises on inf and nan, so those set *nonfinite */
+   and Python raises on inf and nan, so those set *failed */
 static inline double py_round(double (*round)(double), double x,
-                              int *nonfinite)
+                              int *failed)
 {
-    *nonfinite |= !isfinite(x);
+    *failed |= !isfinite(x);
     return round(x) + 0.0;
 }
 """
@@ -104,13 +162,16 @@ _CMPOPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
            ast.Eq: "==", ast.NotEq: "!="}
 #: Python calls the lowering knows, as ``name -> (C template, type)``.
 _CALLS = {
-    "floor": ("py_round(floor, {}, &nonfinite)", "double"),
-    "trunc": ("py_round(trunc, {}, &nonfinite)", "double"),
-    "rnd": ("py_round(nearbyint, {}, &nonfinite)", "double"),
+    "floor": ("py_round(floor, {}, &failed)", "double"),
+    "trunc": ("py_round(trunc, {}, &failed)", "double"),
+    "rnd": ("py_round(nearbyint, {}, &failed)", "double"),
     "sin": ("sin({})", "double"),
     "cos": ("cos({})", "double"),
     "int": ("((int64_t)({}))", "int"),
 }
+#: Functions the Python kernel binds to locals at its top level
+#: (``floor = _floor``), a binding the lowering skips.
+_BOUND = frozenset(_CALLS) | {"draw"}
 
 
 class LoweringError(Exception):
@@ -135,7 +196,8 @@ class _Lowering:
         self.matrices = set(matrices)
         # every name that points into an array argument, as
         # ``(argument, row)``; the row is None for the whole argument
-        self.views = {a: (a, None) for a in self.arrays}
+        self.views = {a: (a, None) for a in self.arrays
+                      if self.array_types[a] != "stream"}
         self.types = {name: "int" for name in ints}
         self.types.update((name, "int") for name in self.scalars)
         self.types.update((name, "bool") for name in bools)
@@ -143,6 +205,7 @@ class _Lowering:
         self.lengths: list = []  # (array position, axis) of each length
         self.lines: list = []
         self.loops = 0
+        self.sources: list = []  # (array position, index) of each drawn
 
     def length(self, argument: str, axis: int) -> str:
         """The C parameter holding ``argument``'s shape along ``axis``."""
@@ -156,6 +219,15 @@ class _Lowering:
         view = isinstance(node, ast.Name) and self.views.get(node.id)
         return bool(view) and view[1] is None and view[0] in self.matrices
 
+    @staticmethod
+    def unlist(value):
+        """``value`` without a trailing ``.tolist()``."""
+        if (isinstance(value, ast.Call) and not value.args
+                and isinstance(value.func, ast.Attribute)
+                and value.func.attr == "tolist"):
+            return value.func.value
+        return value
+
     def bind_view(self, name: str, value, depth: int) -> bool:
         """Lower ``name = a`` or ``name = m[k]``, either maybe ``.tolist()``.
 
@@ -164,10 +236,7 @@ class _Lowering:
         Python kernel only reads, is the same pointer.  False when
         ``value`` is neither.
         """
-        tolist = (isinstance(value, ast.Call) and not value.args
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr == "tolist")
-        node, row = (value.func.value if tolist else value), None
+        node, row = self.unlist(value), None
         if isinstance(node, ast.Subscript) and self.matrix(node.value):
             if not (isinstance(node.slice, ast.Constant)
                     and type(node.slice.value) is int):
@@ -184,6 +253,46 @@ class _Lowering:
             f"a_{node.id} + {row} * {self.length(argument, 1)}"
         ctype = _ARRAY_C_TYPES[self.array_types[argument]]
         self.emit(depth, f"{ctype} *a_{name} = {pointer};")
+        return True
+
+    def bind_draw(self, name: str, value, depth: int) -> bool:
+        """Lower ``name = draw(s[k], sigma, v)``, maybe ``.tolist()``.
+
+        ``s`` is a stream argument, ``k`` an int literal and ``v`` a
+        float array or row that ``name = v`` would bind: the call fills
+        ``v`` with the next values of noise source ``k``, one per
+        element, and ``name`` then points at ``v``.  False when
+        ``value`` is no ``draw`` call.
+        """
+        call = self.unlist(value)
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "draw"):
+            return False
+        if len(call.args) != 3 or call.keywords:
+            raise LoweringError(f"cannot lower {ast.unparse(value)!r}")
+        source, sigma, target = call.args
+        if not (isinstance(source, ast.Subscript)
+                and isinstance(source.value, ast.Name)
+                and self.array_types.get(source.value.id) == "stream"
+                and isinstance(source.slice, ast.Constant)
+                and type(source.slice.value) is int):
+            raise LoweringError(
+                f"draw() needs a stream argument's source by literal index, "
+                f"not {ast.unparse(source)!r}")
+        key = (self.arrays.index(source.value.id), source.slice.value)
+        if key in self.sources or not self.bind_view(name, target, depth):
+            raise LoweringError(f"cannot lower {ast.unparse(value)!r}")
+        argument, row = self.views[name]
+        if self.array_types[argument] != "double" or (
+                row is None and argument in self.matrices):
+            raise LoweringError(f"draw() fills a float array or row, "
+                                f"not {ast.unparse(target)!r}")
+        self.sources.append(key)
+        count = self.length(argument, 0 if row is None else 1)
+        self.emit(depth, f"for (int64_t i_{name} = 0; i_{name} < {count}; "
+                  f"i_{name}++)")
+        self.emit(depth + 1, f"a_{name}[i_{name}] = py_draw("
+                  f"g_{source.value.id}_{key[1]}, {self.expr(sigma)[0]});")
         return True
 
     def type_of(self, name: str) -> str:
@@ -220,6 +329,11 @@ class _Lowering:
                 if both_int:
                     return f"py_imod({left}, {right})", "int"
                 return f"py_fmod({left}, {right})", "double"
+            if (isinstance(node.op, ast.Pow) and lt == "double"
+                    and isinstance(node.right, ast.Constant)
+                    and type(node.right.value) is int
+                    and node.right.value >= 0):
+                return f"py_pow({left}, {right}, &failed)", "double"
         elif isinstance(node, ast.UnaryOp):
             operand, ot = self.expr(node.operand)
             if isinstance(node.op, ast.USub):
@@ -272,8 +386,9 @@ class _Lowering:
 
     def assign(self, target, value_node, depth: int) -> None:
         if isinstance(target, ast.Name) and (
-                self.bind_view(target.id, value_node, depth)
-                or (depth == 1 and target.id in _CALLS  # floor = _floor
+                self.bind_draw(target.id, value_node, depth)
+                or self.bind_view(target.id, value_node, depth)
+                or (depth == 1 and target.id in _BOUND  # floor = _floor
                     and isinstance(value_node, ast.Name))):
             return
         value, kind = self.expr(value_node)
@@ -332,7 +447,7 @@ class _Lowering:
             self.block(stmt.body, depth + 1)
             self.emit(depth, "}")
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            self.emit(depth, "return nonfinite ? INT64_C(-1) : "
+            self.emit(depth, "return failed ? INT64_C(-1) : "
                       f"(int64_t)({self.expr(stmt.value)[0]});")
         else:
             raise LoweringError(f"cannot lower {ast.unparse(stmt)!r}")
@@ -346,25 +461,33 @@ def lower(source: str, scalars: Sequence[str], ints: Sequence[str] = (),
     ``scalars`` names the arguments passed by value (as ``int64``); every
     other argument is a C-contiguous array of ``array_types[name]``
     (``"double"`` by default, or ``"int"``/``"bool"``), 2-D if
-    ``matrices`` names it.  The C function is::
+    ``matrices`` names it, or a sequence of noise sources if its type is
+    ``"stream"``.  The C function is::
 
         int64_t kernel(int64_t <scalar>..., int64_t len<axis>_<array>...,
-                       <type> *<array>...);
+                       <type> *<array>..., bitgen_t *<source>...);
 
     The code reads arrays through views bound at its top level, ``x = a``
     or ``x = m[k]`` (a row), either maybe through ``.tolist()``; a
     top-level ``floor = _floor`` (the Python kernel's local binding) is
-    skipped.  A ``return`` returns -1 instead of its value once a
-    rounding call has met a value that is not finite.  Returns
-    ``(c_source, signature)``, the signature for :func:`bind`.  Raises
-    :class:`LoweringError` on a construct it does not know.
+    skipped.  A top-level ``x = draw(s[k], sigma, v)`` binds ``x`` as
+    ``x = v`` would, after filling the float array or row ``v`` with the
+    next values of source ``k`` of stream argument ``s``, whose sigma is
+    ``sigma``: C passes the source's bit generator and draws each value
+    with ``random_normal``, as :meth:`BufferedGaussianNoise.take
+    <repro.common.noise.BufferedGaussianNoise.take>` does in blocks.
+    ``x ** k`` takes a whole-number literal ``k >= 0``.  A ``return``
+    returns -1 instead of its value once a rounding or a power has met a
+    value on which Python raises.  Returns ``(c_source, signature)``, the
+    signature for :func:`bind`.  Raises :class:`LoweringError` on a
+    construct it does not know.
     """
     fn = ast.parse(source).body[0]
     if not isinstance(fn, ast.FunctionDef):
         raise LoweringError("expected one function definition")
     low = _Lowering(fn, scalars, ints, bools, array_types or {}, matrices)
     low.block(fn.body, 1)
-    header = ["    int nonfinite = 0;"]
+    header = ["    int failed = 0;"]
     for name in low.assigned:
         kind = low.type_of(name)
         zero = "0.0" if kind == "double" else "0"
@@ -373,13 +496,19 @@ def lower(source: str, scalars: Sequence[str], ints: Sequence[str] = (),
     params += [f"int64_t len{axis}_{low.arrays[position]}"
                for position, axis in low.lengths]
     params += [f"{_ARRAY_C_TYPES[low.array_types[name]]} *a_{name}"
-               for name in low.arrays]
+               for name in low.views if name in low.arrays]
+    params += [f"bitgen_t *g_{low.arrays[position]}_{index}"
+               for position, index in low.sources]
     c_source = "\n".join(
         [_PRELUDE, f"int64_t kernel({', '.join(params)})", "{"]
         + header + low.lines + ["}", ""])
     return c_source, (len(low.scalars),
                       tuple(map(low.array_types.get, low.arrays)),
-                      tuple(low.lengths))
+                      tuple(low.lengths), tuple(low.sources))
+
+
+_DTYPES = {"double": np.dtype(np.float64), "int": np.dtype(np.int64),
+           "bool": np.dtype(np.bool_)}
 
 
 def bind(library: ctypes.CDLL, signature: Tuple) -> Callable:
@@ -387,30 +516,51 @@ def bind(library: ctypes.CDLL, signature: Tuple) -> Callable:
 
     ``signature`` is what :func:`lower` returned with that source.  The
     callable takes the function's arguments and raises ``ValueError``
-    for an array that is not C-contiguous or not of its declared type.
-    It passes the scalars, the shape entries the C code asks for and the
-    arrays' data pointers; sizing the arrays is the caller's job.
+    for an array that is not C-contiguous, writable, non-empty and of its
+    declared type.  It passes the scalars, the shape entries the C code
+    asks for and the arrays' data pointers; sizing the arrays is the
+    caller's job.  Each element of a stream argument is a noise source
+    whose ``bit_generator()`` returns the NumPy bit generator at its next
+    value; the call passes each drawn one and holds its ``lock``
+    throughout, since :mod:`ctypes` releases the GIL.
     """
-    n_scalars, array_types, lengths = signature
+    n_scalars, array_types, lengths, sources = signature
+    data = [position for position, kind in enumerate(array_types)
+            if kind != "stream"]
+    dtypes = [_DTYPES[array_types[position]] for position in data]
     fn = library.kernel
     fn.argtypes = [ctypes.c_int64] * (n_scalars + len(lengths)) \
-        + [ctypes.c_void_p] * len(array_types)
+        + [ctypes.c_void_p] * (len(data) + len(sources))
     fn.restype = ctypes.c_int64
-    dtypes = {"double": np.float64, "int": np.int64, "bool": np.bool_}
-    typestrs = [np.dtype(dtypes[kind]).str for kind in array_types]
+    address, from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 
     def kernel(*values):
-        # strides are None exactly when an array is C-contiguous
-        interfaces = [array.__array_interface__
-                      for array in values[n_scalars:]]
-        if [i["typestr"] for i in interfaces] != typestrs or any(
-                i["strides"] is not None for i in interfaces):
-            raise ValueError("kernel arrays must be C-contiguous and of "
-                             "the declared dtypes")
-        return fn(*values[:n_scalars],
-                  *[interfaces[position]["shape"][axis]
-                    for position, axis in lengths],
-                  *[i["data"][0] for i in interfaces])
+        arrays = values[n_scalars:]
+        try:
+            if [arrays[position].dtype for position in data] != dtypes:
+                raise TypeError
+            # a buffer that is not C-contiguous or is read-only raises
+            # TypeError, an empty one ValueError
+            pointers = [address(from_buffer(arrays[position]))
+                        for position in data]
+        except (TypeError, ValueError, AttributeError):
+            raise ValueError("kernel arrays must be C-contiguous, writable, "
+                             "non-empty and of the declared dtypes") from None
+        generators = [arrays[position][index].bit_generator()
+                      for position, index in sources]
+        held = []
+        try:
+            for generator in generators:
+                generator.lock.acquire()
+                held.append(generator.lock)
+            return fn(*values[:n_scalars],
+                      *[arrays[position].shape[axis]
+                        for position, axis in lengths],
+                      *pointers,
+                      *[g.ctypes.bit_generator for g in generators])
+        finally:
+            for lock in held:
+                lock.release()
 
     kernel.library = library
     return kernel
@@ -477,12 +627,26 @@ def _libc_version() -> str:
         return ""
 
 
+@functools.lru_cache(maxsize=None)
+def _file_digest(path: str) -> str:
+    """SHA-256 of a library the kernels link, read once per process."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise BuildError(f"cannot read {path}: {exc}") from exc
+
+
 def cache_key(c_source: str, compiler: Sequence[str]) -> str:
-    """SHA-256 over the source, the flags, the compiler and the C library."""
+    """SHA-256 over the source, the flags, the compiler, the C library,
+    NumPy's random library and the NumPy version.
+
+    Raises :class:`BuildError` when NumPy's random library cannot be read.
+    """
     stat = os.stat(compiler[0])
     digest = hashlib.sha256()
     for part in (c_source, " ".join(FLAGS + LIBS), " ".join(compiler),
-                 f"{stat.st_size}:{stat.st_mtime_ns}", _libc_version()):
+                 f"{stat.st_size}:{stat.st_mtime_ns}", _libc_version(),
+                 _file_digest(str(NPYRANDOM)), np.__version__):
         digest.update(part.encode())
         digest.update(b"\0")
     return digest.hexdigest()
@@ -531,7 +695,8 @@ def load_or_build(c_source: str, compiler: Sequence[str],
     try:
         c_path.write_text(c_source)
         done = subprocess.run(
-            [*compiler, *FLAGS, "-o", str(so_path), str(c_path), *LIBS],
+            [*compiler, *FLAGS, "-I", NUMPY_INCLUDE, "-o", str(so_path),
+             str(c_path), str(NPYRANDOM), *LIBS],
             stdin=subprocess.DEVNULL, capture_output=True, text=True)
         if done.returncode != 0:
             raise BuildError(f"{compiler[0]} exited with {done.returncode}: "

@@ -5,18 +5,24 @@ The generated kernels flatten the object-oriented reference chain
 place that knows how.  :data:`STATE_TABLE` lists every loop variable
 once: its slot in the packed state vector, the platform attributes that
 hold it and its kind, which says how it converts to a float and back.
-:func:`pack_scalar_state` and :func:`unpack_scalar_state` are generated
-from the table once, at import, as the lane kernels are generated from
-their plan.  The module also gathers the per-run constants in
-:data:`CONSTS` order (so every kernel computes with *exactly* the same
-coefficient bits as the reference chain), flattens the biquad cascades
-and defines the structural key of a platform's loop.  Each kernel call
-gets one platform's values.
+:data:`CONSTS` lists every per-run constant once, as an expression over
+platform attributes in the reference chain's operation order, so every
+kernel computes with *exactly* the same coefficient bits as the
+reference chain.  :func:`pack_scalar_state`, :func:`unpack_scalar_state`
+and :func:`gather_consts` are generated from the tables once, at import,
+as the lane kernels are generated from their plan, with each object on
+an attribute path looked up once per call.  :data:`AFE_DRIFT` names the
+front-end devices whose offsets and gains drift with temperature and
+:data:`NOISE_SOURCES` the loop's noise sources.  The module also
+flattens the biquad cascades and defines the structural key of a
+platform's loop.  Each kernel call gets one platform's values.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+from operator import attrgetter
 from typing import Optional, Tuple
 
 import numpy as np
@@ -198,44 +204,54 @@ STATE_TABLE = (
 )
 
 
+class _Owners:
+    """Locals for the objects on platform attribute paths, in definition
+    order: a generated function looks each one up once per call, as a
+    hand-written one would."""
+
+    def __init__(self):
+        self._names: dict = {}
+
+    def owner(self, path: str) -> str:
+        """The local holding the object at ``path`` (``p`` for "")."""
+        if not path:
+            return "p"
+        if path not in self._names:
+            parent, _, attr = path.rpartition(".")
+            reference = f"{self.owner(parent)}.{attr}"
+            self._names[path] = (f"o{len(self._names)}", reference)
+        return self._names[path][0]
+
+    def attribute(self, path: str) -> str:
+        """``path`` read through its owner's local."""
+        parent, _, attr = path.rpartition(".")
+        return f"{self.owner(parent)}.{attr}"
+
+    def lines(self) -> list:
+        """The statements that define the locals."""
+        return [f"    {name} = {ref}" for name, ref in self._names.values()]
+
+
 def _state_functions() -> Tuple:
     """``(values, unpack)`` generated from :data:`STATE_TABLE`.
 
     ``values(platform)`` returns the packed state as a list of floats;
     ``unpack(platform, values)`` writes one back and mirrors the overload
-    flag into the ``afe_status`` register.  Each object on an attribute
-    path is looked up once per call, as a hand-written pair would."""
-    owners: dict = {}
-
-    def owner(path: str) -> str:
-        if not path:
-            return "p"
-        if path not in owners:
-            parent, _, attr = path.rpartition(".")
-            reference = f"{owner(parent)}.{attr}"
-            owners[path] = (f"o{len(owners)}", reference)
-        return owners[path][0]
-
-    def attribute(path: str) -> str:
-        parent, _, attr = path.rpartition(".")
-        return f"{owner(parent)}.{attr}"
-
-    values = [SLOT_KINDS[kind][0].format(attribute(paths[0]))
+    flag into the ``afe_status`` register."""
+    owners = _Owners()
+    values = [SLOT_KINDS[kind][0].format(owners.attribute(paths[0]))
               for _, kind, *paths in STATE_TABLE]
     pack = (["def values(p):", '    """Packed state of p, as floats."""']
-            + [f"    {name} = {ref}" for name, ref in owners.values()]
-            + ["    return [" + ", ".join(values) + "]"])
-    owners.clear()
-    stores = [f"    {attribute(path)} = "
+            + owners.lines() + ["    return [" + ", ".join(values) + "]"])
+    owners = _Owners()
+    stores = [f"    {owners.attribute(path)} = "
               + SLOT_KINDS[kind][1].format(f"s[{index}]")
               for index, (_, kind, *paths) in enumerate(STATE_TABLE)
               for path in paths]
-    stores.append(f"    {owner('frontend.trim')}.register('afe_status')"
-                  ".hw_write_field('overload', "
-                  f"int({attribute('frontend._overload')}))")
-    unpack = (["def unpack(p, s):"]
-              + [f"    {name} = {ref}" for name, ref in owners.values()]
-              + stores)
+    stores.append(f"    {owners.owner('frontend.trim')}"
+                  ".register('afe_status').hw_write_field('overload', "
+                  f"int({owners.attribute('frontend._overload')}))")
+    unpack = ["def unpack(p, s):"] + owners.lines() + stores
     namespace = {"StartupState": StartupState}
     exec(compile("\n".join(pack + unpack) + "\n", "<repro-state-table>",
                  "exec"), namespace)
@@ -284,34 +300,145 @@ def biquad_values(iir_filter) -> Tuple[list, list]:
     return coefs, z
 
 
-#: Slot order of the per-run scalar-constant vector.  The names are the
-#: engines' constant locals; :func:`gather_consts` fills it.
-CONSTS = (
-    "kq", "kc", "s_drive_gain", "s_control_gain",
-    "ca_gain", "ca_rail", "trim_p", "trim_s",
-    "pga_p_gain", "pga_s_gain", "pga_p_alpha", "pga_s_alpha",
-    "pga_p_rail", "pga_s_rail", "aa_alpha", "aa_alpha_s",
-    "adc_p_kinl", "adc_p_vref", "adc_p_lsb", "adc_p_cmin", "adc_p_cmax",
-    "adc_s_kinl", "adc_s_vref", "adc_s_lsb", "adc_s_cmin", "adc_s_cmax",
-    "ov_thr",
-    "ddac_lsb", "ddac_vref", "ddac_min", "ddac_max",
-    "cdac_lsb", "cdac_vref", "cdac_min", "cdac_max",
-    "rdac_lsb", "rdac_vref", "rdac_min", "rdac_max",
-    "mid", "out_span", "trim_out",
-    "pd_alpha", "amp_alpha", "pll_thr", "pll_kp", "pll_ki",
-    "lock_thr", "lock_count", "tuning_range", "nco_fc", "nco_fs",
-    "agc_target", "agc_kp", "agc_ki", "agc_min", "agc_max", "settle_thr",
-    "demod_alpha", "qc_coeff", "off_comp", "scale_dps", "full_scale",
-    "reb_alpha", "reb_kp", "reb_ki", "reb_limit",
-    "wd_samples", "settle_samples", "dt", "start_time",
+#: The front-end devices whose offsets drift with temperature, as
+#: ``(kernel prefix, config path, 25 °C offset field, gain drifts too)``.
+#: At a temperature ``T`` the kernels compute, as the devices do,
+#: ``offset + offset_tc_v_per_c * dT`` and, for the converters,
+#: ``(1 + gain_error) * (1 + gain_tc_ppm_per_c * 1e-6 * dT)`` with
+#: ``dT = T - 25``, from the constants :data:`CONSTS` derives.
+AFE_DRIFT = (
+    ("ca_p", "frontend.primary_charge_amp.config", "offset_v", False),
+    ("ca_s", "frontend.secondary_charge_amp.config", "offset_v", False),
+    ("pga_p", "frontend.primary_pga.config", "offset_v", False),
+    ("pga_s", "frontend.secondary_pga.config", "offset_v", False),
+    ("adc_p", "frontend.primary_adc.config", "offset_error_v", True),
+    ("adc_s", "frontend.secondary_adc.config", "offset_error_v", True),
+    ("ddac", "frontend.drive_dac.config", "offset_error_v", True),
+    ("cdac", "frontend.control_dac.config", "offset_error_v", True),
+    ("rdac", "frontend.rate_output_dac.config", "offset_error_v", True),
 )
 
+#: The loop's noise sources, each a
+#: :class:`~repro.common.noise.BufferedGaussianNoise`, as ``(kernel
+#: prefix, platform attribute path)`` in the order of the lane kernels'
+#: ``noise`` argument (:data:`noise_sources`).
+NOISE_SOURCES = (
+    ("sens", "sensor._noise"),
+    ("ca_p", "frontend.primary_charge_amp._noise"),
+    ("ca_s", "frontend.secondary_charge_amp._noise"),
+    ("pga_p", "frontend.primary_pga._noise"),
+    ("pga_s", "frontend.secondary_pga._noise"),
+    ("adc_p", "frontend.primary_adc._noise"),
+    ("adc_s", "frontend.secondary_adc._noise"),
+)
+
+#: ``noise_sources(platform)``: the tuple of its :data:`NOISE_SOURCES`.
+noise_sources = attrgetter(*(path for _, path in NOISE_SOURCES))
+
+#: The per-run scalar constants, one ``(name, expression)`` entry per
+#: slot in slot order.  The name is the kernels' constant local; the
+#: expression is Python over platform attribute paths (``sensor``,
+#: ``frontend``, ``conditioner``, ``config``), ``math`` and the run's
+#: ``start_time``, in the reference chain's operation order.
+#: :func:`gather_consts` is generated from the table at import.
+CONSTS = (
+    ("kq", "(sensor.params.quadrature_error_dps * math.pi / 180.0)"
+           " * 2.0 * sensor.params.angular_gain"),
+    ("kc", "-2.0 * sensor.params.angular_gain"),
+    ("s_drive_gain", "sensor.params.drive_gain_ms2_per_v"),
+    ("s_control_gain", "sensor.params.control_gain_ms2_per_v"),
+    ("ca_gain", "frontend.primary_charge_amp.config.transimpedance_gain"),
+    ("ca_rail", "frontend.primary_charge_amp.config.rail_v"),
+    ("trim_p", "frontend._offset_trim_primary_v"),
+    ("trim_s", "frontend._offset_trim_secondary_v"),
+    ("pga_p_gain", "frontend.primary_pga.gain"),
+    ("pga_s_gain", "frontend.secondary_pga.gain"),
+    ("pga_p_alpha", "frontend.primary_pga._alpha"),
+    ("pga_s_alpha", "frontend.secondary_pga._alpha"),
+    ("pga_p_rail", "frontend.primary_pga.config.rail_v"),
+    ("pga_s_rail", "frontend.secondary_pga.config.rail_v"),
+    ("aa_alpha", "frontend.primary_antialias._first._alpha"),
+    ("aa_alpha_s", "frontend.secondary_antialias._first._alpha"),
+    ("adc_p_kinl",
+     "frontend.primary_adc.config.inl_lsb * frontend.primary_adc._lsb"),
+    ("adc_p_vref", "frontend.primary_adc.config.vref"),
+    ("adc_p_lsb", "frontend.primary_adc._lsb"),
+    ("adc_p_cmin", "frontend.primary_adc._code_min"),
+    ("adc_p_cmax", "frontend.primary_adc._code_max"),
+    ("adc_s_kinl",
+     "frontend.secondary_adc.config.inl_lsb * frontend.secondary_adc._lsb"),
+    ("adc_s_vref", "frontend.secondary_adc.config.vref"),
+    ("adc_s_lsb", "frontend.secondary_adc._lsb"),
+    ("adc_s_cmin", "frontend.secondary_adc._code_min"),
+    ("adc_s_cmax", "frontend.secondary_adc._code_max"),
+    ("ov_thr", "0.98 * frontend.config.adc.vref"),
+    ("ddac_lsb", "frontend.drive_dac._lsb"),
+    ("ddac_vref", "frontend.drive_dac.config.vref"),
+    ("ddac_min", "frontend.drive_dac._out_min"),
+    ("ddac_max", "frontend.drive_dac._out_max"),
+    ("cdac_lsb", "frontend.control_dac._lsb"),
+    ("cdac_vref", "frontend.control_dac.config.vref"),
+    ("cdac_min", "frontend.control_dac._out_min"),
+    ("cdac_max", "frontend.control_dac._out_max"),
+    ("rdac_lsb", "frontend.rate_output_dac._lsb"),
+    ("rdac_vref", "frontend.rate_output_dac.config.vref"),
+    ("rdac_min", "frontend.rate_output_dac._out_min"),
+    ("rdac_max", "frontend.rate_output_dac._out_max"),
+    ("mid", "frontend.supply.config.nominal_v / 2.0"),
+    ("out_span", "frontend.config.rate_output_sensitivity_v_per_fs"),
+    ("trim_out", "frontend._offset_trim_output_v"),
+    ("pd_alpha", "conditioner.drive_loop.pll._pd_filter.alpha"),
+    ("amp_alpha", "conditioner.drive_loop.pll._amp_filter.alpha"),
+    ("pll_thr", "conditioner.drive_loop.pll.config.amplitude_threshold"),
+    ("pll_kp", "conditioner.drive_loop.pll.config.kp"),
+    ("pll_ki", "conditioner.drive_loop.pll.config.ki"),
+    ("lock_thr", "conditioner.drive_loop.pll.config.lock_threshold"),
+    ("lock_count", "conditioner.drive_loop.pll.config.lock_count"),
+    ("tuning_range", "conditioner.drive_loop.pll.nco.tuning_range_hz"),
+    ("nco_fc", "conditioner.drive_loop.pll.nco.center_frequency_hz"),
+    ("nco_fs", "conditioner.drive_loop.pll.nco.sample_rate_hz"),
+    ("agc_target", "conditioner.drive_loop.agc.config.target_amplitude"),
+    ("agc_kp", "conditioner.drive_loop.agc.config.kp"),
+    ("agc_ki", "conditioner.drive_loop.agc.config.ki"),
+    ("agc_min", "conditioner.drive_loop.agc.config.min_gain"),
+    ("agc_max", "conditioner.drive_loop.agc.config.max_gain"),
+    ("settle_thr", "conditioner.drive_loop.agc.config.settle_threshold"),
+    ("demod_alpha",
+     "conditioner.sense_chain.demodulator.in_phase._filter.alpha"),
+    ("qc_coeff", "conditioner.sense_chain.quadrature_cancel.coefficient"),
+    ("off_comp", "conditioner.sense_chain.offset_comp.offset"),
+    ("scale_dps", "conditioner.sense_chain.scaler.config.scale_dps_per_unit"),
+    ("full_scale", "conditioner.sense_chain.scaler.config.full_scale_dps"),
+    ("reb_alpha", "conditioner.rebalance._demod._filter.alpha"),
+    ("reb_kp", "conditioner.rebalance.config.kp"),
+    ("reb_ki", "conditioner.rebalance.config.ki"),
+    ("reb_limit", "conditioner.rebalance.config.max_command"),
+    ("wd_samples", "conditioner.startup.config.watchdog_time_s"
+                   " * conditioner.startup.config.sample_rate_hz"),
+    ("settle_samples", "conditioner.startup.config.settling_time_s"
+                       " * conditioner.startup.config.sample_rate_hz"),
+    ("dt", "1.0 / config.sample_rate_hz"),
+    ("start_time", "start_time"),
+    ("ts_off", "config.temperature_sensor.offset_error_c"),
+    ("ts_res", "config.temperature_sensor.resolution_c"),
+) + tuple(
+    entry for prefix, path, offset, gain in AFE_DRIFT
+    for entry in ((f"{prefix}_off0", f"{path}.{offset}"),
+                  (f"{prefix}_off_tc", f"{path}.offset_tc_v_per_c"))
+    + (((f"{prefix}_gain0", f"1.0 + {path}.gain_error"),
+        (f"{prefix}_gain_tc", f"{path}.gain_tc_ppm_per_c * 1e-6"))
+       if gain else ())
+) + tuple((f"{prefix}_sigma", f"{path}.sigma")
+          for prefix, path in NOISE_SOURCES)
+
+#: The :data:`CONSTS` names, in slot order.
+CONST_NAMES = tuple(name for name, _ in CONSTS)
 
 #: Constants the generated kernels divide by.
 DIVISORS = ("adc_p_vref", "adc_p_lsb", "adc_s_vref", "adc_s_lsb",
             "ddac_lsb", "cdac_lsb", "rdac_lsb", "rdac_vref", "nco_fs",
             "full_scale")
-_DIVISOR_INDEX = [CONSTS.index(name) for name in DIVISORS]
+_DIVISOR_INDEX = [CONST_NAMES.index(name) for name in DIVISORS]
 
 
 def check_divisors(consts: list) -> None:
@@ -330,108 +457,47 @@ def check_divisors(consts: list) -> None:
             "and non-zero")
 
 
-def gather_consts(platform, start_time: float) -> list:
-    """The run's scalar constants as floats, in :data:`CONSTS` order."""
-    cfg = platform.config
-    sensor = platform.sensor
-    frontend = platform.frontend
-    conditioner = platform.conditioner
-    drive_loop = conditioner.drive_loop
-    pll = drive_loop.pll
-    nco = pll.nco
-    agc = drive_loop.agc
-    sense = conditioner.sense_chain
-    rebalance = conditioner.rebalance
-    startup = conditioner.startup
+def _dotted(node) -> Optional[str]:
+    """The dotted name an ``ast`` attribute chain spells, else ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
 
-    p = sensor.params
-    ca_cfg = frontend.primary_charge_amp.config
-    pga_p = frontend.primary_pga
-    pga_s = frontend.secondary_pga
-    adc_p = frontend.primary_adc
-    adc_s = frontend.secondary_adc
-    ddac = frontend.drive_dac
-    cdac = frontend.control_dac
-    rdac = frontend.rate_output_dac
-    pll_cfg = pll.config
-    agc_cfg = agc.config
-    reb_cfg = rebalance.config
-    st_cfg = startup.config
-    values = {
-        "kq": (p.quadrature_error_dps * math.pi / 180.0)
-              * 2.0 * p.angular_gain,
-        "kc": -2.0 * p.angular_gain,
-        "s_drive_gain": p.drive_gain_ms2_per_v,
-        "s_control_gain": p.control_gain_ms2_per_v,
-        "ca_gain": ca_cfg.transimpedance_gain,
-        "ca_rail": ca_cfg.rail_v,
-        "trim_p": frontend._offset_trim_primary_v,
-        "trim_s": frontend._offset_trim_secondary_v,
-        "pga_p_gain": pga_p.gain,
-        "pga_s_gain": pga_s.gain,
-        "pga_p_alpha": pga_p._alpha,
-        "pga_s_alpha": pga_s._alpha,
-        "pga_p_rail": pga_p.config.rail_v,
-        "pga_s_rail": pga_s.config.rail_v,
-        "aa_alpha": frontend.primary_antialias._first._alpha,
-        "aa_alpha_s": frontend.secondary_antialias._first._alpha,
-        "adc_p_kinl": adc_p.config.inl_lsb * adc_p._lsb,
-        "adc_p_vref": adc_p.config.vref,
-        "adc_p_lsb": adc_p._lsb,
-        "adc_p_cmin": float(adc_p._code_min),
-        "adc_p_cmax": float(adc_p._code_max),
-        "adc_s_kinl": adc_s.config.inl_lsb * adc_s._lsb,
-        "adc_s_vref": adc_s.config.vref,
-        "adc_s_lsb": adc_s._lsb,
-        "adc_s_cmin": float(adc_s._code_min),
-        "adc_s_cmax": float(adc_s._code_max),
-        "ov_thr": 0.98 * frontend.config.adc.vref,
-        "ddac_lsb": ddac._lsb,
-        "ddac_vref": ddac.config.vref,
-        "ddac_min": ddac._out_min,
-        "ddac_max": ddac._out_max,
-        "cdac_lsb": cdac._lsb,
-        "cdac_vref": cdac.config.vref,
-        "cdac_min": cdac._out_min,
-        "cdac_max": cdac._out_max,
-        "rdac_lsb": rdac._lsb,
-        "rdac_vref": rdac.config.vref,
-        "rdac_min": rdac._out_min,
-        "rdac_max": rdac._out_max,
-        "mid": frontend.supply.config.nominal_v / 2.0,
-        "out_span": frontend.config.rate_output_sensitivity_v_per_fs,
-        "trim_out": frontend._offset_trim_output_v,
-        "pd_alpha": pll._pd_filter.alpha,
-        "amp_alpha": pll._amp_filter.alpha,
-        "pll_thr": pll_cfg.amplitude_threshold,
-        "pll_kp": pll_cfg.kp,
-        "pll_ki": pll_cfg.ki,
-        "lock_thr": pll_cfg.lock_threshold,
-        "lock_count": float(pll_cfg.lock_count),
-        "tuning_range": nco.tuning_range_hz,
-        "nco_fc": nco.center_frequency_hz,
-        "nco_fs": nco.sample_rate_hz,
-        "agc_target": agc_cfg.target_amplitude,
-        "agc_kp": agc_cfg.kp,
-        "agc_ki": agc_cfg.ki,
-        "agc_min": agc_cfg.min_gain,
-        "agc_max": agc_cfg.max_gain,
-        "settle_thr": agc_cfg.settle_threshold,
-        "demod_alpha": sense.demodulator.in_phase._filter.alpha,
-        "qc_coeff": sense.quadrature_cancel.coefficient,
-        "off_comp": sense.offset_comp.offset,
-        "scale_dps": sense.scaler.config.scale_dps_per_unit,
-        "full_scale": sense.scaler.config.full_scale_dps,
-        "reb_alpha": rebalance._demod._filter.alpha,
-        "reb_kp": reb_cfg.kp,
-        "reb_ki": reb_cfg.ki,
-        "reb_limit": reb_cfg.max_command,
-        "wd_samples": st_cfg.watchdog_time_s * st_cfg.sample_rate_hz,
-        "settle_samples": st_cfg.settling_time_s * st_cfg.sample_rate_hz,
-        "dt": 1.0 / cfg.sample_rate_hz,
-        "start_time": start_time,
-    }
-    return [float(values[name]) for name in CONSTS]
+
+def _gather_function():
+    """``gather(platform, start_time)`` generated from :data:`CONSTS`.
+
+    Each expression keeps its operations; each attribute path in it reads
+    through an owner local, so every object is looked up once per call.
+    """
+    owners = _Owners()
+
+    class Paths(ast.NodeTransformer):
+        def visit_Attribute(self, node):
+            path = _dotted(node)
+            if path is None or path.startswith("math."):
+                return self.generic_visit(node)
+            return ast.parse(owners.attribute(path), mode="eval").body
+
+    values = [ast.unparse(Paths().visit(ast.parse(expression, mode="eval")))
+              for _, expression in CONSTS]
+    source = (["def gather_consts(p, start_time):",
+               '    """The run\'s scalar constants, in CONSTS order: real',
+               "    numbers as the platform holds them (Python or NumPy",
+               "    floats and ints), which a float64 array holds exactly.",
+               '    """']
+              + owners.lines() + ["    return [" + ", ".join(values) + "]"])
+    namespace = {"math": math}
+    exec(compile("\n".join(source) + "\n", "<repro-consts-table>", "exec"),
+         namespace)
+    return namespace["gather_consts"]
+
+
+gather_consts = _gather_function()
 
 
 def finish_run(platform, loop: np.ndarray, n: int, start_time: float) -> None:

@@ -33,16 +33,23 @@ DSP_REGISTER_MAP = {
 }
 
 
+#: The one-bit flags of ``dsp_status``, from bit 0 up; its other bits
+#: read 0.
+STATUS_FLAGS = ("pll_locked", "amplitude_settled", "running",
+                "startup_failed", "closed_loop")
+
+#: The registers a refresh writes, ``dsp_status`` first.
+_MONITORS = ("dsp_status", "dsp_rate_out", "dsp_amplitude", "dsp_vco_control",
+             "dsp_phase_error", "dsp_quadrature", "dsp_drive_gain")
+
+
 def build_dsp_registers() -> RegisterFile:
     """Create the DSP monitoring/control register file."""
     regs = RegisterFile("dsp")
     regs.add(Register("dsp_status", DSP_REGISTER_MAP["dsp_status"], width=16,
                       access="ro",
-                      fields=[BitField("pll_locked", 0, 1),
-                              BitField("amplitude_settled", 1, 1),
-                              BitField("running", 2, 1),
-                              BitField("startup_failed", 3, 1),
-                              BitField("closed_loop", 4, 1)],
+                      fields=[BitField(name, bit, 1)
+                              for bit, name in enumerate(STATUS_FLAGS)],
                       doc="Conditioning chain status flags"))
     regs.add(Register("dsp_rate_out", DSP_REGISTER_MAP["dsp_rate_out"], width=16,
                       access="ro", doc="Signed rate output word (Q1.14)"))
@@ -60,11 +67,20 @@ def build_dsp_registers() -> RegisterFile:
     return regs
 
 
+def _word16(scaled: float) -> int:
+    """Round and saturate into a signed 16-bit register word (two's
+    complement)."""
+    word = int(round(scaled))
+    if word < -32768:
+        word = -32768
+    elif word > 32767:
+        word = 32767
+    return word & 0xFFFF
+
+
 def _to_q114(value: float) -> int:
     """Encode a float into a signed Q1.14 register word (two's complement)."""
-    scaled = int(round(value * 16384.0))
-    scaled = max(-32768, min(32767, scaled))
-    return scaled & 0xFFFF
+    return _word16(value * 16384.0)
 
 
 def q114_to_float(word: int) -> float:
@@ -184,22 +200,23 @@ class GyroConditioner:
         return drive_word, self._control_word, self.rate_word
 
     def _refresh_registers(self) -> None:
-        regs = self.registers
-        status = regs.register("dsp_status")
-        status.hw_write_field("pll_locked", int(self.drive_loop.locked))
-        status.hw_write_field("amplitude_settled",
-                              int(self.drive_loop.amplitude_settled))
-        status.hw_write_field("running", int(self.startup.running))
-        status.hw_write_field("startup_failed", int(self.startup.failed))
-        status.hw_write_field("closed_loop", int(self.config.closed_loop))
-        regs.register("dsp_rate_out").hw_write(_to_q114(self.rate_word))
-        regs.register("dsp_amplitude").hw_write(
-            _to_q114(self.drive_loop.pll.amplitude_estimate))
-        regs.register("dsp_vco_control").hw_write(
-            int(max(-32768, min(32767, round(self.drive_loop.vco_control * 16.0))))
-            & 0xFFFF)
-        regs.register("dsp_phase_error").hw_write(_to_q114(self.drive_loop.phase_error))
-        regs.register("dsp_quadrature").hw_write(
-            _to_q114(self.sense_chain.quadrature_channel))
-        regs.register("dsp_drive_gain").hw_write(
-            _to_q114(self.drive_loop.amplitude_control))
+        """Publish the monitored values into the DSP registers.
+
+        Hardware writes fire no hooks, so the status flags go in as one
+        word (:data:`STATUS_FLAGS` order) and each register is looked up
+        once.
+        """
+        drive_loop = self.drive_loop
+        (status, rate_out, amplitude, vco_control, phase_error, quadrature,
+         drive_gain) = map(self.registers.register, _MONITORS)
+        flags = (drive_loop.locked, drive_loop.amplitude_settled,
+                 self.startup.running, self.startup.failed,
+                 self.config.closed_loop)
+        status.hw_write(sum(1 << bit for bit, flag in enumerate(flags)
+                            if flag))
+        rate_out.hw_write(_to_q114(self.rate_word))
+        amplitude.hw_write(_to_q114(drive_loop.pll.amplitude_estimate))
+        vco_control.hw_write(_word16(drive_loop.vco_control * 16.0))
+        phase_error.hw_write(_to_q114(drive_loop.phase_error))
+        quadrature.hw_write(_to_q114(self.sense_chain.quadrature_channel))
+        drive_gain.hw_write(_to_q114(drive_loop.amplitude_control))

@@ -56,6 +56,7 @@ from strategies.settings import DETERMINISM_SETTINGS, QUICK_SETTINGS, \
     STANDARD_SETTINGS
 
 from repro.common import ConfigurationError, FixedPointOverflowError
+from repro.common.noise import BufferedGaussianNoise
 from repro.common.fixedpoint import QFormat, quantize
 from repro.engine import backend_info, compiled_backend, run_compiled
 import repro
@@ -185,7 +186,7 @@ class TestPlanAndBackend:
         assert len(executed) == 1 and executed == lowered
         assert tuple(inspect.signature(python).parameters) == (
             "n0", "nc", "dec", "rec", "record_waveforms", "lane",
-            "ev_starts", "ev_coefs", "inputs", "floats", "flags")
+            "ev_starts", "ev_coefs", "inputs", "floats", "flags", "noise")
 
     def test_backend_provenance(self):
         assert compiled_backend() == ("c" if compiled.COMPILER else "python")
@@ -445,10 +446,11 @@ class TestCampaignLaneProperty:
 
 def _lowering_probe_source() -> str:
     """A generated function with every quantiser variant (nearest, floor,
-    truncate x saturate, wrap), float ``%`` and ``round``, reading its
-    input ``x`` through the views a kernel prelude binds: a whole-array
-    copy, a row of a 2-D array with and without ``.tolist()``, and a
-    ``len()`` (:func:`_probe_rows` puts ``x`` where each reads it)."""
+    truncate x saturate, wrap), float ``%``, ``round`` and ``**`` by
+    whole-number literals, reading its input ``x`` through the views a
+    kernel prelude binds: a whole-array copy, a row of a 2-D array with
+    and without ``.tolist()``, and a ``len()`` (:func:`_probe_rows` puts
+    ``x`` where each reads it)."""
     lines = ["def probe(xs, rows, out):",
              "    floor = _floor; trunc = _trunc; rnd = _rnd",
              "    whole = xs.tolist()", "    first = rows[0]",
@@ -464,14 +466,15 @@ def _lowering_probe_source() -> str:
             lines += quantizer_lines("v", spec, 4, counter)
             lines.append(f"    out[{slot}] = v")
             slot += 1
-    for expression in ("y % 2.5", "y % -0.75", "rnd(z)", "rnd(z * 0.5)"):
+    for expression in ("y % 2.5", "y % -0.75", "rnd(z)", "rnd(z * 0.5)",
+                       "x ** 0", "x ** 1", "x ** 2", "z ** 3", "z ** 4"):
         lines.append(f"    out[{slot}] = {expression}")
         slot += 1
     lines.append("    return 0")
     return "\n".join(lines) + "\n"
 
 
-_PROBE_SLOTS = 10
+_PROBE_SLOTS = 15
 
 
 def _probe_rows(x: float) -> np.ndarray:
@@ -502,6 +505,9 @@ _probe_values = st.one_of(
                      1e20, -1e20]),
     # Python's rounding raises on these; the C kernel must report it
     st.sampled_from([math.inf, -math.inf, math.nan]),
+    # powers that overflow (Python raises), underflow or stay subnormal
+    st.sampled_from([1e155, -1e155, 1e78, -1e78, 1e-160, -1e-160, 1e-310,
+                     -1e-310, 1.0 + 2.0 ** -52, -(1.0 + 2.0 ** -52)]),
     # exact .5 ties of round() and of the Q3.8 quantisers' LSB
     st.integers(-2 ** 40, 2 ** 40).map(lambda k: k + 0.5),
     st.integers(-2 ** 30, 2 ** 30).map(lambda k: (k + 0.5) / 256.0),
@@ -584,7 +590,10 @@ class TestCLowering:
 
     def test_unknown_construct_is_refused(self):
         for body, matrices in (
-                ("    return xs[0] ** 2", ()),
+                # powers other than a float by a whole-number literal
+                ("    return xs[0] ** 0.5", ()),
+                ("    return xs[0] ** -1", ()),
+                ("    return k ** 2", ()),
                 # a row of an argument not declared 2-D
                 ("    r = xs[0]\n    return r[1]", ()),
                 ("    r = xs[0].tolist()\n    return r[1]", ()),
@@ -594,6 +603,101 @@ class TestCLowering:
             with pytest.raises(native.LoweringError):
                 native.lower(f"def f(k, xs):\n{body}\n", scalars=("k",),
                              matrices=matrices)
+
+
+    def test_drawn_streams_match_take(self, tmp_path, monkeypatch):
+        # C fills each drawn row with random_normal and Python with the
+        # source's take(): the rows, what the loop makes of them and the
+        # generators' end positions agree, also for a source that
+        # per-sample draws left mid-block, a source whose sigma is 0
+        # (it draws nothing) and a loop that reads in a branch and
+        # returns early
+        source = ("def f(nc, out, rows, noise):\n"
+                  "    draw = _draw\n"
+                  "    a_r = draw(noise[0], 0.5, rows[0]).tolist()\n"
+                  "    b_r = draw(noise[2], 0.0, rows[1])\n"
+                  "    c_r = draw(noise[1], 2.0, rows[2]).tolist()\n"
+                  "    for j in range(nc):\n"
+                  "        if j > 2:\n"
+                  "            out[j] = a_r[j] - 3.0 * c_r[j] + b_r[j]\n"
+                  "        if j == 30:\n"
+                  "            return 1\n"
+                  "    return 0\n")
+        c_source, signature = native.lower(source, scalars=("nc",),
+                                           ints=("j",),
+                                           array_types={"noise": "stream"},
+                                           matrices=("rows",))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        lowered = native.load_or_build(
+            c_source, compiled.COMPILER,
+            lambda lib: native.bind(lib, signature), lambda kernel: True)
+        namespace = {"_draw": compiled._draw}
+        exec(source, namespace)
+
+        def sources():
+            pending = BufferedGaussianNoise(0.5, seed=3, block_size=16)
+            for _ in range(5):
+                pending.next()
+            return [pending, BufferedGaussianNoise(2.0, seed=4),
+                    BufferedGaussianNoise(0.0, seed=5)]
+
+        for n, status in ((40, 1), (20, 0)):
+            expected, got = np.zeros(n), np.zeros(n)
+            rows, c_rows = np.zeros((3, n)), np.zeros((3, n))
+            python_sources, c_sources = sources(), sources()
+            assert namespace["f"](n, expected, rows, python_sources) == status
+            assert lowered(n, got, c_rows, c_sources) == status
+            assert got.tobytes() == expected.tobytes()
+            assert c_rows.tobytes() == rows.tobytes()
+            assert [pickle.dumps(s) for s in c_sources] == \
+                [pickle.dumps(s) for s in python_sources]
+
+
+def test_unknown_draw_is_refused():
+    head = "def f(nc, k, out, flags, rows, noise):\n"
+    for body, reason in (
+            ("    a_r = draw(noise[k], 0.5, out)\n", "literal index"),
+            ("    a_r = draw(out[0], 0.5, out)\n", "literal index"),
+            ("    a_r = draw(noise[0], 0.5)\n", "cannot lower"),
+            ("    a_r = draw(noise[0], 0.5, out)\n"
+             "    b_r = draw(noise[0], 0.5, rows[0])\n", "cannot lower"),
+            ("    a_r = draw(noise[0], 0.5, rows)\n", "float array or row"),
+            ("    a_r = draw(noise[0], 0.5, flags)\n", "float array or row"),
+            ("    for j in range(nc):\n"
+             "        a_r = draw(noise[0], 0.5, out)\n", "cannot bind")):
+        with pytest.raises(native.LoweringError, match=reason):
+            native.lower(head + body + "    return 0\n",
+                         scalars=("nc", "k"), ints=("j",),
+                         array_types={"noise": "stream", "flags": "bool"},
+                         matrices=("rows",))
+
+
+def test_cache_key_covers_numpy_random(monkeypatch):
+    compiler = (sys.executable,)
+    monkeypatch.setattr(native, "_file_digest", lambda path: "a" * 64)
+    key = native.cache_key("int x;", compiler)
+    assert native.cache_key("int x;", compiler) == key
+    monkeypatch.setattr(native, "_file_digest", lambda path: "b" * 64)
+    assert native.cache_key("int x;", compiler) != key
+    monkeypatch.setattr(native, "_file_digest", lambda path: "a" * 64)
+    monkeypatch.setattr(np, "__version__", "0.0.1")
+    assert native.cache_key("int x;", compiler) != key
+
+
+def test_self_check_compares_noise_generators():
+    platform = GyroPlatform()
+    plan = kernel_plan(platform)
+    python = compiled._python_kernel(plan)
+
+    def one_draw_more(*args):
+        rec = python(*args)
+        args[-1][0].take(1)  # the sensor noise
+        return rec
+
+    environment = Environment.still()
+    assert compiled._self_check(plan, python, platform, environment)
+    assert not compiled._self_check(plan, one_draw_more, platform,
+                                    environment)
 
 
 @requires_compiler
@@ -717,6 +821,22 @@ class TestKernelCache:
         assert len(caught) == 1
         assert _is_native(platform) and _is_native(other)
         assert len(list(Path(native._fallback_dir).glob("*.so"))) == 2
+
+    def test_missing_numpy_random_keeps_python(self, kernel_cache,
+                                               monkeypatch, tmp_path):
+        monkeypatch.setattr(native, "NPYRANDOM", tmp_path / "libnpyrandom.a")
+        env = Environment.constant_rate(30.0)
+        platform = GyroPlatform()
+        with pytest.warns(RuntimeWarning, match="libnpyrandom") as caught:
+            results = [platform.run(env, 0.02) for _ in range(2)]
+        assert len(caught) == 1
+        plan = kernel_plan(platform)
+        assert compiled._KERNELS[(plan, "c")] \
+            is compiled._KERNELS[(plan, "python")]
+        assert not list(kernel_cache.glob("*.so"))
+        ref = GyroPlatform()
+        expected = [ref.run(env, 0.02, engine="reference") for _ in range(2)]
+        _assert_same_run((ref, expected[1]), (platform, results[1]))
 
     def test_failed_self_check_keeps_python(self, kernel_cache, monkeypatch):
         lower = native.lower

@@ -36,7 +36,7 @@ from repro.common.noise import BufferedGaussianNoise
 from repro.dsp.compensation import TemperatureCompensationConfig
 from repro.engine import compiled, run_compiled
 from repro.engine.compiled import kernel_plan
-from repro.engine.state import pack_scalar_state
+from repro.engine.state import noise_sources, pack_scalar_state
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.scenarios import Campaign, Scenario
 from repro.sensors import Environment
@@ -159,13 +159,43 @@ class TestScalarEngineEquivalence:
         ref = GyroPlatform()
         a = ref.run(env, 0.03, engine="reference")
         b = ref.run(env, 0.03, engine="reference")
+        c = ref.run(env, 0.03, engine="reference")
         for _ in kernel_backend:
             mixed = GyroPlatform()
-            c = mixed.run(env, 0.03, engine=engine)
-            d = mixed.run(env, 0.03, engine="reference")
-            _assert_results_identical(a, c)
-            _assert_results_identical(b, d)
+            a2 = mixed.run(env, 0.03, engine=engine)
+            b2 = mixed.run(env, 0.03, engine="reference")
+            # the reference left every noise source mid-block: the fast
+            # segment goes on with the values still pending in it
+            assert all(0 < source._index < source._buffer.size
+                       for source in noise_sources(mixed))
+            c2 = mixed.run(env, 0.03, engine=engine)
+            for expected, got in ((a, a2), (b, b2), (c, c2)):
+                _assert_results_identical(expected, got)
             _assert_platform_state_identical(ref, mixed)
+            assert [pickle.dumps(source) for source in noise_sources(ref)] \
+                == [pickle.dumps(source) for source in noise_sources(mixed)]
+
+    #: Cubic and quartic ``(offset_poly, sensitivity_poly)``.
+    POLYNOMIALS = {3: ((0.0, 0.0, 0.0, 1e-7), (0.0, 0.0, 1e-8)),
+                   4: ((0.0, 0.0, 0.0, 0.0, 1e-9), (0.0, 0.0, 0.0, 1e-10))}
+    #: ``(resolution, degree) -> temperature`` where NumPy's array power
+    #: of the quantised temperature deviation differs from CPython's
+    POWERS_DIFFER = {(0.1, 3): 33.625, (0.1, 4): 41.525, (0.3, 3): 41.9,
+                     (0.3, 4): 46.975}
+
+    @pytest.mark.parametrize("resolution_c, degree", sorted(POWERS_DIFFER))
+    def test_compensation_powers_at_non_dyadic_resolution(
+            self, engine, kernel_backend, resolution_c, degree):
+        # cubic and quartic compensation read dT ** k as CPython's float
+        # power on every engine, whatever the temperature grid
+        cfg = GyroPlatformConfig()
+        cfg.temperature_sensor.resolution_c = resolution_c
+        offset_poly, sensitivity_poly = self.POLYNOMIALS[degree]
+        cfg.conditioner.sense.temperature = TemperatureCompensationConfig(
+            offset_poly=offset_poly, sensitivity_poly=sensitivity_poly)
+        temperature = self.POWERS_DIFFER[resolution_c, degree]
+        _check_against_reference(engine, kernel_backend,
+                                 Environment.still(temperature), 0.004, cfg)
 
 
 class TestEngineSelection:
@@ -540,6 +570,11 @@ _OVERFLOWING_ROWS = {
     "sensitivity-poly-power": (
         lambda: _compensation(sensitivity_poly=(1e-300,) * 100), 2000.0,
         SimulationError),
+    # the sensitivity correction reaches zero: the reference's compensation
+    # raises (the sensor reads 88.7 °C as 89.0, dT = 64)
+    "sensitivity-zero": (
+        lambda: _compensation(sensitivity_poly=(-1.0 / 64.0,)), 88.7,
+        ConfigurationError),
 }
 
 
@@ -559,10 +594,16 @@ class TestTypedErrors:
                                    backend or compiled.BACKEND):
                 yield engine
 
+    @staticmethod
+    def _streams(platform) -> bytes:
+        """Where the platform's noise sources stand, as pickle bytes."""
+        return pickle.dumps(noise_sources(platform))
+
     @QUICK_SETTINGS
     @given(case=bad_stimulus())
     def test_same_input_same_exception_type(self, case):
         environment, expected = case
+        streams = set()
         for engine in self._paths():
             # a good run first, so the C path runs its cached library
             GyroPlatform().run(Environment.still(), 0.001, engine=engine)
@@ -573,6 +614,9 @@ class TestTypedErrors:
             if engine == "compiled":
                 np.testing.assert_array_equal(pack_scalar_state(platform),
                                               before)
+                streams.add(self._streams(platform))
+        # both backends leave the noise sources where the other does
+        assert len(streams) <= 1
 
     @pytest.mark.parametrize("breaks", ["adc_lsb", "full_scale"])
     def test_zero_divisor_rejected_on_every_engine(self, breaks):
@@ -605,11 +649,15 @@ class TestTypedErrors:
             if expected is None:
                 result = platform.run(environment, 0.002, engine=engine)
                 outcomes.add((result.digest(),
-                              pack_scalar_state(platform).tobytes()))
+                              pack_scalar_state(platform).tobytes(),
+                              self._streams(platform)))
                 continue
             with pytest.raises(expected):
                 platform.run(environment, 0.002, engine=engine)
             if engine == "compiled":
                 np.testing.assert_array_equal(pack_scalar_state(platform),
                                               before)
+                # both backends leave the noise sources where the other
+                # does, wherever in the chunk the loop stopped
+                outcomes.add(self._streams(platform))
         assert len(outcomes) <= 1

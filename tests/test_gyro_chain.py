@@ -365,6 +365,17 @@ class TestGyroConditioner:
         gain = q114_to_float(cond.registers.read("dsp_drive_gain"))
         assert gain == pytest.approx(cond.drive_loop.amplitude_control, abs=0.01)
 
+    def test_status_refresh_writes_the_flags_as_one_word(self):
+        cond = GyroConditioner(GyroConditionerConfig(closed_loop=True))
+        cond.startup._failed = True
+        status = cond.registers.register("dsp_status")
+        status.hw_write(0xFFFF)
+        cond._refresh_registers()
+        assert {name: status.read_field(name) for name in status.fields} \
+            == {"pll_locked": 0, "amplitude_settled": 0, "running": 0,
+                "startup_failed": 1, "closed_loop": 1}
+        assert status.read() == 0b11000
+
     def test_fixed_point_mode_sets_formats(self):
         cond = GyroConditioner(GyroConditionerConfig(fixed_point=True))
         assert cond.config.drive.output_format is not None
