@@ -30,7 +30,12 @@ platform: the median microseconds of a ``SHORT_CALL_SAMPLES``-sample
 ``GyroPlatform.run`` after ``SHORT_CALL_WARMUP`` untimed calls (as the
 ``single-platform`` benchmark workload does), the nanoseconds per
 sample of a ``LONG_CALL_SAMPLES``-sample call, and the fixed cost of a
-call, ``call_us - SHORT_CALL_SAMPLES * ns_per_sample``.  ``"host"``
+call, ``call_us - SHORT_CALL_SAMPLES * ns_per_sample``.  ``"startup"`` runs
+``STARTUP_RUNS`` fresh interpreters that each import the modules
+``perfbench/run.py`` imports (its ``import_program``) and start a
+``GyroPlatform``: the median import time, the number of modules loaded
+after the start, whether ``scipy.signal`` is among them, and the median
+peak RSS.  ``"host"``
 records the CPU model and the Python and NumPy versions the report ran
 on.  ``compiled_backend`` records the default backend and the compiler;
 kernel generation and builds are excluded from every timing but
@@ -48,6 +53,7 @@ import pickle
 import platform as host
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -77,6 +83,7 @@ SHORT_CALL_SAMPLES = 64
 SHORT_CALL_WARMUP = 48
 SHORT_CALLS = 400
 LONG_CALL_SAMPLES = 6000
+STARTUP_RUNS = 5
 
 
 REPEATS = 2  # best-of-N to damp scheduler noise
@@ -301,6 +308,45 @@ def _time_build() -> list:
     return rows
 
 
+# the probe reads its own peak RSS (VmHWM): a child's ru_maxrss starts
+# at the resident set of the parent that started it, here the report
+_STARTUP_PROBE = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from run import import_program
+import_s = import_program()
+from repro.platform import GyroPlatform
+GyroPlatform().start()
+try:
+    with open("/proc/self/status") as fh:
+        peak_kib = next(int(line.split()[1]) for line in fh
+                        if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"import_s": import_s, "modules": len(sys.modules),
+                  "scipy_signal": "scipy.signal" in sys.modules,
+                  "peak_rss_mb": peak_kib / 1024}))
+"""
+
+
+def _time_startup() -> dict:
+    """Import and start-up cost of a fresh interpreter (see the module
+    docstring); each run is its own process, so nothing is cached."""
+    perfbench = os.path.join(REPO_ROOT, "perfbench")
+    runs = [json.loads(subprocess.run(
+                [sys.executable, "-c", _STARTUP_PROBE, perfbench],
+                capture_output=True, text=True, check=True,
+            ).stdout.splitlines()[-1])
+            for _ in range(STARTUP_RUNS)]
+    return {"runs": STARTUP_RUNS,
+            "import_s": round(statistics.median(
+                r["import_s"] for r in runs), 3),
+            "modules": runs[-1]["modules"],
+            "scipy_signal_loaded": any(r["scipy_signal"] for r in runs),
+            "peak_rss_mb": round(statistics.median(
+                r["peak_rss_mb"] for r in runs), 1)}
+
+
 def _host() -> dict:
     """CPU model and the Python and NumPy versions of this host."""
     cpu = host.processor() or "unknown"
@@ -383,6 +429,12 @@ def build_report(duration_s: float = DURATION_S,
             f"{LONG_CALL_SAMPLES}-sample call and the fixed cost per call "
             f"(call_us - {SHORT_CALL_SAMPLES} x ns_per_sample)"),
         "short_call": short_call,
+        "startup_scenario": (
+            f"{STARTUP_RUNS} fresh interpreters, each importing the modules "
+            "perfbench/run.py imports and starting a GyroPlatform: median "
+            "import time, modules loaded after the start, whether "
+            "scipy.signal is one, median peak RSS"),
+        "startup": _time_startup(),
         "build_scenario": ("per kernel plan, in an empty temporary kernel "
                            "cache: the first request (C lowering, compile, "
                            "self-check) and a repeat request after the "
@@ -436,6 +488,11 @@ def main() -> None:
         print(f"  short call [{backend}]: {row['call_us']:.1f} us per "
               f"{SHORT_CALL_SAMPLES}-sample call, {row['ns_per_sample']:.1f} "
               f"ns/sample, fixed {row['fixed_us']:.1f} us")
+    startup = report["startup"]
+    signal = "loaded" if startup["scipy_signal_loaded"] else "not loaded"
+    print(f"  start-up: import {startup['import_s']:.2f} s (median of "
+          f"{startup['runs']}), {startup['modules']} modules after start(), "
+          f"scipy.signal {signal}, peak RSS {startup['peak_rss_mb']:.1f} MB")
 
 
 if __name__ == "__main__":

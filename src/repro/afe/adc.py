@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..common.exceptions import ConfigurationError
 from ..common.noise import BufferedGaussianNoise
 from ..common.units import ROOM_TEMPERATURE_C
@@ -62,7 +60,6 @@ class SarAdc:
 
     def __init__(self, config: AdcConfig, seed: Optional[int] = 0):
         self.config = config
-        self._rng = np.random.default_rng(seed)
         self._noise = BufferedGaussianNoise(config.noise_rms_v, seed)
         self._update_resolution()
 

@@ -65,8 +65,8 @@ class ProgrammableGainAmplifier:
             raise ConfigurationError("sample rate must be > 0")
         self.config = config
         self.sample_rate_hz = float(sample_rate_hz)
-        self._noise_sigma = (config.noise_density_v_rthz
-                             * np.sqrt(self.sample_rate_hz / 2.0))
+        self._noise_sigma = float(config.noise_density_v_rthz
+                                  * np.sqrt(self.sample_rate_hz / 2.0))
         self._noise = BufferedGaussianNoise(self._noise_sigma, seed)
         self._state = 0.0
         self._update_pole()
@@ -76,7 +76,8 @@ class ProgrammableGainAmplifier:
         if bw is None or bw >= self.sample_rate_hz / 2.0:
             self._alpha = 1.0  # effectively instantaneous
         else:
-            self._alpha = 1.0 - np.exp(-2.0 * np.pi * bw / self.sample_rate_hz)
+            self._alpha = float(1.0 - np.exp(-2.0 * np.pi * bw
+                                             / self.sample_rate_hz))
 
     @property
     def gain(self) -> float:
@@ -154,8 +155,8 @@ class ChargeAmplifier:
             raise ConfigurationError("sample rate must be > 0")
         self.config = config
         self.sample_rate_hz = float(sample_rate_hz)
-        self._noise_sigma = (config.noise_density_v_rthz
-                             * np.sqrt(self.sample_rate_hz / 2.0))
+        self._noise_sigma = float(config.noise_density_v_rthz
+                                  * np.sqrt(self.sample_rate_hz / 2.0))
         self._noise = BufferedGaussianNoise(self._noise_sigma, seed)
 
     def step(self, pickoff_voltage: float,

@@ -29,7 +29,8 @@ class SinglePoleLowPass(Block):
                 f"({sample_rate_hz / 2.0} Hz)")
         self.cutoff_hz = float(cutoff_hz)
         self.sample_rate_hz = float(sample_rate_hz)
-        self._alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff_hz / sample_rate_hz)
+        self._alpha = float(1.0 - np.exp(-2.0 * np.pi * cutoff_hz
+                                         / sample_rate_hz))
         self._state = 0.0
 
     def step(self, x: float) -> float:

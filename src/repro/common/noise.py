@@ -11,6 +11,12 @@ Every per-sample source in the co-simulated loop is a
 a time, the compiled engine's Python kernels a chunk at a time, and its
 C kernels straight from the generator's bit generator with NumPy's own
 ``random_normal`` — one stream of values whichever mix runs.
+
+The spectral estimates use ``scipy.signal.welch``.  They import
+``scipy.signal`` when first called, not at module import: it loads
+about 450 modules (``scipy.stats``, ``interpolate``, ``optimize`` and
+more), roughly 1 s of every process start that the co-simulated loop
+does not need.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal as sps
 
 from .exceptions import ConfigurationError
 from .units import BOLTZMANN, celsius_to_kelvin
@@ -252,6 +257,8 @@ def amplitude_spectral_density(x: np.ndarray, sample_rate_hz: float,
         raise ConfigurationError("need at least 8 samples for an ASD estimate")
     if nperseg is None:
         nperseg = min(len(x), max(256, len(x) // 8))
+    from scipy import signal as sps
+
     freqs, psd = sps.welch(x, fs=sample_rate_hz, nperseg=nperseg, detrend="constant")
     return freqs, np.sqrt(psd)
 

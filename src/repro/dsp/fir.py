@@ -13,7 +13,6 @@ from collections import deque
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import signal as sps
 
 from ..common.block import Block
 from ..common.exceptions import ConfigurationError
@@ -55,6 +54,8 @@ class FirFilter(Block):
 
     def process(self, samples: Iterable[float]) -> np.ndarray:
         """Vectorised convolution path for long records (state preserved)."""
+        from scipy import signal as sps
+
         x = np.asarray(list(samples), dtype=np.float64)
         if x.size == 0:
             return np.zeros(0)
@@ -72,6 +73,8 @@ class FirFilter(Block):
     def frequency_response(self, freqs_hz: np.ndarray,
                            sample_rate_hz: float) -> np.ndarray:
         """Complex frequency response at the given frequencies."""
+        from scipy import signal as sps
+
         w = 2.0 * np.pi * np.asarray(freqs_hz) / sample_rate_hz
         _, h = sps.freqz(self.coefficients, worN=w)
         return h
@@ -84,6 +87,8 @@ class FirFilter(Block):
             raise ConfigurationError("need at least 3 taps")
         if not 0 < cutoff_hz < sample_rate_hz / 2:
             raise ConfigurationError("cutoff must be between 0 and Nyquist")
+        from scipy import signal as sps
+
         taps = sps.firwin(num_taps, cutoff_hz, fs=sample_rate_hz)
         return cls(taps, **kwargs)
 

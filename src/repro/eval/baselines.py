@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal as sps
 
 from ..common.analysis import linear_fit, nonlinearity_percent_fs
 from ..common.exceptions import ConfigurationError
@@ -154,6 +153,8 @@ class BaselineGyroDevice:
         target = self.ideal_output(rate_dps, temperature_c)
         noise = self._rng.normal(0.0, noise_sigma, n) if noise_sigma else np.zeros(n)
         beta = 1.0 - self._alpha
+        from scipy import signal as sps
+
         out, _ = sps.lfilter([self._alpha], [1.0, -beta], target + noise,
                              zi=np.array([beta * self._state_v]))
         self._state_v = float(out[-1])

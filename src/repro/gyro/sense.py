@@ -29,7 +29,7 @@ from ..dsp.compensation import (
     TemperatureCompensation,
     TemperatureCompensationConfig,
 )
-from ..dsp.iir import IirFilter
+from ..dsp.iir import IirFilter, check_filter_order
 from ..dsp.mixer import QuadratureDemodulator
 
 
@@ -66,8 +66,7 @@ class SenseChainConfig:
             raise ConfigurationError("sample rate must be > 0")
         if not 0 < self.output_bandwidth_hz < self.sample_rate_hz / 2:
             raise ConfigurationError("output bandwidth must be between 0 and Nyquist")
-        if self.output_filter_order < 1:
-            raise ConfigurationError("output filter order must be >= 1")
+        check_filter_order(self.output_filter_order)
 
 
 class SenseChain:

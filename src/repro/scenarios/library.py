@@ -108,10 +108,18 @@ class RunningAtEnd:
 
 @dataclass(frozen=True)
 class NoiseDensity:
-    """Extractor: in-band rate-noise density of a zero-rate record."""
+    """Extractor: in-band rate-noise density of a zero-rate record.
+
+    Constructing one imports ``scipy.signal`` (for ``welch``), so the
+    process that builds a noise campaign loads it once and the forked
+    shard workers of a sharded run inherit it.
+    """
 
     band_hz: Tuple[float, float] = (2.0, 20.0)
     skip_fraction: float = 0.2
+
+    def __post_init__(self) -> None:
+        import scipy.signal  # noqa: F401
 
     def __call__(self, platform, result) -> float:
         return noise_density_from_record(result.rate_output_dps,

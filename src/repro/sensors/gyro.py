@@ -133,8 +133,8 @@ class VibratingRingGyro:
         self.secondary = ResonatorMode(params.secondary_resonance_hz,
                                        params.secondary_q, self._dt)
         # Brownian noise is injected as an equivalent-rate white sequence.
-        self._rate_noise_sigma = (params.rate_noise_density_dps_rthz
-                                  * np.sqrt(self.sample_rate_hz / 2.0))
+        self._rate_noise_sigma = float(params.rate_noise_density_dps_rthz
+                                       * np.sqrt(self.sample_rate_hz / 2.0))
         self._noise = BufferedGaussianNoise(self._rate_noise_sigma,
                                             params.noise_seed)
         self._temperature_c = ROOM_TEMPERATURE_C

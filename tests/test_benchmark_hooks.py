@@ -10,6 +10,7 @@ in the benchmark's own self-test.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +71,33 @@ def test_provenance_reads_the_engine(perfbench):
     assert record["compiled_backend"] == backend_info()
     assert record["default_scalar_engine"] == "compiled"
     assert record["default_campaign_engine"] == "compiled"
+
+
+_IMPORT_BOUNDARY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from run import import_program
+import_program()
+import hostspeed, tracing, workloads
+from repro.platform import GyroPlatform
+from repro.sensors import Environment
+platform = GyroPlatform()
+platform.start()
+platform.run(Environment.still(), 0.01)
+print(sorted(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules))
+from repro.scenarios.library import noise_floor_scenario
+noise_floor_scenario()
+print("scipy.signal" in sys.modules)
+"""
+
+
+def test_the_platform_path_leaves_scipy_signal_unloaded():
+    # in a fresh interpreter: the benchmark's imports, a started platform
+    # and a run on the default (compiled) engine load neither
+    # scipy.signal nor the scipy.stats it would drag in; building a
+    # noise-floor scenario loads it, for welch
+    lines = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY, str(PERFBENCH)],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout.splitlines()
+    assert lines == ["[]", "True"]

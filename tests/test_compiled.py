@@ -588,23 +588,6 @@ class TestCLowering:
         with pytest.raises(ValueError, match="C-contiguous"):
             lowered(np.zeros(1), _probe_rows(0.0)[:, :2], out)
 
-    def test_unknown_construct_is_refused(self):
-        for body, matrices in (
-                # powers other than a float by a whole-number literal
-                ("    return xs[0] ** 0.5", ()),
-                ("    return xs[0] ** -1", ()),
-                ("    return k ** 2", ()),
-                # a row of an argument not declared 2-D
-                ("    r = xs[0]\n    return r[1]", ()),
-                ("    r = xs[0].tolist()\n    return r[1]", ()),
-                # a row index that is not a literal
-                ("    r = xs[k]\n    return r[1]", ("xs",)),
-                ("    r = xs[0.0]\n    return r[1]", ("xs",))):
-            with pytest.raises(native.LoweringError):
-                native.lower(f"def f(k, xs):\n{body}\n", scalars=("k",),
-                             matrices=matrices)
-
-
     def test_drawn_streams_match_take(self, tmp_path, monkeypatch):
         # C fills each drawn row with random_normal and Python with the
         # source's take(): the rows, what the loop makes of them and the
@@ -651,6 +634,23 @@ class TestCLowering:
             assert c_rows.tobytes() == rows.tobytes()
             assert [pickle.dumps(s) for s in c_sources] == \
                 [pickle.dumps(s) for s in python_sources]
+
+
+def test_unknown_construct_is_refused():
+    for body, matrices in (
+            # powers other than a float by a whole-number literal
+            ("    return xs[0] ** 0.5", ()),
+            ("    return xs[0] ** -1", ()),
+            ("    return k ** 2", ()),
+            # a row of an argument not declared 2-D
+            ("    r = xs[0]\n    return r[1]", ()),
+            ("    r = xs[0].tolist()\n    return r[1]", ()),
+            # a row index that is not a literal
+            ("    r = xs[k]\n    return r[1]", ("xs",)),
+            ("    r = xs[0.0]\n    return r[1]", ("xs",))):
+        with pytest.raises(native.LoweringError):
+            native.lower(f"def f(k, xs):\n{body}\n", scalars=("k",),
+                         matrices=matrices)
 
 
 def test_unknown_draw_is_refused():

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import signal
+
+from strategies.settings import STANDARD_SETTINGS
 
 from repro.common import ConfigurationError, DSP16, QFormat
 from repro.dsp import (
@@ -31,6 +34,8 @@ from repro.dsp import (
     TemperatureCompensation,
     TemperatureCompensationConfig,
 )
+from repro.dsp.iir import _butterworth_sos
+from repro.gyro.sense import SenseChainConfig
 
 FS = 120_000.0
 
@@ -152,6 +157,8 @@ class TestIirFilter:
             IirFilter.butterworth_low_pass(0, 50.0, FS)
         with pytest.raises(ConfigurationError):
             IirFilter.butterworth_low_pass(2, FS, FS)
+        with pytest.raises(ConfigurationError):  # cutoff / Nyquist is 0
+            IirFilter.butterworth_low_pass(2, 5e-324, FS)
         with pytest.raises(ConfigurationError):
             IirFilter.butterworth_high_pass(0, 50.0, FS)
         with pytest.raises(ConfigurationError):
@@ -184,6 +191,57 @@ class TestIirFilter:
             OnePoleLowPass(0.0, FS)
         with pytest.raises(ConfigurationError):
             OnePoleLowPass(FS, FS)
+
+
+class TestButterworthDesign:
+    """The NumPy design is SciPy's ``butter(..., output="sos")``, byte for
+    byte; a SciPy release that designs differently fails here by name."""
+
+    @staticmethod
+    def _check(order, cutoff_hz, sample_rate_hz, high_pass):
+        want = signal.butter(order, cutoff_hz,
+                             btype="high" if high_pass else "low",
+                             fs=sample_rate_hz, output="sos")
+        got = _butterworth_sos(order, cutoff_hz, sample_rate_hz, high_pass)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+            (order, cutoff_hz, sample_rate_hz, high_pass)
+
+    def test_matches_scipy_on_a_grid(self):
+        for sample_rate_hz in (1e3, 8e3, 48e3, 96e3, 120e3):
+            cutoffs = np.concatenate((
+                np.linspace(0.001, 0.999, 28) * sample_rate_hz / 2,
+                [25.0, 50.0, 75.0, 100.0]))
+            for order in range(1, 11):
+                for high_pass in (False, True):
+                    for cutoff_hz in cutoffs:
+                        self._check(order, float(cutoff_hz), sample_rate_hz,
+                                    high_pass)
+
+    @STANDARD_SETTINGS
+    @given(order=st.integers(1, 12),
+           sample_rate_hz=st.floats(1.0, 1e9),
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           high_pass=st.booleans())
+    def test_matches_scipy(self, order, sample_rate_hz, fraction, high_pass):
+        cutoff_hz = fraction * sample_rate_hz / 2
+        assume(0 < cutoff_hz < sample_rate_hz / 2)
+        self._check(order, cutoff_hz, sample_rate_hz, high_pass)
+
+    def test_whole_number_orders_design_one_filter(self):
+        def coefficients(order):
+            design = IirFilter.butterworth_low_pass(order, 50.0, FS)
+            return [s.b + s.a for s in design.sections]
+
+        assert coefficients(3.0) == coefficients(np.int64(3)) == coefficients(3)
+
+    @pytest.mark.parametrize("order", [2.5, "2", None])
+    def test_order_must_be_a_whole_number(self, order):
+        for design in (IirFilter.butterworth_low_pass,
+                       IirFilter.butterworth_high_pass):
+            with pytest.raises(ConfigurationError, match="whole number"):
+                design(order, 50.0, FS)
+        with pytest.raises(ConfigurationError, match="whole number"):
+            SenseChainConfig(output_filter_order=order)
 
 
 class TestNco:

@@ -5,12 +5,15 @@ started platform and a calibrated platform) are built once per test
 session and shared.
 """
 
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
 
 from repro.common import ConfigurationError, SimulationError
+from repro.engine import state
 from repro.platform import (
     BASE_BLOCKS,
     Domain,
@@ -185,6 +188,39 @@ def calibrated_platform():
     platform = GyroPlatform()
     platform.calibrate(settle_s=0.2)
     return platform
+
+
+def _object_graph(root):
+    """Every object reachable from ``root`` through instances and
+    containers (not through classes, modules, functions or generators)."""
+    seen = {id(root): root}
+    stack = [root]
+    leaves = (type, types.ModuleType, types.FunctionType,
+              types.BuiltinFunctionType, types.MethodType,
+              np.random.Generator)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, leaves):
+            continue
+        for referent in gc.get_referents(obj):
+            if id(referent) not in seen:
+                seen[id(referent)] = referent
+                stack.append(referent)
+    return list(seen.values())
+
+
+def test_started_platform_holds_python_scalars_and_no_spare_generators():
+    # NumPy scalars pickle as REDUCE calls and every Generator is rebuilt
+    # on each lane branch, so a platform holds floats and one generator
+    # per noise source the loop draws
+    platform = GyroPlatform()
+    platform.start()
+    graph = _object_graph(platform)
+    assert [o for o in graph if isinstance(o, np.generic)] == []
+    generators = [o for o in graph if isinstance(o, np.random.Generator)]
+    assert len(generators) == len(state.NOISE_SOURCES) == 7
+    assert {id(g) for g in generators} == \
+        {id(source._rng) for source in state.noise_sources(platform)}
 
 
 class TestGyroPlatform:
