@@ -21,10 +21,12 @@ same process.
 0.05 s settled-output lanes branched from a started platform: the mean
 entry size, the put time per lane into a fresh store (cold), the hit
 time per lane reading every entry back (warm), the lane-key cost
-(``LaneSource.lane_digests`` on the started platform) and the size of
-that platform's pickle, the snapshot every lane key and branch hashes
-or loads.  ``"branch"`` times ``LaneSource.materialize`` branching
-``BRANCH_LANES`` campaign lanes from a started platform, per lane.
+(``LaneSource.resolve`` + ``lane_digests`` on the started platform:
+one pickle and one normalising round trip) and the size of that
+platform's pickle, the snapshot every lane key and branch hashes or
+loads.  ``"branch"`` times ``LaneSource.resolve`` + ``materialize``
+branching ``BRANCH_LANES`` campaign lanes from a started platform, per
+lane.
 ``"short_call"`` times, per lane backend, a host polling a started
 platform: the median microseconds of a ``SHORT_CALL_SAMPLES``-sample
 ``GyroPlatform.run`` after ``SHORT_CALL_WARMUP`` untimed calls (as the
@@ -172,7 +174,8 @@ def _time_store(platform, lanes: int, settle_s: float) -> dict:
     ``platform`` fills a store; its entries are then put again into a
     fresh store and read back, so only store work is timed.  Returns
     the mean entry size, the best per-lane put and hit times, the best
-    time of one ``lane_digests`` call and the platform's pickle size.
+    time of one ``resolve`` + ``lane_digests`` pair (the snapshot and
+    its normalised digest) and the platform's pickle size.
     """
     rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
     campaign = Campaign(rate_table_scenarios(rates, settle_s=settle_s),
@@ -200,11 +203,10 @@ def _time_store(platform, lanes: int, settle_s: float) -> dict:
         kib = sum(os.path.getsize(path) for path in paths) / len(paths) / 1024
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    source = LaneSource.resolve(platform, None, lanes)
     key_s = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        source.lane_digests(lanes)
+        LaneSource.resolve(platform, None, lanes).lane_digests(lanes)
         key_s = min(key_s, time.perf_counter() - start)
     snapshot = pickle.dumps(platform, protocol=pickle.HIGHEST_PROTOCOL)
     return {"lanes": lanes,
@@ -218,15 +220,14 @@ def _time_store(platform, lanes: int, settle_s: float) -> dict:
 def _time_branch(platform, lanes: int) -> dict:
     """Time branching ``lanes`` campaign lanes from ``platform``.
 
-    One ``LaneSource.materialize`` call builds every lane of a
-    ``lanes``-lane campaign on the started ``platform``; returns the
-    best time per lane.
+    One ``LaneSource.resolve`` (the snapshot) and one ``materialize``
+    call build every lane of a ``lanes``-lane campaign on the started
+    ``platform``; returns the best time per lane.
     """
-    source = LaneSource.resolve(platform, None, lanes)
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        source.materialize(range(lanes))
+        LaneSource.resolve(platform, None, lanes).materialize(range(lanes))
         best = min(best, time.perf_counter() - start)
     return {"lanes": lanes, "ms_per_lane": round(best / lanes * 1e3, 3)}
 
@@ -415,12 +416,12 @@ def build_report(duration_s: float = DURATION_S,
                            f"lanes, {STORE_S} s each from a started "
                            "platform: every entry put into a fresh "
                            "ResultStore (cold), then read back (warm hit); "
-                           "one lane_digests call and the pickle size of "
-                           "the started platform"),
+                           "one LaneSource.resolve + lane_digests pair and "
+                           "the pickle size of the started platform"),
         "store": _time_store(started, STORE_LANES, STORE_S),
-        "branch_scenario": (f"one LaneSource.materialize call branching "
-                            f"{BRANCH_LANES} campaign lanes from a started "
-                            "platform"),
+        "branch_scenario": (f"one LaneSource.resolve + materialize pair "
+                            f"branching {BRANCH_LANES} campaign lanes from a "
+                            "started platform"),
         "branch": _time_branch(started, BRANCH_LANES),
         "short_call_scenario": (
             f"a started platform polled with {SHORT_CALL_SAMPLES}-sample "

@@ -410,13 +410,6 @@ class Campaign:
                 a ``platforms=`` lane that is served is not advanced.
         """
         from .executor import ExecutorOptions, LaneSource, get_executor
-        source = LaneSource.resolve(platform, platforms, len(self.programs))
-        # resolved against the whole campaign before any sharding, so a
-        # shard runs the engine the full campaign would have picked
-        engine = engine or source.default_engine()
-        get_engine(engine)
-        if executor is None:
-            executor = "sharded" if workers else "local"
         options = ExecutorOptions(workers=workers, manifest_dir=manifest_dir,
                                   retry=retry,
                                   shard_timeout_s=shard_timeout_s,
@@ -425,6 +418,13 @@ class Campaign:
                                   heartbeat_interval_s=heartbeat_interval_s,
                                   heartbeat_grace=heartbeat_grace,
                                   speculation_factor=speculation_factor)
+        source = LaneSource.resolve(platform, platforms, len(self.programs))
+        # read off the live (first) base before any sharding, so a
+        # shard runs the engine the full campaign picked
+        engine = engine or (platform or source.base[0]).config.engine
+        get_engine(engine)
+        if executor is None:
+            executor = "sharded" if workers else "local"
         spec = get_executor(executor)
         with chaos_active(chaos):
             if store is not None:

@@ -56,6 +56,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import pickle
 import statistics
@@ -95,6 +96,16 @@ SPECULATION_MIN_DONE = 2
 POLL_INTERVAL_S = 0.02
 
 
+def _whole(value, minimum: int) -> bool:
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= minimum)
+
+
+def _finite_above(value, bound: float) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > bound)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExecutorOptions:
     """Per-run knobs consumed by the executors (see ``Campaign.run``)."""
@@ -109,6 +120,60 @@ class ExecutorOptions:
     heartbeat_grace: float = 6.0
     speculation_factor: Optional[float] = 4.0
 
+    def __post_init__(self) -> None:
+        for name in ("workers", "shard_size"):
+            value = getattr(self, name)
+            if value is not None and not _whole(value, 1):
+                raise ConfigurationError(
+                    f"{name} must be None or a whole number >= 1, "
+                    f"got {value!r}")
+        if not (self.shard_timeout_s is None
+                or _finite_above(self.shard_timeout_s, 0.0)):
+            raise ConfigurationError(
+                "shard_timeout_s must be None or finite and > 0, "
+                f"got {self.shard_timeout_s!r}")
+        if not _finite_above(self.heartbeat_interval_s, 0.0):
+            raise ConfigurationError(
+                "heartbeat_interval_s must be finite and > 0, "
+                f"got {self.heartbeat_interval_s!r}")
+        if not _finite_above(self.heartbeat_grace, 1.0):
+            raise ConfigurationError(
+                "heartbeat_grace must be finite and > 1, "
+                f"got {self.heartbeat_grace!r}")
+        if not (self.speculation_factor is None
+                or _finite_above(self.speculation_factor, 1.0)):
+            raise ConfigurationError(
+                "speculation_factor must be None or finite and > 1, "
+                f"got {self.speculation_factor!r}")
+
+
+def _snapshot(platform) -> bytes:
+    """The pickle a lane starts from (lanes, keys and replays read it)."""
+    try:
+        return pickle.dumps(platform, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(
+            "campaign lanes start from one pickle of their platform, so "
+            "it must be picklable (lambdas and closures, e.g. in register "
+            "write hooks, are not); pass platforms=[platform] to run it "
+            f"in place on the local executor, without a store: {exc}"
+        ) from exc
+
+
+def _normalised_digest(blob: bytes) -> str:
+    """SHA-256 over a platform pickle's *normalised* bytes.
+
+    Raw pickle bytes depend on object-graph sharing: a platform that was
+    itself unpickled can lose (or gain) shared sub-objects — a dtype
+    instance referenced by two arrays, say — and re-pickle to different
+    bytes than the freshly constructed equivalent.  One load/dump round
+    trip normalises the graph (``dumps ∘ loads`` is a fixed point), so
+    the digest is stable across process restarts and across
+    pickle/unpickle round trips of the platform.
+    """
+    blob = pickle.dumps(pickle.loads(blob), protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).hexdigest()
+
 
 @dataclasses.dataclass
 class LaneSource:
@@ -119,11 +184,11 @@ class LaneSource:
     each worker only its own slice and materialise lanes worker-side.
     Two modes:
 
-    * ``"platform"`` — every lane is unpickled from one shared pickle
-      of ``base``, so the base must pickle; a pickle round-trip
-      preserves platform state bit-for-bit, so every lane starts from
-      the base's exact state and worker-side materialisation equals
-      local materialisation exactly.
+    * ``"platform"`` — ``base`` is the base platform's pickle, taken
+      once by :meth:`resolve`; every lane is unpickled from it.  A
+      pickle round trip preserves platform state bit for bit, so every
+      lane starts from the base's exact state and worker-side
+      materialisation equals local materialisation exactly.
     * ``"platforms"`` — ``base`` is a list with one platform per lane,
       run in place without branching (the sharded executor runs
       worker-side copies).
@@ -131,90 +196,67 @@ class LaneSource:
 
     mode: str                   # "platform" | "platforms"
     base: object
+    _digest: Optional[str] = dataclasses.field(default=None, repr=False)
 
     @classmethod
     def resolve(cls, platform, platforms, n_lanes: int) -> "LaneSource":
+        """Check the ``Campaign.run`` bases; snapshot a ``platform``."""
+        from ..platform.gyro_platform import GyroPlatform
         if (platform is None) == (platforms is None):
             raise ConfigurationError(
                 "give exactly one of platform or platforms")
+        bases = [platform] if platforms is None else list(platforms)
+        for base in bases:
+            if not isinstance(base, GyroPlatform):
+                raise ConfigurationError(
+                    "campaign lanes run on GyroPlatform objects, got "
+                    f"{type(base).__name__}")
         if platforms is None:
-            return cls("platform", platform)
-        platforms = list(platforms)
-        if len(platforms) != n_lanes:
+            return cls("platform", _snapshot(platform))
+        if len(bases) != n_lanes:
             raise ConfigurationError(
-                f"got {len(platforms)} platforms for {n_lanes} lanes")
-        return cls("platforms", platforms)
-
-    def default_engine(self) -> str:
-        """The configured engine of the (first) base platform."""
-        if self.mode == "platforms":
-            return self.base[0].config.engine
-        return self.base.config.engine
+                f"got {len(bases)} platforms for {n_lanes} lanes")
+        return cls("platforms", bases)
 
     def materialize(self, indices: Sequence[int]) -> list:
         """Build the lane platforms for the given campaign lane indices.
 
-        ``platform`` lanes branch from one ``pickle.dumps`` of the base
-        and one ``pickle.loads`` per lane; ``platforms`` lanes are the
-        given platforms themselves.
-
-        Raises:
-            ConfigurationError: the base platform does not pickle (a
-                lambda register hook, say).
+        ``platform`` lanes are one ``pickle.loads`` of the snapshot
+        each; ``platforms`` lanes are the given platforms themselves.
         """
         if self.mode == "platforms":
             return [self.base[i] for i in indices]
-        try:
-            blob = pickle.dumps(self.base, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise ConfigurationError(
-                "campaign lanes branch from one pickle of the base "
-                "platform, so it must be picklable (lambdas and closures, "
-                "e.g. in register write hooks, are not); pass "
-                f"platforms=[platform] to run it without branching: {exc}"
-            ) from exc
-        return [pickle.loads(blob) for _ in indices]
+        return [pickle.loads(self.base) for _ in indices]
 
     def subset(self, indices: Sequence[int]) -> "LaneSource":
         """The slice of this source one shard needs (for its payload)."""
         if self.mode == "platforms":
             return LaneSource("platforms", [self.base[i] for i in indices])
-        return LaneSource(self.mode, self.base)
+        return self
+
+    def starting_state(self, index: int) -> bytes:
+        """Lane ``index``'s starting state: its platform's pickle."""
+        return (_snapshot(self.base[index]) if self.mode == "platforms"
+                else self.base)
 
     def lane_digests(self, n_lanes: int) -> List[str]:
         """Per-lane content digests of the starting state (store keys).
 
         Two lanes key identically exactly when they start from the same
         platform state: with a shared base (``platform`` mode) every
-        lane gets the same digest; with pre-built ``platforms`` each
-        lane digests its own platform, so heterogeneous fleets (e.g. the
-        DSE sweep's per-point configurations) never alias.  Platform
-        state pickles deterministically, so the digests are stable
-        across process restarts — the property the result store's keys
-        rely on.
+        lane gets the snapshot's digest, computed once per source; with
+        pre-built ``platforms`` each lane digests its own platform, so
+        heterogeneous fleets (e.g. the DSE sweep's per-point
+        configurations) never alias.  The digests are stable across
+        process restarts and pickle round trips — the property the
+        result store's keys and the manifest's resume check rely on.
         """
         if self.mode == "platforms":
-            return ["platforms:" + _state_digest(platform)
+            return ["platforms:" + _normalised_digest(_snapshot(platform))
                     for platform in self.base]
-        digest = f"{self.mode}:{_state_digest(self.base)}"
-        return [digest] * n_lanes
-
-
-def _state_digest(obj) -> str:
-    """SHA-256 over an object's *normalized* pickle bytes.
-
-    Raw pickle bytes depend on object-graph sharing: a platform that was
-    itself unpickled can lose (or gain) shared sub-objects — a dtype
-    instance referenced by two arrays, say — and re-pickle to different
-    bytes than the freshly constructed equivalent.  One dump/load round
-    trip normalizes the graph (``dumps ∘ loads`` is a fixed point), so
-    the digest is stable across process restarts and across
-    pickle/unpickle round trips of the platform.
-    """
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    blob = pickle.dumps(pickle.loads(blob),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha256(blob).hexdigest()
+        if self._digest is None:
+            self._digest = "platform:" + _normalised_digest(self.base)
+        return [self._digest] * n_lanes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -377,24 +419,20 @@ def _partition(n_lanes: int, workers: int,
     """Contiguous lane blocks, spread evenly over the workers."""
     if shard_size is None:
         shard_size = math.ceil(n_lanes / workers)
-    if shard_size < 1:
-        raise ConfigurationError("shard_size must be >= 1")
     return [list(range(lo, min(lo + shard_size, n_lanes)))
             for lo in range(0, n_lanes, shard_size)]
 
 
 def _check_picklable(campaign: Campaign, source: LaneSource,
                      options: ExecutorOptions) -> str:
-    """Pickle-compatibility check and lane-source digest in one pass.
+    """Pickle-compatibility check and lane-source digest for the manifest.
 
-    The lane source (typically the largest payload — whole platform
-    objects) is pickled exactly once and the bytes reused for the
-    manifest's resume-verification digest: the first 16 hex digits of
-    the SHA-256 of ``pickle.dumps((source.mode, source.base))``.
+    The programs and the chaos plan must pickle to reach a worker.  The
+    resume digest is the first 16 hex digits of the SHA-256 over the
+    lane digests the result store keys on, so a run resumed with its
+    base restored from a pickle matches the run it resumes.
     """
     try:
-        source_blob = pickle.dumps((source.mode, source.base),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
         pickle.dumps((campaign.programs, options.chaos),
                      protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
@@ -404,7 +442,8 @@ def _check_picklable(campaign: Campaign, source: LaneSource,
             "and chaos model must be picklable (the scenario and chaos "
             "libraries' are — lambdas and closures are not): "
             f"{exc}") from exc
-    return hashlib.sha256(source_blob).hexdigest()[:16]
+    digests = "\n".join(source.lane_digests(len(campaign.programs)))
+    return hashlib.sha256(digests.encode("ascii")).hexdigest()[:16]
 
 
 def _terminate_process(process) -> None:
@@ -421,8 +460,6 @@ def _run_sharded(campaign: Campaign, source: LaneSource, engine: str,
                  options: ExecutorOptions) -> CampaignResult:
     source_digest = _check_picklable(campaign, source, options)
     workers = options.workers or max(1, os.cpu_count() or 1)
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
     policy = options.retry or RetryPolicy()
     n_lanes = len(campaign.programs)
     partition = _partition(n_lanes, workers, options.shard_size)

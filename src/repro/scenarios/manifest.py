@@ -60,7 +60,7 @@ SHARD_DONE = "done"
 SHARD_FAILED = "failed"
 
 MANIFEST_FILENAME = "manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 HEARTBEAT_DIRNAME = "heartbeats"
 
 #: Attempt outcomes recorded in a shard's ``history``.

@@ -66,7 +66,7 @@ def run_with_store(campaign, source, engine: str, executor_name: str,
         # platforms in place, and the stored config must be the state
         # the lane STARTED from, or the audit would replay the wrong run
         config_blobs = {
-            i: pickle.dumps((programs[i], source.subset([i])),
+            i: pickle.dumps((programs[i], source.starting_state(i)),
                             protocol=pickle.HIGHEST_PROTOCOL)
             for i in missing}
         sub_campaign = Campaign([programs[i] for i in missing],

@@ -5,7 +5,7 @@ One directory holds one store:
 .. code-block:: text
 
     store_dir/
-        store.json              # layout marker: {"schema": 3}
+        store.json              # layout marker: {"schema": 4}
         entries/
             ab/abcdef….json     # one verified entry per lane key
         quarantine/
@@ -18,7 +18,7 @@ Every entry is three newline-terminated lines and a binary tail:
 
 .. code-block:: text
 
-    line 1  header    {"key": …, "schema": 3, "sha256": <hex digest>}
+    line 1  header    {"key": …, "schema": 4, "sha256": <hex digest>}
     line 2  metadata  campaign, engine, executor, source_digest,
                       scenarios, created_unix (canonical JSON)
     line 3  payload   the LaneOutcome's ``to_dict(block)`` skeleton
@@ -28,7 +28,7 @@ Every entry is three newline-terminated lines and a binary tail:
                       "trace_block_bytes"
     rest    traces    the trace block: raw little-endian sections
                       (float traces "<f8", bool traces "u1" 0/1)
-            config    the raw replay pickle: (program, lane source)
+            config    the raw replay pickle: (program, platform pickle)
 
 The header's ``sha256`` covers every byte after the header line, so one
 hash verifies the metadata, the payload, the traces and the replay
@@ -104,7 +104,7 @@ class StoreEntry:
     ``campaign`` through ``created_unix`` are the metadata line;
     ``payload`` is the parsed payload line, ``traces`` the raw trace
     block it refers into and ``config`` the raw replay pickle, left
-    undecoded until :meth:`replay_config`.
+    undecoded until :meth:`ResultStore.audit`.
     """
 
     key: str
@@ -123,10 +123,6 @@ class StoreEntry:
         """The stored lane outcome (``platform=None``; see LaneOutcome)."""
         from ..scenarios.campaign import LaneOutcome
         return LaneOutcome.from_dict(self.payload, self.traces)
-
-    def replay_config(self):
-        """Unpickle the stored replay config: ``(program, lane_source)``."""
-        return pickle.loads(self.config)
 
 
 @dataclasses.dataclass
@@ -218,7 +214,7 @@ class ResultStore:
             lane: the :class:`LaneOutcome` to store (:func:`encode_lane`
                 gives the payload and the trace block; the platform
                 object does not travel).
-            config_blob: ``pickle.dumps((program, lane_source))``
+            config_blob: ``pickle.dumps((program, platform_pickle))``
                 captured *before* the lane ran — the replay config the
                 equivalence audit re-simulates from.
             campaign, engine, executor, source_digest: provenance
@@ -369,9 +365,9 @@ class ResultStore:
                 quarantined.append(key)
                 continue
             try:
-                program, source = entry.replay_config()
-                lanes = source.materialize([0])
-                fresh = _execute_lanes([program], lanes, engine)[0]
+                program, state = pickle.loads(entry.config)
+                fresh = _execute_lanes([program], [pickle.loads(state)],
+                                       engine)[0]
             except Exception:
                 self._quarantine(key, "replay-failed")
                 quarantined.append(key)
@@ -396,7 +392,7 @@ class ResultStore:
 
 
 def encode_lane(lane) -> Tuple[bytes, bytes]:
-    """A lane outcome's ``(payload line, trace block)`` (schema 3).
+    """A lane outcome's ``(payload line, trace block)`` (schema 4).
 
     The payload is the canonical JSON of ``lane.to_dict(block)`` plus the
     block's byte length; the same lane always encodes to the same bytes,

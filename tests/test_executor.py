@@ -11,6 +11,8 @@ serialisation round-trips the shard files rely on.
 """
 
 import copy
+import json
+import math
 import os
 import pickle
 
@@ -36,7 +38,7 @@ from repro.scenarios import (
     startup_scenario,
     validate_executor,
 )
-from repro.scenarios.executor import ExecutorSpec
+from repro.scenarios.executor import ExecutorOptions, ExecutorSpec, LaneSource
 from repro.scenarios.manifest import (
     SHARD_DONE,
     SHARD_FAILED,
@@ -109,6 +111,41 @@ class TestExecutorRegistry:
                      workers=2)
 
 
+#: one executor number out of its range per case
+BAD_OPTIONS = [
+    {"workers": 0}, {"workers": -2}, {"workers": 2.5}, {"workers": True},
+    {"shard_size": 0}, {"shard_size": 2.5},
+    {"shard_timeout_s": 0.0}, {"shard_timeout_s": -1.0},
+    {"shard_timeout_s": math.nan}, {"shard_timeout_s": math.inf},
+    {"heartbeat_interval_s": 0.0}, {"heartbeat_interval_s": -0.5},
+    {"heartbeat_interval_s": math.nan}, {"heartbeat_interval_s": None},
+    {"heartbeat_grace": math.nan}, {"heartbeat_grace": 1.0},
+    {"heartbeat_grace": math.inf},
+    {"speculation_factor": 1.0}, {"speculation_factor": math.nan},
+    {"speculation_factor": "4"},
+]
+
+
+class TestExecutorOptions:
+    @pytest.mark.parametrize("bad", BAD_OPTIONS, ids=repr)
+    def test_bad_numbers_raise_before_any_work(self, started_platform,
+                                               tmp_path, bad):
+        camp = Campaign(rate_table_scenarios([0.0, 40.0], settle_s=0.01))
+        manifest_dir = tmp_path / "manifest"
+        (name, _), = bad.items()
+        with pytest.raises(ConfigurationError, match=name):
+            camp.run(started_platform, executor="sharded",
+                     manifest_dir=str(manifest_dir), chaos=FAIL_ALWAYS,
+                     **bad)
+        assert not manifest_dir.exists()
+
+    def test_numbers_in_range_are_kept(self):
+        options = ExecutorOptions(workers=np.int64(2), shard_size=1,
+                                  shard_timeout_s=5, heartbeat_grace=1.5,
+                                  speculation_factor=None)
+        assert options.workers == 2 and options.shard_timeout_s == 5
+
+
 # ---------------------------------------------------------------------------
 # batch manifest (pure unit tests, no simulation)
 # ---------------------------------------------------------------------------
@@ -150,6 +187,18 @@ class TestManifest:
         json.dump(data, open(manifest.path, "w"))
         with pytest.raises(ConfigurationError, match="version"):
             CampaignManifest.load(str(tmp_path))
+
+    def test_version_1_manifest_is_refused_by_name(self, tmp_path):
+        # version 1 digested the raw pickle of the lane source, which a
+        # pickle-restored base does not reproduce
+        manifest = CampaignManifest(str(tmp_path), "camp", "compiled",
+                                    "f00d", make_shards())
+        with open(manifest.path, "w") as fh:
+            json.dump(dict(manifest.to_dict(), version=1), fh)
+        with pytest.raises(ConfigurationError, match="version 1, expected 2"):
+            CampaignManifest.create_or_resume(str(tmp_path), "camp",
+                                              "compiled", "f00d",
+                                              make_shards())
 
     def test_create_or_resume_keeps_statuses(self, tmp_path):
         first = CampaignManifest.create_or_resume(
@@ -525,6 +574,24 @@ class TestFaultInjectionAndResume:
         assert os.path.exists(manifest_path + ".corrupt-0")
         manifest = CampaignManifest.load(str(tmp_path))
         assert all(s.status == SHARD_DONE for s in manifest.shards)
+
+    def test_resume_from_pickle_restored_base_credits_every_shard(
+            self, started_platform, tmp_path):
+        # the restored base re-pickles to other bytes, but the resume
+        # identity is the normalised lane digests the store keys on
+        camp = Campaign(rate_table_scenarios([-40.0, 0.0, 40.0, 80.0],
+                                             settle_s=0.03),
+                        name="restored")
+        base = copy.deepcopy(started_platform)
+        restored = pickle.loads(pickle.dumps(base))
+        first = camp.run(base, workers=2, manifest_dir=str(tmp_path))
+        resumed = camp.run(restored, workers=2, manifest_dir=str(tmp_path),
+                           chaos=FAIL_ALWAYS)
+        assert_campaigns_identical(first, resumed)
+        manifest = CampaignManifest.load(str(tmp_path))
+        assert [s.attempts for s in manifest.shards] == [1, 1]
+        assert (LaneSource.resolve(restored, None, 4).lane_digests(4)
+                == LaneSource.resolve(base, None, 4).lane_digests(4))
 
     def test_resume_rejects_different_campaign(self, started_platform,
                                                tmp_path):

@@ -34,7 +34,7 @@ from repro.scenarios import (
     tail_mean,
     validate_engine,
 )
-from repro.scenarios.executor import LaneSource, _state_digest
+from repro.scenarios.executor import LaneSource
 from repro.sensors import Environment
 from repro.sensors.environment import (
     ConstantProfile,
@@ -300,29 +300,34 @@ class TestCalibrationEquivalence:
         assert all(config == configs[0] for config in configs)
 
 
+def state_digest(platform) -> str:
+    """The store's normalised digest of a platform's state."""
+    return LaneSource.resolve(platform, None, 1).lane_digests(1)[0]
+
+
 class TestBranching:
     def test_branching_never_deep_copies_a_platform(
             self, forbid_platform_deepcopy):
         platform = GyroPlatform()
-        before = _state_digest(platform)
+        before = state_digest(platform)
         envs = [Environment.still(), Environment.constant_rate(80.0)]
         branched = Campaign([Scenario(f"run[{i}]", env, 0.02)
                              for i, env in enumerate(envs)]).run(platform)
         direct = [GyroPlatform().run(env, 0.02) for env in envs]
         assert ([lane.outcomes[0].result.digest() for lane in branched]
                 == [r.digest() for r in direct])
-        assert _state_digest(platform) == before
+        assert state_digest(platform) == before
 
     def test_branched_lanes_share_no_state(self):
         base = GyroPlatform()
-        before = _state_digest(base)
+        before = state_digest(base)
         source = LaneSource.resolve(base, None, 2)
         first, second = source.materialize(range(2))
         # every lane starts from the base's exact state
-        assert _state_digest(second) == before
+        assert state_digest(second) == before
         first.run(Environment.constant_rate(50.0), 0.01)
-        assert _state_digest(second) == before
-        assert _state_digest(base) == before
+        assert state_digest(second) == before
+        assert state_digest(base) == before
 
     def test_prebuilt_platforms_carry_state_across_campaigns(self):
         lanes = [GyroPlatform(), GyroPlatform()]
@@ -354,6 +359,19 @@ class TestBranching:
             campaign.run(platform)
         # caller-owned lanes never branch, so the hooked platform runs
         assert campaign.run(platforms=[platform]).complete
+
+    @pytest.mark.parametrize("args, kwargs, kind", [
+        ((GyroPlatformConfig(),), {}, "GyroPlatformConfig"),
+        (("p",), {}, "str"),
+        ((), {"platforms": [None]}, "NoneType"),
+    ])
+    def test_base_that_is_not_a_platform_is_rejected(self, args, kwargs,
+                                                     kind):
+        campaign = Campaign([Scenario(name="still",
+                                      environment=Environment.still(),
+                                      duration_s=0.01)])
+        with pytest.raises(ConfigurationError, match=f"got {kind}$"):
+            campaign.run(*args, **kwargs)
 
 
 class TestTimeShiftedProfiles:

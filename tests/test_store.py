@@ -43,7 +43,7 @@ from repro.chaos import (
     WorkerError,
 )
 from repro.chaos import runtime as chaos_runtime
-from repro.common import StoreError, StoreIntegrityError
+from repro.common import ConfigurationError, StoreError, StoreIntegrityError
 from repro.common.retry import RetryPolicy
 from repro.eval.metrics import CharacterizationConfig, GyroCharacterization
 from repro.faults import AfeSaturation, SensorDropout, StuckAdcCode
@@ -229,6 +229,64 @@ class TestServing:
             json.dump({"schema": 99}, fh)
         with pytest.raises(StoreError, match="schema"):
             ResultStore(str(root))
+
+
+# ---------------------------------------------------------------------------
+# one snapshot: a platform= base is pickled once per Campaign.run
+# ---------------------------------------------------------------------------
+
+def count_pickles(monkeypatch, platform) -> list:
+    """Record every ``__reduce_ex__`` call on ``platform`` itself."""
+    calls = []
+    original = GyroPlatform.__reduce_ex__
+
+    def reduce_ex(self, protocol):
+        if self is platform:
+            calls.append(protocol)
+        return original(self, protocol)
+
+    monkeypatch.setattr(GyroPlatform, "__reduce_ex__", reduce_ex)
+    return calls
+
+
+class TestOneSnapshot:
+    @pytest.mark.parametrize("path", ["local", "sharded", "store-cold",
+                                      "store-warm"])
+    def test_base_is_pickled_once_per_run(self, started_platform, tmp_path,
+                                          monkeypatch, path):
+        rates = [-150.0 + 20.0 * i for i in range(16)]
+        camp = Campaign(rate_table_scenarios(rates, settle_s=0.005),
+                        name="snapshot")
+        base = copy.deepcopy(started_platform)
+        store = ResultStore(str(tmp_path / "store"))
+        sharded = {"workers": 2, "manifest_dir": str(tmp_path / "manifest")}
+        kwargs = {"local": {}, "sharded": sharded,
+                  "store-cold": dict(sharded, store=store),
+                  "store-warm": {"store": store}}[path]
+        if path == "store-warm":
+            camp.run(base, store=store)
+        calls = count_pickles(monkeypatch, base)
+        assert camp.run(base, **kwargs).complete
+        assert len(calls) == 1
+        if path == "store-warm":
+            assert store.stats.hits == 16
+
+    def test_unpicklable_base_raises_one_error_on_every_path(self,
+                                                             tmp_path):
+        base = GyroPlatform()
+        base.hook = lambda: None
+        camp = make_campaign()
+        store = ResultStore(str(tmp_path / "store"))
+        messages = set()
+        for kwargs in ({}, {"workers": 2,
+                            "manifest_dir": str(tmp_path / "manifest")},
+                       {"store": store}):
+            with pytest.raises(ConfigurationError,
+                               match="must be picklable") as info:
+                camp.run(base, **kwargs)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert not (tmp_path / "manifest").exists() and len(store) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +547,17 @@ class TestKeyProperties:
         clone = pickle.loads(pickle.dumps(scenario))
         assert clone.digest() == scenario.digest()
 
-    def test_source_digest_survives_pickle_round_trip(self):
-        platform = GyroPlatform()
-        source = LaneSource.resolve(platform, None, 1)
-        clone = pickle.loads(pickle.dumps(source))
-        assert clone.lane_digests(1) == source.lane_digests(1)
+    def test_source_digest_survives_pickle_round_trip(self,
+                                                      started_platform):
+        # a started platform restored from its pickle re-pickles to
+        # other bytes; the digest normalises them, in both source modes
+        restored = pickle.loads(pickle.dumps(started_platform))
+        shared = [LaneSource.resolve(platform, None, 1).lane_digests(1)
+                  for platform in (started_platform, restored)]
+        assert shared[0] == shared[1]
+        own = LaneSource.resolve(None, [started_platform, restored],
+                                 2).lane_digests(2)
+        assert own[0] == own[1]
 
     #: Lane keys of a fresh platform, a started one (noise streams
     #: mid-stream) and a started one left mid-block by a reference
