@@ -3,20 +3,24 @@
 Times the co-simulation paths on the same fixed workload — the Fig. 5
 drive-loop locking scenario (sensor at rest from power-on) — plus the
 scenario-campaign orchestrator on a rate-table sweep, both in-process
-and through the sharded multi-process executor, on the default engine
-with each lane-kernel backend (C and generated Python), and writes
-``BENCH_engine.json`` at the repository root so the perf trajectory
-can be tracked across PRs.
+and through the sharded multi-process executor, and on a temperature
+ramp in-process, on the default engine with each lane-kernel backend
+(C and generated Python), and writes ``BENCH_engine.json`` at the
+repository root so the perf trajectory can be tracked across PRs.
 
 Schema: a list of ``{path, samples_per_sec, speedup_vs_reference}``
 records under ``"entries"``; the compiled, campaign and sharded paths
 carry their backend in brackets.  ``samples_per_sec`` is simulated
 samples per wall-clock second; for the campaign paths all fleet lanes
 count, so their speedup is the *per-scenario* throughput gain at ``B``
-lanes.  ``"build"`` times the C backend's on-disk kernel cache in a
-temporary cache directory, per kernel plan: the cold build (lowering,
-compiling and the self-check) and the warm load from the cache in the
-same process.
+lanes.  A rate-table round of C lanes runs on ``lane_threads`` threads
+(``min(cpu_count, B)``); the ``ramp`` row's lanes (``RAMP_LANES``, each
+under a 25 → 85 °C ramp over the run) retune their sensors within the
+round, so its rounds run serially, and its propagator memo is emptied
+before each repeat, as in a fresh process.  ``"build"`` times the C
+backend's on-disk kernel cache in a temporary cache directory, per
+kernel plan: the cold build (lowering, compiling and the self-check)
+and the warm load from the cache in the same process.
 ``"store"`` times the result store on one campaign of ``STORE_LANES``
 0.05 s settled-output lanes branched from a started platform: the mean
 entry size, the put time per lane into a fresh store (cold), the hit
@@ -68,9 +72,17 @@ from repro.engine import backend_info                      # noqa: E402
 from repro.engine import compiled                          # noqa: E402
 from repro.engine.compiled import kernel_plan              # noqa: E402
 from repro.platform import GyroPlatform, GyroPlatformConfig  # noqa: E402
-from repro.scenarios import Campaign, rate_table_scenarios  # noqa: E402
+from repro.scenarios import (                               # noqa: E402
+    Campaign,
+    Scenario,
+    rate_table_scenarios,
+)
 from repro.scenarios.executor import LaneSource            # noqa: E402
-from repro.sensors import Environment                      # noqa: E402
+from repro.sensors import Environment, resonator           # noqa: E402
+from repro.sensors.environment import (                    # noqa: E402
+    ConstantProfile,
+    RampProfile,
+)
 from repro.store import ResultStore                        # noqa: E402
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -78,6 +90,8 @@ REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_engine.json")
 
 DURATION_S = 0.5   # the fixed locking scenario
 BATCH_LANES = 32
+RAMP_LANES = 4
+RAMP_C = (25.0, 85.0)  # temperature at the start and end of a ramp lane
 STORE_LANES = 16
 STORE_S = 0.05       # settled-output lane length
 BRANCH_LANES = 32
@@ -126,15 +140,45 @@ def _time_campaign(lanes: int, duration_s: float) -> float:
 
     The platform start-up is not timed — the campaign layer is what is
     being measured: scenario branching, the per-round fleet calls and
-    metric extraction on top of the lane kernels.
+    metric extraction on top of the lane kernels.  One untimed run
+    comes first: on a 2-vCPU Xeon the first threaded campaigns after
+    the second CPU sat idle ran up to 1.8x slower than the ones after
+    them.
     """
     rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
+    campaign = Campaign(rate_table_scenarios(rates, settle_s=duration_s),
+                        name="bench-rate-table")
+    best = float("inf")
+    for rep in range(REPEATS + 1):
+        platform = GyroPlatform(GyroPlatformConfig())
+        platform.start()
+        start = time.perf_counter()
+        campaign.run(platform)
+        if rep:
+            best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _time_ramp(lanes: int, duration_s: float) -> float:
+    """Time a campaign whose lanes ramp the temperature.
+
+    ``lanes`` settled-output lanes at spread rates, each under a
+    ``RAMP_C`` ramp over its whole run, branched from a started
+    platform: every lane retunes its sensor about 1,200 times, so its
+    rounds stay in the calling thread.  The propagator memo is emptied
+    before each repeat, so the first lane computes every propagator
+    and the others read them, as in a fresh process.
+    """
+    rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
+    ramp = RampProfile(*RAMP_C, t0=0.0, t1=duration_s)
+    campaign = Campaign([Scenario(f"ramp[{i}]", Environment(
+        rate_dps=ConstantProfile(rate), temperature_c=ramp), duration_s)
+        for i, rate in enumerate(rates)], name="bench-ramp")
     best = float("inf")
     for _ in range(REPEATS):
         platform = GyroPlatform(GyroPlatformConfig())
         platform.start()
-        campaign = Campaign(rate_table_scenarios(rates, settle_s=duration_s),
-                            name="bench-rate-table")
+        resonator.propagator.cache_clear()
         start = time.perf_counter()
         campaign.run(platform)
         best = min(best, time.perf_counter() - start)
@@ -381,6 +425,8 @@ def build_report(duration_s: float = DURATION_S,
                  n / _time_engine("compiled", duration_s)),
                 (f"campaign[{backend}, rate-table B={lanes}]",
                  n * lanes / _time_campaign(lanes, duration_s)),
+                (f"campaign[{backend}, ramp B={RAMP_LANES}]",
+                 n * RAMP_LANES / _time_ramp(RAMP_LANES, duration_s)),
                 (f"sharded[{backend}, {workers} workers, rate-table "
                  f"B={lanes}]",
                  n * lanes / _time_sharded(lanes, duration_s, workers)),
@@ -402,10 +448,13 @@ def build_report(duration_s: float = DURATION_S,
         "scenario": ("fig5 locking run: sensor at rest from power-on, "
                      f"{duration_s} s @ {fs:.0f} Hz; campaign/sharded "
                      f"entries: {lanes}-point rate-table sweep of the same "
-                     "length"),
+                     f"length; ramp entries: {RAMP_LANES} lanes of the same "
+                     f"length, each ramping {RAMP_C[0]:g} -> {RAMP_C[1]:g} "
+                     "degC"),
         "samples": n,
         "batch_lanes": lanes,
         "workers": workers,
+        "lane_threads": min(os.cpu_count() or 1, lanes),
         "cpu_count": os.cpu_count(),
         "host": _host(),
         "compiled_backend": dict(
@@ -470,6 +519,9 @@ def main() -> None:
         print(f"wrote {output}")
     else:
         print("quick run (not written; pass --output to save)")
+    print(f"  {report['cpu_count']} CPUs: rate-table rounds on "
+          f"{report['lane_threads']} threads, sharded rows on "
+          f"{report['workers']} workers")
     for entry in report["entries"]:
         print(f"  {entry['path']:<40s} {entry['samples_per_sec']:>12,.0f} "
               f"samples/s   {entry['speedup_vs_reference']:>6.2f}x")

@@ -1,7 +1,9 @@
 """Chaos matrix: infrastructure failure injection vs the hardened executor.
 
-Runs one campaign uninjected to fix the baseline, then replays it under
-a matrix of deterministic, seeded infrastructure failures — worker
+Runs one campaign uninjected and in-process to fix the baseline (its
+lanes run on threads where the C backend and two CPUs allow), then
+replays it on the sharded executor under a matrix of deterministic,
+seeded infrastructure failures — worker
 crashes, worker errors, frozen workers (heartbeat loss), hung
 stragglers, torn and
 corrupted shard result writes, slow publishes, ENOSPC on manifest
@@ -10,8 +12,9 @@ rename.  The acceptance bar for every cell:
 
 * the campaign completes with **zero quarantined shards** (the retry
   budget suffices), and
-* every lane's metrics and scenario digests are **bit-identical** to
-  the uninjected baseline.
+* every lane's outcomes — traces, metrics and bookkeeping, digested
+  with ``content_digest(lane.to_dict())`` — are **bit-identical** to the
+  uninjected baseline.
 
 Along the way it demonstrates the hardening mechanics: crashed and
 frozen workers are rescheduled off missed heartbeats long before the
@@ -48,6 +51,7 @@ from repro.chaos import (
     WorkerHang,
 )
 from repro.platform import GyroPlatform
+from repro.platform.result import content_digest
 from repro.scenarios import Campaign, CampaignManifest, settled_output_scenario
 from repro.store import ResultStore
 
@@ -73,7 +77,9 @@ def build_campaign() -> Campaign:
 
 
 def digests(result):
-    return [[outcome.digest() for outcome in lane.outcomes]
+    """Each lane's content digest: its results, not the scenario that
+    produced them (``ScenarioOutcome.digest()`` is the latter)."""
+    return [None if lane is None else content_digest(lane.to_dict())
             for lane in result.lanes]
 
 

@@ -87,6 +87,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 import pickle
 import warnings
 from typing import Optional, Tuple
@@ -95,7 +96,7 @@ import numpy as np
 
 from ..common.exceptions import ConfigurationError, SimulationError
 from ..platform.result import GyroSimulationResult
-from ..sensors.environment import Environment
+from ..sensors.environment import ConstantProfile, Environment
 from .state import (
     AFE_DRIFT,
     CONST_NAMES,
@@ -724,6 +725,46 @@ def _compile_kernel(plan: Tuple, backend: Optional[str] = None,
                              "it on")
         fn = _KERNELS[key] = _native_kernel(plan, platform, environment)
     return fn
+
+
+def settle_lanes(platforms, environments) -> bool:
+    """Ready a campaign round's lanes to run on threads; whether they may.
+
+    They may when every lane's temperature is a
+    :class:`~repro.sensors.environment.ConstantProfile` of a real level
+    and every lane's kernel is a C library, whose call releases the GIL.
+    Such a lane retunes its sensor at most once, at sample 0 (constant
+    profiles are never time-shifted).  This settles each distinct plan
+    (a first request builds and self-checks it) and memoises each lane's
+    propagators for its temperature
+    (:meth:`~repro.sensors.gyro.VibratingRingGyro.prefetch_propagators`),
+    so no lane thread reaches the compiler or SciPy.  A plan whose first
+    request raises leaves the round serial, so the lane raises it in
+    lane order.
+    """
+    levels = []
+    for environment in environments:
+        profile = environment.temperature_c
+        if not (isinstance(profile, ConstantProfile)
+                and isinstance(profile.level, numbers.Real)):
+            return False
+        levels.append(float(profile.level))
+    kernels = {}
+    for platform, environment in zip(platforms, environments):
+        plan = kernel_plan(platform)
+        if plan is None:
+            return False
+        if plan not in kernels:
+            try:
+                kernels[plan] = _compile_kernel(plan, platform=platform,
+                                                environment=environment)
+            except ConfigurationError:
+                return False
+        if not hasattr(kernels[plan], "library"):
+            return False
+    for platform, level in zip(platforms, levels):
+        platform.sensor.prefetch_propagators(level)
+    return True
 
 
 def _self_check(plan: Tuple, candidate, platform, environment) -> bool:

@@ -435,13 +435,18 @@ class Campaign:
 
 
 def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
-                   engine: str) -> List[LaneOutcome]:
+                   engine: str, threads: int = 1) -> List[LaneOutcome]:
     """Run lane programs on pre-built platforms with one engine.
 
     This is the campaign core loop, shared by every executor: the
     ``"local"`` executor calls it with all lanes in-process and the
     ``"sharded"`` executor calls it inside each worker with that shard's
-    slice of the lanes.  Chunking policy: every round, each lane steps
+    slice of the lanes.  ``threads`` caps the threads a round may run
+    its lanes on (:meth:`~repro.scenarios.engines.EngineSpec.run_fleet`):
+    the local executor passes the CPU count, while a shard worker, which
+    has a CPU of its own, runs serially.
+
+    Chunking policy: every round, each lane steps
     to its *own* next boundary — its next stop-condition check or
     scenario end, never a foreign lane's, counted on the lane's own
     sample grid — and every round is one
@@ -463,7 +468,8 @@ def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
             [state.platform for state in active],
             [state.environment() for state in active],
             [step / state.fs for state, step in zip(active, steps)],
-            [state.scenario.record_waveforms for state in active])
+            [state.scenario.record_waveforms for state in active],
+            threads)
         for state, result, step in zip(active, results, steps):
             state.advance(step, result)
         active = [s for s in active if not s.done]

@@ -15,13 +15,18 @@ resolve engine names here instead of keeping their own string checks.
   loop, because a generated kernel cannot raise.
 
 Every engine runs a fleet the same way: :meth:`EngineSpec.run_fleet`
-runs each lane through the engine's single-platform runner.
+runs each lane through the engine's single-platform runner, on threads
+when the engine's :attr:`~EngineSpec.settle` says the round's lanes may
+run on them (compiled C lanes at constant temperatures) and the caller
+allows more than one.
 """
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..common.exceptions import ConfigurationError
 
@@ -42,6 +47,10 @@ class EngineSpec:
 
     name: str
     runner: Callable
+    #: ``settle(platforms, environments)``: readies a round's lanes to
+    #: run on threads, in the calling thread, and returns whether they
+    #: may (``None``: never).
+    settle: Optional[Callable] = None
 
     def run(self, platform, environment, duration_s: float,
             record_waveforms: bool = False):
@@ -50,7 +59,7 @@ class EngineSpec:
                            record_waveforms)
 
     def run_fleet(self, platforms, environments, durations_s,
-                  record_waveforms: Sequence[bool]):
+                  record_waveforms: Sequence[bool], threads: int = 1):
         """Run each lane through :attr:`runner`; one result per lane.
 
         Every argument holds one entry per lane: the lane's platform,
@@ -58,10 +67,27 @@ class EngineSpec:
         call is one engine call (a campaign round), so it calls
         :attr:`runner` directly: nesting :meth:`run` inside it would
         make a wrapper that times engine calls count every lane twice.
+
+        The round runs on ``min(threads, lanes)`` threads of a pool that
+        lives for this call only, when that is more than one and
+        :attr:`settle` allows it; otherwise every lane runs in the
+        calling thread, in lane order.  Each lane owns its platform, so
+        the results are the serial ones bit for bit, and they come back
+        in lane order.  Each lane runs in a copy of the caller's
+        :mod:`contextvars` context (NumPy's ``errstate``, say).  When
+        lanes raise, the caller sees the first failing lane's exception,
+        as serially, but the lanes after it may already have run.
         """
-        return [self.runner(platform, environment, duration_s, record)
-                for platform, environment, duration_s, record in zip(
-                    platforms, environments, durations_s, record_waveforms)]
+        lanes = list(zip(platforms, environments, durations_s,
+                         record_waveforms))
+        threads = min(threads, len(lanes))
+        if (threads < 2 or self.settle is None
+                or not self.settle(platforms, environments)):
+            return [self.runner(*lane) for lane in lanes]
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(contextvars.copy_context().run,
+                                   self.runner, *lane) for lane in lanes]
+            return [future.result() for future in futures]
 
 
 def _run_reference(platform, environment, duration_s: float,
@@ -75,6 +101,11 @@ def _run_compiled(platform, environment, duration_s: float,
     return run_compiled(platform, environment, duration_s, record_waveforms)
 
 
+def _settle_compiled(platforms, environments) -> bool:
+    from ..engine.compiled import settle_lanes
+    return settle_lanes(platforms, environments)
+
+
 _REGISTRY: Dict[str, EngineSpec] = {}
 
 
@@ -86,7 +117,8 @@ def register_engine(spec: EngineSpec) -> None:
 
 
 register_engine(EngineSpec(ENGINE_REFERENCE, runner=_run_reference))
-register_engine(EngineSpec(ENGINE_COMPILED, runner=_run_compiled))
+register_engine(EngineSpec(ENGINE_COMPILED, runner=_run_compiled,
+                           settle=_settle_compiled))
 
 
 def engine_names() -> Tuple[str, ...]:

@@ -191,12 +191,17 @@ class LaneSource:
       materialisation equals local materialisation exactly.
     * ``"platforms"`` — ``base`` is a list with one platform per lane,
       run in place without branching (the sharded executor runs
-      worker-side copies).
+      worker-side copies).  Each lane's pickle is taken once, when a
+      store key, a replay config or a resume digest first needs it, and
+      its subsets share it.
     """
 
     mode: str                   # "platform" | "platforms"
     base: object
-    _digest: Optional[str] = dataclasses.field(default=None, repr=False)
+    #: ``"platforms"`` mode: each lane's starting-state pickle.
+    _snapshots: Optional[list] = dataclasses.field(default=None, repr=False)
+    #: the normalised digests: the base's, or one per ``platforms`` lane.
+    _digests: Optional[list] = dataclasses.field(default=None, repr=False)
 
     @classmethod
     def resolve(cls, platform, platforms, n_lanes: int) -> "LaneSource":
@@ -216,6 +221,12 @@ class LaneSource:
         if len(bases) != n_lanes:
             raise ConfigurationError(
                 f"got {len(bases)} platforms for {n_lanes} lanes")
+        if len({id(base) for base in bases}) != len(bases):
+            raise ConfigurationError(
+                "platforms= names one platform for more than one lane; "
+                "each lane advances its platform in place, so give every "
+                "lane its own (copy.deepcopy, or platform= to branch them "
+                "from one)")
         return cls("platforms", bases)
 
     def materialize(self, indices: Sequence[int]) -> list:
@@ -231,12 +242,22 @@ class LaneSource:
     def subset(self, indices: Sequence[int]) -> "LaneSource":
         """The slice of this source one shard needs (for its payload)."""
         if self.mode == "platforms":
-            return LaneSource("platforms", [self.base[i] for i in indices])
+            def pick(values):
+                return None if values is None else [values[i]
+                                                    for i in indices]
+            return LaneSource("platforms", pick(self.base),
+                              pick(self._snapshots), pick(self._digests))
         return self
+
+    def _lane_snapshots(self) -> list:
+        """Each ``platforms`` lane's pickle, taken once per source."""
+        if self._snapshots is None:
+            self._snapshots = [_snapshot(platform) for platform in self.base]
+        return self._snapshots
 
     def starting_state(self, index: int) -> bytes:
         """Lane ``index``'s starting state: its platform's pickle."""
-        return (_snapshot(self.base[index]) if self.mode == "platforms"
+        return (self._lane_snapshots()[index] if self.mode == "platforms"
                 else self.base)
 
     def lane_digests(self, n_lanes: int) -> List[str]:
@@ -251,12 +272,14 @@ class LaneSource:
         process restarts and pickle round trips — the property the
         result store's keys and the manifest's resume check rely on.
         """
-        if self.mode == "platforms":
-            return ["platforms:" + _normalised_digest(_snapshot(platform))
-                    for platform in self.base]
-        if self._digest is None:
-            self._digest = "platform:" + _normalised_digest(self.base)
-        return [self._digest] * n_lanes
+        if self._digests is None:
+            self._digests = (
+                ["platforms:" + _normalised_digest(blob)
+                 for blob in self._lane_snapshots()]
+                if self.mode == "platforms"
+                else ["platform:" + _normalised_digest(self.base)])
+        return (list(self._digests) if self.mode == "platforms"
+                else self._digests * n_lanes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -316,7 +339,8 @@ def _run_local(campaign: Campaign, source: LaneSource, engine: str,
             "the local executor runs in-process; pass executor='sharded' "
             "(or just workers=N) to fan lanes out over worker processes")
     lanes = source.materialize(range(len(campaign.programs)))
-    return CampaignResult(_execute_lanes(campaign.programs, lanes, engine))
+    return CampaignResult(_execute_lanes(campaign.programs, lanes, engine,
+                                         threads=os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------

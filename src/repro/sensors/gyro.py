@@ -22,6 +22,7 @@ zero-rate offset and mechanical (Brownian) rate noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -30,7 +31,7 @@ import numpy as np
 from ..common.exceptions import ConfigurationError
 from ..common.noise import BufferedGaussianNoise
 from ..common.units import ROOM_TEMPERATURE_C, dps_to_rps
-from .resonator import ResonatorMode
+from .resonator import ResonatorMode, propagator
 
 
 @dataclass(frozen=True)
@@ -148,25 +149,53 @@ class VibratingRingGyro:
         """Current die temperature in °C."""
         return self._temperature_c
 
-    def _apply_temperature(self, temperature_c: float) -> None:
-        """Retune resonators and gains for a new temperature."""
-        if (self._last_temp_applied is not None
-                and abs(temperature_c - self._last_temp_applied) < 0.05):
-            self._temperature_c = temperature_c
-            return
+    def prefetch_propagators(self, temperature_c: float) -> Optional[tuple]:
+        """Memoise the propagators a retune to ``temperature_c`` needs.
+
+        Returns both modes' ``(resonance_hz, quality_factor)`` at
+        ``temperature_c``, primary first, or ``None`` inside the 0.05 °C
+        hysteresis band around the last applied temperature, where
+        nothing retunes.  Each mode whose target differs from its current
+        tuning and is finite and > 0 gets its propagator computed into
+        :func:`~repro.sensors.resonator.propagator`'s memo; a non-finite
+        temperature, or one a mode would refuse, memoises nothing, so the
+        retune itself raises its error.  A campaign calls this before it
+        runs lanes on threads, so that no thread needs SciPy.
+        """
+        last = self._last_temp_applied
+        if last is not None and abs(temperature_c - last) < 0.05:
+            return None
         p = self.params
         dt_c = temperature_c - ROOM_TEMPERATURE_C
         freq_scale = 1.0 + p.frequency_tc_ppm_per_c * 1e-6 * dt_c
         q_scale = max(0.1, 1.0 + p.q_tc_ppm_per_c * 1e-6 * dt_c)
-        self.primary.retune(p.primary_resonance_hz * freq_scale,
-                            p.primary_q * q_scale)
-        self.secondary.retune(p.secondary_resonance_hz * freq_scale,
-                              p.secondary_q * q_scale)
-        self._pickoff_gain = (p.pickoff_gain_v_per_m
-                              * (1.0 + p.pickoff_tc_ppm_per_c * 1e-6 * dt_c))
-        self._offset_rate_dps = p.offset_rate_dps + p.offset_tc_dps_per_c * dt_c
+        targets = ((p.primary_resonance_hz * freq_scale,
+                    p.primary_q * q_scale),
+                   (p.secondary_resonance_hz * freq_scale,
+                    p.secondary_q * q_scale))
+        for mode, (f, q) in zip((self.primary, self.secondary), targets):
+            if ((f, q) != (mode.resonance_hz, mode.quality_factor)
+                    and math.isfinite(f) and math.isfinite(q)
+                    and f > 0 and q > 0):
+                propagator(f, q, mode.dt)
+        return targets
+
+    def _apply_temperature(self, temperature_c: float) -> None:
+        """Retune resonators and gains for a new temperature."""
+        targets = self.prefetch_propagators(temperature_c)
+        if targets is not None:
+            p = self.params
+            dt_c = temperature_c - ROOM_TEMPERATURE_C
+            (f_p, q_p), (f_s, q_s) = targets
+            self.primary.retune(f_p, q_p)
+            self.secondary.retune(f_s, q_s)
+            self._pickoff_gain = (p.pickoff_gain_v_per_m
+                                  * (1.0 + p.pickoff_tc_ppm_per_c * 1e-6
+                                     * dt_c))
+            self._offset_rate_dps = (p.offset_rate_dps
+                                     + p.offset_tc_dps_per_c * dt_c)
+            self._last_temp_applied = temperature_c
         self._temperature_c = temperature_c
-        self._last_temp_applied = temperature_c
 
     # -- simulation -------------------------------------------------------------
 

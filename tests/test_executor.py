@@ -22,7 +22,8 @@ import pytest
 from repro.chaos import ChaosPlan, WorkerError
 from repro.common import ConfigurationError, RetryPolicy, SimulationError
 from repro.platform import GyroPlatform, GyroPlatformConfig
-from repro.faults import AfeSaturation
+from repro.platform.result import content_digest
+from repro.faults import AfeSaturation, StuckAdcCode
 from repro.scenarios import (
     Campaign,
     CampaignManifest,
@@ -31,10 +32,12 @@ from repro.scenarios import (
     Scenario,
     ShardRecord,
     executor_names,
+    fault_scenario,
     get_executor,
     rate_table_scenarios,
     register_executor,
     settled_output_scenario,
+    startup_complete,
     startup_scenario,
     validate_executor,
 )
@@ -437,6 +440,37 @@ class TestShardedEquivalence:
             a = follow.run(platforms=[lane_l.platform])
             b = follow.run(platforms=[lane_s.platform])
             assert_campaigns_identical(a, b)
+
+    def test_mixed_campaign_threaded_sharded_and_reference_agree(
+            self, tmp_path):
+        # temperatures, lengths, a stop check, a fault window and
+        # caller-owned lanes of two kernel plans; the local run's rounds
+        # are threaded on the C backend, and the sharded run forks its
+        # workers right after it
+        closed = GyroPlatformConfig()
+        closed.conditioner.closed_loop = True
+        configs = [GyroPlatformConfig(), closed, GyroPlatformConfig(),
+                   closed, GyroPlatformConfig()]
+        programs = [
+            settled_output_scenario(50.0, -20.0, settle_s=0.02),
+            Scenario("stop-check", Environment.constant_rate(-30.0, 70.0),
+                     0.03, stop=startup_complete, stop_check_s=0.01),
+            fault_scenario(StuckAdcCode(t_start=0.005, t_stop=0.012, code=5),
+                           30.0, 0.02),
+            [settled_output_scenario(10.0, 70.0, settle_s=0.01),
+             settled_output_scenario(-10.0, -20.0, settle_s=0.025)],
+            settled_output_scenario(0.0, 25.0, settle_s=0.005),
+        ]
+        camp = Campaign(programs, name="mixed")
+
+        def lane_digests(**kwargs):
+            platforms = [GyroPlatform(copy.deepcopy(cfg)) for cfg in configs]
+            result = camp.run(platforms=platforms, **kwargs)
+            return [content_digest(lane.to_dict()) for lane in result.lanes]
+
+        threaded = lane_digests()
+        assert lane_digests(workers=2, manifest_dir=str(tmp_path)) == threaded
+        assert lane_digests(engine="reference") == threaded
 
     def test_multi_scenario_programs_bit_identical(self, started_platform):
         # two scenarios per lane: rollover boundaries must agree across

@@ -15,11 +15,15 @@ siblings or the base.
 import copy
 import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.common import ConfigurationError, SimulationError
+from repro.engine import compiled
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.platform.result import concatenate_results
 from repro.scenarios import (
@@ -38,6 +42,7 @@ from repro.scenarios.executor import LaneSource
 from repro.sensors import Environment
 from repro.sensors.environment import (
     ConstantProfile,
+    Profile,
     RampProfile,
     SineProfile,
     TimeShiftedProfile,
@@ -168,6 +173,21 @@ class TestCampaignValidation:
         campaign = Campaign([settled_output_scenario(0.0, settle_s=0.01)])
         with pytest.raises(ConfigurationError):
             campaign.run(platforms=[GyroPlatform(), GyroPlatform()])
+
+    @pytest.mark.parametrize("executor", ["local", "sharded"])
+    def test_one_platform_for_two_lanes_is_refused(self, executor,
+                                                   tmp_path):
+        # both lanes would advance one object: the second would start
+        # where the first ended (and race it on threads)
+        platform = GyroPlatform()
+        campaign = Campaign(rate_table_scenarios([10.0, 50.0],
+                                                 settle_s=0.01))
+        options = ({"workers": 2, "manifest_dir": str(tmp_path)}
+                   if executor == "sharded" else {})
+        with pytest.raises(ConfigurationError, match="more than one lane"):
+            campaign.run(platforms=[platform, platform], **options)
+        assert platform.now == 0.0
+        assert not list(tmp_path.iterdir())
 
 
 def _locked(platform):
@@ -372,6 +392,119 @@ class TestBranching:
                                       duration_s=0.01)])
         with pytest.raises(ConfigurationError, match=f"got {kind}$"):
             campaign.run(*args, **kwargs)
+
+
+def record_lane_threads(monkeypatch, barrier=None) -> list:
+    """Record the thread each compiled-engine lane runs on.
+
+    With a ``barrier``, each lane waits there for another lane to
+    arrive, so lanes that do not overlap in time break it.
+    """
+    idents = []
+    run = compiled.run_compiled
+
+    def recorded(*args, **kwargs):
+        idents.append(threading.get_ident())
+        if barrier is not None:
+            barrier.wait()
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(compiled, "run_compiled", recorded)
+    return idents
+
+
+class LaneFailure(Exception):
+    pass
+
+
+class FailingRate(Profile):
+    """A rate profile that raises :class:`LaneFailure` after a delay."""
+
+    def __init__(self, message: str, delay_s: float = 0.0):
+        self.message = message
+        self.delay_s = delay_s
+
+    def sample(self, t):
+        time.sleep(self.delay_s)
+        raise LaneFailure(self.message)
+
+
+class OverflowingRate(Profile):
+    """A rate profile whose evaluation overflows float64."""
+
+    def sample(self, t):
+        return np.full(np.shape(t), 1.0e308) * 10.0
+
+
+def _lanes(rates, temperature_c=40.0, duration_s=0.01):
+    return [Scenario(f"lane[{i}]", Environment(
+        rate_dps=rate if isinstance(rate, Profile) else ConstantProfile(rate),
+        temperature_c=(temperature_c if isinstance(temperature_c, Profile)
+                       else ConstantProfile(temperature_c))), duration_s)
+        for i, rate in enumerate(rates)]
+
+
+threads_available = pytest.mark.skipif(
+    compiled.COMPILER is None or (os.cpu_count() or 1) < 2,
+    reason="threaded rounds need the C backend and two CPUs")
+
+
+class TestThreadedRounds:
+    """A round of C lanes at constant temperatures runs on threads, with
+    the serial contract: results in lane order, the first failing lane's
+    exception, the caller's context in every lane."""
+
+    @threads_available
+    def test_constant_temperature_round_uses_threads(self, kernel_backend,
+                                                     monkeypatch):
+        kernel_backend("c")
+        idents = record_lane_threads(monkeypatch,
+                                     threading.Barrier(2, timeout=30.0))
+        result = Campaign(_lanes([0.0, 10.0, 20.0, 30.0])).run(
+            GyroPlatform())
+        assert len(set(idents)) > 1
+        assert [lane.outcomes[0].name for lane in result.lanes] == [
+            f"lane[{i}]" for i in range(4)]
+
+    @pytest.mark.parametrize("case", ["ramp", "one-lane", "python"])
+    def test_other_rounds_run_in_the_calling_thread(self, kernel_backend,
+                                                    monkeypatch, case):
+        kernel_backend("python" if case == "python" else
+                       kernel_backend.names[0])
+        idents = record_lane_threads(monkeypatch)
+        rates = [5.0] if case == "one-lane" else [0.0, 10.0, 20.0, 30.0]
+        temperature = (RampProfile(start=25.0, stop=85.0, t0=0.0, t1=0.01)
+                       if case == "ramp" else 40.0)
+        Campaign(_lanes(rates, temperature)).run(GyroPlatform())
+        assert set(idents) == {threading.get_ident()}
+        assert len(idents) == len(rates)
+
+    def test_first_failing_lane_raises(self, kernel_backend):
+        # lane 1 fails after lane 3 has failed on another thread
+        rates = [0.0, FailingRate("lane 1", delay_s=0.2), 10.0,
+                 FailingRate("lane 3")]
+        for _ in kernel_backend:
+            with pytest.raises(LaneFailure, match="lane 1"):
+                Campaign(_lanes(rates)).run(GyroPlatform())
+
+    @pytest.mark.parametrize("lanes", [1, 4])
+    def test_lanes_run_in_the_callers_context(self, kernel_backend, lanes):
+        rates = ([OverflowingRate()] if lanes == 1
+                 else [0.0, 10.0, OverflowingRate(), 20.0])
+        for _ in kernel_backend:
+            with np.errstate(over="raise"), \
+                    pytest.raises(FloatingPointError):
+                Campaign(_lanes(rates)).run(GyroPlatform())
+
+    def test_errors_of_a_refused_temperature_come_from_the_lane(
+            self, kernel_backend):
+        # the prefetch skips a temperature the sensor refuses, so the
+        # lane's own retune raises, in lane order
+        scenarios = _lanes([0.0, 10.0])
+        scenarios[1].environment.temperature_c = ConstantProfile(1.0e5)
+        for _ in kernel_backend:
+            with pytest.raises(ConfigurationError, match="must remain > 0"):
+                Campaign(scenarios).run(GyroPlatform())
 
 
 class TestTimeShiftedProfiles:

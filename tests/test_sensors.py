@@ -23,8 +23,24 @@ from repro.sensors import (
     StepProfile,
     VibratingRingGyro,
 )
+from repro.sensors import resonator
 
 FS = 120_000.0
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """An empty propagator memo whose ``expm`` calls are recorded."""
+    calls = []
+    expm = resonator.expm
+
+    def counted(matrix):
+        calls.append(matrix)
+        return expm(matrix)
+
+    monkeypatch.setattr(resonator, "expm", counted)
+    resonator.propagator.cache_clear()
+    return calls
 
 
 class TestProfiles:
@@ -189,6 +205,64 @@ class TestResonatorMode:
             mode.step(0.0)
             peak = max(peak, abs(mode.displacement))
         assert peak <= 1.0 + 1e-9
+
+
+class TestPropagatorMemo:
+    def test_a_seen_tuning_does_not_call_expm(self, expm_calls):
+        f, q, dt = 15000.0, 1000.0, 1.0 / FS
+        first = ResonatorMode(f, q, dt)
+        assert len(expm_calls) == 1
+        again = ResonatorMode(f, q, dt)
+        assert len(expm_calls) == 1
+        assert vars(again) == vars(first)
+        ResonatorMode(f, q * 2.0, dt)
+        assert len(expm_calls) == 2
+        ResonatorMode(f, q, dt / 2.0)
+        assert len(expm_calls) == 3
+        first.retune(resonance_hz=f * 2.0)
+        assert len(expm_calls) == 4
+        first.retune(resonance_hz=f)
+        assert len(expm_calls) == 4
+        assert vars(first) == vars(again)
+
+    def test_a_hit_returns_the_bits_of_a_fresh_computation(self,
+                                                           expm_calls):
+        # a float32 resonance computes in another precision than the
+        # equal float, so the two must not share an entry
+        for f in (15000.1, np.float32(15000.1), 15000.25,
+                  np.float32(15000.25)):
+            fresh = resonator.propagator.__wrapped__(f, 1000.0, 1.0 / FS)
+            assert resonator.propagator(f, 1000.0, 1.0 / FS) == fresh
+        assert (resonator.propagator(15000.25, 1000.0, 1.0 / FS)
+                != resonator.propagator(15000.1, 1000.0, 1.0 / FS))
+
+    def test_prefetch_fills_the_memo_a_retune_reads(self, expm_calls):
+        gyro = VibratingRingGyro(GyroParameters(), FS)
+        assert len(expm_calls) == 2
+        targets = gyro.prefetch_propagators(47.5)
+        assert len(expm_calls) == 4
+        gyro.step(0.0, 0.0, 0.0, temperature_c=47.5)
+        assert len(expm_calls) == 4
+        assert targets == ((gyro.primary.resonance_hz,
+                            gyro.primary.quality_factor),
+                           (gyro.secondary.resonance_hz,
+                            gyro.secondary.quality_factor))
+
+    @pytest.mark.parametrize("temperature_c", [25.04, 24.96, math.nan,
+                                               math.inf, -math.inf, 1.0e5])
+    def test_prefetch_does_nothing_the_retune_would_refuse(self, expm_calls,
+                                                           temperature_c):
+        # inside the hysteresis band nothing retunes; a non-finite
+        # temperature, or one that drives the resonance below zero,
+        # memoises nothing, so the retune raises its own error
+        gyro = VibratingRingGyro(GyroParameters(), FS)
+        del expm_calls[:]
+        targets = gyro.prefetch_propagators(temperature_c)
+        assert expm_calls == []
+        assert (targets is None) == (abs(temperature_c - 25.0) < 0.05)
+        if temperature_c == 1.0e5:
+            with pytest.raises(ConfigurationError):
+                gyro.step(0.0, 0.0, 0.0, temperature_c=temperature_c)
 
 
 class TestGyroParameters:

@@ -271,6 +271,31 @@ class TestOneSnapshot:
         if path == "store-warm":
             assert store.stats.hits == 16
 
+    def test_platforms_lanes_are_pickled_once_per_run(self, tmp_path,
+                                                      monkeypatch):
+        # the store keys, the replay configs and the sharded resume
+        # digest all read one pickle of each caller-owned lane
+        lanes = [GyroPlatform() for _ in range(4)]
+        camp = Campaign(rate_table_scenarios([-60.0, -20.0, 20.0, 60.0],
+                                             settle_s=0.005),
+                        name="snapshot-platforms")
+        digests = LaneSource.resolve(None, lanes, 4).lane_digests(4)
+        store = ResultStore(str(tmp_path / "store"))
+        calls = []
+        original = GyroPlatform.__reduce_ex__
+
+        def reduce_ex(self, protocol):
+            calls.extend(i for i, lane in enumerate(lanes) if self is lane)
+            return original(self, protocol)
+
+        monkeypatch.setattr(GyroPlatform, "__reduce_ex__", reduce_ex)
+        result = camp.run(platforms=lanes, store=store, workers=2,
+                          manifest_dir=str(tmp_path / "manifest"))
+        assert result.complete and store.stats.puts == 4
+        assert sorted(calls) == [0, 1, 2, 3]
+        assert sorted(store.load_entry(key).source_digest
+                      for key in store.keys()) == sorted(digests)
+
     def test_unpicklable_base_raises_one_error_on_every_path(self,
                                                              tmp_path):
         base = GyroPlatform()
