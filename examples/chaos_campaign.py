@@ -72,7 +72,9 @@ MATRIX = (
 
 
 def build_campaign() -> Campaign:
-    return Campaign([settled_output_scenario(rate, settle_s=0.01)
+    # three 24,000-sample lanes: enough lane-samples for the in-process
+    # baseline round to run on threads (MIN_THREADED_SAMPLES)
+    return Campaign([settled_output_scenario(rate, settle_s=0.2)
                      for rate in RATES_DPS], name="chaos-matrix")
 
 

@@ -122,6 +122,14 @@ BACKEND = "c" if COMPILER else "python"
 #: Samples per kernel invocation.
 CHUNK_SAMPLES = 16384
 
+#: Lane-samples a campaign round needs before its C lanes run on
+#: threads (:func:`settle_lanes`).  On a 2-vCPU Xeon a threaded round
+#: of up to ~36,000 lane-samples ran 0-11 % slower than a serial one
+#: (the second thread waited some 10 ms for a CPU of its own), one of
+#: ~48,000 went either way, and one of 64,000 or more ran 17-42 %
+#: faster.
+MIN_THREADED_SAMPLES = 1 << 16
+
 #: Samples of the requesting platform's own stimulus on which a newly
 #: built C kernel must match the Python kernel bit for bit (traces at
 #: every sample, packed state and biquad states) before it is cached.
@@ -727,10 +735,11 @@ def _compile_kernel(plan: Tuple, backend: Optional[str] = None,
     return fn
 
 
-def settle_lanes(platforms, environments) -> bool:
+def settle_lanes(platforms, environments, durations_s) -> bool:
     """Ready a campaign round's lanes to run on threads; whether they may.
 
-    They may when every lane's temperature is a
+    They may when the round holds at least :data:`MIN_THREADED_SAMPLES`
+    lane-samples, every lane's temperature is a
     :class:`~repro.sensors.environment.ConstantProfile` of a real level
     and every lane's kernel is a C library, whose call releases the GIL.
     Such a lane retunes its sensor at most once, at sample 0 (constant
@@ -742,6 +751,10 @@ def settle_lanes(platforms, environments) -> bool:
     request raises leaves the round serial, so the lane raises it in
     lane order.
     """
+    samples = sum(int(round(duration_s * platform.config.sample_rate_hz))
+                  for platform, duration_s in zip(platforms, durations_s))
+    if samples < MIN_THREADED_SAMPLES:
+        return False
     levels = []
     for environment in environments:
         profile = environment.temperature_c

@@ -17,8 +17,8 @@ resolve engine names here instead of keeping their own string checks.
 Every engine runs a fleet the same way: :meth:`EngineSpec.run_fleet`
 runs each lane through the engine's single-platform runner, on threads
 when the engine's :attr:`~EngineSpec.settle` says the round's lanes may
-run on them (compiled C lanes at constant temperatures) and the caller
-allows more than one.
+run on them (large rounds of compiled C lanes at constant temperatures)
+and the caller allows more than one.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class EngineSpec:
 
     name: str
     runner: Callable
-    #: ``settle(platforms, environments)``: readies a round's lanes to
-    #: run on threads, in the calling thread, and returns whether they
-    #: may (``None``: never).
+    #: ``settle(platforms, environments, durations_s)``: readies a
+    #: round's lanes to run on threads, in the calling thread, and
+    #: returns whether they may (``None``: never).
     settle: Optional[Callable] = None
 
     def run(self, platform, environment, duration_s: float,
@@ -82,7 +82,7 @@ class EngineSpec:
                          record_waveforms))
         threads = min(threads, len(lanes))
         if (threads < 2 or self.settle is None
-                or not self.settle(platforms, environments)):
+                or not self.settle(platforms, environments, durations_s)):
             return [self.runner(*lane) for lane in lanes]
         with ThreadPoolExecutor(threads) as pool:
             futures = [pool.submit(contextvars.copy_context().run,
@@ -101,9 +101,9 @@ def _run_compiled(platform, environment, duration_s: float,
     return run_compiled(platform, environment, duration_s, record_waveforms)
 
 
-def _settle_compiled(platforms, environments) -> bool:
+def _settle_compiled(platforms, environments, durations_s) -> bool:
     from ..engine.compiled import settle_lanes
-    return settle_lanes(platforms, environments)
+    return settle_lanes(platforms, environments, durations_s)
 
 
 _REGISTRY: Dict[str, EngineSpec] = {}

@@ -21,6 +21,7 @@ import pytest
 
 from repro.chaos import ChaosPlan, WorkerError
 from repro.common import ConfigurationError, RetryPolicy, SimulationError
+from repro.engine import compiled
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.platform.result import content_digest
 from repro.faults import AfeSaturation, StuckAdcCode
@@ -442,11 +443,13 @@ class TestShardedEquivalence:
             assert_campaigns_identical(a, b)
 
     def test_mixed_campaign_threaded_sharded_and_reference_agree(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         # temperatures, lengths, a stop check, a fault window and
         # caller-owned lanes of two kernel plans; the local run's rounds
-        # are threaded on the C backend, and the sharded run forks its
-        # workers right after it
+        # are threaded on the C backend (at any size, to keep the
+        # reference replay short), and the sharded run forks its workers
+        # right after it
+        monkeypatch.setattr(compiled, "MIN_THREADED_SAMPLES", 0)
         closed = GyroPlatformConfig()
         closed.conditioner.closed_loop = True
         configs = [GyroPlatformConfig(), closed, GyroPlatformConfig(),

@@ -16,6 +16,7 @@ import copy
 import json
 import math
 import os
+import sys
 import threading
 import time
 
@@ -449,10 +450,16 @@ threads_available = pytest.mark.skipif(
     reason="threaded rounds need the C backend and two CPUs")
 
 
+@pytest.fixture
+def any_round_size(monkeypatch):
+    """Let rounds of any size run on threads, so short lanes test them."""
+    monkeypatch.setattr(compiled, "MIN_THREADED_SAMPLES", 0)
+
+
 class TestThreadedRounds:
-    """A round of C lanes at constant temperatures runs on threads, with
-    the serial contract: results in lane order, the first failing lane's
-    exception, the caller's context in every lane."""
+    """A large round of C lanes at constant temperatures runs on threads,
+    with the serial contract: results in lane order, the first failing
+    lane's exception, the caller's context in every lane."""
 
     @threads_available
     def test_constant_temperature_round_uses_threads(self, kernel_backend,
@@ -460,17 +467,21 @@ class TestThreadedRounds:
         kernel_backend("c")
         idents = record_lane_threads(monkeypatch,
                                      threading.Barrier(2, timeout=30.0))
-        result = Campaign(_lanes([0.0, 10.0, 20.0, 30.0])).run(
-            GyroPlatform())
+        # 4 lanes of 18,000 samples reach MIN_THREADED_SAMPLES
+        result = Campaign(_lanes([0.0, 10.0, 20.0, 30.0],
+                                 duration_s=0.15)).run(GyroPlatform())
         assert len(set(idents)) > 1
         assert [lane.outcomes[0].name for lane in result.lanes] == [
             f"lane[{i}]" for i in range(4)]
 
-    @pytest.mark.parametrize("case", ["ramp", "one-lane", "python"])
+    @pytest.mark.parametrize("case", ["small", "ramp", "one-lane",
+                                      "python"])
     def test_other_rounds_run_in_the_calling_thread(self, kernel_backend,
                                                     monkeypatch, case):
         kernel_backend("python" if case == "python" else
                        kernel_backend.names[0])
+        if case != "small":
+            monkeypatch.setattr(compiled, "MIN_THREADED_SAMPLES", 0)
         idents = record_lane_threads(monkeypatch)
         rates = [5.0] if case == "one-lane" else [0.0, 10.0, 20.0, 30.0]
         temperature = (RampProfile(start=25.0, stop=85.0, t0=0.0, t1=0.01)
@@ -479,7 +490,34 @@ class TestThreadedRounds:
         assert set(idents) == {threading.get_ident()}
         assert len(idents) == len(rates)
 
-    def test_first_failing_lane_raises(self, kernel_backend):
+    def test_more_threads_than_cpus_match_serial(self, kernel_backend,
+                                                 any_round_size):
+        # eight lane threads and a short switch interval: a lane that
+        # touched another lane's state would change its result or state
+        kernel_backend(kernel_backend.names[0])
+        scenarios = _lanes([-40.0 + 10.0 * i for i in range(8)])
+        for scenario, temperature in zip(scenarios, range(-20, 80, 12)):
+            scenario.environment.temperature_c = ConstantProfile(
+                float(temperature))
+        spec = get_engine("compiled")
+        outputs = []
+        interval = sys.getswitchinterval()
+        for threads in (1, 8):
+            lanes = [GyroPlatform() for _ in scenarios]
+            sys.setswitchinterval(1e-5)
+            try:
+                results = spec.run_fleet(
+                    lanes, [s.environment for s in scenarios],
+                    [s.duration_s for s in scenarios],
+                    [True] * len(scenarios), threads)
+            finally:
+                sys.setswitchinterval(interval)
+            outputs.append(([r.digest() for r in results],
+                            [state_digest(lane) for lane in lanes]))
+        assert outputs[0] == outputs[1]
+
+    def test_first_failing_lane_raises(self, kernel_backend,
+                                       any_round_size):
         # lane 1 fails after lane 3 has failed on another thread
         rates = [0.0, FailingRate("lane 1", delay_s=0.2), 10.0,
                  FailingRate("lane 3")]
@@ -488,7 +526,8 @@ class TestThreadedRounds:
                 Campaign(_lanes(rates)).run(GyroPlatform())
 
     @pytest.mark.parametrize("lanes", [1, 4])
-    def test_lanes_run_in_the_callers_context(self, kernel_backend, lanes):
+    def test_lanes_run_in_the_callers_context(self, kernel_backend,
+                                              any_round_size, lanes):
         rates = ([OverflowingRate()] if lanes == 1
                  else [0.0, 10.0, OverflowingRate(), 20.0])
         for _ in kernel_backend:
@@ -497,7 +536,7 @@ class TestThreadedRounds:
                 Campaign(_lanes(rates)).run(GyroPlatform())
 
     def test_errors_of_a_refused_temperature_come_from_the_lane(
-            self, kernel_backend):
+            self, kernel_backend, any_round_size):
         # the prefetch skips a temperature the sensor refuses, so the
         # lane's own retune raises, in lane order
         scenarios = _lanes([0.0, 10.0])
