@@ -24,7 +24,6 @@ and the caller allows more than one.
 from __future__ import annotations
 
 import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -84,6 +83,9 @@ class EngineSpec:
         if (threads < 2 or self.settle is None
                 or not self.settle(platforms, environments, durations_s)):
             return [self.runner(*lane) for lane in lanes]
+        # imported here: a process that never threads a round (one
+        # platform, say) does not load the pool's modules
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(threads) as pool:
             futures = [pool.submit(contextvars.copy_context().run,
                                    self.runner, *lane) for lane in lanes]
