@@ -17,7 +17,6 @@ from repro.platform import GyroPlatform
 def main() -> None:
     print("Starting the conditioning chain...")
     platform = GyroPlatform()
-    platform.conditioner.config.status_update_interval = 16
     platform.start()
     registers = platform.conditioner.registers
     print(f"  dsp_status   = 0x{registers.read('dsp_status'):04X}")

@@ -33,8 +33,10 @@ active lanes.
 
 One call path serves both backends.  A run packs its lane into one
 float64 lane vector (:func:`_lane_arrays`) and two trace blocks, each
-chunk samples its stimulus (rate and temperature) into the first two
-rows of an input block and plans two event arrays, and the kernel takes
+chunk samples its stimulus (rate and temperature) at the run's absolute
+sample times into the first two rows of an input block
+(:func:`sample_stimulus`, which the reference loop calls too) and plans
+two event arrays, and the kernel takes
 these six blocks and the platform's noise sources.  Its prelude binds
 each array the loop reads to a block or to a literal row of one, as a
 ``.tolist()`` copy where Python reads it per sample, reads the lane
@@ -52,8 +54,10 @@ Bit-identity contract: the generated arithmetic replicates the reference
 chain operation for operation — same expression order, same rounding
 points, same RNG block draws — so traces and end-of-run platform state
 are bit-identical to the reference engine on both backends.  The DSP
-monitor registers are refreshed once at the end of each run instead of
-every ``status_update_interval`` samples.  All mutable loop state travels
+monitor registers are refreshed once, at the end of each run, where the
+reference loop also refreshes them (it does so every
+``status_update_interval`` samples as well, which nothing reads during
+a run).  All mutable loop state travels
 through the state table of :mod:`repro.engine.state`
 (:func:`~repro.engine.state.state_values` /
 :func:`~repro.engine.state.finish_run`), which is what lets faults,
@@ -138,7 +142,7 @@ SELF_CHECK_SAMPLES = 4096
 _PI = repr(math.pi)
 _TWO_PI = repr(2.0 * math.pi)
 
-#: Rows of a lane's chunk input block that :func:`_fill_lane_inputs`
+#: Rows of a lane's chunk input block that :func:`sample_stimulus`
 #: fills: the stimulus, from which the loop derives the front end's drift
 #: and the compensation.  One row per noise source follows, which the
 #: kernel fills with that source's values for the chunk.
@@ -742,10 +746,10 @@ def settle_lanes(platforms, environments, durations_s) -> bool:
     lane-samples, every lane's temperature is a
     :class:`~repro.sensors.environment.ConstantProfile` of a real level
     and every lane's kernel is a C library, whose call releases the GIL.
-    Such a lane retunes its sensor at most once, at sample 0 (constant
-    profiles are never time-shifted).  This settles each distinct plan
-    (a first request builds and self-checks it) and memoises each lane's
-    propagators for its temperature
+    Such a lane retunes its sensor at most once, at its first sample,
+    wherever the lane stands in its scenario.  This settles each
+    distinct plan (a first request builds and self-checks it) and
+    memoises each lane's propagators for its temperature
     (:meth:`~repro.sensors.gyro.VibratingRingGyro.prefetch_propagators`),
     so no lane thread reaches the compiler or SciPy.  A plan whose first
     request raises leaves the round serial, so the lane raises it in
@@ -834,18 +838,14 @@ def _probe_copy(platform):
             f"cannot copy the platform to self-check on: {exc}") from exc
 
 
-def _fill_lane_inputs(platform, environment, t: np.ndarray,
-                      inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Fill one lane's chunk input block in place.
+def sample_stimulus(environment, t: np.ndarray,
+                    inputs: np.ndarray) -> Tuple[float, float]:
+    """Sample a chunk's stimulus into ``inputs``; the temperature extremes.
 
-    ``inputs`` is a writable block of ``len(t)`` columns whose first
-    rows are the stimulus (:data:`_LANE_INPUTS`).  Retunes the lane's
-    sensor exactly as the reference loop would over the chunk and
-    returns the sensor's event arrays
-    (:func:`~repro.engine.state.sensor_temperature_plan`).
-
-    Raises :class:`ConfigurationError` if the stimulus is not finite or
-    the sensor rejects a temperature.
+    The one way both engines read a stimulus: ``inputs[0]`` and
+    ``inputs[1]`` (rows of ``len(t)`` columns) receive the rate and the
+    temperature at the times ``t``.  Raises :class:`ConfigurationError`
+    if either is not finite.
     """
     inputs[0], inputs[1] = environment.sample(t)
     rate, temp = inputs[0], inputs[1]
@@ -860,7 +860,7 @@ def _fill_lane_inputs(platform, environment, t: np.ndarray,
             raise ConfigurationError(
                 f"{name} profile {profile!r} is not finite in the chunk "
                 f"starting at t = {t[0]:g} s")
-    return sensor_temperature_plan(platform.sensor, temp, tmin, tmax)
+    return tmin, tmax
 
 
 def _lane_arrays(platform) -> Tuple[np.ndarray, np.ndarray]:
@@ -889,13 +889,20 @@ def _lane_arrays(platform) -> Tuple[np.ndarray, np.ndarray]:
 
 def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,
                     dec: int, rec: int, record_waveforms: bool,
-                    lane: np.ndarray, loop: np.ndarray, traces) -> int:
+                    lane: np.ndarray, loop: np.ndarray, traces,
+                    first_sample: int = 0) -> int:
     """Fill one chunk's inputs and run it on a lane kernel; returns ``rec``.
 
-    ``lane`` and its head ``loop`` come from :func:`_lane_arrays`; the
-    kernel takes them, the chunk's event and input blocks, the trace
-    blocks and the platform's noise sources in one call on either
-    backend.  A sensitivity correction of zero raises
+    The chunk is samples ``n0`` to ``n0 + nc`` of the run, which reads
+    its stimulus at the absolute sample times ``(first_sample + n0 + j)
+    * dt`` (:func:`sample_stimulus`) and retunes the lane's sensor over
+    it exactly as the reference loop would
+    (:func:`~repro.engine.state.sensor_temperature_plan`, whose event
+    arrays the kernel takes).  ``lane`` and its head ``loop`` come from
+    :func:`_lane_arrays`; the kernel takes them, the chunk's event and
+    input blocks, the trace blocks and the platform's noise sources in
+    one call on either backend.  A non-finite stimulus, a temperature
+    the sensor rejects and a sensitivity correction of zero raise
     :class:`ConfigurationError`, as the reference does.  A kernel
     ``ValueError``/``OverflowError``/``ZeroDivisionError`` (the Python
     backend failing mid-chunk), a return of -1 (the C backend having
@@ -903,10 +910,13 @@ def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,
     non-finite loop state (the C backend carrying on) raise
     :class:`SimulationError`.  Both come before anything is written back.
     """
-    t = np.arange(n0, n0 + nc) * (1.0 / platform.config.sample_rate_hz)
+    first = first_sample + n0
+    t = np.arange(first, first + nc) * (1.0 / platform.config.sample_rate_hz)
     inputs = np.empty((len(_LANE_INPUTS) + len(NOISE_SOURCES), nc))
     try:
-        events = _fill_lane_inputs(platform, environment, t, inputs)
+        tmin, tmax = sample_stimulus(environment, t, inputs)
+        events = sensor_temperature_plan(platform.sensor, inputs[1], tmin,
+                                         tmax)
         rec = kernel(n0, nc, dec, rec, record_waveforms, lane, *events,
                      inputs, *traces, noise_sources(platform))
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -927,20 +937,22 @@ def _run_lane_chunk(kernel, platform, environment, n0: int, nc: int,
 
 
 def run_compiled(platform, environment, duration_s: float,
-                 record_waveforms: bool = False) -> GyroSimulationResult:
+                 record_waveforms: bool = False,
+                 first_sample: int = 0) -> GyroSimulationResult:
     """Run the platform co-simulation on the compiled engine.
 
     Drop-in replacement for the reference loop of
     :meth:`GyroPlatform.run` (validation and reset are handled by the
     caller) with the same result and end-of-run platform state, bit for
-    bit.  Platforms whose fixed-point formats use ``overflow="error"``
-    are delegated to the reference loop (generated kernels cannot raise
-    overflow errors).
+    bit.  The run reads ``environment`` from its sample ``first_sample``
+    on (a campaign lane's position in its scenario).  Platforms whose
+    fixed-point formats use ``overflow="error"`` are delegated to the
+    reference loop (generated kernels cannot raise overflow errors).
     """
     plan = kernel_plan(platform)
     if plan is None:
         return platform._run_reference(environment, duration_s,
-                                       record_waveforms)
+                                       record_waveforms, first_sample)
     fs = platform.config.sample_rate_hz
     n = int(round(duration_s * fs))
     dec = platform.config.record_decimation
@@ -955,7 +967,8 @@ def run_compiled(platform, environment, duration_s: float,
     for n0 in range(0, n, chunk):
         rec = _run_lane_chunk(kernel, platform, environment, n0,
                               min(chunk, n - n0), dec, rec,
-                              record_waveforms, lane, loop, traces)
+                              record_waveforms, lane, loop, traces,
+                              first_sample)
 
     finish_run(platform, loop, n, start_time)
     return GyroSimulationResult.from_trace_blocks(

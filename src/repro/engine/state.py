@@ -280,9 +280,8 @@ def unpack_scalar_state(platform, state: np.ndarray) -> None:
     ``bool``, :class:`~repro.gyro.startup.StartupState` or ``None``), so
     the packed state round-trips exactly.  A platform is not byte-equal
     to one that ran the same samples on the reference loop: that loop
-    leaves NumPy scalars in about 20 attributes, only it advances the
-    demodulator mixers' last carrier value (``_reference``), and the two
-    engines refresh the DSP monitor registers on different schedules.
+    leaves NumPy scalars in about 20 attributes, and only it advances
+    the demodulator mixers' last carrier value (``_reference``).
     """
     _unpack(platform, state.tolist())
 

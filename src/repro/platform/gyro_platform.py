@@ -13,7 +13,6 @@ This is the object the evaluation harness and the benchmarks drive.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -204,15 +203,21 @@ class GyroPlatform:
         vars(result).update(self.safety.result_fields())
 
     def _run_reference(self, environment: Environment, duration_s: float,
-                       record_waveforms: bool = False) -> GyroSimulationResult:
+                       record_waveforms: bool = False,
+                       first_sample: int = 0) -> GyroSimulationResult:
         """The original object-oriented per-sample loop (ground truth).
 
         Validation and reset are handled by the caller (:meth:`run` or
-        the engine registry).  Raises the compiled engine's exception
-        types for the same bad input: :class:`ConfigurationError` for a
-        zero or non-finite divisor constant or a non-finite stimulus
-        sample, :class:`SimulationError` when the loop fails on the way.
+        the engine registry).  Like the compiled engine, it reads
+        ``environment`` from sample ``first_sample`` on, a chunk at a
+        time (:func:`~repro.engine.compiled.sample_stimulus`), publishes
+        the DSP monitor registers at the end, and raises the same
+        exception types for the same bad input: :class:`ConfigurationError`
+        for a zero or non-finite divisor constant or a non-finite
+        stimulus sample, :class:`SimulationError` when the loop fails on
+        the way.
         """
+        from ..engine.compiled import CHUNK_SAMPLES, sample_stimulus
         from ..engine.state import check_divisors, gather_consts, \
             pack_scalar_state
         check_divisors(gather_consts(self, self._time_s))
@@ -228,65 +233,63 @@ class GyroPlatform:
         sensor = self.sensor
         frontend = self.frontend
         conditioner = self.conditioner
+        drive_loop = conditioner.drive_loop
         tsensor = cfg.temperature_sensor
-        rate_profile = environment.rate_dps
-        temp_profile = environment.temperature_c
         start_time = self._time_s
 
         rec = 0
         drive_v = self._drive_v
         control_v = self._control_v
         try:
-            for i in range(n):
-                t = i * dt
-                rate_dps = rate_profile.value(t)
-                temp_c = temp_profile.value(t)
-                if not (math.isfinite(rate_dps) and math.isfinite(temp_c)):
-                    name, profile = (("rate", rate_profile)
-                                     if not math.isfinite(rate_dps)
-                                     else ("temperature", temp_profile))
-                    raise ConfigurationError(
-                        f"{name} profile {profile!r} is not finite at "
-                        f"t = {t:g} s")
+            for c0 in range(0, n, CHUNK_SAMPLES):
+                i = c0
+                nc = min(CHUNK_SAMPLES, n - c0)
+                first = first_sample + c0
+                stimulus = np.empty((2, nc))
+                sample_stimulus(environment,
+                                np.arange(first, first + nc) * dt, stimulus)
+                for i, rate_dps, temp_c in zip(range(c0, c0 + nc),
+                                               *stimulus.tolist()):
+                    primary_v, secondary_v = sensor.step(drive_v, control_v,
+                                                         rate_dps, temp_c)
+                    p_norm, s_norm = frontend.acquire(primary_v, secondary_v,
+                                                      temp_c)
+                    measured_temp = (round((temp_c + tsensor.offset_error_c)
+                                           / tsensor.resolution_c)
+                                     * tsensor.resolution_c)
+                    drive_word, control_word, rate_word = conditioner.step(
+                        p_norm, s_norm, measured_temp)
+                    drive_v, control_v = frontend.drive(drive_word,
+                                                        control_word, temp_c)
 
-                primary_v, secondary_v = sensor.step(drive_v, control_v,
-                                                     rate_dps, temp_c)
-                p_norm, s_norm = frontend.acquire(primary_v, secondary_v,
-                                                  temp_c)
-                measured_temp = (round((temp_c + tsensor.offset_error_c)
-                                       / tsensor.resolution_c)
-                                 * tsensor.resolution_c)
-                drive_word, control_word, rate_word = conditioner.step(
-                    p_norm, s_norm, measured_temp)
-                drive_v, control_v = frontend.drive(drive_word, control_word,
-                                                    temp_c)
-
-                if i % dec == 0:
-                    out_v = frontend.rate_output(rate_word, temp_c)
-                    time_tr[rec] = start_time + t
-                    rate_tr[rec] = rate_dps
-                    temp_tr[rec] = temp_c
-                    out_dps_tr[rec] = conditioner.rate_dps
-                    out_v_tr[rec] = out_v
-                    agc_tr[rec] = conditioner.drive_loop.amplitude_control
-                    agc_err_tr[rec] = conditioner.drive_loop.amplitude_error
-                    perr_tr[rec] = conditioner.drive_loop.phase_error
-                    vco_tr[rec] = conditioner.drive_loop.vco_control
-                    lock_tr[rec] = conditioner.drive_loop.locked
-                    run_tr[rec] = conditioner.running
-                    if record_waveforms:
-                        pick_tr[rec] = p_norm
-                        drive_tr[rec] = drive_word
-                    rec += 1
+                    if i % dec == 0:
+                        out_v = frontend.rate_output(rate_word, temp_c)
+                        time_tr[rec] = start_time + i * dt
+                        rate_tr[rec] = rate_dps
+                        temp_tr[rec] = temp_c
+                        out_dps_tr[rec] = conditioner.rate_dps
+                        out_v_tr[rec] = out_v
+                        agc_tr[rec] = drive_loop.amplitude_control
+                        agc_err_tr[rec] = drive_loop.amplitude_error
+                        perr_tr[rec] = drive_loop.phase_error
+                        vco_tr[rec] = drive_loop.vco_control
+                        lock_tr[rec] = drive_loop.locked
+                        run_tr[rec] = conditioner.running
+                        if record_waveforms:
+                            pick_tr[rec] = p_norm
+                            drive_tr[rec] = drive_word
+                        rec += 1
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise SimulationError(
-                f"the loop failed at t = {i * dt:g} s: {exc}") from exc
+                f"the loop failed at t = {(first_sample + i) * dt:g} s: "
+                f"{exc}") from exc
         if not np.isfinite(pack_scalar_state(self)).all():
             raise SimulationError("the loop state left the finite range")
 
         self._drive_v = drive_v
         self._control_v = control_v
         self._time_s = start_time + n * dt
+        conditioner._refresh_registers()
 
         return GyroSimulationResult.from_trace_blocks(
             traces, rec, record_waveforms, sample_rate_hz=fs / dec,

@@ -15,21 +15,29 @@ chopped at a *foreign* lane's boundary: shorter lanes retire at their
 own boundary while the longer ones run on, and every lane counts
 samples on its own platform's sample grid, so fleets may mix sample
 rates.  A lane's chunk sequence is therefore a pure function of its own
-program, and because consecutive engine runs compose exactly into one
-continuous simulation, the chunking is invisible: a scenario program
-replayed through any engine, in any fleet packing, on any executor's
-shard partition, from the same platform state produces bit-identical
-traces and metrics.
+program.  Each chunk reads the scenario's own environment at the lane's
+absolute sample index (the engines' ``first_sample``), the times one
+continuous run reads, and consecutive engine runs compose exactly into
+one continuous simulation, so the chunking is invisible for every
+stimulus: a scenario program replayed through any engine, in any fleet
+packing, on any executor's shard partition, from the same platform
+state produces bit-identical traces and metrics, equal to one
+continuous run.
 
-One recording caveat: each engine call restarts the lane's
-trace-decimation grid at its own boundaries (stop checks and scenario
-ends), so a stop-check interval that is not a multiple of
-``record_decimation`` samples leaves a few closer-spaced points at each
-join.  Platform state and metrics read from state are unaffected, and
-the standard library scenarios use durations that land on the grid;
-keep scenario durations and stop-check intervals multiples of
-``record_decimation / sample_rate_hz`` when trace uniformity matters
-(PSD-based extractors).
+Two recording caveats, neither of which reaches platform state or the
+metrics read from it:
+
+* each engine call restarts the lane's trace-decimation grid at its own
+  boundaries (stop checks, fault edges and scenario ends), so a
+  boundary that is not a multiple of ``record_decimation`` samples
+  leaves a few closer-spaced points at each join.  The standard library
+  scenarios use durations that land on the grid; keep scenario
+  durations and stop-check intervals multiples of ``record_decimation /
+  sample_rate_hz`` when trace uniformity matters (PSD-based
+  extractors);
+* the platform clock advances by ``n * dt`` per engine call, so the
+  ``time_s`` trace of a chunked lane may differ from one continuous
+  run's in the last bit.
 """
 
 from __future__ import annotations
@@ -243,10 +251,6 @@ class _LaneState:
         for i in list(self._armed):
             self.scenario.faults[i].restore(self.platform,
                                             self._armed.pop(i))
-
-    def environment(self):
-        """The current scenario's stimulus, shifted to the lane position."""
-        return self.scenario.environment.shifted(self._sample / self.fs)
 
     def advance(self, samples: int, result) -> None:
         """Account a finished chunk and roll over completed scenarios."""
@@ -466,10 +470,10 @@ def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
         steps = [s.samples_to_boundary() for s in active]
         results = spec.run_fleet(
             [state.platform for state in active],
-            [state.environment() for state in active],
+            [state.scenario.environment for state in active],
             [step / state.fs for state, step in zip(active, steps)],
             [state.scenario.record_waveforms for state in active],
-            threads)
+            threads, [state._sample for state in active])
         for state, result, step in zip(active, results, steps):
             state.advance(step, result)
         active = [s for s in active if not s.done]

@@ -39,9 +39,11 @@ class EngineSpec:
 
     Attributes:
         name: registry key (the value of ``GyroPlatformConfig.engine``).
-        runner: single-platform entry point
-            ``runner(platform, environment, duration_s, record_waveforms)``
-            returning a :class:`~repro.platform.result.GyroSimulationResult`.
+        runner: single-platform entry point ``runner(platform,
+            environment, duration_s, record_waveforms, first_sample=0)``
+            returning a :class:`~repro.platform.result.GyroSimulationResult`;
+            the run reads ``environment`` at the absolute sample times
+            ``(first_sample + j) * dt``.
     """
 
     name: str
@@ -58,11 +60,14 @@ class EngineSpec:
                            record_waveforms)
 
     def run_fleet(self, platforms, environments, durations_s,
-                  record_waveforms: Sequence[bool], threads: int = 1):
+                  record_waveforms: Sequence[bool], threads: int = 1,
+                  first_samples: Optional[Sequence[int]] = None):
         """Run each lane through :attr:`runner`; one result per lane.
 
         Every argument holds one entry per lane: the lane's platform,
-        stimulus, duration and whether it records waveforms.  A fleet
+        stimulus, duration, whether it records waveforms and the sample
+        of its stimulus it starts at (its position in its scenario;
+        ``None`` starts every lane at 0).  A fleet
         call is one engine call (a campaign round), so it calls
         :attr:`runner` directly: nesting :meth:`run` inside it would
         make a wrapper that times engine calls count every lane twice.
@@ -78,7 +83,8 @@ class EngineSpec:
         as serially, but the lanes after it may already have run.
         """
         lanes = list(zip(platforms, environments, durations_s,
-                         record_waveforms))
+                         record_waveforms,
+                         first_samples or [0] * len(platforms)))
         threads = min(threads, len(lanes))
         if (threads < 2 or self.settle is None
                 or not self.settle(platforms, environments, durations_s)):
@@ -93,14 +99,16 @@ class EngineSpec:
 
 
 def _run_reference(platform, environment, duration_s: float,
-                   record_waveforms: bool = False):
-    return platform._run_reference(environment, duration_s, record_waveforms)
+                   record_waveforms: bool = False, first_sample: int = 0):
+    return platform._run_reference(environment, duration_s, record_waveforms,
+                                   first_sample)
 
 
 def _run_compiled(platform, environment, duration_s: float,
-                  record_waveforms: bool = False):
+                  record_waveforms: bool = False, first_sample: int = 0):
     from ..engine.compiled import run_compiled
-    return run_compiled(platform, environment, duration_s, record_waveforms)
+    return run_compiled(platform, environment, duration_s, record_waveforms,
+                        first_sample)
 
 
 def _settle_compiled(platforms, environments, durations_s) -> bool:

@@ -66,7 +66,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..chaos import runtime as _chaos
-from ..common.exceptions import ConfigurationError, SimulationError
+from ..common.exceptions import ConfigurationError
 from ..common.retry import RetryPolicy
 from .campaign import Campaign, CampaignResult, LaneOutcome, _execute_lanes
 from .manifest import (
@@ -80,6 +80,7 @@ from .manifest import (
     ATTEMPT_VERIFY_FAILED,
     SHARD_DONE,
     SHARD_FAILED,
+    SHARD_PENDING,
     CampaignManifest,
     ShardRecord,
     write_error_report,
@@ -499,22 +500,29 @@ def _run_sharded(campaign: Campaign, source: LaneSource, engine: str,
         retry=policy.to_dict()))
     policy.call(manifest.write)
 
-    # resume scan: credit shards whose canonical result file already
-    # exists and verifies (a previous run's completed work), and salvage
-    # verified *attempt* files a killed run published but never promoted
-    recovered = False
-    for shard in manifest.unfinished():
+    # resume scan over every shard: credit those whose canonical result
+    # file exists and verifies (a previous run's completed work), salvage
+    # verified *attempt* files a killed run published but never promoted,
+    # and re-run a done shard whose result file is gone or damaged.  The
+    # verified payloads are kept, so no result file is read twice.
+    payloads: Dict[int, dict] = {}
+    changed = False
+    for shard in manifest.shards:
         payload = (manifest.load_shard_result(shard)
                    or manifest.salvage_attempt_result(shard))
         if payload is not None:
+            payloads[shard.shard_id] = payload
+            changed |= shard.status != SHARD_DONE
             shard.status = SHARD_DONE
             shard.error = None
-            recovered = True
-    if recovered:
+        elif shard.status == SHARD_DONE:
+            shard.status = SHARD_PENDING
+            changed = True
+    if changed:
         policy.call(manifest.write)
 
     _ShardScheduler(manifest, campaign, source, engine, options, policy,
-                    workers).run()
+                    workers, payloads).run()
 
     # shards still unfinished after the retry budget are quarantined: the
     # campaign completes with partial results and an explicit failure
@@ -530,16 +538,11 @@ def _run_sharded(campaign: Campaign, source: LaneSource, engine: str,
 
     lane_outcomes: List[Optional[LaneOutcome]] = [None] * n_lanes
     for shard in manifest.shards:
-        if shard.status != SHARD_DONE:
-            continue
-        payload = manifest.load_shard_result(shard)
-        if payload is None:
-            raise SimulationError(
-                f"shard {shard.shard_id} is marked done but its result "
-                f"file failed verification; delete {manifest.directory!r} "
-                "and re-run")
-        for index, outcome in zip(shard.lane_indices, payload["outcomes"]):
-            lane_outcomes[index] = outcome
+        payload = payloads.get(shard.shard_id)
+        if payload is not None:
+            for index, outcome in zip(shard.lane_indices,
+                                      payload["outcomes"]):
+                lane_outcomes[index] = outcome
     return CampaignResult(lane_outcomes, failed_shards=failed_shards)
 
 
@@ -577,8 +580,11 @@ class _ShardScheduler:
 
     def __init__(self, manifest: CampaignManifest, campaign: Campaign,
                  source: LaneSource, engine: str, options: ExecutorOptions,
-                 policy: RetryPolicy, workers: int):
+                 policy: RetryPolicy, workers: int,
+                 payloads: Dict[int, dict]):
         self.manifest = manifest
+        #: shard id -> verified result payload, filled as shards credit
+        self.payloads = payloads
         self.campaign = campaign
         self.source = source
         self.engine = engine
@@ -688,6 +694,7 @@ class _ShardScheduler:
         duration = time.monotonic() - attempt.started_monotonic
         self._finish_entry(attempt, ATTEMPT_OK)
         attempt.finished = True
+        self.payloads[record.shard_id] = payload
         record.status = SHARD_DONE
         record.error = None
         self.completed_durations.append(duration)

@@ -60,7 +60,9 @@ SHARD_DONE = "done"
 SHARD_FAILED = "failed"
 
 MANIFEST_FILENAME = "manifest.json"
-MANIFEST_VERSION = 2
+#: Version 3: a chunked lane reads its stimulus at its absolute sample
+#: times, so shard results written before compute other bits.
+MANIFEST_VERSION = 3
 HEARTBEAT_DIRNAME = "heartbeats"
 
 #: Attempt outcomes recorded in a shard's ``history``.

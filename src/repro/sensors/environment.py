@@ -10,7 +10,7 @@ temperature ramp or any combination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -19,11 +19,19 @@ from ..common.units import ROOM_TEMPERATURE_C
 
 
 class Profile:
-    """A scalar function of time with vectorised evaluation."""
+    """A scalar function of time with vectorised evaluation.
+
+    A profile implements :meth:`sample`, the one evaluator both engines
+    call.  A subclass that implements only :meth:`value` runs too, one
+    call per time stamp.
+    """
 
     def value(self, t: float) -> float:
         """Value of the profile at time ``t`` (seconds)."""
-        raise NotImplementedError
+        if type(self).sample is Profile.sample:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither sample nor value")
+        return float(self.sample(np.array([t], dtype=np.float64))[0])
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         """Vectorised evaluation over an array of time stamps."""
@@ -40,9 +48,6 @@ class ConstantProfile(Profile):
 
     level: float = 0.0
 
-    def value(self, t: float) -> float:
-        return self.level
-
     def sample(self, t: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(t).shape, self.level, dtype=np.float64)
 
@@ -54,9 +59,6 @@ class StepProfile(Profile):
     before: float = 0.0
     after: float = 1.0
     step_time: float = 0.0
-
-    def value(self, t: float) -> float:
-        return self.after if t >= self.step_time else self.before
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -76,20 +78,12 @@ class RampProfile(Profile):
         if self.t1 <= self.t0:
             raise ConfigurationError("ramp end time must be after start time")
 
-    def value(self, t: float) -> float:
-        if t <= self.t0:
-            return self.start
-        if t >= self.t1:
-            return self.stop
-        frac = (t - self.t0) / (self.t1 - self.t0)
-        return self.start + frac * (self.stop - self.start)
-
     def sample(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         frac = np.clip((t - self.t0) / (self.t1 - self.t0), 0.0, 1.0)
         ramp = self.start + frac * (self.stop - self.start)
-        # pin the plateaus to the exact endpoint values so the vectorised
-        # evaluation agrees bit-for-bit with the scalar value() branches
+        # a plateau is the endpoint itself: start + 1.0 * (stop - start)
+        # need not round to stop
         return np.where(t <= self.t0, self.start,
                         np.where(t >= self.t1, self.stop, ramp))
 
@@ -109,10 +103,6 @@ class SineProfile(Profile):
     def __post_init__(self) -> None:
         if self.frequency_hz < 0:
             raise ConfigurationError("frequency must be >= 0")
-
-    def value(self, t: float) -> float:
-        return self.offset + self.amplitude * np.sin(
-            2.0 * np.pi * self.frequency_hz * t + self.phase)
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -137,15 +127,6 @@ class PiecewiseProfile(Profile):
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ConfigurationError("breakpoint times must be strictly increasing")
 
-    def value(self, t: float) -> float:
-        current = self.breakpoints[0][1]
-        for bp_time, bp_value in self.breakpoints:
-            if t >= bp_time:
-                current = bp_value
-            else:
-                break
-        return current
-
     def sample(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         times = np.array([bp[0] for bp in self.breakpoints])
@@ -153,42 +134,6 @@ class PiecewiseProfile(Profile):
         idx = np.searchsorted(times, t, side="right") - 1
         # before the first breakpoint the first value applies
         return values[np.maximum(idx, 0)]
-
-
-@dataclass
-class TimeShiftedProfile(Profile):
-    """A profile evaluated with a fixed time offset: ``base(t + offset_s)``.
-
-    Scenario campaigns slice one logical run into several engine calls
-    (early-stop checks, fleet chunking); each slice sees time relative
-    to its own start, so the remainder of a profile is exposed by
-    shifting its time axis.  Constant profiles never need shifting (the
-    campaign layer skips the wrapper), so replayed slices stay
-    bit-identical to one continuous run for piecewise-constant stimuli.
-    """
-
-    base: Profile = field(default_factory=ConstantProfile)
-    offset_s: float = 0.0
-
-    def value(self, t: float) -> float:
-        return self.base.value(t + self.offset_s)
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        return self.base.sample(t + self.offset_s)
-
-
-def shift_profile(profile: Profile, offset_s: float) -> Profile:
-    """Return ``profile`` advanced by ``offset_s`` seconds.
-
-    Constant profiles are returned unchanged and nested shifts are
-    collapsed into a single offset.
-    """
-    if offset_s == 0.0 or isinstance(profile, ConstantProfile):
-        return profile
-    if isinstance(profile, TimeShiftedProfile):
-        return TimeShiftedProfile(profile.base, profile.offset_s + offset_s)
-    return TimeShiftedProfile(profile, offset_s)
 
 
 @dataclass
@@ -212,21 +157,14 @@ class Environment:
         """Vectorised evaluation: ``(rate_dps, temperature_c)`` arrays.
 
         Evaluates both profiles over an array of time stamps in one call.
-        The compiled engine uses this instead of per-sample
-        :meth:`Profile.value` calls; every built-in profile
-        guarantees ``sample(t)[i] == value(t[i])`` bit-for-bit.
+        Both engines read their stimulus only through this, a chunk at a
+        time, at a run's absolute sample times ``(first_sample + j) *
+        dt``: a campaign lane that pauses at stop checks reads the times
+        one continuous run reads, so its chunking is invisible.
         """
         t = np.asarray(t, dtype=np.float64)
         return (np.asarray(self.rate_dps.sample(t), dtype=np.float64),
                 np.asarray(self.temperature_c.sample(t), dtype=np.float64))
-
-    def shifted(self, offset_s: float) -> "Environment":
-        """This environment with its time axis advanced by ``offset_s``."""
-        if offset_s < 0:
-            raise ConfigurationError("time shift must be >= 0")
-        return Environment(rate_dps=shift_profile(self.rate_dps, offset_s),
-                           temperature_c=shift_profile(self.temperature_c,
-                                                       offset_s))
 
     @classmethod
     def still(cls, temperature_c: float = ROOM_TEMPERATURE_C) -> "Environment":

@@ -30,9 +30,11 @@ import hashlib
 from typing import Iterable, Sequence
 
 #: Version of the on-disk entry schema.  Bump it when the entry or
-#: payload layout changes: entries written under another schema are
-#: quarantined on read (treated as misses), never misinterpreted.
-STORE_SCHEMA = 4
+#: payload layout changes, or when a lane's results change under an
+#: unchanged key: entries written under another schema are quarantined
+#: on read (treated as misses), never misinterpreted.  Schema 5: a
+#: chunked lane reads its stimulus at its absolute sample times.
+STORE_SCHEMA = 5
 
 #: Separator byte that cannot appear in hex digests or engine names.
 _SEP = "\x1f"

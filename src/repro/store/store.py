@@ -392,7 +392,7 @@ class ResultStore:
 
 
 def encode_lane(lane) -> Tuple[bytes, bytes]:
-    """A lane outcome's ``(payload line, trace block)`` (schema 4).
+    """A lane outcome's ``(payload line, trace block)`` (schema 5).
 
     The payload is the canonical JSON of ``lane.to_dict(block)`` plus the
     block's byte length; the same lane always encodes to the same bytes,

@@ -218,6 +218,17 @@ class TestPlanAndBackend:
                                       pack_scalar_state(ref))
         assert (com.conditioner.registers.dump()
                 == ref.conditioner.registers.dump())
+        # a chunked campaign lane hands its sample position on to the
+        # reference loop, so it reads the stimulus one continuous run reads
+        sine = Environment.sinusoidal_rate(20.0, 30.0)
+        chunked = Scenario("chunked", sine, 0.0128,
+                           stop=lambda platform: False, stop_check_s=0.0032)
+        lane = Campaign([chunked]).run(platforms=[com]).lanes[0]
+        r_ref = ref.run(sine, 0.0128, engine="reference")
+        np.testing.assert_array_equal(lane.outcomes[0].result.rate_output_dps,
+                                      r_ref.rate_output_dps)
+        np.testing.assert_array_equal(pack_scalar_state(com),
+                                      pack_scalar_state(ref))
 
     def test_error_overflow_format_raises_on_every_engine(self):
         # Q0.14 cannot hold the NCO's +1.0 peak: with overflow="error"

@@ -419,21 +419,71 @@ class TestBatchEquivalence:
                                   results[1].amplitude_control)
 
 
+#: The DSP monitor registers, which each run publishes at its end.
+MONITORS = ("dsp_status", "dsp_rate_out", "dsp_amplitude", "dsp_vco_control",
+            "dsp_phase_error", "dsp_quadrature", "dsp_drive_gain")
+
+
+def _monitor_values(platform) -> dict:
+    values = {name: platform.conditioner.registers.read(name)
+              for name in MONITORS}
+    values["afe_status"] = platform.frontend.trim.read("afe_status")
+    return values
+
+
+@pytest.fixture(scope="module")
+def started_platform():
+    platform = GyroPlatform()
+    platform.start()
+    return platform
+
+
+class TestMonitorRegisters:
+    # 1,000 and 7 samples are not a multiple of the conditioner's
+    # status_update_interval (64), which only the reference loop reads
+    @pytest.mark.parametrize("samples", [1000, 64, 7])
+    def test_equal_after_equal_runs(self, started_platform, kernel_backend,
+                                    samples):
+        environment = Environment.constant_rate(40.0, 30.0)
+        duration_s = samples / started_platform.config.sample_rate_hz
+        reference = copy.deepcopy(started_platform)
+        reference.run(environment, duration_s, engine="reference")
+        want = _monitor_values(reference)
+        for _ in kernel_backend:
+            lane = copy.deepcopy(started_platform)
+            lane.run(environment, duration_s)
+            assert _monitor_values(lane) == want
+
+
 class TestVectorisedHelpers:
     def test_environment_sample_matches_value(self):
-        profiles = [
-            ConstantProfile(3.5),
-            StepProfile(before=0.0, after=20.0, step_time=0.4),
-            RampProfile(start=-5.0, stop=5.0, t0=0.1, t1=0.7),
-            SineProfile(amplitude=10.0, frequency_hz=3.0, offset=1.0),
-            PiecewiseProfile(breakpoints=((0.0, 1.0), (0.3, -2.0),
-                                          (0.6, 4.0))),
+        # each built-in profile against its definition, evaluated one
+        # time at a time; value(t) is the base class's sample([t])[0]
+        def ramp(t):
+            if t <= 0.1:
+                return -5.0
+            if t >= 0.7:
+                return 5.0
+            return -5.0 + (t - 0.1) / (0.7 - 0.1) * (5.0 - -5.0)
+
+        cases = [
+            (ConstantProfile(3.5), lambda t: 3.5),
+            (StepProfile(before=0.0, after=20.0, step_time=0.4),
+             lambda t: 20.0 if t >= 0.4 else 0.0),
+            (RampProfile(start=-5.0, stop=5.0, t0=0.1, t1=0.7), ramp),
+            (SineProfile(amplitude=10.0, frequency_hz=3.0, offset=1.0),
+             lambda t: 1.0 + 10.0 * np.sin(2.0 * np.pi * 3.0 * t + 0.0)),
+            (PiecewiseProfile(breakpoints=((0.0, 1.0), (0.3, -2.0),
+                                           (0.6, 4.0))),
+             lambda t: 4.0 if t >= 0.6 else -2.0 if t >= 0.3 else 1.0),
         ]
         t = np.linspace(-0.1, 1.1, 257)
-        for profile in profiles:
-            sampled = profile.sample(t)
-            scalar = np.array([profile.value(float(ti)) for ti in t])
-            np.testing.assert_array_equal(sampled, scalar, err_msg=repr(profile))
+        for profile, definition in cases:
+            scalar = np.array([definition(ti) for ti in t.tolist()])
+            np.testing.assert_array_equal(profile.sample(t), scalar,
+                                          err_msg=repr(profile))
+            assert [profile.value(ti) for ti in t.tolist()] \
+                == scalar.tolist()
 
     def test_environment_sample_tuple(self):
         env = Environment(rate_dps=RampProfile(start=0.0, stop=90.0,

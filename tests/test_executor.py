@@ -199,7 +199,19 @@ class TestManifest:
                                     "f00d", make_shards())
         with open(manifest.path, "w") as fh:
             json.dump(dict(manifest.to_dict(), version=1), fh)
-        with pytest.raises(ConfigurationError, match="version 1, expected 2"):
+        with pytest.raises(ConfigurationError, match="version 1, expected 3"):
+            CampaignManifest.create_or_resume(str(tmp_path), "camp",
+                                              "compiled", "f00d",
+                                              make_shards())
+
+    def test_version_2_manifest_is_refused(self, tmp_path):
+        # under version 2 a chunked lane read a time-shifted stimulus, so
+        # its shard results hold other bits for the same scenarios
+        manifest = CampaignManifest(str(tmp_path), "camp", "compiled",
+                                    "f00d", make_shards())
+        with open(manifest.path, "w") as fh:
+            json.dump(dict(manifest.to_dict(), version=2), fh)
+        with pytest.raises(ConfigurationError, match="version 2, expected 3"):
             CampaignManifest.create_or_resume(str(tmp_path), "camp",
                                               "compiled", "f00d",
                                               make_shards())
@@ -629,6 +641,48 @@ class TestFaultInjectionAndResume:
         assert [s.attempts for s in manifest.shards] == [1, 1]
         assert (LaneSource.resolve(restored, None, 4).lane_digests(4)
                 == LaneSource.resolve(base, None, 4).lane_digests(4))
+
+    @pytest.mark.parametrize("damage", ["delete", "truncate"])
+    def test_done_shard_with_a_lost_result_re_runs(
+            self, started_platform, tmp_path, damage):
+        # a done shard whose result file is gone or damaged re-runs on
+        # resume, alone, and its lanes come back as the first run's
+        camp = Campaign(rate_table_scenarios([-40.0, 0.0, 40.0, 80.0],
+                                             settle_s=0.03),
+                        name="heal")
+        first = camp.run(copy.deepcopy(started_platform), workers=2,
+                         manifest_dir=str(tmp_path))
+        path = CampaignManifest.load(str(tmp_path)).shard_result_path(0)
+        if damage == "delete":
+            os.remove(path)
+        else:
+            with open(path, "r+b") as fh:
+                fh.truncate(16)
+        healed = camp.run(copy.deepcopy(started_platform), workers=2,
+                          manifest_dir=str(tmp_path))
+        manifest = CampaignManifest.load(str(tmp_path))
+        assert [s.attempts for s in manifest.shards] == [2, 1]
+        assert all(s.status == SHARD_DONE for s in manifest.shards)
+        assert ([content_digest(lane.to_dict()) for lane in healed.lanes]
+                == [content_digest(lane.to_dict()) for lane in first.lanes])
+
+    def test_each_shard_result_is_read_once(self, started_platform,
+                                            tmp_path, monkeypatch):
+        reads = []
+        load = CampaignManifest.load_verified_payload
+
+        def counted(manifest, path, record):
+            if os.path.exists(path):
+                reads.append(record.shard_id)
+            return load(manifest, path, record)
+
+        monkeypatch.setattr(CampaignManifest, "load_verified_payload",
+                            counted)
+        camp = Campaign(rate_table_scenarios([0.0, 40.0], settle_s=0.02),
+                        name="read-once")
+        camp.run(copy.deepcopy(started_platform), workers=2,
+                 manifest_dir=str(tmp_path))
+        assert sorted(reads) == [0, 1]
 
     def test_resume_rejects_different_campaign(self, started_platform,
                                                tmp_path):

@@ -3,28 +3,40 @@
 The campaign runner promises that a scenario program replayed through
 any engine — reference loop, compiled kernel on either lane backend,
 any fleet packing — from the same platform state produces bit-identical
-traces, metrics and final state, early-stop chunking included.  These
+traces, metrics and final state, early-stop chunking included, and
+that a lane paused at stop checks ends where one continuous run ends,
+whatever its stimulus.  These
 tests hold it to that, lock the fleet-vs-sequential calibration
 equivalence, check that each lane counts samples on its own platform's
-grid in mixed-rate campaigns, and cover the engine registry and lane
+grid in mixed-rate campaigns, that both engines evaluate a custom
+profile through ``Profile.sample``, and cover the engine registry and lane
 branching: every ``platform=`` lane is unpickled from one shared
 pickle of the base, never deep-copied, and shares no state with its
 siblings or the base.
 """
 
 import copy
+import dataclasses
+import functools
 import json
 import math
 import os
+import pickle
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from strategies.settings import QUICK_SETTINGS
 
 from repro.common import ConfigurationError, SimulationError
 from repro.engine import compiled
+from repro.engine.state import biquad_values, pack_scalar_state
 from repro.platform import GyroPlatform, GyroPlatformConfig
 from repro.platform.result import concatenate_results
 from repro.scenarios import (
@@ -43,11 +55,13 @@ from repro.scenarios.executor import LaneSource
 from repro.sensors import Environment
 from repro.sensors.environment import (
     ConstantProfile,
+    PiecewiseProfile,
     Profile,
     RampProfile,
     SineProfile,
-    TimeShiftedProfile,
+    StepProfile,
 )
+from repro.store import ResultStore
 
 TRACE_FIELDS = (
     "time_s", "true_rate_dps", "temperature_c", "rate_output_dps",
@@ -546,30 +560,159 @@ class TestThreadedRounds:
                 Campaign(scenarios).run(GyroPlatform())
 
 
-class TestTimeShiftedProfiles:
-    def test_shift_matches_offset_evaluation(self):
-        profile = SineProfile(amplitude=10.0, frequency_hz=3.0)
-        shifted = TimeShiftedProfile(profile, 0.25)
-        t = np.linspace(0.0, 0.5, 64)
-        np.testing.assert_array_equal(shifted.sample(t),
-                                      profile.sample(t + 0.25))
-        assert shifted.value(0.1) == profile.value(0.1 + 0.25)
+def never(platform) -> bool:
+    """A stop condition that never holds: its lane pauses at every check."""
+    return False
 
-    def test_constant_profiles_not_wrapped(self):
-        env = Environment.still(30.0)
-        assert env.shifted(0.5).rate_dps is env.rate_dps
-        assert env.shifted(0.5).temperature_c is env.temperature_c
 
-    def test_nested_shifts_collapse(self):
-        env = Environment.sinusoidal_rate(5.0, 2.0)
-        twice = env.shifted(0.1).shifted(0.2)
-        assert isinstance(twice.rate_dps, TimeShiftedProfile)
-        assert twice.rate_dps.offset_s == pytest.approx(0.3)
-        assert not isinstance(twice.rate_dps.base, TimeShiftedProfile)
+@functools.lru_cache(maxsize=None)
+def started_snapshot() -> bytes:
+    """The pickle of a platform started at 25 °C (started once)."""
+    platform = GyroPlatform()
+    platform.start()
+    return pickle.dumps(platform)
 
-    def test_negative_shift_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Environment.still().shifted(-0.1)
+
+_CONFIG = GyroPlatformConfig()
+_DT = 1.0 / _CONFIG.sample_rate_hz
+_DEC = _CONFIG.record_decimation
+#: ``(engine, lane backend)``: the reference, and compiled on each backend
+_ENGINES = [("reference", compiled.BACKEND)] + [
+    ("compiled", backend)
+    for backend in (("c", "python") if compiled.COMPILER else ("python",))]
+
+
+@st.composite
+def moving_stimulus(draw, n: int) -> Environment:
+    """An environment whose rate or temperature moves within ``n`` samples.
+
+    Edges fall on sample times ``m * dt``, where one continuous run reads
+    them exactly.
+    """
+    kind = draw(st.sampled_from(["sine-rate", "ramp-rate",
+                                 "ramp-temperature", "step", "piecewise"]))
+    edges = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2,
+                                max_size=4)))
+    t0, t1 = edges[0] * _DT, edges[-1] * _DT
+    level = st.floats(-150.0, 150.0)
+    rate, temperature = ConstantProfile(0.0), ConstantProfile(25.0)
+    if kind == "sine-rate":
+        rate = SineProfile(draw(level), draw(st.floats(5.0, 500.0)),
+                           phase=draw(st.floats(0.0, 6.0)))
+    elif kind == "ramp-rate":
+        rate = RampProfile(draw(level), draw(level), t0, t1)
+    elif kind == "ramp-temperature":
+        temperature = RampProfile(25.0, draw(st.floats(-40.0, 85.0)), t0,
+                                  t1)
+    elif kind == "step":
+        rate = StepProfile(draw(level), draw(level), t1)
+    else:
+        rate = PiecewiseProfile([(m * _DT, draw(level)) for m in edges])
+    return Environment(rate_dps=rate, temperature_c=temperature)
+
+
+@st.composite
+def chunked_runs(draw):
+    """``(environment, samples, samples per stop check, engine, backend)``;
+    the stop checks fall on the record grid and split the run at least
+    once."""
+    blocks = draw(st.integers(4, 48))
+    n = blocks * _DEC
+    check = draw(st.integers(1, blocks - 1)) * _DEC
+    engine, backend = draw(st.sampled_from(_ENGINES))
+    return draw(moving_stimulus(n)), n, check, engine, backend
+
+
+def _loop_state(platform) -> list:
+    sense = platform.conditioner.sense_chain
+    return (pack_scalar_state(platform).tolist()
+            + biquad_values(sense.output_filter)[1]
+            + biquad_values(sense.quadrature_filter)[1])
+
+
+class TestChunkingIsInvisible:
+    """A lane that pauses at stop checks reads its scenario's stimulus at
+    its absolute sample times, so it ends where one continuous run ends,
+    for every stimulus."""
+
+    @QUICK_SETTINGS
+    @given(run=chunked_runs())
+    def test_chunked_lane_equals_one_continuous_run(self, run):
+        environment, n, check, engine, backend = run
+        continuous = pickle.loads(started_snapshot())
+        lane = pickle.loads(started_snapshot())
+        scenario = Scenario("chunked", environment, n * _DT, stop=never,
+                            stop_check_s=check * _DT, record_waveforms=True)
+        with mock.patch.object(compiled, "BACKEND", backend):
+            want = continuous.run(environment, n * _DT,
+                                  record_waveforms=True, engine=engine)
+            got = Campaign([scenario]).run(platforms=[lane], engine=engine)
+        got = got.lanes[0].outcomes[0].result
+        # the record grid holds (the checks fall on it); the platform
+        # clock adds n * dt per engine call, so time_s may differ in the
+        # last bit
+        for name, _ in want._TRACE_DTYPES:
+            if name != "time_s":
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name),
+                                              err_msg=name)
+        assert _loop_state(lane) == _loop_state(continuous)
+
+
+@dataclasses.dataclass
+class LinearRate(Profile):
+    """A custom rate profile that implements only :meth:`Profile.sample`."""
+
+    slope_dps_per_s: float = 4000.0
+
+    def sample(self, t):
+        return self.slope_dps_per_s * np.asarray(t, dtype=np.float64)
+
+
+@dataclasses.dataclass
+class ScalarLinearRate(Profile):
+    """A custom rate profile that implements only :meth:`Profile.value`."""
+
+    slope_dps_per_s: float = 4000.0
+
+    def value(self, t):
+        return self.slope_dps_per_s * t
+
+
+class TestCustomProfiles:
+    """Both engines evaluate a stimulus through ``Profile.sample`` only."""
+
+    @pytest.mark.parametrize("profile", [LinearRate(), ScalarLinearRate()])
+    def test_both_engines_run_a_custom_profile(self, kernel_backend,
+                                               profile):
+        environment = Environment(rate_dps=profile,
+                                  temperature_c=ConstantProfile(30.0))
+        want = GyroPlatform().run(environment, 0.004, engine="reference")
+        for _ in kernel_backend:
+            got = GyroPlatform().run(environment, 0.004)
+            assert got.digest() == want.digest()
+        assert profile.value(0.5) == 2000.0
+        assert profile(0.25) == 1000.0
+
+    def test_profile_without_an_evaluator_is_refused(self):
+        with pytest.raises(NotImplementedError, match="neither"):
+            Profile().value(0.0)
+
+    def test_store_audit_replays_a_sample_only_profile(self, tmp_path):
+        environment = Environment(rate_dps=LinearRate(),
+                                  temperature_c=ConstantProfile(30.0))
+        scenario = Scenario("linear", environment, 0.004, stop=never,
+                            stop_check_s=0.001)
+        store = ResultStore(str(tmp_path / "store"))
+        stored = Campaign([scenario]).run(GyroPlatform(), store=store)
+        reference = Campaign([scenario]).run(GyroPlatform(),
+                                             engine="reference")
+        assert (stored.lanes[0].outcomes[0].result.digest()
+                == reference.lanes[0].outcomes[0].result.digest())
+        report = store.audit()
+        assert report.checked == 1
+        assert len(report.verified_keys) == 1
+        assert report.quarantined_keys == []
 
 
 class TestNoiseFloorScenario:

@@ -230,6 +230,17 @@ class TestServing:
         with pytest.raises(StoreError, match="schema"):
             ResultStore(str(root))
 
+    def test_schema_4_store_is_refused(self, tmp_path):
+        # under schema 4 a chunked lane read a time-shifted stimulus, so
+        # its entries hold other bits under the same scenario digests
+        root = tmp_path / "store"
+        ResultStore(str(root))
+        with open(root / "store.json", "w") as fh:
+            json.dump({"schema": 4}, fh)
+        with pytest.raises(StoreError, match="schema 4, this code speaks "
+                                             "schema 5"):
+            ResultStore(str(root))
+
 
 # ---------------------------------------------------------------------------
 # one snapshot: a platform= base is pickled once per Campaign.run
