@@ -17,10 +17,14 @@ lanes.  A rate-table round of C lanes runs on ``lane_threads`` threads
 (``min(cpu_count, B)``); the ``ramp`` row's lanes (``RAMP_LANES``, each
 under a 25 → 85 °C ramp over the run) retune their sensors within the
 round, so its rounds run serially, and its propagator memo is emptied
-before each repeat, as in a fresh process.  ``"build"`` times the C
-backend's on-disk kernel cache in a temporary cache directory, per
-kernel plan: the cold build (lowering, compiling and the self-check)
-and the warm load from the cache in the same process.
+before each repeat, as in a fresh process.  The sharded rows empty the
+memo too: the ``rate-table`` row's lanes all stay at 25 °C and never
+retune, while each of the ``temps`` row's ``TEMP_LANES`` lanes (at
+rest, at constant temperatures spread over ``TEMPS_C``) retunes once.
+``"build"`` times the C backend's on-disk kernel cache in a temporary
+cache directory, per kernel plan: the cold build (lowering, compiling
+and the self-check) and the warm load from the cache in the same
+process.
 ``"store"`` times the result store on one campaign of ``STORE_LANES``
 0.05 s settled-output lanes branched from a started platform: the mean
 entry size, the put time per lane into a fresh store (cold), the hit
@@ -76,6 +80,7 @@ from repro.scenarios import (                               # noqa: E402
     Campaign,
     Scenario,
     rate_table_scenarios,
+    settled_output_scenario,
 )
 from repro.scenarios.executor import LaneSource            # noqa: E402
 from repro.sensors import Environment, resonator           # noqa: E402
@@ -92,6 +97,8 @@ DURATION_S = 0.5   # the fixed locking scenario
 BATCH_LANES = 32
 RAMP_LANES = 4
 RAMP_C = (25.0, 85.0)  # temperature at the start and end of a ramp lane
+TEMP_LANES = 16
+TEMPS_C = (-20.0, 70.0)  # coldest and hottest lane of the temps row
 STORE_LANES = 16
 STORE_S = 0.05       # settled-output lane length
 BRANCH_LANES = 32
@@ -185,21 +192,21 @@ def _time_ramp(lanes: int, duration_s: float) -> float:
     return best
 
 
-def _time_sharded(lanes: int, duration_s: float, workers: int) -> float:
-    """Time the same rate-table campaign through the sharded executor.
+def _time_sharded(scenarios, workers: int) -> float:
+    """Time a campaign of ``scenarios`` through the sharded executor.
 
     Includes everything sharding adds on top of the campaign row:
     pickling lane programs and the base platform to the workers, worker
     start-up, manifest bookkeeping and result-file round-trips.  Each
-    repeat gets a fresh manifest directory so nothing is resumed.
+    repeat gets a fresh manifest directory so nothing is resumed, and
+    an empty propagator memo, as in a fresh process.
     """
-    rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
+    campaign = Campaign(scenarios, name="bench-sharded")
     best = float("inf")
     for _ in range(REPEATS):
         platform = GyroPlatform(GyroPlatformConfig())
         platform.start()
-        campaign = Campaign(rate_table_scenarios(rates, settle_s=duration_s),
-                            name="bench-rate-table")
+        resonator.propagator.cache_clear()
         manifest_dir = tempfile.mkdtemp(prefix="bench-sharded-")
         try:
             start = time.perf_counter()
@@ -415,6 +422,12 @@ def build_report(duration_s: float = DURATION_S,
     n = int(round(duration_s * fs))
     workers = workers or min(2, os.cpu_count() or 1)
 
+    rates = [(-200.0 + 400.0 * i / max(lanes - 1, 1)) for i in range(lanes)]
+    cold, hot = TEMPS_C
+    temperatures = [settled_output_scenario(
+        0.0, cold + (hot - cold) * i / (TEMP_LANES - 1), settle_s=duration_s)
+        for i in range(TEMP_LANES)]
+
     t_ref = _time_engine("reference", duration_s)
     sps_ref = n / t_ref
     rows = [("reference", sps_ref)]
@@ -429,7 +442,12 @@ def build_report(duration_s: float = DURATION_S,
                  n * RAMP_LANES / _time_ramp(RAMP_LANES, duration_s)),
                 (f"sharded[{backend}, {workers} workers, rate-table "
                  f"B={lanes}]",
-                 n * lanes / _time_sharded(lanes, duration_s, workers)),
+                 n * lanes / _time_sharded(
+                     rate_table_scenarios(rates, settle_s=duration_s),
+                     workers)),
+                (f"sharded[{backend}, {workers} workers, {TEMP_LANES} "
+                 "temps]",
+                 n * TEMP_LANES / _time_sharded(temperatures, workers)),
             ]
     entries = []
     for path, sps in rows:
@@ -447,10 +465,15 @@ def build_report(duration_s: float = DURATION_S,
     return {
         "scenario": ("fig5 locking run: sensor at rest from power-on, "
                      f"{duration_s} s @ {fs:.0f} Hz; campaign/sharded "
-                     f"entries: {lanes}-point rate-table sweep of the same "
-                     f"length; ramp entries: {RAMP_LANES} lanes of the same "
-                     f"length, each ramping {RAMP_C[0]:g} -> {RAMP_C[1]:g} "
-                     "degC"),
+                     f"rate-table entries: {lanes}-point rate-table sweep "
+                     "of the same length, whose lanes all stay at 25 degC "
+                     "and never retune; ramp entries: "
+                     f"{RAMP_LANES} lanes of the same length, each ramping "
+                     f"{RAMP_C[0]:g} -> {RAMP_C[1]:g} degC; temps entries: "
+                     f"{TEMP_LANES} settled-output lanes of the same length "
+                     f"at rest, at constant temperatures from {TEMPS_C[0]:g} "
+                     f"to {TEMPS_C[1]:g} degC, from a started platform; "
+                     "sharded entries start from an empty propagator memo"),
         "samples": n,
         "batch_lanes": lanes,
         "workers": workers,

@@ -43,11 +43,15 @@ metrics read from it:
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import numbers
 from typing import List, Optional, Sequence, Union
 
 from ..chaos.runtime import active as chaos_active
 from ..common.exceptions import ConfigurationError, SimulationError
 from ..platform.result import concatenate_results
+from ..sensors.environment import ConstantProfile
+from ..sensors.resonator import PROPAGATOR_MEMO_SIZE
 from .engines import ENGINE_COMPILED, get_engine
 from .scenario import Scenario, ScenarioOutcome
 
@@ -478,3 +482,28 @@ def _execute_lanes(programs: Sequence[Sequence[Scenario]], lanes: Sequence,
             state.advance(step, result)
         active = [s for s in active if not s.done]
     return [LaneOutcome(s.platform, s.outcomes) for s in states]
+
+
+def _prefetch_propagators(programs: Sequence[Sequence[Scenario]],
+                          lanes: Sequence) -> None:
+    """Memoise the propagators the lanes' constant temperatures retune to.
+
+    ``lanes`` holds each lane's starting platform (lanes may share one).
+    For each :class:`~repro.sensors.environment.ConstantProfile`
+    temperature of a real level in a lane's program, this calls
+    :meth:`~repro.sensors.gyro.VibratingRingGyro.prefetch_propagators`
+    on the lane's sensor, which it only reads.  The sharded executor
+    calls this before it forks its workers, which inherit the memo.  At
+    most ``PROPAGATOR_MEMO_SIZE // 2`` (platform, level) pairs are
+    fetched, two propagators each: the LRU memo would evict any more.
+    """
+    requests = {}
+    for program, lane in zip(programs, lanes):
+        for scenario in program:
+            profile = scenario.environment.temperature_c
+            if (isinstance(profile, ConstantProfile)
+                    and isinstance(profile.level, numbers.Real)):
+                requests.setdefault((id(lane), float(profile.level)), lane)
+    for (_, level), lane in itertools.islice(requests.items(),
+                                             PROPAGATOR_MEMO_SIZE // 2):
+        lane.sensor.prefetch_propagators(level)

@@ -68,7 +68,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..chaos import runtime as _chaos
 from ..common.exceptions import ConfigurationError
 from ..common.retry import RetryPolicy
-from .campaign import Campaign, CampaignResult, LaneOutcome, _execute_lanes
+from .campaign import (
+    Campaign,
+    CampaignResult,
+    LaneOutcome,
+    _execute_lanes,
+    _prefetch_propagators,
+)
 from .manifest import (
     ATTEMPT_CRASH,
     ATTEMPT_ERROR,
@@ -520,6 +526,15 @@ def _run_sharded(campaign: Campaign, source: LaneSource, engine: str,
             changed = True
     if changed:
         policy.call(manifest.write)
+
+    # forked workers inherit the parent's propagator memo: fill it for
+    # the pending lanes' constant temperatures, so no worker calls SciPy
+    pending = [i for shard in manifest.unfinished()
+               for i in shard.lane_indices]
+    if pending:
+        lanes = (source.materialize(pending) if source.mode == "platforms"
+                 else [pickle.loads(source.base)] * len(pending))
+        _prefetch_propagators([campaign.programs[i] for i in pending], lanes)
 
     _ShardScheduler(manifest, campaign, source, engine, options, policy,
                     workers, payloads).run()

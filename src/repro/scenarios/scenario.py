@@ -44,6 +44,38 @@ def _callable_token(fn: Callable) -> str:
     qualname = getattr(fn, "__qualname__", repr(fn))
     return f"{module}.{qualname}"
 
+
+def _profile_token(profile) -> str:
+    """A profile's ``repr``, unless that names the object's address.
+
+    A class that keeps ``object.__repr__`` renders as its
+    ``module.qualname`` and the reprs of its ``__dict__``, alike in
+    every process; one with ``__slots__`` keeps its ``repr``, since a
+    digest that missed a slot would alias two profiles.
+    """
+    cls = type(profile)
+    if (cls.__repr__ is not object.__repr__
+            or any("__slots__" in vars(klass) for klass in cls.__mro__)):
+        return repr(profile)
+    attributes = ", ".join(f"{name}={value!r}"
+                           for name, value in sorted(vars(profile).items()))
+    return f"{cls.__module__}.{cls.__qualname__}({attributes})"
+
+
+def _environment_token(environment) -> str:
+    """``repr(environment)``, with each profile as :func:`_profile_token`.
+
+    Byte-identical to the dataclass ``repr`` when every profile has a
+    ``repr`` of its own (the built-in and dataclass profiles).
+    """
+    if not dataclasses.is_dataclass(environment):
+        return repr(environment)
+    fields = ", ".join(
+        f"{f.name}={_profile_token(getattr(environment, f.name))}"
+        for f in dataclasses.fields(environment) if f.repr)
+    return f"{type(environment).__qualname__}({fields})"
+
+
 #: Signature of a stop condition: inspects the platform state after a
 #: chunk and returns True to end the scenario early.
 StopCondition = Callable[[object], bool]
@@ -125,14 +157,16 @@ class Scenario:
         """Content digest of this scenario for shard-manifest integrity.
 
         Hashes the declarative fields — environment (dataclass reprs are
-        deterministic), timing, reset/record flags, stop configuration
-        and the extractor identities — so a resumed sharded campaign can
-        verify that an on-disk manifest was produced by the same lane
-        programs before reusing completed shards.
+        deterministic; a profile without a ``repr`` of its own renders
+        by type and attributes, :func:`_profile_token`), timing,
+        reset/record flags, stop configuration and the extractor
+        identities — so a resumed sharded campaign can verify that an
+        on-disk manifest was produced by the same lane programs before
+        reusing completed shards.
         """
         parts = [
             self.name,
-            repr(self.environment),
+            _environment_token(self.environment),
             repr(self.duration_s),
             repr(self.reset),
             repr(self.record_waveforms),

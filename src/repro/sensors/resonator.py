@@ -15,7 +15,11 @@ resonance cycle (the co-simulation typically runs at 8–32 samples per
 The propagator comes from ``scipy.linalg.expm``, which is slow and wakes
 OpenBLAS's thread pool, so :func:`propagator` memoises it per process:
 every mode, on either engine, that retunes to an ``(f, Q, dt)`` already
-seen reads the same six floats instead.  Delete the memo once the
+seen reads the same six floats instead.  Two callers fill it ahead of
+the lanes (``VibratingRingGyro.prefetch_propagators``): a threaded
+campaign round before it fans out, and the sharded executor before it
+forks its workers, which inherit the memo and so never call SciPy for a
+constant temperature.  Delete the memo and both prefetch loops once the
 propagator is computed in closed form.
 """
 

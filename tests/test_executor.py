@@ -15,10 +15,13 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.chaos import ChaosPlan, WorkerError
 from repro.common import ConfigurationError, RetryPolicy, SimulationError
 from repro.engine import compiled
@@ -32,6 +35,7 @@ from repro.scenarios import (
     ManifestCorruptionError,
     Scenario,
     ShardRecord,
+    bandwidth_probe_scenario,
     executor_names,
     fault_scenario,
     get_executor,
@@ -42,13 +46,14 @@ from repro.scenarios import (
     startup_scenario,
     validate_executor,
 )
+from repro.scenarios import campaign as campaign_module
 from repro.scenarios.executor import ExecutorOptions, ExecutorSpec, LaneSource
 from repro.scenarios.manifest import (
     SHARD_DONE,
     SHARD_FAILED,
     write_shard_payload,
 )
-from repro.sensors import Environment
+from repro.sensors import Environment, resonator
 
 TRACE_FIELDS = (
     "time_s", "true_rate_dps", "temperature_c", "rate_output_dps",
@@ -343,6 +348,48 @@ class TestScenarioDigest:
         b = settled_output_scenario(50.0, settle_s=0.1, settle_fraction=0.5)
         assert a.digest() != b.digest()
 
+    @pytest.mark.parametrize("scenario, digest", [
+        (settled_output_scenario(50.0, settle_s=0.1), "90f7c3b75936cc3f"),
+        (bandwidth_probe_scenario(10.0, 50.0), "0a4f595dc44417ed"),
+    ])
+    def test_library_digests_are_unchanged(self, scenario, digest):
+        # store lane keys and manifests hash these digests
+        assert scenario.digest() == digest
+
+    def test_plain_custom_profile_digests_alike_in_two_processes(self):
+        # a profile that keeps object.__repr__ renders by type and
+        # attributes, not by its address
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        runs = [subprocess.run([sys.executable, "-c", PLAIN_PROFILE_DIGESTS],
+                               env=env, capture_output=True, text=True,
+                               check=True).stdout.split()
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert len(set(runs[0])) == 2
+
+
+#: prints the digests of two scenarios whose temperature is a plain
+#: custom profile, one per amplitude
+PLAIN_PROFILE_DIGESTS = """
+import numpy as np
+from repro.scenarios import Scenario
+from repro.sensors import ConstantProfile, Environment
+from repro.sensors.environment import Profile
+
+class Wobble(Profile):
+    def __init__(self, level, amplitude):
+        self.level = level
+        self.amplitude = amplitude
+
+    def sample(self, t):
+        return self.level + self.amplitude * np.sin(50.0 * np.asarray(t))
+
+for amplitude in (0.5, 0.25):
+    environment = Environment(ConstantProfile(3.0), Wobble(30.0, amplitude))
+    print(Scenario("wobble", environment, 0.01).digest())
+"""
+
 
 # ---------------------------------------------------------------------------
 # result serialisation (what the shard files carry)
@@ -519,6 +566,66 @@ class TestShardedEquivalence:
         camp = Campaign([scenario])
         with pytest.raises(ConfigurationError, match="picklable"):
             camp.run(copy.deepcopy(started_platform), workers=2)
+
+
+# ---------------------------------------------------------------------------
+# propagators: the parent computes them, forked workers inherit them
+# ---------------------------------------------------------------------------
+
+class TestWorkerPropagators:
+    @pytest.mark.parametrize("mode", ["platform", "platforms"])
+    def test_workers_compute_no_propagator(self, started_platform, tmp_path,
+                                           monkeypatch, mode):
+        # every expm call of this process, or of a worker it forks,
+        # appends its pid to one file
+        log = tmp_path / "expm-pids"
+        expm = resonator.expm
+
+        def recorded(matrix):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return expm(matrix)
+
+        resonator.propagator.cache_clear()
+        monkeypatch.setattr(resonator, "expm", recorded)
+        camp = Campaign([settled_output_scenario(20.0, temperature_c,
+                                                 settle_s=0.02)
+                         for temperature_c in (-20.0, 5.0, 40.0, 70.0)],
+                        name="temperatures")
+        rng = np.random.default_rng(7)
+        parts = [GyroPlatformConfig().with_part_variation(rng)
+                 for _ in camp.programs]
+
+        def lane_digests(**kwargs):
+            if mode == "platform":
+                result = camp.run(copy.deepcopy(started_platform), **kwargs)
+            else:
+                result = camp.run(platforms=[GyroPlatform(copy.deepcopy(cfg))
+                                             for cfg in parts], **kwargs)
+            return [content_digest(lane.to_dict()) for lane in result.lanes]
+
+        sharded = lane_digests(workers=2, manifest_dir=str(tmp_path / "m"))
+        assert {int(pid) for pid in log.read_text().split()} == {os.getpid()}
+        # the local run comes second: run first, it would fill the memo
+        # the workers inherit
+        assert lane_digests() == sharded
+
+    def test_prefetch_stops_at_what_the_memo_keeps(self, monkeypatch):
+        platform = GyroPlatform()
+        calls = []
+        expm = resonator.expm
+
+        def counted(matrix):
+            calls.append(matrix)
+            return expm(matrix)
+
+        monkeypatch.setattr(resonator, "expm", counted)
+        monkeypatch.setattr(campaign_module, "PROPAGATOR_MEMO_SIZE", 6)
+        resonator.propagator.cache_clear()
+        programs = [[settled_output_scenario(0.0, 30.0 + k, settle_s=0.01)]
+                    for k in range(10)]
+        campaign_module._prefetch_propagators(programs, [platform] * 10)
+        assert len(calls) == 6   # three levels, two modes each
 
 
 # ---------------------------------------------------------------------------
